@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,16 +73,11 @@ class OperatingRegion:
     - ``real_only``:      {(P, 0) : 0 <= P <= p_available}
     - ``reactive_only``:  {(p_available, Q) : Q^2 <= S^2 - p_available^2}
     - ``joint``:          {(P, Q) : 0 <= P <= p_available, P^2 + Q^2 <= S^2}
-
-    ``pf_tan`` optionally intersects the region with the power-factor cone
-    ``|Q| <= pf_tan * P``; the projection then falls back to alternating
-    projections and is approximate (see :func:`project_region`).
     """
 
     kind: str
     s_rating: float
     p_available: float
-    pf_tan: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in REGION_KINDS:
@@ -107,77 +103,76 @@ class OperatingRegion:
             return -tol <= p <= self.p_available + tol and abs(q) <= tol
         if self.kind == "reactive_only":
             return abs(p - self.p_available) <= tol and abs(q) <= self.q_headroom + tol
-        ok = -tol <= p <= self.p_available + tol and math.hypot(p, q) <= self.s_rating + tol
-        if ok and self.pf_tan is not None:
-            ok = abs(q) <= self.pf_tan * max(p, 0.0) + tol
-        return ok
+        return -tol <= p <= self.p_available + tol and math.hypot(p, q) <= self.s_rating + tol
 
 
-def _project_joint(p: float, q: float, s: float, p_av: float) -> tuple[float, float]:
+# Generalized (Clarke) Jacobians of the 2-D projections, row-major
+# (dP/dp, dP/dq, dQ/dp, dQ/dq), for the cases that do not depend on the point.
+_JAC_IDENTITY = (1.0, 0.0, 0.0, 1.0)
+_JAC_P_FREE = (1.0, 0.0, 0.0, 0.0)
+_JAC_Q_FREE = (0.0, 0.0, 0.0, 1.0)
+_JAC_ZERO = (0.0, 0.0, 0.0, 0.0)
+
+
+def _clamp_q(p: float, q: float, cap: float) -> tuple[float, float, tuple]:
+    # P held fixed, Q clamped to [-cap, cap]: a face, or a corner once clamped
+    if q >= cap:
+        return p, cap, _JAC_ZERO
+    if q <= -cap:
+        return p, -cap, _JAC_ZERO
+    return p, q, _JAC_Q_FREE
+
+
+def _project_joint(p: float, q: float, s: float, p_av: float) -> tuple[float, float, tuple]:
     # Case analysis over the intersection of the strip 0 <= P <= p_av with
     # the rating disk. Boundaries are resolved with <=, so every input maps
     # to exactly one case and coinciding candidates agree on overlaps.
-    q_cap = math.sqrt(max(s * s - p_av * p_av, 0.0))
     if p <= 0.0:
         # left face and its corners
-        return 0.0, min(s, max(-s, q))
+        return _clamp_q(0.0, q, s)
     r = math.hypot(p, q)
+    q_cap = math.sqrt(max(s * s - p_av * p_av, 0.0))
     if r <= s:
         if p <= p_av:
-            return p, q  # member
+            return p, q, _JAC_IDENTITY  # member
         # horizontal projection onto the chord face, corners clamped
-        return p_av, min(q_cap, max(-q_cap, q))
+        return _clamp_q(p_av, q, q_cap)
     scale = s / r
     if p * scale <= p_av:
-        # radial scaling onto the arc
-        return p * scale, q * scale
+        # radial scaling onto the arc; the Jacobian (s/r)(I - n n^T) keeps
+        # the tangential direction, shrunk by the radial scale
+        np_, nq = p / r, q / r
+        off = -scale * np_ * nq
+        return p * scale, q * scale, (scale * nq * nq, off, off, scale * np_ * np_)
     # beyond the arc's end: chord face or its corner
-    return p_av, min(q_cap, max(-q_cap, q))
-
-
-def _project_cone(p: float, q: float, t: float) -> tuple[float, float]:
-    # Euclidean projection onto {|Q| <= t*P, P >= 0}
-    if p >= 0 and abs(q) <= t * p:
-        return p, q
-    # nearest boundary ray Q = sign(q)*t*P, restricted to P >= 0
-    sgn = 1.0 if q >= 0 else -1.0
-    proj = (p + sgn * q * t) / (1.0 + t * t)
-    if proj <= 0:
-        return 0.0, 0.0
-    return proj, sgn * t * proj
+    return _clamp_q(p_av, q, q_cap)
 
 
 def project_region(u: Setpoint | tuple[float, float], region: OperatingRegion) -> Setpoint:
     """Euclidean projection of a setpoint onto the inverter's feasible set.
 
     Accepts a ``Setpoint`` or any (P, Q) pair. Closed form for all three
-    kinds. With ``pf_tan`` set the result comes from a fixed number of
-    alternating projections between the base region and the power-factor
-    cone; that point is feasible but only an approximation of the true
-    nearest point.
+    kinds.
     """
     if isinstance(u, Setpoint):
         p_in, q_in = u.p, u.q
     else:
         p_in, q_in = float(u[0]), float(u[1])
-    p, q = _project_pair(p_in, q_in, region)
+    p, q, _ = _project_pair(p_in, q_in, region)
     return Setpoint(p, q)
 
 
-def _project_pair(p: float, q: float, region: OperatingRegion) -> tuple[float, float]:
+def _project_pair(p: float, q: float, region: OperatingRegion) -> tuple[float, float, tuple]:
+    """Projection of (p, q) onto ``region`` and its generalized 2x2 Jacobian there."""
     if region.kind == "real_only":
-        return max(0.0, min(p, region.p_available)), 0.0
+        if p <= 0.0:
+            return 0.0, 0.0, _JAC_ZERO
+        if p >= region.p_available:
+            return region.p_available, 0.0, _JAC_ZERO
+        return p, 0.0, _JAC_P_FREE
     if region.kind == "reactive_only":
-        cap = region.q_headroom
-        return region.p_available, min(cap, max(-cap, q))
-    out = _project_joint(p, q, region.s_rating, region.p_available)
-    if region.pf_tan is not None:
-        for _ in range(64):  # approximate: alternating projections
-            cp, cq = _project_cone(out[0], out[1], region.pf_tan)
-            out = _project_joint(cp, cq, region.s_rating, region.p_available)
-            if abs(out[0] - cp) < 1e-12 and abs(out[1] - cq) < 1e-12:
-                break
-    return out
+        return _clamp_q(region.p_available, q, region.q_headroom)
+    return _project_joint(p, q, region.s_rating, region.p_available)
 
 
 @dataclass(frozen=True)
@@ -374,8 +369,19 @@ def primal_step(
 def _project_all(u: np.ndarray, regions: tuple[OperatingRegion, ...]) -> np.ndarray:
     out = np.empty_like(u)
     for i, reg in enumerate(regions):
-        out[i, 0], out[i, 1] = _project_pair(u[i, 0], u[i, 1], reg)
+        out[i, 0], out[i, 1], _ = _project_pair(u[i, 0], u[i, 1], reg)
     return out
+
+
+def _project_all_jac(
+    u: np.ndarray, regions: tuple[OperatingRegion, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    # projections plus their Jacobians, one row (dP/dp, dP/dq, dQ/dp, dQ/dq) per DER
+    out = np.empty_like(u)
+    jac = np.empty((len(regions), 4))
+    for i, reg in enumerate(regions):
+        out[i, 0], out[i, 1], jac[i] = _project_pair(u[i, 0], u[i, 1], reg)
+    return out, jac
 
 
 @dataclass(frozen=True)
@@ -483,11 +489,12 @@ def _penalty_value_grad(
     cp: np.ndarray,
     cq: np.ndarray,
     pav: np.ndarray,
-) -> tuple[float, np.ndarray]:
+) -> tuple[float, np.ndarray, np.ndarray]:
     # Maximizing the regularized Lagrangian over nonnegative duals in closed
     # form turns the constraints into one-sided quadratic penalties with
     # weight 1/eps; the saddle's primal part minimizes this smooth strongly
-    # convex function over the operating regions.
+    # convex function over the operating regions. Also returns the mask of
+    # violated limits, whose rows enter the generalized Hessian.
     prm = problem.params
     w = problem.coupling.predict(u, problem.p_load_der, problem.q_load_der)
     lo = np.maximum(prm.v_min - w, 0.0)
@@ -501,51 +508,7 @@ def _penalty_value_grad(
         + 0.5 * prm.nu * float(np.sum(u * u))
         + (float(lo @ lo) + float(hi @ hi)) / (2.0 * prm.epsilon)
     )
-    return val, g
-
-
-def _minimize_penalty(
-    problem: SaddleProblem,
-    u0: np.ndarray,
-    step_tol: float,
-    max_iter: int,
-) -> tuple[np.ndarray, int]:
-    # Accelerated projected gradient with the constant momentum of the
-    # strongly convex rate and a monotone restart guard.
-    cp = np.asarray([c.c_p for c in problem.costs])
-    cq = np.asarray([c.c_q for c in problem.costs])
-    pav = problem.p_av
-    prm = problem.params
-    G = float(np.linalg.norm(problem.coupling.stacked(), 2))
-    L_F = 2.0 * float(max(cp.max(), cq.max(), 0.0)) + prm.nu + G * G / prm.epsilon
-    m = prm.nu
-    step = 1.0 / L_F
-    sk = math.sqrt(L_F / m)
-    beta = (sk - 1.0) / (sk + 1.0)
-    x = _project_all(u0, problem.regions)
-    x_prev = x
-    f_x, _ = _penalty_value_grad(problem, x, cp, cq, pav)
-    for it in range(1, max_iter + 1):
-        yv = x + beta * (x - x_prev)
-        _, gy = _penalty_value_grad(problem, yv, cp, cq, pav)
-        x_new = _project_all(yv - step * gy, problem.regions)
-        f_new, _ = _penalty_value_grad(problem, x_new, cp, cq, pav)
-        if f_new > f_x:  # momentum overshoot: plain projected step instead
-            _, gx = _penalty_value_grad(problem, x, cp, cq, pav)
-            x_new = _project_all(x - step * gx, problem.regions)
-            f_new, _ = _penalty_value_grad(problem, x_new, cp, cq, pav)
-        delta = float(np.max(np.abs(x_new - x)))
-        x_prev, x, f_x = x, x_new, f_new
-        if delta <= step_tol:
-            # momentum can cancel the gradient step and stall the iterates
-            # away from the optimum; accept only if a plain projected step
-            # confirms stationarity, otherwise restart the momentum
-            _, gx = _penalty_value_grad(problem, x, cp, cq, pav)
-            x_plain = _project_all(x - step * gx, problem.regions)
-            if float(np.max(np.abs(x_plain - x))) <= step_tol:
-                return x, it
-            x_prev = x
-    return x, max_iter
+    return val, g, resid != 0.0
 
 
 def _closed_form_duals(problem: SaddleProblem, u: np.ndarray) -> DualState:
@@ -556,6 +519,22 @@ def _closed_form_duals(problem: SaddleProblem, u: np.ndarray) -> DualState:
     return DualState(np.maximum(g, 0.0) / eps, np.maximum(g_bar, 0.0) / eps)
 
 
+class _NewtonPoint(NamedTuple):
+    # an iterate of the oracle with what the next Newton step needs
+    u: np.ndarray
+    f: float  # penalty objective
+    grad: np.ndarray
+    act: np.ndarray  # violated voltage limits
+    jac: np.ndarray  # projection Jacobians at u - grad, one row per DER
+    r: np.ndarray  # natural residual u - proj(u - grad)
+    res: float  # ||r||
+
+
+_ARMIJO = 1e-4  # sufficient-decrease fraction of the line search
+_MIN_STEP = 2.0**-20  # shortest Newton step tried before the gradient fallback
+_STALL_RES = 1e-9  # residual below which a stalled Newton step means rounding
+
+
 def solve_saddle_oracle(
     problem: SaddleProblem,
     tol: float = 1e-11,
@@ -564,57 +543,86 @@ def solve_saddle_oracle(
 ) -> SaddleSolution:
     """Solve the static regularized saddle-point problem to high accuracy.
 
-    The unique saddle point is located by minimizing the equivalent
-    quadratic-penalty objective over the operating regions (fast inner
-    solve, with the duals recovered in closed form), after which the plain
-    model-based primal-dual recursion runs from that point until the
-    successive-iterate infinity norm drops to ``tol``; the returned point
-    is the final iterate of that recursion. Raises :class:`OracleError` if
-    the iteration budget is exhausted or the final projected-stationarity
-    residual is out of tolerance.
+    Maximizing over the duals in closed form leaves a strongly convex,
+    piecewise quadratic penalty objective F over the operating regions. Its
+    minimizer is the root of the natural residual ``r(u) = u - proj(u -
+    grad F(u))``, which a semismooth Newton method solves: each step uses the
+    generalized Hessian ``2 diag(c) + nu I + (1/eps) A_act^T A_act`` (rows of
+    the violated limits) and the generalized Jacobians of the per-DER
+    projections, and is globalized by a backtracking line search on F along
+    the projected Newton step, with a projected-gradient step as fallback.
+    The duals are then recovered in closed form. ``||r||`` equals
+    :func:`saddle_residual` at the returned point, and ``iterations`` counts
+    the Newton (or fallback) steps taken.
+
+    The solve stops once ``||r|| <= tol``, or, below ``||r|| = 1e-9``, when a
+    full Newton step that keeps the set of violated limits fails to reduce
+    ``||r||`` (the rounding floor). Only the setpoints of ``z0`` are used as
+    the start. Raises :class:`OracleError`
+    if ``max_iter`` steps are exhausted or the final residual is non-finite
+    or above 1e-6.
     """
+    regions = problem.regions
     if z0 is None:
-        u, duals = default_start(problem)
+        u, _ = default_start(problem)
     else:
-        u, duals = np.asarray(z0[0], float).copy(), z0[1]
+        u = _project_all(np.asarray(z0[0], float), regions)
+    prm = problem.params
+    n = problem.n_der
+    cp = np.asarray([c.c_p for c in problem.costs])
+    cq = np.asarray([c.c_q for c in problem.costs])
+    pav = problem.p_av
+    # sensitivities and curvature in the order of u.ravel(): P_0, Q_0, P_1, ...
+    a = np.empty((problem.coupling.n_monitored, 2 * n))
+    a[:, 0::2] = problem.coupling.r
+    a[:, 1::2] = problem.coupling.b
+    h_cost = np.column_stack([2.0 * cp + prm.nu, 2.0 * cq + prm.nu]).ravel()
+    der = np.arange(n)
 
-    inner_tol = min(1e-13, tol)
-    u, inner_its = _minimize_penalty(problem, u, inner_tol, max_iter)
-    duals = _closed_form_duals(problem, u)
-    # verify against the actual stationarity residual and retry with a
-    # tighter inner tolerance if needed; the successive-step criterion alone
-    # can overstate accuracy on badly conditioned penalty instances
-    res_goal = min(1e-9, max(10.0 * tol, 1e-12))
-    for _ in range(4):
-        if saddle_residual(problem, u, duals.gamma, duals.mu) <= res_goal:
-            break
-        inner_tol = max(inner_tol * 1e-2, 1e-16)
-        u, more = _minimize_penalty(problem, u, inner_tol, max_iter)
-        duals = _closed_form_duals(problem, u)
-        inner_its += more
+    def evaluate(x: np.ndarray) -> _NewtonPoint:
+        f, grad, act = _penalty_value_grad(problem, x, cp, cq, pav)
+        v, jac = _project_all_jac(x - grad, regions)
+        r = x - v
+        return _NewtonPoint(x, f, grad, act, jac, r, float(np.linalg.norm(r)))
 
-    consts = convergence_constants(problem.costs, problem.coupling, problem.params)
-    alpha_o = consts.eta / consts.L_reg**2
-    prm = replace(problem.params, alpha=alpha_o)
-    its = inner_its
-    for it in range(1, max_iter + 1):
-        g, g_bar = eval_constraints(
-            problem.coupling, u, problem.p_load_der, problem.q_load_der, prm
-        )
-        u_new = primal_step(u, duals, problem.costs, problem.regions, problem.coupling, prm)
-        duals_new = dual_step_model(duals, g, g_bar, prm)
-        delta = max(
-            float(np.max(np.abs(u_new - u))),
-            float(np.max(np.abs(duals_new.gamma - duals.gamma))),
-            float(np.max(np.abs(duals_new.mu - duals.mu))),
-        )
-        u, duals = u_new, duals_new
+    def armijo(old: _NewtonPoint, new: _NewtonPoint) -> bool:
+        decrease = float(np.sum(old.grad * (new.u - old.u)))
+        return decrease < 0.0 and new.f <= old.f + _ARMIJO * decrease
+
+    cur = evaluate(u)
+    its = 0
+    while cur.res > tol:
+        if its == max_iter:
+            raise OracleError(f"saddle oracle: no convergence in {max_iter} iterations")
+        # Newton step on r(u) = 0 with r' = I - D (I - H), D the block
+        # diagonal of the projection Jacobians and H the generalized Hessian
+        d_proj = np.zeros((n, 2, n, 2))
+        d_proj[der, :, der, :] = cur.jac.reshape(n, 2, 2)
+        d_proj = d_proj.reshape(2 * n, 2 * n)
+        a_act = a[cur.act]
+        hess = np.diag(h_cost) + (a_act.T @ a_act) / prm.epsilon
+        jac_r = np.eye(2 * n) - d_proj + d_proj @ hess
+        step = np.linalg.solve(jac_r, -cur.r.ravel()).reshape(n, 2)
+        new = evaluate(_project_all(cur.u + step, regions))
+        if cur.res <= _STALL_RES and new.res >= cur.res and np.array_equal(new.act, cur.act):
+            break  # rounding floor: a full step on the same active set gains nothing
         its += 1
-        if delta <= tol:
-            break
-    else:
-        raise OracleError(f"saddle oracle: no convergence in {max_iter} iterations")
+        # backtracking on F along the projected Newton path, tried only when
+        # the Newton step is a descent direction for F
+        t = 1.0 if float(np.sum(cur.grad * step)) < 0.0 else 0.0
+        while t > 0.0 and not armijo(cur, new):
+            t = 0.5 * t if t > _MIN_STEP else 0.0
+            if t > 0.0:
+                new = evaluate(_project_all(cur.u + t * step, regions))
+        if t == 0.0:
+            # projected-gradient step at 1/L, L the Lipschitz bound of grad F:
+            # a descent step whatever the active set
+            lip = h_cost.max() + np.linalg.norm(a, 2) ** 2 / prm.epsilon
+            new = evaluate(_project_all(cur.u - cur.grad / lip, regions))
+        cur = new
 
+    u = cur.u
+    duals = _closed_form_duals(problem, u)
     res = saddle_residual(problem, u, duals.gamma, duals.mu)
     if not math.isfinite(res) or res > 1e-6:
         raise OracleError(f"saddle oracle: stationarity residual {res:.3e} out of tolerance")

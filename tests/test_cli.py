@@ -228,3 +228,24 @@ def test_linearize_command(feeder_file, capsys):
     assert out["sensitivity_p"] == [[pytest.approx(0.1)]]
     assert out["sensitivity_q"] == [[pytest.approx(0.1)]]
     assert out["offset_magnitude"] == [pytest.approx(1.0)]
+
+
+def test_run_header_only_scenario_file(tmp_path, run_config, capsys):
+    from opftrack.sim import ScenarioParams, generate_scenario, write_scenario
+
+    fd = networks.two_bus(z=0.1 + 0.1j)
+    spath = tmp_path / "empty.csv"
+    write_scenario(generate_scenario("static", fd, seed=0, params=ScenarioParams(n_steps=2)),
+                   fd, str(spath))
+    header = spath.read_text(encoding="utf-8").splitlines(keepends=True)[0]
+    spath.write_text(header, encoding="utf-8")
+    cfg = json.loads(run_config.read_text(encoding="utf-8"))
+    del cfg["generator"]
+    cfg["scenario_file"] = "empty.csv"
+    bad = tmp_path / "empty_config.json"
+    write_json(bad, cfg)
+    assert cli.main(["run", "--config", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert "scenario has no rows" in err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1

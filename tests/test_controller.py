@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from opftrack import networks
 from opftrack.controller import (
@@ -13,6 +15,7 @@ from opftrack.controller import (
     SaddleProblem,
     Setpoint,
     VoltageCoupling,
+    _project_pair,
     convergence_constants,
     default_start,
     dual_step_feedback,
@@ -103,21 +106,6 @@ def test_projection_nonexpansive_and_idempotent():
             assert math.hypot(px.p - py.p, px.q - py.q) <= np.linalg.norm(x - y) + 1e-12
             again = project_region(px, reg)
             assert (again.p, again.q) == pytest.approx((px.p, px.q), abs=1e-12)
-
-
-def test_power_factor_cone_projection_is_feasible_and_near_optimal():
-    reg = OperatingRegion("joint", 1.0, 0.9, pf_tan=0.4)
-    h = 0.004
-    for p, q in ((0.5, 0.9), (-0.3, 0.2), (1.4, -1.0), (0.2, 0.05)):
-        out = project_region((p, q), reg)
-        assert reg.contains(out.p, out.q, tol=1e-9)
-        d_closed = math.hypot(out.p - p, out.q - q)
-        d_grid = grid_distance(p, q, reg, h)
-        # alternating projections: feasible by construction, documented as an
-        # approximation of the nearest point, so allow bounded suboptimality
-        assert d_closed <= 1.3 * d_grid + 2 * h
-    inside = project_region((0.2, 0.05), reg)
-    assert (inside.p, inside.q) == (0.2, 0.05)
 
 
 def test_region_validation():
@@ -400,3 +388,82 @@ def test_coupling_slicing_and_validation():
             q_load_der=np.zeros(18),
             params=ControllerParams(alpha=0.1, nu=1e-3, epsilon=1e-4),
         )
+
+
+# ---------------------------------------------------------------------------
+# property tests
+
+coord = st.floats(-2.0, 2.0, allow_nan=False)
+region_st = st.builds(
+    lambda kind, s, frac: OperatingRegion(kind, s, frac * s),
+    st.sampled_from(("joint", "real_only", "reactive_only")),
+    st.floats(0.2, 2.0),
+    st.floats(0.0, 1.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(region_st, coord, coord, coord, coord)
+def test_projection_property_idempotent_and_nonexpansive(reg, p1, q1, p2, q2):
+    a = project_region((p1, q1), reg)
+    b = project_region((p2, q2), reg)
+    assert reg.contains(a.p, a.q, tol=1e-12)
+    again = project_region(a, reg)
+    assert math.hypot(again.p - a.p, again.q - a.q) <= 1e-12
+    assert math.hypot(a.p - b.p, a.q - b.q) <= math.hypot(p1 - p2, q1 - q2) + 1e-12
+
+
+def _kink_distance(p, q, reg):
+    # distance to a superset of the points where some region's projection is
+    # not differentiable: the lines P = 0, P = p_av, |Q| = S, |Q| = q_cap,
+    # the rating circle, and the rays from the origin through the chord corners
+    s, pav, cap = reg.s_rating, reg.p_available, reg.q_headroom
+    return min(
+        abs(p),
+        abs(p - pav),
+        abs(abs(q) - s),
+        abs(abs(q) - cap),
+        abs(math.hypot(p, q) - s),
+        abs(p * cap - q * pav) / s,
+        abs(p * cap + q * pav) / s,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(region_st, coord, coord)
+def test_projection_jacobian_matches_central_differences(reg, p, q):
+    assume(_kink_distance(p, q, reg) >= 1e-6)
+    _, _, jac = _project_pair(p, q, reg)
+    h = 1e-7
+    for col, (dp, dq) in enumerate(((h, 0.0), (0.0, h))):
+        hi = _project_pair(p + dp, q + dq, reg)
+        lo = _project_pair(p - dp, q - dq, reg)
+        for row in range(2):
+            fd = (hi[row] - lo[row]) / (2.0 * h)
+            assert jac[2 * row + col] == pytest.approx(fd, abs=1e-6)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(4, 8), st.integers(0, 2**32 - 1))
+def test_saddle_oracle_property_random_radial(n, seed):
+    rng = np.random.default_rng(seed)
+    fd = networks.random_radial(n, seed=int(rng.integers(0, 1000)))
+    lm = build_linear_model(build_admittance(fd), fd.slack_voltage)
+    coupling = VoltageCoupling.from_linear_model(lm, fd)
+    g = coupling.n_der
+    kinds = rng.choice(["joint", "joint", "real_only", "reactive_only"], g)
+    prob = SaddleProblem(
+        costs=tuple(CostParams(*rng.uniform(0.2, 3.0, 2)) for _ in range(g)),
+        regions=tuple(
+            OperatingRegion(str(kinds[i]), 1.0, float(rng.uniform(0.0, 1.0)))
+            for i in range(g)
+        ),
+        coupling=coupling,
+        p_load_der=rng.uniform(0.0, 0.05, g),
+        q_load_der=rng.uniform(0.0, 0.02, g),
+        params=ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4,
+                                v_max=float(rng.uniform(1.0, 1.03))),
+    )
+    sol = solve_saddle_oracle(prob)
+    assert saddle_residual(prob, sol.u, sol.gamma, sol.mu) <= 1e-9
+    assert sol.iterations <= 50
