@@ -55,12 +55,14 @@ from .powerflow import (
     solve_ac,
 )
 from .sim import (
+    CompiledFeeder,
     ControlSetup,
     PlantError,
     Scenario,
     ScenarioParams,
     StepRecord,
     TrackingReport,
+    compile_feeder,
     eval_cost,
     generate_scenario,
     measure_tracking,

@@ -33,6 +33,7 @@ from .sim import (
     PlantError,
     Scenario,
     ScenarioParams,
+    compile_feeder,
     eval_cost,
     generate_scenario,
     measure_tracking,
@@ -352,9 +353,10 @@ def cmd_linearize(args: argparse.Namespace) -> int:
     feeder = load_feeder(args.feeder)
     adm = build_admittance(feeder)
     lm = build_linear_model(adm, feeder.slack_voltage)
+    R, B = lm.columns(np.arange(feeder.n_nodes))
     out = {
-        "sensitivity_p": [[float(x) for x in row] for row in lm.R],
-        "sensitivity_q": [[float(x) for x in row] for row in lm.B],
+        "sensitivity_p": [[float(x) for x in row] for row in R],
+        "sensitivity_q": [[float(x) for x in row] for row in B],
         "offset_magnitude": [float(x) for x in lm.a],
         "no_load_re": [float(x.real) for x in lm.vbar],
         "no_load_im": [float(x.imag) for x in lm.vbar],
@@ -389,19 +391,11 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    feeder = load_feeder(cfg.feeder_path)
-    diags = validate_feeder(feeder)
-    if diags:
-        raise FeederError("; ".join(diags))
+    net = compile_feeder(load_feeder(cfg.feeder_path))
+    feeder = net.feeder
     scen = _scenario_for(cfg, feeder)
     setup = _setup_for(cfg, feeder)
-
-    adm = build_admittance(feeder)
-    lm = build_linear_model(adm, feeder.slack_voltage)
-    from .controller import VoltageCoupling
-
-    coupling = VoltageCoupling.from_linear_model(lm, feeder)
-    consts = convergence_constants(setup.costs, coupling, setup.params)
+    consts = convergence_constants(setup.costs, net.coupling, setup.params)
     alpha = setup.params.alpha
     print(f"eta        = {consts.eta:.6e}")
     print(f"L_reg      = {consts.L_reg:.6e}")
@@ -416,7 +410,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
 
     records = run_closed_loop(
-        feeder, scen, cfg.strategy, setup, seed=cfg.seed, plant=cfg.plant
+        net, scen, cfg.strategy, setup, seed=cfg.seed, plant=cfg.plant
     )
 
     os.makedirs(cfg.output_dir, exist_ok=True)
@@ -446,7 +440,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     }
     if cfg.strategy == "pursuit" and cfg.report:
         rep = measure_tracking(
-            feeder, scen, setup, records, decimation=cfg.report_decimation
+            net, scen, setup, records, decimation=cfg.report_decimation
         )
         summary["tracking"] = rep.to_dict()
     summary_path = os.path.join(cfg.output_dir, "summary.json")
@@ -460,15 +454,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    feeder = load_feeder(cfg.feeder_path)
-    scen = _scenario_for(cfg, feeder)
-    setup = _setup_for(cfg, feeder)
+    net = compile_feeder(load_feeder(cfg.feeder_path))
+    scen = _scenario_for(cfg, net.feeder)
+    setup = _setup_for(cfg, net.feeder)
     k = args.step
     if not 0 <= k < scen.n_steps:
         raise ConfigError(f"step {k} outside scenario range [0, {scen.n_steps})")
-    adm = build_admittance(feeder)
-    lm = build_linear_model(adm, feeder.slack_voltage)
-    prob = step_problem(feeder, lm, scen, setup, k)
+    prob = step_problem(net, scen, setup, k)
     sol = solve_saddle_oracle(prob, tol=args.tol)
     residual = saddle_residual(prob, sol.u, sol.gamma, sol.mu)
     out = {
@@ -492,17 +484,17 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    feeder = load_feeder(cfg.feeder_path)
-    scen = _scenario_for(cfg, feeder)
-    setup = _setup_for(cfg, feeder)
+    net = compile_feeder(load_feeder(cfg.feeder_path))
+    scen = _scenario_for(cfg, net.feeder)
+    setup = _setup_for(cfg, net.feeder)
     traj = args.trajectory or os.path.join(cfg.output_dir, "trajectory.csv")
-    records = read_trajectory(traj, feeder)
+    records = read_trajectory(traj, net.feeder)
     if len(records) != scen.n_steps:
         raise ConfigError(
             f"trajectory has {len(records)} steps, scenario has {scen.n_steps}"
         )
     rep = measure_tracking(
-        feeder, scen, setup, records, decimation=cfg.report_decimation
+        net, scen, setup, records, decimation=cfg.report_decimation
     )
     text = _json_bytes(rep.to_dict())
     if args.output:

@@ -279,12 +279,12 @@ class VoltageCoupling:
         feeder: FeederModel,
         c: np.ndarray | None = None,
     ) -> "VoltageCoupling":
-        """Slice the feeder-wide linear model down to (metered x DER) blocks."""
+        """The (metered x DER) blocks of the linear model: n_der solves, metered rows kept."""
         mi = feeder.monitored_indices()
-        di = feeder.der_indices()
+        r, b = lm.columns(feeder.der_indices())
         if c is None:
             c = lm.a[mi]
-        return cls(r=lm.R[np.ix_(mi, di)], b=lm.B[np.ix_(mi, di)], c=np.asarray(c, float))
+        return cls(r=r[mi], b=b[mi], c=np.asarray(c, float))
 
     def predict(self, u: np.ndarray, p_load_der: np.ndarray, q_load_der: np.ndarray) -> np.ndarray:
         """Model-predicted metered magnitudes for setpoints ``u`` (n_der x 2)."""

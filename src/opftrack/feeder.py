@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import SuperLU, splu
 
 __all__ = [
     "RCOND_LIMIT",
@@ -34,6 +36,11 @@ __all__ = [
 RCOND_LIMIT = 1e-10
 
 SLACK = 0
+
+# right-hand-side columns per sparse solve: wider blocks go to multithreaded
+# BLAS, which on a 2-vCPU host took 15-100 ms for 100-600 columns at N = 36
+# against under 1 ms in blocks of this width
+SOLVE_BLOCK = 32
 
 
 class FeederError(ValueError):
@@ -105,27 +112,38 @@ class FeederModel:
 
 @dataclass(frozen=True)
 class AdmittanceMatrix:
-    """Partitioned bus admittance matrix.
+    """Partitioned bus admittance matrix, factored once.
 
     The full ``(N+1) x (N+1)`` matrix is stored as the slack self term
     ``y00``, the slack-to-network column ``ybar`` and the reduced network
-    block ``Y``, with ``ordering`` giving the bus id of each reduced row.
+    block ``Y`` (sparse CSC), with ``ordering`` giving the bus id of each
+    reduced row. ``lu`` is the sparse LU factor of ``Y`` that every solve
+    with ``Y`` uses, and ``rcond`` its estimated 1-norm reciprocal
+    condition number.
     """
 
     y00: complex
     ybar: np.ndarray
-    Y: np.ndarray
+    Y: sp.csc_matrix
     ordering: tuple[int, ...]
+    lu: SuperLU
+    rcond: float
 
-    def full(self) -> np.ndarray:
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """``Y^{-1} rhs`` for a vector or an N x K array, from the stored factor."""
+        if rhs.ndim == 1 or rhs.shape[1] <= SOLVE_BLOCK:
+            return self.lu.solve(rhs)
+        return np.hstack(
+            [
+                self.lu.solve(rhs[:, j : j + SOLVE_BLOCK])
+                for j in range(0, rhs.shape[1], SOLVE_BLOCK)
+            ]
+        )
+
+    def full(self) -> sp.csc_matrix:
         """Reassemble the full admittance matrix including the slack row."""
-        n = self.Y.shape[0]
-        out = np.zeros((n + 1, n + 1), dtype=complex)
-        out[0, 0] = self.y00
-        out[1:, 0] = self.ybar
-        out[0, 1:] = self.ybar
-        out[1:, 1:] = self.Y
-        return out
+        col = self.ybar[:, None]
+        return sp.bmat([[np.array([[self.y00]]), col.T], [col, self.Y]], format="csc")
 
 
 def validate_feeder(feeder: FeederModel) -> list[str]:
@@ -199,40 +217,94 @@ def validate_feeder(feeder: FeederModel) -> list[str]:
 
 
 def build_admittance(feeder: FeederModel) -> AdmittanceMatrix:
-    """Assemble the partitioned bus admittance matrix.
+    """Assemble the partitioned bus admittance matrix and factor it.
 
     Each line contributes ``1/z`` between its terminals plus half of
-    ``y_shunt`` at each terminal. Raises :class:`FeederError` if the
-    feeder fails validation or if the reduced block is numerically
-    singular (reciprocal condition below ``RCOND_LIMIT``).
+    ``y_shunt`` at each terminal; the reduced block is assembled directly
+    in CSC form from the line list, so a radial feeder costs O(N). It is
+    factored once with ``splu``. Raises :class:`FeederError` if the feeder
+    fails validation or if the reduced block is numerically singular: its
+    reciprocal 1-norm condition number, ``1 / (||Y||_1 ||Y^{-1}||_1)``
+    with ``||Y^{-1}||_1`` estimated from solves with the factor, is below
+    ``RCOND_LIMIT`` (or the factorization finds an exactly zero pivot).
     """
     diags = validate_feeder(feeder)
     if diags:
         raise FeederError("; ".join(diags))
 
     n = feeder.n_nodes
-    full = np.zeros((n + 1, n + 1), dtype=complex)
-    for ln in feeder.lines:
-        ys = 1.0 / ln.z
-        a, b = ln.from_node, ln.to_node
-        full[a, b] -= ys
-        full[b, a] -= ys
-        full[a, a] += ys + ln.y_shunt / 2.0
-        full[b, b] += ys + ln.y_shunt / 2.0
-
-    Y = full[1:, 1:].copy()
-    sv = np.linalg.svd(Y, compute_uv=False)
-    rcond = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
-    if rcond < RCOND_LIMIT:
+    a = np.asarray([ln.from_node for ln in feeder.lines])
+    b = np.asarray([ln.to_node for ln in feeder.lines])
+    ys = np.asarray([1.0 / ln.z for ln in feeder.lines])
+    # self terms of buses 0..N, summed in line order
+    diag = np.zeros(n + 1, dtype=complex)
+    half = ys + np.asarray([ln.y_shunt for ln in feeder.lines]) / 2.0
+    np.add.at(diag, np.column_stack([a, b]).ravel(), np.repeat(half, 2))
+    # validation rules out self loops and duplicate corridors, so each
+    # off-diagonal entry comes from exactly one line and needs no summing
+    inner = (a > 0) & (b > 0)
+    rows = np.concatenate([np.arange(n), a[inner] - 1, b[inner] - 1])
+    cols = np.concatenate([np.arange(n), b[inner] - 1, a[inner] - 1])
+    vals = np.concatenate([diag[1:], -ys[inner], -ys[inner]])
+    order = np.lexsort((rows, cols))
+    Y = sp.csc_matrix(
+        (vals[order], rows[order], np.searchsorted(cols[order], np.arange(n + 1))),
+        shape=(n, n),
+    )
+    ybar = np.zeros(n, dtype=complex)
+    ybar[a[~inner] + b[~inner] - 1] = -ys[~inner]
+    try:
+        # Y is structurally symmetric: order on Y + Y^T and keep diagonal
+        # pivots unless one falls below a tenth of its column's largest
+        # entry; on a radial feeder this leaves almost no fill-in
+        lu = splu(
+            Y,
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.1,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError:  # an exactly zero pivot
+        rcond = 0.0
+    else:
+        # largest absolute row sum, which is ||Y||_1 because Y is symmetric
+        y_norm = float(np.bincount(Y.indices, np.abs(Y.data), n).max())
+        rcond = 1.0 / (y_norm * _inverse_norm1(lu, n))
+    if not rcond >= RCOND_LIMIT:
         raise FeederError(
             f"degenerate network: reduced admittance rcond {rcond:.3e} < {RCOND_LIMIT:.0e}"
         )
     return AdmittanceMatrix(
-        y00=complex(full[0, 0]),
-        ybar=full[1:, 0].copy(),
+        y00=complex(diag[0]),
+        ybar=ybar,
         Y=Y,
         ordering=tuple(range(1, n + 1)),
+        lu=lu,
+        rcond=rcond,
     )
+
+
+def _inverse_norm1(lu: SuperLU, n: int) -> float:
+    # Hager's estimate of ||Y^{-1}||_1 (Higham's complex form): ascend from
+    # the uniform vector to the unit vector with the steepest solve; a lower
+    # bound that is exact for most matrices, at a few solves each way
+    x = np.full(n, 1.0 / n, dtype=complex)
+    est = 0.0
+    for _ in range(5):
+        y = lu.solve(x)
+        new = float(np.sum(np.abs(y)))
+        if not math.isfinite(new):
+            return math.inf
+        if new <= est:
+            break
+        est = new
+        mag = np.abs(y)
+        z = lu.solve(np.where(mag > 0, y / np.where(mag > 0, mag, 1.0), 1.0), trans="H")
+        j = int(np.argmax(np.abs(z)))
+        if abs(z[j]) <= np.vdot(z, x).real:
+            break
+        x = np.zeros(n, dtype=complex)
+        x[j] = 1.0
+    return est
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 The AC solver is a Z-bus fixed-point iteration on the slack-reduced
 network equations; the linear model maps net nodal injections to
 approximate voltage magnitudes around the no-load profile and supplies the
-sensitivities used by the voltage-regulation controller.
+sensitivities used by the voltage-regulation controller. Both work through
+the sparse LU factor of the reduced admittance that ``build_admittance``
+computes once; no N x N matrix is formed.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .feeder import AdmittanceMatrix, FeederModel
 
@@ -98,71 +99,58 @@ class PFSolution:
 class LinearModel:
     """First-order voltage-magnitude model around the no-load profile.
 
-    ``predict_voltage_magnitude`` evaluates ``R p + B q + a``. ``R`` and
-    ``B`` combine the resistive/reactive parts of the network impedance
-    matrix with the no-load phase rotation; ``a`` is the no-load magnitude
-    profile.
+    ``predict_voltage_magnitude`` evaluates ``R p + B q + a``, where ``a``
+    is the no-load magnitude profile ``|vbar|``. Column j of ``R + jB`` is
+    column j of ``Y^{-1}`` scaled by ``ebar_j = exp(j theta_j) / rho_j``,
+    the no-load angle and magnitude of bus j, so that
+    ``R p + B q = Re(Y^{-1} (ebar * (p - jq)))``. R and B are therefore not
+    stored: :meth:`response` applies them with one solve of the admittance
+    factor, and :meth:`columns` forms only the columns asked for.
     """
 
-    R: np.ndarray
-    B: np.ndarray
-    a: np.ndarray
+    adm: AdmittanceMatrix
     vbar: np.ndarray
-    ZR: np.ndarray
-    ZI: np.ndarray
-    xi_bar: np.ndarray
-    theta_bar: np.ndarray
+    a: np.ndarray
+    ebar: np.ndarray
 
-    @property
-    def H(self) -> np.ndarray:
-        """Complex-voltage sensitivity, ``R + jB``."""
-        return self.R + 1j * self.B
+    def response(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """``R p + B q`` for injections of shape (N,), or (N, K) for K at once."""
+        scale = self.ebar if np.ndim(p) == 1 else self.ebar[:, None]
+        return self.adm.solve(scale * (p - 1j * q)).real
 
-    @property
-    def J(self) -> np.ndarray:
-        """Complex-voltage sensitivity to reactive power, ``B - jR``."""
-        return self.B - 1j * self.R
-
-    @property
-    def b(self) -> np.ndarray:
-        """Affine term of the complex-voltage model (the no-load profile)."""
-        return self.vbar
+    def columns(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Columns ``idx`` of R and of B (each N x len(idx)), one solve per column."""
+        idx = np.asarray(idx, dtype=int)
+        rhs = np.zeros((self.a.shape[0], idx.size), dtype=complex)
+        rhs[idx, np.arange(idx.size)] = self.ebar[idx]
+        h = self.adm.solve(rhs)
+        return h.real, h.imag
 
 
 def no_load_voltage(adm: AdmittanceMatrix, v0: complex) -> np.ndarray:
     """Zero-injection voltage profile, ``-Y^{-1} ybar V0``."""
-    return np.linalg.solve(adm.Y, -adm.ybar * v0)
+    return adm.solve(-adm.ybar * v0)
 
 
 def build_linear_model(adm: AdmittanceMatrix, v0: complex) -> LinearModel:
     """Linearize voltage magnitudes around the no-load profile.
 
-    With ``Z = Y^{-1}`` split into real/imaginary parts and the no-load
-    voltages written as ``rho_bar * exp(j theta)``, the magnitude response
-    to injections (p, q) is ``R p + B q + a`` where the rows of R and B are
-    scaled by ``1/rho_bar`` and rotated by the no-load angles.
+    With the no-load voltages written as ``rho_bar * exp(j theta)``, the
+    magnitude response to injections (p, q) is ``R p + B q + a`` with
+    ``R + jB = Y^{-1} diag(exp(j theta) / rho_bar)`` and ``a = rho_bar``.
+    Costs one solve with the stored factor.
     """
-    Z = np.linalg.inv(adm.Y)
-    ZR, ZI = Z.real.copy(), Z.imag.copy()
     vbar = no_load_voltage(adm, v0)
     rho = np.abs(vbar)
     if np.any(rho <= 0):
         raise ValueError("no-load profile has a zero-magnitude bus")
     ang = np.angle(vbar)
-    xi = np.cos(ang)
-    th = np.sin(ang)
-    # right-multiplication by diag(xi or th) then diag(1/rho): column scaling
-    cs = xi / rho
-    ss = th / rho
-    R = ZR * cs[None, :] - ZI * ss[None, :]
-    B = ZI * cs[None, :] + ZR * ss[None, :]
-    return LinearModel(
-        R=R, B=B, a=rho, vbar=vbar, ZR=ZR, ZI=ZI, xi_bar=xi, theta_bar=th
-    )
+    ebar = np.cos(ang) / rho + 1j * (np.sin(ang) / rho)
+    return LinearModel(adm=adm, vbar=vbar, a=rho, ebar=ebar)
 
 
 def predict_voltage_magnitude(lm: LinearModel, inj: PowerInjection) -> np.ndarray:
-    return lm.R @ inj.p + lm.B @ inj.q + lm.a
+    return lm.response(inj.p, inj.q) + lm.a
 
 
 def solve_ac(
@@ -174,6 +162,9 @@ def solve_ac(
     max_iter: int = 1000,
 ) -> PFSolution:
     """Z-bus fixed-point AC solve, ``v <- Y^{-1}(conj(s / v) - ybar V0)``.
+
+    Each iteration is one solve with the factor stored in ``adm`` and one
+    sparse product for the residual; nothing is factored here.
 
     Parameters
     ----------
@@ -189,10 +180,9 @@ def solve_ac(
     n = adm.Y.shape[0]
     if inj.p.shape[0] != n:
         raise ValueError(f"injection length {inj.p.shape[0]} != network size {n}")
-    lu = lu_factor(adm.Y)
     yv0 = adm.ybar * v0
     if init is None:
-        v = lu_solve(lu, -yv0)
+        v = adm.solve(-yv0)
     else:
         v = np.asarray(init, dtype=complex).copy()
         mags = np.abs(v)
@@ -201,7 +191,7 @@ def solve_ac(
     s = inj.s
     residual = float("inf")
     for it in range(1, max_iter + 1):
-        v = lu_solve(lu, np.conj(s / v) - yv0)
+        v = adm.solve(np.conj(s / v) - yv0)
         mags = np.abs(v)
         if np.any(mags < COLLAPSE_LO) or np.any(mags > COLLAPSE_HI):
             raise VoltageCollapseError(
@@ -227,17 +217,18 @@ def constraint_offsets(
     """Load-dependent offsets of the monitored-voltage model.
 
     ``p_load``/``q_load`` are full-length demand vectors (positive =
-    consumption) for buses 1..N. Contributions from DER buses are excluded
-    here; they enter the constraint functions through the net DER
-    injections instead.
+    consumption) for buses 1..N, or arrays of K such rows; the result has
+    one row of monitored offsets per row, from a single solve. Contributions
+    from DER buses are excluded here; they enter the constraint functions
+    through the net DER injections instead.
     """
-    p_load = np.asarray(p_load, dtype=float)
-    q_load = np.asarray(q_load, dtype=float)
+    p = np.array(p_load, dtype=float)
+    q = np.array(q_load, dtype=float)
     n = lm.a.shape[0]
-    if p_load.shape != (n,) or q_load.shape != (n,):
+    if p.ndim not in (1, 2) or p.shape[-1] != n or q.shape != p.shape:
         raise ValueError("load vectors must have one entry per non-slack bus")
-    mask = np.ones(n, dtype=bool)
-    mask[feeder.der_indices()] = False
-    drop = lm.R[:, mask] @ p_load[mask] + lm.B[:, mask] @ q_load[mask]
-    c_full = lm.a - drop
-    return c_full[feeder.monitored_indices()]
+    der = feeder.der_indices()
+    p[..., der] = 0.0
+    q[..., der] = 0.0
+    c_full = lm.a - lm.response(p.T, q.T).T
+    return c_full[..., feeder.monitored_indices()]

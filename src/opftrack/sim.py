@@ -36,18 +36,20 @@ from .controller import (
     primal_step,
     solve_saddle_oracle,
 )
-from .feeder import FeederModel, build_admittance
+from .feeder import AdmittanceMatrix, FeederModel, build_admittance
 from .powerflow import (
     LinearModel,
     PowerFlowError,
     PowerInjection,
     build_linear_model,
-    no_load_voltage,
+    constraint_offsets,
     predict_voltage_magnitude,
     solve_ac,
 )
 
 __all__ = [
+    "CompiledFeeder",
+    "compile_feeder",
     "Scenario",
     "ScenarioParams",
     "ControlSetup",
@@ -108,10 +110,13 @@ class Scenario:
             and self.v_max.shape == (k,)
         ):
             raise ValueError("scenario series must share the same number of steps")
+        for name in ("p_load", "q_load", "p_av", "v_min", "v_max"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         if np.any(self.p_av < 0):
             raise ValueError("p_av must be nonnegative")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError("tau must be positive and finite")
 
     @property
     def n_steps(self) -> int:
@@ -281,11 +286,13 @@ def write_scenario(scenario: Scenario, feeder: FeederModel, path: str) -> None:
 
 
 def read_scenario(path: str, feeder: FeederModel, noise_amp: float = 0.0) -> Scenario:
-    """Parse a columnar scenario file; the column set must match the feeder."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(x) for x in row] for row in reader if row]
+    """Parse a columnar scenario file; the column set must match the feeder.
+
+    Every row must have one numeric cell per column, ``time_s`` must be
+    uniformly spaced (tau is that spacing) and every value finite. A
+    violation raises ``ValueError`` naming the file and, where it is one
+    row's fault, the row (numbered from 1 after the header).
+    """
     n = feeder.n_nodes
     expected = (
         ["time_s", "v_min", "v_max"]
@@ -293,25 +300,47 @@ def read_scenario(path: str, feeder: FeederModel, noise_amp: float = 0.0) -> Sce
         + [f"ql_{i}" for i in range(1, n + 1)]
         + [f"pav_{i}" for i in feeder.der_nodes]
     )
-    if header != expected:
-        raise ValueError(
-            f"{path}: scenario columns do not match the feeder "
-            f"(expected {len(expected)} columns starting with time_s)"
-        )
+    m = len(expected)
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != expected:
+            raise ValueError(
+                f"{path}: scenario columns do not match the feeder "
+                f"(expected {m} columns starting with time_s)"
+            )
+        rows = []
+        for i, row in enumerate((r for r in reader if r), start=1):
+            if len(row) != m:
+                raise ValueError(f"{path}: row {i} has {len(row)} columns, expected {m}")
+            try:
+                rows.append([float(x) for x in row])
+            except ValueError as exc:
+                raise ValueError(f"{path}: row {i}: {exc}") from exc
     if not rows:
         raise ValueError(f"{path}: scenario has no rows")
     data = np.asarray(rows, dtype=float)
-    tau = 1.0 if data.shape[0] < 2 else float(data[1, 0] - data[0, 0])
+    steps = np.diff(data[:, 0])
+    tau = float(steps[0]) if steps.size else 1.0
+    if not np.allclose(steps, tau, rtol=1e-9, atol=0.0):
+        j = int(np.argmax(np.abs(steps - tau)))
+        raise ValueError(
+            f"{path}: time_s is not uniformly spaced (row {j + 2} is "
+            f"{float(steps[j])!r} s after its predecessor, row 2 is {tau!r} s)"
+        )
     g = feeder.n_der
-    return Scenario(
-        tau=tau,
-        v_min=data[:, 1],
-        v_max=data[:, 2],
-        p_load=data[:, 3 : 3 + n],
-        q_load=data[:, 3 + n : 3 + 2 * n],
-        p_av=data[:, 3 + 2 * n : 3 + 2 * n + g],
-        noise_amp=noise_amp,
-    )
+    try:
+        return Scenario(
+            tau=tau,
+            v_min=data[:, 1],
+            v_max=data[:, 2],
+            p_load=data[:, 3 : 3 + n],
+            q_load=data[:, 3 + n : 3 + 2 * n],
+            p_av=data[:, 3 + 2 * n : 3 + 2 * n + g],
+            noise_amp=noise_amp,
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +378,34 @@ class StepRecord:
     pf_residual: float
 
 
+@dataclass(frozen=True)
+class CompiledFeeder:
+    """A feeder compiled once for every layer of a run.
+
+    Holds the feeder model, its linear model (which carries the factored
+    sparse admittance) and the metered x DER coupling at no load; a step's
+    coupling differs from it only in the load offsets ``c``.
+    """
+
+    feeder: FeederModel
+    lm: LinearModel
+    coupling: VoltageCoupling
+
+    @property
+    def adm(self) -> AdmittanceMatrix:
+        return self.lm.adm
+
+
+def compile_feeder(feeder: FeederModel) -> CompiledFeeder:
+    """Validate, assemble and factor the feeder, then linearize it once.
+
+    Raises :class:`~opftrack.feeder.FeederError` for an invalid or
+    degenerate network.
+    """
+    lm = build_linear_model(build_admittance(feeder), feeder.slack_voltage)
+    return CompiledFeeder(feeder, lm, VoltageCoupling.from_linear_model(lm, feeder))
+
+
 def _regions_at(feeder: FeederModel, setup: ControlSetup, p_av_k: np.ndarray) -> tuple:
     return tuple(
         OperatingRegion(setup.region_kind, s, float(p))
@@ -356,8 +413,14 @@ def _regions_at(feeder: FeederModel, setup: ControlSetup, p_av_k: np.ndarray) ->
     )
 
 
+def _params_at(setup: ControlSetup, scenario: Scenario, k: int) -> ControllerParams:
+    return replace(
+        setup.params, v_min=float(scenario.v_min[k]), v_max=float(scenario.v_max[k])
+    )
+
+
 def run_closed_loop(
-    feeder: FeederModel,
+    net: CompiledFeeder,
     scenario: Scenario,
     strategy: str,
     setup: ControlSetup,
@@ -373,6 +436,7 @@ def run_closed_loop(
     solve or the linear magnitude model. Deterministic for fixed inputs
     and seed.
     """
+    feeder = net.feeder
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     if plant not in ("ac", "linear"):
@@ -382,10 +446,7 @@ def run_closed_loop(
     if scenario.p_load.shape[1] != feeder.n_nodes:
         raise ValueError("scenario load columns do not match the feeder")
 
-    adm = build_admittance(feeder)
     v0 = feeder.slack_voltage
-    lm = build_linear_model(adm, v0)
-    coupling = VoltageCoupling.from_linear_model(lm, feeder)
     mon = feeder.monitored_indices()
     der = feeder.der_indices()
     rng = np.random.default_rng(seed)
@@ -398,14 +459,12 @@ def run_closed_loop(
         u = np.column_stack([scenario.p_av[0], np.zeros(g)])
         duals = DualState.zeros(len(mon))
     u_applied = u.copy()
-    v_warm = no_load_voltage(adm, v0)
+    v_warm = net.lm.vbar
     dual_warned = False
 
     records: list[StepRecord] = []
     for k in range(scenario.n_steps):
-        params_k = replace(
-            setup.params, v_min=float(scenario.v_min[k]), v_max=float(scenario.v_max[k])
-        )
+        params_k = _params_at(setup, scenario, k)
         regions_k = _regions_at(feeder, setup, scenario.p_av[k])
         if setup.lag_beta > 0.0:
             u_applied = u_applied + (1.0 - setup.lag_beta) * (u - u_applied)
@@ -420,14 +479,14 @@ def run_closed_loop(
 
         if plant == "ac":
             try:
-                sol = solve_ac(adm, inj, v0, init=v_warm)
+                sol = solve_ac(net.adm, inj, v0, init=v_warm)
             except PowerFlowError as exc:
                 raise PlantError(k, exc) from exc
             v_warm = sol.voltages.v
             v_mag = sol.voltages.rho
             pf_residual = sol.residual
         else:
-            v_mag = predict_voltage_magnitude(lm, inj)
+            v_mag = predict_voltage_magnitude(net.lm, inj)
             pf_residual = 0.0
 
         y = v_mag[mon].copy()
@@ -462,7 +521,7 @@ def run_closed_loop(
 
         if strategy == "pursuit":
             # simultaneous update: the primal step reads the pre-update duals
-            u_next = primal_step(u, duals, setup.costs, regions_k, coupling, params_k)
+            u_next = primal_step(u, duals, setup.costs, regions_k, net.coupling, params_k)
             duals = dual_step_feedback(duals, y, params_k)
             u = u_next
             if not dual_warned and (
@@ -494,28 +553,21 @@ def run_closed_loop(
 
 
 def step_problem(
-    feeder: FeederModel,
-    lm: LinearModel,
+    net: CompiledFeeder,
     scenario: Scenario,
     setup: ControlSetup,
     k: int,
 ) -> SaddleProblem:
     """Time-frozen saddle instance for step ``k`` of a scenario."""
-    from .powerflow import constraint_offsets
-
-    c = constraint_offsets(lm, scenario.p_load[k], scenario.q_load[k], feeder)
-    coupling = VoltageCoupling.from_linear_model(lm, feeder, c=c)
-    der = feeder.der_indices()
-    params_k = replace(
-        setup.params, v_min=float(scenario.v_min[k]), v_max=float(scenario.v_max[k])
-    )
+    c = constraint_offsets(net.lm, scenario.p_load[k], scenario.q_load[k], net.feeder)
+    der = net.feeder.der_indices()
     return SaddleProblem(
         costs=setup.costs,
-        regions=_regions_at(feeder, setup, scenario.p_av[k]),
-        coupling=coupling,
+        regions=_regions_at(net.feeder, setup, scenario.p_av[k]),
+        coupling=replace(net.coupling, c=c),
         p_load_der=scenario.p_load[k][der],
         q_load_der=scenario.q_load[k][der],
-        params=params_k,
+        params=_params_at(setup, scenario, k),
     )
 
 
@@ -582,7 +634,7 @@ class TrackingReport:
 
 
 def measure_tracking(
-    feeder: FeederModel,
+    net: CompiledFeeder,
     scenario: Scenario,
     setup: ControlSetup,
     records: list[StepRecord],
@@ -599,22 +651,19 @@ def measure_tracking(
     likewise sampled only on the oracle steps of the last quarter of the
     run, so ``bound_satisfied`` is exact only at ``decimation = 1``.
     ``e_measured`` is the largest gap between measurement-based and
-    model-based dual gradients across all recorded steps.
+    model-based dual gradients across all recorded steps; the load offsets
+    of all those steps come from one multi-column solve.
     """
     if decimation < 1:
         raise ValueError("decimation must be >= 1")
-    adm = build_admittance(feeder)
-    lm = build_linear_model(adm, feeder.slack_voltage)
-    der = feeder.der_indices()
-
-    coupling0 = VoltageCoupling.from_linear_model(lm, feeder)
-    consts = convergence_constants(setup.costs, coupling0, setup.params)
+    der = net.feeder.der_indices()
+    consts = convergence_constants(setup.costs, net.coupling, setup.params)
 
     ks = list(range(0, scenario.n_steps, decimation))
     stars: dict[int, np.ndarray] = {}
     warm = None
     for k in ks:
-        prob = step_problem(feeder, lm, scenario, setup, k)
+        prob = step_problem(net, scenario, setup, k)
         sol = solve_saddle_oracle(prob, tol=oracle_tol, z0=warm)
         warm = (sol.u, DualState(sol.gamma, sol.mu))
         stars[k] = pack_state(sol.u, sol.gamma, sol.mu)
@@ -624,15 +673,23 @@ def measure_tracking(
         drift = float(np.linalg.norm(stars[k2] - stars[k1])) / (k2 - k1)
         sigma_z = max(sigma_z, drift)
 
+    rec_ks = np.asarray([rec.k for rec in records], dtype=int)
+    offsets = constraint_offsets(
+        net.lm, scenario.p_load[rec_ks], scenario.q_load[rec_ks], net.feeder
+    )
     e_measured = 0.0
     eps = setup.params.epsilon
-    for rec in records:
-        prob = step_problem(feeder, lm, scenario, setup, rec.k)
+    for rec, c in zip(records, offsets):
+        params_k = _params_at(setup, scenario, rec.k)
         g, g_bar = eval_constraints(
-            prob.coupling, rec.u, prob.p_load_der, prob.q_load_der, prob.params
+            replace(net.coupling, c=c),
+            rec.u,
+            scenario.p_load[rec.k, der],
+            scenario.q_load[rec.k, der],
+            params_k,
         )
-        fb_gamma = (prob.params.v_min - rec.y - eps * rec.gamma) - (g - eps * rec.gamma)
-        fb_mu = (rec.y - prob.params.v_max - eps * rec.mu) - (g_bar - eps * rec.mu)
+        fb_gamma = (params_k.v_min - rec.y - eps * rec.gamma) - (g - eps * rec.gamma)
+        fb_mu = (rec.y - params_k.v_max - eps * rec.mu) - (g_bar - eps * rec.mu)
         e_measured = max(
             e_measured,
             float(np.linalg.norm(fb_gamma)),

@@ -42,6 +42,7 @@ from opftrack.powerflow import (
 from opftrack.sim import (
     ControlSetup,
     ScenarioParams,
+    compile_feeder,
     eval_cost,
     generate_scenario,
     measure_tracking,
@@ -259,11 +260,11 @@ def test_a4_tracking_bound_on_ramp():
         params=ControllerParams(alpha=0.05, nu=0.1, epsilon=0.1, v_max=1.04),
         costs=(CostParams(0.5, 0.5),),
     )
-    lm = build_linear_model(build_admittance(fd), fd.slack_voltage)
-    sol0 = solve_saddle_oracle(step_problem(fd, lm, scen, setup, 0))
+    net = compile_feeder(fd)
+    sol0 = solve_saddle_oracle(step_problem(net, scen, setup, 0))
     z0 = (sol0.u, DualState(sol0.gamma, sol0.mu))
-    rec = run_closed_loop(fd, scen, "pursuit", setup, z0=z0, plant="ac")
-    rep = measure_tracking(fd, scen, setup, rec, decimation=1)
+    rec = run_closed_loop(net, scen, "pursuit", setup, z0=z0, plant="ac")
+    rep = measure_tracking(net, scen, setup, rec, decimation=1)
     elapsed = time.perf_counter() - t0
     ok = (
         rep.constants.rho_alpha < 1.0
@@ -299,10 +300,11 @@ def midday():
     costs = tuple(CostParams(3.0, 1.0) for _ in range(18))
     plain = ControlSetup(params=params, costs=costs)
     lagged = ControlSetup(params=params, costs=costs, lag_beta=0.9)
+    net = compile_feeder(fd)
     runs = {
-        "none": run_closed_loop(fd, scen, "none", plain),
-        "pursuit": run_closed_loop(fd, scen, "pursuit", plain),
-        "droop": run_closed_loop(fd, scen, "droop", lagged),
+        "none": run_closed_loop(net, scen, "none", plain),
+        "pursuit": run_closed_loop(net, scen, "pursuit", plain),
+        "droop": run_closed_loop(net, scen, "droop", lagged),
     }
     burn = scen.n_steps // 4
     v_none = np.array([r.v_mag.max() for r in runs["none"]])
@@ -407,7 +409,7 @@ def test_a7_stepped_voltage_limit():
         params=ControllerParams(alpha=0.4, nu=1e-3, epsilon=5e-5),
         costs=tuple(CostParams(1.0, 1.0) for _ in range(18)),
     )
-    rec = run_closed_loop(fd, scen, "pursuit", setup)
+    rec = run_closed_loop(compile_feeder(fd), scen, "pursuit", setup)
     viol = np.array([r.max_violation for r in rec])
     drops = (np.flatnonzero(np.diff(scen.v_max) != 0.0) + 1).tolist()
     edges = drops + [scen.n_steps]

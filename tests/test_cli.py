@@ -249,3 +249,68 @@ def test_run_header_only_scenario_file(tmp_path, run_config, capsys):
     assert "scenario has no rows" in err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+def _scenario_file_config(tmp_path, run_config, edit):
+    # the two-bus feeder's scenario as a file, rows changed by ``edit``, and
+    # a copy of the run config that reads it
+    from opftrack.sim import ScenarioParams, generate_scenario, write_scenario
+
+    fd = networks.two_bus(z=0.1 + 0.1j)
+    spath = tmp_path / "scen.csv"
+    write_scenario(generate_scenario("static", fd, seed=0, params=ScenarioParams(n_steps=4)),
+                   fd, str(spath))
+    lines = spath.read_text(encoding="utf-8").splitlines()
+    spath.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+    cfg = json.loads(run_config.read_text(encoding="utf-8"))
+    del cfg["generator"]
+    cfg["scenario_file"] = "scen.csv"
+    path = tmp_path / "scen_config.json"
+    write_json(path, cfg)
+    return path, spath
+
+
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    return err
+
+
+def test_run_scenario_row_with_wrong_column_count(tmp_path, run_config, capsys):
+    def drop_last_cell(lines):
+        lines[2] = lines[2].rsplit(",", 1)[0]
+        return lines
+
+    cfg, spath = _scenario_file_config(tmp_path, run_config, drop_last_cell)
+    assert cli.main(["run", "--config", str(cfg)]) == 1
+    assert f"{spath}: row 2 has 5 columns, expected 6" in _one_line_error(capsys)
+
+
+def test_run_scenario_non_uniform_time_column(tmp_path, run_config, capsys):
+    def shift_time(lines):
+        cells = lines[3].split(",")
+        cells[0] = "0.7"
+        lines[3] = ",".join(cells)
+        return lines
+
+    cfg, spath = _scenario_file_config(tmp_path, run_config, shift_time)
+    assert cli.main(["run", "--config", str(cfg)]) == 1
+    err = _one_line_error(capsys)
+    assert f"{spath}: time_s is not uniformly spaced" in err
+
+
+@pytest.mark.parametrize(
+    "column, value, series",
+    [(3, "nan", "p_load"), (4, "inf", "q_load"), (5, "nan", "p_av"), (2, "inf", "v_max")],
+)
+def test_run_scenario_non_finite_value(tmp_path, run_config, capsys, column, value, series):
+    def poison(lines):
+        cells = lines[2].split(",")
+        cells[column] = value
+        lines[2] = ",".join(cells)
+        return lines
+
+    cfg, spath = _scenario_file_config(tmp_path, run_config, poison)
+    assert cli.main(["run", "--config", str(cfg)]) == 1
+    assert f"{spath}: {series} must be finite" in _one_line_error(capsys)

@@ -374,8 +374,9 @@ def test_coupling_slicing_and_validation():
     coup = VoltageCoupling.from_linear_model(lm, fd)
     assert coup.n_monitored == 10 and coup.n_der == 18
     mi, di = fd.monitored_indices(), fd.der_indices()
-    assert coup.r[3, 5] == lm.R[mi[3], di[5]]
-    assert coup.b[7, 11] == lm.B[mi[7], di[11]]
+    R, B = lm.columns(np.arange(fd.n_nodes))
+    assert coup.r[3, 5] == R[mi[3], di[5]]
+    assert coup.b[7, 11] == B[mi[7], di[11]]
     assert np.allclose(coup.stacked(), np.hstack([coup.r, coup.b]))
     with pytest.raises(ValueError, match="inconsistent"):
         VoltageCoupling(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros(5))

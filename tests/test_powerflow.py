@@ -27,8 +27,9 @@ def test_no_load_profile_is_flat_without_shunts():
 
 def test_two_bus_linear_model_hand_values():
     lm = build_linear_model(build_admittance(networks.two_bus()), 1.0 + 0j)
-    assert np.allclose(lm.R, [[0.01]], atol=1e-15)
-    assert np.allclose(lm.B, [[0.01]], atol=1e-15)
+    R, B = lm.columns([0])
+    assert np.allclose(R, [[0.01]], atol=1e-15)
+    assert np.allclose(B, [[0.01]], atol=1e-15)
     assert np.allclose(lm.a, [1.0], atol=1e-15)
     w = predict_voltage_magnitude(lm, PowerInjection([-0.1], [-0.05]))
     # 1 + 0.01*(-0.1) + 0.01*(-0.05)
@@ -55,6 +56,7 @@ def test_linear_model_is_derivative_at_no_load():
     fd = networks.random_radial(12, seed=3)
     adm = build_admittance(fd)
     lm = build_linear_model(adm, fd.slack_voltage)
+    R, B = lm.columns(np.arange(12))
     h = 1e-5
     base = solve_ac(adm, PowerInjection.zeros(12), fd.slack_voltage, tol=1e-12)
     rho0 = base.voltages.rho
@@ -62,9 +64,9 @@ def test_linear_model_is_derivative_at_no_load():
         p = np.zeros(12)
         p[j] = h
         rho_p = solve_ac(adm, PowerInjection(p, np.zeros(12)), fd.slack_voltage, tol=1e-12).voltages.rho
-        assert np.allclose((rho_p - rho0) / h, lm.R[:, j], atol=1e-3)
+        assert np.allclose((rho_p - rho0) / h, R[:, j], atol=1e-3)
         rho_q = solve_ac(adm, PowerInjection(np.zeros(12), p), fd.slack_voltage, tol=1e-12).voltages.rho
-        assert np.allclose((rho_q - rho0) / h, lm.B[:, j], atol=1e-3)
+        assert np.allclose((rho_q - rho0) / h, B[:, j], atol=1e-3)
 
 
 def test_prediction_error_small_at_light_loading():
@@ -81,13 +83,30 @@ def test_prediction_error_small_at_light_loading():
     assert np.max(np.abs(w - rho)) <= 1e-3
 
 
+def _dense_sensitivities(adm, vbar):
+    # the textbook construction: Z = inv(Y), columns rotated by the no-load
+    # angles and scaled by the no-load magnitudes
+    Z = np.linalg.inv(adm.Y.toarray())
+    rho, ang = np.abs(vbar), np.angle(vbar)
+    cs, ss = np.cos(ang) / rho, np.sin(ang) / rho
+    R = Z.real * cs[None, :] - Z.imag * ss[None, :]
+    B = Z.imag * cs[None, :] + Z.real * ss[None, :]
+    return R, B
+
+
 def test_complex_sensitivity_identities():
-    lm = build_linear_model(build_admittance(networks.feeder36()), 1.0 + 0j)
-    assert np.allclose(lm.J, -1j * lm.H)
-    assert np.allclose(lm.b, lm.vbar)
+    # the one-solve prediction Re(Y^-1 (ebar (p - jq))) + a equals the
+    # dense-formula prediction R p + B q + a, and reads a at zero injection
+    fd = networks.feeder36()
+    lm = build_linear_model(build_admittance(fd), 1.0 + 0j)
     assert np.allclose(lm.a, np.abs(lm.vbar))
+    R, B = _dense_sensitivities(lm.adm, lm.vbar)
+    rng = np.random.default_rng(8)
+    inj = PowerInjection(rng.uniform(-0.05, 0.05, 36), rng.uniform(-0.05, 0.05, 36))
+    dense = R @ inj.p + B @ inj.q + lm.a
+    assert np.allclose(predict_voltage_magnitude(lm, inj), dense, rtol=0, atol=1e-13)
     w0 = predict_voltage_magnitude(lm, PowerInjection.zeros(36))
-    assert np.allclose(w0, lm.a)
+    assert np.array_equal(w0, lm.a)
 
 
 def test_collapse_detected():

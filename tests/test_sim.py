@@ -5,13 +5,13 @@ import pytest
 
 from opftrack import networks
 from opftrack.controller import ControllerParams, CostParams, DualState
-from opftrack.feeder import build_admittance
-from opftrack.powerflow import build_linear_model, constraint_offsets
+from opftrack.powerflow import constraint_offsets
 from opftrack.sim import (
     ControlSetup,
     PlantError,
     Scenario,
     ScenarioParams,
+    compile_feeder,
     eval_cost,
     generate_scenario,
     measure_tracking,
@@ -139,29 +139,31 @@ def test_scenario_file_round_trip(tmp_path):
 
 def test_closed_loop_rejects_bad_arguments():
     fd = networks.two_bus()
+    net = compile_feeder(fd)
     scen = generate_scenario("static", fd, seed=0, params=ScenarioParams(n_steps=5))
     with pytest.raises(ValueError, match="unknown strategy"):
-        run_closed_loop(fd, scen, "mppt", FAST_SETUP)
+        run_closed_loop(net, scen, "mppt", FAST_SETUP)
     with pytest.raises(ValueError, match="unknown plant"):
-        run_closed_loop(fd, scen, "none", FAST_SETUP, plant="dc")
+        run_closed_loop(net, scen, "none", FAST_SETUP, plant="dc")
     with pytest.raises(ValueError, match="DER columns"):
-        run_closed_loop(networks.feeder36(), scen, "none", FAST_SETUP)
+        run_closed_loop(compile_feeder(networks.feeder36()), scen, "none", FAST_SETUP)
 
 
 def test_closed_loop_deterministic_with_noise():
     fd = TB_STRONG
     par = ScenarioParams(**{**STATIC_PAR.__dict__, "n_steps": 40, "noise_amp": 1e-3})
     scen = generate_scenario("static", fd, seed=0, params=par)
-    r1 = run_closed_loop(fd, scen, "pursuit", FAST_SETUP, seed=42)
-    r2 = run_closed_loop(fd, scen, "pursuit", FAST_SETUP, seed=42)
-    r3 = run_closed_loop(fd, scen, "pursuit", FAST_SETUP, seed=43)
+    net = compile_feeder(fd)
+    r1 = run_closed_loop(net, scen, "pursuit", FAST_SETUP, seed=42)
+    r2 = run_closed_loop(net, scen, "pursuit", FAST_SETUP, seed=42)
+    r3 = run_closed_loop(net, scen, "pursuit", FAST_SETUP, seed=43)
     assert all(np.array_equal(a.u, b.u) and np.array_equal(a.y, b.y) for a, b in zip(r1, r2))
     assert any(not np.array_equal(a.y, b.y) for a, b in zip(r1, r3))
 
 
 def test_uncontrolled_static_run_is_constant():
     scen = generate_scenario("static", TB_STRONG, seed=0, params=STATIC_PAR)
-    rec = run_closed_loop(TB_STRONG, scen, "none", FAST_SETUP)
+    rec = run_closed_loop(compile_feeder(TB_STRONG), scen, "none", FAST_SETUP)
     v = np.array([r.v_mag[0] for r in rec])
     assert np.allclose(v, v[0], atol=1e-9)
     assert v[0] > 1.05  # overvoltage without control
@@ -171,7 +173,7 @@ def test_uncontrolled_static_run_is_constant():
 def test_pursuit_settles_on_static_instance():
     # feasible static instance: violation under 5e-4 within a 200-step burn-in
     scen = generate_scenario("static", TB_STRONG, seed=0, params=STATIC_PAR)
-    rec = run_closed_loop(TB_STRONG, scen, "pursuit", FAST_SETUP)
+    rec = run_closed_loop(compile_feeder(TB_STRONG), scen, "pursuit", FAST_SETUP)
     viol = np.array([r.max_violation for r in rec])
     assert viol[0] > 0.1
     settle = int(np.argmax(viol <= 5e-4))
@@ -182,7 +184,7 @@ def test_pursuit_settles_on_static_instance():
 def test_droop_absorbs_and_regulates_here():
     scen = generate_scenario("static", TB_STRONG, seed=0, params=STATIC_PAR)
     setup = ControlSetup(params=FAST_SETUP.params, costs=FAST_SETUP.costs, lag_beta=0.9)
-    rec = run_closed_loop(TB_STRONG, scen, "droop", setup)
+    rec = run_closed_loop(compile_feeder(TB_STRONG), scen, "droop", setup)
     assert rec[-1].u[0, 1] < -0.3  # deep into absorption
     assert rec[-1].u[0, 0] == pytest.approx(scen.p_av[-1, 0])  # never curtails
     assert rec[-1].max_violation == 0.0
@@ -191,8 +193,9 @@ def test_droop_absorbs_and_regulates_here():
 def test_actuation_lag_slows_the_response():
     scen = generate_scenario("static", TB_STRONG, seed=0, params=STATIC_PAR)
     lagged = ControlSetup(params=FAST_SETUP.params, costs=FAST_SETUP.costs, lag_beta=0.9)
-    r_fast = run_closed_loop(TB_STRONG, scen, "pursuit", FAST_SETUP)
-    r_slow = run_closed_loop(TB_STRONG, scen, "pursuit", lagged)
+    net = compile_feeder(TB_STRONG)
+    r_fast = run_closed_loop(net, scen, "pursuit", FAST_SETUP)
+    r_slow = run_closed_loop(net, scen, "pursuit", lagged)
     k = 5
     assert r_slow[k].max_violation > r_fast[k].max_violation
     with pytest.raises(ValueError, match="lag_beta"):
@@ -201,7 +204,7 @@ def test_actuation_lag_slows_the_response():
 
 def test_eval_cost_conventions():
     scen = generate_scenario("static", TB_STRONG, seed=0, params=STATIC_PAR)
-    rec = run_closed_loop(TB_STRONG, scen, "pursuit", FAST_SETUP)[-1:]
+    rec = run_closed_loop(compile_feeder(TB_STRONG), scen, "pursuit", FAST_SETUP)[-1:]
     costs = FAST_SETUP.costs
     full = eval_cost(rec, costs, scen.p_av)
     reactive = eval_cost(rec, costs, scen.p_av, reactive_only=True)
@@ -215,16 +218,16 @@ def test_eval_cost_conventions():
 def test_step_problem_uses_scenario_step_data():
     fd = networks.feeder36()
     scen = generate_scenario("vmax_steps", fd, seed=2, params=ScenarioParams(n_steps=120))
-    lm = build_linear_model(build_admittance(fd), fd.slack_voltage)
+    net = compile_feeder(fd)
     setup = ControlSetup(
         params=ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4),
         costs=tuple(CostParams(3.0, 1.0) for _ in range(18)),
     )
     k = 100
-    prob = step_problem(fd, lm, scen, setup, k)
+    prob = step_problem(net, scen, setup, k)
     assert prob.params.v_max == scen.v_max[k]
     assert np.allclose(prob.p_av, scen.p_av[k])
-    expect_c = constraint_offsets(lm, scen.p_load[k], scen.q_load[k], fd)
+    expect_c = constraint_offsets(net.lm, scen.p_load[k], scen.q_load[k], fd)
     assert np.allclose(prob.coupling.c, expect_c, atol=1e-15)
 
 
@@ -238,7 +241,7 @@ def test_plant_failure_reports_step():
         v_min=np.full(6, 0.95), v_max=np.full(6, 1.05),
     )
     with pytest.raises(PlantError) as err:
-        run_closed_loop(fd, scen, "none", FAST_SETUP)
+        run_closed_loop(compile_feeder(fd), scen, "none", FAST_SETUP)
     assert err.value.step == k
 
 
@@ -247,7 +250,7 @@ def test_runaway_duals_warn():
     scen = generate_scenario("static", fd, seed=0, params=ScenarioParams(n_steps=2, load_p=0.0))
     z0 = (np.asarray([[0.9, 0.0]]), DualState(np.zeros(1), np.asarray([2e6])))
     with pytest.warns(UserWarning, match="dual magnitude"):
-        run_closed_loop(fd, scen, "pursuit", FAST_SETUP, z0=z0)
+        run_closed_loop(compile_feeder(fd), scen, "pursuit", FAST_SETUP, z0=z0)
 
 
 def test_trajectory_round_trip(tmp_path):
@@ -257,7 +260,7 @@ def test_trajectory_round_trip(tmp_path):
         params=ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4),
         costs=tuple(CostParams(3.0, 1.0) for _ in range(18)),
     )
-    rec = run_closed_loop(fd, scen, "pursuit", setup)
+    rec = run_closed_loop(compile_feeder(fd), scen, "pursuit", setup)
     path = tmp_path / "traj.csv"
     write_trajectory(rec, fd, scen, str(path))
     back = read_trajectory(str(path), fd)
@@ -274,6 +277,7 @@ def test_trajectory_round_trip(tmp_path):
 
 
 TRACK_FEEDER = networks.two_bus(z=0.1 + 0.1j)
+TRACK_NET = compile_feeder(TRACK_FEEDER)
 TRACK_SETUP = ControlSetup(
     params=ControllerParams(alpha=0.05, nu=0.1, epsilon=0.1, v_max=1.04),
     costs=(CostParams(0.5, 0.5),),
@@ -286,8 +290,8 @@ def test_tracking_bound_on_linear_plant_ramp():
     par = ScenarioParams(n_steps=41, tau=1.0, load_p=0.0, load_swing=0.0,
                          ramp_start=0.2, ramp_end=0.9)
     scen = generate_scenario("ramp", TRACK_FEEDER, seed=0, params=par)
-    rec = run_closed_loop(TRACK_FEEDER, scen, "pursuit", TRACK_SETUP, plant="linear")
-    rep = measure_tracking(TRACK_FEEDER, scen, TRACK_SETUP, rec, decimation=1)
+    rec = run_closed_loop(TRACK_NET, scen, "pursuit", TRACK_SETUP, plant="linear")
+    rep = measure_tracking(TRACK_NET, scen, TRACK_SETUP, rec, decimation=1)
     assert rep.e_measured == 0.0
     assert rep.constants.rho_alpha < 1.0
     assert rep.bound_satisfied is True
@@ -305,10 +309,10 @@ def test_tracking_sigma_halves_with_tau():
                           ramp_start=0.2, ramp_end=0.9)
     s1 = generate_scenario("ramp", TRACK_FEEDER, seed=0, params=par1)
     s2 = generate_scenario("ramp", TRACK_FEEDER, seed=0, params=par2)
-    r1 = run_closed_loop(TRACK_FEEDER, s1, "pursuit", TRACK_SETUP, plant="linear")
-    r2 = run_closed_loop(TRACK_FEEDER, s2, "pursuit", TRACK_SETUP, plant="linear")
-    t1 = measure_tracking(TRACK_FEEDER, s1, TRACK_SETUP, r1, decimation=1)
-    t2 = measure_tracking(TRACK_FEEDER, s2, TRACK_SETUP, r2, decimation=1)
+    r1 = run_closed_loop(TRACK_NET, s1, "pursuit", TRACK_SETUP, plant="linear")
+    r2 = run_closed_loop(TRACK_NET, s2, "pursuit", TRACK_SETUP, plant="linear")
+    t1 = measure_tracking(TRACK_NET, s1, TRACK_SETUP, r1, decimation=1)
+    t2 = measure_tracking(TRACK_NET, s2, TRACK_SETUP, r2, decimation=1)
     assert t2.sigma_z_measured == pytest.approx(0.5 * t1.sigma_z_measured, rel=1e-6)
 
 
@@ -320,11 +324,22 @@ def test_tracking_without_contraction_guarantee():
         params=ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4),
         costs=(CostParams(3.0, 1.0),),
     )
-    rec = run_closed_loop(TRACK_FEEDER, scen, "pursuit", setup, plant="linear")
-    rep = measure_tracking(TRACK_FEEDER, scen, setup, rec, decimation=10)
+    rec = run_closed_loop(TRACK_NET, scen, "pursuit", setup, plant="linear")
+    rep = measure_tracking(TRACK_NET, scen, setup, rec, decimation=10)
     assert rep.constants.rho_alpha >= 1.0
     assert rep.bound_satisfied is None
     assert math.isinf(rep.bound_rhs)
     assert "no contraction guarantee" in rep.note
     with pytest.raises(ValueError, match="decimation"):
-        measure_tracking(TRACK_FEEDER, scen, setup, rec, decimation=0)
+        measure_tracking(TRACK_NET, scen, setup, rec, decimation=0)
+
+
+def test_scenario_rejects_non_finite_series():
+    ok = dict(tau=1.0, p_load=[[0.0]], q_load=[[0.0]], p_av=[[0.0]],
+              v_min=[0.95], v_max=[1.05])
+    Scenario(**ok)
+    for name, bad in (("p_load", [[np.nan]]), ("p_av", [[np.inf]]), ("v_min", [np.nan])):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            Scenario(**{**ok, name: bad})
+    with pytest.raises(ValueError, match="tau"):
+        Scenario(**{**ok, "tau": math.nan})
