@@ -18,7 +18,6 @@ from .controller import (
     OracleError,
     SaddleProblem,
     SaddleSolution,
-    Setpoint,
     VoltageCoupling,
     convergence_constants,
     dual_step_feedback,

@@ -12,7 +12,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -51,77 +51,38 @@ class ConfigError(ValueError):
     """Run configuration fails schema or invariant checks."""
 
 
-_CONFIG_KEYS = {
-    "feeder",
-    "scenario_file",
-    "generator",
-    "strategy",
-    "plant",
-    "controller",
-    "cost",
-    "droop",
-    "region_kind",
-    "lag_beta",
-    "noise_amp",
-    "seed",
-    "output_dir",
-    "report_decimation",
-    "report",
-}
-_CONTROLLER_KEYS = {"alpha", "nu", "epsilon", "v_min", "v_max"}
-_COST_KEYS = {"c_p", "c_q"}
-_DROOP_KEYS = {"v_zero", "v_sat", "symmetric"}
-_GENERATOR_KEYS = {
-    "kind",
-    "seed",
-    "n_steps",
-    "tau",
-    "v_min",
-    "v_max",
-    "load_p",
-    "load_q_ratio",
-    "load_swing",
-    "pav_floor",
-    "pav_peak",
-    "ramp_start",
-    "ramp_end",
-    "bell_center",
-    "bell_width",
-    "bell_clip",
-    "bell_fall",
-    "n_dips",
-    "dip_depth",
-    "dip_width_s",
-    "vmax_plateaus",
-    "vmax_fractions",
-    "noise_amp",
-}
+@dataclass(frozen=True, kw_only=True)
+class GeneratorConfig(ScenarioParams):
+    """The ``generator`` section: a scenario kind plus the ScenarioParams knobs.
 
+    ``seed`` and ``noise_amp`` left as None take the run's ``seed`` and
+    ``noise_amp``.
+    """
 
-def _check_keys(obj: dict, allowed: set, where: str) -> None:
-    extra = set(obj) - allowed
-    if extra:
-        raise ConfigError(f"unknown key(s) {sorted(extra)} in {where}")
+    kind: str
+    seed: int | None = None
+    noise_amp: float | None = None
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a closed-loop run needs, loadable from JSON.
 
-    ``cost`` is either one (c_p, c_q) pair applied to every DER or a
-    per-DER list. Exactly one of ``scenario_path`` / ``generator`` is set.
+    The JSON keys are the field names, and each object-valued key holds the
+    fields of its dataclass; a key left out keeps its default, and inside
+    ``controller``, ``cost`` and ``droop`` the default object's value.
+    ``cost`` is one CostParams applied to every DER or one per DER. Exactly
+    one of ``scenario_file`` / ``generator`` is set.
     """
 
-    feeder_path: str
+    feeder: str
     strategy: str = "pursuit"
     plant: str = "ac"
-    scenario_path: str | None = None
-    generator: dict | None = None
-    controller: ControllerParams = field(
-        default_factory=lambda: ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4)
-    )
-    cost: dict | list = field(default_factory=lambda: {"c_p": 3.0, "c_q": 1.0})
-    droop: DroopCurve = field(default_factory=DroopCurve)
+    scenario_file: str | None = None
+    generator: GeneratorConfig | None = None
+    controller: ControllerParams = ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4)
+    cost: CostParams | tuple[CostParams, ...] = CostParams(c_p=3.0, c_q=1.0)
+    droop: DroopCurve = DroopCurve()
     region_kind: str = "joint"
     lag_beta: float = 0.0
     noise_amp: float = 0.0
@@ -131,106 +92,92 @@ class RunConfig:
     report: bool = True
 
     def __post_init__(self) -> None:
-        if (self.scenario_path is None) == (self.generator is None):
+        if (self.scenario_file is None) == (self.generator is None):
             raise ConfigError("exactly one of scenario_file / generator is required")
         if self.report_decimation < 1:
             raise ConfigError("report_decimation must be >= 1")
         if self.noise_amp < 0:
             raise ConfigError("noise_amp must be nonnegative")
 
-    def to_dict(self) -> dict:
-        d: dict = {
-            "feeder": self.feeder_path,
-            "strategy": self.strategy,
-            "plant": self.plant,
-            "controller": {
-                "alpha": self.controller.alpha,
-                "nu": self.controller.nu,
-                "epsilon": self.controller.epsilon,
-                "v_min": self.controller.v_min,
-                "v_max": self.controller.v_max,
-            },
-            "cost": self.cost if isinstance(self.cost, dict) else list(self.cost),
-            "droop": {
-                "v_zero": self.droop.v_zero,
-                "v_sat": self.droop.v_sat,
-                "symmetric": self.droop.symmetric,
-            },
-            "region_kind": self.region_kind,
-            "lag_beta": self.lag_beta,
-            "noise_amp": self.noise_amp,
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-            "report_decimation": self.report_decimation,
-            "report": self.report,
-        }
-        if self.scenario_path is not None:
-            d["scenario_file"] = self.scenario_path
-        else:
-            d["generator"] = dict(self.generator)
-        return d
+
+# The parser reads each field's annotation string: a ``|`` union of None,
+# the scalars below, the sections below, and lists (``tuple[...]`` or a
+# numpy array of numbers).
+_SCALARS = {"float": (int, float), "int": int, "bool": bool, "str": str}
+_SECTIONS = {
+    c.__name__: c for c in (GeneratorConfig, ControllerParams, CostParams, DroopCurve)
+}
+_WANTED = {"None": "null", "float": "a number", "int": "an integer",
+           "bool": "true or false", "str": "a string"}
+_JSON_NAMES = {dict: "an object", list: "a list"}
 
 
-def _parse_config(raw: dict, where: str) -> RunConfig:
-    _check_keys(raw, _CONFIG_KEYS, where)
-    if "feeder" not in raw:
-        raise ConfigError(f"missing required key 'feeder' in {where}")
-    ctrl_raw = raw.get("controller", {})
-    _check_keys(ctrl_raw, _CONTROLLER_KEYS, f"{where}:controller")
-    defaults = {"alpha": 0.2, "nu": 1e-3, "epsilon": 1e-4, "v_min": 0.95, "v_max": 1.05}
-    defaults.update(ctrl_raw)
+def _build(cls: type, obj: dict, where: str, base: object = None):
+    """A ``cls`` from the JSON object ``obj``, every value type-checked.
+
+    Keys ``obj`` leaves out take their value from ``base`` when it is a
+    ``cls``, else the field default; a key without either is required.
+    """
+    spec = {f.name: f for f in fields(cls)}
+    unknown = obj.keys() - spec.keys()
+    if unknown:
+        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+    values = {}
+    for name, f in spec.items():
+        if name in obj:
+            values[name] = _convert(f.type, obj[name], f"{where}:{name}", f.default)
+        elif isinstance(base, cls):
+            values[name] = getattr(base, name)
+        elif f.default is MISSING:
+            raise ConfigError(f"missing required key {name!r} in {where}")
     try:
-        controller = ControllerParams(**defaults)
+        return cls(**values)
     except ValueError as exc:
-        raise ConfigError(f"{where}:controller: {exc}") from exc
-    cost_raw = raw.get("cost", {"c_p": 3.0, "c_q": 1.0})
-    if isinstance(cost_raw, dict):
-        _check_keys(cost_raw, _COST_KEYS, f"{where}:cost")
-        cost: dict | list = {
-            "c_p": float(cost_raw.get("c_p", 3.0)),
-            "c_q": float(cost_raw.get("c_q", 1.0)),
-        }
-    else:
-        cost = []
-        for i, entry in enumerate(cost_raw):
-            _check_keys(entry, _COST_KEYS, f"{where}:cost[{i}]")
-            cost.append(
-                {"c_p": float(entry.get("c_p", 3.0)), "c_q": float(entry.get("c_q", 1.0))}
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _convert(tp: str, value: object, where: str, default: object):
+    """``value`` checked against the field annotation ``tp`` and converted."""
+    for alt in tp.split(" | "):
+        if alt == "None":
+            if value is None:
+                return None
+        elif alt in _SCALARS:
+            if isinstance(value, _SCALARS[alt]) and (alt == "bool") == isinstance(value, bool):
+                return float(value) if alt == "float" else value
+        elif alt in _SECTIONS:
+            if isinstance(value, dict):
+                return _build(_SECTIONS[alt], value, where, default)
+        elif isinstance(value, list):
+            # "tuple[float, float, float]" has fixed length, "tuple[T, ...]"
+            # and a numpy array of numbers any length
+            items = ["float", "..."] if alt == "np.ndarray" else alt[6:-1].split(", ")
+            if items[-1] == "...":
+                items = items[:1] * len(value)
+            if len(items) != len(value):
+                raise ConfigError(
+                    f"{where}: expected a list of {len(items)} entries, got {len(value)}"
+                )
+            out = tuple(
+                _convert(t, v, f"{where}[{i}]", default)
+                for i, (t, v) in enumerate(zip(items, value))
             )
-    droop_raw = raw.get("droop", {})
-    _check_keys(droop_raw, _DROOP_KEYS, f"{where}:droop")
-    droop_defaults = {"v_zero": 1.0, "v_sat": 1.05, "symmetric": True}
-    droop_defaults.update(droop_raw)
-    try:
-        droop = DroopCurve(**droop_defaults)
-    except ValueError as exc:
-        raise ConfigError(f"{where}:droop: {exc}") from exc
-    generator = raw.get("generator")
-    if generator is not None:
-        _check_keys(generator, _GENERATOR_KEYS, f"{where}:generator")
-        generator = dict(generator)
-        if "kind" not in generator:
-            raise ConfigError(f"missing 'kind' in {where}:generator")
-    return RunConfig(
-        feeder_path=raw["feeder"],
-        strategy=raw.get("strategy", "pursuit"),
-        plant=raw.get("plant", "ac"),
-        scenario_path=raw.get("scenario_file"),
-        generator=generator,
-        controller=controller,
-        cost=cost,
-        droop=droop,
-        region_kind=raw.get("region_kind", "joint"),
-        lag_beta=float(raw.get("lag_beta", 0.0)),
-        noise_amp=float(raw.get("noise_amp", 0.0)),
-        seed=int(raw.get("seed", 0)),
-        output_dir=raw.get("output_dir", "out"),
-        report_decimation=int(raw.get("report_decimation", 10)),
-        report=bool(raw.get("report", True)),
+            return np.asarray(out) if alt == "np.ndarray" else out
+    wanted = " or ".join(
+        _WANTED.get(alt, "an object" if alt in _SECTIONS else "a list")
+        for alt in tp.split(" | ")
     )
+    got = _JSON_NAMES.get(type(value)) or json.dumps(value)
+    raise ConfigError(f"{where}: expected {wanted}, got {got}")
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str, flags: argparse.Namespace | None = None) -> RunConfig:
+    """Parse a run config file into a :class:`RunConfig`.
+
+    ``flags`` are parsed command-line flags; those given replace config keys
+    before the parse. Relative ``feeder`` / ``scenario_file`` paths resolve
+    against the config file's directory.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
@@ -238,29 +185,29 @@ def load_config(path: str) -> RunConfig:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    cfg = _parse_config(raw, path)
+    if flags is not None:
+        # the flags' destinations are config keys; --alpha sets controller.alpha
+        for key in ("strategy", "plant", "seed", "output_dir", "report_decimation", "report"):
+            if getattr(flags, key, None) is not None:
+                raw[key] = getattr(flags, key)
+        alpha = getattr(flags, "alpha", None)
+        if alpha is not None and isinstance(raw.setdefault("controller", {}), dict):
+            raw["controller"]["alpha"] = alpha
     base = os.path.dirname(os.path.abspath(path))
-    resolved = dict(
-        feeder_path=_resolve(cfg.feeder_path, base),
-        scenario_path=_resolve(cfg.scenario_path, base),
-    )
-    return RunConfig(**{**cfg.__dict__, **resolved})
-
-
-def _resolve(p: str | None, base: str) -> str | None:
-    if p is None or os.path.isabs(p):
-        return p
-    return os.path.join(base, p)
+    for key in ("feeder", "scenario_file"):
+        if isinstance(raw.get(key), str):
+            raw[key] = os.path.join(base, raw[key])
+    return _build(RunConfig, raw, path)
 
 
 def _costs_for(cfg: RunConfig, n_der: int) -> tuple[CostParams, ...]:
-    if isinstance(cfg.cost, dict):
-        return tuple(CostParams(cfg.cost["c_p"], cfg.cost["c_q"]) for _ in range(n_der))
+    if isinstance(cfg.cost, CostParams):
+        return (cfg.cost,) * n_der
     if len(cfg.cost) != n_der:
         raise ConfigError(
             f"per-DER cost list has {len(cfg.cost)} entries, feeder has {n_der} DERs"
         )
-    return tuple(CostParams(e["c_p"], e["c_q"]) for e in cfg.cost)
+    return cfg.cost
 
 
 def _setup_for(cfg: RunConfig, feeder: FeederModel) -> ControlSetup:
@@ -274,19 +221,12 @@ def _setup_for(cfg: RunConfig, feeder: FeederModel) -> ControlSetup:
 
 
 def _scenario_for(cfg: RunConfig, feeder: FeederModel) -> Scenario:
-    if cfg.scenario_path is not None:
-        return read_scenario(cfg.scenario_path, feeder, noise_amp=cfg.noise_amp)
-    gen = dict(cfg.generator)
-    kind = gen.pop("kind")
-    seed = int(gen.pop("seed", cfg.seed))
-    for key in ("vmax_plateaus", "vmax_fractions"):
-        if key in gen:
-            gen[key] = tuple(gen[key])
-    if "load_p" in gen and isinstance(gen["load_p"], list):
-        gen["load_p"] = np.asarray(gen["load_p"], dtype=float)
-    noise = float(gen.pop("noise_amp", cfg.noise_amp))
-    params = ScenarioParams(noise_amp=noise, **gen)
-    return generate_scenario(kind, feeder, seed, params)
+    if cfg.scenario_file is not None:
+        return read_scenario(cfg.scenario_file, feeder, noise_amp=cfg.noise_amp)
+    gen = cfg.generator
+    seed = cfg.seed if gen.seed is None else gen.seed
+    noise = cfg.noise_amp if gen.noise_amp is None else gen.noise_amp
+    return generate_scenario(gen.kind, feeder, seed, replace(gen, noise_amp=noise))
 
 
 def _json_bytes(obj: dict) -> str:
@@ -370,28 +310,9 @@ def cmd_linearize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    raw = cfg.to_dict()
-    if getattr(args, "strategy", None):
-        raw["strategy"] = args.strategy
-    if getattr(args, "seed", None) is not None:
-        raw["seed"] = args.seed
-    if getattr(args, "output_dir", None):
-        raw["output_dir"] = args.output_dir
-    if getattr(args, "alpha", None) is not None:
-        raw["controller"]["alpha"] = args.alpha
-    if getattr(args, "plant", None):
-        raw["plant"] = args.plant
-    if getattr(args, "decimation", None) is not None:
-        raw["report_decimation"] = args.decimation
-    if getattr(args, "no_report", False):
-        raw["report"] = False
-    return _parse_config(raw, "command line")
-
-
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
-    net = compile_feeder(load_feeder(cfg.feeder_path))
+    cfg = load_config(args.config, args)
+    net = compile_feeder(load_feeder(cfg.feeder))
     feeder = net.feeder
     scen = _scenario_for(cfg, feeder)
     setup = _setup_for(cfg, feeder)
@@ -453,8 +374,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
-    net = compile_feeder(load_feeder(cfg.feeder_path))
+    cfg = load_config(args.config, args)
+    net = compile_feeder(load_feeder(cfg.feeder))
     scen = _scenario_for(cfg, net.feeder)
     setup = _setup_for(cfg, net.feeder)
     k = args.step
@@ -483,8 +404,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
-    net = compile_feeder(load_feeder(cfg.feeder_path))
+    cfg = load_config(args.config, args)
+    net = compile_feeder(load_feeder(cfg.feeder))
     scen = _scenario_for(cfg, net.feeder)
     setup = _setup_for(cfg, net.feeder)
     traj = args.trajectory or os.path.join(cfg.output_dir, "trajectory.csv")
@@ -548,9 +469,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int)
     sp.add_argument("--alpha", type=float, help="override controller stepsize")
     sp.add_argument("--output-dir")
-    sp.add_argument("--decimation", type=int, help="tracking report decimation")
     sp.add_argument(
-        "--no-report", action="store_true", help="skip the tracking report"
+        "--decimation", type=int, dest="report_decimation", help="tracking report decimation"
+    )
+    sp.add_argument(
+        "--no-report", action="store_const", const=False, dest="report",
+        help="skip the tracking report",
     )
     sp.set_defaults(func=cmd_run)
 

@@ -27,7 +27,6 @@ from .powerflow import LinearModel
 __all__ = [
     "REGION_KINDS",
     "OperatingRegion",
-    "Setpoint",
     "CostParams",
     "ControllerParams",
     "DualState",
@@ -54,14 +53,6 @@ REGION_KINDS = ("real_only", "reactive_only", "joint")
 
 class OracleError(RuntimeError):
     """Saddle-point oracle failed to reach the requested accuracy."""
-
-
-@dataclass(frozen=True)
-class Setpoint:
-    """Per-inverter operating point (P, Q) in pu."""
-
-    p: float
-    q: float
 
 
 @dataclass(frozen=True)
@@ -148,18 +139,13 @@ def _project_joint(p: float, q: float, s: float, p_av: float) -> tuple[float, fl
     return _clamp_q(p_av, q, q_cap)
 
 
-def project_region(u: Setpoint | tuple[float, float], region: OperatingRegion) -> Setpoint:
-    """Euclidean projection of a setpoint onto the inverter's feasible set.
+def project_region(u: tuple[float, float], region: OperatingRegion) -> tuple[float, float]:
+    """Euclidean projection of a (P, Q) setpoint onto the inverter's feasible set.
 
-    Accepts a ``Setpoint`` or any (P, Q) pair. Closed form for all three
-    kinds.
+    Closed form for all three kinds.
     """
-    if isinstance(u, Setpoint):
-        p_in, q_in = u.p, u.q
-    else:
-        p_in, q_in = float(u[0]), float(u[1])
-    p, q, _ = _project_pair(p_in, q_in, region)
-    return Setpoint(p, q)
+    p, q, _ = _project_pair(float(u[0]), float(u[1]), region)
+    return p, q
 
 
 def _project_pair(p: float, q: float, region: OperatingRegion) -> tuple[float, float, tuple]:

@@ -31,7 +31,6 @@ from .controller import (
     VoltageCoupling,
     convergence_constants,
     dual_step_feedback,
-    eval_constraints,
     pack_state,
     primal_step,
     solve_saddle_oracle,
@@ -103,6 +102,8 @@ class Scenario:
         for name in ("p_load", "q_load", "p_av", "v_min", "v_max"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         k = self.p_load.shape[0]
+        if k == 0:
+            raise ValueError("scenario has no steps")
         if not (
             self.q_load.shape == self.p_load.shape
             and self.p_av.shape[0] == k
@@ -264,17 +265,50 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def write_scenario(scenario: Scenario, feeder: FeederModel, path: str) -> None:
-    n = feeder.n_nodes
-    header = (
+def _scenario_columns(feeder: FeederModel) -> list[str]:
+    buses = range(1, feeder.n_nodes + 1)
+    return (
         ["time_s", "v_min", "v_max"]
-        + [f"pl_{i}" for i in range(1, n + 1)]
-        + [f"ql_{i}" for i in range(1, n + 1)]
+        + [f"pl_{i}" for i in buses]
+        + [f"ql_{i}" for i in buses]
         + [f"pav_{i}" for i in feeder.der_nodes]
     )
+
+
+def _read_rows(path: str, columns: list[str], what: str) -> np.ndarray:
+    """The numeric rows of a columnar file whose header must be ``columns``.
+
+    Raises ``ValueError`` naming the file, and the row (numbered from 1
+    after the header) when it is one row's fault.
+    """
+    m = len(columns)
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if header != columns:
+            bad = [j for j, (h, c) in enumerate(zip(header, columns)) if h != c]
+            found = (
+                f"column {bad[0] + 1} is {header[bad[0]]!r}, expected {columns[bad[0]]!r}"
+                if bad else f"{len(header)} columns, expected {m}"
+            )
+            raise ValueError(f"{path}: {what} columns do not match the feeder ({found})")
+        rows = []
+        for i, row in enumerate((r for r in reader if r), start=1):
+            if len(row) != m:
+                raise ValueError(f"{path}: row {i} has {len(row)} columns, expected {m}")
+            try:
+                rows.append([float(x) for x in row])
+            except ValueError as exc:
+                raise ValueError(f"{path}: row {i}: {exc}") from exc
+    if not rows:
+        raise ValueError(f"{path}: {what} has no rows")
+    return np.asarray(rows, dtype=float)
+
+
+def write_scenario(scenario: Scenario, feeder: FeederModel, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(header)
+        w.writerow(_scenario_columns(feeder))
         for k in range(scenario.n_steps):
             row = (
                 [_fmt(k * scenario.tau), _fmt(scenario.v_min[k]), _fmt(scenario.v_max[k])]
@@ -294,32 +328,7 @@ def read_scenario(path: str, feeder: FeederModel, noise_amp: float = 0.0) -> Sce
     row's fault, the row (numbered from 1 after the header).
     """
     n = feeder.n_nodes
-    expected = (
-        ["time_s", "v_min", "v_max"]
-        + [f"pl_{i}" for i in range(1, n + 1)]
-        + [f"ql_{i}" for i in range(1, n + 1)]
-        + [f"pav_{i}" for i in feeder.der_nodes]
-    )
-    m = len(expected)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != expected:
-            raise ValueError(
-                f"{path}: scenario columns do not match the feeder "
-                f"(expected {m} columns starting with time_s)"
-            )
-        rows = []
-        for i, row in enumerate((r for r in reader if r), start=1):
-            if len(row) != m:
-                raise ValueError(f"{path}: row {i} has {len(row)} columns, expected {m}")
-            try:
-                rows.append([float(x) for x in row])
-            except ValueError as exc:
-                raise ValueError(f"{path}: row {i}: {exc}") from exc
-    if not rows:
-        raise ValueError(f"{path}: scenario has no rows")
-    data = np.asarray(rows, dtype=float)
+    data = _read_rows(path, _scenario_columns(feeder), "scenario")
     steps = np.diff(data[:, 0])
     tau = float(steps[0]) if steps.size else 1.0
     if not np.allclose(steps, tau, rtol=1e-9, atol=0.0):
@@ -650,9 +659,13 @@ def measure_tracking(
     bounds the true per-step maximum from below. ``tracking_error_tail`` is
     likewise sampled only on the oracle steps of the last quarter of the
     run, so ``bound_satisfied`` is exact only at ``decimation = 1``.
-    ``e_measured`` is the largest gap between measurement-based and
-    model-based dual gradients across all recorded steps; the load offsets
-    of all those steps come from one multi-column solve.
+    ``e_measured`` is the model-mismatch level ``max_k ||y_k - w_k||``
+    between the measured magnitudes and the linear model's prediction over
+    all recorded steps (the gap between measurement-based and model-based
+    dual gradients); the load offsets of all those steps come from one
+    multi-column solve. It agrees with the per-step evaluation through
+    ``eval_constraints`` to rounding (one unit in the last place on
+    config36).
     """
     if decimation < 1:
         raise ValueError("decimation must be >= 1")
@@ -674,27 +687,15 @@ def measure_tracking(
         sigma_z = max(sigma_z, drift)
 
     rec_ks = np.asarray([rec.k for rec in records], dtype=int)
-    offsets = constraint_offsets(
-        net.lm, scenario.p_load[rec_ks], scenario.q_load[rec_ks], net.feeder
+    p_load, q_load = scenario.p_load[rec_ks], scenario.q_load[rec_ks]
+    u = np.asarray([rec.u for rec in records])
+    w = (
+        (u[:, :, 0] - p_load[:, der]) @ net.coupling.r.T
+        + (u[:, :, 1] - q_load[:, der]) @ net.coupling.b.T
+        + constraint_offsets(net.lm, p_load, q_load, net.feeder)
     )
-    e_measured = 0.0
-    eps = setup.params.epsilon
-    for rec, c in zip(records, offsets):
-        params_k = _params_at(setup, scenario, rec.k)
-        g, g_bar = eval_constraints(
-            replace(net.coupling, c=c),
-            rec.u,
-            scenario.p_load[rec.k, der],
-            scenario.q_load[rec.k, der],
-            params_k,
-        )
-        fb_gamma = (params_k.v_min - rec.y - eps * rec.gamma) - (g - eps * rec.gamma)
-        fb_mu = (rec.y - params_k.v_max - eps * rec.mu) - (g_bar - eps * rec.mu)
-        e_measured = max(
-            e_measured,
-            float(np.linalg.norm(fb_gamma)),
-            float(np.linalg.norm(fb_mu)),
-        )
+    y = np.asarray([rec.y for rec in records])
+    e_measured = float(np.max(np.linalg.norm(y - w, axis=1)))
 
     tail_from = int(math.ceil(0.75 * scenario.n_steps))
     tail = 0.0
@@ -727,22 +728,26 @@ def measure_tracking(
     )
 
 
+def _trajectory_columns(feeder: FeederModel) -> list[str]:
+    mon, der = feeder.monitored_nodes, feeder.der_nodes
+    return (
+        ["k", "time_s", "cost", "max_violation", "pf_residual"]
+        + [f"y_{n}" for n in mon]
+        + [f"p_{n}" for n in der]
+        + [f"q_{n}" for n in der]
+        + [f"gamma_{n}" for n in mon]
+        + [f"mu_{n}" for n in mon]
+        + [f"vmag_{n}" for n in range(1, feeder.n_nodes + 1)]
+    )
+
+
 def write_trajectory(
     records: list[StepRecord], feeder: FeederModel, scenario: Scenario, path: str
 ) -> None:
     """Flatten records to columnar text, one row per step, byte-stable."""
-    header = (
-        ["k", "time_s", "cost", "max_violation", "pf_residual"]
-        + [f"y_{n}" for n in feeder.monitored_nodes]
-        + [f"p_{n}" for n in feeder.der_nodes]
-        + [f"q_{n}" for n in feeder.der_nodes]
-        + [f"gamma_{n}" for n in feeder.monitored_nodes]
-        + [f"mu_{n}" for n in feeder.monitored_nodes]
-        + [f"vmag_{n}" for n in range(1, feeder.n_nodes + 1)]
-    )
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(header)
+        w.writerow(_trajectory_columns(feeder))
         for rec in records:
             row = (
                 [str(rec.k), _fmt(rec.k * scenario.tau), _fmt(rec.cost),
@@ -758,46 +763,28 @@ def write_trajectory(
 
 
 def read_trajectory(path: str, feeder: FeederModel) -> list[StepRecord]:
-    """Inverse of write_trajectory for the given feeder layout."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [row for row in reader if row]
-    m = len(feeder.monitored_nodes)
-    g = feeder.n_der
-    n = feeder.n_nodes
-    expected_len = 5 + m + 2 * g + 2 * m + n
-    if len(header) != expected_len:
-        raise ValueError(
-            f"{path}: trajectory columns do not match the feeder "
-            f"(expected {expected_len}, found {len(header)})"
+    """Inverse of write_trajectory for the given feeder layout.
+
+    The header must be exactly the feeder's trajectory columns and every row
+    must have one numeric cell per column; a violation raises ``ValueError``
+    naming the file and, where it is one row's fault, the row.
+    """
+    data = _read_rows(path, _trajectory_columns(feeder), "trajectory")
+    m, g = len(feeder.monitored_nodes), feeder.n_der
+    head, y, p, q, gamma, mu, v_mag = np.split(
+        data, np.cumsum([5, m, g, g, m, m]), axis=1
+    )
+    return [
+        StepRecord(
+            k=int(head[i, 0]),
+            y=y[i],
+            u=np.column_stack([p[i], q[i]]),
+            gamma=gamma[i],
+            mu=mu[i],
+            v_mag=v_mag[i],
+            cost=float(head[i, 2]),
+            max_violation=float(head[i, 3]),
+            pf_residual=float(head[i, 4]),
         )
-    records = []
-    for row in rows:
-        vals = [float(x) for x in row]
-        o = 5
-        y = np.asarray(vals[o : o + m])
-        o += m
-        p = np.asarray(vals[o : o + g])
-        o += g
-        q = np.asarray(vals[o : o + g])
-        o += g
-        gamma = np.asarray(vals[o : o + m])
-        o += m
-        mu = np.asarray(vals[o : o + m])
-        o += m
-        v_mag = np.asarray(vals[o : o + n])
-        records.append(
-            StepRecord(
-                k=int(row[0]),
-                y=y,
-                u=np.column_stack([p, q]),
-                gamma=gamma,
-                mu=mu,
-                v_mag=v_mag,
-                cost=vals[2],
-                max_violation=vals[3],
-                pf_residual=vals[4],
-            )
-        )
-    return records
+        for i in range(len(data))
+    ]

@@ -142,11 +142,11 @@ def test_a1_projection_matches_grid_search():
             for xp, xq in pts:
                 grid_pt, d_grid = _grid_nearest(xp, xq, region, boundary)
                 proj = project_region((xp, xq), region)
-                assert region.contains(proj.p, proj.q, tol=1e-9)
-                d_closed = math.hypot(proj.p - xp, proj.q - xq)
+                assert region.contains(*proj, tol=1e-9)
+                d_closed = math.hypot(proj[0] - xp, proj[1] - xq)
                 # the true projection can never be farther than a grid point
                 assert d_closed <= d_grid + 1e-12
-                gap = math.hypot(proj.p - grid_pt[0], proj.q - grid_pt[1])
+                gap = math.dist(proj, grid_pt)
                 worst_gap = max(worst_gap, gap)
                 checked += 1
     elapsed = time.perf_counter() - t0

@@ -83,6 +83,28 @@ def test_validate_invalid_json(tmp_path, capsys):
         (lambda c: c["controller"].update(alpha=-0.1), "controller"),
         (lambda c: c["generator"].update(cloud_cover=0.5), "unknown key"),
         (lambda c: c.update(cost={"c_p": 1.0, "weight": 2.0}), "unknown key"),
+        # every value is checked against its field's type, naming file and key
+        (lambda c: c["controller"].update(alpha="0.1"),
+         'bad_config.json:controller:alpha: expected a number, got "0.1"'),
+        (lambda c: c.update(seed=None), "bad_config.json:seed: expected an integer, got null"),
+        (lambda c: c["generator"].update(n_steps="10"),
+         "bad_config.json:generator:n_steps: expected an integer"),
+        (lambda c: c["generator"].update(tau="x"), "bad_config.json:generator:tau: expected a number"),
+        (lambda c: c.update(lag_beta=None), "bad_config.json:lag_beta: expected a number, got null"),
+        (lambda c: c.update(feeder=3), "bad_config.json:feeder: expected a string, got 3"),
+        (lambda c: c.update(cost=[1.0, 2.0]), "bad_config.json:cost[0]: expected an object, got 1.0"),
+        (lambda c: c.update(report="no"), "bad_config.json:report: expected true or false"),
+        (lambda c: c.update(report_decimation=2.7),
+         "bad_config.json:report_decimation: expected an integer, got 2.7"),
+        (lambda c: c.update(controller="x"), "bad_config.json:controller: expected an object"),
+        (lambda c: c.update(cost="cheap"),
+         "bad_config.json:cost: expected an object or a list, got \"cheap\""),
+        (lambda c: c.update(generator=[1, 2]),
+         "bad_config.json:generator: expected an object or null, got a list"),
+        # generator knobs that would crash the loop or the generator
+        (lambda c: c["generator"].update(n_steps=0), "scenario has no steps"),
+        (lambda c: c["generator"].update(kind="vmax_steps", vmax_plateaus=[1.05]),
+         "bad_config.json:generator:vmax_plateaus: expected a list of 3 entries, got 1"),
     ],
 )
 def test_config_schema_errors(tmp_path, run_config, capsys, mutate, fragment):
@@ -91,15 +113,7 @@ def test_config_schema_errors(tmp_path, run_config, capsys, mutate, fragment):
     bad = tmp_path / "bad_config.json"
     write_json(bad, cfg)
     assert cli.main(["run", "--config", str(bad)]) == 1
-    assert fragment in capsys.readouterr().err
-
-
-def test_config_round_trip(tmp_path, run_config):
-    cfg1 = cli.load_config(str(run_config))
-    d1 = cfg1.to_dict()
-    again = tmp_path / "again.json"
-    write_json(again, d1)
-    assert cli.load_config(str(again)).to_dict() == d1
+    assert fragment in _one_line_error(capsys)
 
 
 def test_run_end_to_end(tmp_path, run_config, capsys):
@@ -314,3 +328,54 @@ def test_run_scenario_non_finite_value(tmp_path, run_config, capsys, column, val
     cfg, spath = _scenario_file_config(tmp_path, run_config, poison)
     assert cli.main(["run", "--config", str(cfg)]) == 1
     assert f"{spath}: {series} must be finite" in _one_line_error(capsys)
+
+
+def _rewrite(path, edit):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("".join(line + "\n" for line in edit(lines)), encoding="utf-8")
+
+
+def _swap_header(old, new):
+    def edit(lines):
+        lines[0] = lines[0].replace(old, new)
+        return lines
+    return edit
+
+
+def _reverse_first_five(lines):
+    cells = lines[0].split(",")
+    lines[0] = ",".join(cells[:5][::-1] + cells[5:])
+    return lines
+
+
+def _drop_last_cell(lines):
+    lines[3] = lines[3].rsplit(",", 1)[0]
+    return lines
+
+
+def _non_numeric_cell(lines):
+    cells = lines[2].split(",")
+    cells[6] = "abc"
+    lines[2] = ",".join(cells)
+    return lines
+
+
+@pytest.mark.parametrize(
+    "edit, fragment",
+    [
+        (lambda lines: [], "trajectory columns do not match the feeder (0 columns, expected 11)"),
+        (_swap_header("y_1", "z_1"),
+         "trajectory columns do not match the feeder (column 6 is 'z_1', expected 'y_1')"),
+        (_reverse_first_five,
+         "trajectory columns do not match the feeder (column 1 is 'pf_residual', expected 'k')"),
+        (_drop_last_cell, "row 3 has 10 columns, expected 11"),
+        (_non_numeric_cell, "row 2: could not convert string to float: 'abc'"),
+    ],
+)
+def test_report_rejects_malformed_trajectory(tmp_path, run_config, capsys, edit, fragment):
+    assert cli.main(["run", "--config", str(run_config), "--no-report"]) == 0
+    capsys.readouterr()
+    traj = tmp_path / "out" / "trajectory.csv"
+    _rewrite(traj, edit)
+    assert cli.main(["report", "--config", str(run_config)]) == 1
+    assert f"{traj}: {fragment}" in _one_line_error(capsys)

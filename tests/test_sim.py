@@ -343,3 +343,27 @@ def test_scenario_rejects_non_finite_series():
             Scenario(**{**ok, name: bad})
     with pytest.raises(ValueError, match="tau"):
         Scenario(**{**ok, "tau": math.nan})
+
+
+def test_e_measured_is_the_largest_per_step_model_mismatch():
+    # reference: each recorded step's measurement against the prediction of
+    # that step's own saddle instance; the report evaluates all steps in one
+    # stacked product, so the two agree to rounding
+    fd = networks.feeder36()
+    net = compile_feeder(fd)
+    scen = generate_scenario("cloud_transient", fd, seed=2,
+                             params=ScenarioParams(n_steps=40, noise_amp=1e-3))
+    setup = ControlSetup(
+        params=ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4),
+        costs=tuple(CostParams(3.0, 1.0) for _ in range(fd.n_der)),
+    )
+    rec = run_closed_loop(net, scen, "pursuit", setup)
+    rep = measure_tracking(net, scen, setup, rec, decimation=40)
+    der = fd.der_indices()
+    ref = max(
+        np.linalg.norm(r.y - step_problem(net, scen, setup, r.k).coupling.predict(
+            r.u, scen.p_load[r.k, der], scen.q_load[r.k, der]))
+        for r in rec
+    )
+    assert ref > 1e-3
+    assert rep.e_measured == pytest.approx(ref, rel=1e-12)
