@@ -46,7 +46,6 @@ from .powerflow import (
     PowerFlowError,
     PowerInjection,
     VoltageCollapseError,
-    VoltageProfile,
     build_linear_model,
     constraint_offsets,
     no_load_voltage,
@@ -59,7 +58,7 @@ from .sim import (
     PlantError,
     Scenario,
     ScenarioParams,
-    StepRecord,
+    Trajectory,
     TrackingReport,
     compile_feeder,
     eval_cost,

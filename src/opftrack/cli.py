@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__
 from .baseline import DroopCurve
 from .controller import (
+    REGION_KINDS,
     ControllerParams,
     CostParams,
     OracleError,
@@ -29,12 +30,15 @@ from .controller import (
 from .feeder import FeederError, FeederModel, build_admittance, load_feeder, validate_feeder
 from .powerflow import PowerFlowError, PowerInjection, build_linear_model, solve_ac
 from .sim import (
+    PLANTS,
+    SCENARIO_KINDS,
+    STRATEGIES,
+    CompiledFeeder,
     ControlSetup,
     PlantError,
     Scenario,
     ScenarioParams,
     compile_feeder,
-    eval_cost,
     generate_scenario,
     measure_tracking,
     read_scenario,
@@ -62,6 +66,10 @@ class GeneratorConfig(ScenarioParams):
     kind: str
     seed: int | None = None
     noise_amp: float | None = None
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        _check_choice("kind", self.kind, SCENARIO_KINDS)
 
 
 @dataclass(frozen=True)
@@ -94,10 +102,20 @@ class RunConfig:
     def __post_init__(self) -> None:
         if (self.scenario_file is None) == (self.generator is None):
             raise ConfigError("exactly one of scenario_file / generator is required")
+        _check_choice("strategy", self.strategy, STRATEGIES)
+        _check_choice("plant", self.plant, PLANTS)
+        _check_choice("region_kind", self.region_kind, REGION_KINDS)
+        if not 0.0 <= self.lag_beta < 1.0:
+            raise ConfigError(f"lag_beta must be in [0, 1), got {self.lag_beta!r}")
         if self.report_decimation < 1:
             raise ConfigError("report_decimation must be >= 1")
         if self.noise_amp < 0:
             raise ConfigError("noise_amp must be nonnegative")
+
+
+def _check_choice(key: str, value: str, choices: tuple[str, ...]) -> None:
+    if value not in choices:
+        raise ConfigError(f"{key} must be one of {', '.join(choices)}; got {value!r}")
 
 
 # The parser reads each field's annotation string: a ``|`` union of None,
@@ -200,33 +218,43 @@ def load_config(path: str, flags: argparse.Namespace | None = None) -> RunConfig
     return _build(RunConfig, raw, path)
 
 
-def _costs_for(cfg: RunConfig, n_der: int) -> tuple[CostParams, ...]:
+def _costs_for(cfg: RunConfig, n_der: int, path: str) -> tuple[CostParams, ...]:
     if isinstance(cfg.cost, CostParams):
         return (cfg.cost,) * n_der
     if len(cfg.cost) != n_der:
         raise ConfigError(
-            f"per-DER cost list has {len(cfg.cost)} entries, feeder has {n_der} DERs"
+            f"{path}:cost: per-DER list has {len(cfg.cost)} entries, feeder has {n_der} DERs"
         )
     return cfg.cost
 
 
-def _setup_for(cfg: RunConfig, feeder: FeederModel) -> ControlSetup:
+def _setup_for(cfg: RunConfig, feeder: FeederModel, path: str) -> ControlSetup:
     return ControlSetup(
         params=cfg.controller,
-        costs=_costs_for(cfg, feeder.n_der),
+        costs=_costs_for(cfg, feeder.n_der, path),
         region_kind=cfg.region_kind,
         droop=cfg.droop,
         lag_beta=cfg.lag_beta,
     )
 
 
-def _scenario_for(cfg: RunConfig, feeder: FeederModel) -> Scenario:
-    if cfg.scenario_file is not None:
-        return read_scenario(cfg.scenario_file, feeder, noise_amp=cfg.noise_amp)
+def _load_run(
+    args: argparse.Namespace,
+) -> tuple[RunConfig, CompiledFeeder, Scenario, ControlSetup]:
+    """The config of ``args.config`` with its flags, compiled feeder, scenario and setup."""
+    cfg = load_config(args.config, args)
+    net = compile_feeder(load_feeder(cfg.feeder))
     gen = cfg.generator
-    seed = cfg.seed if gen.seed is None else gen.seed
-    noise = cfg.noise_amp if gen.noise_amp is None else gen.noise_amp
-    return generate_scenario(gen.kind, feeder, seed, replace(gen, noise_amp=noise))
+    if gen is None:
+        scen = read_scenario(cfg.scenario_file, net.feeder, noise_amp=cfg.noise_amp)
+    else:
+        seed = cfg.seed if gen.seed is None else gen.seed
+        noise = cfg.noise_amp if gen.noise_amp is None else gen.noise_amp
+        try:
+            scen = generate_scenario(gen.kind, net.feeder, seed, replace(gen, noise_amp=noise))
+        except ValueError as exc:
+            raise ConfigError(f"{args.config}:generator: {exc}") from exc
+    return cfg, net, scen, _setup_for(cfg, net.feeder, args.config)
 
 
 def _json_bytes(obj: dict) -> str:
@@ -271,7 +299,7 @@ def cmd_powerflow(args: argparse.Namespace) -> int:
     else:
         inj = PowerInjection.zeros(n)
     sol = solve_ac(adm, inj, feeder.slack_voltage)
-    v = sol.voltages.v
+    v = sol.v
     print(f"iterations = {sol.iterations}")
     print(f"residual   = {sol.residual:.3e}")
     print("node  magnitude_pu  angle_deg")
@@ -311,11 +339,7 @@ def cmd_linearize(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config, args)
-    net = compile_feeder(load_feeder(cfg.feeder))
-    feeder = net.feeder
-    scen = _scenario_for(cfg, feeder)
-    setup = _setup_for(cfg, feeder)
+    cfg, net, scen, setup = _load_run(args)
     consts = convergence_constants(setup.costs, net.coupling, setup.params)
     alpha = setup.params.alpha
     print(f"eta        = {consts.eta:.6e}")
@@ -330,26 +354,25 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"(alpha = {alpha} >= alpha_max = {consts.alpha_max:.6e})"
         )
 
-    records = run_closed_loop(
+    traj = run_closed_loop(
         net, scen, cfg.strategy, setup, seed=cfg.seed, plant=cfg.plant
     )
 
     os.makedirs(cfg.output_dir, exist_ok=True)
     traj_path = os.path.join(cfg.output_dir, "trajectory.csv")
-    write_trajectory(records, feeder, scen, traj_path)
+    write_trajectory(traj, net.feeder, scen, traj_path)
 
-    costs = eval_cost(records, setup.costs, scen.p_av)
-    tail = records[int(0.75 * len(records)) :]
+    tail = int(0.75 * traj.n_steps)
     summary: dict = {
         "seed": cfg.seed,
         "strategy": cfg.strategy,
         "plant": cfg.plant,
         "n_steps": scen.n_steps,
         "tau_s": scen.tau,
-        "final_cost": float(costs[-1]),
-        "mean_cost_tail": float(np.mean(costs[int(0.75 * len(costs)) :])),
-        "final_max_violation": records[-1].max_violation,
-        "max_violation_tail": float(max(r.max_violation for r in tail)),
+        "final_cost": float(traj.cost[-1]),
+        "mean_cost_tail": float(np.mean(traj.cost[tail:])),
+        "final_max_violation": float(traj.max_violation[-1]),
+        "max_violation_tail": float(np.max(traj.max_violation[tail:])),
         "constants": {
             "eta": consts.eta,
             "L_reg": consts.L_reg,
@@ -361,7 +384,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     }
     if cfg.strategy == "pursuit" and cfg.report:
         rep = measure_tracking(
-            net, scen, setup, records, decimation=cfg.report_decimation
+            net, scen, setup, traj, decimation=cfg.report_decimation
         )
         summary["tracking"] = rep.to_dict()
     summary_path = os.path.join(cfg.output_dir, "summary.json")
@@ -369,15 +392,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         fh.write(_json_bytes(summary))
     print(f"trajectory -> {traj_path}")
     print(f"summary    -> {summary_path}")
-    print(f"final max_violation = {records[-1].max_violation:.6e}")
+    print(f"final max_violation = {traj.max_violation[-1]:.6e}")
     return 0
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config, args)
-    net = compile_feeder(load_feeder(cfg.feeder))
-    scen = _scenario_for(cfg, net.feeder)
-    setup = _setup_for(cfg, net.feeder)
+    _, net, scen, setup = _load_run(args)
     k = args.step
     if not 0 <= k < scen.n_steps:
         raise ConfigError(f"step {k} outside scenario range [0, {scen.n_steps})")
@@ -404,19 +424,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config, args)
-    net = compile_feeder(load_feeder(cfg.feeder))
-    scen = _scenario_for(cfg, net.feeder)
-    setup = _setup_for(cfg, net.feeder)
-    traj = args.trajectory or os.path.join(cfg.output_dir, "trajectory.csv")
-    records = read_trajectory(traj, net.feeder)
-    if len(records) != scen.n_steps:
-        raise ConfigError(
-            f"trajectory has {len(records)} steps, scenario has {scen.n_steps}"
-        )
-    rep = measure_tracking(
-        net, scen, setup, records, decimation=cfg.report_decimation
-    )
+    cfg, net, scen, setup = _load_run(args)
+    path = args.trajectory or os.path.join(cfg.output_dir, "trajectory.csv")
+    traj = read_trajectory(path, net.feeder)
+    rep = measure_tracking(net, scen, setup, traj, decimation=cfg.report_decimation)
     text = _json_bytes(rep.to_dict())
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -464,8 +475,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("run", help="closed-loop run: trajectory + summary")
     sp.add_argument("--config", required=True, help="run configuration JSON")
-    sp.add_argument("--strategy", choices=["pursuit", "droop", "none"])
-    sp.add_argument("--plant", choices=["ac", "linear"])
+    sp.add_argument("--strategy", choices=STRATEGIES)
+    sp.add_argument("--plant", choices=PLANTS)
     sp.add_argument("--seed", type=int)
     sp.add_argument("--alpha", type=float, help="override controller stepsize")
     sp.add_argument("--output-dir")

@@ -178,7 +178,9 @@ class CostParams:
             raise ValueError("cost weights must be nonnegative")
 
     def value(self, p: float, q: float, p_av: float) -> float:
-        return self.c_p * (p_av - p) ** 2 + self.c_q * q * q
+        # float_power calls pow() for scalars and arrays alike (``**`` squares
+        # arrays, off by one ulp at times), so both give the same bits
+        return self.c_p * np.float_power(p_av - p, 2) + self.c_q * q * q
 
     def grad(self, p: float, q: float, p_av: float) -> tuple[float, float]:
         return -2.0 * self.c_p * (p_av - p), 2.0 * self.c_q * q

@@ -116,16 +116,14 @@ class AdmittanceMatrix:
 
     The full ``(N+1) x (N+1)`` matrix is stored as the slack self term
     ``y00``, the slack-to-network column ``ybar`` and the reduced network
-    block ``Y`` (sparse CSC), with ``ordering`` giving the bus id of each
-    reduced row. ``lu`` is the sparse LU factor of ``Y`` that every solve
-    with ``Y`` uses, and ``rcond`` its estimated 1-norm reciprocal
-    condition number.
+    block ``Y`` (sparse CSC), whose row i is bus i + 1. ``lu`` is the sparse
+    LU factor of ``Y`` that every solve with ``Y`` uses, and ``rcond`` its
+    estimated 1-norm reciprocal condition number.
     """
 
     y00: complex
     ybar: np.ndarray
     Y: sp.csc_matrix
-    ordering: tuple[int, ...]
     lu: SuperLU
     rcond: float
 
@@ -277,7 +275,6 @@ def build_admittance(feeder: FeederModel) -> AdmittanceMatrix:
         y00=complex(diag[0]),
         ybar=ybar,
         Y=Y,
-        ordering=tuple(range(1, n + 1)),
         lu=lu,
         rcond=rcond,
     )

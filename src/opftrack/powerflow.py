@@ -18,7 +18,6 @@ from .feeder import AdmittanceMatrix, FeederModel
 
 __all__ = [
     "PowerInjection",
-    "VoltageProfile",
     "PFSolution",
     "LinearModel",
     "PowerFlowError",
@@ -74,23 +73,10 @@ class PowerInjection:
 
 
 @dataclass(frozen=True)
-class VoltageProfile:
-    """Complex bus voltages for buses 1..N."""
+class PFSolution:
+    """Complex bus voltages ``v`` for buses 1..N, and how the solve went."""
 
     v: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=complex))
-
-    @property
-    def rho(self) -> np.ndarray:
-        """Voltage magnitudes; derived, so always consistent with ``v``."""
-        return np.abs(self.v)
-
-
-@dataclass(frozen=True)
-class PFSolution:
-    voltages: VoltageProfile
     iterations: int
     residual: float
 
@@ -201,7 +187,7 @@ def solve_ac(
         s_model = v * np.conj(adm.Y @ v + yv0)
         residual = float(np.max(np.abs(s_model - s)))
         if residual <= tol:
-            return PFSolution(VoltageProfile(v), it, residual)
+            return PFSolution(v, it, residual)
     raise PowerFlowError(
         f"no convergence after {max_iter} iterations, residual {residual:.3e}",
         residual,

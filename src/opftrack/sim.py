@@ -52,10 +52,12 @@ __all__ = [
     "Scenario",
     "ScenarioParams",
     "ControlSetup",
-    "StepRecord",
+    "Trajectory",
     "TrackingReport",
     "PlantError",
     "STRATEGIES",
+    "PLANTS",
+    "SCENARIO_KINDS",
     "generate_scenario",
     "read_scenario",
     "write_scenario",
@@ -68,6 +70,8 @@ __all__ = [
 ]
 
 STRATEGIES = ("pursuit", "droop", "none")
+PLANTS = ("ac", "linear")
+SCENARIO_KINDS = ("static", "ramp", "cloud_transient", "vmax_steps")
 
 DUAL_DIAG_LIMIT = 1e6
 
@@ -116,8 +120,12 @@ class Scenario:
                 raise ValueError(f"{name} must be finite")
         if np.any(self.p_av < 0):
             raise ValueError("p_av must be nonnegative")
+        if np.any(self.v_min >= self.v_max):
+            raise ValueError("v_min must be below v_max at every step")
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ValueError("tau must be positive and finite")
+        if not self.noise_amp >= 0.0:
+            raise ValueError(f"noise_amp must be nonnegative, got {self.noise_amp!r}")
 
     @property
     def n_steps(self) -> int:
@@ -156,10 +164,15 @@ class ScenarioParams:
     vmax_fractions: tuple[float, float, float] = (7 / 12, 1 / 12, 4 / 12)
     noise_amp: float = 0.0
 
+    def __post_init__(self) -> None:
+        if self.n_steps < 1:
+            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}: scenario has no steps")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError(f"tau must be positive and finite, got {self.tau!r}")
 
-def _load_series(feeder: FeederModel, par: ScenarioParams, t: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
-    n = feeder.n_nodes
-    base = np.broadcast_to(np.asarray(par.load_p, dtype=float), (n,)).copy()
+
+def _load_series(base: np.ndarray, par: ScenarioParams, t: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
+    n = base.size
     horizon = max(t[-1], 1e-9) if len(t) else 1.0
     if par.load_swing > 0:
         phases = rng.uniform(0.0, 2.0 * math.pi, n)
@@ -217,20 +230,22 @@ def generate_scenario(
     dips), ``vmax_steps`` (bell without dips plus a piecewise-constant
     upper voltage limit taking the three plateau values).
     """
-    if kind not in ("static", "ramp", "cloud_transient", "vmax_steps"):
+    if kind not in SCENARIO_KINDS:
         raise ValueError(f"unknown scenario kind {kind!r}")
     par = params or ScenarioParams()
+    n = feeder.n_nodes
+    base = np.asarray(par.load_p, dtype=float)
+    if base.shape not in ((), (n,)):
+        raise ValueError(f"load_p must be a number or one per bus ({n}), got shape {base.shape}")
+    base = np.broadcast_to(base, (n,))
     rng = np.random.default_rng(seed)
     k = par.n_steps
     t = np.arange(k) * par.tau
     if kind == "static":
-        p = np.broadcast_to(
-            np.asarray(par.load_p, dtype=float), (feeder.n_nodes,)
-        ).copy()
-        p_load = np.tile(p, (k, 1))
+        p_load = np.tile(base, (k, 1))
         q_load = par.load_q_ratio * p_load
     else:
-        p_load, q_load = _load_series(feeder, par, t, rng)
+        p_load, q_load = _load_series(base, par, t, rng)
     frac = _irradiance(kind, par, t, rng)
     ratings = np.asarray(feeder.der_ratings)
     p_av = np.minimum(frac[:, None] * ratings[None, :], ratings[None, :])
@@ -258,11 +273,6 @@ def generate_scenario(
 
 # ---------------------------------------------------------------------------
 # scenario files: columnar text, one row per step
-
-
-def _fmt(x: float) -> str:
-    # repr of a Python float round-trips exactly; numpy scalars do not
-    return repr(float(x))
 
 
 def _scenario_columns(feeder: FeederModel) -> list[str]:
@@ -305,18 +315,24 @@ def _read_rows(path: str, columns: list[str], what: str) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def write_scenario(scenario: Scenario, feeder: FeederModel, path: str) -> None:
+def _write_rows(path: str, columns: list[str], rows) -> None:
+    """Write the header ``columns``, then ``rows`` of Python numbers.
+
+    csv prints a Python float as its exact ``repr`` (a numpy scalar prints
+    differently): build rows with ``ndarray.tolist()``, one at a time.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(_scenario_columns(feeder))
-        for k in range(scenario.n_steps):
-            row = (
-                [_fmt(k * scenario.tau), _fmt(scenario.v_min[k]), _fmt(scenario.v_max[k])]
-                + [_fmt(x) for x in scenario.p_load[k]]
-                + [_fmt(x) for x in scenario.q_load[k]]
-                + [_fmt(x) for x in scenario.p_av[k]]
-            )
-            w.writerow(row)
+        w.writerow(columns)
+        w.writerows(rows)
+
+
+def write_scenario(scenario: Scenario, feeder: FeederModel, path: str) -> None:
+    data = np.column_stack([
+        np.arange(scenario.n_steps) * scenario.tau, scenario.v_min, scenario.v_max,
+        scenario.p_load, scenario.q_load, scenario.p_av,
+    ])
+    _write_rows(path, _scenario_columns(feeder), (row.tolist() for row in data))
 
 
 def read_scenario(path: str, feeder: FeederModel, noise_amp: float = 0.0) -> Scenario:
@@ -373,18 +389,29 @@ class ControlSetup:
 
 
 @dataclass(frozen=True)
-class StepRecord:
-    """State of one closed-loop step (commanded setpoints, plant response)."""
+class Trajectory:
+    """A recorded closed-loop run; row k of every array is step k.
 
-    k: int
+    ``u`` (K, n_der, 2) holds the commanded (P, Q) setpoints and ``gamma`` /
+    ``mu`` (K, M) the duals held while commanding them; ``y`` (K, M) is the
+    noisy metered magnitudes and ``v_mag`` (K, N) the plant's magnitudes at
+    every bus. ``cost`` is the generation cost of ``u``, ``max_violation``
+    the largest metered excursion outside the step's voltage band, and
+    ``pf_residual`` the AC solve's residual (0 on the linear plant).
+    """
+
     y: np.ndarray
     u: np.ndarray
     gamma: np.ndarray
     mu: np.ndarray
     v_mag: np.ndarray
-    cost: float
-    max_violation: float
-    pf_residual: float
+    cost: np.ndarray
+    max_violation: np.ndarray
+    pf_residual: np.ndarray
+
+    @property
+    def n_steps(self) -> int:
+        return self.y.shape[0]
 
 
 @dataclass(frozen=True)
@@ -436,7 +463,7 @@ def run_closed_loop(
     seed: int = 0,
     z0: tuple[np.ndarray, DualState] | None = None,
     plant: str = "ac",
-) -> list[StepRecord]:
+) -> Trajectory:
     """Run the measurement-driven loop and record every step.
 
     Strategies: ``pursuit`` (primal-dual controller), ``droop`` (local
@@ -448,7 +475,7 @@ def run_closed_loop(
     feeder = net.feeder
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    if plant not in ("ac", "linear"):
+    if plant not in PLANTS:
         raise ValueError(f"unknown plant {plant!r}")
     if scenario.p_av.shape[1] != feeder.n_der:
         raise ValueError("scenario DER columns do not match the feeder")
@@ -471,8 +498,14 @@ def run_closed_loop(
     v_warm = net.lm.vbar
     dual_warned = False
 
-    records: list[StepRecord] = []
-    for k in range(scenario.n_steps):
+    n_steps = scenario.n_steps
+    ys = np.empty((n_steps, len(mon)))
+    us = np.empty((n_steps, g, 2))
+    gammas = np.empty((n_steps, len(mon)))
+    mus = np.empty((n_steps, len(mon)))
+    v_mags = np.empty((n_steps, feeder.n_nodes))
+    pf_residual = np.zeros(n_steps)
+    for k in range(n_steps):
         params_k = _params_at(setup, scenario, k)
         regions_k = _regions_at(feeder, setup, scenario.p_av[k])
         if setup.lag_beta > 0.0:
@@ -491,42 +524,16 @@ def run_closed_loop(
                 sol = solve_ac(net.adm, inj, v0, init=v_warm)
             except PowerFlowError as exc:
                 raise PlantError(k, exc) from exc
-            v_warm = sol.voltages.v
-            v_mag = sol.voltages.rho
-            pf_residual = sol.residual
+            v_warm = sol.v
+            v_mag = np.abs(sol.v)
+            pf_residual[k] = sol.residual
         else:
             v_mag = predict_voltage_magnitude(net.lm, inj)
-            pf_residual = 0.0
 
-        y = v_mag[mon].copy()
+        y = v_mag[mon]
         if scenario.noise_amp > 0.0:
             y = y + rng.uniform(-scenario.noise_amp, scenario.noise_amp, len(mon))
-
-        mon_mag = v_mag[mon]
-        viol = max(
-            0.0,
-            float(np.max(params_k.v_min - mon_mag)),
-            float(np.max(mon_mag - params_k.v_max)),
-        )
-        cost = float(
-            sum(
-                c.value(u[i, 0], u[i, 1], scenario.p_av[k, i])
-                for i, c in enumerate(setup.costs)
-            )
-        )
-        records.append(
-            StepRecord(
-                k=k,
-                y=y,
-                u=u.copy(),
-                gamma=duals.gamma.copy(),
-                mu=duals.mu.copy(),
-                v_mag=np.asarray(v_mag, dtype=float).copy(),
-                cost=cost,
-                max_violation=viol,
-                pf_residual=pf_residual,
-            )
-        )
+        ys[k], us[k], gammas[k], mus[k], v_mags[k] = y, u, duals.gamma, duals.mu, v_mag
 
         if strategy == "pursuit":
             # simultaneous update: the primal step reads the pre-update duals
@@ -558,7 +565,17 @@ def run_closed_loop(
             u = np.column_stack([scenario.p_av[k], q_new])
         else:  # none
             u = np.column_stack([scenario.p_av[k], np.zeros(g)])
-    return records
+
+    mon_mag = v_mags[:, mon]
+    max_violation = np.maximum(0.0, np.maximum(
+        np.max(scenario.v_min[:, None] - mon_mag, axis=1),
+        np.max(mon_mag - scenario.v_max[:, None], axis=1),
+    ))
+    return Trajectory(
+        y=ys, u=us, gamma=gammas, mu=mus, v_mag=v_mags,
+        cost=eval_cost(us, setup.costs, scenario.p_av),
+        max_violation=max_violation, pf_residual=pf_residual,
+    )
 
 
 def step_problem(
@@ -581,27 +598,22 @@ def step_problem(
 
 
 def eval_cost(
-    records: list[StepRecord],
+    u: np.ndarray,
     costs: tuple[CostParams, ...],
     p_av: np.ndarray,
     reactive_only: bool = False,
 ) -> np.ndarray:
-    """Per-step generation cost of a recorded run.
+    """Per-step generation cost of setpoints ``u`` (K, n_der, 2), summed in DER order.
 
-    With ``reactive_only`` the curtailment term is dropped, which is the
-    reporting convention for the droop baseline (whose P always equals
-    P_av, making both conventions coincide for it).
+    With ``reactive_only`` the curtailment term is dropped (P is taken at
+    ``p_av``), which is the reporting convention for the droop baseline
+    (whose P always equals P_av, making both conventions coincide for it).
     """
-    out = np.empty(len(records))
-    for j, rec in enumerate(records):
-        if reactive_only:
-            out[j] = sum(c.c_q * rec.u[i, 1] ** 2 for i, c in enumerate(costs))
-        else:
-            out[j] = sum(
-                c.value(rec.u[i, 0], rec.u[i, 1], p_av[rec.k, i])
-                for i, c in enumerate(costs)
-            )
-    return out
+    p = p_av if reactive_only else u[:, :, 0]
+    return sum(
+        (c.value(p[:, i], u[:, i, 1], p_av[:, i]) for i, c in enumerate(costs)),
+        np.zeros(len(u)),
+    )
 
 
 @dataclass(frozen=True)
@@ -646,7 +658,7 @@ def measure_tracking(
     net: CompiledFeeder,
     scenario: Scenario,
     setup: ControlSetup,
-    records: list[StepRecord],
+    traj: Trajectory,
     decimation: int = 10,
     oracle_tol: float = 1e-11,
 ) -> TrackingReport:
@@ -669,6 +681,10 @@ def measure_tracking(
     """
     if decimation < 1:
         raise ValueError("decimation must be >= 1")
+    if traj.n_steps != scenario.n_steps:
+        raise ValueError(
+            f"trajectory has {traj.n_steps} steps, scenario has {scenario.n_steps}"
+        )
     der = net.feeder.der_indices()
     consts = convergence_constants(setup.costs, net.coupling, setup.params)
 
@@ -686,23 +702,19 @@ def measure_tracking(
         drift = float(np.linalg.norm(stars[k2] - stars[k1])) / (k2 - k1)
         sigma_z = max(sigma_z, drift)
 
-    rec_ks = np.asarray([rec.k for rec in records], dtype=int)
-    p_load, q_load = scenario.p_load[rec_ks], scenario.q_load[rec_ks]
-    u = np.asarray([rec.u for rec in records])
+    p_load, q_load = scenario.p_load, scenario.q_load
     w = (
-        (u[:, :, 0] - p_load[:, der]) @ net.coupling.r.T
-        + (u[:, :, 1] - q_load[:, der]) @ net.coupling.b.T
+        (traj.u[:, :, 0] - p_load[:, der]) @ net.coupling.r.T
+        + (traj.u[:, :, 1] - q_load[:, der]) @ net.coupling.b.T
         + constraint_offsets(net.lm, p_load, q_load, net.feeder)
     )
-    y = np.asarray([rec.y for rec in records])
-    e_measured = float(np.max(np.linalg.norm(y - w, axis=1)))
+    e_measured = float(np.max(np.linalg.norm(traj.y - w, axis=1)))
 
     tail_from = int(math.ceil(0.75 * scenario.n_steps))
     tail = 0.0
     for k in ks:
         if k >= tail_from:
-            rec = records[k]
-            zk = pack_state(rec.u, rec.gamma, rec.mu)
+            zk = pack_state(traj.u[k], traj.gamma[k], traj.mu[k])
             tail = max(tail, float(np.linalg.norm(zk - stars[k])))
 
     rho = consts.rho_alpha
@@ -742,49 +754,39 @@ def _trajectory_columns(feeder: FeederModel) -> list[str]:
 
 
 def write_trajectory(
-    records: list[StepRecord], feeder: FeederModel, scenario: Scenario, path: str
+    traj: Trajectory, feeder: FeederModel, scenario: Scenario, path: str
 ) -> None:
-    """Flatten records to columnar text, one row per step, byte-stable."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_trajectory_columns(feeder))
-        for rec in records:
-            row = (
-                [str(rec.k), _fmt(rec.k * scenario.tau), _fmt(rec.cost),
-                 _fmt(rec.max_violation), _fmt(rec.pf_residual)]
-                + [_fmt(x) for x in rec.y]
-                + [_fmt(x) for x in rec.u[:, 0]]
-                + [_fmt(x) for x in rec.u[:, 1]]
-                + [_fmt(x) for x in rec.gamma]
-                + [_fmt(x) for x in rec.mu]
-                + [_fmt(x) for x in rec.v_mag]
-            )
-            w.writerow(row)
+    """Write a trajectory as columnar text, one row per step, byte-stable."""
+    data = np.column_stack([
+        np.arange(traj.n_steps) * scenario.tau, traj.cost, traj.max_violation,
+        traj.pf_residual, traj.y, traj.u[:, :, 0], traj.u[:, :, 1],
+        traj.gamma, traj.mu, traj.v_mag,
+    ])
+    rows = ([k, *row.tolist()] for k, row in enumerate(data))
+    _write_rows(path, _trajectory_columns(feeder), rows)
 
 
-def read_trajectory(path: str, feeder: FeederModel) -> list[StepRecord]:
+def read_trajectory(path: str, feeder: FeederModel) -> Trajectory:
     """Inverse of write_trajectory for the given feeder layout.
 
-    The header must be exactly the feeder's trajectory columns and every row
-    must have one numeric cell per column; a violation raises ``ValueError``
-    naming the file and, where it is one row's fault, the row.
+    The header must be exactly the feeder's trajectory columns, every row
+    must have one numeric cell per column, and the ``k`` column must read
+    0, 1, 2, ... in row order; a violation raises ``ValueError`` naming the
+    file and, where it is one row's fault, the first such row.
     """
     data = _read_rows(path, _trajectory_columns(feeder), "trajectory")
+    wrong = np.flatnonzero(data[:, 0] != np.arange(len(data)))
+    if wrong.size:
+        i = int(wrong[0])
+        raise ValueError(
+            f"{path}: row {i + 1} has k = {data[i, 0]:g}, expected {i} "
+            "(rows must be the steps 0, 1, 2, ... in order)"
+        )
     m, g = len(feeder.monitored_nodes), feeder.n_der
     head, y, p, q, gamma, mu, v_mag = np.split(
         data, np.cumsum([5, m, g, g, m, m]), axis=1
     )
-    return [
-        StepRecord(
-            k=int(head[i, 0]),
-            y=y[i],
-            u=np.column_stack([p[i], q[i]]),
-            gamma=gamma[i],
-            mu=mu[i],
-            v_mag=v_mag[i],
-            cost=float(head[i, 2]),
-            max_violation=float(head[i, 3]),
-            pf_residual=float(head[i, 4]),
-        )
-        for i in range(len(data))
-    ]
+    return Trajectory(
+        y=y, u=np.stack([p, q], axis=-1), gamma=gamma, mu=mu, v_mag=v_mag,
+        cost=head[:, 2], max_violation=head[:, 3], pf_residual=head[:, 4],
+    )

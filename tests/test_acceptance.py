@@ -175,7 +175,7 @@ def test_a2_linear_model_fidelity():
             inj = PowerInjection(rng.uniform(-amp, amp, n), rng.uniform(-amp, amp, n))
             sol = solve_ac(adm, inj, fd.slack_voltage)
             pred = predict_voltage_magnitude(lm, inj)
-            err = float(np.max(np.abs(np.abs(sol.voltages.v) - pred)))
+            err = float(np.max(np.abs(np.abs(sol.v) - pred)))
             worst[amp] = max(worst[amp], err)
     elapsed = time.perf_counter() - t0
     ok = worst[0.1] <= 1e-2 and worst[0.02] <= 1e-3 and elapsed < 30.0
@@ -263,8 +263,8 @@ def test_a4_tracking_bound_on_ramp():
     net = compile_feeder(fd)
     sol0 = solve_saddle_oracle(step_problem(net, scen, setup, 0))
     z0 = (sol0.u, DualState(sol0.gamma, sol0.mu))
-    rec = run_closed_loop(net, scen, "pursuit", setup, z0=z0, plant="ac")
-    rep = measure_tracking(net, scen, setup, rec, decimation=1)
+    traj = run_closed_loop(net, scen, "pursuit", setup, z0=z0, plant="ac")
+    rep = measure_tracking(net, scen, setup, traj, decimation=1)
     elapsed = time.perf_counter() - t0
     ok = (
         rep.constants.rho_alpha < 1.0
@@ -307,7 +307,7 @@ def midday():
         "droop": run_closed_loop(net, scen, "droop", lagged),
     }
     burn = scen.n_steps // 4
-    v_none = np.array([r.v_mag.max() for r in runs["none"]])
+    v_none = runs["none"].v_mag.max(axis=1)
     window = np.flatnonzero(v_none > 1.05)
     window = window[window >= burn]
     return {
@@ -325,7 +325,7 @@ def test_a5_midday_voltage_regulation(midday):
     burn = midday["burn"]
 
     none_peak = float(midday["v_none"].max())
-    v_purs = np.array([r.v_mag.max() for r in runs["pursuit"]])
+    v_purs = runs["pursuit"].v_mag.max(axis=1)
     purs_peak = float(v_purs[burn:].max())
     purs_std = float(v_purs[window].std())
 
@@ -335,18 +335,18 @@ def test_a5_midday_voltage_regulation(midday):
     fd = midday["feeder"]
     ratings = np.asarray(fd.der_ratings)
     head = np.sqrt(np.clip(ratings[None, :] ** 2 - scen.p_av**2, 0.0, None))
-    cmd_q = np.array([r.u[:, 1] for r in runs["droop"]])
+    cmd_q = runs["droop"].u[:, :, 1]
     applied = np.zeros_like(cmd_q)
     acc = np.zeros(cmd_q.shape[1])
     for k in range(len(cmd_q)):
         acc = acc + 0.1 * (cmd_q[k] - acc)
         applied[k] = acc
-    viol_d = np.array([r.max_violation for r in runs["droop"]])
+    viol_d = runs["droop"].max_violation
     mon = np.asarray(fd.monitored_indices())
     der_pos = {int(d): i for i, d in enumerate(fd.der_indices())}
     exhausted = 0
     for k in window[viol_d[window] > 1e-3]:
-        vmag = runs["droop"][k].v_mag
+        vmag = runs["droop"].v_mag[k]
         hot = int(mon[int(np.argmax(vmag[mon]))])
         i = der_pos.get(hot)
         if i is None:
@@ -378,10 +378,10 @@ def test_a6_cost_dominance_over_droop(midday):
     runs = midday["runs"]
     window = midday["window"]
     costs = midday["costs"]
-    cost_p = eval_cost(runs["pursuit"], costs, scen.p_av)
-    cost_d = eval_cost(runs["droop"], costs, scen.p_av, reactive_only=True)
-    viol_p = np.array([r.max_violation for r in runs["pursuit"]])
-    viol_d = np.array([r.max_violation for r in runs["droop"]])
+    cost_p = runs["pursuit"].cost
+    cost_d = eval_cost(runs["droop"].u, costs, scen.p_av, reactive_only=True)
+    viol_p = runs["pursuit"].max_violation
+    viol_d = runs["droop"].max_violation
     both = window[(viol_p[window] <= 5e-4) & (viol_d[window] <= 5e-4)]
     frac = float(np.mean(cost_p[both] <= cost_d[both]))
     elapsed = midday["elapsed"] + time.perf_counter() - t0
@@ -409,8 +409,7 @@ def test_a7_stepped_voltage_limit():
         params=ControllerParams(alpha=0.4, nu=1e-3, epsilon=5e-5),
         costs=tuple(CostParams(1.0, 1.0) for _ in range(18)),
     )
-    rec = run_closed_loop(compile_feeder(fd), scen, "pursuit", setup)
-    viol = np.array([r.max_violation for r in rec])
+    viol = run_closed_loop(compile_feeder(fd), scen, "pursuit", setup).max_violation
     drops = (np.flatnonzero(np.diff(scen.v_max) != 0.0) + 1).tolist()
     edges = drops + [scen.n_steps]
     details = []

@@ -105,6 +105,30 @@ def test_validate_invalid_json(tmp_path, capsys):
         (lambda c: c["generator"].update(n_steps=0), "scenario has no steps"),
         (lambda c: c["generator"].update(kind="vmax_steps", vmax_plateaus=[1.05]),
          "bad_config.json:generator:vmax_plateaus: expected a list of 3 entries, got 1"),
+        # values outside their choices or ranges, caught before the run starts
+        (lambda c: c["generator"].update(kind="sunny"),
+         "bad_config.json:generator: kind must be one of static, ramp, cloud_transient, "
+         "vmax_steps; got 'sunny'"),
+        (lambda c: c["generator"].update(n_steps=-2),
+         "bad_config.json:generator: n_steps must be >= 1, got -2"),
+        (lambda c: c["generator"].update(load_p=[]),
+         "bad_config.json:generator: load_p must be a number or one per bus (1), got shape (0,)"),
+        (lambda c: c.update(strategy="magic"),
+         "bad_config.json: strategy must be one of pursuit, droop, none; got 'magic'"),
+        (lambda c: c.update(plant="dc"),
+         "bad_config.json: plant must be one of ac, linear; got 'dc'"),
+        (lambda c: c.update(region_kind="both"),
+         "bad_config.json: region_kind must be one of real_only, reactive_only, joint; "
+         "got 'both'"),
+        (lambda c: c["generator"].update(tau=-1),
+         "bad_config.json:generator: tau must be positive and finite, got -1.0"),
+        (lambda c: c.update(lag_beta=1.5), "bad_config.json: lag_beta must be in [0, 1), got 1.5"),
+        (lambda c: c["generator"].update(noise_amp=-0.5),
+         "bad_config.json:generator: noise_amp must be nonnegative, got -0.5"),
+        (lambda c: c.update(cost=[{"c_p": 1.0, "c_q": 1.0}] * 2),
+         "bad_config.json:cost: per-DER list has 2 entries, feeder has 1 DERs"),
+        (lambda c: c["generator"].update(v_min=1.1, v_max=1.0),
+         "bad_config.json:generator: v_min must be below v_max at every step"),
     ],
 )
 def test_config_schema_errors(tmp_path, run_config, capsys, mutate, fragment):
@@ -285,7 +309,8 @@ def _scenario_file_config(tmp_path, run_config, edit):
 
 
 def _one_line_error(capsys) -> str:
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
     return err
@@ -353,6 +378,18 @@ def _drop_last_cell(lines):
     return lines
 
 
+def _swap_rows_0_and_20(lines):
+    lines[1], lines[21] = lines[21], lines[1]
+    return lines
+
+
+def _count_k_from_1(lines):
+    for i in range(1, len(lines)):
+        k, rest = lines[i].split(",", 1)
+        lines[i] = f"{int(k) + 1},{rest}"
+    return lines
+
+
 def _non_numeric_cell(lines):
     cells = lines[2].split(",")
     cells[6] = "abc"
@@ -370,6 +407,8 @@ def _non_numeric_cell(lines):
          "trajectory columns do not match the feeder (column 1 is 'pf_residual', expected 'k')"),
         (_drop_last_cell, "row 3 has 10 columns, expected 11"),
         (_non_numeric_cell, "row 2: could not convert string to float: 'abc'"),
+        (_swap_rows_0_and_20, "row 1 has k = 20, expected 0"),
+        (_count_k_from_1, "row 1 has k = 1, expected 0"),
     ],
 )
 def test_report_rejects_malformed_trajectory(tmp_path, run_config, capsys, edit, fragment):

@@ -44,7 +44,7 @@ def test_solve_ac_matches_dense_fixed_point(fd, seed):
     v = np.linalg.solve(Y, -yv0)
     for _ in range(sol.iterations):
         v = np.linalg.solve(Y, np.conj(inj.s / v) - yv0)
-    assert np.max(np.abs(v - sol.voltages.v)) <= 1e-10
+    assert np.max(np.abs(v - sol.v)) <= 1e-10
 
 
 @settings(max_examples=40, deadline=None)

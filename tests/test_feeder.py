@@ -23,7 +23,6 @@ def test_two_bus_partition_hand_values():
     assert np.allclose(adm.Y.toarray(), [[ys]])
     assert np.allclose(adm.ybar, [-ys])
     assert adm.y00 == pytest.approx(ys)
-    assert adm.ordering == (1,)
     assert np.allclose(adm.full().toarray(), [[ys, -ys], [-ys, ys]])
 
 

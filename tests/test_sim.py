@@ -157,24 +157,23 @@ def test_closed_loop_deterministic_with_noise():
     r1 = run_closed_loop(net, scen, "pursuit", FAST_SETUP, seed=42)
     r2 = run_closed_loop(net, scen, "pursuit", FAST_SETUP, seed=42)
     r3 = run_closed_loop(net, scen, "pursuit", FAST_SETUP, seed=43)
-    assert all(np.array_equal(a.u, b.u) and np.array_equal(a.y, b.y) for a, b in zip(r1, r2))
-    assert any(not np.array_equal(a.y, b.y) for a, b in zip(r1, r3))
+    assert np.array_equal(r1.u, r2.u) and np.array_equal(r1.y, r2.y)
+    assert not np.array_equal(r1.y, r3.y)
 
 
 def test_uncontrolled_static_run_is_constant():
     scen = generate_scenario("static", TB_STRONG, seed=0, params=STATIC_PAR)
-    rec = run_closed_loop(compile_feeder(TB_STRONG), scen, "none", FAST_SETUP)
-    v = np.array([r.v_mag[0] for r in rec])
+    traj = run_closed_loop(compile_feeder(TB_STRONG), scen, "none", FAST_SETUP)
+    v = traj.v_mag[:, 0]
     assert np.allclose(v, v[0], atol=1e-9)
     assert v[0] > 1.05  # overvoltage without control
-    assert all(r.cost == 0.0 for r in rec)  # full available power, zero reactive
+    assert np.all(traj.cost == 0.0)  # full available power, zero reactive
 
 
 def test_pursuit_settles_on_static_instance():
     # feasible static instance: violation under 5e-4 within a 200-step burn-in
     scen = generate_scenario("static", TB_STRONG, seed=0, params=STATIC_PAR)
-    rec = run_closed_loop(compile_feeder(TB_STRONG), scen, "pursuit", FAST_SETUP)
-    viol = np.array([r.max_violation for r in rec])
+    viol = run_closed_loop(compile_feeder(TB_STRONG), scen, "pursuit", FAST_SETUP).max_violation
     assert viol[0] > 0.1
     settle = int(np.argmax(viol <= 5e-4))
     assert 0 < settle <= 200
@@ -184,10 +183,10 @@ def test_pursuit_settles_on_static_instance():
 def test_droop_absorbs_and_regulates_here():
     scen = generate_scenario("static", TB_STRONG, seed=0, params=STATIC_PAR)
     setup = ControlSetup(params=FAST_SETUP.params, costs=FAST_SETUP.costs, lag_beta=0.9)
-    rec = run_closed_loop(compile_feeder(TB_STRONG), scen, "droop", setup)
-    assert rec[-1].u[0, 1] < -0.3  # deep into absorption
-    assert rec[-1].u[0, 0] == pytest.approx(scen.p_av[-1, 0])  # never curtails
-    assert rec[-1].max_violation == 0.0
+    traj = run_closed_loop(compile_feeder(TB_STRONG), scen, "droop", setup)
+    assert traj.u[-1, 0, 1] < -0.3  # deep into absorption
+    assert traj.u[-1, 0, 0] == pytest.approx(scen.p_av[-1, 0])  # never curtails
+    assert traj.max_violation[-1] == 0.0
 
 
 def test_actuation_lag_slows_the_response():
@@ -197,22 +196,44 @@ def test_actuation_lag_slows_the_response():
     r_fast = run_closed_loop(net, scen, "pursuit", FAST_SETUP)
     r_slow = run_closed_loop(net, scen, "pursuit", lagged)
     k = 5
-    assert r_slow[k].max_violation > r_fast[k].max_violation
+    assert r_slow.max_violation[k] > r_fast.max_violation[k]
     with pytest.raises(ValueError, match="lag_beta"):
         ControlSetup(params=FAST_SETUP.params, costs=FAST_SETUP.costs, lag_beta=1.0)
 
 
 def test_eval_cost_conventions():
     scen = generate_scenario("static", TB_STRONG, seed=0, params=STATIC_PAR)
-    rec = run_closed_loop(compile_feeder(TB_STRONG), scen, "pursuit", FAST_SETUP)[-1:]
+    traj = run_closed_loop(compile_feeder(TB_STRONG), scen, "pursuit", FAST_SETUP)
     costs = FAST_SETUP.costs
-    full = eval_cost(rec, costs, scen.p_av)
-    reactive = eval_cost(rec, costs, scen.p_av, reactive_only=True)
-    u = rec[0].u
-    pav = scen.p_av[rec[0].k, 0]
+    full = eval_cost(traj.u[-1:], costs, scen.p_av[-1:])
+    reactive = eval_cost(traj.u[-1:], costs, scen.p_av[-1:], reactive_only=True)
+    u = traj.u[-1]
+    pav = scen.p_av[-1, 0]
     assert full[0] == pytest.approx((pav - u[0, 0]) ** 2 + u[0, 1] ** 2)
     assert reactive[0] == pytest.approx(u[0, 1] ** 2)
     assert full[0] > reactive[0]
+    assert full[0] == traj.cost[-1]
+
+
+def test_derived_columns_match_the_per_step_reference():
+    # the run derives cost and max_violation from its arrays after the loop;
+    # the reference evaluates each step on its own, DER by DER in order
+    fd = networks.feeder36()
+    scen = generate_scenario("vmax_steps", fd, seed=2, params=ScenarioParams(n_steps=60))
+    setup = ControlSetup(
+        params=ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4),
+        costs=tuple(CostParams(3.0, 0.5 + 0.1 * i) for i in range(fd.n_der)),
+    )
+    traj = run_closed_loop(compile_feeder(fd), scen, "pursuit", setup)
+    mon = fd.monitored_indices()
+    for k in range(scen.n_steps):
+        u, v = traj.u[k], traj.v_mag[k, mon]
+        cost = sum(c.c_p * (scen.p_av[k, i] - u[i, 0]) ** 2 + c.c_q * u[i, 1] * u[i, 1]
+                   for i, c in enumerate(setup.costs))
+        viol = max(0.0, float(np.max(scen.v_min[k] - v)), float(np.max(v - scen.v_max[k])))
+        assert traj.cost[k] == cost
+        assert traj.max_violation[k] == viol
+    assert traj.max_violation.max() > 0.0
 
 
 def test_step_problem_uses_scenario_step_data():
@@ -255,23 +276,20 @@ def test_runaway_duals_warn():
 
 def test_trajectory_round_trip(tmp_path):
     fd = networks.feeder36()
-    scen = generate_scenario("cloud_transient", fd, seed=3, params=ScenarioParams(n_steps=25))
+    par = ScenarioParams(n_steps=25, noise_amp=1e-3)
+    scen = generate_scenario("cloud_transient", fd, seed=3, params=par)
     setup = ControlSetup(
         params=ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4),
         costs=tuple(CostParams(3.0, 1.0) for _ in range(18)),
     )
-    rec = run_closed_loop(compile_feeder(fd), scen, "pursuit", setup)
-    path = tmp_path / "traj.csv"
-    write_trajectory(rec, fd, scen, str(path))
+    traj = run_closed_loop(compile_feeder(fd), scen, "pursuit", setup)
+    path, again = tmp_path / "traj.csv", tmp_path / "again.csv"
+    write_trajectory(traj, fd, scen, str(path))
     back = read_trajectory(str(path), fd)
-    assert len(back) == len(rec)
-    for a, b in zip(rec, back):
-        assert a.k == b.k
-        assert np.array_equal(a.u, b.u)
-        assert np.array_equal(a.y, b.y)
-        assert np.array_equal(a.gamma, b.gamma)
-        assert np.array_equal(a.v_mag, b.v_mag)
-        assert a.cost == b.cost and a.max_violation == b.max_violation
+    for name in ("y", "u", "gamma", "mu", "v_mag", "cost", "max_violation", "pf_residual"):
+        assert np.array_equal(getattr(back, name), getattr(traj, name)), name
+    write_trajectory(back, fd, scen, str(again))
+    assert again.read_bytes() == path.read_bytes()
     with pytest.raises(ValueError, match="columns do not match"):
         read_trajectory(str(path), networks.two_bus())
 
@@ -290,8 +308,8 @@ def test_tracking_bound_on_linear_plant_ramp():
     par = ScenarioParams(n_steps=41, tau=1.0, load_p=0.0, load_swing=0.0,
                          ramp_start=0.2, ramp_end=0.9)
     scen = generate_scenario("ramp", TRACK_FEEDER, seed=0, params=par)
-    rec = run_closed_loop(TRACK_NET, scen, "pursuit", TRACK_SETUP, plant="linear")
-    rep = measure_tracking(TRACK_NET, scen, TRACK_SETUP, rec, decimation=1)
+    traj = run_closed_loop(TRACK_NET, scen, "pursuit", TRACK_SETUP, plant="linear")
+    rep = measure_tracking(TRACK_NET, scen, TRACK_SETUP, traj, decimation=1)
     assert rep.e_measured == 0.0
     assert rep.constants.rho_alpha < 1.0
     assert rep.bound_satisfied is True
@@ -324,14 +342,14 @@ def test_tracking_without_contraction_guarantee():
         params=ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4),
         costs=(CostParams(3.0, 1.0),),
     )
-    rec = run_closed_loop(TRACK_NET, scen, "pursuit", setup, plant="linear")
-    rep = measure_tracking(TRACK_NET, scen, setup, rec, decimation=10)
+    traj = run_closed_loop(TRACK_NET, scen, "pursuit", setup, plant="linear")
+    rep = measure_tracking(TRACK_NET, scen, setup, traj, decimation=10)
     assert rep.constants.rho_alpha >= 1.0
     assert rep.bound_satisfied is None
     assert math.isinf(rep.bound_rhs)
     assert "no contraction guarantee" in rep.note
     with pytest.raises(ValueError, match="decimation"):
-        measure_tracking(TRACK_NET, scen, setup, rec, decimation=0)
+        measure_tracking(TRACK_NET, scen, setup, traj, decimation=0)
 
 
 def test_scenario_rejects_non_finite_series():
@@ -357,13 +375,13 @@ def test_e_measured_is_the_largest_per_step_model_mismatch():
         params=ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4),
         costs=tuple(CostParams(3.0, 1.0) for _ in range(fd.n_der)),
     )
-    rec = run_closed_loop(net, scen, "pursuit", setup)
-    rep = measure_tracking(net, scen, setup, rec, decimation=40)
+    traj = run_closed_loop(net, scen, "pursuit", setup)
+    rep = measure_tracking(net, scen, setup, traj, decimation=40)
     der = fd.der_indices()
     ref = max(
-        np.linalg.norm(r.y - step_problem(net, scen, setup, r.k).coupling.predict(
-            r.u, scen.p_load[r.k, der], scen.q_load[r.k, der]))
-        for r in rec
+        np.linalg.norm(traj.y[k] - step_problem(net, scen, setup, k).coupling.predict(
+            traj.u[k], scen.p_load[k, der], scen.q_load[k, der]))
+        for k in range(scen.n_steps)
     )
     assert ref > 1e-3
     assert rep.e_measured == pytest.approx(ref, rel=1e-12)
