@@ -14,19 +14,17 @@ from .controller import (
     ConvergenceConstants,
     CostParams,
     DualState,
-    OperatingRegion,
+    Inverters,
     OracleError,
     SaddleProblem,
     SaddleSolution,
     VoltageCoupling,
     convergence_constants,
     dual_step_feedback,
-    dual_step_model,
     eval_constraints,
     grad_primal,
     pack_state,
     primal_step,
-    project_region,
     saddle_residual,
     solve_saddle_oracle,
 )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .controller import OperatingRegion
+import numpy as np
 
 __all__ = ["DroopCurve", "droop_q"]
 
@@ -33,14 +33,13 @@ class DroopCurve:
             raise ValueError("v_zero must be below v_sat")
 
 
-def droop_q(v_meas: float, region: OperatingRegion, curve: DroopCurve) -> float:
-    """Reactive setpoint of the droop rule at measured local voltage ``v_meas``."""
-    cap = region.q_headroom
+def droop_q(v_meas: np.ndarray, headroom: np.ndarray, curve: DroopCurve) -> np.ndarray:
+    """Reactive setpoints of the droop rule, one per inverter.
+
+    ``v_meas`` is each inverter's measured local voltage and ``headroom``
+    its largest |Q| at the prevailing availability.
+    """
     span = curve.v_sat - curve.v_zero
-    if v_meas >= curve.v_zero:
-        frac = min((v_meas - curve.v_zero) / span, 1.0)
-        return -frac * cap
-    if not curve.symmetric:
-        return 0.0
-    frac = min((curve.v_zero - v_meas) / span, 1.0)
-    return frac * cap
+    over = v_meas >= curve.v_zero
+    frac = np.minimum(np.where(over, v_meas - curve.v_zero, curve.v_zero - v_meas) / span, 1.0)
+    return np.where(over, -frac * headroom, frac * headroom if curve.symmetric else 0.0)

@@ -340,7 +340,7 @@ def cmd_linearize(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg, net, scen, setup = _load_run(args)
-    consts = convergence_constants(setup.costs, net.coupling, setup.params)
+    consts = convergence_constants(setup.inverters(net.feeder), net.coupling, setup.params)
     alpha = setup.params.alpha
     print(f"eta        = {consts.eta:.6e}")
     print(f"L_reg      = {consts.L_reg:.6e}")

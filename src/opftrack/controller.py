@@ -1,13 +1,14 @@
 """Primal-dual voltage-regulation controller.
 
-Implements the optimization core: inverter operating regions with
-closed-form Euclidean projections, voltage-limit constraint functions built
-on the linearized magnitude model, gradients of a doubly regularized
-Lagrangian (Tikhonov terms ``+nu/2 ||u||^2`` on the primal side and
-``-eps/2 ||duals||^2`` on the dual side), the projected primal-dual step
-maps in both model-based and measurement-based form, a high-accuracy saddle
-point oracle, and the contraction constants that certify Q-linear
-convergence of the step map.
+Implements the optimization core: the inverters of a run held as arrays
+(one region kind, per-DER ratings and cost weights) with one vectorised
+closed-form Euclidean projection onto their operating regions,
+voltage-limit constraint functions built on the linearized magnitude
+model, gradients of a doubly regularized Lagrangian (Tikhonov terms
+``+nu/2 ||u||^2`` on the primal side and ``-eps/2 ||duals||^2`` on the dual
+side), the projected primal-dual step map (its dual step fed measured or
+model-predicted magnitudes), a high-accuracy saddle point oracle, and the
+contraction constants that certify Q-linear convergence of the step map.
 
 Sign conventions: active/reactive injections positive, absorption negative.
 """
@@ -26,7 +27,7 @@ from .powerflow import LinearModel
 
 __all__ = [
     "REGION_KINDS",
-    "OperatingRegion",
+    "Inverters",
     "CostParams",
     "ControllerParams",
     "DualState",
@@ -35,16 +36,13 @@ __all__ = [
     "SaddleProblem",
     "SaddleSolution",
     "OracleError",
-    "project_region",
     "eval_constraints",
     "grad_primal",
     "dual_step_feedback",
-    "dual_step_model",
     "primal_step",
     "convergence_constants",
     "solve_saddle_oracle",
     "saddle_residual",
-    "default_start",
     "pack_state",
 ]
 
@@ -56,119 +54,8 @@ class OracleError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class OperatingRegion:
-    """Feasible setpoint set of one inverter.
-
-    kind selects the control capability:
-
-    - ``real_only``:      {(P, 0) : 0 <= P <= p_available}
-    - ``reactive_only``:  {(p_available, Q) : Q^2 <= S^2 - p_available^2}
-    - ``joint``:          {(P, Q) : 0 <= P <= p_available, P^2 + Q^2 <= S^2}
-    """
-
-    kind: str
-    s_rating: float
-    p_available: float
-
-    def __post_init__(self) -> None:
-        if self.kind not in REGION_KINDS:
-            raise ValueError(f"unknown region kind {self.kind!r}")
-        if self.s_rating <= 0:
-            raise ValueError("s_rating must be positive")
-        if self.p_available < 0:
-            raise ValueError("p_available must be nonnegative")
-        if self.kind != "real_only" and self.p_available > self.s_rating:
-            warnings.warn(
-                f"p_available {self.p_available} exceeds rating {self.s_rating}; clipped",
-                stacklevel=2,
-            )
-            object.__setattr__(self, "p_available", float(self.s_rating))
-
-    @property
-    def q_headroom(self) -> float:
-        """Largest |Q| available at full active-power output."""
-        return math.sqrt(max(self.s_rating**2 - self.p_available**2, 0.0))
-
-    def contains(self, p: float, q: float, tol: float = 1e-9) -> bool:
-        if self.kind == "real_only":
-            return -tol <= p <= self.p_available + tol and abs(q) <= tol
-        if self.kind == "reactive_only":
-            return abs(p - self.p_available) <= tol and abs(q) <= self.q_headroom + tol
-        return -tol <= p <= self.p_available + tol and math.hypot(p, q) <= self.s_rating + tol
-
-
-# Generalized (Clarke) Jacobians of the 2-D projections, row-major
-# (dP/dp, dP/dq, dQ/dp, dQ/dq), for the cases that do not depend on the point.
-_JAC_IDENTITY = (1.0, 0.0, 0.0, 1.0)
-_JAC_P_FREE = (1.0, 0.0, 0.0, 0.0)
-_JAC_Q_FREE = (0.0, 0.0, 0.0, 1.0)
-_JAC_ZERO = (0.0, 0.0, 0.0, 0.0)
-
-
-def _clamp_q(p: float, q: float, cap: float) -> tuple[float, float, tuple]:
-    # P held fixed, Q clamped to [-cap, cap]: a face, or a corner once clamped
-    if q >= cap:
-        return p, cap, _JAC_ZERO
-    if q <= -cap:
-        return p, -cap, _JAC_ZERO
-    return p, q, _JAC_Q_FREE
-
-
-def _project_joint(p: float, q: float, s: float, p_av: float) -> tuple[float, float, tuple]:
-    # Case analysis over the intersection of the strip 0 <= P <= p_av with
-    # the rating disk. Boundaries are resolved with <=, so every input maps
-    # to exactly one case and coinciding candidates agree on overlaps.
-    if p <= 0.0:
-        # left face and its corners
-        return _clamp_q(0.0, q, s)
-    r = math.hypot(p, q)
-    q_cap = math.sqrt(max(s * s - p_av * p_av, 0.0))
-    if r <= s:
-        if p <= p_av:
-            return p, q, _JAC_IDENTITY  # member
-        # horizontal projection onto the chord face, corners clamped
-        return _clamp_q(p_av, q, q_cap)
-    scale = s / r
-    if p * scale <= p_av:
-        # radial scaling onto the arc; the Jacobian (s/r)(I - n n^T) keeps
-        # the tangential direction, shrunk by the radial scale
-        np_, nq = p / r, q / r
-        off = -scale * np_ * nq
-        return p * scale, q * scale, (scale * nq * nq, off, off, scale * np_ * np_)
-    # beyond the arc's end: chord face or its corner
-    return _clamp_q(p_av, q, q_cap)
-
-
-def project_region(u: tuple[float, float], region: OperatingRegion) -> tuple[float, float]:
-    """Euclidean projection of a (P, Q) setpoint onto the inverter's feasible set.
-
-    Closed form for all three kinds.
-    """
-    p, q, _ = _project_pair(float(u[0]), float(u[1]), region)
-    return p, q
-
-
-def _project_pair(p: float, q: float, region: OperatingRegion) -> tuple[float, float, tuple]:
-    """Projection of (p, q) onto ``region`` and its generalized 2x2 Jacobian there."""
-    if region.kind == "real_only":
-        if p <= 0.0:
-            return 0.0, 0.0, _JAC_ZERO
-        if p >= region.p_available:
-            return region.p_available, 0.0, _JAC_ZERO
-        return p, 0.0, _JAC_P_FREE
-    if region.kind == "reactive_only":
-        return _clamp_q(region.p_available, q, region.q_headroom)
-    return _project_joint(p, q, region.s_rating, region.p_available)
-
-
-@dataclass(frozen=True)
 class CostParams:
-    """Per-DER generation cost ``c_p (P_av - P)^2 + c_q Q^2``.
-
-    This quadratic family is the only one shipped; a different convex,
-    differentiable cost can be slotted in by providing the same
-    ``value`` / ``grad`` / ``lipschitz`` surface.
-    """
+    """Generation cost weights of one DER, ``c_p (P_av - P)^2 + c_q Q^2``."""
 
     c_p: float
     c_q: float
@@ -177,34 +64,132 @@ class CostParams:
         if self.c_p < 0 or self.c_q < 0:
             raise ValueError("cost weights must be nonnegative")
 
-    def value(self, p: float, q: float, p_av: float) -> float:
-        # float_power calls pow() for scalars and arrays alike (``**`` squares
-        # arrays, off by one ulp at times), so both give the same bits
-        return self.c_p * np.float_power(p_av - p, 2) + self.c_q * q * q
-
-    def grad(self, p: float, q: float, p_av: float) -> tuple[float, float]:
-        return -2.0 * self.c_p * (p_av - p), 2.0 * self.c_q * q
-
-    @property
-    def lipschitz(self) -> float:
-        return 2.0 * max(self.c_p, self.c_q)
-
 
 @dataclass(frozen=True)
 class ControllerParams:
-    """Step size, Tikhonov weights, and voltage band."""
+    """Step size and Tikhonov weights."""
 
     alpha: float
     nu: float
     epsilon: float
-    v_min: float = 0.95
-    v_max: float = 1.05
 
     def __post_init__(self) -> None:
         if self.alpha <= 0 or self.nu <= 0 or self.epsilon <= 0:
             raise ValueError("alpha, nu, epsilon must be strictly positive")
-        if not self.v_min < self.v_max:
-            raise ValueError("v_min must be below v_max")
+
+
+@dataclass(frozen=True)
+class Inverters:
+    """The DERs of a run: one region kind, and per DER a rating and cost weights.
+
+    ``kind`` selects every inverter's feasible setpoint set at availability
+    ``p_av``:
+
+    - ``real_only``:      {(P, 0) : 0 <= P <= p_av}
+    - ``reactive_only``:  {(p_av, Q) : Q^2 <= S^2 - p_av^2}
+    - ``joint``:          {(P, Q) : 0 <= P <= p_av, P^2 + Q^2 <= S^2}
+
+    and DER i costs ``c_p[i] (p_av - P)^2 + c_q[i] Q^2``. Availability varies
+    by step, so it is passed to each call.
+    """
+
+    kind: str
+    s_rating: np.ndarray
+    c_p: np.ndarray
+    c_q: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.kind not in REGION_KINDS:
+            raise ValueError(f"unknown region kind {self.kind!r}")
+        for name in ("s_rating", "c_p", "c_q"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        shape = self.s_rating.shape
+        if not (len(shape) == 1 and self.c_p.shape == self.c_q.shape == shape):
+            raise ValueError("s_rating, c_p and c_q need one entry per DER")
+        if np.any(self.s_rating <= 0):
+            raise ValueError("s_rating must be positive")
+        if np.any(self.c_p < 0) or np.any(self.c_q < 0):
+            raise ValueError("cost weights must be nonnegative")
+
+    @property
+    def n_der(self) -> int:
+        return self.s_rating.shape[0]
+
+    def available(self, p_av: np.ndarray) -> np.ndarray:
+        """Availability ``p_av`` (..., n_der) as the regions use it.
+
+        Every kind but ``real_only`` draws P from the rating, so availability
+        above it is clipped to the rating, with one warning per call.
+        """
+        p_av = np.asarray(p_av, dtype=float)
+        over = p_av > self.s_rating
+        if self.kind == "real_only" or not over.any():
+            return p_av
+        warnings.warn(
+            f"p_av exceeds the DER rating in {int(over.sum())} of {over.size} entries "
+            f"(by up to {float(np.max(p_av - self.s_rating)):.6g}); clipped to the rating",
+            stacklevel=2,
+        )
+        return np.minimum(p_av, self.s_rating)
+
+    def headroom(self, p_av: np.ndarray) -> np.ndarray:
+        """Largest |Q| at full active output ``p_av``."""
+        # squared through pow() (float_power), where the joint chord cap
+        # squares by products: the two can differ in the last place, and each
+        # keeps the outputs of its kinds byte-stable
+        return np.sqrt(
+            np.maximum(np.float_power(self.s_rating, 2) - np.float_power(p_av, 2), 0.0)
+        )
+
+    def project(self, u: np.ndarray, p_av: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Euclidean projection of setpoints ``u`` (n_der, 2) onto the regions at ``p_av``.
+
+        Returns the projected setpoints and the generalized (Clarke)
+        Jacobian of the projection at ``u``, one row (dP/dp, dP/dq, dQ/dp,
+        dQ/dq) per DER. Boundaries are resolved with ``<=``, so every point
+        falls in exactly one case and neighbouring cases agree on their
+        common boundary.
+        """
+        p, q = u[:, 0], u[:, 1]
+        jac = np.zeros((len(u), 4))
+        if self.kind == "real_only":
+            jac[:, 0] = (p > 0.0) & (p < p_av)
+            p_out = np.where(p <= 0.0, 0.0, np.minimum(p, p_av))
+            return np.column_stack([p_out, np.zeros_like(p)]), jac
+        if self.kind == "reactive_only":
+            q_out, q_free = _clamp(q, self.headroom(p_av))
+            jac[:, 3] = q_free
+            return np.column_stack([np.broadcast_to(p_av, p.shape), q_out]), jac
+        # joint: the strip 0 <= P <= p_av cut by the rating disk. Left of the
+        # strip, Q is clamped on the P = 0 face; inside the disk beyond the
+        # strip, on the chord P = p_av; outside the disk, the radial
+        # projection onto the arc holds unless it lands beyond the chord.
+        s = self.s_rating
+        left = p <= 0.0
+        r = np.where(left, s, np.hypot(p, q))  # r = 0 only on the left face
+        scale = s / r
+        inside = r <= s  # left points included
+        member = inside & (p <= p_av) & ~left
+        arc = ~inside & (p * scale <= p_av)
+        face_cap = np.where(left, s, np.sqrt(np.maximum(s * s - p_av * p_av, 0.0)))
+        q_face, q_free = _clamp(q, face_cap)
+        out = np.empty_like(u)
+        out[:, 0] = np.where(member, p, np.where(arc, p * scale, np.where(left, 0.0, p_av)))
+        out[:, 1] = np.where(member, q, np.where(arc, q * scale, q_face))
+        # on the arc the Jacobian (s/r)(I - n n^T) keeps the tangential
+        # direction, shrunk by the radial scale
+        n_p, n_q = p / r, q / r
+        jac[:, 0] = np.where(arc, scale * n_q * n_q, member)
+        jac[:, 1] = jac[:, 2] = np.where(arc, -scale * n_p * n_q, 0.0)
+        jac[:, 3] = np.where(arc, scale * n_p * n_p, member | q_free)
+        return out, jac
+
+
+def _clamp(q: np.ndarray, cap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Q clamped to [-cap, cap], and where it stays free of the clamp; q = -0.0
+    # at cap = 0 clamps to +0.0, which np.clip would leave as -0.0
+    neg = -cap
+    return np.where(q >= cap, cap, np.maximum(q, neg)), (q < cap) & (q > neg)
 
 
 @dataclass(frozen=True)
@@ -287,7 +272,8 @@ def eval_constraints(
     u: np.ndarray,
     p_load_der: np.ndarray,
     q_load_der: np.ndarray,
-    params: ControllerParams,
+    v_min: float,
+    v_max: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Voltage-limit constraint functions of the linear surrogate.
 
@@ -296,15 +282,15 @@ def eval_constraints(
     satisfied. The identity ``g + g_bar = v_min - v_max`` holds exactly.
     """
     w = coupling.predict(u, p_load_der, q_load_der)
-    return params.v_min - w, w - params.v_max
+    return v_min - w, w - v_max
 
 
 def grad_primal(
     u: np.ndarray,
     duals: DualState,
-    costs: tuple[CostParams, ...],
-    coupling: VoltageCoupling,
+    inv: Inverters,
     p_av: np.ndarray,
+    coupling: VoltageCoupling,
     params: ControllerParams,
 ) -> np.ndarray:
     """Gradient of the regularized Lagrangian in the setpoints, one row per DER.
@@ -313,63 +299,37 @@ def grad_primal(
     2 c_q Q_i + b_i^T (mu - gamma) + nu Q_i)``.
     """
     lam = duals.mu - duals.gamma
-    cp = np.asarray([c.c_p for c in costs])
-    cq = np.asarray([c.c_q for c in costs])
     out = np.empty_like(u)
-    out[:, 0] = -2.0 * cp * (p_av - u[:, 0]) + coupling.r.T @ lam + params.nu * u[:, 0]
-    out[:, 1] = 2.0 * cq * u[:, 1] + coupling.b.T @ lam + params.nu * u[:, 1]
+    out[:, 0] = -2.0 * inv.c_p * (p_av - u[:, 0]) + coupling.r.T @ lam + params.nu * u[:, 0]
+    out[:, 1] = 2.0 * inv.c_q * u[:, 1] + coupling.b.T @ lam + params.nu * u[:, 1]
     return out
 
 
-def dual_step_feedback(duals: DualState, y: np.ndarray, params: ControllerParams) -> DualState:
-    """Projected dual ascent driven by measured magnitudes ``y``."""
-    a, eps = params.alpha, params.epsilon
-    gamma = np.maximum(0.0, duals.gamma + a * (params.v_min - y - eps * duals.gamma))
-    mu = np.maximum(0.0, duals.mu + a * (y - params.v_max - eps * duals.mu))
-    return DualState(gamma, mu)
-
-
-def dual_step_model(
-    duals: DualState, g: np.ndarray, g_bar: np.ndarray, params: ControllerParams
+def dual_step_feedback(
+    duals: DualState, y: np.ndarray, v_min: float, v_max: float, params: ControllerParams
 ) -> DualState:
-    """Projected dual ascent driven by model-evaluated constraint values."""
+    """Projected dual ascent driven by metered magnitudes ``y``.
+
+    Fed the model prediction ``coupling.predict(...)`` in place of a
+    measurement, it is the model-based dual step.
+    """
     a, eps = params.alpha, params.epsilon
-    gamma = np.maximum(0.0, duals.gamma + a * (g - eps * duals.gamma))
-    mu = np.maximum(0.0, duals.mu + a * (g_bar - eps * duals.mu))
+    gamma = np.maximum(0.0, duals.gamma + a * (v_min - y - eps * duals.gamma))
+    mu = np.maximum(0.0, duals.mu + a * (y - v_max - eps * duals.mu))
     return DualState(gamma, mu)
 
 
 def primal_step(
     u: np.ndarray,
     duals: DualState,
-    costs: tuple[CostParams, ...],
-    regions: tuple[OperatingRegion, ...],
+    inv: Inverters,
+    p_av: np.ndarray,
     coupling: VoltageCoupling,
     params: ControllerParams,
 ) -> np.ndarray:
     """Projected gradient step on the setpoints, independently per DER."""
-    p_av = np.asarray([r.p_available for r in regions])
-    grad = grad_primal(u, duals, costs, coupling, p_av, params)
-    cand = u - params.alpha * grad
-    return _project_all(cand, regions)
-
-
-def _project_all(u: np.ndarray, regions: tuple[OperatingRegion, ...]) -> np.ndarray:
-    out = np.empty_like(u)
-    for i, reg in enumerate(regions):
-        out[i, 0], out[i, 1], _ = _project_pair(u[i, 0], u[i, 1], reg)
-    return out
-
-
-def _project_all_jac(
-    u: np.ndarray, regions: tuple[OperatingRegion, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    # projections plus their Jacobians, one row (dP/dp, dP/dq, dQ/dp, dQ/dq) per DER
-    out = np.empty_like(u)
-    jac = np.empty((len(regions), 4))
-    for i, reg in enumerate(regions):
-        out[i, 0], out[i, 1], jac[i] = _project_pair(u[i, 0], u[i, 1], reg)
-    return out, jac
+    grad = grad_primal(u, duals, inv, p_av, coupling, params)
+    return inv.project(u - params.alpha * grad, p_av)[0]
 
 
 @dataclass(frozen=True)
@@ -393,7 +353,7 @@ class ConvergenceConstants:
 
 
 def convergence_constants(
-    costs: tuple[CostParams, ...],
+    inv: Inverters,
     coupling: VoltageCoupling,
     params: ControllerParams,
 ) -> ConvergenceConstants:
@@ -404,7 +364,7 @@ def convergence_constants(
     eps)`` the strong monotonicity modulus, and ``L_reg`` the Lipschitz
     constant of the full primal-dual operator.
     """
-    L = max(c.lipschitz for c in costs)
+    L = 2.0 * float(max(inv.c_p.max(), inv.c_q.max()))
     G = float(np.linalg.norm(coupling.stacked(), 2))
     eta = min(params.nu, params.epsilon)
     L_reg = math.sqrt((L + params.nu + 2.0 * G) ** 2 + 2.0 * (G + params.epsilon) ** 2)
@@ -423,31 +383,33 @@ def convergence_constants(
 
 @dataclass(frozen=True)
 class SaddleProblem:
-    """One time-frozen instance of the regularized saddle-point problem."""
+    """One time-frozen instance of the regularized saddle-point problem.
 
-    costs: tuple[CostParams, ...]
-    regions: tuple[OperatingRegion, ...]
+    ``p_av`` is the availability as the regions use it (see
+    :meth:`Inverters.available`) and ``[v_min, v_max]`` the voltage band.
+    """
+
+    inverters: Inverters
+    p_av: np.ndarray
     coupling: VoltageCoupling
     p_load_der: np.ndarray
     q_load_der: np.ndarray
+    v_min: float
+    v_max: float
     params: ControllerParams
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "costs", tuple(self.costs))
-        object.__setattr__(self, "regions", tuple(self.regions))
-        object.__setattr__(self, "p_load_der", np.asarray(self.p_load_der, float))
-        object.__setattr__(self, "q_load_der", np.asarray(self.q_load_der, float))
+        for name in ("p_av", "p_load_der", "q_load_der"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         n = self.coupling.n_der
-        if len(self.costs) != n or len(self.regions) != n:
-            raise ValueError("costs/regions must match the coupling's DER count")
+        if self.inverters.n_der != n or self.p_av.shape != (n,):
+            raise ValueError("inverters and p_av must match the coupling's DER count")
+        if not self.v_min < self.v_max:
+            raise ValueError("v_min must be below v_max")
 
     @property
     def n_der(self) -> int:
         return self.coupling.n_der
-
-    @property
-    def p_av(self) -> np.ndarray:
-        return np.asarray([r.p_available for r in self.regions])
 
 
 @dataclass(frozen=True)
@@ -459,24 +421,13 @@ class SaddleSolution:
     residual: float
 
 
-def default_start(problem: SaddleProblem) -> tuple[np.ndarray, DualState]:
-    """Cost-minimizing feasible start: full available power, unity power factor."""
-    u0 = np.column_stack([problem.p_av, np.zeros(problem.n_der)])
-    u0 = _project_all(u0, problem.regions)
-    return u0, DualState.zeros(problem.coupling.n_monitored)
-
-
 def pack_state(u: np.ndarray, gamma: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """Flatten a primal-dual point into one vector (row-major setpoints first)."""
     return np.concatenate([np.asarray(u, float).ravel(), gamma, mu])
 
 
 def _penalty_value_grad(
-    problem: SaddleProblem,
-    u: np.ndarray,
-    cp: np.ndarray,
-    cq: np.ndarray,
-    pav: np.ndarray,
+    problem: SaddleProblem, u: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray]:
     # Maximizing the regularized Lagrangian over nonnegative duals in closed
     # form turns the constraints into one-sided quadratic penalties with
@@ -484,9 +435,10 @@ def _penalty_value_grad(
     # convex function over the operating regions. Also returns the mask of
     # violated limits, whose rows enter the generalized Hessian.
     prm = problem.params
+    cp, cq, pav = problem.inverters.c_p, problem.inverters.c_q, problem.p_av
     w = problem.coupling.predict(u, problem.p_load_der, problem.q_load_der)
-    lo = np.maximum(prm.v_min - w, 0.0)
-    hi = np.maximum(w - prm.v_max, 0.0)
+    lo = np.maximum(problem.v_min - w, 0.0)
+    hi = np.maximum(w - problem.v_max, 0.0)
     resid = (hi - lo) / prm.epsilon
     g = np.empty_like(u)
     g[:, 0] = -2.0 * cp * (pav - u[:, 0]) + prm.nu * u[:, 0] + problem.coupling.r.T @ resid
@@ -501,7 +453,8 @@ def _penalty_value_grad(
 
 def _closed_form_duals(problem: SaddleProblem, u: np.ndarray) -> DualState:
     g, g_bar = eval_constraints(
-        problem.coupling, u, problem.p_load_der, problem.q_load_der, problem.params
+        problem.coupling, u, problem.p_load_der, problem.q_load_der,
+        problem.v_min, problem.v_max,
     )
     eps = problem.params.epsilon
     return DualState(np.maximum(g, 0.0) / eps, np.maximum(g_bar, 0.0) / eps)
@@ -543,33 +496,35 @@ def solve_saddle_oracle(
     :func:`saddle_residual` at the returned point, and ``iterations`` counts
     the Newton (or fallback) steps taken.
 
-    The solve stops once ``||r|| <= tol``, or, below ``||r|| = 1e-9``, when a
+    The solve starts from the setpoints of ``z0`` (its duals are not used),
+    or by default from full available power at unity power factor, projected.
+    It stops once ``||r|| <= tol``, or, below ``||r|| = 1e-9``, when a
     full Newton step that keeps the set of violated limits fails to reduce
-    ``||r||`` (the rounding floor). Only the setpoints of ``z0`` are used as
-    the start. Raises :class:`OracleError`
+    ``||r||`` (the rounding floor). Raises :class:`OracleError`
     if ``max_iter`` steps are exhausted or the final residual is non-finite
     or above 1e-6.
     """
-    regions = problem.regions
-    if z0 is None:
-        u, _ = default_start(problem)
-    else:
-        u = _project_all(np.asarray(z0[0], float), regions)
+    inv, pav = problem.inverters, problem.p_av
     prm = problem.params
     n = problem.n_der
-    cp = np.asarray([c.c_p for c in problem.costs])
-    cq = np.asarray([c.c_q for c in problem.costs])
-    pav = problem.p_av
+    if z0 is None:
+        u0 = np.column_stack([pav, np.zeros(n)])
+    else:
+        u0 = np.asarray(z0[0], float)
+
+    def project(x: np.ndarray) -> np.ndarray:
+        return inv.project(x, pav)[0]
+
     # sensitivities and curvature in the order of u.ravel(): P_0, Q_0, P_1, ...
     a = np.empty((problem.coupling.n_monitored, 2 * n))
     a[:, 0::2] = problem.coupling.r
     a[:, 1::2] = problem.coupling.b
-    h_cost = np.column_stack([2.0 * cp + prm.nu, 2.0 * cq + prm.nu]).ravel()
+    h_cost = np.column_stack([2.0 * inv.c_p + prm.nu, 2.0 * inv.c_q + prm.nu]).ravel()
     der = np.arange(n)
 
     def evaluate(x: np.ndarray) -> _NewtonPoint:
-        f, grad, act = _penalty_value_grad(problem, x, cp, cq, pav)
-        v, jac = _project_all_jac(x - grad, regions)
+        f, grad, act = _penalty_value_grad(problem, x)
+        v, jac = inv.project(x - grad, pav)
         r = x - v
         return _NewtonPoint(x, f, grad, act, jac, r, float(np.linalg.norm(r)))
 
@@ -577,7 +532,7 @@ def solve_saddle_oracle(
         decrease = float(np.sum(old.grad * (new.u - old.u)))
         return decrease < 0.0 and new.f <= old.f + _ARMIJO * decrease
 
-    cur = evaluate(u)
+    cur = evaluate(project(u0))
     its = 0
     while cur.res > tol:
         if its == max_iter:
@@ -591,7 +546,7 @@ def solve_saddle_oracle(
         hess = np.diag(h_cost) + (a_act.T @ a_act) / prm.epsilon
         jac_r = np.eye(2 * n) - d_proj + d_proj @ hess
         step = np.linalg.solve(jac_r, -cur.r.ravel()).reshape(n, 2)
-        new = evaluate(_project_all(cur.u + step, regions))
+        new = evaluate(project(cur.u + step))
         if cur.res <= _STALL_RES and new.res >= cur.res and np.array_equal(new.act, cur.act):
             break  # rounding floor: a full step on the same active set gains nothing
         its += 1
@@ -601,12 +556,12 @@ def solve_saddle_oracle(
         while t > 0.0 and not armijo(cur, new):
             t = 0.5 * t if t > _MIN_STEP else 0.0
             if t > 0.0:
-                new = evaluate(_project_all(cur.u + t * step, regions))
+                new = evaluate(project(cur.u + t * step))
         if t == 0.0:
             # projected-gradient step at 1/L, L the Lipschitz bound of grad F:
             # a descent step whatever the active set
             lip = h_cost.max() + np.linalg.norm(a, 2) ** 2 / prm.epsilon
-            new = evaluate(_project_all(cur.u - cur.grad / lip, regions))
+            new = evaluate(project(cur.u - cur.grad / lip))
         cur = new
 
     u = cur.u
@@ -627,10 +582,11 @@ def saddle_residual(
     """
     duals = DualState(gamma, mu)
     g, g_bar = eval_constraints(
-        problem.coupling, u, problem.p_load_der, problem.q_load_der, problem.params
+        problem.coupling, u, problem.p_load_der, problem.q_load_der,
+        problem.v_min, problem.v_max,
     )
-    gp = grad_primal(u, duals, problem.costs, problem.coupling, problem.p_av, problem.params)
-    u2 = _project_all(u - gp, problem.regions)
+    gp = grad_primal(u, duals, problem.inverters, problem.p_av, problem.coupling, problem.params)
+    u2 = problem.inverters.project(u - gp, problem.p_av)[0]
     eps = problem.params.epsilon
     gamma2 = np.maximum(0.0, gamma + (g - eps * gamma))
     mu2 = np.maximum(0.0, mu + (g_bar - eps * mu))

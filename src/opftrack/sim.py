@@ -26,7 +26,7 @@ from .controller import (
     ConvergenceConstants,
     CostParams,
     DualState,
-    OperatingRegion,
+    Inverters,
     SaddleProblem,
     VoltageCoupling,
     convergence_constants,
@@ -327,12 +327,25 @@ def _write_rows(path: str, columns: list[str], rows) -> None:
         w.writerows(rows)
 
 
+_BLOCK_ROWS = 256
+
+
+def _stacked_rows(parts: list[np.ndarray]):
+    """The rows of ``parts`` (each (K,) or (K, c)) side by side, as lists of floats.
+
+    Stacks 256 rows at a time, so no (K, C) copy of a whole file is made.
+    """
+    for lo in range(0, len(parts[0]), _BLOCK_ROWS):
+        for row in np.column_stack([a[lo : lo + _BLOCK_ROWS] for a in parts]):
+            yield row.tolist()
+
+
 def write_scenario(scenario: Scenario, feeder: FeederModel, path: str) -> None:
-    data = np.column_stack([
+    parts = [
         np.arange(scenario.n_steps) * scenario.tau, scenario.v_min, scenario.v_max,
         scenario.p_load, scenario.q_load, scenario.p_av,
-    ])
-    _write_rows(path, _scenario_columns(feeder), (row.tolist() for row in data))
+    ]
+    _write_rows(path, _scenario_columns(feeder), _stacked_rows(parts))
 
 
 def read_scenario(path: str, feeder: FeederModel, noise_amp: float = 0.0) -> Scenario:
@@ -386,6 +399,15 @@ class ControlSetup:
         object.__setattr__(self, "costs", tuple(self.costs))
         if not 0.0 <= self.lag_beta < 1.0:
             raise ValueError("lag_beta must be in [0, 1)")
+
+    def inverters(self, feeder: FeederModel) -> Inverters:
+        """The feeder's DERs with this setup's region kind and costs."""
+        return Inverters(
+            self.region_kind,
+            feeder.der_ratings,
+            [c.c_p for c in self.costs],
+            [c.c_q for c in self.costs],
+        )
 
 
 @dataclass(frozen=True)
@@ -442,19 +464,6 @@ def compile_feeder(feeder: FeederModel) -> CompiledFeeder:
     return CompiledFeeder(feeder, lm, VoltageCoupling.from_linear_model(lm, feeder))
 
 
-def _regions_at(feeder: FeederModel, setup: ControlSetup, p_av_k: np.ndarray) -> tuple:
-    return tuple(
-        OperatingRegion(setup.region_kind, s, float(p))
-        for s, p in zip(feeder.der_ratings, p_av_k)
-    )
-
-
-def _params_at(setup: ControlSetup, scenario: Scenario, k: int) -> ControllerParams:
-    return replace(
-        setup.params, v_min=float(scenario.v_min[k]), v_max=float(scenario.v_max[k])
-    )
-
-
 def run_closed_loop(
     net: CompiledFeeder,
     scenario: Scenario,
@@ -471,6 +480,11 @@ def run_closed_loop(
     power at unity power factor). ``plant`` selects the AC fixed-point
     solve or the linear magnitude model. Deterministic for fixed inputs
     and seed.
+
+    The controller and the droop headroom see the availability as the
+    regions use it (:meth:`Inverters.available`, clipped to the ratings
+    with one warning per run); the setpoints P of ``none`` and ``droop``,
+    the start and the recorded cost take ``scenario.p_av`` as it is.
     """
     feeder = net.feeder
     if strategy not in STRATEGIES:
@@ -487,6 +501,9 @@ def run_closed_loop(
     der = feeder.der_indices()
     rng = np.random.default_rng(seed)
     g = feeder.n_der
+    inv = setup.inverters(feeder)
+    p_av = inv.available(scenario.p_av)
+    headroom = inv.headroom(p_av) if strategy == "droop" else None
 
     if z0 is not None:
         u = np.asarray(z0[0], dtype=float).copy()
@@ -506,8 +523,6 @@ def run_closed_loop(
     v_mags = np.empty((n_steps, feeder.n_nodes))
     pf_residual = np.zeros(n_steps)
     for k in range(n_steps):
-        params_k = _params_at(setup, scenario, k)
-        regions_k = _regions_at(feeder, setup, scenario.p_av[k])
         if setup.lag_beta > 0.0:
             u_applied = u_applied + (1.0 - setup.lag_beta) * (u - u_applied)
         else:
@@ -537,8 +552,10 @@ def run_closed_loop(
 
         if strategy == "pursuit":
             # simultaneous update: the primal step reads the pre-update duals
-            u_next = primal_step(u, duals, setup.costs, regions_k, net.coupling, params_k)
-            duals = dual_step_feedback(duals, y, params_k)
+            u_next = primal_step(u, duals, inv, p_av[k], net.coupling, setup.params)
+            duals = dual_step_feedback(
+                duals, y, scenario.v_min[k], scenario.v_max[k], setup.params
+            )
             u = u_next
             if not dual_warned and (
                 np.max(duals.gamma, initial=0.0) > DUAL_DIAG_LIMIT
@@ -556,13 +573,9 @@ def run_closed_loop(
                 v_local = v_local + rng.uniform(
                     -scenario.noise_amp, scenario.noise_amp, g
                 )
-            q_new = np.asarray(
-                [
-                    droop_q(float(v_local[i]), regions_k[i], setup.droop)
-                    for i in range(g)
-                ]
+            u = np.column_stack(
+                [scenario.p_av[k], droop_q(v_local, headroom[k], setup.droop)]
             )
-            u = np.column_stack([scenario.p_av[k], q_new])
         else:  # none
             u = np.column_stack([scenario.p_av[k], np.zeros(g)])
 
@@ -573,7 +586,7 @@ def run_closed_loop(
     ))
     return Trajectory(
         y=ys, u=us, gamma=gammas, mu=mus, v_mag=v_mags,
-        cost=eval_cost(us, setup.costs, scenario.p_av),
+        cost=eval_cost(us, inv, scenario.p_av),
         max_violation=max_violation, pf_residual=pf_residual,
     )
 
@@ -587,33 +600,25 @@ def step_problem(
     """Time-frozen saddle instance for step ``k`` of a scenario."""
     c = constraint_offsets(net.lm, scenario.p_load[k], scenario.q_load[k], net.feeder)
     der = net.feeder.der_indices()
+    inv = setup.inverters(net.feeder)
     return SaddleProblem(
-        costs=setup.costs,
-        regions=_regions_at(net.feeder, setup, scenario.p_av[k]),
+        inverters=inv,
+        p_av=inv.available(scenario.p_av[k]),
         coupling=replace(net.coupling, c=c),
         p_load_der=scenario.p_load[k][der],
         q_load_der=scenario.q_load[k][der],
-        params=_params_at(setup, scenario, k),
+        v_min=float(scenario.v_min[k]),
+        v_max=float(scenario.v_max[k]),
+        params=setup.params,
     )
 
 
-def eval_cost(
-    u: np.ndarray,
-    costs: tuple[CostParams, ...],
-    p_av: np.ndarray,
-    reactive_only: bool = False,
-) -> np.ndarray:
-    """Per-step generation cost of setpoints ``u`` (K, n_der, 2), summed in DER order.
-
-    With ``reactive_only`` the curtailment term is dropped (P is taken at
-    ``p_av``), which is the reporting convention for the droop baseline
-    (whose P always equals P_av, making both conventions coincide for it).
-    """
-    p = p_av if reactive_only else u[:, :, 0]
-    return sum(
-        (c.value(p[:, i], u[:, i, 1], p_av[:, i]) for i, c in enumerate(costs)),
-        np.zeros(len(u)),
-    )
+def eval_cost(u: np.ndarray, inv: Inverters, p_av: np.ndarray) -> np.ndarray:
+    """Per-step generation cost of setpoints ``u`` (K, n_der, 2), summed in DER order."""
+    # float_power squares through pow(); ``**`` would square by a product,
+    # which can differ in the last place and move the recorded costs
+    per_der = inv.c_p * np.float_power(p_av - u[:, :, 0], 2) + inv.c_q * u[:, :, 1] * u[:, :, 1]
+    return sum(per_der.T, np.zeros(len(u)))
 
 
 @dataclass(frozen=True)
@@ -686,7 +691,7 @@ def measure_tracking(
             f"trajectory has {traj.n_steps} steps, scenario has {scenario.n_steps}"
         )
     der = net.feeder.der_indices()
-    consts = convergence_constants(setup.costs, net.coupling, setup.params)
+    consts = convergence_constants(setup.inverters(net.feeder), net.coupling, setup.params)
 
     ks = list(range(0, scenario.n_steps, decimation))
     stars: dict[int, np.ndarray] = {}
@@ -757,12 +762,12 @@ def write_trajectory(
     traj: Trajectory, feeder: FeederModel, scenario: Scenario, path: str
 ) -> None:
     """Write a trajectory as columnar text, one row per step, byte-stable."""
-    data = np.column_stack([
+    parts = [
         np.arange(traj.n_steps) * scenario.tau, traj.cost, traj.max_violation,
         traj.pf_residual, traj.y, traj.u[:, :, 0], traj.u[:, :, 1],
         traj.gamma, traj.mu, traj.v_mag,
-    ])
-    rows = ([k, *row.tolist()] for k, row in enumerate(data))
+    ]
+    rows = ([k, *row] for k, row in enumerate(_stacked_rows(parts)))
     _write_rows(path, _trajectory_columns(feeder), rows)
 
 

@@ -11,24 +11,22 @@ import time
 
 import numpy as np
 import pytest
+from region_helpers import in_region
 
 from opftrack import networks
 from opftrack.controller import (
+    REGION_KINDS,
     ControllerParams,
     CostParams,
     DualState,
-    OperatingRegion,
+    Inverters,
     SaddleProblem,
     VoltageCoupling,
     convergence_constants,
-    default_start,
     dual_step_feedback,
-    dual_step_model,
-    eval_constraints,
     grad_primal,
     pack_state,
     primal_step,
-    project_region,
     saddle_residual,
     solve_saddle_oracle,
 )
@@ -61,7 +59,7 @@ def _report(name: str, ok: bool, detail: str) -> None:
 # A1: closed-form projection against exhaustive grid search
 
 
-def _boundary_samples(region: OperatingRegion, h: float = 1e-3) -> np.ndarray:
+def _boundary_samples(kind: str, s: float, p_av: float, h: float = 1e-3) -> np.ndarray:
     """Boundary of the feasible set sampled at h arc length, corners exact.
 
     Interior lattice points alone are not enough for a point-proximity
@@ -70,14 +68,13 @@ def _boundary_samples(region: OperatingRegion, h: float = 1e-3) -> np.ndarray:
     arc. Boundary samples pin the discrete nearest point to within h/2 of
     the true projection.
     """
-    s, p_av = region.s_rating, region.p_available
-    if region.kind == "real_only":
+    if kind == "real_only":
         return np.array([[0.0, 0.0], [p_av, 0.0]])
-    cap = region.q_headroom
+    cap = math.sqrt(max(s**2 - p_av**2, 0.0))
     j = np.arange(-math.floor(cap / h), math.floor(cap / h) + 1)
     q = np.append(j * h, (cap, -cap))
     chord = np.column_stack([np.full(len(q), p_av), q])
-    if region.kind == "reactive_only":
+    if kind == "reactive_only":
         return chord
     th0 = math.acos(min(p_av / s, 1.0))
     th = np.append(np.arange(th0, math.pi / 2, h / s), math.pi / 2)
@@ -85,7 +82,7 @@ def _boundary_samples(region: OperatingRegion, h: float = 1e-3) -> np.ndarray:
     return np.concatenate([chord, arc, arc * np.array([1.0, -1.0])])
 
 
-def _grid_nearest(xp: float, xq: float, region: OperatingRegion,
+def _grid_nearest(xp: float, xq: float, kind: str, s: float, p_av: float,
                   boundary: np.ndarray, h: float = 1e-3):
     """Exhaustive nearest point of the h-discretized region.
 
@@ -94,13 +91,13 @@ def _grid_nearest(xp: float, xq: float, region: OperatingRegion,
     clamped rounding of xq); boundary samples are scanned directly.
     """
     best_p, best_q, best_d2 = np.nan, np.nan, np.inf
-    if region.kind != "reactive_only":
-        i = np.arange(math.floor(region.p_available / h) + 1)
+    if kind != "reactive_only":
+        i = np.arange(math.floor(p_av / h) + 1)
         p = i * h
-        if region.kind == "real_only":
+        if kind == "real_only":
             q = np.zeros(len(p))
         else:
-            qmax = np.sqrt(np.maximum(region.s_rating**2 - p * p, 0.0))
+            qmax = np.sqrt(np.maximum(s**2 - p * p, 0.0))
             jmax = np.floor(qmax / h)
             q = np.clip(round(xq / h), -jmax, jmax) * h
         d2 = (xp - p) ** 2 + (xq - q) ** 2
@@ -118,19 +115,18 @@ def test_a1_projection_matches_grid_search():
     rng = np.random.default_rng(11)
     worst_gap = 0.0
     checked = 0
-    for kind in ("real_only", "reactive_only", "joint"):
+    for kind in REGION_KINDS:
         for _ in range(20):
             s = float(rng.uniform(0.3, 2.0))
             if kind == "real_only":
                 p_av = float(rng.uniform(0.0, 1.5))
             else:
                 p_av = float(rng.uniform(0.0, 1.0) * s)
-            region = OperatingRegion(kind, s, p_av)
-            boundary = _boundary_samples(region)
+            boundary = _boundary_samples(kind, s, p_av)
             span = 2.5 * max(s, p_av, 0.2)
             pts = rng.uniform(-span, span, (50, 2)).tolist()
             # boundary-stressing extras: corners and points just off the arc
-            q_cap = region.q_headroom
+            q_cap = math.sqrt(max(s**2 - p_av**2, 0.0))
             for dx in (-1.5e-3, 1.5e-3):
                 pts += [
                     (p_av + dx, q_cap + dx),
@@ -139,10 +135,13 @@ def test_a1_projection_matches_grid_search():
                     (s + dx, dx),
                     (p_av / 2 + dx, 0.0),
                 ]
-            for xp, xq in pts:
-                grid_pt, d_grid = _grid_nearest(xp, xq, region, boundary)
-                proj = project_region((xp, xq), region)
-                assert region.contains(*proj, tol=1e-9)
+            # every point projected at once, as copies of one inverter
+            m = len(pts)
+            fleet = Inverters(kind, np.full(m, s), np.ones(m), np.ones(m))
+            projs, _ = fleet.project(np.asarray(pts), np.full(m, p_av))
+            assert np.all(in_region(kind, s, p_av, projs[:, 0], projs[:, 1], tol=1e-9))
+            for (xp, xq), proj in zip(pts, projs.tolist()):
+                grid_pt, d_grid = _grid_nearest(xp, xq, kind, s, p_av, boundary)
                 d_closed = math.hypot(proj[0] - xp, proj[1] - xq)
                 # the true projection can never be farther than a grid point
                 assert d_closed <= d_grid + 1e-12
@@ -196,11 +195,11 @@ def test_a3_error_free_contraction():
     fd = networks.two_bus(z=0.1 + 0.1j)
     lm = build_linear_model(build_admittance(fd), fd.slack_voltage)
     coupling = VoltageCoupling.from_linear_model(lm, fd)
-    costs = (CostParams(0.5, 0.5),)
-    regions = (OperatingRegion("joint", 1.0, 0.95),)
+    inv = Inverters("joint", [1.0], [0.5], [0.5])
+    p_av = np.asarray([0.95])
 
     # constants assembled from their definitions, independent of the library
-    lip = 2.0 * max(max(c.c_p, c.c_q) for c in costs)
+    lip = 2.0 * max(0.5, 0.5)  # 2 max(c_p, c_q)
     gain = float(np.linalg.svd(np.hstack([coupling.r, coupling.b]), compute_uv=False)[0])
     nu = eps = 0.1
     eta = min(nu, eps)
@@ -208,29 +207,33 @@ def test_a3_error_free_contraction():
     alpha = eta / l_reg**2
     rho = math.sqrt(1 - 2 * eta * alpha + alpha**2 * l_reg**2)
 
-    params = ControllerParams(alpha=alpha, nu=nu, epsilon=eps, v_max=1.04)
-    consts = convergence_constants(costs, coupling, params)
+    params = ControllerParams(alpha=alpha, nu=nu, epsilon=eps)
+    v_min, v_max = 0.95, 1.04
+    consts = convergence_constants(inv, coupling, params)
     assert consts.L_reg == pytest.approx(l_reg, rel=1e-12)
     assert consts.rho(alpha) == pytest.approx(rho, rel=1e-12)
     assert alpha < consts.alpha_max
 
     g = len(fd.der_nodes)
     prob = SaddleProblem(
-        costs=costs, regions=regions, coupling=coupling,
-        p_load_der=np.zeros(g), q_load_der=np.zeros(g), params=params,
+        inverters=inv, p_av=p_av, coupling=coupling,
+        p_load_der=np.zeros(g), q_load_der=np.zeros(g),
+        v_min=v_min, v_max=v_max, params=params,
     )
     sol = solve_saddle_oracle(prob, tol=1e-12)
     z_star = pack_state(sol.u, sol.gamma, sol.mu)
     assert sol.mu[0] > 0  # the upper limit binds, so the duals are exercised
 
-    u, duals = default_start(prob)
+    # full available power at unity power factor, zero duals
+    u, duals = inv.project(np.column_stack([p_av, np.zeros(g)]), p_av)[0], DualState.zeros(1)
     dist = float(np.linalg.norm(pack_state(u, duals.gamma, duals.mu) - z_star))
     worst_ratio = 0.0
     steps = 0
     while dist > 1e-10 and steps < 60_000:
-        gl, gu = eval_constraints(coupling, u, prob.p_load_der, prob.q_load_der, params)
-        u_next = primal_step(u, duals, costs, regions, coupling, params)
-        duals = dual_step_model(duals, gl, gu, params)
+        # error free: the dual step is fed the model's own prediction
+        w = coupling.predict(u, prob.p_load_der, prob.q_load_der)
+        u_next = primal_step(u, duals, inv, p_av, coupling, params)
+        duals = dual_step_feedback(duals, w, v_min, v_max, params)
         u = u_next
         nxt = float(np.linalg.norm(pack_state(u, duals.gamma, duals.mu) - z_star))
         worst_ratio = max(worst_ratio, nxt / dist)
@@ -257,7 +260,7 @@ def test_a4_tracking_bound_on_ramp():
                          ramp_start=0.2, ramp_end=0.9)
     scen = generate_scenario("ramp", fd, seed=0, params=par)
     setup = ControlSetup(
-        params=ControllerParams(alpha=0.05, nu=0.1, epsilon=0.1, v_max=1.04),
+        params=ControllerParams(alpha=0.05, nu=0.1, epsilon=0.1),
         costs=(CostParams(0.5, 0.5),),
     )
     net = compile_feeder(fd)
@@ -311,7 +314,7 @@ def midday():
     window = np.flatnonzero(v_none > 1.05)
     window = window[window >= burn]
     return {
-        "feeder": fd, "scenario": scen, "costs": costs, "runs": runs,
+        "feeder": fd, "scenario": scen, "inverters": plain.inverters(fd), "runs": runs,
         "burn": burn, "window": window, "v_none": v_none,
         "elapsed": time.perf_counter() - t0,
     }
@@ -377,9 +380,11 @@ def test_a6_cost_dominance_over_droop(midday):
     scen = midday["scenario"]
     runs = midday["runs"]
     window = midday["window"]
-    costs = midday["costs"]
     cost_p = runs["pursuit"].cost
-    cost_d = eval_cost(runs["droop"].u, costs, scen.p_av, reactive_only=True)
+    # droop's reactive cost: its setpoints with P at the full availability
+    u_d = runs["droop"].u.copy()
+    u_d[:, :, 0] = scen.p_av
+    cost_d = eval_cost(u_d, midday["inverters"], scen.p_av)
     viol_p = runs["pursuit"].max_violation
     viol_d = runs["droop"].max_violation
     both = window[(viol_p[window] <= 5e-4) & (viol_d[window] <= 5e-4)]
@@ -435,13 +440,16 @@ def test_a7_stepped_voltage_limit():
 # A8: gradient and dual-step correctness by central finite differences
 
 
-def _lagrangian(u, gamma, mu, costs, coupling, pl, ql, pav, params, w=None):
+V_MIN, V_MAX = 0.95, 1.05
+
+
+def _lagrangian(u, gamma, mu, cost_w, coupling, pl, ql, pav, params, w=None):
     if w is None:
         w = coupling.r @ (u[:, 0] - pl) + coupling.b @ (u[:, 1] - ql) + coupling.c
     val = params.nu / 2.0 * float(np.sum(u * u))
-    for i, c in enumerate(costs):
-        val += c.value(u[i, 0], u[i, 1], pav[i])
-    val += float(gamma @ (params.v_min - w) + mu @ (w - params.v_max))
+    for i, (c_p, c_q) in enumerate(cost_w):
+        val += c_p * (pav[i] - u[i, 0]) ** 2 + c_q * u[i, 1] ** 2
+    val += float(gamma @ (V_MIN - w) + mu @ (w - V_MAX))
     val -= params.epsilon / 2.0 * float(gamma @ gamma + mu @ mu)
     return val
 
@@ -462,10 +470,8 @@ def test_a8_gradients_match_finite_differences():
         pl = rng.uniform(-0.05, 0.05, g)
         ql = rng.uniform(-0.05, 0.05, g)
         pav = rng.uniform(0.0, 1.0, g)
-        costs = tuple(
-            CostParams(float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.1, 3.0)))
-            for _ in range(g)
-        )
+        cost_w = rng.uniform(0.1, 3.0, (g, 2))
+        inv = Inverters("joint", np.ones(g), cost_w[:, 0], cost_w[:, 1])
         params = ControllerParams(
             alpha=float(rng.uniform(0.05, 0.5)),
             nu=float(rng.uniform(1e-3, 0.3)),
@@ -473,9 +479,9 @@ def test_a8_gradients_match_finite_differences():
         )
 
         def lag(uu, gam, muu, w=None):
-            return _lagrangian(uu, gam, muu, costs, coupling, pl, ql, pav, params, w)
+            return _lagrangian(uu, gam, muu, cost_w, coupling, pl, ql, pav, params, w)
 
-        grad = grad_primal(u, duals, costs, coupling, pav, params)
+        grad = grad_primal(u, duals, inv, pav, coupling, params)
         for i in range(g):
             for j in range(2):
                 up, dn = u.copy(), u.copy()
@@ -484,10 +490,10 @@ def test_a8_gradients_match_finite_differences():
                 fd_ij = (lag(up, duals.gamma, duals.mu) - lag(dn, duals.gamma, duals.mu)) / (2 * h)
                 worst = max(worst, abs(grad[i, j] - fd_ij))
 
-        gl, gu = eval_constraints(coupling, u, pl, ql, params)
-        stepped = dual_step_model(duals, gl, gu, params)
+        # the model-based step is the feedback step fed the model prediction
+        stepped = dual_step_feedback(duals, coupling.predict(u, pl, ql), V_MIN, V_MAX, params)
         y = rng.uniform(0.9, 1.1, m)
-        fed = dual_step_feedback(duals, y, params)
+        fed = dual_step_feedback(duals, y, V_MIN, V_MAX, params)
         for j in range(m):
             for which, got in (("model", stepped), ("feedback", fed)):
                 w_arg = None if which == "model" else y
@@ -526,17 +532,16 @@ def test_a9_oracle_uniqueness_and_stationarity():
         coupling = VoltageCoupling.from_linear_model(lm, fd)
         g, m = coupling.n_der, coupling.n_monitored
         pav = rng.uniform(0.3, 1.0, g)
+        cost_w = rng.uniform(0.2, 3.0, (g, 2))
         prob = SaddleProblem(
-            costs=tuple(
-                CostParams(float(rng.uniform(0.2, 3.0)), float(rng.uniform(0.2, 3.0)))
-                for _ in range(g)
-            ),
-            regions=tuple(OperatingRegion("joint", 1.0, float(pav[i])) for i in range(g)),
+            inverters=Inverters("joint", np.ones(g), cost_w[:, 0], cost_w[:, 1]),
+            p_av=pav,
             coupling=coupling,
             p_load_der=np.zeros(g),
             q_load_der=np.zeros(g),
-            params=ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4,
-                                    v_max=float(rng.uniform(1.0, 1.03))),
+            v_min=0.95,
+            v_max=float(rng.uniform(1.0, 1.03)),
+            params=ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4),
         )
         packed = []
         for s in range(10):

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from opftrack.baseline import DroopCurve, droop_q
-from opftrack.controller import OperatingRegion
+from opftrack.controller import Inverters
 
-REGION = OperatingRegion("joint", 1.0, 0.8)  # headroom sqrt(1 - 0.64) = 0.6
+CAP = Inverters("joint", [1.0], [1.0], [1.0]).headroom(np.asarray([0.8]))  # sqrt(1 - 0.64)
 CURVE = DroopCurve(v_zero=1.0, v_sat=1.05)
+
+
+def droop_at(v, curve=CURVE, cap=CAP):
+    return float(droop_q(np.asarray([v]), cap, curve)[0])
 
 
 @pytest.mark.parametrize(
@@ -22,28 +26,29 @@ CURVE = DroopCurve(v_zero=1.0, v_sat=1.05)
     ],
 )
 def test_droop_hand_points(v, expected):
-    assert droop_q(v, REGION, CURVE) == pytest.approx(expected, abs=1e-12)
+    assert droop_at(v) == pytest.approx(expected, abs=1e-12)
 
 
 def test_droop_monotone_and_within_headroom():
     grid = np.linspace(0.85, 1.25, 200)
-    vals = [droop_q(float(v), REGION, CURVE) for v in grid]
-    assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
+    vals = droop_q(grid, np.full(len(grid), CAP[0]), CURVE)
+    assert np.all(np.diff(vals) <= 1e-12)
     cap = math.sqrt(1.0 - 0.64)
-    assert all(abs(q) <= cap + 1e-12 for q in vals)
+    assert np.all(np.abs(vals) <= cap + 1e-12)
+    assert np.array_equal(vals, [droop_at(v) for v in grid])  # per inverter
 
 
 def test_droop_asymmetric_disables_injection():
     curve = DroopCurve(v_zero=1.0, v_sat=1.05, symmetric=False)
-    assert droop_q(0.95, REGION, curve) == 0.0
+    assert droop_at(0.95, curve) == 0.0
     # overvoltage branch unchanged: frac 0.02/0.05 of the 0.6 headroom
-    assert droop_q(1.02, REGION, curve) == pytest.approx(-0.24)
-    assert droop_q(1.05, REGION, curve) == pytest.approx(-0.6)
+    assert droop_at(1.02, curve) == pytest.approx(-0.24)
+    assert droop_at(1.05, curve) == pytest.approx(-0.6)
 
 
 def test_droop_no_headroom_at_full_rating():
-    reg = OperatingRegion("joint", 0.5, 0.5)
-    assert droop_q(1.2, reg, CURVE) == 0.0
+    full = Inverters("joint", [0.5], [1.0], [1.0]).headroom(np.asarray([0.5]))
+    assert droop_at(1.2, cap=full) == 0.0
 
 
 def test_curve_validation():

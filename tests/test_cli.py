@@ -30,7 +30,7 @@ def run_config(tmp_path, feeder_file):
             "kind": "ramp", "n_steps": 41, "tau": 1.0, "load_p": 0.0,
             "load_swing": 0.0, "ramp_start": 0.2, "ramp_end": 0.9,
         },
-        "controller": {"alpha": 0.05, "nu": 0.1, "epsilon": 0.1, "v_max": 1.04},
+        "controller": {"alpha": 0.05, "nu": 0.1, "epsilon": 0.1},
         "cost": {"c_p": 0.5, "c_q": 0.5},
         "seed": 0,
         "output_dir": str(tmp_path / "out"),
@@ -129,6 +129,9 @@ def test_validate_invalid_json(tmp_path, capsys):
          "bad_config.json:cost: per-DER list has 2 entries, feeder has 1 DERs"),
         (lambda c: c["generator"].update(v_min=1.1, v_max=1.0),
          "bad_config.json:generator: v_min must be below v_max at every step"),
+        # the voltage band is the scenario's; the controller section has none
+        (lambda c: c["controller"].update(v_min=0.95, v_max=1.05),
+         "unknown key(s) ['v_max', 'v_min'] in"),
     ],
 )
 def test_config_schema_errors(tmp_path, run_config, capsys, mutate, fragment):

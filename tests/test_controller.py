@@ -4,44 +4,49 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from region_helpers import in_region, kink_distance, project_scalar
 
 from opftrack import networks
 from opftrack.controller import (
+    REGION_KINDS,
     ControllerParams,
     CostParams,
     DualState,
-    OperatingRegion,
+    Inverters,
     OracleError,
     SaddleProblem,
     VoltageCoupling,
-    _project_pair,
     convergence_constants,
-    default_start,
     dual_step_feedback,
-    dual_step_model,
     eval_constraints,
     grad_primal,
     pack_state,
     primal_step,
-    project_region,
     saddle_residual,
     solve_saddle_oracle,
 )
 from opftrack.feeder import build_admittance
 from opftrack.powerflow import build_linear_model
 
-JOINT = OperatingRegion("joint", 1.0, 0.8)
+
+def fleet(kind, s, n=1):
+    """n inverters of one kind and rating, unit cost weights."""
+    return Inverters(kind, np.full(n, s), np.ones(n), np.ones(n))
 
 
-def grid_distance(p, q, region, h):
-    """Distance from (p, q) to the nearest feasible point on an h-grid."""
-    s = region.s_rating
-    best = math.inf
-    for gp in np.arange(-0.05, min(region.p_available, s) + h, h):
-        for gq in np.arange(-s - h, s + h, h):
-            if region.contains(float(gp), float(gq), tol=1e-12):
-                best = min(best, math.hypot(gp - p, gq - q))
-    return best
+def project_one(inv, point, p_av):
+    out, _ = inv.project(np.asarray([point], dtype=float), np.asarray([p_av], dtype=float))
+    return tuple(out[0])
+
+
+JOINT = fleet("joint", 1.0)
+
+
+def grid_distance(p, q, h):
+    """Distance from (p, q) to the nearest point of JOINT at p_av 0.8 on an h-grid."""
+    gp, gq = np.meshgrid(np.arange(-0.05, 0.8 + h, h), np.arange(-1.0 - h, 1.0 + h, h))
+    inside = in_region("joint", 1.0, 0.8, gp, gq, tol=1e-12)
+    return float(np.min(np.hypot(gp[inside] - p, gq[inside] - q)))
 
 
 @pytest.mark.parametrize(
@@ -57,20 +62,20 @@ def grid_distance(p, q, region, h):
     ],
 )
 def test_joint_projection_hand_cases(point, expected):
-    p, q = project_region(point, JOINT)
+    p, q = project_one(JOINT, point, 0.8)
     assert p == pytest.approx(expected[0], abs=1e-12)
     assert q == pytest.approx(expected[1], abs=1e-12)
-    assert JOINT.contains(p, q)
+    assert in_region("joint", 1.0, 0.8, p, q)
 
 
 def test_joint_projection_matches_grid_oracle():
     h = 0.004
     rng = np.random.default_rng(0)
     pts = np.column_stack([rng.uniform(-0.5, 1.6, 12), rng.uniform(-1.5, 1.5, 12)])
-    for p, q in pts:
-        p_out, q_out = project_region((p, q), JOINT)
+    out, _ = fleet("joint", 1.0, 12).project(pts, np.full(12, 0.8))
+    for (p, q), (p_out, q_out) in zip(pts, out):
         d_closed = math.hypot(p_out - p, q_out - q)
-        d_grid = grid_distance(p, q, JOINT, h)
+        d_grid = grid_distance(p, q, h)
         # the grid point is feasible, so d_closed <= d_grid; the true optimum
         # is within one grid diagonal of some grid point
         assert d_closed <= d_grid + 1e-12
@@ -78,56 +83,72 @@ def test_joint_projection_matches_grid_oracle():
 
 
 def test_real_only_projection():
-    reg = OperatingRegion("real_only", 1.0, 0.7)
-    assert project_region((0.5, 0.3), reg) == (0.5, 0.0)
-    assert project_region((-1.0, 0.0), reg) == (0.0, 0.0)
-    assert project_region((2.0, -1.0), reg) == (0.7, 0.0)
+    reg = fleet("real_only", 1.0)
+    assert project_one(reg, (0.5, 0.3), 0.7) == (0.5, 0.0)
+    assert project_one(reg, (-1.0, 0.0), 0.7) == (0.0, 0.0)
+    assert project_one(reg, (2.0, -1.0), 0.7) == (0.7, 0.0)
 
 
 def test_reactive_only_projection():
-    reg = OperatingRegion("reactive_only", 1.0, 0.8)
+    reg = fleet("reactive_only", 1.0)
     cap = math.sqrt(1.0 - 0.64)
-    assert project_region((0.2, 0.1), reg) == (0.8, 0.1)
-    _, q = project_region((0.8, -2.0), reg)
+    assert project_one(reg, (0.2, 0.1), 0.8) == (0.8, 0.1)
+    _, q = project_one(reg, (0.8, -2.0), 0.8)
     assert q == pytest.approx(-cap, abs=1e-12)
-    assert reg.q_headroom == pytest.approx(cap)
+    assert reg.headroom(np.asarray([0.8]))[0] == pytest.approx(cap)
 
 
 def test_projection_nonexpansive_and_idempotent():
     rng = np.random.default_rng(7)
-    for kind in ("joint", "real_only", "reactive_only"):
-        reg = OperatingRegion(kind, 1.0, 0.8)
-        for _ in range(50):
-            x = rng.uniform(-2, 2, 2)
-            y = rng.uniform(-2, 2, 2)
-            px = project_region(tuple(x), reg)
-            py = project_region(tuple(y), reg)
-            assert math.dist(px, py) <= np.linalg.norm(x - y) + 1e-12
-            assert project_region(px, reg) == pytest.approx(px, abs=1e-12)
+    for kind in REGION_KINDS:
+        reg, p_av = fleet(kind, 1.0, 50), np.full(50, 0.8)
+        x = rng.uniform(-2, 2, (50, 2))
+        y = rng.uniform(-2, 2, (50, 2))
+        px, py = reg.project(x, p_av)[0], reg.project(y, p_av)[0]
+        assert np.all(np.linalg.norm(px - py, axis=1) <= np.linalg.norm(x - y, axis=1) + 1e-12)
+        assert np.allclose(reg.project(px, p_av)[0], px, rtol=0.0, atol=1e-12)
+
+
+def test_projection_matches_the_scalar_reference():
+    # every case of every kind, the edges p_av = 0 and p_av = S included;
+    # np.hypot and math.hypot may differ in the last place, nothing else does
+    rng = np.random.default_rng(5)
+    n = 400
+    s = rng.uniform(0.2, 2.0, n)
+    p_av = s * rng.choice([0.0, 1.0, 0.3, 0.8], n)
+    u = np.column_stack([rng.uniform(-2.5, 2.5, n), rng.uniform(-2.5, 2.5, n)])
+    u[::7, 0] = 0.0
+    u[::5, 1] = -0.0  # signed zeros reach the trajectory file as "-0.0"
+    for kind in REGION_KINDS:
+        out, jac = Inverters(kind, s, np.ones(n), np.ones(n)).project(u, p_av)
+        for i in range(n):
+            p, q, row = project_scalar(kind, s[i], p_av[i], u[i, 0], u[i, 1])
+            assert np.allclose(out[i], (p, q), rtol=4e-16, atol=0.0), (kind, i)
+            assert np.signbit(out[i]).tolist() == [math.copysign(1.0, x) < 0 for x in (p, q)]
+            assert np.allclose(jac[i], row, rtol=1e-15, atol=1e-15), (kind, i)
 
 
 def test_region_validation():
     with pytest.raises(ValueError, match="unknown region kind"):
-        OperatingRegion("boxy", 1.0, 0.5)
-    with pytest.raises(ValueError):
-        OperatingRegion("joint", 0.0, 0.5)
-    with pytest.raises(ValueError):
-        OperatingRegion("joint", 1.0, -0.1)
-    with pytest.warns(UserWarning, match="clipped"):
-        reg = OperatingRegion("joint", 1.0, 1.4)
-    assert reg.p_available == 1.0
-    assert not OperatingRegion("real_only", 1.0, 0.5).contains(0.2, 0.1)
+        fleet("boxy", 1.0)
+    with pytest.raises(ValueError, match="s_rating"):
+        fleet("joint", 0.0)
+    with pytest.raises(ValueError, match="one entry per DER"):
+        Inverters("joint", np.ones(2), np.ones(3), np.ones(2))
+    reg = fleet("joint", 1.0, 2)
+    with pytest.warns(UserWarning, match="clipped") as caught:
+        p_av = reg.available(np.asarray([[1.4, 0.5], [0.2, 1.1]]))
+    assert len(caught) == 1
+    assert np.array_equal(p_av, [[1.0, 0.5], [0.2, 1.0]])
+    # a real-only inverter's P is bounded by its availability alone
+    assert np.array_equal(fleet("real_only", 1.0).available(np.asarray([1.4])), [1.4])
 
 
 def test_cost_params():
-    c = CostParams(3.0, 1.0)
-    assert c.value(0.4, -0.2, 1.0) == pytest.approx(3 * 0.36 + 0.04)
-    gp, gq = c.grad(0.4, -0.2, 1.0)
-    assert gp == pytest.approx(-2 * 3 * 0.6)
-    assert gq == pytest.approx(2 * 1 * -0.2)
-    assert c.lipschitz == 6.0
     with pytest.raises(ValueError):
         CostParams(-1.0, 1.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        Inverters("joint", np.ones(1), np.ones(1), -np.ones(1))
 
 
 def test_controller_params_validation():
@@ -135,8 +156,8 @@ def test_controller_params_validation():
         ControllerParams(alpha=0.0, nu=1e-3, epsilon=1e-4)
     with pytest.raises(ValueError):
         ControllerParams(alpha=0.1, nu=0.0, epsilon=1e-4)
-    with pytest.raises(ValueError):
-        ControllerParams(alpha=0.1, nu=1e-3, epsilon=1e-4, v_min=1.1, v_max=1.0)
+    with pytest.raises(ValueError, match="v_min must be below v_max"):
+        _tb1_setup(v_min=1.1, v_max=1.0)
 
 
 def test_dual_state_validation():
@@ -146,40 +167,54 @@ def test_dual_state_validation():
     assert z.gamma.shape == (3,) and z.mu.shape == (3,)
 
 
-def _tb1_setup(nu=1e-3, eps=1e-4, c=(3.0, 1.0), z=0.1 + 0.1j, pav=0.95, v_max=1.05):
+def _tb1_setup(nu=1e-3, eps=1e-4, c=(3.0, 1.0), z=0.1 + 0.1j, pav=0.95, v_min=0.95, v_max=1.05):
     fd = networks.two_bus(z=z)
     lm = build_linear_model(build_admittance(fd), fd.slack_voltage)
     coupling = VoltageCoupling.from_linear_model(lm, fd)
-    params = ControllerParams(alpha=0.2, nu=nu, epsilon=eps, v_max=v_max)
+    params = ControllerParams(alpha=0.2, nu=nu, epsilon=eps)
     problem = SaddleProblem(
-        costs=(CostParams(*c),),
-        regions=(OperatingRegion("joint", 1.0, pav),),
+        inverters=Inverters("joint", [1.0], [c[0]], [c[1]]),
+        p_av=[pav],
         coupling=coupling,
         p_load_der=np.zeros(1),
         q_load_der=np.zeros(1),
+        v_min=v_min,
+        v_max=v_max,
         params=params,
     )
     return problem
 
 
+def _model_dual_step(prob, duals, u, params):
+    # the model-based dual step written out from the constraint values
+    g, g_bar = eval_constraints(
+        prob.coupling, u, prob.p_load_der, prob.q_load_der, prob.v_min, prob.v_max
+    )
+    a, eps = params.alpha, params.epsilon
+    return DualState(
+        np.maximum(0.0, duals.gamma + a * (g - eps * duals.gamma)),
+        np.maximum(0.0, duals.mu + a * (g_bar - eps * duals.mu)),
+    )
+
+
 def test_constraint_functions_complementary_identity():
     prob = _tb1_setup()
     u = np.asarray([[0.3, -0.1]])
-    g, g_bar = eval_constraints(prob.coupling, u, prob.p_load_der, prob.q_load_der, prob.params)
-    assert np.allclose(g + g_bar, prob.params.v_min - prob.params.v_max, atol=1e-15)
+    g, g_bar = eval_constraints(
+        prob.coupling, u, prob.p_load_der, prob.q_load_der, prob.v_min, prob.v_max
+    )
+    assert np.allclose(g + g_bar, prob.v_min - prob.v_max, atol=1e-15)
     w = prob.coupling.predict(u, prob.p_load_der, prob.q_load_der)
-    assert np.allclose(g, prob.params.v_min - w)
+    assert np.allclose(g, prob.v_min - w)
 
 
 def _lagrangian_value(problem, u, duals):
     # assembled independently of grad_primal for the finite-difference check
-    prm = problem.params
-    pav = problem.p_av
-    f = sum(
-        c.value(u[i, 0], u[i, 1], pav[i]) for i, c in enumerate(problem.costs)
-    )
+    prm, inv = problem.params, problem.inverters
+    f = float(np.sum(inv.c_p * (problem.p_av - u[:, 0]) ** 2 + inv.c_q * u[:, 1] ** 2))
     g, g_bar = eval_constraints(
-        problem.coupling, u, problem.p_load_der, problem.q_load_der, prm
+        problem.coupling, u, problem.p_load_der, problem.q_load_der,
+        problem.v_min, problem.v_max,
     )
     return (
         f
@@ -195,18 +230,21 @@ def test_gradient_matches_finite_differences():
     coupling = VoltageCoupling.from_linear_model(lm, fd)
     params = ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4)
     rng = np.random.default_rng(2)
-    costs = tuple(CostParams(rng.uniform(0.5, 4), rng.uniform(0.2, 2)) for _ in range(18))
+    w = np.asarray([(rng.uniform(0.5, 4), rng.uniform(0.2, 2)) for _ in range(18)])
+    inv = Inverters("joint", fd.der_ratings, w[:, 0], w[:, 1])
     problem = SaddleProblem(
-        costs=costs,
-        regions=tuple(OperatingRegion("joint", s, 0.8 * s) for s in fd.der_ratings),
+        inverters=inv,
+        p_av=0.8 * inv.s_rating,
         coupling=coupling,
         p_load_der=rng.uniform(0, 0.01, 18),
         q_load_der=rng.uniform(0, 0.004, 18),
+        v_min=0.95,
+        v_max=1.05,
         params=params,
     )
     u = np.column_stack([rng.uniform(0, 0.15, 18), rng.uniform(-0.1, 0.1, 18)])
     duals = DualState(rng.uniform(0, 2, 10), rng.uniform(0, 2, 10))
-    grad = grad_primal(u, duals, costs, coupling, problem.p_av, params)
+    grad = grad_primal(u, duals, inv, problem.p_av, coupling, params)
     h = 1e-6
     for i in (0, 7, 17):
         for j in (0, 1):
@@ -222,10 +260,10 @@ def test_gradient_matches_finite_differences():
 
 
 def test_dual_steps_hand_values_and_clamping():
-    params = ControllerParams(alpha=0.5, nu=1e-3, epsilon=0.01, v_min=0.95, v_max=1.05)
+    params = ControllerParams(alpha=0.5, nu=1e-3, epsilon=0.01)
     duals = DualState(np.asarray([0.3, 0.0]), np.asarray([0.1, 0.4]))
     y = np.asarray([0.94, 1.2])
-    out = dual_step_feedback(duals, y, params)
+    out = dual_step_feedback(duals, y, 0.95, 1.05, params)
     # gamma: [0.3 + 0.5*(0.95-0.94-0.003), 0 + 0.5*(0.95-1.2)] -> clamp
     assert out.gamma[0] == pytest.approx(0.3 + 0.5 * (0.01 - 0.003))
     assert out.gamma[1] == 0.0
@@ -238,29 +276,27 @@ def test_dual_routes_coincide_on_exact_measurements():
     u = np.asarray([[0.5, -0.2]])
     duals = DualState(np.asarray([0.2]), np.asarray([1.1]))
     w = prob.coupling.predict(u, prob.p_load_der, prob.q_load_der)
-    g, g_bar = eval_constraints(prob.coupling, u, prob.p_load_der, prob.q_load_der, prob.params)
-    via_model = dual_step_model(duals, g, g_bar, prob.params)
-    via_meas = dual_step_feedback(duals, w, prob.params)
-    assert np.allclose(via_model.gamma, via_meas.gamma, atol=1e-15)
-    assert np.allclose(via_model.mu, via_meas.mu, atol=1e-15)
+    via_model = _model_dual_step(prob, duals, u, prob.params)
+    via_meas = dual_step_feedback(duals, w, prob.v_min, prob.v_max, prob.params)
+    assert np.array_equal(via_model.gamma, via_meas.gamma)
+    assert np.array_equal(via_model.mu, via_meas.mu)
 
 
 def test_primal_step_fixed_point_without_binding_constraints():
     prob = _tb1_setup(v_max=1.5)  # never binds
     c_p, nu, pav = 3.0, 1e-3, 0.95
     u_star = np.asarray([[2 * c_p * pav / (2 * c_p + nu), 0.0]])
-    stepped = primal_step(
-        u_star, DualState.zeros(1), prob.costs, prob.regions, prob.coupling, prob.params
-    )
+    args = (prob.inverters, prob.p_av, prob.coupling, prob.params)
+    stepped = primal_step(u_star, DualState.zeros(1), *args)
     assert np.allclose(stepped, u_star, atol=1e-14)
     far = np.asarray([[0.0, 0.5]])
-    once = primal_step(far, DualState.zeros(1), prob.costs, prob.regions, prob.coupling, prob.params)
+    once = primal_step(far, DualState.zeros(1), *args)
     assert np.linalg.norm(once - u_star) < np.linalg.norm(far - u_star)
 
 
 def test_convergence_constants_expressions():
     prob = _tb1_setup(z=0.01 + 0.01j, c=(3.0, 1.0), nu=1e-3, eps=1e-4)
-    consts = convergence_constants(prob.costs, prob.coupling, prob.params)
+    consts = convergence_constants(prob.inverters, prob.coupling, prob.params)
     G = math.hypot(0.01, 0.01)
     L = 6.0
     eta = 1e-4
@@ -286,7 +322,7 @@ def test_convergence_constants_expressions():
 def test_error_free_iteration_contracts_at_certified_rate():
     # well-regularized instance: nu = eps = 0.1 gives a usable alpha_max
     prob = _tb1_setup(nu=0.1, eps=0.1, c=(0.5, 0.5))
-    consts = convergence_constants(prob.costs, prob.coupling, prob.params)
+    consts = convergence_constants(prob.inverters, prob.coupling, prob.params)
     L_reg = math.sqrt((1.0 + 0.1 + 2 * consts.G) ** 2 + 2 * (consts.G + 0.1) ** 2)
     assert consts.L_reg == pytest.approx(L_reg, rel=1e-12)
     alpha = consts.eta / consts.L_reg**2
@@ -303,9 +339,8 @@ def test_error_free_iteration_contracts_at_certified_rate():
     duals = DualState(np.asarray([0.5]), np.asarray([2.0]))
     dist = np.linalg.norm(pack_state(u, duals.gamma, duals.mu) - z_star)
     for _ in range(4000):
-        g, g_bar = eval_constraints(prob.coupling, u, prob.p_load_der, prob.q_load_der, prm)
-        u_new = primal_step(u, duals, prob.costs, prob.regions, prob.coupling, prm)
-        duals = dual_step_model(duals, g, g_bar, prm)
+        u_new = primal_step(u, duals, prob.inverters, prob.p_av, prob.coupling, prm)
+        duals = _model_dual_step(prob, duals, u, prm)
         u = u_new
         new_dist = np.linalg.norm(pack_state(u, duals.gamma, duals.mu) - z_star)
         if new_dist <= 1e-10:
@@ -356,14 +391,9 @@ def test_saddle_oracle_budget_exhaustion():
         solve_saddle_oracle(prob, tol=1e-13, max_iter=3)
 
 
-def test_default_start_and_pack_state():
-    prob = _tb1_setup()
-    u0, d0 = default_start(prob)
-    assert np.allclose(u0, [[0.95, 0.0]])
-    assert np.all(d0.gamma == 0) and np.all(d0.mu == 0)
-    z = pack_state(u0, np.asarray([1.0]), np.asarray([2.0]))
-    assert z.shape == (4,)
-    assert z[0] == 0.95 and z[2] == 1.0 and z[3] == 2.0
+def test_pack_state_layout():
+    z = pack_state(np.asarray([[0.95, -0.1]]), np.asarray([1.0]), np.asarray([2.0]))
+    assert z.tolist() == [0.95, -0.1, 1.0, 2.0]
 
 
 def test_coupling_slicing_and_validation():
@@ -380,11 +410,13 @@ def test_coupling_slicing_and_validation():
         VoltageCoupling(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros(5))
     with pytest.raises(ValueError, match="DER count"):
         SaddleProblem(
-            costs=(CostParams(1, 1),),
-            regions=(OperatingRegion("joint", 1.0, 0.5),),
+            inverters=fleet("joint", 1.0),
+            p_av=[0.5],
             coupling=coup,
             p_load_der=np.zeros(18),
             q_load_der=np.zeros(18),
+            v_min=0.95,
+            v_max=1.05,
             params=ControllerParams(alpha=0.1, nu=1e-3, epsilon=1e-4),
         )
 
@@ -392,53 +424,47 @@ def test_coupling_slicing_and_validation():
 # ---------------------------------------------------------------------------
 # property tests
 
-coord = st.floats(-2.0, 2.0, allow_nan=False)
-region_st = st.builds(
-    lambda kind, s, frac: OperatingRegion(kind, s, frac * s),
-    st.sampled_from(("joint", "real_only", "reactive_only")),
-    st.floats(0.2, 2.0),
-    st.floats(0.0, 1.0),
-)
+
+@st.composite
+def fleets(draw):
+    """A batch of 1-6 inverters of one kind, availability at 0, S or between."""
+    kind = draw(st.sampled_from(REGION_KINDS))
+    n = draw(st.integers(1, 6))
+    s = np.asarray(draw(st.lists(st.floats(0.2, 2.0), min_size=n, max_size=n)))
+    frac = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    p_av = s * np.asarray(draw(st.lists(frac, min_size=n, max_size=n)))
+    return Inverters(kind, s, np.ones(n), np.ones(n)), p_av
+
+
+def setpoints(n):
+    coord = st.floats(-2.0, 2.0, allow_nan=False)
+    return st.lists(st.tuples(coord, coord), min_size=n, max_size=n).map(np.asarray)
 
 
 @settings(max_examples=200, deadline=None)
-@given(region_st, coord, coord, coord, coord)
-def test_projection_property_idempotent_and_nonexpansive(reg, p1, q1, p2, q2):
-    a = project_region((p1, q1), reg)
-    b = project_region((p2, q2), reg)
-    assert reg.contains(*a, tol=1e-12)
-    assert math.dist(project_region(a, reg), a) <= 1e-12
-    assert math.dist(a, b) <= math.hypot(p1 - p2, q1 - q2) + 1e-12
-
-
-def _kink_distance(p, q, reg):
-    # distance to a superset of the points where some region's projection is
-    # not differentiable: the lines P = 0, P = p_av, |Q| = S, |Q| = q_cap,
-    # the rating circle, and the rays from the origin through the chord corners
-    s, pav, cap = reg.s_rating, reg.p_available, reg.q_headroom
-    return min(
-        abs(p),
-        abs(p - pav),
-        abs(abs(q) - s),
-        abs(abs(q) - cap),
-        abs(math.hypot(p, q) - s),
-        abs(p * cap - q * pav) / s,
-        abs(p * cap + q * pav) / s,
-    )
+@given(fleets(), st.data())
+def test_projection_property_idempotent_and_nonexpansive(batch, data):
+    inv, p_av = batch
+    x, y = data.draw(setpoints(inv.n_der)), data.draw(setpoints(inv.n_der))
+    a, b = inv.project(x, p_av)[0], inv.project(y, p_av)[0]
+    assert np.all(in_region(inv.kind, inv.s_rating, p_av, a[:, 0], a[:, 1], tol=1e-12))
+    assert np.all(np.linalg.norm(inv.project(a, p_av)[0] - a, axis=1) <= 1e-12)
+    assert np.all(np.linalg.norm(a - b, axis=1) <= np.linalg.norm(x - y, axis=1) + 1e-12)
 
 
 @settings(max_examples=300, deadline=None)
-@given(region_st, coord, coord)
-def test_projection_jacobian_matches_central_differences(reg, p, q):
-    assume(_kink_distance(p, q, reg) >= 1e-6)
-    _, _, jac = _project_pair(p, q, reg)
+@given(fleets(), st.data())
+def test_projection_jacobian_matches_central_differences(batch, data):
+    inv, p_av = batch
+    u = data.draw(setpoints(inv.n_der))
+    smooth = kink_distance(u[:, 0], u[:, 1], inv.s_rating, p_av) >= 1e-6
+    assume(smooth.any())
+    _, jac = inv.project(u, p_av)
     h = 1e-7
-    for col, (dp, dq) in enumerate(((h, 0.0), (0.0, h))):
-        hi = _project_pair(p + dp, q + dq, reg)
-        lo = _project_pair(p - dp, q - dq, reg)
+    for col, d in enumerate(((h, 0.0), (0.0, h))):
+        fd = (inv.project(u + d, p_av)[0] - inv.project(u - d, p_av)[0]) / (2.0 * h)
         for row in range(2):
-            fd = (hi[row] - lo[row]) / (2.0 * h)
-            assert jac[2 * row + col] == pytest.approx(fd, abs=1e-6)
+            assert np.allclose(jac[smooth, 2 * row + col], fd[smooth, row], rtol=0.0, atol=1e-6)
 
 
 @settings(max_examples=25, deadline=None)
@@ -449,18 +475,17 @@ def test_saddle_oracle_property_random_radial(n, seed):
     lm = build_linear_model(build_admittance(fd), fd.slack_voltage)
     coupling = VoltageCoupling.from_linear_model(lm, fd)
     g = coupling.n_der
-    kinds = rng.choice(["joint", "joint", "real_only", "reactive_only"], g)
+    kind = str(rng.choice(["joint", "joint", "real_only", "reactive_only"]))
+    w = rng.uniform(0.2, 3.0, (g, 2))
     prob = SaddleProblem(
-        costs=tuple(CostParams(*rng.uniform(0.2, 3.0, 2)) for _ in range(g)),
-        regions=tuple(
-            OperatingRegion(str(kinds[i]), 1.0, float(rng.uniform(0.0, 1.0)))
-            for i in range(g)
-        ),
+        inverters=Inverters(kind, np.ones(g), w[:, 0], w[:, 1]),
+        p_av=rng.uniform(0.0, 1.0, g),
         coupling=coupling,
         p_load_der=rng.uniform(0.0, 0.05, g),
         q_load_der=rng.uniform(0.0, 0.02, g),
-        params=ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4,
-                                v_max=float(rng.uniform(1.0, 1.03))),
+        v_min=0.95,
+        v_max=float(rng.uniform(1.0, 1.03)),
+        params=ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4),
     )
     sol = solve_saddle_oracle(prob)
     assert saddle_residual(prob, sol.u, sol.gamma, sol.mu) <= 1e-9

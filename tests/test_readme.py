@@ -1,4 +1,4 @@
-"""README Quick start as a test: every command there must exit 0."""
+"""README as a test: every Quick start command must exit 0, the Python API example must run."""
 
 import contextlib
 import io
@@ -12,9 +12,9 @@ import pytest
 from opftrack import cli
 
 ROOT = Path(__file__).resolve().parents[1]
-QUICK_START = re.search(
-    r"## Quick start\s+```sh\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S
-).group(1)
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+QUICK_START = re.search(r"## Quick start\s+```sh\n(.*?)```", README, re.S).group(1)
+PYTHON_API = re.search(r"## Python API\s+```python\n(.*?)```", README, re.S).group(1)
 COMMANDS = [line for line in QUICK_START.splitlines() if line.startswith("opftrack ")]
 DROOP_COLLAPSES = pytest.mark.xfail(
     strict=True,
@@ -51,3 +51,9 @@ def test_quick_start_is_found():
 )
 def test_quick_start_command_exits_0(exit_codes, command):
     assert exit_codes[command] == 0
+
+
+def test_python_api_example_runs():
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        exec(compile(PYTHON_API, "README.md", "exec"), {})
+    assert "bound_satisfied" in out.getvalue()

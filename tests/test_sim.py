@@ -1,10 +1,13 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from region_helpers import in_region
 
 from opftrack import networks
-from opftrack.controller import ControllerParams, CostParams, DualState
+from opftrack.controller import REGION_KINDS, ControllerParams, CostParams, DualState
 from opftrack.powerflow import constraint_offsets
 from opftrack.sim import (
     ControlSetup,
@@ -204,9 +207,12 @@ def test_actuation_lag_slows_the_response():
 def test_eval_cost_conventions():
     scen = generate_scenario("static", TB_STRONG, seed=0, params=STATIC_PAR)
     traj = run_closed_loop(compile_feeder(TB_STRONG), scen, "pursuit", FAST_SETUP)
-    costs = FAST_SETUP.costs
-    full = eval_cost(traj.u[-1:], costs, scen.p_av[-1:])
-    reactive = eval_cost(traj.u[-1:], costs, scen.p_av[-1:], reactive_only=True)
+    inv = FAST_SETUP.inverters(TB_STRONG)
+    full = eval_cost(traj.u[-1:], inv, scen.p_av[-1:])
+    # the reactive-only convention: P taken at the full availability
+    at_p_av = traj.u[-1:].copy()
+    at_p_av[:, :, 0] = scen.p_av[-1:]
+    reactive = eval_cost(at_p_av, inv, scen.p_av[-1:])
     u = traj.u[-1]
     pav = scen.p_av[-1, 0]
     assert full[0] == pytest.approx((pav - u[0, 0]) ** 2 + u[0, 1] ** 2)
@@ -246,10 +252,59 @@ def test_step_problem_uses_scenario_step_data():
     )
     k = 100
     prob = step_problem(net, scen, setup, k)
-    assert prob.params.v_max == scen.v_max[k]
+    assert prob.v_max == scen.v_max[k]
     assert np.allclose(prob.p_av, scen.p_av[k])
     expect_c = constraint_offsets(net.lm, scen.p_load[k], scen.q_load[k], fd)
     assert np.allclose(prob.coupling.c, expect_c, atol=1e-15)
+
+
+@pytest.mark.parametrize("kind", REGION_KINDS)
+def test_pursuit_setpoints_stay_in_their_regions(kind):
+    # step k commands the projection made at step k - 1, onto the region of
+    # that step's availability; step 0 commands full availability. Near-rated
+    # availability drives the reactive-only setpoints onto their caps.
+    fd = networks.feeder36()
+    par = ScenarioParams(n_steps=60, pav_peak=0.97, load_swing=0.0)
+    scen = generate_scenario("static", fd, seed=4, params=par)
+    setup = ControlSetup(
+        params=ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4),
+        costs=tuple(CostParams(3.0, 1.0) for _ in range(fd.n_der)),
+        region_kind=kind,
+    )
+    u = run_closed_loop(compile_feeder(fd), scen, "pursuit", setup).u
+    p_av = np.concatenate([scen.p_av[:1], scen.p_av[:-1]])
+    assert np.all(in_region(kind, fd.der_ratings, p_av, u[:, :, 0], u[:, :, 1], tol=1e-12))
+    # the controller acted: it curtailed or moved off unity power factor
+    assert np.any(u[:, :, 0] < p_av) or np.any(u[:, :, 1] != 0.0)
+
+
+def test_over_rated_availability_is_clipped_once_per_run(tmp_path):
+    fd = networks.feeder36()
+    net = compile_feeder(fd)
+    scen = generate_scenario("cloud_transient", fd, seed=3, params=ScenarioParams(n_steps=40))
+    path = tmp_path / "over.csv"
+    write_scenario(replace(scen, p_av=1.3 * scen.p_av), fd, str(path))
+    over = read_scenario(str(path), fd)
+    ratings = np.asarray(fd.der_ratings)
+    assert np.any(over.p_av > ratings)
+    setup = ControlSetup(
+        params=ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4),
+        costs=tuple(CostParams(3.0, 1.0) for _ in range(fd.n_der)),
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        traj = run_closed_loop(net, over, "pursuit", setup)
+    assert [str(w.message).endswith("clipped to the rating") for w in caught] == [True]
+    # the controller sees the clipped availability: the same run on a
+    # clipped scenario, started where this one starts (full raw availability)
+    clipped = replace(over, p_av=np.minimum(over.p_av, ratings))
+    start = (np.column_stack([over.p_av[0], np.zeros(fd.n_der)]), DualState.zeros(10))
+    ref = run_closed_loop(net, clipped, "pursuit", setup, z0=start)
+    for name in ("y", "u", "gamma", "mu", "v_mag", "max_violation", "pf_residual"):
+        assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
+    # the recorded cost is charged against the raw availability
+    assert np.array_equal(traj.cost, eval_cost(traj.u, setup.inverters(fd), over.p_av))
+    assert not np.array_equal(traj.cost, ref.cost)
 
 
 def test_plant_failure_reports_step():
@@ -297,7 +352,7 @@ def test_trajectory_round_trip(tmp_path):
 TRACK_FEEDER = networks.two_bus(z=0.1 + 0.1j)
 TRACK_NET = compile_feeder(TRACK_FEEDER)
 TRACK_SETUP = ControlSetup(
-    params=ControllerParams(alpha=0.05, nu=0.1, epsilon=0.1, v_max=1.04),
+    params=ControllerParams(alpha=0.05, nu=0.1, epsilon=0.1),
     costs=(CostParams(0.5, 0.5),),
 )
 
