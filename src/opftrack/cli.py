@@ -38,11 +38,11 @@ from .sim import (
     PlantError,
     Scenario,
     ScenarioParams,
+    check_trajectory,
     compile_feeder,
     generate_scenario,
     measure_tracking,
     read_scenario,
-    read_trajectory,
     run_closed_loop,
     step_problem,
     write_trajectory,
@@ -384,7 +384,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     }
     if cfg.strategy == "pursuit" and cfg.report:
         rep = measure_tracking(
-            net, scen, setup, traj, decimation=cfg.report_decimation
+            net, scen, setup, traj, decimation=cfg.report_decimation, constants=consts
         )
         summary["tracking"] = rep.to_dict()
     summary_path = os.path.join(cfg.output_dir, "summary.json")
@@ -426,7 +426,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     cfg, net, scen, setup = _load_run(args)
     path = args.trajectory or os.path.join(cfg.output_dir, "trajectory.csv")
-    traj = read_trajectory(path, net.feeder)
+    traj = check_trajectory(path, net, scen, setup)
     rep = measure_tracking(net, scen, setup, traj, decimation=cfg.report_decimation)
     text = _json_bytes(rep.to_dict())
     if args.output:

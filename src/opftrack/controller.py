@@ -141,25 +141,43 @@ class Inverters:
             np.maximum(np.float_power(self.s_rating, 2) - np.float_power(p_av, 2), 0.0)
         )
 
-    def project(self, u: np.ndarray, p_av: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Euclidean projection of setpoints ``u`` (n_der, 2) onto the regions at ``p_av``.
+    def project(self, u: np.ndarray, p_av: np.ndarray) -> np.ndarray:
+        """Euclidean projection of setpoints ``u`` (n_der, 2) onto the regions at ``p_av``."""
+        return self._project(u, p_av, with_jacobian=False)[0]
 
-        Returns the projected setpoints and the generalized (Clarke)
-        Jacobian of the projection at ``u``, one row (dP/dp, dP/dq, dQ/dp,
-        dQ/dq) per DER. Boundaries are resolved with ``<=``, so every point
-        falls in exactly one case and neighbouring cases agree on their
-        common boundary.
+    def project_jacobian(
+        self, u: np.ndarray, p_av: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`project`, plus the generalized (Clarke) Jacobian at ``u``.
+
+        The Jacobian has one row (dP/dp, dP/dq, dQ/dp, dQ/dq) per DER.
+        Boundaries are resolved with ``<=``, so every point falls in exactly
+        one case and neighbouring cases agree on their common boundary.
         """
+        return self._project(u, p_av, with_jacobian=True)
+
+    def _project(
+        self, u: np.ndarray, p_av: np.ndarray, with_jacobian: bool
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        # one case analysis for both projections; the Jacobian rows are
+        # formed only when asked for, after the setpoints
         p, q = u[:, 0], u[:, 1]
-        jac = np.zeros((len(u), 4))
         if self.kind == "real_only":
-            jac[:, 0] = (p > 0.0) & (p < p_av)
             p_out = np.where(p <= 0.0, 0.0, np.minimum(p, p_av))
-            return np.column_stack([p_out, np.zeros_like(p)]), jac
+            out = np.column_stack([p_out, np.zeros_like(p)])
+            if not with_jacobian:
+                return out, None
+            jac = np.zeros((len(u), 4))
+            jac[:, 0] = (p > 0.0) & (p < p_av)
+            return out, jac
         if self.kind == "reactive_only":
             q_out, q_free = _clamp(q, self.headroom(p_av))
+            out = np.column_stack([np.broadcast_to(p_av, p.shape), q_out])
+            if not with_jacobian:
+                return out, None
+            jac = np.zeros((len(u), 4))
             jac[:, 3] = q_free
-            return np.column_stack([np.broadcast_to(p_av, p.shape), q_out]), jac
+            return out, jac
         # joint: the strip 0 <= P <= p_av cut by the rating disk. Left of the
         # strip, Q is clamped on the P = 0 face; inside the disk beyond the
         # strip, on the chord P = p_av; outside the disk, the radial
@@ -176,9 +194,12 @@ class Inverters:
         out = np.empty_like(u)
         out[:, 0] = np.where(member, p, np.where(arc, p * scale, np.where(left, 0.0, p_av)))
         out[:, 1] = np.where(member, q, np.where(arc, q * scale, q_face))
+        if not with_jacobian:
+            return out, None
         # on the arc the Jacobian (s/r)(I - n n^T) keeps the tangential
         # direction, shrunk by the radial scale
         n_p, n_q = p / r, q / r
+        jac = np.empty((len(u), 4))
         jac[:, 0] = np.where(arc, scale * n_q * n_q, member)
         jac[:, 1] = jac[:, 2] = np.where(arc, -scale * n_p * n_q, 0.0)
         jac[:, 3] = np.where(arc, scale * n_p * n_p, member | q_free)
@@ -204,7 +225,7 @@ class DualState:
         m = np.asarray(self.mu, dtype=float)
         if g.shape != m.shape or g.ndim != 1:
             raise ValueError("gamma and mu must be 1-d arrays of equal length")
-        if np.any(g < 0) or np.any(m < 0):
+        if g.min(initial=0.0) < 0.0 or m.min(initial=0.0) < 0.0:
             raise ValueError("duals must be nonnegative")
         object.__setattr__(self, "gamma", g)
         object.__setattr__(self, "mu", m)
@@ -329,7 +350,7 @@ def primal_step(
 ) -> np.ndarray:
     """Projected gradient step on the setpoints, independently per DER."""
     grad = grad_primal(u, duals, inv, p_av, coupling, params)
-    return inv.project(u - params.alpha * grad, p_av)[0]
+    return inv.project(u - params.alpha * grad, p_av)
 
 
 @dataclass(frozen=True)
@@ -512,9 +533,6 @@ def solve_saddle_oracle(
     else:
         u0 = np.asarray(z0[0], float)
 
-    def project(x: np.ndarray) -> np.ndarray:
-        return inv.project(x, pav)[0]
-
     # sensitivities and curvature in the order of u.ravel(): P_0, Q_0, P_1, ...
     a = np.empty((problem.coupling.n_monitored, 2 * n))
     a[:, 0::2] = problem.coupling.r
@@ -524,7 +542,7 @@ def solve_saddle_oracle(
 
     def evaluate(x: np.ndarray) -> _NewtonPoint:
         f, grad, act = _penalty_value_grad(problem, x)
-        v, jac = inv.project(x - grad, pav)
+        v, jac = inv.project_jacobian(x - grad, pav)
         r = x - v
         return _NewtonPoint(x, f, grad, act, jac, r, float(np.linalg.norm(r)))
 
@@ -532,7 +550,7 @@ def solve_saddle_oracle(
         decrease = float(np.sum(old.grad * (new.u - old.u)))
         return decrease < 0.0 and new.f <= old.f + _ARMIJO * decrease
 
-    cur = evaluate(project(u0))
+    cur = evaluate(inv.project(u0, pav))
     its = 0
     while cur.res > tol:
         if its == max_iter:
@@ -546,7 +564,7 @@ def solve_saddle_oracle(
         hess = np.diag(h_cost) + (a_act.T @ a_act) / prm.epsilon
         jac_r = np.eye(2 * n) - d_proj + d_proj @ hess
         step = np.linalg.solve(jac_r, -cur.r.ravel()).reshape(n, 2)
-        new = evaluate(project(cur.u + step))
+        new = evaluate(inv.project(cur.u + step, pav))
         if cur.res <= _STALL_RES and new.res >= cur.res and np.array_equal(new.act, cur.act):
             break  # rounding floor: a full step on the same active set gains nothing
         its += 1
@@ -556,12 +574,12 @@ def solve_saddle_oracle(
         while t > 0.0 and not armijo(cur, new):
             t = 0.5 * t if t > _MIN_STEP else 0.0
             if t > 0.0:
-                new = evaluate(project(cur.u + t * step))
+                new = evaluate(inv.project(cur.u + t * step, pav))
         if t == 0.0:
             # projected-gradient step at 1/L, L the Lipschitz bound of grad F:
             # a descent step whatever the active set
             lip = h_cost.max() + np.linalg.norm(a, 2) ** 2 / prm.epsilon
-            new = evaluate(project(cur.u - cur.grad / lip))
+            new = evaluate(inv.project(cur.u - cur.grad / lip, pav))
         cur = new
 
     u = cur.u
@@ -586,7 +604,7 @@ def saddle_residual(
         problem.v_min, problem.v_max,
     )
     gp = grad_primal(u, duals, problem.inverters, problem.p_av, problem.coupling, problem.params)
-    u2 = problem.inverters.project(u - gp, problem.p_av)[0]
+    u2 = problem.inverters.project(u - gp, problem.p_av)
     eps = problem.params.epsilon
     gamma2 = np.maximum(0.0, gamma + (g - eps * gamma))
     mu2 = np.maximum(0.0, mu + (g_bar - eps * mu))

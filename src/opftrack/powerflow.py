@@ -58,7 +58,7 @@ class PowerInjection:
         q = np.asarray(self.q, dtype=float)
         if p.shape != q.shape or p.ndim != 1:
             raise ValueError("p and q must be 1-d arrays of equal length")
-        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
+        if not (np.isfinite(p).all() and np.isfinite(q).all()):
             raise ValueError("injections must be finite")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
@@ -170,22 +170,21 @@ def solve_ac(
     if init is None:
         v = adm.solve(-yv0)
     else:
-        v = np.asarray(init, dtype=complex).copy()
-        mags = np.abs(v)
-        if np.any(mags < COLLAPSE_LO):
+        v = np.asarray(init, dtype=complex)
+        if np.abs(v).min() < COLLAPSE_LO:
             raise ValueError("warm-start magnitudes must be >= 0.3 pu")
     s = inj.s
     residual = float("inf")
     for it in range(1, max_iter + 1):
         v = adm.solve(np.conj(s / v) - yv0)
         mags = np.abs(v)
-        if np.any(mags < COLLAPSE_LO) or np.any(mags > COLLAPSE_HI):
+        if mags.min() < COLLAPSE_LO or mags.max() > COLLAPSE_HI:
             raise VoltageCollapseError(
                 f"collapse: |v| outside [{COLLAPSE_LO}, {COLLAPSE_HI}] at iteration {it}",
                 residual,
             )
         s_model = v * np.conj(adm.Y @ v + yv0)
-        residual = float(np.max(np.abs(s_model - s)))
+        residual = float(np.abs(s_model - s).max())
         if residual <= tol:
             return PFSolution(v, it, residual)
     raise PowerFlowError(

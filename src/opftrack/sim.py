@@ -67,6 +67,7 @@ __all__ = [
     "measure_tracking",
     "write_trajectory",
     "read_trajectory",
+    "check_trajectory",
 ]
 
 STRATEGIES = ("pursuit", "droop", "none")
@@ -315,29 +316,34 @@ def _read_rows(path: str, columns: list[str], what: str) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def _write_rows(path: str, columns: list[str], rows) -> None:
-    """Write the header ``columns``, then ``rows`` of Python numbers.
+_BLOCK_CELLS = 2048
 
-    csv prints a Python float as its exact ``repr`` (a numpy scalar prints
-    differently): build rows with ``ndarray.tolist()``, one at a time.
+
+def _write_columns(
+    path: str, columns: list[str], parts: list[np.ndarray], numbered: bool = False
+) -> None:
+    """Write the header ``columns``, then the rows of ``parts`` side by side.
+
+    Each part is a (K,) or (K, c) float array; ``numbered`` puts the row
+    index k first. Every float prints as its exact ``repr``, cells are
+    joined by commas and rows end in ``\\r\\n``, the bytes csv writes.
+    The parts are stacked about ``_BLOCK_CELLS`` cells at a time (at least
+    one row), so no copy of a whole file is made, and ``repr`` runs once per
+    distinct bit pattern of a block: dedupe on values would merge -0.0 with
+    0.0, and signed zeros reach the file.
     """
+    width = sum(1 if a.ndim == 1 else a.shape[1] for a in parts)
+    step = max(1, _BLOCK_CELLS // width)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(columns)
-        w.writerows(rows)
-
-
-_BLOCK_ROWS = 256
-
-
-def _stacked_rows(parts: list[np.ndarray]):
-    """The rows of ``parts`` (each (K,) or (K, c)) side by side, as lists of floats.
-
-    Stacks 256 rows at a time, so no (K, C) copy of a whole file is made.
-    """
-    for lo in range(0, len(parts[0]), _BLOCK_ROWS):
-        for row in np.column_stack([a[lo : lo + _BLOCK_ROWS] for a in parts]):
-            yield row.tolist()
+        fh.write(",".join(columns) + "\r\n")
+        for lo in range(0, len(parts[0]), step):
+            block = np.column_stack([a[lo : lo + step] for a in parts]).astype(float, copy=False)
+            bits, where = np.unique(block.view(np.int64).ravel(), return_inverse=True)
+            text = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
+            rows = text[where].reshape(block.shape).tolist()
+            if numbered:
+                rows = [[str(k), *row] for k, row in enumerate(rows, start=lo)]
+            fh.write("".join(",".join(row) + "\r\n" for row in rows))
 
 
 def write_scenario(scenario: Scenario, feeder: FeederModel, path: str) -> None:
@@ -345,7 +351,7 @@ def write_scenario(scenario: Scenario, feeder: FeederModel, path: str) -> None:
         np.arange(scenario.n_steps) * scenario.tau, scenario.v_min, scenario.v_max,
         scenario.p_load, scenario.q_load, scenario.p_av,
     ]
-    _write_rows(path, _scenario_columns(feeder), _stacked_rows(parts))
+    _write_columns(path, _scenario_columns(feeder), parts)
 
 
 def read_scenario(path: str, feeder: FeederModel, noise_amp: float = 0.0) -> Scenario:
@@ -528,8 +534,8 @@ def run_closed_loop(
         else:
             u_applied = u
 
-        p_net = -scenario.p_load[k].copy()
-        q_net = -scenario.q_load[k].copy()
+        p_net = -scenario.p_load[k]
+        q_net = -scenario.q_load[k]
         p_net[der] += u_applied[:, 0]
         q_net[der] += u_applied[:, 1]
         inj = PowerInjection(p_net, q_net)
@@ -558,8 +564,8 @@ def run_closed_loop(
             )
             u = u_next
             if not dual_warned and (
-                np.max(duals.gamma, initial=0.0) > DUAL_DIAG_LIMIT
-                or np.max(duals.mu, initial=0.0) > DUAL_DIAG_LIMIT
+                duals.gamma.max(initial=0.0) > DUAL_DIAG_LIMIT
+                or duals.mu.max(initial=0.0) > DUAL_DIAG_LIMIT
             ):
                 dual_warned = True
                 warnings.warn(
@@ -568,7 +574,7 @@ def run_closed_loop(
                     stacklevel=2,
                 )
         elif strategy == "droop":
-            v_local = v_mag[der].copy()
+            v_local = v_mag[der]
             if scenario.noise_amp > 0.0:
                 v_local = v_local + rng.uniform(
                     -scenario.noise_amp, scenario.noise_amp, g
@@ -579,16 +585,20 @@ def run_closed_loop(
         else:  # none
             u = np.column_stack([scenario.p_av[k], np.zeros(g)])
 
-    mon_mag = v_mags[:, mon]
-    max_violation = np.maximum(0.0, np.maximum(
-        np.max(scenario.v_min[:, None] - mon_mag, axis=1),
-        np.max(mon_mag - scenario.v_max[:, None], axis=1),
-    ))
     return Trajectory(
         y=ys, u=us, gamma=gammas, mu=mus, v_mag=v_mags,
         cost=eval_cost(us, inv, scenario.p_av),
-        max_violation=max_violation, pf_residual=pf_residual,
+        max_violation=_max_violation(v_mags[:, mon], scenario),
+        pf_residual=pf_residual,
     )
+
+
+def _max_violation(mon_mag: np.ndarray, scenario: Scenario) -> np.ndarray:
+    """Per step, the largest metered excursion outside the step's voltage band (0 inside)."""
+    return np.maximum(0.0, np.maximum(
+        np.max(scenario.v_min[:, None] - mon_mag, axis=1),
+        np.max(mon_mag - scenario.v_max[:, None], axis=1),
+    ))
 
 
 def step_problem(
@@ -666,6 +676,7 @@ def measure_tracking(
     traj: Trajectory,
     decimation: int = 10,
     oracle_tol: float = 1e-11,
+    constants: ConvergenceConstants | None = None,
 ) -> TrackingReport:
     """Compare a recorded pursuit run against per-step saddle oracles.
 
@@ -682,7 +693,8 @@ def measure_tracking(
     dual gradients); the load offsets of all those steps come from one
     multi-column solve. It agrees with the per-step evaluation through
     ``eval_constraints`` to rounding (one unit in the last place on
-    config36).
+    config36). ``constants`` are the run's :func:`convergence_constants`,
+    computed here when not given.
     """
     if decimation < 1:
         raise ValueError("decimation must be >= 1")
@@ -691,7 +703,9 @@ def measure_tracking(
             f"trajectory has {traj.n_steps} steps, scenario has {scenario.n_steps}"
         )
     der = net.feeder.der_indices()
-    consts = convergence_constants(setup.inverters(net.feeder), net.coupling, setup.params)
+    consts = constants
+    if consts is None:
+        consts = convergence_constants(setup.inverters(net.feeder), net.coupling, setup.params)
 
     ks = list(range(0, scenario.n_steps, decimation))
     stars: dict[int, np.ndarray] = {}
@@ -767,8 +781,7 @@ def write_trajectory(
         traj.pf_residual, traj.y, traj.u[:, :, 0], traj.u[:, :, 1],
         traj.gamma, traj.mu, traj.v_mag,
     ]
-    rows = ([k, *row] for k, row in enumerate(_stacked_rows(parts)))
-    _write_rows(path, _trajectory_columns(feeder), rows)
+    _write_columns(path, _trajectory_columns(feeder), parts, numbered=True)
 
 
 def read_trajectory(path: str, feeder: FeederModel) -> Trajectory:
@@ -779,6 +792,11 @@ def read_trajectory(path: str, feeder: FeederModel) -> Trajectory:
     0, 1, 2, ... in row order; a violation raises ``ValueError`` naming the
     file and, where it is one row's fault, the first such row.
     """
+    return _read_trajectory(path, feeder)[1]
+
+
+def _read_trajectory(path: str, feeder: FeederModel) -> tuple[np.ndarray, Trajectory]:
+    # read_trajectory, plus the time_s column it does not keep
     data = _read_rows(path, _trajectory_columns(feeder), "trajectory")
     wrong = np.flatnonzero(data[:, 0] != np.arange(len(data)))
     if wrong.size:
@@ -791,7 +809,43 @@ def read_trajectory(path: str, feeder: FeederModel) -> Trajectory:
     head, y, p, q, gamma, mu, v_mag = np.split(
         data, np.cumsum([5, m, g, g, m, m]), axis=1
     )
-    return Trajectory(
+    return head[:, 1], Trajectory(
         y=y, u=np.stack([p, q], axis=-1), gamma=gamma, mu=mu, v_mag=v_mag,
         cost=head[:, 2], max_violation=head[:, 3], pf_residual=head[:, 4],
     )
+
+
+def check_trajectory(
+    path: str, net: CompiledFeeder, scenario: Scenario, setup: ControlSetup
+) -> Trajectory:
+    """:func:`read_trajectory` for a run of ``scenario``, its derived columns checked.
+
+    The file must have one row per scenario step, ``time_s`` must be
+    ``k * tau``, ``cost`` the :func:`eval_cost` of the file's own setpoints
+    and ``max_violation`` the excursion of its metered ``vmag`` outside the
+    scenario's band. The writer round-trips every float, so each must match
+    bit for bit; a mismatch raises ``ValueError`` naming the file, the
+    column and the first wrong row.
+    """
+    time_s, traj = _read_trajectory(path, net.feeder)
+    if traj.n_steps != scenario.n_steps:
+        raise ValueError(
+            f"{path}: trajectory has {traj.n_steps} steps, scenario has {scenario.n_steps}"
+        )
+    derived = {
+        "time_s": (time_s, np.arange(traj.n_steps) * scenario.tau),
+        "cost": (traj.cost, eval_cost(traj.u, setup.inverters(net.feeder), scenario.p_av)),
+        "max_violation": (
+            traj.max_violation,
+            _max_violation(traj.v_mag[:, net.feeder.monitored_indices()], scenario),
+        ),
+    }
+    for name, (got, want) in derived.items():
+        wrong = np.flatnonzero(got != want)
+        if wrong.size:
+            i = int(wrong[0])
+            raise ValueError(
+                f"{path}: {name} in row {i + 1} is {float(got[i])!r}, "
+                f"expected {float(want[i])!r}"
+            )
+    return traj

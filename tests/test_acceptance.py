@@ -138,7 +138,7 @@ def test_a1_projection_matches_grid_search():
             # every point projected at once, as copies of one inverter
             m = len(pts)
             fleet = Inverters(kind, np.full(m, s), np.ones(m), np.ones(m))
-            projs, _ = fleet.project(np.asarray(pts), np.full(m, p_av))
+            projs = fleet.project(np.asarray(pts), np.full(m, p_av))
             assert np.all(in_region(kind, s, p_av, projs[:, 0], projs[:, 1], tol=1e-9))
             for (xp, xq), proj in zip(pts, projs.tolist()):
                 grid_pt, d_grid = _grid_nearest(xp, xq, kind, s, p_av, boundary)
@@ -225,7 +225,7 @@ def test_a3_error_free_contraction():
     assert sol.mu[0] > 0  # the upper limit binds, so the duals are exercised
 
     # full available power at unity power factor, zero duals
-    u, duals = inv.project(np.column_stack([p_av, np.zeros(g)]), p_av)[0], DualState.zeros(1)
+    u, duals = inv.project(np.column_stack([p_av, np.zeros(g)]), p_av), DualState.zeros(1)
     dist = float(np.linalg.norm(pack_state(u, duals.gamma, duals.mu) - z_star))
     worst_ratio = 0.0
     steps = 0

@@ -1,10 +1,14 @@
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
 from opftrack import cli, networks
 from opftrack.controller import OracleError
 from opftrack.feeder import feeder_to_dict, save_feeder
+
+DATA = Path(__file__).resolve().parents[1] / "data"
 
 
 def write_json(path, obj):
@@ -421,3 +425,46 @@ def test_report_rejects_malformed_trajectory(tmp_path, run_config, capsys, edit,
     _rewrite(traj, edit)
     assert cli.main(["report", "--config", str(run_config)]) == 1
     assert f"{traj}: {fragment}" in _one_line_error(capsys)
+
+
+def _set_cells(column, value_of, rows=None):
+    # cell ``column`` of the data rows (all, or those listed) set to value_of(old cell)
+    def edit(lines):
+        for i in rows or range(1, len(lines)):
+            cells = lines[i].split(",")
+            cells[column] = value_of(cells[column])
+            lines[i] = ",".join(cells)
+        return lines
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, fragment",
+    [
+        (_set_cells(1, lambda t: repr(2.0 * float(t))), "time_s in row 2 is 2.0, expected 1.0"),
+        (_set_cells(2, lambda c: "-5.0"), "cost in row 1 is -5.0, expected "),
+        (_set_cells(3, lambda v: "0.5", rows=[10]), "max_violation in row 10 is 0.5, expected 0.0"),
+    ],
+)
+def test_report_checks_the_derived_columns(tmp_path, run_config, capsys, edit, fragment):
+    assert cli.main(["run", "--config", str(run_config), "--no-report"]) == 0
+    capsys.readouterr()
+    traj = tmp_path / "out" / "trajectory.csv"
+    _rewrite(traj, edit)
+    assert cli.main(["report", "--config", str(run_config)]) == 1
+    assert f"{traj}: {fragment}" in _one_line_error(capsys)
+
+
+def test_report_refuses_config36_trajectory_with_doubled_time_and_fake_cost(tmp_path, capsys):
+    # every time_s doubled (as if tau were 0.66) and every cost -5.0: the
+    # figures the report computes read neither column, so only the check sees it
+    shutil.copytree(DATA, tmp_path / "data")
+    config = tmp_path / "data" / "config36.json"
+    assert cli.main(["run", "--config", str(config), "--no-report",
+                     "--output-dir", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    traj = tmp_path / "out" / "trajectory.csv"
+    _rewrite(traj, lambda lines: _set_cells(2, lambda c: "-5.0")(
+        _set_cells(1, lambda t: repr(2.0 * float(t)))(lines)))
+    assert cli.main(["report", "--config", str(config), "--trajectory", str(traj)]) == 1
+    assert f"{traj}: time_s in row 2 is 0.66, expected 0.33" in _one_line_error(capsys)

@@ -35,7 +35,7 @@ def fleet(kind, s, n=1):
 
 
 def project_one(inv, point, p_av):
-    out, _ = inv.project(np.asarray([point], dtype=float), np.asarray([p_av], dtype=float))
+    out = inv.project(np.asarray([point], dtype=float), np.asarray([p_av], dtype=float))
     return tuple(out[0])
 
 
@@ -72,7 +72,7 @@ def test_joint_projection_matches_grid_oracle():
     h = 0.004
     rng = np.random.default_rng(0)
     pts = np.column_stack([rng.uniform(-0.5, 1.6, 12), rng.uniform(-1.5, 1.5, 12)])
-    out, _ = fleet("joint", 1.0, 12).project(pts, np.full(12, 0.8))
+    out = fleet("joint", 1.0, 12).project(pts, np.full(12, 0.8))
     for (p, q), (p_out, q_out) in zip(pts, out):
         d_closed = math.hypot(p_out - p, q_out - q)
         d_grid = grid_distance(p, q, h)
@@ -104,9 +104,9 @@ def test_projection_nonexpansive_and_idempotent():
         reg, p_av = fleet(kind, 1.0, 50), np.full(50, 0.8)
         x = rng.uniform(-2, 2, (50, 2))
         y = rng.uniform(-2, 2, (50, 2))
-        px, py = reg.project(x, p_av)[0], reg.project(y, p_av)[0]
+        px, py = reg.project(x, p_av), reg.project(y, p_av)
         assert np.all(np.linalg.norm(px - py, axis=1) <= np.linalg.norm(x - y, axis=1) + 1e-12)
-        assert np.allclose(reg.project(px, p_av)[0], px, rtol=0.0, atol=1e-12)
+        assert np.allclose(reg.project(px, p_av), px, rtol=0.0, atol=1e-12)
 
 
 def test_projection_matches_the_scalar_reference():
@@ -120,12 +120,31 @@ def test_projection_matches_the_scalar_reference():
     u[::7, 0] = 0.0
     u[::5, 1] = -0.0  # signed zeros reach the trajectory file as "-0.0"
     for kind in REGION_KINDS:
-        out, jac = Inverters(kind, s, np.ones(n), np.ones(n)).project(u, p_av)
+        out, jac = Inverters(kind, s, np.ones(n), np.ones(n)).project_jacobian(u, p_av)
         for i in range(n):
             p, q, row = project_scalar(kind, s[i], p_av[i], u[i, 0], u[i, 1])
             assert np.allclose(out[i], (p, q), rtol=4e-16, atol=0.0), (kind, i)
             assert np.signbit(out[i]).tolist() == [math.copysign(1.0, x) < 0 for x in (p, q)]
             assert np.allclose(jac[i], row, rtol=1e-15, atol=1e-15), (kind, i)
+
+
+def test_values_only_projection_equals_the_projection_with_its_jacobian():
+    # bit for bit, sign bits included: the two share one case analysis
+    rng = np.random.default_rng(11)
+    n = 600
+    s = rng.uniform(0.2, 2.0, n)
+    p_av = s * rng.choice([0.0, 1.0, 0.3, 0.8], n)
+    u = np.column_stack([rng.uniform(-2.5, 2.5, n), rng.uniform(-2.5, 2.5, n)])
+    u[::7, 0] = 0.0
+    u[1::7, 0] = -0.0
+    u[::5, 1] = -0.0
+    u[2::9, 0] = p_av[2::9]  # on the chord P = p_av
+    for kind in REGION_KINDS:
+        inv = Inverters(kind, s, np.ones(n), np.ones(n))
+        values = inv.project(u, p_av)
+        with_jac, jac = inv.project_jacobian(u, p_av)
+        assert values.view(np.int64).tolist() == with_jac.view(np.int64).tolist(), kind
+        assert jac.shape == (n, 4)
 
 
 def test_region_validation():
@@ -165,6 +184,18 @@ def test_dual_state_validation():
         DualState(np.asarray([-0.1]), np.asarray([0.0]))
     z = DualState.zeros(3)
     assert z.gamma.shape == (3,) and z.mu.shape == (3,)
+
+
+def test_dual_state_rejects_any_negative_entry():
+    for bad in ([0.0, 2.0, -1e-300], [-5e-324], [3.0, -1.0]):
+        zeros = np.zeros(len(bad))
+        with pytest.raises(ValueError, match="nonnegative"):
+            DualState(np.asarray(bad), zeros)
+        with pytest.raises(ValueError, match="nonnegative"):
+            DualState(zeros, np.asarray(bad))
+    # a signed zero is not negative, and no multipliers at all is a valid state
+    assert np.signbit(DualState(np.asarray([-0.0]), np.asarray([0.0])).gamma[0])
+    assert DualState(np.zeros(0), np.zeros(0)).gamma.shape == (0,)
 
 
 def _tb1_setup(nu=1e-3, eps=1e-4, c=(3.0, 1.0), z=0.1 + 0.1j, pav=0.95, v_min=0.95, v_max=1.05):
@@ -446,9 +477,9 @@ def setpoints(n):
 def test_projection_property_idempotent_and_nonexpansive(batch, data):
     inv, p_av = batch
     x, y = data.draw(setpoints(inv.n_der)), data.draw(setpoints(inv.n_der))
-    a, b = inv.project(x, p_av)[0], inv.project(y, p_av)[0]
+    a, b = inv.project(x, p_av), inv.project(y, p_av)
     assert np.all(in_region(inv.kind, inv.s_rating, p_av, a[:, 0], a[:, 1], tol=1e-12))
-    assert np.all(np.linalg.norm(inv.project(a, p_av)[0] - a, axis=1) <= 1e-12)
+    assert np.all(np.linalg.norm(inv.project(a, p_av) - a, axis=1) <= 1e-12)
     assert np.all(np.linalg.norm(a - b, axis=1) <= np.linalg.norm(x - y, axis=1) + 1e-12)
 
 
@@ -459,10 +490,10 @@ def test_projection_jacobian_matches_central_differences(batch, data):
     u = data.draw(setpoints(inv.n_der))
     smooth = kink_distance(u[:, 0], u[:, 1], inv.s_rating, p_av) >= 1e-6
     assume(smooth.any())
-    _, jac = inv.project(u, p_av)
+    _, jac = inv.project_jacobian(u, p_av)
     h = 1e-7
     for col, d in enumerate(((h, 0.0), (0.0, h))):
-        fd = (inv.project(u + d, p_av)[0] - inv.project(u - d, p_av)[0]) / (2.0 * h)
+        fd = (inv.project(u + d, p_av) - inv.project(u - d, p_av)) / (2.0 * h)
         for row in range(2):
             assert np.allclose(jac[smooth, 2 * row + col], fd[smooth, row], rtol=0.0, atol=1e-6)
 

@@ -115,6 +115,21 @@ def test_collapse_detected():
         solve_ac(adm, PowerInjection([-50.0], [0.0]), 1.0 + 0j)
 
 
+def test_collapse_band_is_checked_on_both_sides():
+    # from a warm start at 1 pu, the first two-bus iterate is 1 + z conj(s)
+    z = 0.01 + 0.01j
+    adm = build_admittance(networks.two_bus(z=z))
+    cases = ((0.2, True), (0.31, False), (2.9, False), (4.0, True))
+    for target, collapses in cases:
+        s = np.conj((target - 1.0) / z)
+        inj = PowerInjection([s.real], [s.imag])
+        with pytest.raises(PowerFlowError) as err:
+            solve_ac(adm, inj, 1.0 + 0j, init=np.ones(1, dtype=complex), max_iter=1)
+        assert isinstance(err.value, VoltageCollapseError) == collapses, target
+        if collapses:
+            assert "outside [0.3, 3.0] at iteration 1" in str(err.value)
+
+
 def test_non_convergence_reports_residual():
     adm = build_admittance(networks.two_bus())
     with pytest.raises(PowerFlowError) as err:

@@ -1,9 +1,13 @@
+import csv
+import io
 import math
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from region_helpers import in_region
 
 from opftrack import networks
@@ -14,6 +18,7 @@ from opftrack.sim import (
     PlantError,
     Scenario,
     ScenarioParams,
+    Trajectory,
     compile_feeder,
     eval_cost,
     generate_scenario,
@@ -347,6 +352,89 @@ def test_trajectory_round_trip(tmp_path):
     assert again.read_bytes() == path.read_bytes()
     with pytest.raises(ValueError, match="columns do not match"):
         read_trajectory(str(path), networks.two_bus())
+
+
+# a narrow layout (11 trajectory columns) and one wider than a writer block
+# (4845 trajectory and 2423 scenario columns)
+WRITER_LAYOUTS = (
+    networks.two_bus(),
+    networks.chain(1100, der_nodes=tuple(range(5, 1101, 5))),
+)
+# signed zeros, the smallest subnormal and others, and values whose repr
+# switches notation; every array repeats values from this pool
+SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-5,
+                  1e-4, 0.1, 1.0, 1e15, 1e16, -1e16, 1.7976931348623157e308)
+
+
+def _csv_reference(columns, rows) -> bytes:
+    # what csv.writer prints: each Python float as its repr, rows ending \r\n
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.ascontiguousarray(a, float), np.ascontiguousarray(b, float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    layout=st.sampled_from(WRITER_LAYOUTS),
+    k=st.integers(1, 4),
+    drawn=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8),
+    tau=st.one_of(st.sampled_from([0.33, 1e-5, 5e-324, 1e16]), st.floats(1e-300, 1e300)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_writers_match_the_csv_reference_and_round_trip(tmp_path_factory, layout, k, drawn, tau,
+                                                        seed):
+    rng = np.random.default_rng(seed)
+    pool = np.asarray(SPECIAL_FLOATS + tuple(drawn))
+
+    def cells(*shape):
+        # half the cells from the pool, half spread over every exponent
+        wide = rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 300, shape)
+        return np.where(rng.random(shape) < 0.5, rng.choice(pool, shape), wide)
+
+    n, m, g = layout.n_nodes, len(layout.monitored_nodes), layout.n_der
+    scen = Scenario(
+        tau=tau, p_load=cells(k, n), q_load=cells(k, n), p_av=np.abs(cells(k, g)),
+        v_min=-np.abs(cells(k)) - 5e-324, v_max=np.abs(cells(k)),  # v_min < 0 <= v_max
+    )
+    traj = Trajectory(
+        y=cells(k, m), u=cells(k, g, 2), gamma=cells(k, m), mu=cells(k, m),
+        v_mag=cells(k, n), cost=cells(k), max_violation=cells(k), pf_residual=cells(k),
+    )
+    tmp = tmp_path_factory.mktemp("writers")
+
+    path = tmp / "scenario.csv"
+    write_scenario(scen, layout, str(path))
+    parts = [np.arange(k) * tau, scen.v_min, scen.v_max, scen.p_load, scen.q_load, scen.p_av]
+    rows = [row.tolist() for row in np.column_stack(parts)]
+    header = ["time_s", "v_min", "v_max", *(f"pl_{i}" for i in range(1, n + 1)),
+              *(f"ql_{i}" for i in range(1, n + 1)), *(f"pav_{i}" for i in layout.der_nodes)]
+    assert path.read_bytes() == _csv_reference(header, rows)
+    if k > 1:  # one row gives no spacing to read tau from
+        back = read_scenario(str(path), layout)
+        for name in ("p_load", "q_load", "p_av", "v_min", "v_max"):
+            assert _same_bits(getattr(back, name), getattr(scen, name)), name
+        assert back.tau == tau
+
+    path = tmp / "trajectory.csv"
+    write_trajectory(traj, layout, scen, str(path))
+    parts = [np.arange(k) * tau, traj.cost, traj.max_violation, traj.pf_residual, traj.y,
+             traj.u[:, :, 0], traj.u[:, :, 1], traj.gamma, traj.mu, traj.v_mag]
+    rows = [[i, *row.tolist()] for i, row in enumerate(np.column_stack(parts))]
+    with open(path, encoding="utf-8", newline="") as fh:
+        header = next(csv.reader(fh))
+    assert header[:5] == ["k", "time_s", "cost", "max_violation", "pf_residual"]
+    assert len(header) == 5 + 3 * m + 2 * g + n
+    assert path.read_bytes() == _csv_reference(header, rows)
+    back = read_trajectory(str(path), layout)
+    for name in ("y", "u", "gamma", "mu", "v_mag", "cost", "max_violation", "pf_residual"):
+        assert _same_bits(getattr(back, name), getattr(traj, name)), name
 
 
 TRACK_FEEDER = networks.two_bus(z=0.1 + 0.1j)
