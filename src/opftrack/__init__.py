@@ -21,7 +21,6 @@ from .controller import (
     VoltageCoupling,
     convergence_constants,
     dual_step_feedback,
-    eval_constraints,
     grad_primal,
     pack_state,
     primal_step,

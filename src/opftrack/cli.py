@@ -24,7 +24,6 @@ from .controller import (
     CostParams,
     OracleError,
     convergence_constants,
-    saddle_residual,
     solve_saddle_oracle,
 )
 from .feeder import FeederError, FeederModel, build_admittance, load_feeder, validate_feeder
@@ -403,7 +402,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         raise ConfigError(f"step {k} outside scenario range [0, {scen.n_steps})")
     prob = step_problem(net, scen, setup, k)
     sol = solve_saddle_oracle(prob, tol=args.tol)
-    residual = saddle_residual(prob, sol.u, sol.gamma, sol.mu)
     out = {
         "step": k,
         "p_star": [float(x) for x in sol.u[:, 0]],
@@ -411,7 +409,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         "gamma_star": [float(x) for x in sol.gamma],
         "mu_star": [float(x) for x in sol.mu],
         "iterations": sol.iterations,
-        "kkt_residual": float(residual),
+        "kkt_residual": sol.residual,
     }
     text = _json_bytes(out)
     if args.output:
@@ -419,7 +417,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    print(f"kkt_residual = {residual:.3e}", file=sys.stderr)
+    print(f"kkt_residual = {sol.residual:.3e}", file=sys.stderr)
     return 0
 
 

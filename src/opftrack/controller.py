@@ -2,13 +2,13 @@
 
 Implements the optimization core: the inverters of a run held as arrays
 (one region kind, per-DER ratings and cost weights) with one vectorised
-closed-form Euclidean projection onto their operating regions,
-voltage-limit constraint functions built on the linearized magnitude
-model, gradients of a doubly regularized Lagrangian (Tikhonov terms
-``+nu/2 ||u||^2`` on the primal side and ``-eps/2 ||duals||^2`` on the dual
-side), the projected primal-dual step map (its dual step fed measured or
-model-predicted magnitudes), a high-accuracy saddle point oracle, and the
-contraction constants that certify Q-linear convergence of the step map.
+closed-form Euclidean projection onto their operating regions, the linear
+surrogate of the metered magnitudes, gradients of a doubly regularized
+Lagrangian (Tikhonov terms ``+nu/2 ||u||^2`` on the primal side and
+``-eps/2 ||duals||^2`` on the dual side), the projected primal-dual step
+map (its dual step fed measured or model-predicted magnitudes), a
+high-accuracy saddle point oracle and residual built on that step map, and
+the contraction constants that certify Q-linear convergence of the step map.
 
 Sign conventions: active/reactive injections positive, absorption negative.
 """
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -36,7 +36,6 @@ __all__ = [
     "SaddleProblem",
     "SaddleSolution",
     "OracleError",
-    "eval_constraints",
     "grad_primal",
     "dual_step_feedback",
     "primal_step",
@@ -61,8 +60,10 @@ class CostParams:
     c_q: float
 
     def __post_init__(self) -> None:
-        if self.c_p < 0 or self.c_q < 0:
-            raise ValueError("cost weights must be nonnegative")
+        if not all(math.isfinite(x) and x >= 0 for x in (self.c_p, self.c_q)):
+            raise ValueError(
+                f"cost weights must be finite and nonnegative, got ({self.c_p!r}, {self.c_q!r})"
+            )
 
 
 @dataclass(frozen=True)
@@ -74,8 +75,11 @@ class ControllerParams:
     epsilon: float
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0 or self.nu <= 0 or self.epsilon <= 0:
-            raise ValueError("alpha, nu, epsilon must be strictly positive")
+        values = (self.alpha, self.nu, self.epsilon)
+        if not all(math.isfinite(x) and x > 0 for x in values):
+            raise ValueError(
+                f"alpha, nu, epsilon must be finite and strictly positive, got {values}"
+            )
 
 
 @dataclass(frozen=True)
@@ -106,6 +110,8 @@ class Inverters:
         shape = self.s_rating.shape
         if not (len(shape) == 1 and self.c_p.shape == self.c_q.shape == shape):
             raise ValueError("s_rating, c_p and c_q need one entry per DER")
+        if not all(np.isfinite(getattr(self, n)).all() for n in ("s_rating", "c_p", "c_q")):
+            raise ValueError("s_rating, c_p and c_q must be finite")
         if np.any(self.s_rating <= 0):
             raise ValueError("s_rating must be positive")
         if np.any(self.c_p < 0) or np.any(self.c_q < 0):
@@ -237,11 +243,14 @@ class DualState:
 
 @dataclass(frozen=True)
 class VoltageCoupling:
-    """Sensitivity of metered voltage magnitudes to DER injections.
+    """The linear surrogate of the metered voltage magnitudes.
 
     ``r`` and ``b`` hold the active/reactive sensitivity columns of the
-    DER buses (shape M x n_der); ``c`` is the load-dependent offset, so the
-    model prediction is ``r @ (P - P_load) + b @ (Q - Q_load) + c``.
+    DER buses (shape M x n_der) and ``c`` the offset: the linear model's
+    metered magnitudes at the loads with every DER off (see
+    :func:`~opftrack.powerflow.constraint_offsets`). The prediction for
+    setpoints (P, Q) is ``r P + b Q + c``. ``c`` may carry leading axes, one
+    offset row per step.
     """
 
     r: np.ndarray
@@ -252,7 +261,7 @@ class VoltageCoupling:
         r = np.asarray(self.r, dtype=float)
         b = np.asarray(self.b, dtype=float)
         c = np.asarray(self.c, dtype=float)
-        if r.shape != b.shape or r.ndim != 2 or c.shape != (r.shape[0],):
+        if r.shape != b.shape or r.ndim != 2 or c.shape[-1:] != (r.shape[0],):
             raise ValueError("inconsistent coupling shapes")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "b", b)
@@ -273,37 +282,22 @@ class VoltageCoupling:
         feeder: FeederModel,
         c: np.ndarray | None = None,
     ) -> "VoltageCoupling":
-        """The (metered x DER) blocks of the linear model: n_der solves, metered rows kept."""
+        """The (metered x DER) blocks of the linear model: n_der solves, metered rows kept.
+
+        ``c`` defaults to the no-load magnitudes, the offset at zero load.
+        """
         mi = feeder.monitored_indices()
         r, b = lm.columns(feeder.der_indices())
         if c is None:
             c = lm.a[mi]
         return cls(r=r[mi], b=b[mi], c=np.asarray(c, float))
 
-    def predict(self, u: np.ndarray, p_load_der: np.ndarray, q_load_der: np.ndarray) -> np.ndarray:
-        """Model-predicted metered magnitudes for setpoints ``u`` (n_der x 2)."""
-        return self.r @ (u[:, 0] - p_load_der) + self.b @ (u[:, 1] - q_load_der) + self.c
+    def predict(self, u: np.ndarray) -> np.ndarray:
+        """``r P + b Q + c`` for setpoints ``u`` (..., n_der, 2), shape (..., M)."""
+        return u[..., 0] @ self.r.T + u[..., 1] @ self.b.T + self.c
 
     def stacked(self) -> np.ndarray:
         return np.hstack([self.r, self.b])
-
-
-def eval_constraints(
-    coupling: VoltageCoupling,
-    u: np.ndarray,
-    p_load_der: np.ndarray,
-    q_load_der: np.ndarray,
-    v_min: float,
-    v_max: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Voltage-limit constraint functions of the linear surrogate.
-
-    Returns ``(g, g_bar)`` with ``g = v_min - w`` and ``g_bar = w - v_max``
-    where ``w`` is the model-predicted magnitude; nonpositive values mean
-    satisfied. The identity ``g + g_bar = v_min - v_max`` holds exactly.
-    """
-    w = coupling.predict(u, p_load_der, q_load_der)
-    return v_min - w, w - v_max
 
 
 def grad_primal(
@@ -331,7 +325,7 @@ def dual_step_feedback(
 ) -> DualState:
     """Projected dual ascent driven by metered magnitudes ``y``.
 
-    Fed the model prediction ``coupling.predict(...)`` in place of a
+    Fed the model prediction ``coupling.predict(u)`` in place of a
     measurement, it is the model-based dual step.
     """
     a, eps = params.alpha, params.epsilon
@@ -407,21 +401,20 @@ class SaddleProblem:
     """One time-frozen instance of the regularized saddle-point problem.
 
     ``p_av`` is the availability as the regions use it (see
-    :meth:`Inverters.available`) and ``[v_min, v_max]`` the voltage band.
+    :meth:`Inverters.available`), ``coupling`` the step's linear surrogate
+    (its offset ``c`` carries the step's loads) and ``[v_min, v_max]`` the
+    voltage band.
     """
 
     inverters: Inverters
     p_av: np.ndarray
     coupling: VoltageCoupling
-    p_load_der: np.ndarray
-    q_load_der: np.ndarray
     v_min: float
     v_max: float
     params: ControllerParams
 
     def __post_init__(self) -> None:
-        for name in ("p_av", "p_load_der", "q_load_der"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        object.__setattr__(self, "p_av", np.asarray(self.p_av, dtype=float))
         n = self.coupling.n_der
         if self.inverters.n_der != n or self.p_av.shape != (n,):
             raise ValueError("inverters and p_av must match the coupling's DER count")
@@ -453,32 +446,27 @@ def _penalty_value_grad(
     # Maximizing the regularized Lagrangian over nonnegative duals in closed
     # form turns the constraints into one-sided quadratic penalties with
     # weight 1/eps; the saddle's primal part minimizes this smooth strongly
-    # convex function over the operating regions. Also returns the mask of
-    # violated limits, whose rows enter the generalized Hessian.
-    prm = problem.params
-    cp, cq, pav = problem.inverters.c_p, problem.inverters.c_q, problem.p_av
-    w = problem.coupling.predict(u, problem.p_load_der, problem.q_load_der)
-    lo = np.maximum(problem.v_min - w, 0.0)
-    hi = np.maximum(w - problem.v_max, 0.0)
-    resid = (hi - lo) / prm.epsilon
-    g = np.empty_like(u)
-    g[:, 0] = -2.0 * cp * (pav - u[:, 0]) + prm.nu * u[:, 0] + problem.coupling.r.T @ resid
-    g[:, 1] = 2.0 * cq * u[:, 1] + prm.nu * u[:, 1] + problem.coupling.b.T @ resid
+    # convex function over the operating regions. Its gradient is the
+    # Lagrangian's at those duals. Also returns the mask of violated limits,
+    # whose rows enter the generalized Hessian.
+    prm, inv, pav = problem.params, problem.inverters, problem.p_av
+    duals = _closed_form_duals(problem, u)
+    grad = grad_primal(u, duals, inv, pav, problem.coupling, prm)
     val = (
-        float(np.sum(cp * (pav - u[:, 0]) ** 2 + cq * u[:, 1] ** 2))
+        float(np.sum(inv.c_p * (pav - u[:, 0]) ** 2 + inv.c_q * u[:, 1] ** 2))
         + 0.5 * prm.nu * float(np.sum(u * u))
-        + (float(lo @ lo) + float(hi @ hi)) / (2.0 * prm.epsilon)
+        + 0.5 * prm.epsilon * (float(duals.gamma @ duals.gamma) + float(duals.mu @ duals.mu))
     )
-    return val, g, resid != 0.0
+    return val, grad, duals.mu != duals.gamma
 
 
 def _closed_form_duals(problem: SaddleProblem, u: np.ndarray) -> DualState:
-    g, g_bar = eval_constraints(
-        problem.coupling, u, problem.p_load_der, problem.q_load_der,
-        problem.v_min, problem.v_max,
-    )
+    # the maximizing duals: each limit's violation by the surrogate over eps
+    w = problem.coupling.predict(u)
     eps = problem.params.epsilon
-    return DualState(np.maximum(g, 0.0) / eps, np.maximum(g_bar, 0.0) / eps)
+    return DualState(
+        np.maximum(problem.v_min - w, 0.0) / eps, np.maximum(w - problem.v_max, 0.0) / eps
+    )
 
 
 class _NewtonPoint(NamedTuple):
@@ -494,7 +482,7 @@ class _NewtonPoint(NamedTuple):
 
 _ARMIJO = 1e-4  # sufficient-decrease fraction of the line search
 _MIN_STEP = 2.0**-20  # shortest Newton step tried before the gradient fallback
-_STALL_RES = 1e-9  # residual below which a stalled Newton step means rounding
+_STALL_RES = 1e-9  # residual below which a step that gains nothing means rounding
 
 
 def solve_saddle_oracle(
@@ -519,12 +507,14 @@ def solve_saddle_oracle(
 
     The solve starts from the setpoints of ``z0`` (its duals are not used),
     or by default from full available power at unity power factor, projected.
-    It stops once ``||r|| <= tol``, or, below ``||r|| = 1e-9``, when a
-    full Newton step that keeps the set of violated limits fails to reduce
-    ``||r||`` (the rounding floor). Raises :class:`OracleError`
-    if ``max_iter`` steps are exhausted or the final residual is non-finite
-    or above 1e-6.
+    It stops once ``||r|| <= tol``, or, below ``||r|| = 1e-9``, when the
+    step the line search or the fallback accepts fails to reduce ``||r||``
+    (the rounding floor). Raises ``ValueError`` unless ``0 < tol < inf``, and
+    :class:`OracleError` if ``max_iter`` steps are exhausted or the final
+    residual is non-finite or above 1e-6.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"oracle tolerance must be positive and finite, got {tol!r}")
     inv, pav = problem.inverters, problem.p_av
     prm = problem.params
     n = problem.n_der
@@ -552,6 +542,7 @@ def solve_saddle_oracle(
 
     cur = evaluate(inv.project(u0, pav))
     its = 0
+    lip = None  # Lipschitz bound of grad F, formed at the first fallback
     while cur.res > tol:
         if its == max_iter:
             raise OracleError(f"saddle oracle: no convergence in {max_iter} iterations")
@@ -565,9 +556,6 @@ def solve_saddle_oracle(
         jac_r = np.eye(2 * n) - d_proj + d_proj @ hess
         step = np.linalg.solve(jac_r, -cur.r.ravel()).reshape(n, 2)
         new = evaluate(inv.project(cur.u + step, pav))
-        if cur.res <= _STALL_RES and new.res >= cur.res and np.array_equal(new.act, cur.act):
-            break  # rounding floor: a full step on the same active set gains nothing
-        its += 1
         # backtracking on F along the projected Newton path, tried only when
         # the Newton step is a descent direction for F
         t = 1.0 if float(np.sum(cur.grad * step)) < 0.0 else 0.0
@@ -578,8 +566,12 @@ def solve_saddle_oracle(
         if t == 0.0:
             # projected-gradient step at 1/L, L the Lipschitz bound of grad F:
             # a descent step whatever the active set
-            lip = h_cost.max() + np.linalg.norm(a, 2) ** 2 / prm.epsilon
+            if lip is None:
+                lip = h_cost.max() + np.linalg.norm(a, 2) ** 2 / prm.epsilon
             new = evaluate(inv.project(cur.u - cur.grad / lip, pav))
+        if cur.res <= _STALL_RES and new.res >= cur.res:
+            break  # rounding floor: the accepted step gains nothing
+        its += 1
         cur = new
 
     u = cur.u
@@ -593,21 +585,16 @@ def solve_saddle_oracle(
 def saddle_residual(
     problem: SaddleProblem, u: np.ndarray, gamma: np.ndarray, mu: np.ndarray
 ) -> float:
-    """Projected-stationarity residual ``||z - proj(z - F(z))||_2`` at unit step.
+    """Fixed-point residual ``||z - T_1(z)||_2`` of the step map at unit step.
 
-    Zero exactly at the saddle point, independent of the step size used by
-    any solver.
+    ``T_1`` is :func:`primal_step` together with :func:`dual_step_feedback`
+    fed the surrogate's prediction, both at ``alpha = 1``. Zero exactly at
+    the saddle point, independent of the step size used by any solver.
     """
     duals = DualState(gamma, mu)
-    g, g_bar = eval_constraints(
-        problem.coupling, u, problem.p_load_der, problem.q_load_der,
-        problem.v_min, problem.v_max,
+    unit = replace(problem.params, alpha=1.0)
+    u2 = primal_step(u, duals, problem.inverters, problem.p_av, problem.coupling, unit)
+    d2 = dual_step_feedback(
+        duals, problem.coupling.predict(u), problem.v_min, problem.v_max, unit
     )
-    gp = grad_primal(u, duals, problem.inverters, problem.p_av, problem.coupling, problem.params)
-    u2 = problem.inverters.project(u - gp, problem.p_av)
-    eps = problem.params.epsilon
-    gamma2 = np.maximum(0.0, gamma + (g - eps * gamma))
-    mu2 = np.maximum(0.0, mu + (g_bar - eps * mu))
-    return float(
-        np.linalg.norm(pack_state(u - u2, gamma - gamma2, mu - mu2))
-    )
+    return float(np.linalg.norm(pack_state(u - u2, gamma - d2.gamma, mu - d2.mu)))

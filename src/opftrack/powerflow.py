@@ -199,21 +199,18 @@ def constraint_offsets(
     q_load: np.ndarray,
     feeder: FeederModel,
 ) -> np.ndarray:
-    """Load-dependent offsets of the monitored-voltage model.
+    """Offsets ``c`` of the metered-voltage surrogate at the given loads.
 
-    ``p_load``/``q_load`` are full-length demand vectors (positive =
-    consumption) for buses 1..N, or arrays of K such rows; the result has
-    one row of monitored offsets per row, from a single solve. Contributions
-    from DER buses are excluded here; they enter the constraint functions
-    through the net DER injections instead.
+    The offset is the linear model's metered magnitude at the loads with
+    every DER off, so that ``r P + b Q + c`` is the model's metered
+    magnitude with the DERs at (P, Q). ``p_load``/``q_load`` are full-length
+    demand vectors (positive = consumption) for buses 1..N, or arrays of K
+    such rows; the result has one row of metered offsets per row, from a
+    single solve.
     """
-    p = np.array(p_load, dtype=float)
-    q = np.array(q_load, dtype=float)
+    p = np.asarray(p_load, dtype=float)
+    q = np.asarray(q_load, dtype=float)
     n = lm.a.shape[0]
     if p.ndim not in (1, 2) or p.shape[-1] != n or q.shape != p.shape:
         raise ValueError("load vectors must have one entry per non-slack bus")
-    der = feeder.der_indices()
-    p[..., der] = 0.0
-    q[..., der] = 0.0
-    c_full = lm.a - lm.response(p.T, q.T).T
-    return c_full[..., feeder.monitored_indices()]
+    return (lm.a - lm.response(p.T, q.T).T)[..., feeder.monitored_indices()]

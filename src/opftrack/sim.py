@@ -609,14 +609,11 @@ def step_problem(
 ) -> SaddleProblem:
     """Time-frozen saddle instance for step ``k`` of a scenario."""
     c = constraint_offsets(net.lm, scenario.p_load[k], scenario.q_load[k], net.feeder)
-    der = net.feeder.der_indices()
     inv = setup.inverters(net.feeder)
     return SaddleProblem(
         inverters=inv,
         p_av=inv.available(scenario.p_av[k]),
         coupling=replace(net.coupling, c=c),
-        p_load_der=scenario.p_load[k][der],
-        q_load_der=scenario.q_load[k][der],
         v_min=float(scenario.v_min[k]),
         v_max=float(scenario.v_max[k]),
         params=setup.params,
@@ -688,13 +685,11 @@ def measure_tracking(
     likewise sampled only on the oracle steps of the last quarter of the
     run, so ``bound_satisfied`` is exact only at ``decimation = 1``.
     ``e_measured`` is the model-mismatch level ``max_k ||y_k - w_k||``
-    between the measured magnitudes and the linear model's prediction over
-    all recorded steps (the gap between measurement-based and model-based
-    dual gradients); the load offsets of all those steps come from one
-    multi-column solve. It agrees with the per-step evaluation through
-    ``eval_constraints`` to rounding (one unit in the last place on
-    config36). ``constants`` are the run's :func:`convergence_constants`,
-    computed here when not given.
+    between the measured magnitudes and the surrogate's prediction
+    ``w_k = r P_k + b Q_k + c_k`` over all recorded steps (the gap between
+    measurement-based and model-based dual gradients); the offsets ``c_k``
+    of all those steps come from one multi-column solve. ``constants`` are
+    the run's :func:`convergence_constants`, computed here when not given.
     """
     if decimation < 1:
         raise ValueError("decimation must be >= 1")
@@ -702,7 +697,6 @@ def measure_tracking(
         raise ValueError(
             f"trajectory has {traj.n_steps} steps, scenario has {scenario.n_steps}"
         )
-    der = net.feeder.der_indices()
     consts = constants
     if consts is None:
         consts = convergence_constants(setup.inverters(net.feeder), net.coupling, setup.params)
@@ -721,12 +715,8 @@ def measure_tracking(
         drift = float(np.linalg.norm(stars[k2] - stars[k1])) / (k2 - k1)
         sigma_z = max(sigma_z, drift)
 
-    p_load, q_load = scenario.p_load, scenario.q_load
-    w = (
-        (traj.u[:, :, 0] - p_load[:, der]) @ net.coupling.r.T
-        + (traj.u[:, :, 1] - q_load[:, der]) @ net.coupling.b.T
-        + constraint_offsets(net.lm, p_load, q_load, net.feeder)
-    )
+    c = constraint_offsets(net.lm, scenario.p_load, scenario.q_load, net.feeder)
+    w = replace(net.coupling, c=c).predict(traj.u)
     e_measured = float(np.max(np.linalg.norm(traj.y - w, axis=1)))
 
     tail_from = int(math.ceil(0.75 * scenario.n_steps))

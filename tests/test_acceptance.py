@@ -8,6 +8,7 @@ lines for passing tests too.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -217,7 +218,6 @@ def test_a3_error_free_contraction():
     g = len(fd.der_nodes)
     prob = SaddleProblem(
         inverters=inv, p_av=p_av, coupling=coupling,
-        p_load_der=np.zeros(g), q_load_der=np.zeros(g),
         v_min=v_min, v_max=v_max, params=params,
     )
     sol = solve_saddle_oracle(prob, tol=1e-12)
@@ -231,7 +231,7 @@ def test_a3_error_free_contraction():
     steps = 0
     while dist > 1e-10 and steps < 60_000:
         # error free: the dual step is fed the model's own prediction
-        w = coupling.predict(u, prob.p_load_der, prob.q_load_der)
+        w = coupling.predict(u)
         u_next = primal_step(u, duals, inv, p_av, coupling, params)
         duals = dual_step_feedback(duals, w, v_min, v_max, params)
         u = u_next
@@ -490,8 +490,10 @@ def test_a8_gradients_match_finite_differences():
                 fd_ij = (lag(up, duals.gamma, duals.mu) - lag(dn, duals.gamma, duals.mu)) / (2 * h)
                 worst = max(worst, abs(grad[i, j] - fd_ij))
 
-        # the model-based step is the feedback step fed the model prediction
-        stepped = dual_step_feedback(duals, coupling.predict(u, pl, ql), V_MIN, V_MAX, params)
+        # the model-based step is the feedback step fed the model prediction,
+        # the DER-bus demand folded into the offset
+        loaded = replace(coupling, c=coupling.c - coupling.r @ pl - coupling.b @ ql)
+        stepped = dual_step_feedback(duals, loaded.predict(u), V_MIN, V_MAX, params)
         y = rng.uniform(0.9, 1.1, m)
         fed = dual_step_feedback(duals, y, V_MIN, V_MAX, params)
         for j in range(m):
@@ -537,8 +539,6 @@ def test_a9_oracle_uniqueness_and_stationarity():
             inverters=Inverters("joint", np.ones(g), cost_w[:, 0], cost_w[:, 1]),
             p_av=pav,
             coupling=coupling,
-            p_load_der=np.zeros(g),
-            q_load_der=np.zeros(g),
             v_min=0.95,
             v_max=float(rng.uniform(1.0, 1.03)),
             params=ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4),

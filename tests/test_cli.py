@@ -1,4 +1,5 @@
 import json
+import math
 import shutil
 from pathlib import Path
 
@@ -136,6 +137,18 @@ def test_validate_invalid_json(tmp_path, capsys):
         # the voltage band is the scenario's; the controller section has none
         (lambda c: c["controller"].update(v_min=0.95, v_max=1.05),
          "unknown key(s) ['v_max', 'v_min'] in"),
+        # JSON's NaN and Infinity parse as numbers; none of them is a value
+        (lambda c: c["controller"].update(alpha=math.nan),
+         "bad_config.json:controller: alpha, nu, epsilon must be finite and strictly positive, "
+         "got (nan, 0.1, 0.1)"),
+        (lambda c: c["controller"].update(epsilon=-math.inf),
+         "bad_config.json:controller: alpha, nu, epsilon must be finite"),
+        (lambda c: c["controller"].update(nu=math.inf),
+         "bad_config.json:controller: alpha, nu, epsilon must be finite"),
+        (lambda c: c.update(cost={"c_p": math.inf, "c_q": 1.0}),
+         "bad_config.json:cost: cost weights must be finite and nonnegative, got (inf, 1.0)"),
+        (lambda c: c.update(cost=[{"c_p": 1.0, "c_q": math.nan}]),
+         "bad_config.json:cost[0]: cost weights must be finite"),
     ],
 )
 def test_config_schema_errors(tmp_path, run_config, capsys, mutate, fragment):
@@ -145,6 +158,11 @@ def test_config_schema_errors(tmp_path, run_config, capsys, mutate, fragment):
     write_json(bad, cfg)
     assert cli.main(["run", "--config", str(bad)]) == 1
     assert fragment in _one_line_error(capsys)
+
+
+def test_run_alpha_flag_must_be_finite(run_config, capsys):
+    assert cli.main(["run", "--config", str(run_config), "--alpha", "nan"]) == 1
+    assert "controller: alpha, nu, epsilon must be finite" in _one_line_error(capsys)
 
 
 def test_run_end_to_end(tmp_path, run_config, capsys):
@@ -212,6 +230,12 @@ def test_oracle_output(tmp_path, run_config, capsys):
     assert sol["kkt_residual"] <= 1e-9
     assert cli.main(["oracle", "--config", str(run_config), "--step", "99"]) == 1
     assert "outside scenario range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
+def test_oracle_tolerance_must_be_positive_and_finite(run_config, capsys, tol):
+    assert cli.main(["oracle", "--config", str(run_config), "--tol", tol]) == 1
+    assert "oracle tolerance must be positive and finite" in _one_line_error(capsys)
 
 
 def test_oracle_failure_exit_code(run_config, monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,9 +17,10 @@ from opftrack.controller import (
     OracleError,
     SaddleProblem,
     VoltageCoupling,
+    _closed_form_duals,
+    _penalty_value_grad,
     convergence_constants,
     dual_step_feedback,
-    eval_constraints,
     grad_primal,
     pack_state,
     primal_step,
@@ -168,6 +170,16 @@ def test_cost_params():
         CostParams(-1.0, 1.0)
     with pytest.raises(ValueError, match="nonnegative"):
         Inverters("joint", np.ones(1), np.ones(1), -np.ones(1))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            CostParams(bad, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            CostParams(1.0, bad)
+        for field in range(3):
+            args = [np.ones(2), np.ones(2), np.ones(2)]
+            args[field][1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                Inverters("joint", *args)
 
 
 def test_controller_params_validation():
@@ -175,6 +187,11 @@ def test_controller_params_validation():
         ControllerParams(alpha=0.0, nu=1e-3, epsilon=1e-4)
     with pytest.raises(ValueError):
         ControllerParams(alpha=0.1, nu=0.0, epsilon=1e-4)
+    for bad in (math.nan, math.inf, -math.inf):
+        for name in ("alpha", "nu", "epsilon"):
+            values = {"alpha": 0.1, "nu": 1e-3, "epsilon": 1e-4, name: bad}
+            with pytest.raises(ValueError, match="finite"):
+                ControllerParams(**values)
     with pytest.raises(ValueError, match="v_min must be below v_max"):
         _tb1_setup(v_min=1.1, v_max=1.0)
 
@@ -207,8 +224,6 @@ def _tb1_setup(nu=1e-3, eps=1e-4, c=(3.0, 1.0), z=0.1 + 0.1j, pav=0.95, v_min=0.
         inverters=Inverters("joint", [1.0], [c[0]], [c[1]]),
         p_av=[pav],
         coupling=coupling,
-        p_load_der=np.zeros(1),
-        q_load_der=np.zeros(1),
         v_min=v_min,
         v_max=v_max,
         params=params,
@@ -218,9 +233,8 @@ def _tb1_setup(nu=1e-3, eps=1e-4, c=(3.0, 1.0), z=0.1 + 0.1j, pav=0.95, v_min=0.
 
 def _model_dual_step(prob, duals, u, params):
     # the model-based dual step written out from the constraint values
-    g, g_bar = eval_constraints(
-        prob.coupling, u, prob.p_load_der, prob.q_load_der, prob.v_min, prob.v_max
-    )
+    w = prob.coupling.r @ u[:, 0] + prob.coupling.b @ u[:, 1] + prob.coupling.c
+    g, g_bar = prob.v_min - w, w - prob.v_max
     a, eps = params.alpha, params.epsilon
     return DualState(
         np.maximum(0.0, duals.gamma + a * (g - eps * duals.gamma)),
@@ -228,25 +242,30 @@ def _model_dual_step(prob, duals, u, params):
     )
 
 
-def test_constraint_functions_complementary_identity():
+def test_coupling_predicts_over_leading_axes():
     prob = _tb1_setup()
+    coup = prob.coupling
     u = np.asarray([[0.3, -0.1]])
-    g, g_bar = eval_constraints(
-        prob.coupling, u, prob.p_load_der, prob.q_load_der, prob.v_min, prob.v_max
-    )
-    assert np.allclose(g + g_bar, prob.v_min - prob.v_max, atol=1e-15)
-    w = prob.coupling.predict(u, prob.p_load_der, prob.q_load_der)
-    assert np.allclose(g, prob.v_min - w)
+    assert np.allclose(coup.predict(u), coup.r @ u[:, 0] + coup.b @ u[:, 1] + coup.c,
+                       rtol=0.0, atol=1e-15)
+    # K setpoints against K offset rows give K predictions, row by row
+    us = np.asarray([[[0.3, -0.1]], [[0.5, 0.2]], [[0.0, 0.0]]])
+    cs = coup.c + np.asarray([[0.0], [0.01], [-0.02]])
+    stacked = replace(coup, c=cs).predict(us)
+    assert stacked.shape == (3, 1)
+    for k in range(3):
+        assert np.allclose(stacked[k], replace(coup, c=cs[k]).predict(us[k]),
+                           rtol=0.0, atol=1e-15)
+    assert stacked[2, 0] == cs[2, 0]
 
 
 def _lagrangian_value(problem, u, duals):
     # assembled independently of grad_primal for the finite-difference check
     prm, inv = problem.params, problem.inverters
     f = float(np.sum(inv.c_p * (problem.p_av - u[:, 0]) ** 2 + inv.c_q * u[:, 1] ** 2))
-    g, g_bar = eval_constraints(
-        problem.coupling, u, problem.p_load_der, problem.q_load_der,
-        problem.v_min, problem.v_max,
-    )
+    coup = problem.coupling
+    w = coup.r @ u[:, 0] + coup.b @ u[:, 1] + coup.c
+    g, g_bar = problem.v_min - w, w - problem.v_max
     return (
         f
         + 0.5 * prm.nu * float(np.sum(u * u))
@@ -263,12 +282,13 @@ def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(2)
     w = np.asarray([(rng.uniform(0.5, 4), rng.uniform(0.2, 2)) for _ in range(18)])
     inv = Inverters("joint", fd.der_ratings, w[:, 0], w[:, 1])
+    # demand at the DER buses, folded into the offset
+    p_load, q_load = rng.uniform(0, 0.01, 18), rng.uniform(0, 0.004, 18)
+    coupling = replace(coupling, c=coupling.c - coupling.r @ p_load - coupling.b @ q_load)
     problem = SaddleProblem(
         inverters=inv,
         p_av=0.8 * inv.s_rating,
         coupling=coupling,
-        p_load_der=rng.uniform(0, 0.01, 18),
-        q_load_der=rng.uniform(0, 0.004, 18),
         v_min=0.95,
         v_max=1.05,
         params=params,
@@ -306,7 +326,7 @@ def test_dual_routes_coincide_on_exact_measurements():
     prob = _tb1_setup()
     u = np.asarray([[0.5, -0.2]])
     duals = DualState(np.asarray([0.2]), np.asarray([1.1]))
-    w = prob.coupling.predict(u, prob.p_load_der, prob.q_load_der)
+    w = prob.coupling.predict(u)
     via_model = _model_dual_step(prob, duals, u, prob.params)
     via_meas = dual_step_feedback(duals, w, prob.v_min, prob.v_max, prob.params)
     assert np.array_equal(via_model.gamma, via_meas.gamma)
@@ -361,8 +381,6 @@ def test_error_free_iteration_contracts_at_certified_rate():
     rho = consts.rho(alpha)
     assert rho < 1.0
 
-    from dataclasses import replace
-
     prm = replace(prob.params, alpha=alpha)
     star = solve_saddle_oracle(prob, tol=1e-12)
     z_star = pack_state(star.u, star.gamma, star.mu)
@@ -386,7 +404,7 @@ def test_saddle_oracle_binding_instance():
     sol = solve_saddle_oracle(prob, tol=1e-11)
     assert sol.residual <= 1e-9
     # upper limit binds: the regularized optimum leaves an eps*mu violation
-    w = prob.coupling.predict(sol.u, prob.p_load_der, prob.q_load_der)
+    w = prob.coupling.predict(sol.u)
     assert w[0] > 1.05
     assert sol.mu[0] == pytest.approx((w[0] - 1.05) / prob.params.epsilon, rel=1e-9)
     assert sol.gamma[0] == 0.0
@@ -422,6 +440,86 @@ def test_saddle_oracle_budget_exhaustion():
         solve_saddle_oracle(prob, tol=1e-13, max_iter=3)
 
 
+def test_saddle_oracle_rejects_a_tolerance_that_is_not_positive_and_finite():
+    prob = _tb1_setup()
+    for tol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            solve_saddle_oracle(prob, tol=tol)
+
+
+def _penalty_instance():
+    # feeder36 with offsets alternating below v_min and above v_max, so that
+    # both limits are violated at different metered buses
+    fd = networks.feeder36()
+    lm = build_linear_model(build_admittance(fd), fd.slack_voltage)
+    coupling = VoltageCoupling.from_linear_model(lm, fd)
+    m = coupling.n_monitored
+    c = np.where(np.arange(m) % 2 == 0, 0.90, 1.10)
+    rng = np.random.default_rng(11)
+    w = rng.uniform(0.5, 3.0, (18, 2))
+    inv = Inverters("joint", fd.der_ratings, w[:, 0], w[:, 1])
+    return SaddleProblem(
+        inverters=inv,
+        p_av=0.7 * inv.s_rating,
+        coupling=replace(coupling, c=c),
+        v_min=0.95,
+        v_max=1.05,
+        params=ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4),
+    ), rng
+
+
+def test_penalty_value_matches_its_gradient_with_both_limits_violated():
+    prob, rng = _penalty_instance()
+    u = np.column_stack([rng.uniform(0, 0.1, 18), rng.uniform(-0.05, 0.05, 18)])
+    _, grad, act = _penalty_value_grad(prob, u)
+    duals = _closed_form_duals(prob, u)
+    assert duals.gamma.max() > 0.0 and duals.mu.max() > 0.0
+    assert np.array_equal(act, (duals.gamma > 0.0) | (duals.mu > 0.0))
+    # F is quadratic between kinks, so central differences are exact up to
+    # rounding as long as no limit crosses its kink within h
+    h = 1e-5
+    for i in (0, 5, 17):
+        for j in (0, 1):
+            up, dn = u.copy(), u.copy()
+            up[i, j] += h
+            dn[i, j] -= h
+            f_up, f_dn = _penalty_value_grad(prob, up)[0], _penalty_value_grad(prob, dn)[0]
+            fd_ij = (f_up - f_dn) / (2 * h)
+            assert grad[i, j] == pytest.approx(fd_ij, rel=1e-7, abs=1e-7)
+
+
+def _saddle_residual_reference(problem, u, gamma, mu):
+    # the residual written out from the constraint values, as the step map
+    # at unit step computes it
+    duals = DualState(gamma, mu)
+    coup = problem.coupling
+    w = coup.predict(u)
+    g, g_bar = problem.v_min - w, w - problem.v_max
+    gp = grad_primal(u, duals, problem.inverters, problem.p_av, coup, problem.params)
+    u2 = problem.inverters.project(u - gp, problem.p_av)
+    eps = problem.params.epsilon
+    gamma2 = np.maximum(0.0, gamma + (g - eps * gamma))
+    mu2 = np.maximum(0.0, mu + (g_bar - eps * mu))
+    return float(np.linalg.norm(pack_state(u - u2, gamma - gamma2, mu - mu2)))
+
+
+def test_saddle_residual_equals_its_written_out_formula():
+    prob, rng = _penalty_instance()
+    sol = solve_saddle_oracle(prob)
+    points = [(sol.u, sol.gamma, sol.mu)]
+    for _ in range(20):
+        points.append((
+            np.column_stack([rng.uniform(-0.1, 0.3, 18), rng.uniform(-0.2, 0.2, 18)]),
+            rng.uniform(0, 5, 10) * (rng.uniform(size=10) < 0.5),
+            rng.uniform(0, 5, 10) * (rng.uniform(size=10) < 0.5),
+        ))
+    for u, gamma, mu in points:
+        assert saddle_residual(prob, u, gamma, mu) == _saddle_residual_reference(
+            prob, u, gamma, mu
+        )
+    assert sol.residual == saddle_residual(prob, sol.u, sol.gamma, sol.mu) <= 1e-9
+
+
 def test_pack_state_layout():
     z = pack_state(np.asarray([[0.95, -0.1]]), np.asarray([1.0]), np.asarray([2.0]))
     assert z.tolist() == [0.95, -0.1, 1.0, 2.0]
@@ -444,8 +542,6 @@ def test_coupling_slicing_and_validation():
             inverters=fleet("joint", 1.0),
             p_av=[0.5],
             coupling=coup,
-            p_load_der=np.zeros(18),
-            q_load_der=np.zeros(18),
             v_min=0.95,
             v_max=1.05,
             params=ControllerParams(alpha=0.1, nu=1e-3, epsilon=1e-4),
@@ -508,12 +604,12 @@ def test_saddle_oracle_property_random_radial(n, seed):
     g = coupling.n_der
     kind = str(rng.choice(["joint", "joint", "real_only", "reactive_only"]))
     w = rng.uniform(0.2, 3.0, (g, 2))
+    p_av = rng.uniform(0.0, 1.0, g)
+    p_load, q_load = rng.uniform(0.0, 0.05, g), rng.uniform(0.0, 0.02, g)
     prob = SaddleProblem(
         inverters=Inverters(kind, np.ones(g), w[:, 0], w[:, 1]),
-        p_av=rng.uniform(0.0, 1.0, g),
-        coupling=coupling,
-        p_load_der=rng.uniform(0.0, 0.05, g),
-        q_load_der=rng.uniform(0.0, 0.02, g),
+        p_av=p_av,
+        coupling=replace(coupling, c=coupling.c - coupling.r @ p_load - coupling.b @ q_load),
         v_min=0.95,
         v_max=float(rng.uniform(1.0, 1.03)),
         params=ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4),

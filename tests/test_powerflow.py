@@ -160,31 +160,38 @@ def test_injection_validation():
 
 
 def test_constraint_offsets_consistent_with_full_model():
-    # coupling form r(P - Pl) + b(Q - Ql) + c must equal the feeder-wide
-    # prediction with loads netted in, at the monitored rows
+    # the offset is the model's metered magnitude at the loads with every
+    # DER off, so the coupling form r P + b Q + c equals the feeder-wide
+    # prediction with loads netted in, at the monitored rows; one load row,
+    # or K rows from one solve
     from opftrack.controller import VoltageCoupling
 
     fd = networks.feeder36()
     lm = build_linear_model(build_admittance(fd), fd.slack_voltage)
     rng = np.random.default_rng(4)
-    p_load = rng.uniform(0.0, 0.01, 36)
-    q_load = rng.uniform(0.0, 0.004, 36)
-    u = np.column_stack([rng.uniform(0, 0.2, 18), rng.uniform(-0.1, 0.1, 18)])
-    der = fd.der_indices()
+    der, mon = fd.der_indices(), fd.monitored_indices()
+    coup = VoltageCoupling.from_linear_model(lm, fd)
+    for k in (None, 7):
+        shape = (36,) if k is None else (k, 36)
+        p_load = rng.uniform(0.0, 0.01, shape)
+        q_load = rng.uniform(0.0, 0.004, shape)
+        c = constraint_offsets(lm, p_load, q_load, fd)
+        assert c.shape == shape[:-1] + (len(mon),)
+        for p_row, q_row, c_row in zip(np.atleast_2d(p_load), np.atleast_2d(q_load),
+                                       np.atleast_2d(c)):
+            off = predict_voltage_magnitude(lm, PowerInjection(-p_row, -q_row))[mon]
+            assert np.allclose(c_row, off, rtol=0.0, atol=1e-15)
 
-    c = constraint_offsets(lm, p_load, q_load, fd)
-    coup = VoltageCoupling.from_linear_model(lm, fd, c=c)
-    via_coupling = coup.predict(u, p_load[der], q_load[der])
-
-    p_net = -p_load.copy()
-    q_net = -q_load.copy()
-    p_net[der] += u[:, 0]
-    q_net[der] += u[:, 1]
-    full = predict_voltage_magnitude(lm, PowerInjection(p_net, q_net))
-    assert np.allclose(via_coupling, full[fd.monitored_indices()], atol=1e-12)
+            u = np.column_stack([rng.uniform(0, 0.2, 18), rng.uniform(-0.1, 0.1, 18)])
+            p_net, q_net = -p_row.copy(), -q_row.copy()
+            p_net[der] += u[:, 0]
+            q_net[der] += u[:, 1]
+            full = predict_voltage_magnitude(lm, PowerInjection(p_net, q_net))
+            via_coupling = VoltageCoupling(coup.r, coup.b, c_row).predict(u)
+            assert np.allclose(via_coupling, full[mon], rtol=0.0, atol=1e-12)
 
     with pytest.raises(ValueError, match="one entry per"):
-        constraint_offsets(lm, p_load[:5], q_load[:5], fd)
+        constraint_offsets(lm, p_load[:, :5], q_load[:, :5], fd)
 
 
 def test_linear_model_requires_nonzero_profile():
