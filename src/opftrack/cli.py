@@ -380,6 +380,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         },
         "alpha": alpha,
         "alpha_condition_satisfied": bool(0.0 < alpha < consts.alpha_max),
+        "solver": {
+            "pf_iterations_total": int(traj.pf_iterations.sum()),
+            "pf_iterations_max": int(traj.pf_iterations.max()),
+        },
     }
     if cfg.strategy == "pursuit" and cfg.report:
         rep = measure_tracking(

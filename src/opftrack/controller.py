@@ -367,6 +367,17 @@ class ConvergenceConstants:
         return math.sqrt(max(0.0, 1.0 - 2.0 * self.eta * alpha + alpha**2 * self.L_reg**2))
 
 
+def _spectral_norm(a: np.ndarray) -> float:
+    """Largest singular value of ``a``, ``np.linalg.norm(a, 2)``.
+
+    Computed as the square root of the largest eigenvalue of the smaller
+    Gram matrix (``a^T a`` or ``a a^T``): one symmetric eigensolve of the
+    short side, where the 2-norm would run a full SVD of ``a``.
+    """
+    gram = a.T @ a if a.shape[0] >= a.shape[1] else a @ a.T
+    return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
+
+
 def convergence_constants(
     inv: Inverters,
     coupling: VoltageCoupling,
@@ -380,7 +391,7 @@ def convergence_constants(
     constant of the full primal-dual operator.
     """
     L = 2.0 * float(max(inv.c_p.max(), inv.c_q.max()))
-    G = float(np.linalg.norm(coupling.stacked(), 2))
+    G = _spectral_norm(coupling.stacked())
     eta = min(params.nu, params.epsilon)
     L_reg = math.sqrt((L + params.nu + 2.0 * G) ** 2 + 2.0 * (G + params.epsilon) ** 2)
     alpha_max = 2.0 * eta / L_reg**2
@@ -511,7 +522,7 @@ def solve_saddle_oracle(
     step the line search or the fallback accepts fails to reduce ``||r||``
     (the rounding floor). Raises ``ValueError`` unless ``0 < tol < inf``, and
     :class:`OracleError` if ``max_iter`` steps are exhausted or the final
-    residual is non-finite or above 1e-6.
+    residual is non-finite or above ``max(tol, 1e-6)``.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"oracle tolerance must be positive and finite, got {tol!r}")
@@ -567,7 +578,7 @@ def solve_saddle_oracle(
             # projected-gradient step at 1/L, L the Lipschitz bound of grad F:
             # a descent step whatever the active set
             if lip is None:
-                lip = h_cost.max() + np.linalg.norm(a, 2) ** 2 / prm.epsilon
+                lip = h_cost.max() + _spectral_norm(a) ** 2 / prm.epsilon
             new = evaluate(inv.project(cur.u - cur.grad / lip, pav))
         if cur.res <= _STALL_RES and new.res >= cur.res:
             break  # rounding floor: the accepted step gains nothing
@@ -577,7 +588,7 @@ def solve_saddle_oracle(
     u = cur.u
     duals = _closed_form_duals(problem, u)
     res = saddle_residual(problem, u, duals.gamma, duals.mu)
-    if not math.isfinite(res) or res > 1e-6:
+    if not math.isfinite(res) or res > max(tol, 1e-6):
         raise OracleError(f"saddle oracle: stationarity residual {res:.3e} out of tolerance")
     return SaddleSolution(u=u, gamma=duals.gamma, mu=duals.mu, iterations=its, residual=res)
 

@@ -155,8 +155,9 @@ def solve_ac(
     Parameters
     ----------
     init : array or None
-        Warm-start voltages; defaults to the no-load profile. Magnitudes
-        must stay in ``[0.3, 3]`` pu, otherwise the run aborts with
+        Warm-start voltages; defaults to the no-load profile. A start with
+        a magnitude outside ``[0.3, 3]`` pu raises ``ValueError``; an
+        iterate that leaves that band aborts the solve with
         :class:`VoltageCollapseError`.
     tol : float
         Convergence threshold on the infinity norm of the complex power
@@ -171,8 +172,11 @@ def solve_ac(
         v = adm.solve(-yv0)
     else:
         v = np.asarray(init, dtype=complex)
-        if np.abs(v).min() < COLLAPSE_LO:
-            raise ValueError("warm-start magnitudes must be >= 0.3 pu")
+        mags = np.abs(v)
+        if mags.min() < COLLAPSE_LO or mags.max() > COLLAPSE_HI:
+            raise ValueError(
+                f"warm-start magnitudes must be in [{COLLAPSE_LO}, {COLLAPSE_HI}] pu"
+            )
     s = inj.s
     residual = float("inf")
     for it in range(1, max_iter + 1):

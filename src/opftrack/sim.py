@@ -37,6 +37,8 @@ from .controller import (
 )
 from .feeder import AdmittanceMatrix, FeederModel, build_admittance
 from .powerflow import (
+    COLLAPSE_HI,
+    COLLAPSE_LO,
     LinearModel,
     PowerFlowError,
     PowerInjection,
@@ -425,7 +427,10 @@ class Trajectory:
     noisy metered magnitudes and ``v_mag`` (K, N) the plant's magnitudes at
     every bus. ``cost`` is the generation cost of ``u``, ``max_violation``
     the largest metered excursion outside the step's voltage band, and
-    ``pf_residual`` the AC solve's residual (0 on the linear plant).
+    ``pf_residual`` the AC solve's residual and ``pf_iterations`` its
+    fixed-point iteration count (both 0 on the linear plant). The
+    trajectory file does not store ``pf_iterations``, so a trajectory read
+    back from one has None there.
     """
 
     y: np.ndarray
@@ -436,6 +441,7 @@ class Trajectory:
     cost: np.ndarray
     max_violation: np.ndarray
     pf_residual: np.ndarray
+    pf_iterations: np.ndarray | None = None
 
     @property
     def n_steps(self) -> int:
@@ -485,7 +491,9 @@ def run_closed_loop(
     Volt/VAr on each inverter's own bus voltage), ``none`` (full available
     power at unity power factor). ``plant`` selects the AC fixed-point
     solve or the linear magnitude model. Deterministic for fixed inputs
-    and seed.
+    and seed. Each AC solve starts from :func:`_ac_start`, an extrapolation
+    of the plant's last solutions; the solve accepts its iterate by the same
+    residual test wherever it starts.
 
     The controller and the droop headroom see the availability as the
     regions use it (:meth:`Inverters.available`, clipped to the ratings
@@ -518,7 +526,7 @@ def run_closed_loop(
         u = np.column_stack([scenario.p_av[0], np.zeros(g)])
         duals = DualState.zeros(len(mon))
     u_applied = u.copy()
-    v_warm = net.lm.vbar
+    v_last: list[np.ndarray] = []  # the plant's last three solutions, newest first
     dual_warned = False
 
     n_steps = scenario.n_steps
@@ -528,6 +536,7 @@ def run_closed_loop(
     mus = np.empty((n_steps, len(mon)))
     v_mags = np.empty((n_steps, feeder.n_nodes))
     pf_residual = np.zeros(n_steps)
+    pf_iterations = np.zeros(n_steps, dtype=int)
     for k in range(n_steps):
         if setup.lag_beta > 0.0:
             u_applied = u_applied + (1.0 - setup.lag_beta) * (u - u_applied)
@@ -542,12 +551,13 @@ def run_closed_loop(
 
         if plant == "ac":
             try:
-                sol = solve_ac(net.adm, inj, v0, init=v_warm)
+                sol = solve_ac(net.adm, inj, v0, init=_ac_start(v_last, net.lm.vbar))
             except PowerFlowError as exc:
                 raise PlantError(k, exc) from exc
-            v_warm = sol.v
+            v_last = [sol.v, *v_last[:2]]
             v_mag = np.abs(sol.v)
             pf_residual[k] = sol.residual
+            pf_iterations[k] = sol.iterations
         else:
             v_mag = predict_voltage_magnitude(net.lm, inj)
 
@@ -590,7 +600,32 @@ def run_closed_loop(
         cost=eval_cost(us, inv, scenario.p_av),
         max_violation=_max_violation(v_mags[:, mon], scenario),
         pf_residual=pf_residual,
+        pf_iterations=pf_iterations,
     )
+
+
+def _ac_start(v_last: list[np.ndarray], vbar: np.ndarray) -> np.ndarray:
+    """Start of the next AC solve from the plant's last solutions, newest first.
+
+    The no-load profile ``vbar`` with no solution yet, then the polynomial
+    extrapolation through the last one, two or three solutions: ``v1``,
+    ``2 v1 - v2`` and ``3 v1 - 3 v2 + v3``. Consecutive solutions lie on the
+    smooth path the loads and setpoints trace, so the extrapolation starts
+    the fixed-point iteration close to the next one. A prediction with a
+    magnitude outside the band :func:`solve_ac` accepts falls back to ``v1``.
+    """
+    if not v_last:
+        return vbar
+    if len(v_last) == 1:
+        return v_last[0]
+    if len(v_last) == 2:
+        guess = 2.0 * v_last[0] - v_last[1]
+    else:
+        guess = 3.0 * (v_last[0] - v_last[1]) + v_last[2]
+    mags = np.abs(guess)
+    if mags.min() < COLLAPSE_LO or mags.max() > COLLAPSE_HI:
+        return v_last[0]
+    return guess
 
 
 def _max_violation(mon_mag: np.ndarray, scenario: Scenario) -> np.ndarray:

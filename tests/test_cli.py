@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from opftrack import cli, networks
+from opftrack import cli, controller, networks
 from opftrack.controller import OracleError
 from opftrack.feeder import feeder_to_dict, save_feeder
+from opftrack.sim import run_closed_loop
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -178,11 +179,28 @@ def test_run_end_to_end(tmp_path, run_config, capsys):
     assert summary["strategy"] == "pursuit"
     assert summary["alpha_condition_satisfied"] is True
     assert summary["tracking"]["bound_satisfied"] is True
+    # the linear plant runs no power-flow solve
+    assert summary["solver"] == {"pf_iterations_total": 0, "pf_iterations_max": 0}
     # byte-stable artifacts for identical configuration
     assert cli.main(["run", "--config", str(run_config),
                      "--output-dir", str(tmp_path / "out2")]) == 0
     assert (tmp_path / "out2" / "summary.json").read_bytes() == summary_path.read_bytes()
     assert (tmp_path / "out2" / "trajectory.csv").read_bytes() == traj.read_bytes()
+
+
+def test_summary_solver_section_totals_the_plant_iterations(tmp_path, run_config):
+    args = ["run", "--config", str(run_config), "--plant", "ac", "--no-report"]
+    assert cli.main(args) == 0
+    path = tmp_path / "out" / "summary.json"
+    first = path.read_bytes()
+    assert cli.main(args) == 0
+    assert path.read_bytes() == first
+    cfg, net, scen, setup = cli._load_run(cli._build_parser().parse_args(args))
+    counts = run_closed_loop(net, scen, cfg.strategy, setup, seed=cfg.seed).pf_iterations
+    assert counts.min() >= 1
+    assert json.loads(first)["solver"] == {
+        "pf_iterations_total": int(counts.sum()), "pf_iterations_max": int(counts.max()),
+    }
 
 
 def test_run_overrides(tmp_path, run_config, capsys):
@@ -236,6 +254,22 @@ def test_oracle_output(tmp_path, run_config, capsys):
 def test_oracle_tolerance_must_be_positive_and_finite(run_config, capsys, tol):
     assert cli.main(["oracle", "--config", str(run_config), "--tol", tol]) == 1
     assert "oracle tolerance must be positive and finite" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("step, tol", [(0, "1e-1"), (150, "1e-1"), (300, "1e-1"), (0, "1e-2")])
+def test_oracle_meets_a_loose_tolerance(step, tol, tmp_path):
+    # the final check allows the residual the solve was asked for
+    out = tmp_path / "oracle.json"
+    args = ["oracle", "--config", str(DATA / "config36.json"), "--step", str(step),
+            "--tol", tol, "--output", str(out)]
+    assert cli.main(args) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["kkt_residual"] <= float(tol)
+
+
+def test_oracle_non_finite_residual_exit_code(run_config, monkeypatch, capsys):
+    monkeypatch.setattr(controller, "saddle_residual", lambda *args: math.nan)
+    assert cli.main(["oracle", "--config", str(run_config), "--tol", "1e-1"]) == 4
+    assert "stationarity residual nan" in capsys.readouterr().err
 
 
 def test_oracle_failure_exit_code(run_config, monkeypatch, capsys):

@@ -19,6 +19,7 @@ from opftrack.controller import (
     VoltageCoupling,
     _closed_form_duals,
     _penalty_value_grad,
+    _spectral_norm,
     convergence_constants,
     dual_step_feedback,
     grad_primal,
@@ -368,6 +369,13 @@ def test_convergence_constants_expressions():
     )
     assert consts.rho(a_best) < consts.rho(consts.alpha_max)
     assert consts.rho_alpha == pytest.approx(consts.rho(prob.params.alpha), rel=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 40), (40, 3), (200, 60), (60, 200), (50, 50)])
+def test_spectral_norm_matches_the_two_norm(shape):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3)
+    assert _spectral_norm(a) == pytest.approx(float(np.linalg.norm(a, 2)), rel=1e-13)
 
 
 def test_error_free_iteration_contracts_at_certified_rate():

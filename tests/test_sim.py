@@ -21,7 +21,8 @@ from opftrack.controller import (
     solve_saddle_oracle,
 )
 from opftrack.feeder import load_feeder
-from opftrack.powerflow import constraint_offsets
+from opftrack import sim
+from opftrack.powerflow import PowerInjection, constraint_offsets, solve_ac
 from opftrack.sim import (
     ControlSetup,
     PlantError,
@@ -272,14 +273,20 @@ def test_step_problem_uses_scenario_step_data():
     assert np.allclose(prob.coupling.c, expect_c, atol=1e-15)
 
 
-def test_oracle_returns_at_the_rounding_floor_below_an_unreachable_tolerance():
-    # config36 step 300: below ||r|| = 1e-9 the Newton step fails the line
-    # search and the accepted steps stop lowering ||r||, which ends the solve
+def _config36():
+    # the shipped config36 run: compiled feeder, scenario, setup and run seed
     cfg = load_config(str(Path(__file__).resolve().parents[1] / "data" / "config36.json"))
     net = compile_feeder(load_feeder(cfg.feeder))
     gen = cfg.generator
     scen = generate_scenario(gen.kind, net.feeder, gen.seed, replace(gen, noise_amp=0.0))
     setup = ControlSetup(params=cfg.controller, costs=(cfg.cost,) * net.feeder.n_der)
+    return net, scen, setup, cfg.seed
+
+
+def test_oracle_returns_at_the_rounding_floor_below_an_unreachable_tolerance():
+    # config36 step 300: below ||r|| = 1e-9 the Newton step fails the line
+    # search and the accepted steps stop lowering ||r||, which ends the solve
+    net, scen, setup, _ = _config36()
     sol = solve_saddle_oracle(step_problem(net, scen, setup, 300), tol=1e-15, max_iter=200)
     assert sol.iterations < 200
     assert sol.residual <= 1e-12
@@ -346,6 +353,66 @@ def test_plant_failure_reports_step():
     with pytest.raises(PlantError) as err:
         run_closed_loop(compile_feeder(fd), scen, "none", FAST_SETUP)
     assert err.value.step == k
+
+
+@pytest.mark.parametrize("strategy", ["pursuit", "none"])
+def test_extrapolated_ac_start_keeps_the_solution_and_saves_iterations(strategy, monkeypatch):
+    # every step re-solved from the no-load profile at the recorded
+    # injections lands on the recorded magnitudes, so the extrapolated start
+    # keeps the plant on the same solution branch; starting each step at the
+    # previous solution instead takes more iterations in total
+    net, scen, setup, seed = _config36()
+    counts = []
+
+    def counted(*args, **kwargs):
+        sol = solve_ac(*args, **kwargs)
+        counts.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(sim, "solve_ac", counted)
+    traj = run_closed_loop(net, scen, strategy, setup, seed=seed)
+    assert traj.pf_iterations.dtype.kind == "i"
+    assert traj.pf_iterations.tolist() == counts
+    assert np.all(traj.pf_residual <= 1e-9)
+
+    der, v0 = net.feeder.der_indices(), net.feeder.slack_voltage
+    previous_start_total, v_prev = 0, net.lm.vbar
+    for k in range(scen.n_steps):
+        p, q = -scen.p_load[k], -scen.q_load[k]
+        p[der] += traj.u[k, :, 0]
+        q[der] += traj.u[k, :, 1]
+        inj = PowerInjection(p, q)
+        cold = solve_ac(net.adm, inj, v0)
+        assert np.max(np.abs(np.abs(cold.v) - traj.v_mag[k])) <= 1e-8, k
+        previous_start_total += solve_ac(net.adm, inj, v0, init=v_prev).iterations
+        v_prev = cold.v
+    assert traj.pf_iterations.sum() < previous_start_total
+
+
+def test_extrapolated_start_outside_the_band_falls_back_to_the_last_solution():
+    # 4 pu of generation lifts the bus to 1.31 pu at step 1 and step 2 is
+    # unloaded again, so the quadratic extrapolation to step 3,
+    # 3 (v_2 - v_1) + v_0, has magnitude 0.15 pu: a start solve_ac rejects.
+    # The run starts step 3 at v_2 and ends as the cold solves do.
+    fd = networks.two_bus(z=0.1 + 0.01j)
+    net = compile_feeder(fd)
+    p_load = np.zeros((5, 1))
+    p_load[1, 0] = -4.0
+    zeros = np.zeros((5, 1))
+    scen = Scenario(
+        tau=1.0, p_load=p_load, q_load=zeros, p_av=zeros,
+        v_min=np.full(5, 0.95), v_max=np.full(5, 1.05),
+    )
+    cold = [solve_ac(net.adm, PowerInjection(-p, np.zeros(1)), fd.slack_voltage).v
+            for p in p_load]
+    predicted = 3.0 * (cold[2] - cold[1]) + cold[0]
+    assert np.abs(predicted).max() < 0.3
+    with pytest.raises(ValueError, match="warm-start"):
+        solve_ac(net.adm, PowerInjection(np.zeros(1), np.zeros(1)), fd.slack_voltage,
+                 init=predicted)
+    traj = run_closed_loop(net, scen, "none", FAST_SETUP)
+    assert np.all(traj.pf_residual <= 1e-9)
+    assert np.allclose(traj.v_mag, np.abs(cold), rtol=0.0, atol=1e-8)
 
 
 def test_runaway_duals_warn():
