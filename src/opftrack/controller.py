@@ -500,7 +500,7 @@ def solve_saddle_oracle(
     problem: SaddleProblem,
     tol: float = 1e-11,
     max_iter: int = 500_000,
-    z0: tuple[np.ndarray, DualState] | None = None,
+    u0: np.ndarray | None = None,
 ) -> SaddleSolution:
     """Solve the static regularized saddle-point problem to high accuracy.
 
@@ -516,8 +516,9 @@ def solve_saddle_oracle(
     :func:`saddle_residual` at the returned point, and ``iterations`` counts
     the Newton (or fallback) steps taken.
 
-    The solve starts from the setpoints of ``z0`` (its duals are not used),
-    or by default from full available power at unity power factor, projected.
+    The solve starts from the setpoints ``u0`` (n_der, 2), projected, by
+    default full available power at unity power factor; a warm start needs
+    no duals, since they follow from the setpoints in closed form.
     It stops once ``||r|| <= tol``, or, below ``||r|| = 1e-9``, when the
     step the line search or the fallback accepts fails to reduce ``||r||``
     (the rounding floor). Raises ``ValueError`` unless ``0 < tol < inf``, and
@@ -529,10 +530,7 @@ def solve_saddle_oracle(
     inv, pav = problem.inverters, problem.p_av
     prm = problem.params
     n = problem.n_der
-    if z0 is None:
-        u0 = np.column_stack([pav, np.zeros(n)])
-    else:
-        u0 = np.asarray(z0[0], float)
+    u0 = np.column_stack([pav, np.zeros(n)]) if u0 is None else np.asarray(u0, float)
 
     # sensitivities and curvature in the order of u.ravel(): P_0, Q_0, P_1, ...
     a = np.empty((problem.coupling.n_monitored, 2 * n))

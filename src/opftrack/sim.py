@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -668,7 +668,9 @@ class TrackingReport:
     """Tracking-bound certificate of a recorded pursuit run.
 
     ``bound_satisfied`` is None when the configured stepsize carries no
-    contraction guarantee (``rho_alpha >= 1``).
+    contraction guarantee (``rho_alpha >= 1``). The ``oracle_*`` figures
+    are the total and the largest iteration count of the per-step oracle
+    solves and the largest of their final residuals.
     """
 
     constants: ConvergenceConstants
@@ -678,27 +680,17 @@ class TrackingReport:
     tracking_error_tail: float
     bound_satisfied: bool | None
     decimation: int
+    oracle_iterations_total: int
+    oracle_iterations_max: int
+    oracle_residual_max: float
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "constants": {
-                "L": self.constants.L,
-                "G": self.constants.G,
-                "eta": self.constants.eta,
-                "L_reg": self.constants.L_reg,
-                "rho_alpha": self.constants.rho_alpha,
-                "alpha_max": self.constants.alpha_max,
-            },
-            "sigma_z_measured": self.sigma_z_measured,
-            "e_measured": self.e_measured,
-            # strict JSON has no Infinity; a vacuous bound serializes as null
-            "bound_rhs": self.bound_rhs if math.isfinite(self.bound_rhs) else None,
-            "tracking_error_tail": self.tracking_error_tail,
-            "bound_satisfied": self.bound_satisfied,
-            "decimation": self.decimation,
-            "note": self.note,
-        }
+        d = asdict(self)
+        # strict JSON has no Infinity; a vacuous bound serializes as null
+        if not math.isfinite(self.bound_rhs):
+            d["bound_rhs"] = None
+        return d
 
 
 def measure_tracking(
@@ -712,18 +704,21 @@ def measure_tracking(
 ) -> TrackingReport:
     """Compare a recorded pursuit run against per-step saddle oracles.
 
-    Oracles are solved on every ``decimation``-th step (warm started along
-    the sweep). ``sigma_z_measured`` is the largest optimizer drift per
-    step, averaged over each pair of consecutive oracles ``decimation``
-    steps apart; for ``decimation > 1`` it is therefore an estimate that
-    bounds the true per-step maximum from below. ``tracking_error_tail`` is
+    Oracles are solved on every ``decimation``-th step, in one pass: each
+    starts from the previous sampled step's optimal setpoints, and every
+    step's problem reads the run's inverters, its clipped availability (one
+    warning per report when the scenario exceeds a rating) and the one
+    surrogate whose offsets ``c_k`` of all steps come from one multi-column
+    solve. ``sigma_z_measured`` is the largest optimizer drift per step,
+    averaged over each pair of consecutive oracles ``decimation`` steps
+    apart; for ``decimation > 1`` it is therefore an estimate that bounds
+    the true per-step maximum from below. ``tracking_error_tail`` is
     likewise sampled only on the oracle steps of the last quarter of the
     run, so ``bound_satisfied`` is exact only at ``decimation = 1``.
     ``e_measured`` is the model-mismatch level ``max_k ||y_k - w_k||``
     between the measured magnitudes and the surrogate's prediction
     ``w_k = r P_k + b Q_k + c_k`` over all recorded steps (the gap between
-    measurement-based and model-based dual gradients); the offsets ``c_k``
-    of all those steps come from one multi-column solve. ``constants`` are
+    measurement-based and model-based dual gradients). ``constants`` are
     the run's :func:`convergence_constants`, computed here when not given.
     """
     if decimation < 1:
@@ -732,34 +727,36 @@ def measure_tracking(
         raise ValueError(
             f"trajectory has {traj.n_steps} steps, scenario has {scenario.n_steps}"
         )
+    inv = setup.inverters(net.feeder)
     consts = constants
     if consts is None:
-        consts = convergence_constants(setup.inverters(net.feeder), net.coupling, setup.params)
-
-    ks = list(range(0, scenario.n_steps, decimation))
-    stars: dict[int, np.ndarray] = {}
-    warm = None
-    for k in ks:
-        prob = step_problem(net, scenario, setup, k)
-        sol = solve_saddle_oracle(prob, tol=oracle_tol, z0=warm)
-        warm = (sol.u, DualState(sol.gamma, sol.mu))
-        stars[k] = pack_state(sol.u, sol.gamma, sol.mu)
-
-    sigma_z = 0.0
-    for k1, k2 in zip(ks, ks[1:]):
-        drift = float(np.linalg.norm(stars[k2] - stars[k1])) / (k2 - k1)
-        sigma_z = max(sigma_z, drift)
-
-    c = constraint_offsets(net.lm, scenario.p_load, scenario.q_load, net.feeder)
-    w = replace(net.coupling, c=c).predict(traj.u)
-    e_measured = float(np.max(np.linalg.norm(traj.y - w, axis=1)))
+        consts = convergence_constants(inv, net.coupling, setup.params)
+    p_av = inv.available(scenario.p_av)
+    coupling = replace(
+        net.coupling,
+        c=constraint_offsets(net.lm, scenario.p_load, scenario.q_load, net.feeder),
+    )
+    e_measured = float(np.max(np.linalg.norm(traj.y - coupling.predict(traj.u), axis=1)))
 
     tail_from = int(math.ceil(0.75 * scenario.n_steps))
-    tail = 0.0
-    for k in ks:
+    sigma_z = tail = res_max = 0.0
+    its_total = its_max = 0
+    sol = star = None
+    for k in range(0, scenario.n_steps, decimation):
+        prob = SaddleProblem(
+            inv, p_av[k], replace(coupling, c=coupling.c[k]),
+            float(scenario.v_min[k]), float(scenario.v_max[k]), setup.params,
+        )
+        sol = solve_saddle_oracle(prob, tol=oracle_tol, u0=None if sol is None else sol.u)
+        its_total += sol.iterations
+        its_max = max(its_max, sol.iterations)
+        res_max = max(res_max, sol.residual)
+        last, star = star, pack_state(sol.u, sol.gamma, sol.mu)
+        if last is not None:
+            sigma_z = max(sigma_z, float(np.linalg.norm(star - last)) / decimation)
         if k >= tail_from:
             zk = pack_state(traj.u[k], traj.gamma[k], traj.mu[k])
-            tail = max(tail, float(np.linalg.norm(zk - stars[k])))
+            tail = max(tail, float(np.linalg.norm(zk - star)))
 
     rho = consts.rho_alpha
     if rho < 1.0:
@@ -780,6 +777,9 @@ def measure_tracking(
         tracking_error_tail=tail,
         bound_satisfied=satisfied,
         decimation=decimation,
+        oracle_iterations_total=its_total,
+        oracle_iterations_max=its_max,
+        oracle_residual_max=res_max,
         note=note,
     )
 

@@ -532,7 +532,7 @@ def test_a9_oracle_uniqueness_and_stationarity():
         fd = networks.random_radial(n, seed=500 + inst)
         lm = build_linear_model(build_admittance(fd), fd.slack_voltage)
         coupling = VoltageCoupling.from_linear_model(lm, fd)
-        g, m = coupling.n_der, coupling.n_monitored
+        g = coupling.n_der
         pav = rng.uniform(0.3, 1.0, g)
         cost_w = rng.uniform(0.2, 3.0, (g, 2))
         prob = SaddleProblem(
@@ -546,12 +546,11 @@ def test_a9_oracle_uniqueness_and_stationarity():
         packed = []
         for s in range(10):
             if s == 0:
-                z0 = None
+                u0 = None
             else:
                 r2 = np.random.default_rng(7000 + 100 * inst + s)
                 u0 = np.column_stack([r2.uniform(0, 1, g), r2.uniform(-1, 1, g)])
-                z0 = (u0, DualState(r2.uniform(0, 5, m), r2.uniform(0, 5, m)))
-            sol = solve_saddle_oracle(prob, z0=z0)
+            sol = solve_saddle_oracle(prob, u0=u0)
             worst_res = max(worst_res, saddle_residual(prob, sol.u, sol.gamma, sol.mu))
             packed.append(pack_state(sol.u, sol.gamma, sol.mu))
         for z in packed[1:]:

@@ -427,8 +427,7 @@ def test_saddle_oracle_multi_start_agreement():
     rng = np.random.default_rng(3)
     for _ in range(3):
         u0 = np.column_stack([rng.uniform(0, 0.95, 1), rng.uniform(-0.3, 0.3, 1)])
-        d0 = DualState(rng.uniform(0, 5, 1), rng.uniform(0, 5, 1))
-        sol = solve_saddle_oracle(prob, tol=1e-11, z0=(u0, d0))
+        sol = solve_saddle_oracle(prob, tol=1e-11, u0=u0)
         assert np.allclose(sol.u, ref.u, atol=1e-8)
         assert np.allclose(sol.mu, ref.mu, atol=1e-8 / prob.params.epsilon * 1e-2)
 

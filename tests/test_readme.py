@@ -9,12 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from opftrack import cli
+from opftrack import cli, feeder
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text(encoding="utf-8")
 QUICK_START = re.search(r"## Quick start\s+```sh\n(.*?)```", README, re.S).group(1)
 PYTHON_API = re.search(r"## Python API\s+```python\n(.*?)```", README, re.S).group(1)
+FEEDER_JSON = re.search(r"\*\*Feeder JSON\*\* --(.*?)\n\n", README, re.S).group(1)
 COMMANDS = [line for line in QUICK_START.splitlines() if line.startswith("opftrack ")]
 DROOP_COLLAPSES = pytest.mark.xfail(
     strict=True,
@@ -57,3 +58,15 @@ def test_python_api_example_runs():
     with contextlib.redirect_stdout(io.StringIO()) as out:
         exec(compile(PYTHON_API, "README.md", "exec"), {})
     assert "bound_satisfied" in out.getvalue()
+
+
+def test_feeder_json_paragraph_names_the_keys_the_loader_accepts():
+    # each top-level key, with the keys of its objects in the parentheses after it
+    named = {
+        key: set(re.findall(r"`(\w+)`", inner))
+        for key, inner in re.findall(r"`(\w+)`(?: \(([^)]*)\))?", FEEDER_JSON)
+    }
+    assert set(named) == feeder._TOP_KEYS
+    assert named["slack"] == feeder._SLACK_KEYS
+    assert named["lines"] == feeder._LINE_KEYS
+    assert named["der_nodes"] == feeder._DER_KEYS

@@ -18,6 +18,8 @@ from opftrack.controller import (
     ControllerParams,
     CostParams,
     DualState,
+    convergence_constants,
+    pack_state,
     solve_saddle_oracle,
 )
 from opftrack.feeder import load_feeder
@@ -28,6 +30,7 @@ from opftrack.sim import (
     PlantError,
     Scenario,
     ScenarioParams,
+    TrackingReport,
     Trajectory,
     compile_feeder,
     eval_cost,
@@ -615,3 +618,83 @@ def test_e_measured_is_the_largest_per_step_model_mismatch():
     )
     assert ref > 1e-3
     assert rep.e_measured == pytest.approx(ref, rel=1e-12)
+
+
+def _reference_report(net, scen, setup, traj, decimation):
+    # the report built step by step: step_problem and an oracle per sampled
+    # step, warm started from the previous setpoints, then one pass per figure
+    ks = list(range(0, scen.n_steps, decimation))
+    sols, u0 = {}, None
+    for k in ks:
+        sols[k] = solve_saddle_oracle(step_problem(net, scen, setup, k), u0=u0)
+        u0 = sols[k].u
+    stars = {k: pack_state(s.u, s.gamma, s.mu) for k, s in sols.items()}
+    sigma_z = max(
+        (float(np.linalg.norm(stars[b] - stars[a])) / (b - a) for a, b in zip(ks, ks[1:])),
+        default=0.0,
+    )
+    c = constraint_offsets(net.lm, scen.p_load, scen.q_load, net.feeder)
+    w = replace(net.coupling, c=c).predict(traj.u)
+    e = float(np.max(np.linalg.norm(traj.y - w, axis=1)))
+    tail = max(
+        (float(np.linalg.norm(pack_state(traj.u[k], traj.gamma[k], traj.mu[k]) - stars[k]))
+         for k in ks if k >= math.ceil(0.75 * scen.n_steps)),
+        default=0.0,
+    )
+    consts = convergence_constants(setup.inverters(net.feeder), net.coupling, setup.params)
+    rho = consts.rho_alpha
+    bound = (math.sqrt(2.0) * setup.params.alpha * e + sigma_z) / (1.0 - rho) if rho < 1.0 else math.inf
+    its = [s.iterations for s in sols.values()]
+    return TrackingReport(
+        constants=consts, sigma_z_measured=sigma_z, e_measured=e, bound_rhs=bound,
+        tracking_error_tail=tail, bound_satisfied=tail <= bound if rho < 1.0 else None,
+        decimation=decimation, oracle_iterations_total=sum(its), oracle_iterations_max=max(its),
+        oracle_residual_max=max(s.residual for s in sols.values()),
+        note="" if rho < 1.0 else "no contraction guarantee: alpha >= alpha_max",
+    )
+
+
+def _config36_run():
+    net, scen, setup, seed = _config36()
+    return net, scen, setup, run_closed_loop(net, scen, "pursuit", setup, seed=seed), 60
+
+
+def _track_ramp_run():
+    par = ScenarioParams(n_steps=41, tau=1.0, load_p=0.0, load_swing=0.0,
+                         ramp_start=0.2, ramp_end=0.9)
+    scen = generate_scenario("ramp", TRACK_FEEDER, seed=0, params=par)
+    traj = run_closed_loop(TRACK_NET, scen, "pursuit", TRACK_SETUP, plant="linear")
+    return TRACK_NET, scen, TRACK_SETUP, traj, 1
+
+
+@pytest.mark.parametrize("run", [_config36_run, _track_ramp_run], ids=["config36-60", "track-1"])
+def test_one_pass_report_equals_the_step_by_step_reference(run):
+    net, scen, setup, traj, decimation = run()
+    rep = measure_tracking(net, scen, setup, traj, decimation=decimation)
+    ref = _reference_report(net, scen, setup, traj, decimation)
+    assert rep == ref
+    # the oracle figures summarize real solves, and the JSON form keeps them
+    assert rep.oracle_iterations_total >= rep.oracle_iterations_max > 0
+    assert 0.0 < rep.oracle_residual_max <= 1e-11
+    d = rep.to_dict()
+    assert d["oracle_iterations_total"] == rep.oracle_iterations_total
+    assert d["constants"]["L_reg"] == rep.constants.L_reg
+    assert d["bound_rhs"] == (rep.bound_rhs if math.isfinite(rep.bound_rhs) else None)
+
+
+def test_over_rated_scenario_warns_once_per_report():
+    fd = networks.feeder36()
+    net = compile_feeder(fd)
+    scen = generate_scenario("static", fd, seed=3, params=ScenarioParams(n_steps=20))
+    over = replace(scen, p_av=1.3 * scen.p_av)  # every step 17% over the rating
+    setup = ControlSetup(
+        params=ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4),
+        costs=tuple(CostParams(3.0, 1.0) for _ in range(fd.n_der)),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        traj = run_closed_loop(net, over, "pursuit", setup)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        measure_tracking(net, over, setup, traj, decimation=5)
+    assert [str(w.message).endswith("clipped to the rating") for w in caught] == [True]
