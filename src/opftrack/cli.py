@@ -12,7 +12,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -260,6 +260,16 @@ def _json_bytes(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _emit_json(obj: dict, path: str | None) -> None:
+    """``obj`` as JSON into the file ``path``, or on stdout without one."""
+    text = _json_bytes(obj)
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -328,12 +338,7 @@ def cmd_linearize(args: argparse.Namespace) -> int:
         "no_load_re": [float(x.real) for x in lm.vbar],
         "no_load_im": [float(x.imag) for x in lm.vbar],
     }
-    text = _json_bytes(out)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit_json(out, args.output)
     return 0
 
 
@@ -372,12 +377,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "mean_cost_tail": float(np.mean(traj.cost[tail:])),
         "final_max_violation": float(traj.max_violation[-1]),
         "max_violation_tail": float(np.max(traj.max_violation[tail:])),
-        "constants": {
-            "eta": consts.eta,
-            "L_reg": consts.L_reg,
-            "rho_alpha": consts.rho(alpha),
-            "alpha_max": consts.alpha_max,
-        },
+        "constants": asdict(consts),
         "alpha": alpha,
         "alpha_condition_satisfied": bool(0.0 < alpha < consts.alpha_max),
         "solver": {
@@ -404,7 +404,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     k = args.step
     if not 0 <= k < scen.n_steps:
         raise ConfigError(f"step {k} outside scenario range [0, {scen.n_steps})")
-    prob = step_problem(net, scen, setup, k)
+    inv = setup.inverters(net.feeder)
+    prob = step_problem(inv, inv.available(scen.p_av), net.surrogate(scen), scen, setup.params, k)
     sol = solve_saddle_oracle(prob, tol=args.tol)
     out = {
         "step": k,
@@ -415,12 +416,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         "iterations": sol.iterations,
         "kkt_residual": sol.residual,
     }
-    text = _json_bytes(out)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit_json(out, args.output)
     print(f"kkt_residual = {sol.residual:.3e}", file=sys.stderr)
     return 0
 
@@ -430,12 +426,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     path = args.trajectory or os.path.join(cfg.output_dir, "trajectory.csv")
     traj = check_trajectory(path, net, scen, setup)
     rep = measure_tracking(net, scen, setup, traj, decimation=cfg.report_decimation)
-    text = _json_bytes(rep.to_dict())
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit_json(rep.to_dict(), args.output)
     return 0
 
 

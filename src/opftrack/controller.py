@@ -276,21 +276,14 @@ class VoltageCoupling:
         return self.r.shape[1]
 
     @classmethod
-    def from_linear_model(
-        cls,
-        lm: LinearModel,
-        feeder: FeederModel,
-        c: np.ndarray | None = None,
-    ) -> "VoltageCoupling":
+    def from_linear_model(cls, lm: LinearModel, feeder: FeederModel) -> "VoltageCoupling":
         """The (metered x DER) blocks of the linear model: n_der solves, metered rows kept.
 
-        ``c`` defaults to the no-load magnitudes, the offset at zero load.
+        ``c`` is the no-load magnitudes, the offset at zero load.
         """
         mi = feeder.monitored_indices()
         r, b = lm.columns(feeder.der_indices())
-        if c is None:
-            c = lm.a[mi]
-        return cls(r=r[mi], b=b[mi], c=np.asarray(c, float))
+        return cls(r=r[mi], b=b[mi], c=lm.a[mi])
 
     def predict(self, u: np.ndarray) -> np.ndarray:
         """``r P + b Q + c`` for setpoints ``u`` (..., n_der, 2), shape (..., M)."""
@@ -451,24 +444,20 @@ def pack_state(u: np.ndarray, gamma: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return np.concatenate([np.asarray(u, float).ravel(), gamma, mu])
 
 
-def _penalty_value_grad(
-    problem: SaddleProblem, u: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
+def _penalty_value(problem: SaddleProblem, u: np.ndarray) -> tuple[float, DualState]:
     # Maximizing the regularized Lagrangian over nonnegative duals in closed
     # form turns the constraints into one-sided quadratic penalties with
     # weight 1/eps; the saddle's primal part minimizes this smooth strongly
-    # convex function over the operating regions. Its gradient is the
-    # Lagrangian's at those duals. Also returns the mask of violated limits,
-    # whose rows enter the generalized Hessian.
+    # convex function F over the operating regions. Returns F(u) and the
+    # maximizing duals, all a line search needs of a trial point.
     prm, inv, pav = problem.params, problem.inverters, problem.p_av
     duals = _closed_form_duals(problem, u)
-    grad = grad_primal(u, duals, inv, pav, problem.coupling, prm)
     val = (
         float(np.sum(inv.c_p * (pav - u[:, 0]) ** 2 + inv.c_q * u[:, 1] ** 2))
         + 0.5 * prm.nu * float(np.sum(u * u))
         + 0.5 * prm.epsilon * (float(duals.gamma @ duals.gamma) + float(duals.mu @ duals.mu))
     )
-    return val, grad, duals.mu != duals.gamma
+    return val, duals
 
 
 def _closed_form_duals(problem: SaddleProblem, u: np.ndarray) -> DualState:
@@ -484,11 +473,23 @@ class _NewtonPoint(NamedTuple):
     # an iterate of the oracle with what the next Newton step needs
     u: np.ndarray
     f: float  # penalty objective
+    duals: DualState  # its maximizing duals
     grad: np.ndarray
-    act: np.ndarray  # violated voltage limits
     jac: np.ndarray  # projection Jacobians at u - grad, one row per DER
     r: np.ndarray  # natural residual u - proj(u - grad)
     res: float  # ||r||
+
+
+def _newton_point(
+    problem: SaddleProblem, u: np.ndarray, f: float, duals: DualState
+) -> _NewtonPoint:
+    # the rest of an accepted point, from F(u) and its duals (_penalty_value):
+    # grad F is the Lagrangian's gradient at those duals
+    inv, pav = problem.inverters, problem.p_av
+    grad = grad_primal(u, duals, inv, pav, problem.coupling, problem.params)
+    v, jac = inv.project_jacobian(u - grad, pav)
+    r = u - v
+    return _NewtonPoint(u, f, duals, grad, jac, r, float(np.linalg.norm(r)))
 
 
 _ARMIJO = 1e-4  # sufficient-decrease fraction of the line search
@@ -512,7 +513,9 @@ def solve_saddle_oracle(
     the violated limits) and the generalized Jacobians of the per-DER
     projections, and is globalized by a backtracking line search on F along
     the projected Newton step, with a projected-gradient step as fallback.
-    The duals are then recovered in closed form. ``||r||`` equals
+    A trial point of the line search costs only F and its closed-form
+    duals; the gradient, projection Jacobian and residual are formed only
+    at the point the line search or the fallback accepts. ``||r||`` equals
     :func:`saddle_residual` at the returned point, and ``iterations`` counts
     the Newton (or fallback) steps taken.
 
@@ -539,17 +542,8 @@ def solve_saddle_oracle(
     h_cost = np.column_stack([2.0 * inv.c_p + prm.nu, 2.0 * inv.c_q + prm.nu]).ravel()
     der = np.arange(n)
 
-    def evaluate(x: np.ndarray) -> _NewtonPoint:
-        f, grad, act = _penalty_value_grad(problem, x)
-        v, jac = inv.project_jacobian(x - grad, pav)
-        r = x - v
-        return _NewtonPoint(x, f, grad, act, jac, r, float(np.linalg.norm(r)))
-
-    def armijo(old: _NewtonPoint, new: _NewtonPoint) -> bool:
-        decrease = float(np.sum(old.grad * (new.u - old.u)))
-        return decrease < 0.0 and new.f <= old.f + _ARMIJO * decrease
-
-    cur = evaluate(inv.project(u0, pav))
+    x = inv.project(u0, pav)
+    cur = _newton_point(problem, x, *_penalty_value(problem, x))
     its = 0
     lip = None  # Lipschitz bound of grad F, formed at the first fallback
     while cur.res > tol:
@@ -560,31 +554,35 @@ def solve_saddle_oracle(
         d_proj = np.zeros((n, 2, n, 2))
         d_proj[der, :, der, :] = cur.jac.reshape(n, 2, 2)
         d_proj = d_proj.reshape(2 * n, 2 * n)
-        a_act = a[cur.act]
+        a_act = a[cur.duals.mu != cur.duals.gamma]  # rows of the violated limits
         hess = np.diag(h_cost) + (a_act.T @ a_act) / prm.epsilon
         jac_r = np.eye(2 * n) - d_proj + d_proj @ hess
         step = np.linalg.solve(jac_r, -cur.r.ravel()).reshape(n, 2)
-        new = evaluate(inv.project(cur.u + step, pav))
         # backtracking on F along the projected Newton path, tried only when
-        # the Newton step is a descent direction for F
+        # the Newton step is a descent direction for F; a trial point costs
+        # only F, the accepted one is completed below
         t = 1.0 if float(np.sum(cur.grad * step)) < 0.0 else 0.0
-        while t > 0.0 and not armijo(cur, new):
+        while t > 0.0:
+            x = inv.project(cur.u + t * step, pav)
+            f, duals = _penalty_value(problem, x)
+            decrease = float(np.sum(cur.grad * (x - cur.u)))
+            if decrease < 0.0 and f <= cur.f + _ARMIJO * decrease:
+                break
             t = 0.5 * t if t > _MIN_STEP else 0.0
-            if t > 0.0:
-                new = evaluate(inv.project(cur.u + t * step, pav))
         if t == 0.0:
             # projected-gradient step at 1/L, L the Lipschitz bound of grad F:
             # a descent step whatever the active set
             if lip is None:
                 lip = h_cost.max() + _spectral_norm(a) ** 2 / prm.epsilon
-            new = evaluate(inv.project(cur.u - cur.grad / lip, pav))
+            x = inv.project(cur.u - cur.grad / lip, pav)
+            f, duals = _penalty_value(problem, x)
+        new = _newton_point(problem, x, f, duals)
         if cur.res <= _STALL_RES and new.res >= cur.res:
             break  # rounding floor: the accepted step gains nothing
         its += 1
         cur = new
 
-    u = cur.u
-    duals = _closed_form_duals(problem, u)
+    u, duals = cur.u, cur.duals
     res = saddle_residual(problem, u, duals.gamma, duals.mu)
     if not math.isfinite(res) or res > max(tol, 1e-6):
         raise OracleError(f"saddle oracle: stationarity residual {res:.3e} out of tolerance")

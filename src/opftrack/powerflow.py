@@ -29,7 +29,7 @@ __all__ = [
     "constraint_offsets",
 ]
 
-# magnitudes outside this band abort the fixed-point iteration
+# magnitudes outside this band, or NaN, abort the fixed-point iteration
 COLLAPSE_LO = 0.3
 COLLAPSE_HI = 3.0
 
@@ -156,9 +156,9 @@ def solve_ac(
     ----------
     init : array or None
         Warm-start voltages; defaults to the no-load profile. A start with
-        a magnitude outside ``[0.3, 3]`` pu raises ``ValueError``; an
-        iterate that leaves that band aborts the solve with
-        :class:`VoltageCollapseError`.
+        a magnitude outside ``[0.3, 3]`` pu, NaN or infinite, raises
+        ``ValueError``; an iterate that leaves that band, or has a NaN
+        magnitude, aborts the solve with :class:`VoltageCollapseError`.
     tol : float
         Convergence threshold on the infinity norm of the complex power
         mismatch, evaluated by substituting the iterate back into the
@@ -173,7 +173,7 @@ def solve_ac(
     else:
         v = np.asarray(init, dtype=complex)
         mags = np.abs(v)
-        if mags.min() < COLLAPSE_LO or mags.max() > COLLAPSE_HI:
+        if not (COLLAPSE_LO <= mags.min() and mags.max() <= COLLAPSE_HI):
             raise ValueError(
                 f"warm-start magnitudes must be in [{COLLAPSE_LO}, {COLLAPSE_HI}] pu"
             )
@@ -182,7 +182,7 @@ def solve_ac(
     for it in range(1, max_iter + 1):
         v = adm.solve(np.conj(s / v) - yv0)
         mags = np.abs(v)
-        if mags.min() < COLLAPSE_LO or mags.max() > COLLAPSE_HI:
+        if not (COLLAPSE_LO <= mags.min() and mags.max() <= COLLAPSE_HI):
             raise VoltageCollapseError(
                 f"collapse: |v| outside [{COLLAPSE_LO}, {COLLAPSE_HI}] at iteration {it}",
                 residual,

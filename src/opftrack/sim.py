@@ -162,7 +162,6 @@ class ScenarioParams:
     bell_fall: float = 1.0
     n_dips: int = 3
     dip_depth: float = 0.4
-    dip_width_s: float | None = None
     vmax_plateaus: tuple[float, float, float] = (1.05, 1.035, 1.02)
     vmax_fractions: tuple[float, float, float] = (7 / 12, 1 / 12, 4 / 12)
     noise_amp: float = 0.0
@@ -190,16 +189,14 @@ def _load_series(base: np.ndarray, par: ScenarioParams, t: np.ndarray, rng) -> t
 
 def _irradiance(kind: str, par: ScenarioParams, t: np.ndarray, rng) -> np.ndarray:
     horizon = max(t[-1], 1e-9) if len(t) else 1.0
-    if kind == "static":
+    if kind in ("static", "vmax_steps"):
+        # constant clear-sky availability: under vmax_steps the stepped voltage
+        # limit is the only disturbance, so its response can be read off directly
         return np.full(len(t), par.pav_peak)
     if kind == "ramp":
         if len(t) < 2:
             return np.full(len(t), par.ramp_start)
         return par.ramp_start + (par.ramp_end - par.ramp_start) * t / horizon
-    if kind == "vmax_steps":
-        # constant clear-sky availability: the stepped voltage limit is the
-        # only disturbance, so limit-step response can be read off directly
-        return np.full(len(t), par.pav_peak)
     # diurnal bell for cloud_transient; bell_clip < 1 gives a flat clear-sky
     # plateau around the apex, bell_fall > 1 slows the afternoon decay
     dt = t - par.bell_center * horizon
@@ -208,12 +205,11 @@ def _irradiance(kind: str, par: ScenarioParams, t: np.ndarray, rng) -> np.ndarra
     frac = par.pav_floor + (par.pav_peak - par.pav_floor) * np.minimum(
         g / par.bell_clip, 1.0
     )
-    if kind == "cloud_transient" and par.n_dips > 0:
+    if par.n_dips > 0:
         factor = np.ones(len(t))
-        width = par.dip_width_s if par.dip_width_s is not None else 0.02 * horizon
         for _ in range(par.n_dips):
             center = rng.uniform(0.25 * horizon, 0.75 * horizon)
-            w = rng.uniform(0.5, 1.5) * width
+            w = rng.uniform(0.5, 1.5) * (0.02 * horizon)
             depth = rng.uniform(0.3, 1.0) * par.dip_depth
             factor -= depth * np.exp(-(((t - center) / w) ** 2))
         frac = frac * np.clip(factor, 1.0 - par.dip_depth, 1.0)
@@ -230,8 +226,8 @@ def generate_scenario(
 
     Kinds: ``static`` (all series constant), ``ramp`` (linear availability
     ramp), ``cloud_transient`` (diurnal bell with bounded fast irradiance
-    dips), ``vmax_steps`` (bell without dips plus a piecewise-constant
-    upper voltage limit taking the three plateau values).
+    dips), ``vmax_steps`` (constant availability, as ``static``, plus a
+    piecewise-constant upper voltage limit taking the three plateau values).
     """
     if kind not in SCENARIO_KINDS:
         raise ValueError(f"unknown scenario kind {kind!r}")
@@ -465,6 +461,11 @@ class CompiledFeeder:
     def adm(self) -> AdmittanceMatrix:
         return self.lm.adm
 
+    def surrogate(self, scenario: Scenario) -> VoltageCoupling:
+        """``coupling`` with one offset row per step of ``scenario``, from one solve."""
+        c = constraint_offsets(self.lm, scenario.p_load, scenario.q_load, self.feeder)
+        return replace(self.coupling, c=c)
+
 
 def compile_feeder(feeder: FeederModel) -> CompiledFeeder:
     """Validate, assemble and factor the feeder, then linearize it once.
@@ -482,7 +483,6 @@ def run_closed_loop(
     strategy: str,
     setup: ControlSetup,
     seed: int = 0,
-    z0: tuple[np.ndarray, DualState] | None = None,
     plant: str = "ac",
 ) -> Trajectory:
     """Run the measurement-driven loop and record every step.
@@ -491,9 +491,10 @@ def run_closed_loop(
     Volt/VAr on each inverter's own bus voltage), ``none`` (full available
     power at unity power factor). ``plant`` selects the AC fixed-point
     solve or the linear magnitude model. Deterministic for fixed inputs
-    and seed. Each AC solve starts from :func:`_ac_start`, an extrapolation
-    of the plant's last solutions; the solve accepts its iterate by the same
-    residual test wherever it starts.
+    and seed. Step 0 commands full available power at unity power factor
+    with zero duals. Each AC solve starts from :func:`_ac_start`, an
+    extrapolation of the plant's last solutions; the solve accepts its
+    iterate by the same residual test wherever it starts.
 
     The controller and the droop headroom see the availability as the
     regions use it (:meth:`Inverters.available`, clipped to the ratings
@@ -519,13 +520,9 @@ def run_closed_loop(
     p_av = inv.available(scenario.p_av)
     headroom = inv.headroom(p_av) if strategy == "droop" else None
 
-    if z0 is not None:
-        u = np.asarray(z0[0], dtype=float).copy()
-        duals = z0[1]
-    else:
-        u = np.column_stack([scenario.p_av[0], np.zeros(g)])
-        duals = DualState.zeros(len(mon))
-    u_applied = u.copy()
+    u = np.column_stack([scenario.p_av[0], np.zeros(g)])
+    duals = DualState.zeros(len(mon))
+    u_applied = u
     v_last: list[np.ndarray] = []  # the plant's last three solutions, newest first
     dual_warned = False
 
@@ -612,7 +609,8 @@ def _ac_start(v_last: list[np.ndarray], vbar: np.ndarray) -> np.ndarray:
     ``2 v1 - v2`` and ``3 v1 - 3 v2 + v3``. Consecutive solutions lie on the
     smooth path the loads and setpoints trace, so the extrapolation starts
     the fixed-point iteration close to the next one. A prediction with a
-    magnitude outside the band :func:`solve_ac` accepts falls back to ``v1``.
+    magnitude outside the band :func:`solve_ac` accepts, or a NaN one, falls
+    back to ``v1``.
     """
     if not v_last:
         return vbar
@@ -623,7 +621,7 @@ def _ac_start(v_last: list[np.ndarray], vbar: np.ndarray) -> np.ndarray:
     else:
         guess = 3.0 * (v_last[0] - v_last[1]) + v_last[2]
     mags = np.abs(guess)
-    if mags.min() < COLLAPSE_LO or mags.max() > COLLAPSE_HI:
+    if not (COLLAPSE_LO <= mags.min() and mags.max() <= COLLAPSE_HI):
         return v_last[0]
     return guess
 
@@ -637,21 +635,24 @@ def _max_violation(mon_mag: np.ndarray, scenario: Scenario) -> np.ndarray:
 
 
 def step_problem(
-    net: CompiledFeeder,
+    inv: Inverters,
+    p_av: np.ndarray,
+    coupling: VoltageCoupling,
     scenario: Scenario,
-    setup: ControlSetup,
+    params: ControllerParams,
     k: int,
 ) -> SaddleProblem:
-    """Time-frozen saddle instance for step ``k`` of a scenario."""
-    c = constraint_offsets(net.lm, scenario.p_load[k], scenario.q_load[k], net.feeder)
-    inv = setup.inverters(net.feeder)
+    """Time-frozen saddle instance for step ``k`` of a scenario.
+
+    Takes what a caller derives once per run: the run's inverters, the
+    availability of every step as the regions use it
+    (:meth:`Inverters.available`) and a surrogate with one offset row per
+    step, such as :meth:`CompiledFeeder.surrogate`. Step ``k`` reads row
+    ``k`` of both and the step's voltage band.
+    """
     return SaddleProblem(
-        inverters=inv,
-        p_av=inv.available(scenario.p_av[k]),
-        coupling=replace(net.coupling, c=c),
-        v_min=float(scenario.v_min[k]),
-        v_max=float(scenario.v_max[k]),
-        params=setup.params,
+        inv, p_av[k], replace(coupling, c=coupling.c[k]),
+        float(scenario.v_min[k]), float(scenario.v_max[k]), params,
     )
 
 
@@ -668,12 +669,12 @@ class TrackingReport:
     """Tracking-bound certificate of a recorded pursuit run.
 
     ``bound_satisfied`` is None when the configured stepsize carries no
-    contraction guarantee (``rho_alpha >= 1``). The ``oracle_*`` figures
-    are the total and the largest iteration count of the per-step oracle
-    solves and the largest of their final residuals.
+    contraction guarantee (``rho_alpha >= 1`` in the run's
+    :func:`convergence_constants`). The ``oracle_*`` figures are the total
+    and the largest iteration count of the per-step oracle solves and the
+    largest of their final residuals.
     """
 
-    constants: ConvergenceConstants
     sigma_z_measured: float
     e_measured: float
     bound_rhs: float
@@ -699,27 +700,28 @@ def measure_tracking(
     setup: ControlSetup,
     traj: Trajectory,
     decimation: int = 10,
-    oracle_tol: float = 1e-11,
     constants: ConvergenceConstants | None = None,
 ) -> TrackingReport:
     """Compare a recorded pursuit run against per-step saddle oracles.
 
     Oracles are solved on every ``decimation``-th step, in one pass: each
-    starts from the previous sampled step's optimal setpoints, and every
-    step's problem reads the run's inverters, its clipped availability (one
-    warning per report when the scenario exceeds a rating) and the one
-    surrogate whose offsets ``c_k`` of all steps come from one multi-column
-    solve. ``sigma_z_measured`` is the largest optimizer drift per step,
-    averaged over each pair of consecutive oracles ``decimation`` steps
-    apart; for ``decimation > 1`` it is therefore an estimate that bounds
-    the true per-step maximum from below. ``tracking_error_tail`` is
+    starts from the previous sampled step's optimal setpoints, and each
+    step's problem is :func:`step_problem` of the run's inverters, their
+    clipped availability (one warning per report when the scenario exceeds
+    a rating) and the one surrogate whose offsets ``c_k`` of all steps come
+    from one multi-column solve. ``sigma_z_measured`` is the largest
+    optimizer drift per step, averaged over each pair of consecutive oracles
+    ``decimation`` steps apart; for ``decimation > 1`` it is therefore an
+    estimate that bounds the true per-step maximum from below. The oracles
+    solve to their default tolerance. ``tracking_error_tail`` is
     likewise sampled only on the oracle steps of the last quarter of the
     run, so ``bound_satisfied`` is exact only at ``decimation = 1``.
     ``e_measured`` is the model-mismatch level ``max_k ||y_k - w_k||``
     between the measured magnitudes and the surrogate's prediction
     ``w_k = r P_k + b Q_k + c_k`` over all recorded steps (the gap between
     measurement-based and model-based dual gradients). ``constants`` are
-    the run's :func:`convergence_constants`, computed here when not given.
+    the run's :func:`convergence_constants`, computed here when not given;
+    only their ``rho_alpha`` enters the report.
     """
     if decimation < 1:
         raise ValueError("decimation must be >= 1")
@@ -728,14 +730,10 @@ def measure_tracking(
             f"trajectory has {traj.n_steps} steps, scenario has {scenario.n_steps}"
         )
     inv = setup.inverters(net.feeder)
-    consts = constants
-    if consts is None:
-        consts = convergence_constants(inv, net.coupling, setup.params)
+    if constants is None:
+        constants = convergence_constants(inv, net.coupling, setup.params)
     p_av = inv.available(scenario.p_av)
-    coupling = replace(
-        net.coupling,
-        c=constraint_offsets(net.lm, scenario.p_load, scenario.q_load, net.feeder),
-    )
+    coupling = net.surrogate(scenario)
     e_measured = float(np.max(np.linalg.norm(traj.y - coupling.predict(traj.u), axis=1)))
 
     tail_from = int(math.ceil(0.75 * scenario.n_steps))
@@ -743,11 +741,8 @@ def measure_tracking(
     its_total = its_max = 0
     sol = star = None
     for k in range(0, scenario.n_steps, decimation):
-        prob = SaddleProblem(
-            inv, p_av[k], replace(coupling, c=coupling.c[k]),
-            float(scenario.v_min[k]), float(scenario.v_max[k]), setup.params,
-        )
-        sol = solve_saddle_oracle(prob, tol=oracle_tol, u0=None if sol is None else sol.u)
+        prob = step_problem(inv, p_av, coupling, scenario, setup.params, k)
+        sol = solve_saddle_oracle(prob, u0=None if sol is None else sol.u)
         its_total += sol.iterations
         its_max = max(its_max, sol.iterations)
         res_max = max(res_max, sol.residual)
@@ -758,7 +753,7 @@ def measure_tracking(
             zk = pack_state(traj.u[k], traj.gamma[k], traj.mu[k])
             tail = max(tail, float(np.linalg.norm(zk - star)))
 
-    rho = consts.rho_alpha
+    rho = constants.rho_alpha
     if rho < 1.0:
         bound_rhs = (
             math.sqrt(2.0) * setup.params.alpha * e_measured + sigma_z
@@ -770,7 +765,6 @@ def measure_tracking(
         satisfied = None
         note = "no contraction guarantee: alpha >= alpha_max"
     return TrackingReport(
-        constants=consts,
         sigma_z_measured=sigma_z,
         e_measured=e_measured,
         bound_rhs=bound_rhs,

@@ -46,7 +46,6 @@ from opftrack.sim import (
     generate_scenario,
     measure_tracking,
     run_closed_loop,
-    step_problem,
 )
 
 
@@ -264,14 +263,13 @@ def test_a4_tracking_bound_on_ramp():
         costs=(CostParams(0.5, 0.5),),
     )
     net = compile_feeder(fd)
-    sol0 = solve_saddle_oracle(step_problem(net, scen, setup, 0))
-    z0 = (sol0.u, DualState(sol0.gamma, sol0.mu))
-    traj = run_closed_loop(net, scen, "pursuit", setup, z0=z0, plant="ac")
-    rep = measure_tracking(net, scen, setup, traj, decimation=1)
+    consts = convergence_constants(setup.inverters(fd), net.coupling, setup.params)
+    traj = run_closed_loop(net, scen, "pursuit", setup, plant="ac")
+    rep = measure_tracking(net, scen, setup, traj, decimation=1, constants=consts)
     elapsed = time.perf_counter() - t0
     ok = (
-        rep.constants.rho_alpha < 1.0
-        and setup.params.alpha < rep.constants.alpha_max
+        consts.rho_alpha < 1.0
+        and setup.params.alpha < consts.alpha_max
         and rep.bound_satisfied is True
         and rep.tracking_error_tail <= rep.bound_rhs
         and elapsed < 120.0
@@ -281,7 +279,7 @@ def test_a4_tracking_bound_on_ramp():
         ok,
         f"tail {rep.tracking_error_tail:.3f} <= rhs {rep.bound_rhs:.3f} "
         f"(e {rep.e_measured:.2e}, sigma_z {rep.sigma_z_measured:.2e}, "
-        f"rho {rep.constants.rho_alpha:.5f}), {elapsed:.1f}s (budget 120s)",
+        f"rho {consts.rho_alpha:.5f}), {elapsed:.1f}s (budget 120s)",
     )
 
 

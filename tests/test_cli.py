@@ -150,6 +150,9 @@ def test_validate_invalid_json(tmp_path, capsys):
          "bad_config.json:cost: cost weights must be finite and nonnegative, got (inf, 1.0)"),
         (lambda c: c.update(cost=[{"c_p": 1.0, "c_q": math.nan}]),
          "bad_config.json:cost[0]: cost weights must be finite"),
+        # the dip width is a fixed share of the scenario's duration
+        (lambda c: c["generator"].update(dip_width_s=2.0),
+         "unknown key(s) ['dip_width_s'] in"),
     ],
 )
 def test_config_schema_errors(tmp_path, run_config, capsys, mutate, fragment):
@@ -179,6 +182,9 @@ def test_run_end_to_end(tmp_path, run_config, capsys):
     assert summary["strategy"] == "pursuit"
     assert summary["alpha_condition_satisfied"] is True
     assert summary["tracking"]["bound_satisfied"] is True
+    # one copy of the convergence constants: the top-level section
+    assert set(summary["constants"]) == {"L", "G", "eta", "L_reg", "rho_alpha", "alpha_max"}
+    assert "constants" not in summary["tracking"]
     # the linear plant runs no power-flow solve
     assert summary["solver"] == {"pf_iterations_total": 0, "pf_iterations_max": 0}
     # byte-stable artifacts for identical configuration

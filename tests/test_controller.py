@@ -18,7 +18,8 @@ from opftrack.controller import (
     SaddleProblem,
     VoltageCoupling,
     _closed_form_duals,
-    _penalty_value_grad,
+    _newton_point,
+    _penalty_value,
     _spectral_norm,
     convergence_constants,
     dual_step_feedback,
@@ -478,10 +479,17 @@ def _penalty_instance():
 def test_penalty_value_matches_its_gradient_with_both_limits_violated():
     prob, rng = _penalty_instance()
     u = np.column_stack([rng.uniform(0, 0.1, 18), rng.uniform(-0.05, 0.05, 18)])
-    _, grad, act = _penalty_value_grad(prob, u)
-    duals = _closed_form_duals(prob, u)
+    f, duals = _penalty_value(prob, u)
+    closed = _closed_form_duals(prob, u)
+    assert np.array_equal(duals.gamma, closed.gamma) and np.array_equal(duals.mu, closed.mu)
     assert duals.gamma.max() > 0.0 and duals.mu.max() > 0.0
-    assert np.array_equal(act, (duals.gamma > 0.0) | (duals.mu > 0.0))
+    # the oracle takes the Hessian rows of the violated limits as mu != gamma
+    assert np.array_equal(duals.mu != duals.gamma, (duals.gamma > 0.0) | (duals.mu > 0.0))
+    point = _newton_point(prob, u, f, duals)
+    grad = point.grad
+    assert point.f == f
+    assert np.array_equal(point.r, u - prob.inverters.project(u - grad, prob.p_av))
+    assert point.res == np.linalg.norm(point.r)
     # F is quadratic between kinks, so central differences are exact up to
     # rounding as long as no limit crosses its kink within h
     h = 1e-5
@@ -490,7 +498,7 @@ def test_penalty_value_matches_its_gradient_with_both_limits_violated():
             up, dn = u.copy(), u.copy()
             up[i, j] += h
             dn[i, j] -= h
-            f_up, f_dn = _penalty_value_grad(prob, up)[0], _penalty_value_grad(prob, dn)[0]
+            f_up, f_dn = _penalty_value(prob, up)[0], _penalty_value(prob, dn)[0]
             fd_ij = (f_up - f_dn) / (2 * h)
             assert grad[i, j] == pytest.approx(fd_ij, rel=1e-7, abs=1e-7)
 

@@ -145,7 +145,7 @@ def test_warm_start_accepted_and_validated():
     warm = solve_ac(adm, inj, 1.0 + 0j, init=cold.v)
     assert warm.iterations <= cold.iterations
     assert warm.v[0] == pytest.approx(cold.v[0], abs=1e-9)
-    for outside in (0.1, 0.29, 3.01, 10.0):
+    for outside in (0.1, 0.29, 3.01, 10.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="warm-start"):
             solve_ac(adm, inj, 1.0 + 0j, init=np.asarray([outside + 0j]))
 

@@ -18,8 +18,11 @@ from opftrack.controller import (
     ControllerParams,
     CostParams,
     DualState,
+    SaddleProblem,
     convergence_constants,
+    dual_step_feedback,
     pack_state,
+    primal_step,
     solve_saddle_oracle,
 )
 from opftrack.feeder import load_feeder
@@ -269,11 +272,25 @@ def test_step_problem_uses_scenario_step_data():
         costs=tuple(CostParams(3.0, 1.0) for _ in range(18)),
     )
     k = 100
-    prob = step_problem(net, scen, setup, k)
-    assert prob.v_max == scen.v_max[k]
-    assert np.allclose(prob.p_av, scen.p_av[k])
+    inv = setup.inverters(fd)
+    prob = step_problem(inv, inv.available(scen.p_av), net.surrogate(scen), scen, setup.params, k)
+    assert prob.inverters is inv and prob.params is setup.params
+    assert prob.v_min == scen.v_min[k] and prob.v_max == scen.v_max[k]
+    assert np.array_equal(prob.p_av, scen.p_av[k])
+    assert np.array_equal(prob.coupling.r, net.coupling.r)
     expect_c = constraint_offsets(net.lm, scen.p_load[k], scen.q_load[k], fd)
     assert np.allclose(prob.coupling.c, expect_c, atol=1e-15)
+
+
+def _own_step_problem(net, scen, setup, k):
+    # step k's saddle instance built from that step's data alone: its own
+    # one-column offset solve and its own clipped availability
+    inv = setup.inverters(net.feeder)
+    c = constraint_offsets(net.lm, scen.p_load[k], scen.q_load[k], net.feeder)
+    return SaddleProblem(
+        inv, inv.available(scen.p_av[k]), replace(net.coupling, c=c),
+        float(scen.v_min[k]), float(scen.v_max[k]), setup.params,
+    )
 
 
 def _config36():
@@ -290,7 +307,7 @@ def test_oracle_returns_at_the_rounding_floor_below_an_unreachable_tolerance():
     # config36 step 300: below ||r|| = 1e-9 the Newton step fails the line
     # search and the accepted steps stop lowering ||r||, which ends the solve
     net, scen, setup, _ = _config36()
-    sol = solve_saddle_oracle(step_problem(net, scen, setup, 300), tol=1e-15, max_iter=200)
+    sol = solve_saddle_oracle(_own_step_problem(net, scen, setup, 300), tol=1e-15, max_iter=200)
     assert sol.iterations < 200
     assert sol.residual <= 1e-12
 
@@ -315,6 +332,33 @@ def test_pursuit_setpoints_stay_in_their_regions(kind):
     assert np.any(u[:, :, 0] < p_av) or np.any(u[:, :, 1] != 0.0)
 
 
+@pytest.mark.parametrize("kind", REGION_KINDS)
+def test_the_loop_applies_the_public_step_map_at_every_step(kind):
+    # a short, noisy feeder36 pursuit run: the recorded state of step k + 1
+    # is primal_step and dual_step_feedback applied to step k's recorded
+    # state and measurement, bit for bit
+    fd = networks.feeder36()
+    net = compile_feeder(fd)
+    par = ScenarioParams(n_steps=80, noise_amp=1e-3)
+    scen = generate_scenario("cloud_transient", fd, seed=5, params=par)
+    setup = ControlSetup(
+        params=ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4),
+        costs=tuple(CostParams(3.0, 1.0) for _ in range(fd.n_der)),
+        region_kind=kind,
+    )
+    traj = run_closed_loop(net, scen, "pursuit", setup, seed=3)
+    assert traj.mu.max() > 0.0  # the upper limits bind, so the duals move
+    inv = setup.inverters(fd)
+    p_av = inv.available(scen.p_av)
+    for k in range(scen.n_steps - 1):
+        duals = DualState(traj.gamma[k], traj.mu[k])
+        u_next = primal_step(traj.u[k], duals, inv, p_av[k], net.coupling, setup.params)
+        assert np.array_equal(u_next, traj.u[k + 1]), k
+        d_next = dual_step_feedback(duals, traj.y[k], scen.v_min[k], scen.v_max[k], setup.params)
+        assert np.array_equal(d_next.gamma, traj.gamma[k + 1]), k
+        assert np.array_equal(d_next.mu, traj.mu[k + 1]), k
+
+
 def test_over_rated_availability_is_clipped_once_per_run(tmp_path):
     fd = networks.feeder36()
     net = compile_feeder(fd)
@@ -333,10 +377,14 @@ def test_over_rated_availability_is_clipped_once_per_run(tmp_path):
         traj = run_closed_loop(net, over, "pursuit", setup)
     assert [str(w.message).endswith("clipped to the rating") for w in caught] == [True]
     # the controller sees the clipped availability: the same run on a
-    # clipped scenario, started where this one starts (full raw availability)
-    clipped = replace(over, p_av=np.minimum(over.p_av, ratings))
-    start = (np.column_stack([over.p_av[0], np.zeros(fd.n_der)]), DualState.zeros(10))
-    ref = run_closed_loop(net, clipped, "pursuit", setup, z0=start)
+    # clipped scenario whose row 0 keeps the raw availability, so that it
+    # starts where this one starts (full raw availability)
+    clipped_p_av = np.minimum(over.p_av, ratings)
+    clipped_p_av[0] = over.p_av[0]
+    clipped = replace(over, p_av=clipped_p_av)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ref = run_closed_loop(net, clipped, "pursuit", setup)
     for name in ("y", "u", "gamma", "mu", "v_mag", "max_violation", "pf_residual"):
         assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
     # the recorded cost is charged against the raw availability
@@ -419,11 +467,14 @@ def test_extrapolated_start_outside_the_band_falls_back_to_the_last_solution():
 
 
 def test_runaway_duals_warn():
+    # a huge stepsize against an upper limit below the unloaded magnitude
+    # drives mu past the limit in the first dual step
     fd = networks.two_bus()
-    scen = generate_scenario("static", fd, seed=0, params=ScenarioParams(n_steps=2, load_p=0.0))
-    z0 = (np.asarray([[0.9, 0.0]]), DualState(np.zeros(1), np.asarray([2e6])))
-    with pytest.warns(UserWarning, match="dual magnitude"):
-        run_closed_loop(compile_feeder(fd), scen, "pursuit", FAST_SETUP, z0=z0)
+    par = ScenarioParams(n_steps=2, load_p=0.0, v_max=0.96)
+    scen = generate_scenario("static", fd, seed=0, params=par)
+    setup = replace(FAST_SETUP, params=replace(FAST_SETUP.params, alpha=1e8))
+    with pytest.warns(UserWarning, match="dual magnitude exceeded 1e\\+06 at step 0"):
+        run_closed_loop(compile_feeder(fd), scen, "pursuit", setup)
 
 
 def test_trajectory_round_trip(tmp_path):
@@ -546,13 +597,17 @@ def test_tracking_bound_on_linear_plant_ramp():
     traj = run_closed_loop(TRACK_NET, scen, "pursuit", TRACK_SETUP, plant="linear")
     rep = measure_tracking(TRACK_NET, scen, TRACK_SETUP, traj, decimation=1)
     assert rep.e_measured == 0.0
-    assert rep.constants.rho_alpha < 1.0
+    assert _rho_alpha(TRACK_NET, TRACK_SETUP) < 1.0
     assert rep.bound_satisfied is True
     assert rep.tracking_error_tail <= rep.bound_rhs
     assert rep.note == ""
     d = rep.to_dict()
-    assert d["constants"]["L_reg"] == rep.constants.L_reg
+    assert "constants" not in d  # the run's constants are summary.json's own section
     assert d["bound_satisfied"] is True
+
+
+def _rho_alpha(net, setup):
+    return convergence_constants(setup.inverters(net.feeder), net.coupling, setup.params).rho_alpha
 
 
 def test_tracking_sigma_halves_with_tau():
@@ -579,7 +634,7 @@ def test_tracking_without_contraction_guarantee():
     )
     traj = run_closed_loop(TRACK_NET, scen, "pursuit", setup, plant="linear")
     rep = measure_tracking(TRACK_NET, scen, setup, traj, decimation=10)
-    assert rep.constants.rho_alpha >= 1.0
+    assert _rho_alpha(TRACK_NET, setup) >= 1.0
     assert rep.bound_satisfied is None
     assert math.isinf(rep.bound_rhs)
     assert "no contraction guarantee" in rep.note
@@ -613,20 +668,21 @@ def test_e_measured_is_the_largest_per_step_model_mismatch():
     traj = run_closed_loop(net, scen, "pursuit", setup)
     rep = measure_tracking(net, scen, setup, traj, decimation=40)
     ref = max(
-        np.linalg.norm(traj.y[k] - step_problem(net, scen, setup, k).coupling.predict(traj.u[k]))
-        for k in range(scen.n_steps)
+        np.linalg.norm(traj.y[k] - _own_step_problem(net, scen, setup, k).coupling.predict(u))
+        for k, u in enumerate(traj.u)
     )
     assert ref > 1e-3
     assert rep.e_measured == pytest.approx(ref, rel=1e-12)
 
 
 def _reference_report(net, scen, setup, traj, decimation):
-    # the report built step by step: step_problem and an oracle per sampled
-    # step, warm started from the previous setpoints, then one pass per figure
+    # the report built step by step: each sampled step's own saddle instance
+    # and an oracle warm started from the previous setpoints, then one pass
+    # per figure
     ks = list(range(0, scen.n_steps, decimation))
     sols, u0 = {}, None
     for k in ks:
-        sols[k] = solve_saddle_oracle(step_problem(net, scen, setup, k), u0=u0)
+        sols[k] = solve_saddle_oracle(_own_step_problem(net, scen, setup, k), u0=u0)
         u0 = sols[k].u
     stars = {k: pack_state(s.u, s.gamma, s.mu) for k, s in sols.items()}
     sigma_z = max(
@@ -641,12 +697,11 @@ def _reference_report(net, scen, setup, traj, decimation):
          for k in ks if k >= math.ceil(0.75 * scen.n_steps)),
         default=0.0,
     )
-    consts = convergence_constants(setup.inverters(net.feeder), net.coupling, setup.params)
-    rho = consts.rho_alpha
+    rho = _rho_alpha(net, setup)
     bound = (math.sqrt(2.0) * setup.params.alpha * e + sigma_z) / (1.0 - rho) if rho < 1.0 else math.inf
     its = [s.iterations for s in sols.values()]
     return TrackingReport(
-        constants=consts, sigma_z_measured=sigma_z, e_measured=e, bound_rhs=bound,
+        sigma_z_measured=sigma_z, e_measured=e, bound_rhs=bound,
         tracking_error_tail=tail, bound_satisfied=tail <= bound if rho < 1.0 else None,
         decimation=decimation, oracle_iterations_total=sum(its), oracle_iterations_max=max(its),
         oracle_residual_max=max(s.residual for s in sols.values()),
@@ -678,7 +733,7 @@ def test_one_pass_report_equals_the_step_by_step_reference(run):
     assert 0.0 < rep.oracle_residual_max <= 1e-11
     d = rep.to_dict()
     assert d["oracle_iterations_total"] == rep.oracle_iterations_total
-    assert d["constants"]["L_reg"] == rep.constants.L_reg
+    assert "constants" not in d
     assert d["bound_rhs"] == (rep.bound_rhs if math.isfinite(rep.bound_rhs) else None)
 
 
