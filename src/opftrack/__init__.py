@@ -51,7 +51,6 @@ from .powerflow import (
 )
 from .sim import (
     CompiledFeeder,
-    ControlSetup,
     PlantError,
     Scenario,
     ScenarioParams,

@@ -8,6 +8,7 @@ curtailed. Absorption is negative, injection positive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,10 @@ class DroopCurve:
     symmetric: bool = True
 
     def __post_init__(self) -> None:
-        if not self.v_zero < self.v_sat:
-            raise ValueError("v_zero must be below v_sat")
+        if not 0.0 < self.v_sat - self.v_zero < math.inf:  # an infinite span is a no-op
+            raise ValueError(
+                f"v_zero must be below v_sat, both finite, got {self.v_zero!r} and {self.v_sat!r}"
+            )
 
 
 def droop_q(v_meas: np.ndarray, headroom: np.ndarray, curve: DroopCurve) -> np.ndarray:

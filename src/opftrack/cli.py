@@ -12,7 +12,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -22,18 +22,18 @@ from .controller import (
     REGION_KINDS,
     ControllerParams,
     CostParams,
+    Inverters,
     OracleError,
     convergence_constants,
     solve_saddle_oracle,
 )
-from .feeder import FeederError, FeederModel, build_admittance, load_feeder, validate_feeder
+from .feeder import FeederError, build_admittance, load_feeder, validate_feeder
 from .powerflow import PowerFlowError, PowerInjection, build_linear_model, solve_ac
 from .sim import (
     PLANTS,
     SCENARIO_KINDS,
     STRATEGIES,
     CompiledFeeder,
-    ControlSetup,
     PlantError,
     Scenario,
     ScenarioParams,
@@ -58,17 +58,17 @@ class ConfigError(ValueError):
 class GeneratorConfig(ScenarioParams):
     """The ``generator`` section: a scenario kind plus the ScenarioParams knobs.
 
-    ``seed`` and ``noise_amp`` left as None take the run's ``seed`` and
-    ``noise_amp``.
+    ``seed`` left as None takes the run's ``seed``.
     """
 
     kind: str
     seed: int | None = None
-    noise_amp: float | None = None
 
     def __post_init__(self) -> None:
         super().__post_init__()
         _check_choice("kind", self.kind, SCENARIO_KINDS)
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -108,8 +108,12 @@ class RunConfig:
             raise ConfigError(f"lag_beta must be in [0, 1), got {self.lag_beta!r}")
         if self.report_decimation < 1:
             raise ConfigError("report_decimation must be >= 1")
-        if self.noise_amp < 0:
-            raise ConfigError("noise_amp must be nonnegative")
+        if not (self.noise_amp >= 0.0 and math.isfinite(2.0 * self.noise_amp)):
+            raise ConfigError(
+                f"noise_amp must be >= 0 with 2 * noise_amp finite, got {self.noise_amp!r}"
+            )
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def _check_choice(key: str, value: str, choices: tuple[str, ...]) -> None:
@@ -217,43 +221,32 @@ def load_config(path: str, flags: argparse.Namespace | None = None) -> RunConfig
     return _build(RunConfig, raw, path)
 
 
-def _costs_for(cfg: RunConfig, n_der: int, path: str) -> tuple[CostParams, ...]:
-    if isinstance(cfg.cost, CostParams):
-        return (cfg.cost,) * n_der
-    if len(cfg.cost) != n_der:
+def _costs_for(cfg: RunConfig, n_der: int, path: str) -> tuple[list[float], list[float]]:
+    costs = [cfg.cost] * n_der if isinstance(cfg.cost, CostParams) else cfg.cost
+    if len(costs) != n_der:
         raise ConfigError(
-            f"{path}:cost: per-DER list has {len(cfg.cost)} entries, feeder has {n_der} DERs"
+            f"{path}:cost: per-DER list has {len(costs)} entries, feeder has {n_der} DERs"
         )
-    return cfg.cost
-
-
-def _setup_for(cfg: RunConfig, feeder: FeederModel, path: str) -> ControlSetup:
-    return ControlSetup(
-        params=cfg.controller,
-        costs=_costs_for(cfg, feeder.n_der, path),
-        region_kind=cfg.region_kind,
-        droop=cfg.droop,
-        lag_beta=cfg.lag_beta,
-    )
+    return [c.c_p for c in costs], [c.c_q for c in costs]
 
 
 def _load_run(
     args: argparse.Namespace,
-) -> tuple[RunConfig, CompiledFeeder, Scenario, ControlSetup]:
-    """The config of ``args.config`` with its flags, compiled feeder, scenario and setup."""
+) -> tuple[RunConfig, CompiledFeeder, Scenario, Inverters]:
+    """The config of ``args.config`` with its flags, compiled feeder, scenario and inverters."""
     cfg = load_config(args.config, args)
     net = compile_feeder(load_feeder(cfg.feeder))
-    gen = cfg.generator
+    feeder, gen = net.feeder, cfg.generator
     if gen is None:
-        scen = read_scenario(cfg.scenario_file, net.feeder, noise_amp=cfg.noise_amp)
+        scen = read_scenario(cfg.scenario_file, feeder)
     else:
         seed = cfg.seed if gen.seed is None else gen.seed
-        noise = cfg.noise_amp if gen.noise_amp is None else gen.noise_amp
         try:
-            scen = generate_scenario(gen.kind, net.feeder, seed, replace(gen, noise_amp=noise))
+            scen = generate_scenario(gen.kind, feeder, seed, gen)
         except ValueError as exc:
             raise ConfigError(f"{args.config}:generator: {exc}") from exc
-    return cfg, net, scen, _setup_for(cfg, net.feeder, args.config)
+    c_p, c_q = _costs_for(cfg, feeder.n_der, args.config)
+    return cfg, net, scen, Inverters(cfg.region_kind, feeder.der_ratings, c_p, c_q)
 
 
 def _json_bytes(obj: dict) -> str:
@@ -343,9 +336,9 @@ def cmd_linearize(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg, net, scen, setup = _load_run(args)
-    consts = convergence_constants(setup.inverters(net.feeder), net.coupling, setup.params)
-    alpha = setup.params.alpha
+    cfg, net, scen, inv = _load_run(args)
+    consts = convergence_constants(inv, net.coupling, cfg.controller)
+    alpha = cfg.controller.alpha
     print(f"eta        = {consts.eta:.6e}")
     print(f"L_reg      = {consts.L_reg:.6e}")
     print(f"rho(alpha) = {consts.rho(alpha):.10f}")
@@ -359,7 +352,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
 
     traj = run_closed_loop(
-        net, scen, cfg.strategy, setup, seed=cfg.seed, plant=cfg.plant
+        net, scen, cfg.strategy, inv, cfg.controller, seed=cfg.seed, plant=cfg.plant,
+        noise_amp=cfg.noise_amp, droop=cfg.droop, lag_beta=cfg.lag_beta,
     )
 
     os.makedirs(cfg.output_dir, exist_ok=True)
@@ -387,7 +381,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     }
     if cfg.strategy == "pursuit" and cfg.report:
         rep = measure_tracking(
-            net, scen, setup, traj, decimation=cfg.report_decimation, constants=consts
+            net, scen, inv, cfg.controller, traj, decimation=cfg.report_decimation,
+            constants=consts,
         )
         summary["tracking"] = rep.to_dict()
     summary_path = os.path.join(cfg.output_dir, "summary.json")
@@ -400,12 +395,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    _, net, scen, setup = _load_run(args)
+    cfg, net, scen, inv = _load_run(args)
     k = args.step
     if not 0 <= k < scen.n_steps:
         raise ConfigError(f"step {k} outside scenario range [0, {scen.n_steps})")
-    inv = setup.inverters(net.feeder)
-    prob = step_problem(inv, inv.available(scen.p_av), net.surrogate(scen), scen, setup.params, k)
+    p_av = inv.available(scen.p_av)
+    prob = step_problem(inv, p_av, net.surrogate(scen), scen, cfg.controller, k)
     sol = solve_saddle_oracle(prob, tol=args.tol)
     out = {
         "step": k,
@@ -422,10 +417,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    cfg, net, scen, setup = _load_run(args)
+    cfg, net, scen, inv = _load_run(args)
     path = args.trajectory or os.path.join(cfg.output_dir, "trajectory.csv")
-    traj = check_trajectory(path, net, scen, setup)
-    rep = measure_tracking(net, scen, setup, traj, decimation=cfg.report_decimation)
+    traj = check_trajectory(path, net, scen, inv)
+    rep = measure_tracking(net, scen, inv, cfg.controller, traj, decimation=cfg.report_decimation)
     _emit_json(rep.to_dict(), args.output)
     return 0
 

@@ -138,11 +138,6 @@ class AdmittanceMatrix:
             ]
         )
 
-    def full(self) -> sp.csc_matrix:
-        """Reassemble the full admittance matrix including the slack row."""
-        col = self.ybar[:, None]
-        return sp.bmat([[np.array([[self.y00]]), col.T], [col, self.Y]], format="csc")
-
 
 def validate_feeder(feeder: FeederModel) -> list[str]:
     """Run structural checks and return a list of diagnostics (empty if clean).

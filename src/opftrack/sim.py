@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -24,7 +25,6 @@ from .baseline import DroopCurve, droop_q
 from .controller import (
     ControllerParams,
     ConvergenceConstants,
-    CostParams,
     DualState,
     Inverters,
     SaddleProblem,
@@ -53,7 +53,6 @@ __all__ = [
     "compile_feeder",
     "Scenario",
     "ScenarioParams",
-    "ControlSetup",
     "Trajectory",
     "TrackingReport",
     "PlantError",
@@ -93,8 +92,7 @@ class Scenario:
     """Time series driving a run: loads, DER availability, voltage band.
 
     Loads are positive demands over buses 1..N; ``p_av`` is per DER in the
-    feeder's DER order. ``noise_amp`` is the half-width of the uniform
-    measurement noise.
+    feeder's DER order.
     """
 
     tau: float
@@ -103,7 +101,6 @@ class Scenario:
     p_av: np.ndarray
     v_min: np.ndarray
     v_max: np.ndarray
-    noise_amp: float = 0.0
 
     def __post_init__(self) -> None:
         for name in ("p_load", "q_load", "p_av", "v_min", "v_max"):
@@ -127,8 +124,6 @@ class Scenario:
             raise ValueError("v_min must be below v_max at every step")
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ValueError("tau must be positive and finite")
-        if not self.noise_amp >= 0.0:
-            raise ValueError(f"noise_amp must be nonnegative, got {self.noise_amp!r}")
 
     @property
     def n_steps(self) -> int:
@@ -164,13 +159,16 @@ class ScenarioParams:
     dip_depth: float = 0.4
     vmax_plateaus: tuple[float, float, float] = (1.05, 1.035, 1.02)
     vmax_fractions: tuple[float, float, float] = (7 / 12, 1 / 12, 4 / 12)
-    noise_amp: float = 0.0
 
     def __post_init__(self) -> None:
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}: scenario has no steps")
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ValueError(f"tau must be positive and finite, got {self.tau!r}")
+        if self.n_steps - 1 > sys.float_info.max / self.tau:  # n_steps may exceed any float
+            raise ValueError(f"last time (n_steps - 1) * tau must be finite, tau = {self.tau!r}")
+        if self.n_dips < 0:
+            raise ValueError(f"n_dips must be >= 0, got {self.n_dips}")
 
 
 def _load_series(base: np.ndarray, par: ScenarioParams, t: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -266,7 +264,6 @@ def generate_scenario(
         p_av=p_av,
         v_min=v_min,
         v_max=v_max,
-        noise_amp=par.noise_amp,
     )
 
 
@@ -352,7 +349,7 @@ def write_scenario(scenario: Scenario, feeder: FeederModel, path: str) -> None:
     _write_columns(path, _scenario_columns(feeder), parts)
 
 
-def read_scenario(path: str, feeder: FeederModel, noise_amp: float = 0.0) -> Scenario:
+def read_scenario(path: str, feeder: FeederModel) -> Scenario:
     """Parse a columnar scenario file; the column set must match the feeder.
 
     Every row must have one numeric cell per column, ``time_s`` must be
@@ -379,7 +376,6 @@ def read_scenario(path: str, feeder: FeederModel, noise_amp: float = 0.0) -> Sce
             p_load=data[:, 3 : 3 + n],
             q_load=data[:, 3 + n : 3 + 2 * n],
             p_av=data[:, 3 + 2 * n : 3 + 2 * n + g],
-            noise_amp=noise_amp,
         )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
@@ -387,31 +383,6 @@ def read_scenario(path: str, feeder: FeederModel, noise_amp: float = 0.0) -> Sce
 
 # ---------------------------------------------------------------------------
 # closed loop
-
-
-@dataclass(frozen=True)
-class ControlSetup:
-    """Controller/baseline configuration shared by all strategies."""
-
-    params: ControllerParams
-    costs: tuple[CostParams, ...]
-    region_kind: str = "joint"
-    droop: DroopCurve = field(default_factory=DroopCurve)
-    lag_beta: float = 0.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "costs", tuple(self.costs))
-        if not 0.0 <= self.lag_beta < 1.0:
-            raise ValueError("lag_beta must be in [0, 1)")
-
-    def inverters(self, feeder: FeederModel) -> Inverters:
-        """The feeder's DERs with this setup's region kind and costs."""
-        return Inverters(
-            self.region_kind,
-            feeder.der_ratings,
-            [c.c_p for c in self.costs],
-            [c.c_q for c in self.costs],
-        )
 
 
 @dataclass(frozen=True)
@@ -481,20 +452,29 @@ def run_closed_loop(
     net: CompiledFeeder,
     scenario: Scenario,
     strategy: str,
-    setup: ControlSetup,
+    inv: Inverters,
+    params: ControllerParams,
+    *,
     seed: int = 0,
     plant: str = "ac",
+    noise_amp: float = 0.0,
+    droop: DroopCurve = DroopCurve(),
+    lag_beta: float = 0.0,
 ) -> Trajectory:
     """Run the measurement-driven loop and record every step.
 
-    Strategies: ``pursuit`` (primal-dual controller), ``droop`` (local
-    Volt/VAr on each inverter's own bus voltage), ``none`` (full available
-    power at unity power factor). ``plant`` selects the AC fixed-point
-    solve or the linear magnitude model. Deterministic for fixed inputs
-    and seed. Step 0 commands full available power at unity power factor
-    with zero duals. Each AC solve starts from :func:`_ac_start`, an
-    extrapolation of the plant's last solutions; the solve accepts its
-    iterate by the same residual test wherever it starts.
+    Strategies: ``pursuit`` (primal-dual controller with ``params``),
+    ``droop`` (local Volt/VAr by the curve ``droop`` on each inverter's own
+    bus voltage), ``none`` (full available power at unity power factor).
+    ``inv`` holds the feeder's DERs; ``plant`` selects the AC fixed-point
+    solve or the linear magnitude model. Measurements carry uniform noise
+    of half-width ``noise_amp`` from a generator seeded with ``seed``, so a
+    run is deterministic for fixed inputs. With ``lag_beta`` > 0 the applied
+    setpoints close ``1 - lag_beta`` of their gap to the command per step.
+    Step 0 commands full available power at unity power factor with zero
+    duals. Each AC solve starts from :func:`_ac_start`, an extrapolation of
+    the plant's last solutions; the solve accepts its iterate by the same
+    residual test wherever it starts.
 
     The controller and the droop headroom see the availability as the
     regions use it (:meth:`Inverters.available`, clipped to the ratings
@@ -510,13 +490,18 @@ def run_closed_loop(
         raise ValueError("scenario DER columns do not match the feeder")
     if scenario.p_load.shape[1] != feeder.n_nodes:
         raise ValueError("scenario load columns do not match the feeder")
+    if inv.n_der != feeder.n_der:
+        raise ValueError(f"{inv.n_der} inverters for the feeder's {feeder.n_der} DERs")
+    if not 0.0 <= lag_beta < 1.0:
+        raise ValueError(f"lag_beta must be in [0, 1), got {lag_beta!r}")
+    if not (noise_amp >= 0.0 and math.isfinite(2.0 * noise_amp)):
+        raise ValueError(f"noise_amp must be >= 0 with 2 * noise_amp finite, got {noise_amp!r}")
 
     v0 = feeder.slack_voltage
     mon = feeder.monitored_indices()
     der = feeder.der_indices()
     rng = np.random.default_rng(seed)
     g = feeder.n_der
-    inv = setup.inverters(feeder)
     p_av = inv.available(scenario.p_av)
     headroom = inv.headroom(p_av) if strategy == "droop" else None
 
@@ -535,8 +520,8 @@ def run_closed_loop(
     pf_residual = np.zeros(n_steps)
     pf_iterations = np.zeros(n_steps, dtype=int)
     for k in range(n_steps):
-        if setup.lag_beta > 0.0:
-            u_applied = u_applied + (1.0 - setup.lag_beta) * (u - u_applied)
+        if lag_beta > 0.0:
+            u_applied = u_applied + (1.0 - lag_beta) * (u - u_applied)
         else:
             u_applied = u
 
@@ -559,16 +544,14 @@ def run_closed_loop(
             v_mag = predict_voltage_magnitude(net.lm, inj)
 
         y = v_mag[mon]
-        if scenario.noise_amp > 0.0:
-            y = y + rng.uniform(-scenario.noise_amp, scenario.noise_amp, len(mon))
+        if noise_amp > 0.0:
+            y = y + rng.uniform(-noise_amp, noise_amp, len(mon))
         ys[k], us[k], gammas[k], mus[k], v_mags[k] = y, u, duals.gamma, duals.mu, v_mag
 
         if strategy == "pursuit":
             # simultaneous update: the primal step reads the pre-update duals
-            u_next = primal_step(u, duals, inv, p_av[k], net.coupling, setup.params)
-            duals = dual_step_feedback(
-                duals, y, scenario.v_min[k], scenario.v_max[k], setup.params
-            )
+            u_next = primal_step(u, duals, inv, p_av[k], net.coupling, params)
+            duals = dual_step_feedback(duals, y, scenario.v_min[k], scenario.v_max[k], params)
             u = u_next
             if not dual_warned and (
                 duals.gamma.max(initial=0.0) > DUAL_DIAG_LIMIT
@@ -582,13 +565,9 @@ def run_closed_loop(
                 )
         elif strategy == "droop":
             v_local = v_mag[der]
-            if scenario.noise_amp > 0.0:
-                v_local = v_local + rng.uniform(
-                    -scenario.noise_amp, scenario.noise_amp, g
-                )
-            u = np.column_stack(
-                [scenario.p_av[k], droop_q(v_local, headroom[k], setup.droop)]
-            )
+            if noise_amp > 0.0:
+                v_local = v_local + rng.uniform(-noise_amp, noise_amp, g)
+            u = np.column_stack([scenario.p_av[k], droop_q(v_local, headroom[k], droop)])
         else:  # none
             u = np.column_stack([scenario.p_av[k], np.zeros(g)])
 
@@ -697,7 +676,8 @@ class TrackingReport:
 def measure_tracking(
     net: CompiledFeeder,
     scenario: Scenario,
-    setup: ControlSetup,
+    inv: Inverters,
+    params: ControllerParams,
     traj: Trajectory,
     decimation: int = 10,
     constants: ConvergenceConstants | None = None,
@@ -706,22 +686,23 @@ def measure_tracking(
 
     Oracles are solved on every ``decimation``-th step, in one pass: each
     starts from the previous sampled step's optimal setpoints, and each
-    step's problem is :func:`step_problem` of the run's inverters, their
-    clipped availability (one warning per report when the scenario exceeds
-    a rating) and the one surrogate whose offsets ``c_k`` of all steps come
-    from one multi-column solve. ``sigma_z_measured`` is the largest
-    optimizer drift per step, averaged over each pair of consecutive oracles
-    ``decimation`` steps apart; for ``decimation > 1`` it is therefore an
-    estimate that bounds the true per-step maximum from below. The oracles
-    solve to their default tolerance. ``tracking_error_tail`` is
-    likewise sampled only on the oracle steps of the last quarter of the
-    run, so ``bound_satisfied`` is exact only at ``decimation = 1``.
-    ``e_measured`` is the model-mismatch level ``max_k ||y_k - w_k||``
-    between the measured magnitudes and the surrogate's prediction
-    ``w_k = r P_k + b Q_k + c_k`` over all recorded steps (the gap between
-    measurement-based and model-based dual gradients). ``constants`` are
-    the run's :func:`convergence_constants`, computed here when not given;
-    only their ``rho_alpha`` enters the report.
+    step's problem is :func:`step_problem` of the run's inverters ``inv``
+    and controller ``params``, their clipped availability (one warning per
+    report when the scenario exceeds a rating) and the one surrogate whose
+    offsets ``c_k`` of all steps come from one multi-column solve.
+    ``sigma_z_measured`` is the largest optimizer drift per step, averaged
+    over each pair of consecutive oracles ``decimation`` steps apart; for
+    ``decimation > 1`` it is therefore an estimate that bounds the true
+    per-step maximum from below. The oracles solve to their default
+    tolerance. ``tracking_error_tail`` is likewise sampled only on the
+    oracle steps of the last quarter of the run, so ``bound_satisfied`` is
+    exact only at ``decimation = 1``. ``e_measured`` is the model-mismatch
+    level ``max_k ||y_k - w_k||`` between the measured magnitudes and the
+    surrogate's prediction ``w_k = r P_k + b Q_k + c_k`` over all recorded
+    steps (the gap between measurement-based and model-based dual
+    gradients). ``constants`` are the run's :func:`convergence_constants`,
+    computed here when not given; only their ``rho_alpha`` enters the
+    report.
     """
     if decimation < 1:
         raise ValueError("decimation must be >= 1")
@@ -729,9 +710,8 @@ def measure_tracking(
         raise ValueError(
             f"trajectory has {traj.n_steps} steps, scenario has {scenario.n_steps}"
         )
-    inv = setup.inverters(net.feeder)
     if constants is None:
-        constants = convergence_constants(inv, net.coupling, setup.params)
+        constants = convergence_constants(inv, net.coupling, params)
     p_av = inv.available(scenario.p_av)
     coupling = net.surrogate(scenario)
     e_measured = float(np.max(np.linalg.norm(traj.y - coupling.predict(traj.u), axis=1)))
@@ -741,7 +721,7 @@ def measure_tracking(
     its_total = its_max = 0
     sol = star = None
     for k in range(0, scenario.n_steps, decimation):
-        prob = step_problem(inv, p_av, coupling, scenario, setup.params, k)
+        prob = step_problem(inv, p_av, coupling, scenario, params, k)
         sol = solve_saddle_oracle(prob, u0=None if sol is None else sol.u)
         its_total += sol.iterations
         its_max = max(its_max, sol.iterations)
@@ -755,9 +735,7 @@ def measure_tracking(
 
     rho = constants.rho_alpha
     if rho < 1.0:
-        bound_rhs = (
-            math.sqrt(2.0) * setup.params.alpha * e_measured + sigma_z
-        ) / (1.0 - rho)
+        bound_rhs = (math.sqrt(2.0) * params.alpha * e_measured + sigma_z) / (1.0 - rho)
         satisfied: bool | None = tail <= bound_rhs
         note = ""
     else:
@@ -835,13 +813,13 @@ def _read_trajectory(path: str, feeder: FeederModel) -> tuple[np.ndarray, Trajec
 
 
 def check_trajectory(
-    path: str, net: CompiledFeeder, scenario: Scenario, setup: ControlSetup
+    path: str, net: CompiledFeeder, scenario: Scenario, inv: Inverters
 ) -> Trajectory:
     """:func:`read_trajectory` for a run of ``scenario``, its derived columns checked.
 
     The file must have one row per scenario step, ``time_s`` must be
-    ``k * tau``, ``cost`` the :func:`eval_cost` of the file's own setpoints
-    and ``max_violation`` the excursion of its metered ``vmag`` outside the
+    ``k * tau``, ``cost`` the :func:`eval_cost` for ``inv`` of the file's
+    own setpoints and ``max_violation`` the excursion of its metered ``vmag`` outside the
     scenario's band. The writer round-trips every float, so each must match
     bit for bit; a mismatch raises ``ValueError`` naming the file, the
     column and the first wrong row.
@@ -853,7 +831,7 @@ def check_trajectory(
         )
     derived = {
         "time_s": (time_s, np.arange(traj.n_steps) * scenario.tau),
-        "cost": (traj.cost, eval_cost(traj.u, setup.inverters(net.feeder), scenario.p_av)),
+        "cost": (traj.cost, eval_cost(traj.u, inv, scenario.p_av)),
         "max_violation": (
             traj.max_violation,
             _max_violation(traj.v_mag[:, net.feeder.monitored_indices()], scenario),

@@ -18,7 +18,6 @@ from opftrack import networks
 from opftrack.controller import (
     REGION_KINDS,
     ControllerParams,
-    CostParams,
     DualState,
     Inverters,
     SaddleProblem,
@@ -39,7 +38,6 @@ from opftrack.powerflow import (
     solve_ac,
 )
 from opftrack.sim import (
-    ControlSetup,
     ScenarioParams,
     compile_feeder,
     eval_cost,
@@ -258,18 +256,16 @@ def test_a4_tracking_bound_on_ramp():
     par = ScenarioParams(n_steps=100, tau=1.0, load_p=0.0, load_swing=0.0,
                          ramp_start=0.2, ramp_end=0.9)
     scen = generate_scenario("ramp", fd, seed=0, params=par)
-    setup = ControlSetup(
-        params=ControllerParams(alpha=0.05, nu=0.1, epsilon=0.1),
-        costs=(CostParams(0.5, 0.5),),
-    )
+    inv = Inverters("joint", fd.der_ratings, [0.5], [0.5])
+    params = ControllerParams(alpha=0.05, nu=0.1, epsilon=0.1)
     net = compile_feeder(fd)
-    consts = convergence_constants(setup.inverters(fd), net.coupling, setup.params)
-    traj = run_closed_loop(net, scen, "pursuit", setup, plant="ac")
-    rep = measure_tracking(net, scen, setup, traj, decimation=1, constants=consts)
+    consts = convergence_constants(inv, net.coupling, params)
+    traj = run_closed_loop(net, scen, "pursuit", inv, params, plant="ac")
+    rep = measure_tracking(net, scen, inv, params, traj, decimation=1, constants=consts)
     elapsed = time.perf_counter() - t0
     ok = (
         consts.rho_alpha < 1.0
-        and setup.params.alpha < consts.alpha_max
+        and params.alpha < consts.alpha_max
         and rep.bound_satisfied is True
         and rep.tracking_error_tail <= rep.bound_rhs
         and elapsed < 120.0
@@ -298,21 +294,19 @@ def midday():
     )
     scen = generate_scenario("cloud_transient", fd, seed=7, params=par)
     params = ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4)
-    costs = tuple(CostParams(3.0, 1.0) for _ in range(18))
-    plain = ControlSetup(params=params, costs=costs)
-    lagged = ControlSetup(params=params, costs=costs, lag_beta=0.9)
+    inv = Inverters("joint", fd.der_ratings, [3.0] * 18, [1.0] * 18)
     net = compile_feeder(fd)
     runs = {
-        "none": run_closed_loop(net, scen, "none", plain),
-        "pursuit": run_closed_loop(net, scen, "pursuit", plain),
-        "droop": run_closed_loop(net, scen, "droop", lagged),
+        "none": run_closed_loop(net, scen, "none", inv, params),
+        "pursuit": run_closed_loop(net, scen, "pursuit", inv, params),
+        "droop": run_closed_loop(net, scen, "droop", inv, params, lag_beta=0.9),
     }
     burn = scen.n_steps // 4
     v_none = runs["none"].v_mag.max(axis=1)
     window = np.flatnonzero(v_none > 1.05)
     window = window[window >= burn]
     return {
-        "feeder": fd, "scenario": scen, "inverters": plain.inverters(fd), "runs": runs,
+        "feeder": fd, "scenario": scen, "inverters": inv, "runs": runs,
         "burn": burn, "window": window, "v_none": v_none,
         "elapsed": time.perf_counter() - t0,
     }
@@ -408,11 +402,9 @@ def test_a7_stepped_voltage_limit():
                          pav_peak=0.95)
     scen = generate_scenario("vmax_steps", fd, seed=3, params=par)
     assert sorted(set(scen.v_max.tolist()), reverse=True) == [1.05, 1.035, 1.02]
-    setup = ControlSetup(
-        params=ControllerParams(alpha=0.4, nu=1e-3, epsilon=5e-5),
-        costs=tuple(CostParams(1.0, 1.0) for _ in range(18)),
-    )
-    viol = run_closed_loop(compile_feeder(fd), scen, "pursuit", setup).max_violation
+    inv = Inverters("joint", fd.der_ratings, [1.0] * 18, [1.0] * 18)
+    params = ControllerParams(alpha=0.4, nu=1e-3, epsilon=5e-5)
+    viol = run_closed_loop(compile_feeder(fd), scen, "pursuit", inv, params).max_violation
     drops = (np.flatnonzero(np.diff(scen.v_max) != 0.0) + 1).tolist()
     edges = drops + [scen.n_steps]
     details = []

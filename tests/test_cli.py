@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import shutil
@@ -129,8 +130,28 @@ def test_validate_invalid_json(tmp_path, capsys):
         (lambda c: c["generator"].update(tau=-1),
          "bad_config.json:generator: tau must be positive and finite, got -1.0"),
         (lambda c: c.update(lag_beta=1.5), "bad_config.json: lag_beta must be in [0, 1), got 1.5"),
-        (lambda c: c["generator"].update(noise_amp=-0.5),
-         "bad_config.json:generator: noise_amp must be nonnegative, got -0.5"),
+        # measurement noise is the run's, next to its seed; the scenario has none
+        (lambda c: c["generator"].update(noise_amp=-0.5), "unknown key(s) ['noise_amp'] in"),
+        (lambda c: c.update(noise_amp=-0.5),
+         "bad_config.json: noise_amp must be >= 0 with 2 * noise_amp finite, got -0.5"),
+        # the noise draw spans 2 * noise_amp, and the generator's time axis
+        # runs to (n_steps - 1) * tau: both must be finite
+        (lambda c: c.update(noise_amp=math.inf),
+         "bad_config.json: noise_amp must be >= 0 with 2 * noise_amp finite, got inf"),
+        (lambda c: c.update(noise_amp=1e308),
+         "bad_config.json: noise_amp must be >= 0 with 2 * noise_amp finite, got 1e+308"),
+        (lambda c: c["generator"].update(tau=1e308),
+         "bad_config.json:generator: last time (n_steps - 1) * tau must be finite, "
+         "tau = 1e+308"),
+        # a step count beyond any float fails in the generator, one line still
+        (lambda c: c["generator"].update(n_steps=10**400), "bad_config.json:generator:"),
+        (lambda c: c.update(seed=-1), "bad_config.json: seed must be >= 0, got -1"),
+        (lambda c: c["generator"].update(seed=-1),
+         "bad_config.json:generator: seed must be >= 0, got -1"),
+        (lambda c: c.update(droop={"v_sat": math.inf}),
+         "bad_config.json:droop: v_zero must be below v_sat, both finite, got 1.0 and inf"),
+        (lambda c: c["generator"].update(n_dips=-1),
+         "bad_config.json:generator: n_dips must be >= 0, got -1"),
         (lambda c: c.update(cost=[{"c_p": 1.0, "c_q": 1.0}] * 2),
          "bad_config.json:cost: per-DER list has 2 entries, feeder has 1 DERs"),
         (lambda c: c["generator"].update(v_min=1.1, v_max=1.0),
@@ -169,6 +190,11 @@ def test_run_alpha_flag_must_be_finite(run_config, capsys):
     assert "controller: alpha, nu, epsilon must be finite" in _one_line_error(capsys)
 
 
+def test_run_seed_flag_must_be_nonnegative(run_config, capsys):
+    assert cli.main(["run", "--config", str(run_config), "--seed", "-1"]) == 1
+    assert f"{run_config}: seed must be >= 0, got -1" in _one_line_error(capsys)
+
+
 def test_run_end_to_end(tmp_path, run_config, capsys):
     assert cli.main(["run", "--config", str(run_config)]) == 0
     out = capsys.readouterr().out
@@ -201,8 +227,9 @@ def test_summary_solver_section_totals_the_plant_iterations(tmp_path, run_config
     first = path.read_bytes()
     assert cli.main(args) == 0
     assert path.read_bytes() == first
-    cfg, net, scen, setup = cli._load_run(cli._build_parser().parse_args(args))
-    counts = run_closed_loop(net, scen, cfg.strategy, setup, seed=cfg.seed).pf_iterations
+    cfg, net, scen, inv = cli._load_run(cli._build_parser().parse_args(args))
+    traj = run_closed_loop(net, scen, cfg.strategy, inv, cfg.controller, seed=cfg.seed)
+    counts = traj.pf_iterations
     assert counts.min() >= 1
     assert json.loads(first)["solver"] == {
         "pf_iterations_total": int(counts.sum()), "pf_iterations_max": int(counts.max()),
@@ -385,6 +412,22 @@ def _one_line_error(capsys) -> str:
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
     return err
+
+
+def test_scenario_file_run_measures_with_the_run_noise(tmp_path, run_config):
+    # the top-level noise_amp perturbs every metered magnitude of a run
+    # read from a scenario file, by at most noise_amp
+    path, _ = _scenario_file_config(tmp_path, run_config, lambda lines: lines)
+    cfg = json.loads(path.read_text(encoding="utf-8"))
+    cfg["noise_amp"] = 1e-3
+    write_json(path, cfg)
+    assert cli.main(["run", "--config", str(path)]) == 0
+    with open(tmp_path / "out" / "trajectory.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4
+    for row in rows:
+        gap = abs(float(row["y_1"]) - float(row["vmag_1"]))
+        assert 0.0 < gap <= 1e-3
 
 
 def test_run_scenario_row_with_wrong_column_count(tmp_path, run_config, capsys):

@@ -16,8 +16,8 @@ from opftrack.cli import load_config
 from opftrack.controller import (
     REGION_KINDS,
     ControllerParams,
-    CostParams,
     DualState,
+    Inverters,
     SaddleProblem,
     convergence_constants,
     dual_step_feedback,
@@ -29,7 +29,6 @@ from opftrack.feeder import load_feeder
 from opftrack import sim
 from opftrack.powerflow import PowerInjection, constraint_offsets, solve_ac
 from opftrack.sim import (
-    ControlSetup,
     PlantError,
     Scenario,
     ScenarioParams,
@@ -49,10 +48,14 @@ from opftrack.sim import (
 
 TB_STRONG = networks.two_bus(z=0.33 + 0.33j)  # strong coupling settles fast
 STATIC_PAR = ScenarioParams(n_steps=260, tau=1.0, load_p=0.0, load_swing=0.0, pav_peak=0.6)
-FAST_SETUP = ControlSetup(
-    params=ControllerParams(alpha=0.8, nu=1e-5, epsilon=1e-5),
-    costs=(CostParams(1.0, 1.0),),
-)
+FAST_PARAMS = ControllerParams(alpha=0.8, nu=1e-5, epsilon=1e-5)
+FAST_INV = Inverters("joint", TB_STRONG.der_ratings, [1.0], [1.0])
+PARAMS = ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4)
+
+
+def _inverters(fd, c_p=3.0, c_q=1.0, kind="joint"):
+    # every DER of ``fd`` with the same cost weights
+    return Inverters(kind, fd.der_ratings, [c_p] * fd.n_der, [c_q] * fd.n_der)
 
 
 def test_static_generator_constant_series():
@@ -166,28 +169,36 @@ def test_closed_loop_rejects_bad_arguments():
     net = compile_feeder(fd)
     scen = generate_scenario("static", fd, seed=0, params=ScenarioParams(n_steps=5))
     with pytest.raises(ValueError, match="unknown strategy"):
-        run_closed_loop(net, scen, "mppt", FAST_SETUP)
+        run_closed_loop(net, scen, "mppt", FAST_INV, FAST_PARAMS)
     with pytest.raises(ValueError, match="unknown plant"):
-        run_closed_loop(net, scen, "none", FAST_SETUP, plant="dc")
+        run_closed_loop(net, scen, "none", FAST_INV, FAST_PARAMS, plant="dc")
     with pytest.raises(ValueError, match="DER columns"):
-        run_closed_loop(compile_feeder(networks.feeder36()), scen, "none", FAST_SETUP)
+        run_closed_loop(compile_feeder(networks.feeder36()), scen, "none", FAST_INV, FAST_PARAMS)
+    two = Inverters("joint", [1.0, 1.0], [1.0, 1.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="2 inverters for the feeder's 1 DERs"):
+        run_closed_loop(net, scen, "none", two, FAST_PARAMS)
+    # the noise draw needs a finite interval width 2 * noise_amp
+    for amp in (-1e-3, math.nan, math.inf, 1e308):
+        with pytest.raises(ValueError, match="noise_amp must be >= 0 with 2 \\* noise_amp finite"):
+            run_closed_loop(net, scen, "none", FAST_INV, FAST_PARAMS, noise_amp=amp)
 
 
 def test_closed_loop_deterministic_with_noise():
     fd = TB_STRONG
-    par = ScenarioParams(**{**STATIC_PAR.__dict__, "n_steps": 40, "noise_amp": 1e-3})
+    par = ScenarioParams(**{**STATIC_PAR.__dict__, "n_steps": 40})
     scen = generate_scenario("static", fd, seed=0, params=par)
     net = compile_feeder(fd)
-    r1 = run_closed_loop(net, scen, "pursuit", FAST_SETUP, seed=42)
-    r2 = run_closed_loop(net, scen, "pursuit", FAST_SETUP, seed=42)
-    r3 = run_closed_loop(net, scen, "pursuit", FAST_SETUP, seed=43)
+    r1, r2, r3 = (
+        run_closed_loop(net, scen, "pursuit", FAST_INV, FAST_PARAMS, seed=seed, noise_amp=1e-3)
+        for seed in (42, 42, 43)
+    )
     assert np.array_equal(r1.u, r2.u) and np.array_equal(r1.y, r2.y)
     assert not np.array_equal(r1.y, r3.y)
 
 
 def test_uncontrolled_static_run_is_constant():
     scen = generate_scenario("static", TB_STRONG, seed=0, params=STATIC_PAR)
-    traj = run_closed_loop(compile_feeder(TB_STRONG), scen, "none", FAST_SETUP)
+    traj = run_closed_loop(compile_feeder(TB_STRONG), scen, "none", FAST_INV, FAST_PARAMS)
     v = traj.v_mag[:, 0]
     assert np.allclose(v, v[0], atol=1e-9)
     assert v[0] > 1.05  # overvoltage without control
@@ -197,7 +208,8 @@ def test_uncontrolled_static_run_is_constant():
 def test_pursuit_settles_on_static_instance():
     # feasible static instance: violation under 5e-4 within a 200-step burn-in
     scen = generate_scenario("static", TB_STRONG, seed=0, params=STATIC_PAR)
-    viol = run_closed_loop(compile_feeder(TB_STRONG), scen, "pursuit", FAST_SETUP).max_violation
+    net = compile_feeder(TB_STRONG)
+    viol = run_closed_loop(net, scen, "pursuit", FAST_INV, FAST_PARAMS).max_violation
     assert viol[0] > 0.1
     settle = int(np.argmax(viol <= 5e-4))
     assert 0 < settle <= 200
@@ -206,8 +218,8 @@ def test_pursuit_settles_on_static_instance():
 
 def test_droop_absorbs_and_regulates_here():
     scen = generate_scenario("static", TB_STRONG, seed=0, params=STATIC_PAR)
-    setup = ControlSetup(params=FAST_SETUP.params, costs=FAST_SETUP.costs, lag_beta=0.9)
-    traj = run_closed_loop(compile_feeder(TB_STRONG), scen, "droop", setup)
+    net = compile_feeder(TB_STRONG)
+    traj = run_closed_loop(net, scen, "droop", FAST_INV, FAST_PARAMS, lag_beta=0.9)
     assert traj.u[-1, 0, 1] < -0.3  # deep into absorption
     assert traj.u[-1, 0, 0] == pytest.approx(scen.p_av[-1, 0])  # never curtails
     assert traj.max_violation[-1] == 0.0
@@ -215,25 +227,23 @@ def test_droop_absorbs_and_regulates_here():
 
 def test_actuation_lag_slows_the_response():
     scen = generate_scenario("static", TB_STRONG, seed=0, params=STATIC_PAR)
-    lagged = ControlSetup(params=FAST_SETUP.params, costs=FAST_SETUP.costs, lag_beta=0.9)
     net = compile_feeder(TB_STRONG)
-    r_fast = run_closed_loop(net, scen, "pursuit", FAST_SETUP)
-    r_slow = run_closed_loop(net, scen, "pursuit", lagged)
+    r_fast = run_closed_loop(net, scen, "pursuit", FAST_INV, FAST_PARAMS)
+    r_slow = run_closed_loop(net, scen, "pursuit", FAST_INV, FAST_PARAMS, lag_beta=0.9)
     k = 5
     assert r_slow.max_violation[k] > r_fast.max_violation[k]
-    with pytest.raises(ValueError, match="lag_beta"):
-        ControlSetup(params=FAST_SETUP.params, costs=FAST_SETUP.costs, lag_beta=1.0)
+    with pytest.raises(ValueError, match="lag_beta must be in"):
+        run_closed_loop(net, scen, "pursuit", FAST_INV, FAST_PARAMS, lag_beta=1.0)
 
 
 def test_eval_cost_conventions():
     scen = generate_scenario("static", TB_STRONG, seed=0, params=STATIC_PAR)
-    traj = run_closed_loop(compile_feeder(TB_STRONG), scen, "pursuit", FAST_SETUP)
-    inv = FAST_SETUP.inverters(TB_STRONG)
-    full = eval_cost(traj.u[-1:], inv, scen.p_av[-1:])
+    traj = run_closed_loop(compile_feeder(TB_STRONG), scen, "pursuit", FAST_INV, FAST_PARAMS)
+    full = eval_cost(traj.u[-1:], FAST_INV, scen.p_av[-1:])
     # the reactive-only convention: P taken at the full availability
     at_p_av = traj.u[-1:].copy()
     at_p_av[:, :, 0] = scen.p_av[-1:]
-    reactive = eval_cost(at_p_av, inv, scen.p_av[-1:])
+    reactive = eval_cost(at_p_av, FAST_INV, scen.p_av[-1:])
     u = traj.u[-1]
     pav = scen.p_av[-1, 0]
     assert full[0] == pytest.approx((pav - u[0, 0]) ** 2 + u[0, 1] ** 2)
@@ -247,16 +257,14 @@ def test_derived_columns_match_the_per_step_reference():
     # the reference evaluates each step on its own, DER by DER in order
     fd = networks.feeder36()
     scen = generate_scenario("vmax_steps", fd, seed=2, params=ScenarioParams(n_steps=60))
-    setup = ControlSetup(
-        params=ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4),
-        costs=tuple(CostParams(3.0, 0.5 + 0.1 * i) for i in range(fd.n_der)),
-    )
-    traj = run_closed_loop(compile_feeder(fd), scen, "pursuit", setup)
+    c_q = [0.5 + 0.1 * i for i in range(fd.n_der)]
+    inv = Inverters("joint", fd.der_ratings, [3.0] * fd.n_der, c_q)
+    traj = run_closed_loop(compile_feeder(fd), scen, "pursuit", inv, PARAMS)
     mon = fd.monitored_indices()
     for k in range(scen.n_steps):
         u, v = traj.u[k], traj.v_mag[k, mon]
-        cost = sum(c.c_p * (scen.p_av[k, i] - u[i, 0]) ** 2 + c.c_q * u[i, 1] * u[i, 1]
-                   for i, c in enumerate(setup.costs))
+        cost = sum(3.0 * (scen.p_av[k, i] - u[i, 0]) ** 2 + c_q[i] * u[i, 1] * u[i, 1]
+                   for i in range(fd.n_der))
         viol = max(0.0, float(np.max(scen.v_min[k] - v)), float(np.max(v - scen.v_max[k])))
         assert traj.cost[k] == cost
         assert traj.max_violation[k] == viol
@@ -267,14 +275,10 @@ def test_step_problem_uses_scenario_step_data():
     fd = networks.feeder36()
     scen = generate_scenario("vmax_steps", fd, seed=2, params=ScenarioParams(n_steps=120))
     net = compile_feeder(fd)
-    setup = ControlSetup(
-        params=ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4),
-        costs=tuple(CostParams(3.0, 1.0) for _ in range(18)),
-    )
     k = 100
-    inv = setup.inverters(fd)
-    prob = step_problem(inv, inv.available(scen.p_av), net.surrogate(scen), scen, setup.params, k)
-    assert prob.inverters is inv and prob.params is setup.params
+    inv = _inverters(fd)
+    prob = step_problem(inv, inv.available(scen.p_av), net.surrogate(scen), scen, PARAMS, k)
+    assert prob.inverters is inv and prob.params is PARAMS
     assert prob.v_min == scen.v_min[k] and prob.v_max == scen.v_max[k]
     assert np.array_equal(prob.p_av, scen.p_av[k])
     assert np.array_equal(prob.coupling.r, net.coupling.r)
@@ -282,32 +286,33 @@ def test_step_problem_uses_scenario_step_data():
     assert np.allclose(prob.coupling.c, expect_c, atol=1e-15)
 
 
-def _own_step_problem(net, scen, setup, k):
+def _own_step_problem(net, scen, inv, params, k):
     # step k's saddle instance built from that step's data alone: its own
     # one-column offset solve and its own clipped availability
-    inv = setup.inverters(net.feeder)
     c = constraint_offsets(net.lm, scen.p_load[k], scen.q_load[k], net.feeder)
     return SaddleProblem(
         inv, inv.available(scen.p_av[k]), replace(net.coupling, c=c),
-        float(scen.v_min[k]), float(scen.v_max[k]), setup.params,
+        float(scen.v_min[k]), float(scen.v_max[k]), params,
     )
 
 
 def _config36():
-    # the shipped config36 run: compiled feeder, scenario, setup and run seed
+    # the shipped config36 run: compiled feeder, scenario, inverters,
+    # controller parameters and run seed
     cfg = load_config(str(Path(__file__).resolve().parents[1] / "data" / "config36.json"))
     net = compile_feeder(load_feeder(cfg.feeder))
     gen = cfg.generator
-    scen = generate_scenario(gen.kind, net.feeder, gen.seed, replace(gen, noise_amp=0.0))
-    setup = ControlSetup(params=cfg.controller, costs=(cfg.cost,) * net.feeder.n_der)
-    return net, scen, setup, cfg.seed
+    scen = generate_scenario(gen.kind, net.feeder, gen.seed, gen)
+    inv = _inverters(net.feeder, cfg.cost.c_p, cfg.cost.c_q)
+    return net, scen, inv, cfg.controller, cfg.seed
 
 
 def test_oracle_returns_at_the_rounding_floor_below_an_unreachable_tolerance():
     # config36 step 300: below ||r|| = 1e-9 the Newton step fails the line
     # search and the accepted steps stop lowering ||r||, which ends the solve
-    net, scen, setup, _ = _config36()
-    sol = solve_saddle_oracle(_own_step_problem(net, scen, setup, 300), tol=1e-15, max_iter=200)
+    net, scen, inv, params, _ = _config36()
+    prob = _own_step_problem(net, scen, inv, params, 300)
+    sol = solve_saddle_oracle(prob, tol=1e-15, max_iter=200)
     assert sol.iterations < 200
     assert sol.residual <= 1e-12
 
@@ -320,12 +325,7 @@ def test_pursuit_setpoints_stay_in_their_regions(kind):
     fd = networks.feeder36()
     par = ScenarioParams(n_steps=60, pav_peak=0.97, load_swing=0.0)
     scen = generate_scenario("static", fd, seed=4, params=par)
-    setup = ControlSetup(
-        params=ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4),
-        costs=tuple(CostParams(3.0, 1.0) for _ in range(fd.n_der)),
-        region_kind=kind,
-    )
-    u = run_closed_loop(compile_feeder(fd), scen, "pursuit", setup).u
+    u = run_closed_loop(compile_feeder(fd), scen, "pursuit", _inverters(fd, kind=kind), PARAMS).u
     p_av = np.concatenate([scen.p_av[:1], scen.p_av[:-1]])
     assert np.all(in_region(kind, fd.der_ratings, p_av, u[:, :, 0], u[:, :, 1], tol=1e-12))
     # the controller acted: it curtailed or moved off unity power factor
@@ -339,22 +339,16 @@ def test_the_loop_applies_the_public_step_map_at_every_step(kind):
     # state and measurement, bit for bit
     fd = networks.feeder36()
     net = compile_feeder(fd)
-    par = ScenarioParams(n_steps=80, noise_amp=1e-3)
-    scen = generate_scenario("cloud_transient", fd, seed=5, params=par)
-    setup = ControlSetup(
-        params=ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4),
-        costs=tuple(CostParams(3.0, 1.0) for _ in range(fd.n_der)),
-        region_kind=kind,
-    )
-    traj = run_closed_loop(net, scen, "pursuit", setup, seed=3)
+    scen = generate_scenario("cloud_transient", fd, seed=5, params=ScenarioParams(n_steps=80))
+    inv = _inverters(fd, kind=kind)
+    traj = run_closed_loop(net, scen, "pursuit", inv, PARAMS, seed=3, noise_amp=1e-3)
     assert traj.mu.max() > 0.0  # the upper limits bind, so the duals move
-    inv = setup.inverters(fd)
     p_av = inv.available(scen.p_av)
     for k in range(scen.n_steps - 1):
         duals = DualState(traj.gamma[k], traj.mu[k])
-        u_next = primal_step(traj.u[k], duals, inv, p_av[k], net.coupling, setup.params)
+        u_next = primal_step(traj.u[k], duals, inv, p_av[k], net.coupling, PARAMS)
         assert np.array_equal(u_next, traj.u[k + 1]), k
-        d_next = dual_step_feedback(duals, traj.y[k], scen.v_min[k], scen.v_max[k], setup.params)
+        d_next = dual_step_feedback(duals, traj.y[k], scen.v_min[k], scen.v_max[k], PARAMS)
         assert np.array_equal(d_next.gamma, traj.gamma[k + 1]), k
         assert np.array_equal(d_next.mu, traj.mu[k + 1]), k
 
@@ -368,13 +362,10 @@ def test_over_rated_availability_is_clipped_once_per_run(tmp_path):
     over = read_scenario(str(path), fd)
     ratings = np.asarray(fd.der_ratings)
     assert np.any(over.p_av > ratings)
-    setup = ControlSetup(
-        params=ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4),
-        costs=tuple(CostParams(3.0, 1.0) for _ in range(fd.n_der)),
-    )
+    inv = _inverters(fd)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        traj = run_closed_loop(net, over, "pursuit", setup)
+        traj = run_closed_loop(net, over, "pursuit", inv, PARAMS)
     assert [str(w.message).endswith("clipped to the rating") for w in caught] == [True]
     # the controller sees the clipped availability: the same run on a
     # clipped scenario whose row 0 keeps the raw availability, so that it
@@ -384,11 +375,11 @@ def test_over_rated_availability_is_clipped_once_per_run(tmp_path):
     clipped = replace(over, p_av=clipped_p_av)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        ref = run_closed_loop(net, clipped, "pursuit", setup)
+        ref = run_closed_loop(net, clipped, "pursuit", inv, PARAMS)
     for name in ("y", "u", "gamma", "mu", "v_mag", "max_violation", "pf_residual"):
         assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
     # the recorded cost is charged against the raw availability
-    assert np.array_equal(traj.cost, eval_cost(traj.u, setup.inverters(fd), over.p_av))
+    assert np.array_equal(traj.cost, eval_cost(traj.u, inv, over.p_av))
     assert not np.array_equal(traj.cost, ref.cost)
 
 
@@ -402,7 +393,7 @@ def test_plant_failure_reports_step():
         v_min=np.full(6, 0.95), v_max=np.full(6, 1.05),
     )
     with pytest.raises(PlantError) as err:
-        run_closed_loop(compile_feeder(fd), scen, "none", FAST_SETUP)
+        run_closed_loop(compile_feeder(fd), scen, "none", FAST_INV, FAST_PARAMS)
     assert err.value.step == k
 
 
@@ -412,7 +403,7 @@ def test_extrapolated_ac_start_keeps_the_solution_and_saves_iterations(strategy,
     # injections lands on the recorded magnitudes, so the extrapolated start
     # keeps the plant on the same solution branch; starting each step at the
     # previous solution instead takes more iterations in total
-    net, scen, setup, seed = _config36()
+    net, scen, inv, params, seed = _config36()
     counts = []
 
     def counted(*args, **kwargs):
@@ -421,7 +412,7 @@ def test_extrapolated_ac_start_keeps_the_solution_and_saves_iterations(strategy,
         return sol
 
     monkeypatch.setattr(sim, "solve_ac", counted)
-    traj = run_closed_loop(net, scen, strategy, setup, seed=seed)
+    traj = run_closed_loop(net, scen, strategy, inv, params, seed=seed)
     assert traj.pf_iterations.dtype.kind == "i"
     assert traj.pf_iterations.tolist() == counts
     assert np.all(traj.pf_residual <= 1e-9)
@@ -461,7 +452,7 @@ def test_extrapolated_start_outside_the_band_falls_back_to_the_last_solution():
     with pytest.raises(ValueError, match="warm-start"):
         solve_ac(net.adm, PowerInjection(np.zeros(1), np.zeros(1)), fd.slack_voltage,
                  init=predicted)
-    traj = run_closed_loop(net, scen, "none", FAST_SETUP)
+    traj = run_closed_loop(net, scen, "none", FAST_INV, FAST_PARAMS)
     assert np.all(traj.pf_residual <= 1e-9)
     assert np.allclose(traj.v_mag, np.abs(cold), rtol=0.0, atol=1e-8)
 
@@ -472,20 +463,16 @@ def test_runaway_duals_warn():
     fd = networks.two_bus()
     par = ScenarioParams(n_steps=2, load_p=0.0, v_max=0.96)
     scen = generate_scenario("static", fd, seed=0, params=par)
-    setup = replace(FAST_SETUP, params=replace(FAST_SETUP.params, alpha=1e8))
+    params = replace(FAST_PARAMS, alpha=1e8)
     with pytest.warns(UserWarning, match="dual magnitude exceeded 1e\\+06 at step 0"):
-        run_closed_loop(compile_feeder(fd), scen, "pursuit", setup)
+        run_closed_loop(compile_feeder(fd), scen, "pursuit", FAST_INV, params)
 
 
 def test_trajectory_round_trip(tmp_path):
     fd = networks.feeder36()
-    par = ScenarioParams(n_steps=25, noise_amp=1e-3)
-    scen = generate_scenario("cloud_transient", fd, seed=3, params=par)
-    setup = ControlSetup(
-        params=ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4),
-        costs=tuple(CostParams(3.0, 1.0) for _ in range(18)),
-    )
-    traj = run_closed_loop(compile_feeder(fd), scen, "pursuit", setup)
+    scen = generate_scenario("cloud_transient", fd, seed=3, params=ScenarioParams(n_steps=25))
+    net = compile_feeder(fd)
+    traj = run_closed_loop(net, scen, "pursuit", _inverters(fd), PARAMS, noise_amp=1e-3)
     path, again = tmp_path / "traj.csv", tmp_path / "again.csv"
     write_trajectory(traj, fd, scen, str(path))
     back = read_trajectory(str(path), fd)
@@ -582,10 +569,8 @@ def test_writers_match_the_csv_reference_and_round_trip(tmp_path_factory, layout
 
 TRACK_FEEDER = networks.two_bus(z=0.1 + 0.1j)
 TRACK_NET = compile_feeder(TRACK_FEEDER)
-TRACK_SETUP = ControlSetup(
-    params=ControllerParams(alpha=0.05, nu=0.1, epsilon=0.1),
-    costs=(CostParams(0.5, 0.5),),
-)
+TRACK_INV = _inverters(TRACK_FEEDER, 0.5, 0.5)
+TRACK_PARAMS = ControllerParams(alpha=0.05, nu=0.1, epsilon=0.1)
 
 
 def test_tracking_bound_on_linear_plant_ramp():
@@ -594,10 +579,10 @@ def test_tracking_bound_on_linear_plant_ramp():
     par = ScenarioParams(n_steps=41, tau=1.0, load_p=0.0, load_swing=0.0,
                          ramp_start=0.2, ramp_end=0.9)
     scen = generate_scenario("ramp", TRACK_FEEDER, seed=0, params=par)
-    traj = run_closed_loop(TRACK_NET, scen, "pursuit", TRACK_SETUP, plant="linear")
-    rep = measure_tracking(TRACK_NET, scen, TRACK_SETUP, traj, decimation=1)
+    traj = run_closed_loop(TRACK_NET, scen, "pursuit", TRACK_INV, TRACK_PARAMS, plant="linear")
+    rep = measure_tracking(TRACK_NET, scen, TRACK_INV, TRACK_PARAMS, traj, decimation=1)
     assert rep.e_measured == 0.0
-    assert _rho_alpha(TRACK_NET, TRACK_SETUP) < 1.0
+    assert _rho_alpha(TRACK_NET, TRACK_INV, TRACK_PARAMS) < 1.0
     assert rep.bound_satisfied is True
     assert rep.tracking_error_tail <= rep.bound_rhs
     assert rep.note == ""
@@ -606,8 +591,8 @@ def test_tracking_bound_on_linear_plant_ramp():
     assert d["bound_satisfied"] is True
 
 
-def _rho_alpha(net, setup):
-    return convergence_constants(setup.inverters(net.feeder), net.coupling, setup.params).rho_alpha
+def _rho_alpha(net, inv, params):
+    return convergence_constants(inv, net.coupling, params).rho_alpha
 
 
 def test_tracking_sigma_halves_with_tau():
@@ -617,10 +602,10 @@ def test_tracking_sigma_halves_with_tau():
                           ramp_start=0.2, ramp_end=0.9)
     s1 = generate_scenario("ramp", TRACK_FEEDER, seed=0, params=par1)
     s2 = generate_scenario("ramp", TRACK_FEEDER, seed=0, params=par2)
-    r1 = run_closed_loop(TRACK_NET, s1, "pursuit", TRACK_SETUP, plant="linear")
-    r2 = run_closed_loop(TRACK_NET, s2, "pursuit", TRACK_SETUP, plant="linear")
-    t1 = measure_tracking(TRACK_NET, s1, TRACK_SETUP, r1, decimation=1)
-    t2 = measure_tracking(TRACK_NET, s2, TRACK_SETUP, r2, decimation=1)
+    r1, r2 = (run_closed_loop(TRACK_NET, s, "pursuit", TRACK_INV, TRACK_PARAMS, plant="linear")
+              for s in (s1, s2))
+    t1 = measure_tracking(TRACK_NET, s1, TRACK_INV, TRACK_PARAMS, r1, decimation=1)
+    t2 = measure_tracking(TRACK_NET, s2, TRACK_INV, TRACK_PARAMS, r2, decimation=1)
     assert t2.sigma_z_measured == pytest.approx(0.5 * t1.sigma_z_measured, rel=1e-6)
 
 
@@ -628,18 +613,15 @@ def test_tracking_without_contraction_guarantee():
     par = ScenarioParams(n_steps=30, tau=1.0, load_p=0.0, load_swing=0.0,
                          ramp_start=0.2, ramp_end=0.9)
     scen = generate_scenario("ramp", TRACK_FEEDER, seed=0, params=par)
-    setup = ControlSetup(
-        params=ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4),
-        costs=(CostParams(3.0, 1.0),),
-    )
-    traj = run_closed_loop(TRACK_NET, scen, "pursuit", setup, plant="linear")
-    rep = measure_tracking(TRACK_NET, scen, setup, traj, decimation=10)
-    assert _rho_alpha(TRACK_NET, setup) >= 1.0
+    inv = _inverters(TRACK_FEEDER)
+    traj = run_closed_loop(TRACK_NET, scen, "pursuit", inv, PARAMS, plant="linear")
+    rep = measure_tracking(TRACK_NET, scen, inv, PARAMS, traj, decimation=10)
+    assert _rho_alpha(TRACK_NET, inv, PARAMS) >= 1.0
     assert rep.bound_satisfied is None
     assert math.isinf(rep.bound_rhs)
     assert "no contraction guarantee" in rep.note
     with pytest.raises(ValueError, match="decimation"):
-        measure_tracking(TRACK_NET, scen, setup, traj, decimation=0)
+        measure_tracking(TRACK_NET, scen, inv, PARAMS, traj, decimation=0)
 
 
 def test_scenario_rejects_non_finite_series():
@@ -659,30 +641,26 @@ def test_e_measured_is_the_largest_per_step_model_mismatch():
     # steps from one multi-column solve, so the two agree to rounding
     fd = networks.feeder36()
     net = compile_feeder(fd)
-    scen = generate_scenario("cloud_transient", fd, seed=2,
-                             params=ScenarioParams(n_steps=40, noise_amp=1e-3))
-    setup = ControlSetup(
-        params=ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4),
-        costs=tuple(CostParams(3.0, 1.0) for _ in range(fd.n_der)),
-    )
-    traj = run_closed_loop(net, scen, "pursuit", setup)
-    rep = measure_tracking(net, scen, setup, traj, decimation=40)
+    scen = generate_scenario("cloud_transient", fd, seed=2, params=ScenarioParams(n_steps=40))
+    inv = _inverters(fd)
+    traj = run_closed_loop(net, scen, "pursuit", inv, PARAMS, noise_amp=1e-3)
+    rep = measure_tracking(net, scen, inv, PARAMS, traj, decimation=40)
     ref = max(
-        np.linalg.norm(traj.y[k] - _own_step_problem(net, scen, setup, k).coupling.predict(u))
+        np.linalg.norm(traj.y[k] - _own_step_problem(net, scen, inv, PARAMS, k).coupling.predict(u))
         for k, u in enumerate(traj.u)
     )
     assert ref > 1e-3
     assert rep.e_measured == pytest.approx(ref, rel=1e-12)
 
 
-def _reference_report(net, scen, setup, traj, decimation):
+def _reference_report(net, scen, inv, params, traj, decimation):
     # the report built step by step: each sampled step's own saddle instance
     # and an oracle warm started from the previous setpoints, then one pass
     # per figure
     ks = list(range(0, scen.n_steps, decimation))
     sols, u0 = {}, None
     for k in ks:
-        sols[k] = solve_saddle_oracle(_own_step_problem(net, scen, setup, k), u0=u0)
+        sols[k] = solve_saddle_oracle(_own_step_problem(net, scen, inv, params, k), u0=u0)
         u0 = sols[k].u
     stars = {k: pack_state(s.u, s.gamma, s.mu) for k, s in sols.items()}
     sigma_z = max(
@@ -697,8 +675,8 @@ def _reference_report(net, scen, setup, traj, decimation):
          for k in ks if k >= math.ceil(0.75 * scen.n_steps)),
         default=0.0,
     )
-    rho = _rho_alpha(net, setup)
-    bound = (math.sqrt(2.0) * setup.params.alpha * e + sigma_z) / (1.0 - rho) if rho < 1.0 else math.inf
+    rho = _rho_alpha(net, inv, params)
+    bound = (math.sqrt(2.0) * params.alpha * e + sigma_z) / (1.0 - rho) if rho < 1.0 else math.inf
     its = [s.iterations for s in sols.values()]
     return TrackingReport(
         sigma_z_measured=sigma_z, e_measured=e, bound_rhs=bound,
@@ -710,23 +688,23 @@ def _reference_report(net, scen, setup, traj, decimation):
 
 
 def _config36_run():
-    net, scen, setup, seed = _config36()
-    return net, scen, setup, run_closed_loop(net, scen, "pursuit", setup, seed=seed), 60
+    net, scen, inv, params, seed = _config36()
+    return net, scen, inv, params, run_closed_loop(net, scen, "pursuit", inv, params, seed=seed), 60
 
 
 def _track_ramp_run():
     par = ScenarioParams(n_steps=41, tau=1.0, load_p=0.0, load_swing=0.0,
                          ramp_start=0.2, ramp_end=0.9)
     scen = generate_scenario("ramp", TRACK_FEEDER, seed=0, params=par)
-    traj = run_closed_loop(TRACK_NET, scen, "pursuit", TRACK_SETUP, plant="linear")
-    return TRACK_NET, scen, TRACK_SETUP, traj, 1
+    traj = run_closed_loop(TRACK_NET, scen, "pursuit", TRACK_INV, TRACK_PARAMS, plant="linear")
+    return TRACK_NET, scen, TRACK_INV, TRACK_PARAMS, traj, 1
 
 
 @pytest.mark.parametrize("run", [_config36_run, _track_ramp_run], ids=["config36-60", "track-1"])
 def test_one_pass_report_equals_the_step_by_step_reference(run):
-    net, scen, setup, traj, decimation = run()
-    rep = measure_tracking(net, scen, setup, traj, decimation=decimation)
-    ref = _reference_report(net, scen, setup, traj, decimation)
+    net, scen, inv, params, traj, decimation = run()
+    rep = measure_tracking(net, scen, inv, params, traj, decimation=decimation)
+    ref = _reference_report(net, scen, inv, params, traj, decimation)
     assert rep == ref
     # the oracle figures summarize real solves, and the JSON form keeps them
     assert rep.oracle_iterations_total >= rep.oracle_iterations_max > 0
@@ -742,14 +720,11 @@ def test_over_rated_scenario_warns_once_per_report():
     net = compile_feeder(fd)
     scen = generate_scenario("static", fd, seed=3, params=ScenarioParams(n_steps=20))
     over = replace(scen, p_av=1.3 * scen.p_av)  # every step 17% over the rating
-    setup = ControlSetup(
-        params=ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4),
-        costs=tuple(CostParams(3.0, 1.0) for _ in range(fd.n_der)),
-    )
+    inv = _inverters(fd)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        traj = run_closed_loop(net, over, "pursuit", setup)
+        traj = run_closed_loop(net, over, "pursuit", inv, PARAMS)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        measure_tracking(net, over, setup, traj, decimation=5)
+        measure_tracking(net, over, inv, PARAMS, traj, decimation=5)
     assert [str(w.message).endswith("clipped to the rating") for w in caught] == [True]
