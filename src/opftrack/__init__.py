@@ -8,7 +8,7 @@ voltage-magnitude model, a Volt/VAr droop baseline, a closed-loop
 simulator, and a command line front end.
 """
 
-from .baseline import DroopCurve, droop_q
+from .baseline import droop_q
 from .controller import (
     ControllerParams,
     ConvergenceConstants,

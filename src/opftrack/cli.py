@@ -17,7 +17,6 @@ from dataclasses import MISSING, asdict, dataclass, fields
 import numpy as np
 
 from . import __version__
-from .baseline import DroopCurve
 from .controller import (
     REGION_KINDS,
     ControllerParams,
@@ -77,7 +76,7 @@ class RunConfig:
 
     The JSON keys are the field names, and each object-valued key holds the
     fields of its dataclass; a key left out keeps its default, and inside
-    ``controller``, ``cost`` and ``droop`` the default object's value.
+    ``controller`` and ``cost`` the default object's value.
     ``cost`` is one CostParams applied to every DER or one per DER. Exactly
     one of ``scenario_file`` / ``generator`` is set.
     """
@@ -89,9 +88,7 @@ class RunConfig:
     generator: GeneratorConfig | None = None
     controller: ControllerParams = ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4)
     cost: CostParams | tuple[CostParams, ...] = CostParams(c_p=3.0, c_q=1.0)
-    droop: DroopCurve = DroopCurve()
     region_kind: str = "joint"
-    lag_beta: float = 0.0
     noise_amp: float = 0.0
     seed: int = 0
     output_dir: str = "out"
@@ -104,8 +101,6 @@ class RunConfig:
         _check_choice("strategy", self.strategy, STRATEGIES)
         _check_choice("plant", self.plant, PLANTS)
         _check_choice("region_kind", self.region_kind, REGION_KINDS)
-        if not 0.0 <= self.lag_beta < 1.0:
-            raise ConfigError(f"lag_beta must be in [0, 1), got {self.lag_beta!r}")
         if self.report_decimation < 1:
             raise ConfigError("report_decimation must be >= 1")
         if not (self.noise_amp >= 0.0 and math.isfinite(2.0 * self.noise_amp)):
@@ -125,9 +120,7 @@ def _check_choice(key: str, value: str, choices: tuple[str, ...]) -> None:
 # the scalars below, the sections below, and lists (``tuple[...]`` or a
 # numpy array of numbers).
 _SCALARS = {"float": (int, float), "int": int, "bool": bool, "str": str}
-_SECTIONS = {
-    c.__name__: c for c in (GeneratorConfig, ControllerParams, CostParams, DroopCurve)
-}
+_SECTIONS = {c.__name__: c for c in (GeneratorConfig, ControllerParams, CostParams)}
 _WANTED = {"None": "null", "float": "a number", "int": "an integer",
            "bool": "true or false", "str": "a string"}
 _JSON_NAMES = {dict: "an object", list: "a list"}
@@ -245,6 +238,10 @@ def _load_run(
             scen = generate_scenario(gen.kind, feeder, seed, gen)
         except ValueError as exc:
             raise ConfigError(f"{args.config}:generator: {exc}") from exc
+        except MemoryError as exc:
+            raise ConfigError(
+                f"{args.config}:generator: n_steps = {gen.n_steps} does not fit in memory"
+            ) from exc
     c_p, c_q = _costs_for(cfg, feeder.n_der, args.config)
     return cfg, net, scen, Inverters(cfg.region_kind, feeder.der_ratings, c_p, c_q)
 
@@ -353,7 +350,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     traj = run_closed_loop(
         net, scen, cfg.strategy, inv, cfg.controller, seed=cfg.seed, plant=cfg.plant,
-        noise_amp=cfg.noise_amp, droop=cfg.droop, lag_beta=cfg.lag_beta,
+        noise_amp=cfg.noise_amp,
     )
 
     os.makedirs(cfg.output_dir, exist_ok=True)

@@ -144,7 +144,8 @@ def validate_feeder(feeder: FeederModel) -> list[str]:
 
     Checks: bus indices in range, no self loops, nonzero series impedances,
     no duplicate line corridors, graph connectivity over all buses including
-    the slack, and nonempty in-range DER / monitored sets.
+    the slack, nonempty in-range DER / monitored sets, positive finite DER
+    ratings and a positive finite slack voltage magnitude.
     """
     diags: list[str] = []
     n = feeder.n_nodes
@@ -204,8 +205,11 @@ def validate_feeder(feeder: FeederModel) -> list[str]:
                 diags.append(f"{label} bus {node} outside 1..{n}")
     if len(feeder.der_ratings) != len(feeder.der_nodes):
         diags.append("der_ratings length does not match der_nodes")
-    elif any(s <= 0 for s in feeder.der_ratings):
-        diags.append("DER ratings must be positive")
+    elif not all(0.0 < s < math.inf for s in feeder.der_ratings):
+        diags.append("DER ratings must be positive and finite")
+    v0 = abs(feeder.slack_voltage)
+    if not 0.0 < v0 < math.inf:
+        diags.append(f"slack voltage magnitude must be positive and finite, got {v0!r}")
     return diags
 
 
@@ -321,38 +325,65 @@ def _check_keys(d: dict, allowed: set[str], where: str) -> None:
         raise FeederError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
+def _int(value: object, where: str, i: int = 0) -> int:
+    """A JSON integer (a boolean is not one); ``where.format(i)`` names it."""
+    if type(value) is not int:
+        raise TypeError(f"{where.format(i)}: expected an integer, got {json.dumps(value)}")
+    return value
+
+
+def _number(value: object, where: str, i: int = 0) -> float:
+    """A finite JSON number (a boolean is not one); ``where.format(i)`` names it."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise TypeError(f"{where.format(i)}: expected a finite number, got {json.dumps(value)}")
+    return float(value)
+
+
 def feeder_from_dict(data: dict) -> FeederModel:
-    """Build a :class:`FeederModel` from the documented mapping, rejecting unknown keys."""
+    """Build a :class:`FeederModel` from the documented mapping.
+
+    Rejects unknown keys, bus ids that are not JSON integers and electrical
+    values that are not finite JSON numbers.
+    """
     if not isinstance(data, dict):
         raise FeederError("feeder description must be a mapping")
     _check_keys(data, _TOP_KEYS, "feeder description")
     try:
-        n_nodes = int(data["n_nodes"])
+        n_nodes = _int(data["n_nodes"], "n_nodes")
         slack = data.get("slack", {"magnitude_pu": 1.0, "angle_deg": 0.0})
         _check_keys(slack, _SLACK_KEYS, "slack")
+        v0_mag = _number(slack.get("magnitude_pu", 1.0), "slack.magnitude_pu")
+        if v0_mag <= 0.0:  # rect would read a negative magnitude as a phase flip
+            raise ValueError(f"slack.magnitude_pu must be positive, got {v0_mag!r}")
         v0 = cmath.rect(
-            float(slack.get("magnitude_pu", 1.0)),
-            math.radians(float(slack.get("angle_deg", 0.0))),
+            v0_mag, math.radians(_number(slack.get("angle_deg", 0.0), "slack.angle_deg"))
         )
         lines = []
         for i, row in enumerate(data["lines"]):
             _check_keys(row, _LINE_KEYS, f"lines[{i}]")
             lines.append(
                 LineSegment(
-                    from_node=int(row["from"]),
-                    to_node=int(row["to"]),
-                    z=complex(float(row["r_pu"]), float(row["x_pu"])),
-                    y_shunt=complex(0.0, float(row.get("b_shunt_pu", 0.0))),
+                    from_node=_int(row["from"], "lines[{}].from", i),
+                    to_node=_int(row["to"], "lines[{}].to", i),
+                    z=complex(
+                        _number(row["r_pu"], "lines[{}].r_pu", i),
+                        _number(row["x_pu"], "lines[{}].x_pu", i),
+                    ),
+                    y_shunt=complex(
+                        0.0, _number(row.get("b_shunt_pu", 0.0), "lines[{}].b_shunt_pu", i)
+                    ),
                 )
             )
         ders = []
         ratings = []
         for i, row in enumerate(data["der_nodes"]):
             _check_keys(row, _DER_KEYS, f"der_nodes[{i}]")
-            ders.append(int(row["node"]))
-            ratings.append(float(row.get("s_rating_pu", 1.0)))
-        monitored = [int(m) for m in data["monitored_nodes"]]
-    except (KeyError, TypeError, ValueError) as exc:
+            ders.append(_int(row["node"], "der_nodes[{}].node", i))
+            ratings.append(_number(row.get("s_rating_pu", 1.0), "der_nodes[{}].s_rating_pu", i))
+        monitored = [
+            _int(m, "monitored_nodes[{}]", i) for i, m in enumerate(data["monitored_nodes"])
+        ]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FeederError(f"malformed feeder description: {exc}") from exc
     return FeederModel(
         n_nodes=n_nodes,

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .baseline import DroopCurve, droop_q
+from .baseline import DROOP_GAIN, droop_q
 from .controller import (
     ControllerParams,
     ConvergenceConstants,
@@ -169,6 +169,9 @@ class ScenarioParams:
             raise ValueError(f"last time (n_steps - 1) * tau must be finite, tau = {self.tau!r}")
         if self.n_dips < 0:
             raise ValueError(f"n_dips must be >= 0, got {self.n_dips}")
+        fr = self.vmax_fractions
+        if not (min(fr) >= 0.0 and abs(sum(fr) - 1.0) <= 1e-9):
+            raise ValueError(f"vmax_fractions must be nonnegative and sum to 1, got {fr!r}")
 
 
 def _load_series(base: np.ndarray, par: ScenarioParams, t: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -389,8 +392,8 @@ def read_scenario(path: str, feeder: FeederModel) -> Scenario:
 class Trajectory:
     """A recorded closed-loop run; row k of every array is step k.
 
-    ``u`` (K, n_der, 2) holds the commanded (P, Q) setpoints and ``gamma`` /
-    ``mu`` (K, M) the duals held while commanding them; ``y`` (K, M) is the
+    ``u`` (K, n_der, 2) holds the applied (P, Q) setpoints and ``gamma`` /
+    ``mu`` (K, M) the duals held while applying them; ``y`` (K, M) is the
     noisy metered magnitudes and ``v_mag`` (K, N) the plant's magnitudes at
     every bus. ``cost`` is the generation cost of ``u``, ``max_violation``
     the largest metered excursion outside the step's voltage band, and
@@ -458,23 +461,21 @@ def run_closed_loop(
     seed: int = 0,
     plant: str = "ac",
     noise_amp: float = 0.0,
-    droop: DroopCurve = DroopCurve(),
-    lag_beta: float = 0.0,
 ) -> Trajectory:
     """Run the measurement-driven loop and record every step.
 
     Strategies: ``pursuit`` (primal-dual controller with ``params``),
-    ``droop`` (local Volt/VAr by the curve ``droop`` on each inverter's own
-    bus voltage), ``none`` (full available power at unity power factor).
-    ``inv`` holds the feeder's DERs; ``plant`` selects the AC fixed-point
-    solve or the linear magnitude model. Measurements carry uniform noise
-    of half-width ``noise_amp`` from a generator seeded with ``seed``, so a
-    run is deterministic for fixed inputs. With ``lag_beta`` > 0 the applied
-    setpoints close ``1 - lag_beta`` of their gap to the command per step.
-    Step 0 commands full available power at unity power factor with zero
-    duals. Each AC solve starts from :func:`_ac_start`, an extrapolation of
-    the plant's last solutions; the solve accepts its iterate by the same
-    residual test wherever it starts.
+    ``droop`` (local Volt/VAr: each inverter's Q closes ``DROOP_GAIN`` of its
+    gap to :func:`~opftrack.baseline.droop_q` at its own bus voltage, clamped
+    to the step's headroom), ``none`` (full available power at unity power
+    factor). ``inv`` holds the feeder's DERs; ``plant`` selects the AC
+    fixed-point solve or the linear magnitude model. Measurements carry
+    uniform noise of half-width ``noise_amp`` from a generator seeded with
+    ``seed``, so a run is deterministic for fixed inputs. Step 0 applies
+    full available power at unity power factor with zero duals. Each AC
+    solve starts from :func:`_ac_start`, an extrapolation of the plant's
+    last solutions; the solve accepts its iterate by the same residual test
+    wherever it starts.
 
     The controller and the droop headroom see the availability as the
     regions use it (:meth:`Inverters.available`, clipped to the ratings
@@ -492,8 +493,6 @@ def run_closed_loop(
         raise ValueError("scenario load columns do not match the feeder")
     if inv.n_der != feeder.n_der:
         raise ValueError(f"{inv.n_der} inverters for the feeder's {feeder.n_der} DERs")
-    if not 0.0 <= lag_beta < 1.0:
-        raise ValueError(f"lag_beta must be in [0, 1), got {lag_beta!r}")
     if not (noise_amp >= 0.0 and math.isfinite(2.0 * noise_amp)):
         raise ValueError(f"noise_amp must be >= 0 with 2 * noise_amp finite, got {noise_amp!r}")
 
@@ -507,7 +506,6 @@ def run_closed_loop(
 
     u = np.column_stack([scenario.p_av[0], np.zeros(g)])
     duals = DualState.zeros(len(mon))
-    u_applied = u
     v_last: list[np.ndarray] = []  # the plant's last three solutions, newest first
     dual_warned = False
 
@@ -520,15 +518,10 @@ def run_closed_loop(
     pf_residual = np.zeros(n_steps)
     pf_iterations = np.zeros(n_steps, dtype=int)
     for k in range(n_steps):
-        if lag_beta > 0.0:
-            u_applied = u_applied + (1.0 - lag_beta) * (u - u_applied)
-        else:
-            u_applied = u
-
         p_net = -scenario.p_load[k]
         q_net = -scenario.q_load[k]
-        p_net[der] += u_applied[:, 0]
-        q_net[der] += u_applied[:, 1]
+        p_net[der] += u[:, 0]
+        q_net[der] += u[:, 1]
         inj = PowerInjection(p_net, q_net)
 
         if plant == "ac":
@@ -567,7 +560,9 @@ def run_closed_loop(
             v_local = v_mag[der]
             if noise_amp > 0.0:
                 v_local = v_local + rng.uniform(-noise_amp, noise_amp, g)
-            u = np.column_stack([scenario.p_av[k], droop_q(v_local, headroom[k], droop)])
+            h = headroom[k]
+            q = u[:, 1] + DROOP_GAIN * (droop_q(v_local, h) - u[:, 1])
+            u = np.column_stack([scenario.p_av[k], np.clip(q, -h, h)])
         else:  # none
             u = np.column_stack([scenario.p_av[k], np.zeros(g)])
 

@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from opftrack.baseline import DroopCurve, droop_q
+from opftrack.baseline import droop_q
 from opftrack.controller import Inverters
 
 CAP = Inverters("joint", [1.0], [1.0], [1.0]).headroom(np.asarray([0.8]))  # sqrt(1 - 0.64)
-CURVE = DroopCurve(v_zero=1.0, v_sat=1.05)
 
 
-def droop_at(v, curve=CURVE, cap=CAP):
-    return float(droop_q(np.asarray([v]), cap, curve)[0])
+def droop_at(v, cap=CAP):
+    return float(droop_q(np.asarray([v]), cap)[0])
 
 
 @pytest.mark.parametrize(
@@ -31,26 +30,13 @@ def test_droop_hand_points(v, expected):
 
 def test_droop_monotone_and_within_headroom():
     grid = np.linspace(0.85, 1.25, 200)
-    vals = droop_q(grid, np.full(len(grid), CAP[0]), CURVE)
+    vals = droop_q(grid, np.full(len(grid), CAP[0]))
     assert np.all(np.diff(vals) <= 1e-12)
     cap = math.sqrt(1.0 - 0.64)
     assert np.all(np.abs(vals) <= cap + 1e-12)
     assert np.array_equal(vals, [droop_at(v) for v in grid])  # per inverter
 
 
-def test_droop_asymmetric_disables_injection():
-    curve = DroopCurve(v_zero=1.0, v_sat=1.05, symmetric=False)
-    assert droop_at(0.95, curve) == 0.0
-    # overvoltage branch unchanged: frac 0.02/0.05 of the 0.6 headroom
-    assert droop_at(1.02, curve) == pytest.approx(-0.24)
-    assert droop_at(1.05, curve) == pytest.approx(-0.6)
-
-
 def test_droop_no_headroom_at_full_rating():
     full = Inverters("joint", [0.5], [1.0], [1.0]).headroom(np.asarray([0.5]))
     assert droop_at(1.2, cap=full) == 0.0
-
-
-def test_curve_validation():
-    with pytest.raises(ValueError):
-        DroopCurve(v_zero=1.05, v_sat=1.0)

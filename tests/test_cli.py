@@ -97,7 +97,6 @@ def test_validate_invalid_json(tmp_path, capsys):
         (lambda c: c["generator"].update(n_steps="10"),
          "bad_config.json:generator:n_steps: expected an integer"),
         (lambda c: c["generator"].update(tau="x"), "bad_config.json:generator:tau: expected a number"),
-        (lambda c: c.update(lag_beta=None), "bad_config.json:lag_beta: expected a number, got null"),
         (lambda c: c.update(feeder=3), "bad_config.json:feeder: expected a string, got 3"),
         (lambda c: c.update(cost=[1.0, 2.0]), "bad_config.json:cost[0]: expected an object, got 1.0"),
         (lambda c: c.update(report="no"), "bad_config.json:report: expected true or false"),
@@ -129,7 +128,9 @@ def test_validate_invalid_json(tmp_path, capsys):
          "got 'both'"),
         (lambda c: c["generator"].update(tau=-1),
          "bad_config.json:generator: tau must be positive and finite, got -1.0"),
-        (lambda c: c.update(lag_beta=1.5), "bad_config.json: lag_beta must be in [0, 1), got 1.5"),
+        # the droop has its own response time: no plant-wide lag, no curve knobs
+        (lambda c: c.update(lag_beta=0.9), "unknown key(s) ['lag_beta'] in"),
+        (lambda c: c.update(droop={"v_sat": 1.1}), "unknown key(s) ['droop'] in"),
         # measurement noise is the run's, next to its seed; the scenario has none
         (lambda c: c["generator"].update(noise_amp=-0.5), "unknown key(s) ['noise_amp'] in"),
         (lambda c: c.update(noise_amp=-0.5),
@@ -148,10 +149,15 @@ def test_validate_invalid_json(tmp_path, capsys):
         (lambda c: c.update(seed=-1), "bad_config.json: seed must be >= 0, got -1"),
         (lambda c: c["generator"].update(seed=-1),
          "bad_config.json:generator: seed must be >= 0, got -1"),
-        (lambda c: c.update(droop={"v_sat": math.inf}),
-         "bad_config.json:droop: v_zero must be below v_sat, both finite, got 1.0 and inf"),
         (lambda c: c["generator"].update(n_dips=-1),
          "bad_config.json:generator: n_dips must be >= 0, got -1"),
+        # a negative fraction would slice from the end, a short sum stretch the last plateau
+        (lambda c: c["generator"].update(kind="vmax_steps", vmax_fractions=[-0.5, 0.25, 1.25]),
+         "bad_config.json:generator: vmax_fractions must be nonnegative and sum to 1, "
+         "got (-0.5, 0.25, 1.25)"),
+        (lambda c: c["generator"].update(kind="vmax_steps", vmax_fractions=[0.2, 0.2, 0.2]),
+         "bad_config.json:generator: vmax_fractions must be nonnegative and sum to 1, "
+         "got (0.2, 0.2, 0.2)"),
         (lambda c: c.update(cost=[{"c_p": 1.0, "c_q": 1.0}] * 2),
          "bad_config.json:cost: per-DER list has 2 entries, feeder has 1 DERs"),
         (lambda c: c["generator"].update(v_min=1.1, v_max=1.0),
@@ -183,6 +189,15 @@ def test_config_schema_errors(tmp_path, run_config, capsys, mutate, fragment):
     write_json(bad, cfg)
     assert cli.main(["run", "--config", str(bad)]) == 1
     assert fragment in _one_line_error(capsys)
+
+
+def test_scenario_too_large_for_memory_is_one_line(run_config, capsys, monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 TiB")
+
+    monkeypatch.setattr(cli, "generate_scenario", no_memory)
+    assert cli.main(["run", "--config", str(run_config)]) == 1
+    assert f"{run_config}:generator: n_steps = 41 does not fit in memory" in _one_line_error(capsys)
 
 
 def test_run_alpha_flag_must_be_finite(run_config, capsys):

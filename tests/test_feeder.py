@@ -1,7 +1,11 @@
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from opftrack import networks
+from opftrack import cli, networks
 from opftrack.feeder import (
     FeederError,
     FeederModel,
@@ -99,6 +103,9 @@ def _valid_dict():
         (lambda f: f.der_nodes.append(7), "outside 1..2"),
         (lambda f: f.ratings.append(0.5), "length does not match"),
         (lambda f: f.ratings.__setitem__(0, -1.0), "must be positive"),
+        (lambda f: f.ratings.__setitem__(0, math.inf), "must be positive and finite"),
+        (lambda f: setattr(f, "slack", 0j), "slack voltage magnitude must be positive and finite"),
+        (lambda f: setattr(f, "slack", complex(math.nan, 0.0)), "slack voltage magnitude"),
     ],
 )
 def test_validation_diagnostics(mutate, fragment):
@@ -107,6 +114,7 @@ def test_validation_diagnostics(mutate, fragment):
         der_nodes = [2]
         monitored_nodes = [1, 2]
         ratings = [0.5]
+        slack = 1.0 + 0j
 
     mutate(Bag)
     feeder = FeederModel(
@@ -115,6 +123,7 @@ def test_validation_diagnostics(mutate, fragment):
         der_nodes=tuple(Bag.der_nodes),
         monitored_nodes=tuple(Bag.monitored_nodes),
         der_ratings=tuple(Bag.ratings),
+        slack_voltage=Bag.slack,
     )
     diags = validate_feeder(feeder)
     assert any(fragment in d for d in diags), diags
@@ -180,6 +189,53 @@ def test_malformed_description_rejected():
         feeder_from_dict(data)
     with pytest.raises(FeederError):
         feeder_from_dict([1, 2, 3])
+
+
+FEEDER36 = Path(__file__).resolve().parents[1] / "data" / "feeder36.json"
+
+
+@pytest.mark.parametrize(
+    "mutate, fragment",
+    [
+        # bus ids are JSON integers: no truncated floats, strings or booleans
+        (lambda d: d["lines"][3].update({"from": 3.9}),
+         "lines[3].from: expected an integer, got 3.9"),
+        (lambda d: d["lines"][0].update(to=1.0), "lines[0].to: expected an integer, got 1.0"),
+        (lambda d: d.update(n_nodes="36"), 'n_nodes: expected an integer, got "36"'),
+        (lambda d: d["der_nodes"][0].update(node="4"),
+         'der_nodes[0].node: expected an integer, got "4"'),
+        (lambda d: d["monitored_nodes"].__setitem__(0, True),
+         "monitored_nodes[0]: expected an integer, got true"),
+        # electrical values are finite JSON numbers
+        (lambda d: d["lines"][0].update(r_pu=True),
+         "lines[0].r_pu: expected a finite number, got true"),
+        (lambda d: d["lines"][1].update(x_pu="0.01"),
+         'lines[1].x_pu: expected a finite number, got "0.01"'),
+        (lambda d: d["lines"][2].update(b_shunt_pu=math.inf),
+         "lines[2].b_shunt_pu: expected a finite number, got Infinity"),
+        (lambda d: d["der_nodes"][0].update(s_rating_pu=math.nan),
+         "der_nodes[0].s_rating_pu: expected a finite number, got NaN"),
+        (lambda d: d["der_nodes"][1].update(s_rating_pu=math.inf),
+         "der_nodes[1].s_rating_pu: expected a finite number, got Infinity"),
+        (lambda d: d["slack"].update(magnitude_pu=math.nan),
+         "slack.magnitude_pu: expected a finite number, got NaN"),
+        (lambda d: d["slack"].update(angle_deg=-math.inf),
+         "slack.angle_deg: expected a finite number, got -Infinity"),
+        (lambda d: d["slack"].update(magnitude_pu=0.0),
+         "slack.magnitude_pu must be positive, got 0.0"),
+        (lambda d: d["slack"].update(magnitude_pu=-1.0),
+         "slack.magnitude_pu must be positive, got -1.0"),
+    ],
+)
+def test_validate_rejects_wrong_types_and_values(tmp_path, capsys, mutate, fragment):
+    data = json.loads(FEEDER36.read_text(encoding="utf-8"))
+    mutate(data)
+    path = tmp_path / "feeder.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert cli.main(["validate", str(path)]) == 1
+    out, err = capsys.readouterr()
+    lines = (out + err).strip().splitlines()
+    assert len(lines) == 1 and fragment in lines[0], lines
 
 
 def test_load_rejects_invalid_json(tmp_path):

@@ -17,10 +17,6 @@ QUICK_START = re.search(r"## Quick start\s+```sh\n(.*?)```", README, re.S).group
 PYTHON_API = re.search(r"## Python API\s+```python\n(.*?)```", README, re.S).group(1)
 FEEDER_JSON = re.search(r"\*\*Feeder JSON\*\* --(.*?)\n\n", README, re.S).group(1)
 COMMANDS = [line for line in QUICK_START.splitlines() if line.startswith("opftrack ")]
-DROOP_COLLAPSES = pytest.mark.xfail(
-    strict=True,
-    reason="the zero-deadband droop has loop gain > 1 on feeder36: plant collapse at step 3, exit 3",
-)
 
 
 @pytest.fixture(scope="module")
@@ -46,10 +42,7 @@ def test_quick_start_is_found():
     assert any(c.startswith("opftrack run") for c in COMMANDS)
 
 
-@pytest.mark.parametrize(
-    "command",
-    [pytest.param(c, marks=DROOP_COLLAPSES) if "--strategy droop" in c else c for c in COMMANDS],
-)
+@pytest.mark.parametrize("command", COMMANDS)
 def test_quick_start_command_exits_0(exit_codes, command):
     assert exit_codes[command] == 0
 

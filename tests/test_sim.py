@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from region_helpers import in_region
 
 from opftrack import networks
+from opftrack.baseline import DROOP_GAIN, droop_q
 from opftrack.cli import load_config
 from opftrack.controller import (
     REGION_KINDS,
@@ -219,21 +220,44 @@ def test_pursuit_settles_on_static_instance():
 def test_droop_absorbs_and_regulates_here():
     scen = generate_scenario("static", TB_STRONG, seed=0, params=STATIC_PAR)
     net = compile_feeder(TB_STRONG)
-    traj = run_closed_loop(net, scen, "droop", FAST_INV, FAST_PARAMS, lag_beta=0.9)
+    traj = run_closed_loop(net, scen, "droop", FAST_INV, FAST_PARAMS)
     assert traj.u[-1, 0, 1] < -0.3  # deep into absorption
     assert traj.u[-1, 0, 0] == pytest.approx(scen.p_av[-1, 0])  # never curtails
     assert traj.max_violation[-1] == 0.0
 
 
-def test_actuation_lag_slows_the_response():
-    scen = generate_scenario("static", TB_STRONG, seed=0, params=STATIC_PAR)
-    net = compile_feeder(TB_STRONG)
-    r_fast = run_closed_loop(net, scen, "pursuit", FAST_INV, FAST_PARAMS)
-    r_slow = run_closed_loop(net, scen, "pursuit", FAST_INV, FAST_PARAMS, lag_beta=0.9)
-    k = 5
-    assert r_slow.max_violation[k] > r_fast.max_violation[k]
-    with pytest.raises(ValueError, match="lag_beta must be in"):
-        run_closed_loop(net, scen, "pursuit", FAST_INV, FAST_PARAMS, lag_beta=1.0)
+def test_droop_output_is_the_clamped_first_order_response():
+    # the recorded Q of step k + 1 closes DROOP_GAIN of step k's gap to the
+    # curve at step k's local voltage, clamped to step k's headroom, bit for
+    # bit; a ramp to the full rating shrinks the headroom onto the output
+    par = ScenarioParams(n_steps=120, tau=1.0, load_p=0.0, load_swing=0.0,
+                         ramp_start=0.5, ramp_end=1.0)
+    scen = generate_scenario("ramp", TB_STRONG, seed=0, params=par)
+    traj = run_closed_loop(compile_feeder(TB_STRONG), scen, "droop", FAST_INV, FAST_PARAMS)
+    head = FAST_INV.headroom(FAST_INV.available(scen.p_av))
+    der = TB_STRONG.der_indices()
+    q = traj.u[:, :, 1]
+    clamped = 0
+    for k in range(scen.n_steps - 1):
+        h = head[k]
+        step = q[k] + DROOP_GAIN * (droop_q(traj.v_mag[k][der], h) - q[k])
+        assert np.array_equal(q[k + 1], np.clip(step, -h, h)), k
+        assert np.array_equal(traj.u[k + 1, :, 0], scen.p_av[k]), k
+        clamped += int(np.any(np.abs(step) > h))
+    assert q[0, 0] == 0.0 and clamped > 0
+    assert q.min() < -0.3  # it absorbs: the filter moves
+
+
+def test_droop_setpoints_stay_in_the_joint_region_of_their_availability():
+    # a feeder36 ramp to the full rating shrinks the headroom every step;
+    # step k + 1 applies what step k computed at step k's availability
+    fd = networks.feeder36()
+    par = ScenarioParams(n_steps=120, ramp_start=0.5, ramp_end=1.0)
+    scen = generate_scenario("ramp", fd, seed=0, params=par)
+    u = run_closed_loop(compile_feeder(fd), scen, "droop", _inverters(fd), PARAMS).u
+    p_av = np.concatenate([scen.p_av[:1], scen.p_av[:-1]])
+    assert np.all(in_region("joint", fd.der_ratings, p_av, u[:, :, 0], u[:, :, 1], tol=1e-12))
+    assert np.any(u[:, :, 1] < 0.0)
 
 
 def test_eval_cost_conventions():
