@@ -51,7 +51,6 @@ from .powerflow import (
 )
 from .sim import (
     CompiledFeeder,
-    PlantError,
     Scenario,
     ScenarioParams,
     Trajectory,

@@ -27,13 +27,12 @@ from .controller import (
     solve_saddle_oracle,
 )
 from .feeder import FeederError, build_admittance, load_feeder, validate_feeder
-from .powerflow import PowerFlowError, PowerInjection, build_linear_model, solve_ac
+from .powerflow import PowerFlowError, PowerInjection, solve_ac
 from .sim import (
     PLANTS,
     SCENARIO_KINDS,
     STRATEGIES,
     CompiledFeeder,
-    PlantError,
     Scenario,
     ScenarioParams,
     check_trajectory,
@@ -223,12 +222,21 @@ def _costs_for(cfg: RunConfig, n_der: int, path: str) -> tuple[list[float], list
     return [c.c_p for c in costs], [c.c_q for c in costs]
 
 
+def _compile(path: str) -> CompiledFeeder:
+    """The feeder file ``path``, compiled; every :class:`FeederError` names the file."""
+    feeder = load_feeder(path)
+    try:
+        return compile_feeder(feeder)
+    except FeederError as exc:
+        raise FeederError(f"{path}: {exc}") from exc
+
+
 def _load_run(
     args: argparse.Namespace,
 ) -> tuple[RunConfig, CompiledFeeder, Scenario, Inverters]:
     """The config of ``args.config`` with its flags, compiled feeder, scenario and inverters."""
     cfg = load_config(args.config, args)
-    net = compile_feeder(load_feeder(cfg.feeder))
+    net = _compile(cfg.feeder)
     feeder, gen = net.feeder, cfg.generator
     if gen is None:
         scen = read_scenario(cfg.scenario_file, feeder)
@@ -240,7 +248,7 @@ def _load_run(
             raise ConfigError(f"{args.config}:generator: {exc}") from exc
         except MemoryError as exc:
             raise ConfigError(
-                f"{args.config}:generator: n_steps = {gen.n_steps} does not fit in memory"
+                f"{args.config}:generator:n_steps: {gen.n_steps} steps do not fit in memory"
             ) from exc
     c_p, c_q = _costs_for(cfg, feeder.n_der, args.config)
     return cfg, net, scen, Inverters(cfg.region_kind, feeder.der_ratings, c_p, c_q)
@@ -281,9 +289,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_powerflow(args: argparse.Namespace) -> int:
-    feeder = load_feeder(args.feeder)
-    adm = build_admittance(feeder)
-    n = feeder.n_nodes
+    net = _compile(args.feeder)
+    feeder, n = net.feeder, net.feeder.n_nodes
     if args.scenario:
         scen = read_scenario(args.scenario, feeder)
         k = args.step
@@ -297,7 +304,7 @@ def cmd_powerflow(args: argparse.Namespace) -> int:
         inj = PowerInjection(p, q)
     else:
         inj = PowerInjection.zeros(n)
-    sol = solve_ac(adm, inj, feeder.slack_voltage)
+    sol = solve_ac(net.lm.adm, inj, feeder.slack_voltage)
     v = sol.v
     print(f"iterations = {sol.iterations}")
     print(f"residual   = {sol.residual:.3e}")
@@ -317,10 +324,9 @@ def cmd_powerflow(args: argparse.Namespace) -> int:
 
 
 def cmd_linearize(args: argparse.Namespace) -> int:
-    feeder = load_feeder(args.feeder)
-    adm = build_admittance(feeder)
-    lm = build_linear_model(adm, feeder.slack_voltage)
-    R, B = lm.columns(np.arange(feeder.n_nodes))
+    net = _compile(args.feeder)
+    lm = net.lm
+    R, B = lm.columns(np.arange(net.feeder.n_nodes))
     out = {
         "sensitivity_p": [[float(x) for x in row] for row in R],
         "sensitivity_q": [[float(x) for x in row] for row in B],
@@ -494,9 +500,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PlantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except PowerFlowError as exc:
         print(f"error: plant failure: {exc}", file=sys.stderr)
         return 3

@@ -177,12 +177,12 @@ class Inverters:
             jac[:, 0] = (p > 0.0) & (p < p_av)
             return out, jac
         if self.kind == "reactive_only":
-            q_out, q_free = _clamp(q, self.headroom(p_av))
-            out = np.column_stack([np.broadcast_to(p_av, p.shape), q_out])
+            cap = self.headroom(p_av)
+            out = np.column_stack([np.broadcast_to(p_av, p.shape), _clamp(q, cap)])
             if not with_jacobian:
                 return out, None
             jac = np.zeros((len(u), 4))
-            jac[:, 3] = q_free
+            jac[:, 3] = (q < cap) & (q > -cap)  # Q free of the clamp
             return out, jac
         # joint: the strip 0 <= P <= p_av cut by the rating disk. Left of the
         # strip, Q is clamped on the P = 0 face; inside the disk beyond the
@@ -192,14 +192,14 @@ class Inverters:
         left = p <= 0.0
         r = np.where(left, s, np.hypot(p, q))  # r = 0 only on the left face
         scale = s / r
+        p_arc = p * scale
         inside = r <= s  # left points included
         member = inside & (p <= p_av) & ~left
-        arc = ~inside & (p * scale <= p_av)
+        arc = ~inside & (p_arc <= p_av)
         face_cap = np.where(left, s, np.sqrt(np.maximum(s * s - p_av * p_av, 0.0)))
-        q_face, q_free = _clamp(q, face_cap)
         out = np.empty_like(u)
-        out[:, 0] = np.where(member, p, np.where(arc, p * scale, np.where(left, 0.0, p_av)))
-        out[:, 1] = np.where(member, q, np.where(arc, q * scale, q_face))
+        out[:, 0] = np.where(member, p, np.where(arc, p_arc, np.where(left, 0.0, p_av)))
+        out[:, 1] = np.where(member, q, np.where(arc, q * scale, _clamp(q, face_cap)))
         if not with_jacobian:
             return out, None
         # on the arc the Jacobian (s/r)(I - n n^T) keeps the tangential
@@ -208,15 +208,14 @@ class Inverters:
         jac = np.empty((len(u), 4))
         jac[:, 0] = np.where(arc, scale * n_q * n_q, member)
         jac[:, 1] = jac[:, 2] = np.where(arc, -scale * n_p * n_q, 0.0)
-        jac[:, 3] = np.where(arc, scale * n_p * n_p, member | q_free)
+        jac[:, 3] = np.where(arc, scale * n_p * n_p, member | ((q < face_cap) & (q > -face_cap)))
         return out, jac
 
 
-def _clamp(q: np.ndarray, cap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Q clamped to [-cap, cap], and where it stays free of the clamp; q = -0.0
-    # at cap = 0 clamps to +0.0, which np.clip would leave as -0.0
-    neg = -cap
-    return np.where(q >= cap, cap, np.maximum(q, neg)), (q < cap) & (q > neg)
+def _clamp(q: np.ndarray, cap: np.ndarray) -> np.ndarray:
+    # Q clamped to [-cap, cap]; q = -0.0 at cap = 0 clamps to +0.0, which
+    # np.clip would leave as -0.0
+    return np.where(q >= cap, cap, np.maximum(q, -cap))
 
 
 @dataclass(frozen=True)
@@ -288,9 +287,6 @@ class VoltageCoupling:
     def predict(self, u: np.ndarray) -> np.ndarray:
         """``r P + b Q + c`` for setpoints ``u`` (..., n_der, 2), shape (..., M)."""
         return u[..., 0] @ self.r.T + u[..., 1] @ self.b.T + self.c
-
-    def stacked(self) -> np.ndarray:
-        return np.hstack([self.r, self.b])
 
 
 def grad_primal(
@@ -384,16 +380,12 @@ def convergence_constants(
     constant of the full primal-dual operator.
     """
     L = 2.0 * float(max(inv.c_p.max(), inv.c_q.max()))
-    G = _spectral_norm(coupling.stacked())
+    G = _spectral_norm(np.hstack([coupling.r, coupling.b]))
     eta = min(params.nu, params.epsilon)
     L_reg = math.sqrt((L + params.nu + 2.0 * G) ** 2 + 2.0 * (G + params.epsilon) ** 2)
-    alpha_max = 2.0 * eta / L_reg**2
-    rho_alpha = math.sqrt(
-        max(0.0, 1.0 - 2.0 * eta * params.alpha + params.alpha**2 * L_reg**2)
-    )
-    return ConvergenceConstants(
-        L=L, G=G, eta=eta, L_reg=L_reg, rho_alpha=rho_alpha, alpha_max=alpha_max
-    )
+    # rho_alpha is rho(alpha), from the one formula in ConvergenceConstants.rho
+    consts = ConvergenceConstants(L, G, eta, L_reg, math.nan, 2.0 * eta / L_reg**2)
+    return replace(consts, rho_alpha=consts.rho(params.alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +416,6 @@ class SaddleProblem:
             raise ValueError("inverters and p_av must match the coupling's DER count")
         if not self.v_min < self.v_max:
             raise ValueError("v_min must be below v_max")
-
-    @property
-    def n_der(self) -> int:
-        return self.coupling.n_der
 
 
 @dataclass(frozen=True)
@@ -532,7 +520,7 @@ def solve_saddle_oracle(
         raise ValueError(f"oracle tolerance must be positive and finite, got {tol!r}")
     inv, pav = problem.inverters, problem.p_av
     prm = problem.params
-    n = problem.n_der
+    n = problem.coupling.n_der
     u0 = np.column_stack([pav, np.zeros(n)]) if u0 is None else np.asarray(u0, float)
 
     # sensitivities and curvature in the order of u.ravel(): P_0, Q_0, P_1, ...

@@ -114,14 +114,13 @@ class FeederModel:
 class AdmittanceMatrix:
     """Partitioned bus admittance matrix, factored once.
 
-    The full ``(N+1) x (N+1)`` matrix is stored as the slack self term
-    ``y00``, the slack-to-network column ``ybar`` and the reduced network
-    block ``Y`` (sparse CSC), whose row i is bus i + 1. ``lu`` is the sparse
-    LU factor of ``Y`` that every solve with ``Y`` uses, and ``rcond`` its
-    estimated 1-norm reciprocal condition number.
+    Holds what the solves use of the full ``(N+1) x (N+1)`` matrix: the
+    slack-to-network column ``ybar`` and the reduced network block ``Y``
+    (sparse CSC), whose row i is bus i + 1. ``lu`` is the sparse LU factor of
+    ``Y`` that every solve with ``Y`` uses, and ``rcond`` its estimated 1-norm
+    reciprocal condition number.
     """
 
-    y00: complex
     ybar: np.ndarray
     Y: sp.csc_matrix
     lu: SuperLU
@@ -270,13 +269,7 @@ def build_admittance(feeder: FeederModel) -> AdmittanceMatrix:
         raise FeederError(
             f"degenerate network: reduced admittance rcond {rcond:.3e} < {RCOND_LIMIT:.0e}"
         )
-    return AdmittanceMatrix(
-        y00=complex(diag[0]),
-        ybar=ybar,
-        Y=Y,
-        lu=lu,
-        rcond=rcond,
-    )
+    return AdmittanceMatrix(ybar=ybar, Y=Y, lu=lu, rcond=rcond)
 
 
 def _inverse_norm1(lu: SuperLU, n: int) -> float:
@@ -424,12 +417,14 @@ def feeder_to_dict(feeder: FeederModel) -> dict:
 
 
 def load_feeder(path: str) -> FeederModel:
+    """:func:`feeder_from_dict` of the JSON file ``path``; a :class:`FeederError` names it."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return feeder_from_dict(json.load(fh))
         except json.JSONDecodeError as exc:
             raise FeederError(f"{path}: not valid JSON: {exc}") from exc
-    return feeder_from_dict(data)
+        except FeederError as exc:
+            raise FeederError(f"{path}: {exc}") from exc
 
 
 def save_feeder(feeder: FeederModel, path: str) -> None:

@@ -98,15 +98,14 @@ _PARENT36 = (
 DER36 = (4, 7, 10, 13, 17, 20, 22, 23, 26, 28, 29, 30, 31, 32, 33, 34, 35, 36)
 
 
-def feeder36(impedance_scale: float = 1.0) -> FeederModel:
+def feeder36() -> FeederModel:
     """36-bus synthetic feeder with 18 inverters on the laterals.
 
     Trunk segments are stiffer than lateral ones, and the two deep branches
     below bus 28 are deliberately asymmetric (the 33-36 chain is longer
     electrically and carries the two largest inverters) so that the feeder
-    has a single dominant overvoltage node. ``impedance_scale`` multiplies
-    every impedance (used to tune the severity of the midday voltage rise
-    in the shipped scenarios).
+    has a single dominant overvoltage node. ``data/feeder36.json`` holds the
+    same feeder.
     """
     lines = []
     for i, parent in enumerate(_PARENT36, start=1):
@@ -118,7 +117,7 @@ def feeder36(impedance_scale: float = 1.0) -> FeederModel:
             z = 0.0176 + 0.0176j     # deep branch carrying the big units
         else:
             z = 0.0112 + 0.0144j     # laterals
-        lines.append(LineSegment(parent, i, z * impedance_scale))
+        lines.append(LineSegment(parent, i, z))
     ratings = []
     for pos in range(1, len(DER36) + 1):
         if pos == 3:

@@ -26,6 +26,7 @@ __all__ = [
     "build_linear_model",
     "predict_voltage_magnitude",
     "solve_ac",
+    "in_band",
     "constraint_offsets",
 ]
 
@@ -172,8 +173,7 @@ def solve_ac(
         v = adm.solve(-yv0)
     else:
         v = np.asarray(init, dtype=complex)
-        mags = np.abs(v)
-        if not (COLLAPSE_LO <= mags.min() and mags.max() <= COLLAPSE_HI):
+        if not in_band(v):
             raise ValueError(
                 f"warm-start magnitudes must be in [{COLLAPSE_LO}, {COLLAPSE_HI}] pu"
             )
@@ -181,8 +181,7 @@ def solve_ac(
     residual = float("inf")
     for it in range(1, max_iter + 1):
         v = adm.solve(np.conj(s / v) - yv0)
-        mags = np.abs(v)
-        if not (COLLAPSE_LO <= mags.min() and mags.max() <= COLLAPSE_HI):
+        if not in_band(v):
             raise VoltageCollapseError(
                 f"collapse: |v| outside [{COLLAPSE_LO}, {COLLAPSE_HI}] at iteration {it}",
                 residual,
@@ -195,6 +194,12 @@ def solve_ac(
         f"no convergence after {max_iter} iterations, residual {residual:.3e}",
         residual,
     )
+
+
+def in_band(v: np.ndarray) -> bool:
+    """Whether every magnitude of ``v`` is in ``[COLLAPSE_LO, COLLAPSE_HI]`` (a NaN is not)."""
+    mags = np.abs(v)
+    return COLLAPSE_LO <= mags.min() and mags.max() <= COLLAPSE_HI
 
 
 def constraint_offsets(

@@ -35,15 +35,14 @@ from .controller import (
     primal_step,
     solve_saddle_oracle,
 )
-from .feeder import AdmittanceMatrix, FeederModel, build_admittance
+from .feeder import FeederModel, build_admittance
 from .powerflow import (
-    COLLAPSE_HI,
-    COLLAPSE_LO,
     LinearModel,
     PowerFlowError,
     PowerInjection,
     build_linear_model,
     constraint_offsets,
+    in_band,
     predict_voltage_magnitude,
     solve_ac,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "ScenarioParams",
     "Trajectory",
     "TrackingReport",
-    "PlantError",
     "STRATEGIES",
     "PLANTS",
     "SCENARIO_KINDS",
@@ -76,15 +74,6 @@ PLANTS = ("ac", "linear")
 SCENARIO_KINDS = ("static", "ramp", "cloud_transient", "vmax_steps")
 
 DUAL_DIAG_LIMIT = 1e6
-
-
-class PlantError(RuntimeError):
-    """AC plant failure during a closed-loop run."""
-
-    def __init__(self, step: int, cause: PowerFlowError):
-        super().__init__(f"plant failure at step {step}: {cause}")
-        self.step = step
-        self.cause = cause
 
 
 @dataclass(frozen=True)
@@ -240,7 +229,10 @@ def generate_scenario(
     base = np.broadcast_to(base, (n,))
     rng = np.random.default_rng(seed)
     k = par.n_steps
-    t = np.arange(k) * par.tau
+    try:
+        t = np.arange(k) * par.tau
+    except ValueError as exc:  # numpy: more steps than any array can hold
+        raise MemoryError(f"{k} steps: {exc}") from exc
     if kind == "static":
         p_load = np.tile(base, (k, 1))
         q_load = par.load_q_ratio * p_load
@@ -431,10 +423,6 @@ class CompiledFeeder:
     lm: LinearModel
     coupling: VoltageCoupling
 
-    @property
-    def adm(self) -> AdmittanceMatrix:
-        return self.lm.adm
-
     def surrogate(self, scenario: Scenario) -> VoltageCoupling:
         """``coupling`` with one offset row per step of ``scenario``, from one solve."""
         c = constraint_offsets(self.lm, scenario.p_load, scenario.q_load, self.feeder)
@@ -475,7 +463,8 @@ def run_closed_loop(
     full available power at unity power factor with zero duals. Each AC
     solve starts from :func:`_ac_start`, an extrapolation of the plant's
     last solutions; the solve accepts its iterate by the same residual test
-    wherever it starts.
+    wherever it starts. A failed solve re-raises its :class:`PowerFlowError`,
+    of the same class, with ``step k:`` put before the message.
 
     The controller and the droop headroom see the availability as the
     regions use it (:meth:`Inverters.available`, clipped to the ratings
@@ -526,9 +515,9 @@ def run_closed_loop(
 
         if plant == "ac":
             try:
-                sol = solve_ac(net.adm, inj, v0, init=_ac_start(v_last, net.lm.vbar))
-            except PowerFlowError as exc:
-                raise PlantError(k, exc) from exc
+                sol = solve_ac(net.lm.adm, inj, v0, init=_ac_start(v_last, net.lm.vbar))
+            except PowerFlowError as exc:  # the same error, naming the step
+                raise type(exc)(f"step {k}: {exc}", exc.residual) from exc
             v_last = [sol.v, *v_last[:2]]
             v_mag = np.abs(sol.v)
             pf_residual[k] = sol.residual
@@ -594,10 +583,7 @@ def _ac_start(v_last: list[np.ndarray], vbar: np.ndarray) -> np.ndarray:
         guess = 2.0 * v_last[0] - v_last[1]
     else:
         guess = 3.0 * (v_last[0] - v_last[1]) + v_last[2]
-    mags = np.abs(guess)
-    if not (COLLAPSE_LO <= mags.min() and mags.max() <= COLLAPSE_HI):
-        return v_last[0]
-    return guess
+    return guess if in_band(guess) else v_last[0]
 
 
 def _max_violation(mon_mag: np.ndarray, scenario: Scenario) -> np.ndarray:

@@ -146,6 +146,16 @@ def test_validate_invalid_json(tmp_path, capsys):
          "tau = 1e+308"),
         # a step count beyond any float fails in the generator, one line still
         (lambda c: c["generator"].update(n_steps=10**400), "bad_config.json:generator:"),
+        # step counts no numpy array holds; at config36's tau the last time
+        # (n_steps - 1) * tau passes the overflow check
+        pytest.param(
+            lambda c: c["generator"].update(n_steps=10**400, tau=0.33),
+            f"bad_config.json:generator:n_steps: {10**400} steps do not fit in memory",
+            id="n_steps=10**400-tau=0.33"),
+        pytest.param(
+            lambda c: c["generator"].update(n_steps=2**62),
+            f"bad_config.json:generator:n_steps: {2**62} steps do not fit in memory",
+            id="n_steps=2**62"),
         (lambda c: c.update(seed=-1), "bad_config.json: seed must be >= 0, got -1"),
         (lambda c: c["generator"].update(seed=-1),
          "bad_config.json:generator: seed must be >= 0, got -1"),
@@ -197,7 +207,32 @@ def test_scenario_too_large_for_memory_is_one_line(run_config, capsys, monkeypat
 
     monkeypatch.setattr(cli, "generate_scenario", no_memory)
     assert cli.main(["run", "--config", str(run_config)]) == 1
-    assert f"{run_config}:generator: n_steps = 41 does not fit in memory" in _one_line_error(capsys)
+    assert f"{run_config}:generator:n_steps: 41 steps do not fit in memory" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "mutate, fragment",
+    [
+        (lambda d: d["lines"][3].update({"from": 3.9}),
+         "malformed feeder description: lines[3].from: expected an integer, got 3.9"),
+        (lambda d: d["lines"][3].update(to=3), "line (3,3) is a self loop"),
+    ],
+    ids=["load", "compile"],
+)
+@pytest.mark.parametrize("command", ["run", "oracle", "report", "powerflow", "linearize"])
+def test_feeder_errors_name_the_feeder_file(tmp_path, capsys, mutate, fragment, command):
+    feeder = json.loads((DATA / "feeder36.json").read_text(encoding="utf-8"))
+    mutate(feeder)
+    path = tmp_path / "feeder36.json"  # the feeder config36 names, beside the config
+    write_json(path, feeder)
+    config = tmp_path / "config.json"
+    shutil.copy(DATA / "config36.json", config)
+    if command in ("powerflow", "linearize"):
+        args = [command, "--feeder", str(path)]
+    else:
+        args = [command, "--config", str(config)]
+    assert cli.main(args) == 1
+    assert f"error: {path}: {fragment}" in _one_line_error(capsys)
 
 
 def test_run_alpha_flag_must_be_finite(run_config, capsys):
@@ -278,7 +313,9 @@ def test_run_plant_failure(tmp_path, feeder_file, capsys):
     path = tmp_path / "blowup.json"
     write_json(path, cfg)
     assert cli.main(["run", "--config", str(path)]) == 3
-    assert "error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: plant failure: step 0: ")
 
 
 def test_oracle_output(tmp_path, run_config, capsys):

@@ -549,7 +549,6 @@ def test_coupling_slicing_and_validation():
     R, B = lm.columns(np.arange(fd.n_nodes))
     assert coup.r[3, 5] == R[mi[3], di[5]]
     assert coup.b[7, 11] == B[mi[7], di[11]]
-    assert np.allclose(coup.stacked(), np.hstack([coup.r, coup.b]))
     with pytest.raises(ValueError, match="inconsistent"):
         VoltageCoupling(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros(5))
     with pytest.raises(ValueError, match="DER count"):
