@@ -335,8 +335,9 @@ def _number(value: object, where: str, i: int = 0) -> float:
 def feeder_from_dict(data: dict) -> FeederModel:
     """Build a :class:`FeederModel` from the documented mapping.
 
-    Rejects unknown keys, bus ids that are not JSON integers and electrical
-    values that are not finite JSON numbers.
+    Rejects unknown keys, bus ids that are not JSON integers, electrical
+    values that are not finite JSON numbers and a ``base_power_va`` that is
+    not positive.
     """
     if not isinstance(data, dict):
         raise FeederError("feeder description must be a mapping")
@@ -376,6 +377,9 @@ def feeder_from_dict(data: dict) -> FeederModel:
         monitored = [
             _int(m, "monitored_nodes[{}]", i) for i, m in enumerate(data["monitored_nodes"])
         ]
+        base_power = _number(data.get("base_power_va", 1.0e6), "base_power_va")
+        if base_power <= 0.0:
+            raise ValueError(f"base_power_va must be positive, got {base_power!r}")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FeederError(f"malformed feeder description: {exc}") from exc
     return FeederModel(
@@ -385,7 +389,7 @@ def feeder_from_dict(data: dict) -> FeederModel:
         monitored_nodes=tuple(monitored),
         der_ratings=tuple(ratings),
         slack_voltage=v0,
-        base_power=float(data.get("base_power_va", 1.0e6)),
+        base_power=base_power,
     )
 
 

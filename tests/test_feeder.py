@@ -220,6 +220,12 @@ FEEDER36 = Path(__file__).resolve().parents[1] / "data" / "feeder36.json"
          "slack.magnitude_pu must be positive, got 0.0"),
         (lambda d: d["slack"].update(magnitude_pu=-1.0),
          "slack.magnitude_pu must be positive, got -1.0"),
+        (lambda d: d.update(base_power_va="x"),
+         'base_power_va: expected a finite number, got "x"'),
+        (lambda d: d.update(base_power_va=True), "base_power_va: expected a finite number, got true"),
+        (lambda d: d.update(base_power_va=math.nan),
+         "base_power_va: expected a finite number, got NaN"),
+        (lambda d: d.update(base_power_va=-5), "base_power_va must be positive, got -5.0"),
     ],
 )
 def test_validate_rejects_wrong_types_and_values(tmp_path, capsys, mutate, fragment):

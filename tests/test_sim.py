@@ -512,10 +512,15 @@ WRITER_LAYOUTS = (
     networks.two_bus(),
     networks.chain(1100, der_nodes=tuple(range(5, 1101, 5))),
 )
-# signed zeros, the smallest subnormal and others, and values whose repr
-# switches notation; every array repeats values from this pool
+# signed zeros, the smallest subnormal and others, values whose repr
+# switches notation or whose digits hold 0.0000 inside a longer number;
+# every array repeats values from this pool
 SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-5,
-                  1e-4, 0.1, 1.0, 1e15, 1e16, -1e16, 1.7976931348623157e308)
+                  1e-4, 0.1, 1.0, 1e15, 1e16, -1e16, 1.7976931348623157e308, 1.5e-05,
+                  9.999999999999999e-05, 1e-06, 10.00001, -120.00001, 1e+100,
+                  9999999999999998.0)
+# a trajectory may hold these too; a scenario may not
+NON_FINITE = (math.nan, math.inf, -math.inf)
 
 
 def _csv_reference(columns, rows) -> bytes:
@@ -545,10 +550,13 @@ def test_writers_match_the_csv_reference_and_round_trip(tmp_path_factory, layout
     rng = np.random.default_rng(seed)
     pool = np.asarray(SPECIAL_FLOATS + tuple(drawn))
 
-    def cells(*shape):
+    def cells(*shape, pool=pool):
         # half the cells from the pool, half spread over every exponent
         wide = rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 300, shape)
         return np.where(rng.random(shape) < 0.5, rng.choice(pool, shape), wide)
+
+    def traj_cells(*shape):
+        return cells(*shape, pool=np.append(pool, NON_FINITE))
 
     n, m, g = layout.n_nodes, len(layout.monitored_nodes), layout.n_der
     scen = Scenario(
@@ -556,8 +564,9 @@ def test_writers_match_the_csv_reference_and_round_trip(tmp_path_factory, layout
         v_min=-np.abs(cells(k)) - 5e-324, v_max=np.abs(cells(k)),  # v_min < 0 <= v_max
     )
     traj = Trajectory(
-        y=cells(k, m), u=cells(k, g, 2), gamma=cells(k, m), mu=cells(k, m),
-        v_mag=cells(k, n), cost=cells(k), max_violation=cells(k), pf_residual=cells(k),
+        y=traj_cells(k, m), u=traj_cells(k, g, 2), gamma=traj_cells(k, m), mu=traj_cells(k, m),
+        v_mag=traj_cells(k, n), cost=traj_cells(k), max_violation=traj_cells(k),
+        pf_residual=traj_cells(k),
     )
     tmp = tmp_path_factory.mktemp("writers")
 
