@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: validate, powerflow, linearize, run, oracle, report.
+Subcommands: validate, run, oracle, report.
 Exit codes: 0 ok, 1 validation failure, 2 I/O failure, 3 plant failure,
 4 oracle failure.
 """
@@ -27,7 +27,7 @@ from .controller import (
     solve_saddle_oracle,
 )
 from .feeder import FeederError, build_admittance, load_feeder, validate_feeder
-from .powerflow import PowerFlowError, PowerInjection, solve_ac
+from .powerflow import PowerFlowError
 from .sim import (
     PLANTS,
     SCENARIO_KINDS,
@@ -288,56 +288,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_powerflow(args: argparse.Namespace) -> int:
-    net = _compile(args.feeder)
-    feeder, n = net.feeder, net.feeder.n_nodes
-    if args.scenario:
-        scen = read_scenario(args.scenario, feeder)
-        k = args.step
-        if not 0 <= k < scen.n_steps:
-            raise ConfigError(f"step {k} outside scenario range [0, {scen.n_steps})")
-        p = -scen.p_load[k].copy()
-        q = -scen.q_load[k].copy()
-        if args.with_der:
-            der = feeder.der_indices()
-            p[der] += scen.p_av[k]
-        inj = PowerInjection(p, q)
-    else:
-        inj = PowerInjection.zeros(n)
-    sol = solve_ac(net.lm.adm, inj, feeder.slack_voltage)
-    v = sol.v
-    print(f"iterations = {sol.iterations}")
-    print(f"residual   = {sol.residual:.3e}")
-    print("node  magnitude_pu  angle_deg")
-    for i in range(n):
-        print(f"{i + 1:4d}  {abs(v[i]):12.6f}  {math.degrees(np.angle(v[i])):9.4f}")
-    if args.output:
-        out = {
-            "iterations": sol.iterations,
-            "residual": sol.residual,
-            "magnitude_pu": [float(abs(x)) for x in v],
-            "angle_deg": [float(math.degrees(np.angle(x))) for x in v],
-        }
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(_json_bytes(out))
-    return 0
-
-
-def cmd_linearize(args: argparse.Namespace) -> int:
-    net = _compile(args.feeder)
-    lm = net.lm
-    R, B = lm.columns(np.arange(net.feeder.n_nodes))
-    out = {
-        "sensitivity_p": [[float(x) for x in row] for row in R],
-        "sensitivity_q": [[float(x) for x in row] for row in B],
-        "offset_magnitude": [float(x) for x in lm.a],
-        "no_load_re": [float(x.real) for x in lm.vbar],
-        "no_load_im": [float(x.imag) for x in lm.vbar],
-    }
-    _emit_json(out, args.output)
-    return 0
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     cfg, net, scen, inv = _load_run(args)
     consts = convergence_constants(inv, net.coupling, cfg.controller)
@@ -436,8 +386,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="opftrack",
         description=(
             "Feedback-based setpoint pursuit for distribution feeders: "
-            "validation, power-flow solves, closed-loop runs, per-step "
-            "optimizer oracles, and tracking reports."
+            "validation, closed-loop runs, per-step optimizer oracles, "
+            "and tracking reports."
         ),
     )
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -446,23 +396,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("validate", help="check a feeder file, print diagnostics")
     sp.add_argument("feeder", help="feeder JSON file")
     sp.set_defaults(func=cmd_validate)
-
-    sp = sub.add_parser("powerflow", help="one-shot AC power-flow solve")
-    sp.add_argument("--feeder", required=True, help="feeder JSON file")
-    sp.add_argument("--scenario", help="scenario file supplying loads")
-    sp.add_argument("--step", type=int, default=0, help="scenario step (default 0)")
-    sp.add_argument(
-        "--with-der",
-        action="store_true",
-        help="inject available DER power at unity power factor",
-    )
-    sp.add_argument("--output", help="write the solution as JSON")
-    sp.set_defaults(func=cmd_powerflow)
-
-    sp = sub.add_parser("linearize", help="dump the linear voltage model")
-    sp.add_argument("--feeder", required=True, help="feeder JSON file")
-    sp.add_argument("--output", help="write JSON here instead of stdout")
-    sp.set_defaults(func=cmd_linearize)
 
     sp = sub.add_parser("run", help="closed-loop run: trajectory + summary")
     sp.add_argument("--config", required=True, help="run configuration JSON")

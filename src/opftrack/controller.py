@@ -22,9 +22,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .feeder import FeederModel
-from .powerflow import LinearModel
-
 __all__ = [
     "REGION_KINDS",
     "Inverters",
@@ -273,16 +270,6 @@ class VoltageCoupling:
     @property
     def n_der(self) -> int:
         return self.r.shape[1]
-
-    @classmethod
-    def from_linear_model(cls, lm: LinearModel, feeder: FeederModel) -> "VoltageCoupling":
-        """The (metered x DER) blocks of the linear model: n_der solves, metered rows kept.
-
-        ``c`` is the no-load magnitudes, the offset at zero load.
-        """
-        mi = feeder.monitored_indices()
-        r, b = lm.columns(feeder.der_indices())
-        return cls(r=r[mi], b=b[mi], c=lm.a[mi])
 
     def predict(self, u: np.ndarray) -> np.ndarray:
         """``r P + b Q + c`` for setpoints ``u`` (..., n_der, 2), shape (..., M)."""

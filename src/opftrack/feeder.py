@@ -2,8 +2,8 @@
 
 Models a single-phase (balanced equivalent) distribution network: buses
 ``0..N`` with bus 0 the slack at the substation transformer, pi-model line
-segments, and per-unit quantities throughout. ``base_power`` is carried
-only for unit conversion at the I/O boundary; all internal math is in pu.
+segments, and per-unit quantities throughout: the feeder file, the model
+and every computation are in pu, and no base power is carried.
 """
 
 from __future__ import annotations
@@ -84,7 +84,6 @@ class FeederModel:
     monitored_nodes: tuple[int, ...]
     der_ratings: tuple[float, ...] = ()
     slack_voltage: complex = 1.0 + 0j
-    base_power: float = 1.0e6
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lines", tuple(self.lines))
@@ -302,7 +301,6 @@ def _inverse_norm1(lu: SuperLU, n: int) -> float:
 _TOP_KEYS = {
     "n_nodes",
     "slack",
-    "base_power_va",
     "lines",
     "der_nodes",
     "monitored_nodes",
@@ -335,9 +333,8 @@ def _number(value: object, where: str, i: int = 0) -> float:
 def feeder_from_dict(data: dict) -> FeederModel:
     """Build a :class:`FeederModel` from the documented mapping.
 
-    Rejects unknown keys, bus ids that are not JSON integers, electrical
-    values that are not finite JSON numbers and a ``base_power_va`` that is
-    not positive.
+    Rejects unknown keys, bus ids that are not JSON integers and electrical
+    values that are not finite JSON numbers.
     """
     if not isinstance(data, dict):
         raise FeederError("feeder description must be a mapping")
@@ -377,9 +374,6 @@ def feeder_from_dict(data: dict) -> FeederModel:
         monitored = [
             _int(m, "monitored_nodes[{}]", i) for i, m in enumerate(data["monitored_nodes"])
         ]
-        base_power = _number(data.get("base_power_va", 1.0e6), "base_power_va")
-        if base_power <= 0.0:
-            raise ValueError(f"base_power_va must be positive, got {base_power!r}")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FeederError(f"malformed feeder description: {exc}") from exc
     return FeederModel(
@@ -389,7 +383,6 @@ def feeder_from_dict(data: dict) -> FeederModel:
         monitored_nodes=tuple(monitored),
         der_ratings=tuple(ratings),
         slack_voltage=v0,
-        base_power=base_power,
     )
 
 
@@ -401,7 +394,6 @@ def feeder_to_dict(feeder: FeederModel) -> dict:
             "magnitude_pu": abs(feeder.slack_voltage),
             "angle_deg": math.degrees(cmath.phase(feeder.slack_voltage)),
         },
-        "base_power_va": feeder.base_power,
         "lines": [
             {
                 "from": ln.from_node,

@@ -68,10 +68,6 @@ class PowerInjection:
     def s(self) -> np.ndarray:
         return self.p + 1j * self.q
 
-    @classmethod
-    def zeros(cls, n: int) -> "PowerInjection":
-        return cls(np.zeros(n), np.zeros(n))
-
 
 @dataclass(frozen=True)
 class PFSolution:

@@ -448,11 +448,15 @@ class CompiledFeeder:
 def compile_feeder(feeder: FeederModel) -> CompiledFeeder:
     """Validate, assemble and factor the feeder, then linearize it once.
 
-    Raises :class:`~opftrack.feeder.FeederError` for an invalid or
-    degenerate network.
+    The coupling is the linear model's metered x DER block, one solve per
+    DER, with the no-load magnitudes as its offset. Raises
+    :class:`~opftrack.feeder.FeederError` for an invalid or degenerate
+    network.
     """
     lm = build_linear_model(build_admittance(feeder), feeder.slack_voltage)
-    return CompiledFeeder(feeder, lm, VoltageCoupling.from_linear_model(lm, feeder))
+    mon = feeder.monitored_indices()
+    r, b = lm.columns(feeder.der_indices())
+    return CompiledFeeder(feeder, lm, VoltageCoupling(r=r[mon], b=b[mon], c=lm.a[mon]))
 
 
 def run_closed_loop(

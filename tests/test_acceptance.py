@@ -21,7 +21,6 @@ from opftrack.controller import (
     DualState,
     Inverters,
     SaddleProblem,
-    VoltageCoupling,
     convergence_constants,
     dual_step_feedback,
     grad_primal,
@@ -191,8 +190,7 @@ def test_a2_linear_model_fidelity():
 def test_a3_error_free_contraction():
     t0 = time.perf_counter()
     fd = networks.two_bus(z=0.1 + 0.1j)
-    lm = build_linear_model(build_admittance(fd), fd.slack_voltage)
-    coupling = VoltageCoupling.from_linear_model(lm, fd)
+    coupling = compile_feeder(fd).coupling
     inv = Inverters("joint", [1.0], [0.5], [0.5])
     p_av = np.asarray([0.95])
 
@@ -447,8 +445,7 @@ def test_a8_gradients_match_finite_differences():
         rng = np.random.default_rng(4000 + inst)
         n = int(rng.integers(3, 11))
         fd = networks.random_radial(n, seed=200 + inst)
-        lm = build_linear_model(build_admittance(fd), fd.slack_voltage)
-        coupling = VoltageCoupling.from_linear_model(lm, fd)
+        coupling = compile_feeder(fd).coupling
         g, m = coupling.n_der, coupling.n_monitored
         u = rng.normal(0.0, 0.5, (g, 2))
         duals = DualState(rng.uniform(0.0, 2.0, m), rng.uniform(0.0, 2.0, m))
@@ -515,8 +512,7 @@ def test_a9_oracle_uniqueness_and_stationarity():
         rng = np.random.default_rng(3000 + inst)
         n = int(rng.integers(4, 9))
         fd = networks.random_radial(n, seed=500 + inst)
-        lm = build_linear_model(build_admittance(fd), fd.slack_voltage)
-        coupling = VoltageCoupling.from_linear_model(lm, fd)
+        coupling = compile_feeder(fd).coupling
         g = coupling.n_der
         pav = rng.uniform(0.3, 1.0, g)
         cost_w = rng.uniform(0.2, 3.0, (g, 2))

@@ -219,7 +219,7 @@ def test_scenario_too_large_for_memory_is_one_line(run_config, capsys, monkeypat
     ],
     ids=["load", "compile"],
 )
-@pytest.mark.parametrize("command", ["run", "oracle", "report", "powerflow", "linearize"])
+@pytest.mark.parametrize("command", ["run", "oracle", "report"])
 def test_feeder_errors_name_the_feeder_file(tmp_path, capsys, mutate, fragment, command):
     feeder = json.loads((DATA / "feeder36.json").read_text(encoding="utf-8"))
     mutate(feeder)
@@ -227,11 +227,7 @@ def test_feeder_errors_name_the_feeder_file(tmp_path, capsys, mutate, fragment, 
     write_json(path, feeder)
     config = tmp_path / "config.json"
     shutil.copy(DATA / "config36.json", config)
-    if command in ("powerflow", "linearize"):
-        args = [command, "--feeder", str(path)]
-    else:
-        args = [command, "--config", str(config)]
-    assert cli.main(args) == 1
+    assert cli.main([command, "--config", str(config)]) == 1
     assert f"error: {path}: {fragment}" in _one_line_error(capsys)
 
 
@@ -381,41 +377,6 @@ def test_report_after_run(tmp_path, run_config, capsys):
     traj.write_text("".join(lines[:-1]), encoding="utf-8")
     assert cli.main(["report", "--config", str(run_config)]) == 1
     assert "steps" in capsys.readouterr().err
-
-
-def test_powerflow_command(tmp_path, feeder_file, capsys):
-    out = tmp_path / "pf.json"
-    assert cli.main(["powerflow", "--feeder", str(feeder_file),
-                     "--output", str(out)]) == 0
-    text = capsys.readouterr().out
-    assert "iterations" in text and "magnitude_pu" in text
-    sol = json.loads(out.read_text(encoding="utf-8"))
-    assert len(sol["magnitude_pu"]) == 1
-    assert sol["magnitude_pu"][0] == pytest.approx(1.0)  # no-load flat profile
-    assert sol["residual"] <= 1e-9
-
-
-def test_powerflow_with_scenario(tmp_path, feeder_file, capsys):
-    from opftrack.sim import ScenarioParams, generate_scenario, write_scenario
-
-    fd = networks.two_bus(z=0.1 + 0.1j)
-    scen = generate_scenario("static", fd, seed=0, params=ScenarioParams(n_steps=4))
-    spath = tmp_path / "scen.csv"
-    write_scenario(scen, fd, str(spath))
-    assert cli.main(["powerflow", "--feeder", str(feeder_file),
-                     "--scenario", str(spath), "--step", "1", "--with-der"]) == 0
-    capsys.readouterr()
-    assert cli.main(["powerflow", "--feeder", str(feeder_file),
-                     "--scenario", str(spath), "--step", "9"]) == 1
-    assert "outside scenario range" in capsys.readouterr().err
-
-
-def test_linearize_command(feeder_file, capsys):
-    assert cli.main(["linearize", "--feeder", str(feeder_file)]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["sensitivity_p"] == [[pytest.approx(0.1)]]
-    assert out["sensitivity_q"] == [[pytest.approx(0.1)]]
-    assert out["offset_magnitude"] == [pytest.approx(1.0)]
 
 
 def test_run_header_only_scenario_file(tmp_path, run_config, capsys):

@@ -29,8 +29,7 @@ from opftrack.controller import (
     saddle_residual,
     solve_saddle_oracle,
 )
-from opftrack.feeder import build_admittance
-from opftrack.powerflow import build_linear_model
+from opftrack.sim import compile_feeder
 
 
 def fleet(kind, s, n=1):
@@ -219,8 +218,7 @@ def test_dual_state_rejects_any_negative_entry():
 
 def _tb1_setup(nu=1e-3, eps=1e-4, c=(3.0, 1.0), z=0.1 + 0.1j, pav=0.95, v_min=0.95, v_max=1.05):
     fd = networks.two_bus(z=z)
-    lm = build_linear_model(build_admittance(fd), fd.slack_voltage)
-    coupling = VoltageCoupling.from_linear_model(lm, fd)
+    coupling = compile_feeder(fd).coupling
     params = ControllerParams(alpha=0.2, nu=nu, epsilon=eps)
     problem = SaddleProblem(
         inverters=Inverters("joint", [1.0], [c[0]], [c[1]]),
@@ -278,8 +276,7 @@ def _lagrangian_value(problem, u, duals):
 
 def test_gradient_matches_finite_differences():
     fd = networks.feeder36()
-    lm = build_linear_model(build_admittance(fd), fd.slack_voltage)
-    coupling = VoltageCoupling.from_linear_model(lm, fd)
+    coupling = compile_feeder(fd).coupling
     params = ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4)
     rng = np.random.default_rng(2)
     w = np.asarray([(rng.uniform(0.5, 4), rng.uniform(0.2, 2)) for _ in range(18)])
@@ -459,8 +456,7 @@ def _penalty_instance():
     # feeder36 with offsets alternating below v_min and above v_max, so that
     # both limits are violated at different metered buses
     fd = networks.feeder36()
-    lm = build_linear_model(build_admittance(fd), fd.slack_voltage)
-    coupling = VoltageCoupling.from_linear_model(lm, fd)
+    coupling = compile_feeder(fd).coupling
     m = coupling.n_monitored
     c = np.where(np.arange(m) % 2 == 0, 0.90, 1.10)
     rng = np.random.default_rng(11)
@@ -542,8 +538,8 @@ def test_pack_state_layout():
 
 def test_coupling_slicing_and_validation():
     fd = networks.feeder36()
-    lm = build_linear_model(build_admittance(fd), fd.slack_voltage)
-    coup = VoltageCoupling.from_linear_model(lm, fd)
+    net = compile_feeder(fd)
+    coup, lm = net.coupling, net.lm
     assert coup.n_monitored == 10 and coup.n_der == 18
     mi, di = fd.monitored_indices(), fd.der_indices()
     R, B = lm.columns(np.arange(fd.n_nodes))
@@ -613,8 +609,7 @@ def test_projection_jacobian_matches_central_differences(batch, data):
 def test_saddle_oracle_property_random_radial(n, seed):
     rng = np.random.default_rng(seed)
     fd = networks.random_radial(n, seed=int(rng.integers(0, 1000)))
-    lm = build_linear_model(build_admittance(fd), fd.slack_voltage)
-    coupling = VoltageCoupling.from_linear_model(lm, fd)
+    coupling = compile_feeder(fd).coupling
     g = coupling.n_der
     kind = str(rng.choice(["joint", "joint", "real_only", "reactive_only"]))
     w = rng.uniform(0.2, 3.0, (g, 2))

@@ -20,7 +20,7 @@ def test_no_load_profile_is_flat_without_shunts():
     adm = build_admittance(networks.chain(5))
     vbar = no_load_voltage(adm, 1.0 + 0j)
     assert np.allclose(vbar, 1.0, atol=1e-12)
-    sol = solve_ac(adm, PowerInjection.zeros(5), 1.0 + 0j)
+    sol = solve_ac(adm, PowerInjection(np.zeros(5), np.zeros(5)), 1.0 + 0j)
     assert np.allclose(sol.v, 1.0, atol=1e-9)
     assert sol.residual <= 1e-9
 
@@ -58,7 +58,7 @@ def test_linear_model_is_derivative_at_no_load():
     lm = build_linear_model(adm, fd.slack_voltage)
     R, B = lm.columns(np.arange(12))
     h = 1e-5
-    base = solve_ac(adm, PowerInjection.zeros(12), fd.slack_voltage, tol=1e-12)
+    base = solve_ac(adm, PowerInjection(np.zeros(12), np.zeros(12)), fd.slack_voltage, tol=1e-12)
     rho0 = np.abs(base.v)
     for j in (0, 5, 11):
         p = np.zeros(12)
@@ -105,7 +105,7 @@ def test_complex_sensitivity_identities():
     inj = PowerInjection(rng.uniform(-0.05, 0.05, 36), rng.uniform(-0.05, 0.05, 36))
     dense = R @ inj.p + B @ inj.q + lm.a
     assert np.allclose(predict_voltage_magnitude(lm, inj), dense, rtol=0, atol=1e-13)
-    w0 = predict_voltage_magnitude(lm, PowerInjection.zeros(36))
+    w0 = predict_voltage_magnitude(lm, PowerInjection(np.zeros(36), np.zeros(36)))
     assert np.array_equal(w0, lm.a)
 
 
@@ -157,7 +157,7 @@ def test_injection_validation():
         PowerInjection([np.nan], [0.0])
     adm = build_admittance(networks.two_bus())
     with pytest.raises(ValueError, match="length"):
-        solve_ac(adm, PowerInjection.zeros(4), 1.0 + 0j)
+        solve_ac(adm, PowerInjection(np.zeros(4), np.zeros(4)), 1.0 + 0j)
 
 
 def test_constraint_offsets_consistent_with_full_model():
@@ -166,12 +166,13 @@ def test_constraint_offsets_consistent_with_full_model():
     # prediction with loads netted in, at the monitored rows; one load row,
     # or K rows from one solve
     from opftrack.controller import VoltageCoupling
+    from opftrack.sim import compile_feeder
 
     fd = networks.feeder36()
-    lm = build_linear_model(build_admittance(fd), fd.slack_voltage)
+    net = compile_feeder(fd)
+    lm, coup = net.lm, net.coupling
     rng = np.random.default_rng(4)
     der, mon = fd.der_indices(), fd.monitored_indices()
-    coup = VoltageCoupling.from_linear_model(lm, fd)
     for k in (None, 7):
         shape = (36,) if k is None else (k, 36)
         p_load = rng.uniform(0.0, 0.01, shape)
