@@ -83,12 +83,15 @@ class LinearModel:
     """First-order voltage-magnitude model around the no-load profile.
 
     ``predict_voltage_magnitude`` evaluates ``R p + B q + a``, where ``a``
-    is the no-load magnitude profile ``|vbar|``. Column j of ``R + jB`` is
-    column j of ``Y^{-1}`` scaled by ``ebar_j = exp(j theta_j) / rho_j``,
-    the no-load angle and magnitude of bus j, so that
-    ``R p + B q = Re(Y^{-1} (ebar * (p - jq)))``. R and B are therefore not
-    stored: :meth:`response` applies them with one solve of the admittance
-    factor, and :meth:`columns` forms only the columns asked for.
+    is the no-load magnitude profile ``|vbar|``. Entry (i, j) of ``R + jB``
+    is entry (i, j) of ``Y^{-1}`` scaled by ``ebar_j = exp(j theta_j) /
+    rho_j``, the no-load angle and magnitude of bus j, and rotated by
+    ``exp(-j theta_i)``, so that
+    ``R p + B q = Re(exp(-j theta) * Y^{-1} (ebar * (p - jq)))``: the first
+    order change of ``|v|`` whatever the slack's reference angle. R and B
+    are therefore not stored: :meth:`response` applies them with one solve
+    of the admittance factor, and :meth:`columns` forms only the columns
+    asked for.
     """
 
     adm: AdmittanceMatrix
@@ -98,15 +101,17 @@ class LinearModel:
 
     def response(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """``R p + B q`` for injections of shape (N,), or (N, K) for K at once."""
-        scale = self.ebar if np.ndim(p) == 1 else self.ebar[:, None]
-        return self.adm.solve(scale * (p - 1j * q)).real
+        scale, rot = self.ebar, np.conj(self.ebar) * self.a  # rot = exp(-j theta)
+        if np.ndim(p) == 2:
+            scale, rot = scale[:, None], rot[:, None]
+        return (rot * self.adm.solve(scale * (p - 1j * q))).real
 
     def columns(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Columns ``idx`` of R and of B (each N x len(idx)), one solve per column."""
         idx = np.asarray(idx, dtype=int)
         rhs = np.zeros((self.a.shape[0], idx.size), dtype=complex)
         rhs[idx, np.arange(idx.size)] = self.ebar[idx]
-        h = self.adm.solve(rhs)
+        h = (np.conj(self.ebar) * self.a)[:, None] * self.adm.solve(rhs)
         return h.real, h.imag
 
 
@@ -120,7 +125,8 @@ def build_linear_model(adm: AdmittanceMatrix, v0: complex) -> LinearModel:
 
     With the no-load voltages written as ``rho_bar * exp(j theta)``, the
     magnitude response to injections (p, q) is ``R p + B q + a`` with
-    ``R + jB = Y^{-1} diag(exp(j theta) / rho_bar)`` and ``a = rho_bar``.
+    ``R + jB = diag(exp(-j theta)) Y^{-1} diag(exp(j theta) / rho_bar)``
+    and ``a = rho_bar``.
     Costs one solve with the stored factor.
     """
     vbar = no_load_voltage(adm, v0)

@@ -52,10 +52,10 @@ def test_solve_ac_matches_dense_fixed_point(fd, seed):
 def test_one_solve_response_matches_inverse_sensitivities(fd, seed):
     lm = build_linear_model(build_admittance(fd), fd.slack_voltage)
     Z = np.linalg.inv(lm.adm.Y.toarray())
+    # columns scaled by exp(j theta) / rho, rows turned back by exp(-j theta)
     rho, ang = np.abs(lm.vbar), np.angle(lm.vbar)
-    cs, ss = np.cos(ang) / rho, np.sin(ang) / rho
-    R = Z.real * cs[None, :] - Z.imag * ss[None, :]
-    B = Z.imag * cs[None, :] + Z.real * ss[None, :]
+    S = np.exp(-1j * ang)[:, None] * Z * (np.exp(1j * ang) / rho)[None, :]
+    R, B = S.real, S.imag
     inj = _injection(fd.n_nodes, seed, 0.05)
     assert np.max(np.abs(lm.response(inj.p, inj.q) - (R @ inj.p + B @ inj.q))) <= 1e-12
     Rc, Bc = lm.columns(np.arange(fd.n_nodes))

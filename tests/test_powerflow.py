@@ -1,5 +1,11 @@
+import cmath
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opftrack import networks
 from opftrack.feeder import build_admittance
@@ -52,21 +58,57 @@ def test_two_bus_ac_matches_independent_fixed_point():
     assert sol.residual <= 1e-9
 
 
-def test_linear_model_is_derivative_at_no_load():
-    fd = networks.random_radial(12, seed=3)
+def _rotated(fd, angle_deg):
+    """``fd`` with its slack voltage turned by ``angle_deg``."""
+    return replace(fd, slack_voltage=fd.slack_voltage * cmath.rect(1.0, math.radians(angle_deg)))
+
+
+@pytest.mark.parametrize(
+    "fd",
+    [networks.random_radial(30, 2, shunt_prob=0.5), _rotated(networks.feeder36(), 30.0)],
+    ids=["radial30-shunts", "feeder36-30deg"],
+)
+def test_linear_model_is_derivative_at_no_load(fd):
+    # every column of R and B against central differences of the AC solve
+    n, v0 = fd.n_nodes, fd.slack_voltage
     adm = build_admittance(fd)
-    lm = build_linear_model(adm, fd.slack_voltage)
-    R, B = lm.columns(np.arange(12))
-    h = 1e-5
-    base = solve_ac(adm, PowerInjection(np.zeros(12), np.zeros(12)), fd.slack_voltage, tol=1e-12)
-    rho0 = np.abs(base.v)
-    for j in (0, 5, 11):
-        p = np.zeros(12)
-        p[j] = h
-        rho_p = np.abs(solve_ac(adm, PowerInjection(p, np.zeros(12)), fd.slack_voltage, tol=1e-12).v)
-        assert np.allclose((rho_p - rho0) / h, R[:, j], atol=1e-3)
-        rho_q = np.abs(solve_ac(adm, PowerInjection(np.zeros(12), p), fd.slack_voltage, tol=1e-12).v)
-        assert np.allclose((rho_q - rho0) / h, B[:, j], atol=1e-3)
+    R, B = build_linear_model(adm, v0).columns(np.arange(n))
+    h = 1e-4
+
+    def mags(p, q):
+        return np.abs(solve_ac(adm, PowerInjection(p, q), v0, tol=1e-12).v)
+
+    zero = np.zeros(n)
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = h
+        d_p = (mags(e, zero) - mags(-e, zero)) / (2 * h)
+        d_q = (mags(zero, e) - mags(zero, -e)) / (2 * h)
+        assert np.max(np.abs(d_p - R[:, j])) <= 1e-8, j
+        assert np.max(np.abs(d_q - B[:, j])) <= 1e-8, j
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    fd=st.one_of(
+        st.builds(
+            lambda n, seed: networks.random_radial(n, seed, shunt_prob=0.5),
+            st.integers(2, 40),
+            st.integers(0, 2**16),
+        ),
+        st.just(networks.feeder36()),
+    ),
+    angle=st.floats(-180.0, 180.0),
+)
+def test_linear_model_ignores_the_reference_angle(fd, angle):
+    # turning every voltage by one angle changes no magnitude, so neither
+    # the sensitivities nor the no-load magnitudes may move
+    idx = np.arange(fd.n_nodes)
+    ref = build_linear_model(build_admittance(fd), fd.slack_voltage)
+    turned = _rotated(fd, angle)
+    lm = build_linear_model(build_admittance(turned), turned.slack_voltage)
+    for got, want in zip(lm.columns(idx) + (lm.a,), ref.columns(idx) + (ref.a,)):
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_prediction_error_small_at_light_loading():
@@ -85,13 +127,12 @@ def test_prediction_error_small_at_light_loading():
 
 def _dense_sensitivities(adm, vbar):
     # the textbook construction: Z = inv(Y), columns rotated by the no-load
-    # angles and scaled by the no-load magnitudes
+    # angles and scaled by the no-load magnitudes, rows turned back by the
+    # no-load angles, since d|v_i| = Re(exp(-j theta_i) dv_i)
     Z = np.linalg.inv(adm.Y.toarray())
     rho, ang = np.abs(vbar), np.angle(vbar)
-    cs, ss = np.cos(ang) / rho, np.sin(ang) / rho
-    R = Z.real * cs[None, :] - Z.imag * ss[None, :]
-    B = Z.imag * cs[None, :] + Z.real * ss[None, :]
-    return R, B
+    S = np.exp(-1j * ang)[:, None] * Z * (np.exp(1j * ang) / rho)[None, :]
+    return S.real, S.imag
 
 
 def test_complex_sensitivity_identities():

@@ -1,3 +1,4 @@
+import cmath
 import csv
 import io
 import math
@@ -214,6 +215,28 @@ def test_pursuit_settles_on_static_instance():
     settle = int(np.argmax(viol <= 5e-4))
     assert 0 < settle <= 200
     assert viol[200:].max() <= 5e-4
+
+
+def test_a_turned_slack_angle_moves_no_run_figure():
+    # a common angle of every voltage is not physical: turning the slack by
+    # 30 degrees leaves the magnitudes, setpoints, costs and tracking figures
+    # of a run on the AC plant where they were, up to rounding
+    fd = networks.feeder36()
+    turned = replace(fd, slack_voltage=fd.slack_voltage * cmath.rect(1.0, math.radians(30.0)))
+    scen = generate_scenario("cloud_transient", fd, 7, ScenarioParams(n_steps=150, load_p=0.008))
+    inv = _inverters(fd)
+    runs = []
+    for f in (fd, turned):
+        net = compile_feeder(f)
+        traj = run_closed_loop(net, scen, "pursuit", inv, PARAMS)
+        runs.append((traj, measure_tracking(net, scen, inv, PARAMS, traj).to_dict()))
+    (traj0, rep0), (traj1, rep1) = runs
+    for name in ("v_mag", "u", "y", "gamma", "mu"):
+        assert np.max(np.abs(getattr(traj1, name) - getattr(traj0, name))) <= 1e-12, name
+    np.testing.assert_allclose(traj1.cost, traj0.cost, rtol=1e-9)
+    assert rep0["e_measured"] > 0.0
+    for name in ("e_measured", "sigma_z_measured", "tracking_error_tail"):
+        assert rep1[name] == pytest.approx(rep0[name], rel=1e-9), name
 
 
 def test_droop_absorbs_and_regulates_here():
