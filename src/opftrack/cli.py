@@ -222,22 +222,19 @@ def _costs_for(cfg: RunConfig, n_der: int, path: str) -> tuple[list[float], list
     return [c.c_p for c in costs], [c.c_q for c in costs]
 
 
-def _compile(path: str) -> CompiledFeeder:
-    """The feeder file ``path``, compiled; every :class:`FeederError` names the file."""
-    feeder = load_feeder(path)
-    try:
-        return compile_feeder(feeder)
-    except FeederError as exc:
-        raise FeederError(f"{path}: {exc}") from exc
-
-
 def _load_run(
     args: argparse.Namespace,
 ) -> tuple[RunConfig, CompiledFeeder, Scenario, Inverters]:
-    """The config of ``args.config`` with its flags, compiled feeder, scenario and inverters."""
+    """The config of ``args.config`` with its flags, compiled feeder, scenario and inverters.
+
+    Every :class:`FeederError` names the feeder file.
+    """
     cfg = load_config(args.config, args)
-    net = _compile(cfg.feeder)
-    feeder, gen = net.feeder, cfg.generator
+    feeder, gen = load_feeder(cfg.feeder), cfg.generator
+    try:
+        net = compile_feeder(feeder)
+    except FeederError as exc:
+        raise FeederError(f"{cfg.feeder}: {exc}") from exc
     if gen is None:
         scen = read_scenario(cfg.scenario_file, feeder)
     else:
