@@ -216,8 +216,11 @@ def test_scenario_too_large_for_memory_is_one_line(run_config, capsys, monkeypat
         (lambda d: d["lines"][3].update({"from": 3.9}),
          "malformed feeder description: lines[3].from: expected an integer, got 3.9"),
         (lambda d: d["lines"][3].update(to=3), "line (3,3) is a self loop"),
+        # files written before the base power left the format are rejected
+        (lambda d: d.update(base_power_va=1.0e6),
+         "unknown key(s) ['base_power_va'] in feeder description"),
     ],
-    ids=["load", "compile"],
+    ids=["load", "compile", "base-power"],
 )
 @pytest.mark.parametrize("command", ["run", "oracle", "report"])
 def test_feeder_errors_name_the_feeder_file(tmp_path, capsys, mutate, fragment, command):
@@ -229,6 +232,16 @@ def test_feeder_errors_name_the_feeder_file(tmp_path, capsys, mutate, fragment, 
     shutil.copy(DATA / "config36.json", config)
     assert cli.main([command, "--config", str(config)]) == 1
     assert f"error: {path}: {fragment}" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("command", ["powerflow", "linearize"])
+def test_removed_subcommand_is_a_usage_error(capsys, command):
+    # the one-shot diagnostics are gone; solve_ac and build_linear_model stay
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--feeder", str(DATA / "feeder36.json")])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"invalid choice: '{command}'" in err
 
 
 def test_run_alpha_flag_must_be_finite(run_config, capsys):

@@ -65,8 +65,13 @@ def _rotated(fd, angle_deg):
 
 @pytest.mark.parametrize(
     "fd",
-    [networks.random_radial(30, 2, shunt_prob=0.5), _rotated(networks.feeder36(), 30.0)],
-    ids=["radial30-shunts", "feeder36-30deg"],
+    [
+        networks.random_radial(30, 2, shunt_prob=0.5),
+        _rotated(networks.feeder36(), 30.0),
+        _rotated(networks.random_radial(30, 2, shunt_prob=0.5), 120.0),
+        _rotated(networks.feeder36(), -150.0),
+    ],
+    ids=["radial30-shunts", "feeder36-30deg", "radial30-shunts-120deg", "feeder36-m150deg"],
 )
 def test_linear_model_is_derivative_at_no_load(fd):
     # every column of R and B against central differences of the AC solve
@@ -109,6 +114,26 @@ def test_linear_model_ignores_the_reference_angle(fd, angle):
     lm = build_linear_model(build_admittance(turned), turned.slack_voltage)
     for got, want in zip(lm.columns(idx) + (lm.a,), ref.columns(idx) + (ref.a,)):
         assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("angle", [-150.0, 30.0, 90.0, 180.0])
+def test_offsets_and_coupling_ignore_the_reference_angle(angle):
+    # the no-load voltages turn with the slack; the metered offsets at any
+    # loads and the DER coupling the controller reads stay where they were
+    from opftrack.sim import compile_feeder
+
+    fd = networks.feeder36()
+    turned = _rotated(fd, angle)
+    nets = [compile_feeder(f) for f in (fd, turned)]
+    rot = cmath.rect(1.0, math.radians(angle))
+    assert np.max(np.abs(nets[1].lm.vbar - rot * nets[0].lm.vbar)) <= 1e-12
+    rng = np.random.default_rng(5)
+    p_load, q_load = rng.uniform(0.0, 0.01, (4, 36)), rng.uniform(0.0, 0.004, (4, 36))
+    c0, c1 = (constraint_offsets(net.lm, p_load, q_load, f) for net, f in zip(nets, (fd, turned)))
+    assert np.max(np.abs(c1 - c0)) <= 1e-12
+    for name in ("r", "b"):
+        got, want = getattr(nets[1].coupling, name), getattr(nets[0].coupling, name)
+        assert np.max(np.abs(got - want)) <= 1e-12, name
 
 
 def test_prediction_error_small_at_light_loading():
