@@ -31,7 +31,6 @@ from .feeder import (
     AdmittanceMatrix,
     FeederError,
     FeederModel,
-    LineSegment,
     build_admittance,
     load_feeder,
     save_feeder,

@@ -310,7 +310,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     traj_path = os.path.join(cfg.output_dir, "trajectory.csv")
     write_trajectory(traj, net.feeder, scen, traj_path)
 
-    tail = int(0.75 * traj.n_steps)
     summary: dict = {
         "seed": cfg.seed,
         "strategy": cfg.strategy,
@@ -318,9 +317,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         "n_steps": scen.n_steps,
         "tau_s": scen.tau,
         "final_cost": float(traj.cost[-1]),
-        "mean_cost_tail": float(np.mean(traj.cost[tail:])),
+        "mean_cost_tail": float(np.mean(traj.cost[traj.tail_start:])),
         "final_max_violation": float(traj.max_violation[-1]),
-        "max_violation_tail": float(np.max(traj.max_violation[tail:])),
+        "max_violation_tail": float(np.max(traj.max_violation[traj.tail_start:])),
         "constants": asdict(consts),
         "alpha": alpha,
         "alpha_condition_satisfied": bool(0.0 < alpha < consts.alpha_max),

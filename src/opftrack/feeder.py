@@ -15,12 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import SuperLU, splu
 
 __all__ = [
     "RCOND_LIMIT",
     "FeederError",
-    "LineSegment",
     "FeederModel",
     "AdmittanceMatrix",
     "validate_feeder",
@@ -35,8 +35,6 @@ __all__ = [
 # is treated as numerically singular
 RCOND_LIMIT = 1e-10
 
-SLACK = 0
-
 # right-hand-side columns per sparse solve: wider blocks go to multithreaded
 # BLAS, which on a 2-vCPU host took 15-100 ms for 100-600 columns at N = 36
 # against under 1 ms in blocks of this width
@@ -47,46 +45,33 @@ class FeederError(ValueError):
     """Structurally invalid or numerically degenerate network."""
 
 
-@dataclass(frozen=True)
-class LineSegment:
-    """Pi-model line segment.
-
-    Parameters
-    ----------
-    from_node, to_node : int
-        Terminal buses; 0 denotes the slack bus.
-    z : complex
-        Series impedance in pu. Must be nonzero.
-    y_shunt : complex
-        Total line-charging admittance in pu; half is lumped at each
-        terminal.
-    """
-
-    from_node: int
-    to_node: int
-    z: complex
-    y_shunt: complex = 0j
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeederModel:
     """Static network description.
 
-    ``der_nodes`` are the buses hosting controllable inverters (ordered,
-    no duplicates, slack excluded) and ``der_ratings`` their apparent
-    power ratings in pu; ``monitored_nodes`` are the buses whose voltage
-    magnitudes are metered and regulated.
+    Line l joins buses ``terminals[l]`` (0 the slack) with series impedance
+    ``z[l]`` (pu, nonzero) and total charging ``y_shunt[l]`` (pu), half at
+    each end. ``der_nodes`` are the buses hosting controllable inverters
+    (ordered, no duplicates, slack excluded) and ``der_ratings`` their
+    apparent power ratings in pu; ``monitored_nodes`` are the buses whose
+    voltage magnitudes are metered and regulated.
     """
 
     n_nodes: int
-    lines: tuple[LineSegment, ...]
+    terminals: np.ndarray
+    z: np.ndarray
+    y_shunt: np.ndarray
     der_nodes: tuple[int, ...]
     monitored_nodes: tuple[int, ...]
     der_ratings: tuple[float, ...] = ()
     slack_voltage: complex = 1.0 + 0j
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lines", tuple(self.lines))
+        for name, dtype in (("terminals", int), ("z", complex), ("y_shunt", complex)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        shapes = (self.terminals.shape, self.z.shape, self.y_shunt.shape)
+        if self.z.ndim != 1 or shapes[0] != (len(self.z), 2) or shapes[2] != shapes[1]:
+            raise ValueError(f"line arrays need shapes (L, 2), (L,), (L,), got {shapes}")
         object.__setattr__(self, "der_nodes", tuple(int(n) for n in self.der_nodes))
         object.__setattr__(
             self, "monitored_nodes", tuple(int(n) for n in self.monitored_nodes)
@@ -145,51 +130,42 @@ def validate_feeder(feeder: FeederModel) -> list[str]:
     the slack, nonempty in-range DER / monitored sets, positive finite DER
     ratings and a positive finite slack voltage magnitude.
     """
-    diags: list[str] = []
     n = feeder.n_nodes
     if n < 1:
-        diags.append(f"n_nodes must be >= 1, got {n}")
-        return diags
+        return [f"n_nodes must be >= 1, got {n}"]
 
-    seen: set[tuple[int, int]] = set()
-    indexable: list[LineSegment] = []
-    for ln in feeder.lines:
-        if not (0 <= ln.from_node <= n and 0 <= ln.to_node <= n):
-            diags.append(
-                f"line ({ln.from_node},{ln.to_node}) has endpoint outside 0..{n}"
-            )
-            continue
-        if ln.from_node == ln.to_node:
-            diags.append(f"line ({ln.from_node},{ln.to_node}) is a self loop")
-            continue
-        if ln.z == 0:
-            diags.append(
-                f"line ({ln.from_node},{ln.to_node}) has zero series impedance"
-            )
-            continue
-        key = (min(ln.from_node, ln.to_node), max(ln.from_node, ln.to_node))
-        if key in seen:
-            diags.append(f"duplicate line corridor ({key[0]},{key[1]})")
-            continue
-        seen.add(key)
-        indexable.append(ln)
+    diags: list[str] = []
+    t = feeder.terminals
+    outside = ((t < 0) | (t > n)).any(axis=1)
+    loop = ~outside & (t[:, 0] == t[:, 1])
+    zero = ~outside & ~loop & (feeder.z == 0)
+    usable = ~(outside | loop | zero)
+    # a corridor's first usable line is kept, every later one is a duplicate
+    edges = t[usable]
+    corridor = edges.min(axis=1) * (n + 1) + edges.max(axis=1)
+    _, first = np.unique(corridor, return_index=True)
+    dup = usable.copy()
+    dup[np.flatnonzero(usable)[first]] = False
+    for i in np.flatnonzero(~usable | dup).tolist():
+        a, b = t[i].tolist()
+        if outside[i]:
+            diags.append(f"line ({a},{b}) has endpoint outside 0..{n}")
+        elif loop[i]:
+            diags.append(f"line ({a},{b}) is a self loop")
+        elif zero[i]:
+            diags.append(f"line ({a},{b}) has zero series impedance")
+        else:
+            diags.append(f"duplicate line corridor ({min(a, b)},{max(a, b)})")
 
-    # connectivity over buses 0..N via union-find on the usable lines
-    parent = list(range(n + 1))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for ln in indexable:
-        ra, rb = find(ln.from_node), find(ln.to_node)
-        if ra != rb:
-            parent[ra] = rb
-    roots = {find(i) for i in range(n + 1)}
-    if len(roots) != 1:
-        diags.append(f"disconnected: {len(roots)} components over buses 0..{n}")
+    # islands: strong components of every corridor taken once each way, which
+    # skip the undirected search's transpose (a repeated entry hangs scipy's)
+    ends = np.concatenate([edges[first], edges[first, ::-1]])
+    ends = ends[np.argsort(ends[:, 0])]
+    indptr = np.searchsorted(ends[:, 0], np.arange(n + 2))
+    graph = sp.csr_matrix((np.ones(len(ends)), ends[:, 1], indptr), shape=(n + 1, n + 1))
+    n_comp = connected_components(graph, connection="strong", return_labels=False)
+    if n_comp != 1:
+        diags.append(f"disconnected: {n_comp} components over buses 0..{n}")
 
     if not feeder.der_nodes:
         diags.append("no DER buses declared")
@@ -214,9 +190,9 @@ def validate_feeder(feeder: FeederModel) -> list[str]:
 def build_admittance(feeder: FeederModel) -> AdmittanceMatrix:
     """Assemble the partitioned bus admittance matrix and factor it.
 
-    Each line contributes ``1/z`` between its terminals plus half of
-    ``y_shunt`` at each terminal; the reduced block is assembled directly
-    in CSC form from the line list, so a radial feeder costs O(N). It is
+    Line l contributes ``1/z[l]`` between ``terminals[l]`` plus half of
+    ``y_shunt[l]`` at each; the reduced block is assembled directly in CSC
+    form from the line arrays, so a radial feeder costs O(N). It is
     factored once with ``splu``. Raises :class:`FeederError` if the feeder
     fails validation or if the reduced block is numerically singular: its
     reciprocal 1-norm condition number, ``1 / (||Y||_1 ||Y^{-1}||_1)``
@@ -228,13 +204,14 @@ def build_admittance(feeder: FeederModel) -> AdmittanceMatrix:
         raise FeederError("; ".join(diags))
 
     n = feeder.n_nodes
-    a = np.asarray([ln.from_node for ln in feeder.lines])
-    b = np.asarray([ln.to_node for ln in feeder.lines])
-    ys = np.asarray([1.0 / ln.z for ln in feeder.lines])
+    a, b = feeder.terminals.T
+    # CPython's complex division, not numpy's: the two differ in the last place
+    # for some impedances (feeder36's 0.0112+0.0144j), which every output inherits
+    ys = np.asarray([1.0 / z for z in feeder.z.tolist()])
     # self terms of buses 0..N, summed in line order
     diag = np.zeros(n + 1, dtype=complex)
-    half = ys + np.asarray([ln.y_shunt for ln in feeder.lines]) / 2.0
-    np.add.at(diag, np.column_stack([a, b]).ravel(), np.repeat(half, 2))
+    half = ys + feeder.y_shunt / 2.0
+    np.add.at(diag, feeder.terminals.ravel(), np.repeat(half, 2))
     # validation rules out self loops and duplicate corridors, so each
     # off-diagonal entry comes from exactly one line and needs no summing
     inner = (a > 0) & (b > 0)
@@ -310,10 +287,22 @@ _LINE_KEYS = {"from", "to", "r_pu", "x_pu", "b_shunt_pu"}
 _DER_KEYS = {"node", "s_rating_pu"}
 
 
-def _check_keys(d: dict, allowed: set[str], where: str) -> None:
-    unknown = set(d) - allowed
+def _object(value: object, allowed: set[str], where: str) -> dict:
+    """A JSON object with no key outside ``allowed``; ``where`` names it."""
+    if type(value) is not dict:
+        raise FeederError(f"{where}: expected an object, got {json.dumps(value)}")
+    unknown = set(value) - allowed
     if unknown:
         raise FeederError(f"unknown key(s) {sorted(unknown)} in {where}")
+    return value
+
+
+def _list(value: object, where: str) -> list:
+    """A JSON list; ``where`` names it."""
+    if type(value) is not list:
+        got = "an object" if type(value) is dict else json.dumps(value)
+        raise TypeError(f"{where}: expected a list, got {got}")
+    return value
 
 
 def _int(value: object, where: str, i: int = 0) -> int:
@@ -333,57 +322,47 @@ def _number(value: object, where: str, i: int = 0) -> float:
 def feeder_from_dict(data: dict) -> FeederModel:
     """Build a :class:`FeederModel` from the documented mapping.
 
-    Rejects unknown keys, bus ids that are not JSON integers and electrical
-    values that are not finite JSON numbers.
+    Rejects unknown keys, containers of the wrong JSON type, bus ids that
+    are not JSON integers and electrical values that are not finite JSON
+    numbers.
     """
-    if not isinstance(data, dict):
-        raise FeederError("feeder description must be a mapping")
-    _check_keys(data, _TOP_KEYS, "feeder description")
+    _object(data, _TOP_KEYS, "feeder description")
     try:
         n_nodes = _int(data["n_nodes"], "n_nodes")
-        slack = data.get("slack", {"magnitude_pu": 1.0, "angle_deg": 0.0})
-        _check_keys(slack, _SLACK_KEYS, "slack")
+        slack = _object(data.get("slack", {}), _SLACK_KEYS, "slack")
         v0_mag = _number(slack.get("magnitude_pu", 1.0), "slack.magnitude_pu")
         if v0_mag <= 0.0:  # rect would read a negative magnitude as a phase flip
             raise ValueError(f"slack.magnitude_pu must be positive, got {v0_mag!r}")
         v0 = cmath.rect(
             v0_mag, math.radians(_number(slack.get("angle_deg", 0.0), "slack.angle_deg"))
         )
-        lines = []
-        for i, row in enumerate(data["lines"]):
-            _check_keys(row, _LINE_KEYS, f"lines[{i}]")
-            lines.append(
-                LineSegment(
-                    from_node=_int(row["from"], "lines[{}].from", i),
-                    to_node=_int(row["to"], "lines[{}].to", i),
-                    z=complex(
-                        _number(row["r_pu"], "lines[{}].r_pu", i),
-                        _number(row["x_pu"], "lines[{}].x_pu", i),
-                    ),
-                    y_shunt=complex(
-                        0.0, _number(row.get("b_shunt_pu", 0.0), "lines[{}].b_shunt_pu", i)
-                    ),
-                )
-            )
-        ders = []
-        ratings = []
-        for i, row in enumerate(data["der_nodes"]):
-            _check_keys(row, _DER_KEYS, f"der_nodes[{i}]")
+        terminals, z, y_shunt = [], [], []
+        for i, row in enumerate(_list(data["lines"], "lines")):
+            _object(row, _LINE_KEYS, f"lines[{i}]")
+            terminals.append([_int(row[k], "lines[{}]." + k, i) for k in ("from", "to")])
+            r, x = (_number(row[k], "lines[{}]." + k, i) for k in ("r_pu", "x_pu"))
+            b = _number(row.get("b_shunt_pu", 0.0), "lines[{}].b_shunt_pu", i)
+            z.append(complex(r, x))
+            y_shunt.append(complex(0.0, b))
+        ders, ratings = [], []
+        for i, row in enumerate(_list(data["der_nodes"], "der_nodes")):
+            _object(row, _DER_KEYS, f"der_nodes[{i}]")
             ders.append(_int(row["node"], "der_nodes[{}].node", i))
             ratings.append(_number(row.get("s_rating_pu", 1.0), "der_nodes[{}].s_rating_pu", i))
-        monitored = [
-            _int(m, "monitored_nodes[{}]", i) for i, m in enumerate(data["monitored_nodes"])
-        ]
+        monitored = _list(data["monitored_nodes"], "monitored_nodes")
+        monitored = [_int(m, "monitored_nodes[{}]", i) for i, m in enumerate(monitored)]
+        return FeederModel(
+            n_nodes=n_nodes,
+            terminals=np.reshape(terminals, (-1, 2)),
+            z=z,
+            y_shunt=y_shunt,
+            der_nodes=ders,
+            monitored_nodes=monitored,
+            der_ratings=ratings,
+            slack_voltage=v0,
+        )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FeederError(f"malformed feeder description: {exc}") from exc
-    return FeederModel(
-        n_nodes=n_nodes,
-        lines=tuple(lines),
-        der_nodes=tuple(ders),
-        monitored_nodes=tuple(monitored),
-        der_ratings=tuple(ratings),
-        slack_voltage=v0,
-    )
 
 
 def feeder_to_dict(feeder: FeederModel) -> dict:
@@ -395,14 +374,10 @@ def feeder_to_dict(feeder: FeederModel) -> dict:
             "angle_deg": math.degrees(cmath.phase(feeder.slack_voltage)),
         },
         "lines": [
-            {
-                "from": ln.from_node,
-                "to": ln.to_node,
-                "r_pu": ln.z.real,
-                "x_pu": ln.z.imag,
-                "b_shunt_pu": ln.y_shunt.imag,
-            }
-            for ln in feeder.lines
+            {"from": a, "to": b, "r_pu": z.real, "x_pu": z.imag, "b_shunt_pu": y.imag}
+            for (a, b), z, y in zip(
+                feeder.terminals.tolist(), feeder.z.tolist(), feeder.y_shunt.tolist()
+            )
         ],
         "der_nodes": [
             {"node": n, "s_rating_pu": s}

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .feeder import FeederModel, LineSegment
+from .feeder import FeederModel
 
 __all__ = ["two_bus", "chain", "random_radial", "feeder36"]
 
@@ -18,7 +18,9 @@ def two_bus(
     """Slack plus one bus hosting a single metered DER."""
     return FeederModel(
         n_nodes=1,
-        lines=(LineSegment(0, 1, z, y_shunt),),
+        terminals=[(0, 1)],
+        z=[z],
+        y_shunt=[y_shunt],
         der_nodes=(1,),
         monitored_nodes=(1,),
         der_ratings=(s_rating,),
@@ -35,14 +37,15 @@ def chain(
     y_shunt: complex = 0j,
 ) -> FeederModel:
     """Radial chain 0-1-...-n with identical segments."""
-    lines = tuple(LineSegment(i, i + 1, z, y_shunt) for i in range(n))
     if der_nodes is None:
         der_nodes = (n,)
     if monitored_nodes is None:
         monitored_nodes = tuple(range(1, n + 1))
     return FeederModel(
         n_nodes=n,
-        lines=lines,
+        terminals=np.column_stack([np.arange(n), np.arange(1, n + 1)]),
+        z=np.full(n, z),
+        y_shunt=np.full(n, y_shunt),
         der_nodes=der_nodes,
         monitored_nodes=monitored_nodes,
         der_ratings=der_ratings,
@@ -62,20 +65,21 @@ def random_radial(
     angles in [27, 63] degrees; optional small line charging.
     """
     rng = np.random.default_rng(seed)
-    lines = []
+    parents, z, y_shunt = [], [], []
     for i in range(1, n + 1):
-        parent = 0 if i == 1 else int(rng.integers(0, i))
+        parents.append(0 if i == 1 else int(rng.integers(0, i)))
         zm = rng.uniform(*z_mag_range)
         ang = rng.uniform(0.47, 1.1)
-        ysh = 0j
-        if shunt_prob > 0 and rng.uniform() < shunt_prob:
-            ysh = 1j * rng.uniform(0.0, 0.01)
-        lines.append(LineSegment(parent, i, zm * np.cos(ang) + 1j * zm * np.sin(ang), ysh))
+        z.append(zm * np.cos(ang) + 1j * zm * np.sin(ang))
+        charged = shunt_prob > 0 and rng.uniform() < shunt_prob
+        y_shunt.append(1j * rng.uniform(0.0, 0.01) if charged else 0j)
     if der_nodes is None:
         der_nodes = (n,)
     return FeederModel(
         n_nodes=n,
-        lines=tuple(lines),
+        terminals=np.column_stack([parents, np.arange(1, n + 1)]),
+        z=z,
+        y_shunt=y_shunt,
         der_nodes=der_nodes,
         monitored_nodes=tuple(range(1, n + 1)),
     )
@@ -107,25 +111,15 @@ def feeder36() -> FeederModel:
     has a single dominant overvoltage node. ``data/feeder36.json`` holds the
     same feeder.
     """
-    lines = []
-    for i, parent in enumerate(_PARENT36, start=1):
-        if parent < 7 and i < 7:
-            z = 0.0056 + 0.0112j     # trunk
-        elif 30 <= i <= 32:
-            z = 0.0141 + 0.0141j     # deep branch, stiffer twin
-        elif i >= 33:
-            z = 0.0176 + 0.0176j     # deep branch carrying the big units
-        else:
-            z = 0.0112 + 0.0144j     # laterals
-        lines.append(LineSegment(parent, i, z))
-    ratings = []
-    for pos in range(1, len(DER36) + 1):
-        if pos == 3:
-            ratings.append(0.3)
-        elif pos in (17, 18):
-            ratings.append(0.35)
-        else:
-            ratings.append(0.2)
+    bus = np.arange(1, 37)
+    # trunk 1..6, laterals, then the deep branch's stiffer twin 30..32 and
+    # its 33..36 chain carrying the big units
+    z = np.select(
+        [bus < 7, bus < 30, bus < 33],
+        [0.0056 + 0.0112j, 0.0112 + 0.0144j, 0.0141 + 0.0141j],
+        0.0176 + 0.0176j,
+    )
+    ratings = [0.2, 0.2, 0.3] + [0.2] * 13 + [0.35, 0.35]  # in DER36 order
     # branch sentinels: tree ends plus trunk junctions. Monitoring long runs
     # of consecutive same-chain nodes gives near-identical sensitivity rows
     # and therefore nearly unobservable (glacial) dual modes; sentinels keep
@@ -134,7 +128,9 @@ def feeder36() -> FeederModel:
     monitored = (2, 4, 6, 10, 13, 17, 20, 23, 32, 36)
     return FeederModel(
         n_nodes=36,
-        lines=tuple(lines),
+        terminals=np.column_stack([_PARENT36, bus]),
+        z=z,
+        y_shunt=np.zeros(36),
         der_nodes=DER36,
         monitored_nodes=monitored,
         der_ratings=tuple(ratings),

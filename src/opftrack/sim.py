@@ -425,6 +425,11 @@ class Trajectory:
     def n_steps(self) -> int:
         return self.y.shape[0]
 
+    @property
+    def tail_start(self) -> int:
+        """First step of the run's last quarter, which every tail figure covers."""
+        return int(0.75 * self.n_steps)
+
 
 @dataclass(frozen=True)
 class CompiledFeeder:
@@ -717,7 +722,6 @@ def measure_tracking(
     coupling = net.surrogate(scenario)
     e_measured = float(np.max(np.linalg.norm(traj.y - coupling.predict(traj.u), axis=1)))
 
-    tail_from = int(math.ceil(0.75 * scenario.n_steps))
     sigma_z = tail = res_max = 0.0
     its_total = its_max = 0
     sol = star = None
@@ -730,7 +734,7 @@ def measure_tracking(
         last, star = star, pack_state(sol.u, sol.gamma, sol.mu)
         if last is not None:
             sigma_z = max(sigma_z, float(np.linalg.norm(star - last)) / decimation)
-        if k >= tail_from:
+        if k >= traj.tail_start:
             zk = pack_state(traj.u[k], traj.gamma[k], traj.mu[k])
             tail = max(tail, float(np.linalg.norm(zk - star)))
 

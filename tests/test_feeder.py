@@ -1,15 +1,18 @@
 import json
 import math
+import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opftrack import cli, networks
 from opftrack.feeder import (
     FeederError,
     FeederModel,
-    LineSegment,
     build_admittance,
     feeder_from_dict,
     feeder_to_dict,
@@ -53,16 +56,12 @@ def test_chain_assembly_matches_manual():
 def test_relabeling_permutes_admittance():
     base = networks.random_radial(8, seed=11, shunt_prob=0.5)
     rng = np.random.default_rng(5)
-    new_of = dict(enumerate(rng.permutation(np.arange(1, 9)) , start=1))
-    new_of[0] = 0
-    relabeled = FeederModel(
-        n_nodes=8,
-        lines=tuple(
-            LineSegment(int(new_of[ln.from_node]), int(new_of[ln.to_node]), ln.z, ln.y_shunt)
-            for ln in base.lines
-        ),
-        der_nodes=tuple(int(new_of[n]) for n in base.der_nodes),
-        monitored_nodes=tuple(int(new_of[n]) for n in base.monitored_nodes),
+    new_of = np.concatenate([[0], rng.permutation(np.arange(1, 9))])
+    relabeled = replace(
+        base,
+        terminals=new_of[base.terminals],
+        der_nodes=tuple(new_of[n] for n in base.der_nodes),
+        monitored_nodes=tuple(new_of[n] for n in base.monitored_nodes),
     )
     a1 = build_admittance(base)
     a2 = build_admittance(relabeled)
@@ -88,10 +87,10 @@ def _valid_dict():
 @pytest.mark.parametrize(
     "mutate, fragment",
     [
-        (lambda f: f.lines.append(LineSegment(0, 9, 0.01j)), "outside"),
-        (lambda f: f.lines.append(LineSegment(2, 2, 0.01j)), "self loop"),
-        (lambda f: f.lines.append(LineSegment(0, 2, 0j)), "zero series impedance"),
-        (lambda f: f.lines.append(LineSegment(1, 0, 0.05j)), "duplicate line corridor"),
+        (lambda f: f.lines.append((0, 9, 0.01j)), "outside"),
+        (lambda f: f.lines.append((2, 2, 0.01j)), "self loop"),
+        (lambda f: f.lines.append((0, 2, 0j)), "zero series impedance"),
+        (lambda f: f.lines.append((1, 0, 0.05j)), "duplicate line corridor"),
         (lambda f: f.lines.pop(), "disconnected"),
         (lambda f: f.der_nodes.clear(), "no DER buses"),
         (lambda f: f.monitored_nodes.clear(), "no monitored buses"),
@@ -106,7 +105,7 @@ def _valid_dict():
 )
 def test_validation_diagnostics(mutate, fragment):
     class Bag:
-        lines = [LineSegment(0, 1, 0.01 + 0.01j), LineSegment(1, 2, 0.01 + 0.01j)]
+        lines = [(0, 1, 0.01 + 0.01j), (1, 2, 0.01 + 0.01j)]
         der_nodes = [2]
         monitored_nodes = [1, 2]
         ratings = [0.5]
@@ -115,7 +114,9 @@ def test_validation_diagnostics(mutate, fragment):
     mutate(Bag)
     feeder = FeederModel(
         n_nodes=2,
-        lines=tuple(Bag.lines),
+        terminals=[ln[:2] for ln in Bag.lines],
+        z=[ln[2] for ln in Bag.lines],
+        y_shunt=np.zeros(len(Bag.lines)),
         der_nodes=tuple(Bag.der_nodes),
         monitored_nodes=tuple(Bag.monitored_nodes),
         der_ratings=tuple(Bag.ratings),
@@ -136,7 +137,9 @@ def test_degenerate_network_rejected():
     # second segment essentially open: reduced block numerically singular
     feeder = FeederModel(
         n_nodes=2,
-        lines=(LineSegment(0, 1, 0.01 + 0.01j), LineSegment(1, 2, 1e12 + 0j)),
+        terminals=[(0, 1), (1, 2)],
+        z=[0.01 + 0.01j, 1e12 + 0j],
+        y_shunt=[0j, 0j],
         der_nodes=(2,),
         monitored_nodes=(2,),
     )
@@ -146,7 +149,7 @@ def test_degenerate_network_rejected():
 
 def test_dict_round_trip_identity():
     fd = networks.feeder36()
-    assert feeder_from_dict(feeder_to_dict(fd)) == fd
+    assert feeder_to_dict(feeder_from_dict(feeder_to_dict(fd))) == feeder_to_dict(fd)
 
 
 def test_file_round_trip(tmp_path):
@@ -223,6 +226,13 @@ FEEDER36 = Path(__file__).resolve().parents[1] / "data" / "feeder36.json"
         # the model carries no base power, so the key is an unknown one
         (lambda d: d.update(base_power_va=1.0e6),
          "unknown key(s) ['base_power_va'] in feeder description"),
+        # containers have their JSON type: lists of objects, an object for the slack
+        (lambda d: d.update(slack=1), "slack: expected an object, got 1"),
+        (lambda d: d.update(der_nodes=5), "der_nodes: expected a list, got 5"),
+        (lambda d: d.update(lines={"from": 1}), "lines: expected a list, got an object"),
+        (lambda d: d["lines"].__setitem__(0, [0, 1]), "lines[0]: expected an object, got [0, 1]"),
+        (lambda d: d.update(monitored_nodes="12"),
+         'monitored_nodes: expected a list, got "12"'),
     ],
 )
 def test_validate_rejects_wrong_types_and_values(tmp_path, capsys, mutate, fragment):
@@ -237,7 +247,7 @@ def test_validate_rejects_wrong_types_and_values(tmp_path, capsys, mutate, fragm
 
 
 def test_shipped_feeder36_file_is_networks_feeder36():
-    assert networks.feeder36() == load_feeder(str(FEEDER36))
+    assert feeder_to_dict(networks.feeder36()) == feeder_to_dict(load_feeder(str(FEEDER36)))
 
 
 def test_load_rejects_invalid_json(tmp_path):
@@ -254,3 +264,72 @@ def test_reduced_index_helpers():
     assert fd.n_der == 18
     assert len(fd.der_ratings) == 18
     assert fd.der_ratings.count(0.35) == 2 and fd.der_ratings.count(0.3) == 1
+
+
+def _plus_lines(fd, rows):
+    """``fd`` with the uncharged lines ``(from, to, z)`` of ``rows`` appended."""
+    return replace(
+        fd,
+        terminals=np.vstack([fd.terminals, [row[:2] for row in rows]]),
+        z=np.append(fd.z, [row[2] for row in rows]),
+        y_shunt=np.append(fd.y_shunt, np.zeros(len(rows))),
+    )
+
+
+def test_line_diagnostics_keep_line_order():
+    feeder = _plus_lines(
+        networks.chain(2), [(1, 0, 0.05j), (0, 9, 0.01j), (0, 2, 0j), (2, 2, 0.01j)]
+    )
+    assert validate_feeder(feeder) == [
+        "duplicate line corridor (0,1)",
+        "line (0,9) has endpoint outside 0..2",
+        "line (0,2) has zero series impedance",
+        "line (2,2) is a self loop",
+    ]
+
+
+def test_a_zero_impedance_line_connects_nothing():
+    fd = networks.chain(2)
+    cut = replace(fd, z=np.array([fd.z[0], 0j]))
+    assert validate_feeder(cut) == [
+        "line (1,2) has zero series impedance",
+        "disconnected: 2 components over buses 0..2",
+    ]
+
+
+def test_line_arrays_must_agree_in_length():
+    fd = networks.chain(3)
+    for bad in (dict(z=fd.z[:2]), dict(y_shunt=fd.y_shunt[:2]), dict(terminals=fd.terminals.T)):
+        with pytest.raises(ValueError, match="line arrays need shapes"):
+            replace(fd, **bad)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 60), seed=st.integers(0, 2**16), data=st.data())
+def test_a_tree_minus_j_lines_has_j_plus_1_components(n, seed, data):
+    fd = networks.random_radial(n, seed, shunt_prob=0.5)
+    drop = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+    keep = np.setdiff1d(np.arange(n), list(drop))
+    cut = replace(fd, terminals=fd.terminals[keep], z=fd.z[keep], y_shunt=fd.y_shunt[keep])
+    assert validate_feeder(cut) == [f"disconnected: {len(drop) + 1} components over buses 0..{n}"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 60), seed=st.integers(0, 2**16), data=st.data())
+def test_a_reversed_copy_of_a_line_is_one_duplicate(n, seed, data):
+    fd = networks.random_radial(n, seed, shunt_prob=0.5)
+    i = data.draw(st.integers(0, n - 1))
+    a, b = fd.terminals[i].tolist()
+    assert validate_feeder(_plus_lines(fd, [(b, a, fd.z[i])])) == [
+        f"duplicate line corridor ({min(a, b)},{max(a, b)})"
+    ]
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 60), seed=st.integers(0, 2**16))
+def test_save_load_save_is_byte_identical(n, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "first.json"), Path(tmp, "second.json")
+        save_feeder(networks.random_radial(n, seed, shunt_prob=0.5), str(first))
+        save_feeder(load_feeder(str(first)), str(second))
+        assert first.read_bytes() == second.read_bytes()
