@@ -26,7 +26,7 @@ from .controller import (
     convergence_constants,
     solve_saddle_oracle,
 )
-from .feeder import FeederError, build_admittance, load_feeder, validate_feeder
+from .feeder import FeederError, build_admittance, load_feeder
 from .powerflow import PowerFlowError
 from .sim import (
     PLANTS,
@@ -271,15 +271,10 @@ def _emit_json(obj: dict, path: str | None) -> None:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     feeder = load_feeder(args.feeder)
-    diags = validate_feeder(feeder)
-    if not diags:
-        try:
-            build_admittance(feeder)
-        except FeederError as exc:
-            diags = [str(exc)]
-    for d in diags:
-        print(d)
-    if diags:
+    try:
+        build_admittance(feeder)
+    except FeederError as exc:
+        print("\n".join(exc.diagnostics or [str(exc)]))
         return 1
     print("ok")
     return 0

@@ -42,7 +42,11 @@ SOLVE_BLOCK = 32
 
 
 class FeederError(ValueError):
-    """Structurally invalid or numerically degenerate network."""
+    """Invalid or degenerate network; ``diagnostics`` lists validation's findings."""
+
+    def __init__(self, message: str, diagnostics: list[str] | None = None):
+        super().__init__(message)
+        self.diagnostics = diagnostics or []
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,16 +103,13 @@ class AdmittanceMatrix:
     """Partitioned bus admittance matrix, factored once.
 
     Holds what the solves use of the full ``(N+1) x (N+1)`` matrix: the
-    slack-to-network column ``ybar`` and the reduced network block ``Y``
-    (sparse CSC), whose row i is bus i + 1. ``lu`` is the sparse LU factor of
-    ``Y`` that every solve with ``Y`` uses, and ``rcond`` its estimated 1-norm
-    reciprocal condition number.
+    slack-to-network column ``ybar`` and ``lu``, the sparse LU factor of the
+    reduced network block ``Y`` whose row i is bus i + 1. Every use of ``Y``
+    is a solve with that factor; ``Y`` itself is not kept.
     """
 
     ybar: np.ndarray
-    Y: sp.csc_matrix
     lu: SuperLU
-    rcond: float
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """``Y^{-1} rhs`` for a vector or an N x K array, from the stored factor."""
@@ -193,15 +194,16 @@ def build_admittance(feeder: FeederModel) -> AdmittanceMatrix:
     Line l contributes ``1/z[l]`` between ``terminals[l]`` plus half of
     ``y_shunt[l]`` at each; the reduced block is assembled directly in CSC
     form from the line arrays, so a radial feeder costs O(N). It is
-    factored once with ``splu``. Raises :class:`FeederError` if the feeder
-    fails validation or if the reduced block is numerically singular: its
+    factored once with ``splu``, and only the factor is kept. Raises
+    :class:`FeederError`, with the diagnostics, if the feeder fails
+    validation, or if the reduced block is numerically singular: its
     reciprocal 1-norm condition number, ``1 / (||Y||_1 ||Y^{-1}||_1)``
     with ``||Y^{-1}||_1`` estimated from solves with the factor, is below
     ``RCOND_LIMIT`` (or the factorization finds an exactly zero pivot).
     """
     diags = validate_feeder(feeder)
     if diags:
-        raise FeederError("; ".join(diags))
+        raise FeederError("; ".join(diags), diags)
 
     n = feeder.n_nodes
     a, b = feeder.terminals.T
@@ -245,7 +247,7 @@ def build_admittance(feeder: FeederModel) -> AdmittanceMatrix:
         raise FeederError(
             f"degenerate network: reduced admittance rcond {rcond:.3e} < {RCOND_LIMIT:.0e}"
         )
-    return AdmittanceMatrix(ybar=ybar, Y=Y, lu=lu, rcond=rcond)
+    return AdmittanceMatrix(ybar=ybar, lu=lu)
 
 
 def _inverse_norm1(lu: SuperLU, n: int) -> float:

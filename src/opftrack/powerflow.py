@@ -150,10 +150,10 @@ def solve_ac(
     tol: float = 1e-9,
     max_iter: int = 1000,
 ) -> PFSolution:
-    """Z-bus fixed-point AC solve, ``v <- Y^{-1}(conj(s / v) - ybar V0)``.
+    """Z-bus fixed-point AC solve, ``v+ <- Y^{-1}(conj(s / v) - ybar V0)``.
 
-    Each iteration is one solve with the factor stored in ``adm`` and one
-    sparse product for the residual; nothing is factored here.
+    Each iteration is one solve with the factor stored in ``adm``; nothing
+    is factored here.
 
     Parameters
     ----------
@@ -163,16 +163,15 @@ def solve_ac(
         ``ValueError``; an iterate that leaves that band, or has a NaN
         magnitude, aborts the solve with :class:`VoltageCollapseError`.
     tol : float
-        Convergence threshold on the infinity norm of the complex power
-        mismatch, evaluated by substituting the iterate back into the
-        network equations.
+        Convergence threshold on the infinity norm of the power mismatch
+        at the new iterate, ``s (v+ / v - 1)``: the update makes
+        ``Y v+ + ybar V0`` equal ``conj(s / v)`` up to the solve's rounding.
     """
-    n = adm.Y.shape[0]
+    n = adm.ybar.shape[0]
     if inj.p.shape[0] != n:
         raise ValueError(f"injection length {inj.p.shape[0]} != network size {n}")
-    yv0 = adm.ybar * v0
     if init is None:
-        v = adm.solve(-yv0)
+        v = no_load_voltage(adm, v0)
     else:
         v = np.asarray(init, dtype=complex)
         if not in_band(v):
@@ -180,16 +179,16 @@ def solve_ac(
                 f"warm-start magnitudes must be in [{COLLAPSE_LO}, {COLLAPSE_HI}] pu"
             )
     s = inj.s
+    yv0 = adm.ybar * v0
     residual = float("inf")
     for it in range(1, max_iter + 1):
-        v = adm.solve(np.conj(s / v) - yv0)
+        v, v_prev = adm.solve(np.conj(s / v) - yv0), v
         if not in_band(v):
             raise VoltageCollapseError(
                 f"collapse: |v| outside [{COLLAPSE_LO}, {COLLAPSE_HI}] at iteration {it}",
                 residual,
             )
-        s_model = v * np.conj(adm.Y @ v + yv0)
-        residual = float(np.abs(s_model - s).max())
+        residual = float(np.abs(s * (v / v_prev - 1.0)).max())
         if residual <= tol:
             return PFSolution(v, it, residual)
     raise PowerFlowError(

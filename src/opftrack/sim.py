@@ -405,10 +405,10 @@ class Trajectory:
     noisy metered magnitudes and ``v_mag`` (K, N) the plant's magnitudes at
     every bus. ``cost`` is the generation cost of ``u``, ``max_violation``
     the largest metered excursion outside the step's voltage band, and
-    ``pf_residual`` the AC solve's residual and ``pf_iterations`` its
-    fixed-point iteration count (both 0 on the linear plant). The
-    trajectory file does not store ``pf_iterations``, so a trajectory read
-    back from one has None there.
+    ``pf_residual`` the AC solve's power mismatch ``max |s (v+ / v - 1)|``
+    at its last update and ``pf_iterations`` its fixed-point iteration
+    count (both 0 on the linear plant). The trajectory file does not store
+    ``pf_iterations``, so a trajectory read back from one has None there.
     """
 
     y: np.ndarray

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from dense_helpers import factored_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,14 +28,14 @@ def test_two_bus_partition_hand_values():
     adm = build_admittance(networks.two_bus())
     ys = 1.0 / (0.01 + 0.01j)
     assert ys == pytest.approx(50.0 - 50.0j)
-    assert np.allclose(adm.Y.toarray(), [[ys]])
+    assert np.allclose(factored_matrix(adm), [[ys]])
     assert np.allclose(adm.ybar, [-ys])
 
 
 def test_line_charging_splits_half_per_terminal():
     adm = build_admittance(networks.two_bus(y_shunt=0.02j))
     ys = 1.0 / (0.01 + 0.01j)
-    assert adm.Y.toarray()[0, 0] == pytest.approx(ys + 0.01j)
+    assert factored_matrix(adm)[0, 0] == pytest.approx(ys + 0.01j)
     assert adm.ybar[0] == pytest.approx(-ys)
 
 
@@ -50,7 +51,7 @@ def test_chain_assembly_matches_manual():
         manual[b, b] += ys
     # the slack column of the full matrix, then the network block
     assert np.allclose(adm.ybar, manual[1:, 0])
-    assert np.allclose(adm.Y.toarray(), manual[1:, 1:])
+    assert np.allclose(factored_matrix(adm), manual[1:, 1:])
 
 
 def test_relabeling_permutes_admittance():
@@ -68,7 +69,7 @@ def test_relabeling_permutes_admittance():
     perm = np.zeros((8, 8))
     for old in range(1, 9):
         perm[new_of[old] - 1, old - 1] = 1.0
-    assert np.allclose(a2.Y.toarray(), perm @ a1.Y.toarray() @ perm.T)
+    assert np.allclose(factored_matrix(a2), perm @ factored_matrix(a1) @ perm.T)
     assert np.allclose(a2.ybar, perm @ a1.ybar)
 
 
@@ -161,7 +162,7 @@ def test_file_round_trip(tmp_path):
     assert again.der_nodes == fd.der_nodes
     a, b = build_admittance(again), build_admittance(fd)
     assert np.allclose(a.ybar, b.ybar)
-    assert np.allclose(a.Y.toarray(), b.Y.toarray())
+    assert np.allclose(factored_matrix(a), factored_matrix(b))
 
 
 @pytest.mark.parametrize(

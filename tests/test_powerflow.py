@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from dense_helpers import factored_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -154,7 +155,7 @@ def _dense_sensitivities(adm, vbar):
     # the textbook construction: Z = inv(Y), columns rotated by the no-load
     # angles and scaled by the no-load magnitudes, rows turned back by the
     # no-load angles, since d|v_i| = Re(exp(-j theta_i) dv_i)
-    Z = np.linalg.inv(adm.Y.toarray())
+    Z = np.linalg.inv(factored_matrix(adm))
     rho, ang = np.abs(vbar), np.angle(vbar)
     S = np.exp(-1j * ang)[:, None] * Z * (np.exp(1j * ang) / rho)[None, :]
     return S.real, S.imag
