@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
 
 __all__ = [
     "REGION_KINDS",
@@ -450,25 +451,28 @@ class _NewtonPoint(NamedTuple):
     f: float  # penalty objective
     duals: DualState  # its maximizing duals
     grad: np.ndarray
-    jac: np.ndarray  # projection Jacobians at u - grad, one row per DER
-    r: np.ndarray  # natural residual u - proj(u - grad)
-    res: float  # ||r||
+    jac: np.ndarray  # projection Jacobians at u - grad/lip, one row per DER
+    r: np.ndarray  # scaled natural residual u - proj(u - grad/lip)
+    res: float  # unit-step natural residual ||u - proj(u - grad)||, the stop test
 
 
 def _newton_point(
-    problem: SaddleProblem, u: np.ndarray, f: float, duals: DualState
+    problem: SaddleProblem, u: np.ndarray, f: float, duals: DualState, lip: float
 ) -> _NewtonPoint:
     # the rest of an accepted point, from F(u) and its duals (_penalty_value):
     # grad F is the Lagrangian's gradient at those duals
     inv, pav = problem.inverters, problem.p_av
     grad = grad_primal(u, duals, inv, pav, problem.coupling, problem.params)
-    v, jac = inv.project_jacobian(u - grad, pav)
-    r = u - v
-    return _NewtonPoint(u, f, duals, grad, jac, r, float(np.linalg.norm(r)))
+    w = u - grad / lip
+    v, jac = inv.project_jacobian(w, pav)
+    res = float(np.linalg.norm(u - inv.project(u - grad, pav)))
+    # r = u - v summed as grad/lip + (w - v): as u - v, free DERs cancel to
+    # |u| eps_mach, lip times that at the scale of the stop test
+    return _NewtonPoint(u, f, duals, grad, jac, grad / lip + (w - v), res)
 
 
-_ARMIJO = 1e-4  # sufficient-decrease fraction of the line search
-_MIN_STEP = 2.0**-20  # shortest Newton step tried before the gradient fallback
+_ARMIJO = 1e-4  # sufficient-decrease fraction of the line search, at most 1/2
+_MIN_STEP = 2.0**-20  # shortest Newton step tried before the projected-gradient point
 _STALL_RES = 1e-9  # residual below which a step that gains nothing means rounding
 
 
@@ -481,77 +485,69 @@ def solve_saddle_oracle(
     """Solve the static regularized saddle-point problem to high accuracy.
 
     Maximizing over the duals in closed form leaves a strongly convex,
-    piecewise quadratic penalty objective F over the operating regions. Its
-    minimizer is the root of the natural residual ``r(u) = u - proj(u -
-    grad F(u))``, which a semismooth Newton method solves: each step uses the
-    generalized Hessian ``2 diag(c) + nu I + (1/eps) A_act^T A_act`` (rows of
-    the violated limits) and the generalized Jacobians of the per-DER
-    projections, and is globalized by a backtracking line search on F along
-    the projected Newton step, with a projected-gradient step as fallback.
-    A trial point of the line search costs only F and its closed-form
-    duals; the gradient, projection Jacobian and residual are formed only
-    at the point the line search or the fallback accepts. ``||r||`` equals
-    :func:`saddle_residual` at the returned point, and ``iterations`` counts
-    the Newton (or fallback) steps taken.
+    piecewise quadratic penalty objective F over the operating regions. A
+    projected (semismooth) Newton method finds its minimizer as the root of
+    the scaled natural residual ``u - proj(u - grad F(u) / L)``, where ``L =
+    max(2 c + nu) + ||A||_F^2 / eps`` bounds the Lipschitz constant of
+    grad F (A the stacked sensitivities). Each step uses the generalized
+    Hessian ``2 diag(c) + nu I + (1/eps) A_act^T A_act`` (rows of the
+    violated limits) and the per-DER projection Jacobians. One backtracking
+    line search on F runs from the projected Newton point to the
+    projected-gradient point, which always decreases F enough. The stop
+    test reads the unit-step residual ``||u - proj(u - grad F(u))||``,
+    equal to :func:`saddle_residual` at the returned point; ``iterations``
+    counts the Newton steps.
 
     The solve starts from the setpoints ``u0`` (n_der, 2), projected, by
     default full available power at unity power factor; a warm start needs
-    no duals, since they follow from the setpoints in closed form.
-    It stops once ``||r|| <= tol``, or, below ``||r|| = 1e-9``, when the
-    step the line search or the fallback accepts fails to reduce ``||r||``
-    (the rounding floor). Raises ``ValueError`` unless ``0 < tol < inf``, and
-    :class:`OracleError` if ``max_iter`` steps are exhausted or the final
-    residual is non-finite or above ``max(tol, 1e-6)``.
+    no duals, since they follow from the setpoints in closed form. It stops
+    once the residual is at most ``tol``, or, below 1e-9, when the accepted
+    step fails to reduce it (the rounding floor). Raises ``ValueError``
+    unless ``0 < tol < inf``, and :class:`OracleError` if ``max_iter``
+    steps are exhausted or the final residual is non-finite or above
+    ``max(tol, 1e-6)``.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"oracle tolerance must be positive and finite, got {tol!r}")
-    inv, pav = problem.inverters, problem.p_av
-    prm = problem.params
+    inv, pav, prm = problem.inverters, problem.p_av, problem.params
     n = problem.coupling.n_der
     u0 = np.column_stack([pav, np.zeros(n)]) if u0 is None else np.asarray(u0, float)
 
-    # sensitivities and curvature in the order of u.ravel(): P_0, Q_0, P_1, ...
+    # sensitivities and curvature in the order of u.ravel(): P_0, Q_0, P_1, ...;
+    # the Frobenius norm of a bounds its spectral norm in lip, with no eigensolve
     a = np.empty((problem.coupling.n_monitored, 2 * n))
     a[:, 0::2] = problem.coupling.r
     a[:, 1::2] = problem.coupling.b
     h_cost = np.column_stack([2.0 * inv.c_p + prm.nu, 2.0 * inv.c_q + prm.nu]).ravel()
-    der = np.arange(n)
+    lip = h_cost.max() + float(np.sum(a * a)) / prm.epsilon
 
     x = inv.project(u0, pav)
-    cur = _newton_point(problem, x, *_penalty_value(problem, x))
+    cur = _newton_point(problem, x, *_penalty_value(problem, x), lip)
     its = 0
-    lip = None  # Lipschitz bound of grad F, formed at the first fallback
     while cur.res > tol:
         if its == max_iter:
             raise OracleError(f"saddle oracle: no convergence in {max_iter} iterations")
-        # Newton step on r(u) = 0 with r' = I - D (I - H), D the block
+        # Newton step on r(u) = 0 with r' = I - D (I - H / lip), D the block
         # diagonal of the projection Jacobians and H the generalized Hessian
-        d_proj = np.zeros((n, 2, n, 2))
-        d_proj[der, :, der, :] = cur.jac.reshape(n, 2, 2)
-        d_proj = d_proj.reshape(2 * n, 2 * n)
+        d_proj = scipy.linalg.block_diag(*cur.jac.reshape(n, 2, 2))
         a_act = a[cur.duals.mu != cur.duals.gamma]  # rows of the violated limits
         hess = np.diag(h_cost) + (a_act.T @ a_act) / prm.epsilon
-        jac_r = np.eye(2 * n) - d_proj + d_proj @ hess
+        jac_r = np.eye(2 * n) - d_proj + d_proj @ hess / lip
         step = np.linalg.solve(jac_r, -cur.r.ravel()).reshape(n, 2)
-        # backtracking on F along the projected Newton path, tried only when
-        # the Newton step is a descent direction for F; a trial point costs
-        # only F, the accepted one is completed below
-        t = 1.0 if float(np.sum(cur.grad * step)) < 0.0 else 0.0
-        while t > 0.0:
-            x = inv.project(cur.u + t * step, pav)
+        # backtracking on F along x(t) = proj(u - r + t (step + r)), t = 1,
+        # 1/2, ..., _MIN_STEP, 0; a trial point costs only F and its duals
+        t = 1.0
+        while True:
+            x = inv.project(cur.u - cur.r + t * (step + cur.r), pav)
             f, duals = _penalty_value(problem, x)
+            # t = 0 is proj(u - grad/lip), accepted untested: 1/lip <=
+            # 1/Lip(grad F), so the descent lemma and the projection give
+            # F(x) <= F(u) + grad.(x - u)/2, enough for any _ARMIJO <= 1/2
             decrease = float(np.sum(cur.grad * (x - cur.u)))
-            if decrease < 0.0 and f <= cur.f + _ARMIJO * decrease:
+            if t == 0.0 or (decrease < 0.0 and f <= cur.f + _ARMIJO * decrease):
                 break
             t = 0.5 * t if t > _MIN_STEP else 0.0
-        if t == 0.0:
-            # projected-gradient step at 1/L, L the Lipschitz bound of grad F:
-            # a descent step whatever the active set
-            if lip is None:
-                lip = h_cost.max() + _spectral_norm(a) ** 2 / prm.epsilon
-            x = inv.project(cur.u - cur.grad / lip, pav)
-            f, duals = _penalty_value(problem, x)
-        new = _newton_point(problem, x, f, duals)
+        new = _newton_point(problem, x, f, duals, lip)
         if cur.res <= _STALL_RES and new.res >= cur.res:
             break  # rounding floor: the accepted step gains nothing
         its += 1

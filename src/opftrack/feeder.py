@@ -368,7 +368,9 @@ def feeder_from_dict(data: dict) -> FeederModel:
 
 
 def feeder_to_dict(feeder: FeederModel) -> dict:
-    """Inverse of :func:`feeder_from_dict` (round-trips exactly)."""
+    """Inverse of :func:`feeder_from_dict` (exact); unequal DER lists raise FeederError."""
+    if len(feeder.der_ratings) != len(feeder.der_nodes):
+        raise FeederError("der_ratings length does not match der_nodes")
     return {
         "n_nodes": feeder.n_nodes,
         "slack": {
@@ -401,6 +403,7 @@ def load_feeder(path: str) -> FeederModel:
 
 
 def save_feeder(feeder: FeederModel, path: str) -> None:
+    data = feeder_to_dict(feeder)  # raises before the file is opened
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(feeder_to_dict(feeder), fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from region_helpers import in_region, kink_distance, project_scalar
 
@@ -17,6 +17,7 @@ from opftrack.controller import (
     OracleError,
     SaddleProblem,
     VoltageCoupling,
+    _ARMIJO,
     _closed_form_duals,
     _newton_point,
     _penalty_value,
@@ -29,7 +30,7 @@ from opftrack.controller import (
     saddle_residual,
     solve_saddle_oracle,
 )
-from opftrack.sim import compile_feeder
+from opftrack.sim import ScenarioParams, compile_feeder, generate_scenario, step_problem
 
 
 def fleet(kind, s, n=1):
@@ -441,8 +442,26 @@ def test_saddle_oracle_unconstrained_instance():
 
 def test_saddle_oracle_budget_exhaustion():
     prob = _tb1_setup()
-    with pytest.raises(OracleError):
-        solve_saddle_oracle(prob, tol=1e-13, max_iter=3)
+    with pytest.raises(OracleError, match="no convergence in 0 iterations"):
+        solve_saddle_oracle(prob, tol=1e-13, max_iter=0)
+
+
+def test_saddle_oracle_large_feeder_last_ramp_step():
+    # 3000 buses and 300 DERs at the last step of a ramp, with many limits
+    # violated at the start: the residual must reach 1e-11, below where
+    # u - proj(u - grad/lip) summed as written stalls on rounding
+    fd = networks.random_radial(
+        3000, 0, z_mag_range=(0.0005, 0.002), der_nodes=tuple(range(10, 3001, 10))
+    )
+    scen = generate_scenario("ramp", fd, 0, ScenarioParams(n_steps=30))
+    inv = Inverters("joint", fd.der_ratings, np.full(fd.n_der, 3.0), np.ones(fd.n_der))
+    prob = step_problem(
+        inv, inv.available(scen.p_av), compile_feeder(fd).surrogate(scen), scen,
+        ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4), scen.n_steps - 1,
+    )
+    sol = solve_saddle_oracle(prob)
+    assert sol.residual <= 1e-11
+    assert sol.iterations <= 50
 
 
 def test_saddle_oracle_rejects_a_tolerance_that_is_not_positive_and_finite():
@@ -450,6 +469,14 @@ def test_saddle_oracle_rejects_a_tolerance_that_is_not_positive_and_finite():
     for tol in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="tolerance must be positive and finite"):
             solve_saddle_oracle(prob, tol=tol)
+
+
+def _lipschitz_bound(prob):
+    # the oracle's bound on the Lipschitz constant of grad F: the largest
+    # cost curvature plus the squared Frobenius norm of the sensitivities / eps
+    inv, prm, coup = prob.inverters, prob.params, prob.coupling
+    curvature = 2.0 * max(inv.c_p.max(), inv.c_q.max()) + prm.nu
+    return curvature + float(np.sum(coup.r**2) + np.sum(coup.b**2)) / prm.epsilon
 
 
 def _penalty_instance():
@@ -481,11 +508,20 @@ def test_penalty_value_matches_its_gradient_with_both_limits_violated():
     assert duals.gamma.max() > 0.0 and duals.mu.max() > 0.0
     # the oracle takes the Hessian rows of the violated limits as mu != gamma
     assert np.array_equal(duals.mu != duals.gamma, (duals.gamma > 0.0) | (duals.mu > 0.0))
-    point = _newton_point(prob, u, f, duals)
+    lip = _lipschitz_bound(prob)
+    point = _newton_point(prob, u, f, duals, lip)
     grad = point.grad
     assert point.f == f
-    assert np.array_equal(point.r, u - prob.inverters.project(u - grad, prob.p_av))
-    assert point.res == np.linalg.norm(point.r)
+    # r is the 1/lip-scaled natural residual, summed from the gradient step
+    w = u - grad / lip
+    assert np.array_equal(point.r, grad / lip + (w - prob.inverters.project(w, prob.p_av)))
+    assert np.allclose(point.r, u - prob.inverters.project(w, prob.p_av), rtol=0, atol=1e-15)
+    # res stays the unit-step residual, the stop test and saddle_residual
+    unit = u - prob.inverters.project(u - grad, prob.p_av)
+    assert point.res == np.linalg.norm(unit)
+    assert point.res == pytest.approx(
+        saddle_residual(prob, u, duals.gamma, duals.mu), rel=1e-12
+    )
     # F is quadratic between kinks, so central differences are exact up to
     # rounding as long as no limit crosses its kink within h
     h = 1e-5
@@ -604,8 +640,32 @@ def test_projection_jacobian_matches_central_differences(batch, data):
             assert np.allclose(jac[smooth, 2 * row + col], fd[smooth, row], rtol=0.0, atol=1e-6)
 
 
+@settings(max_examples=100, deadline=None)
+@given(fleets(), st.data())
+def test_projected_gradient_point_meets_the_armijo_condition(batch, data):
+    # the oracle's line search accepts its last point, proj(u - grad F/lip),
+    # without the Armijo test: 1/lip is short enough for it to hold always
+    inv, p_av = batch
+    n, m = inv.n_der, data.draw(st.integers(1, 6))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    inv = Inverters(inv.kind, inv.s_rating, *rng.uniform(0.0, 3.0, (2, n)))
+    coupling = VoltageCoupling(
+        rng.normal(0.0, 0.05, (m, n)), rng.normal(0.0, 0.05, (m, n)), rng.uniform(0.9, 1.1, m)
+    )
+    eps = data.draw(st.sampled_from([1e-4, 1e-2, 1.0]))
+    prob = SaddleProblem(inv, p_av, coupling, 0.95, 1.05, ControllerParams(0.2, 1e-3, eps))
+    u = inv.project(data.draw(setpoints(n)), p_av)
+    f, duals = _penalty_value(prob, u)
+    grad = grad_primal(u, duals, inv, p_av, coupling, prob.params)
+    x = inv.project(u - grad / _lipschitz_bound(prob), p_av)
+    decrease = float(np.sum(grad * (x - u)))
+    assert decrease <= 0.0
+    assert _penalty_value(prob, x)[0] <= f + _ARMIJO * decrease
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(4, 8), st.integers(0, 2**32 - 1))
+@example(n=4, seed=3768957951)  # took 51-54 iterations on the unit-step residual
 def test_saddle_oracle_property_random_radial(n, seed):
     rng = np.random.default_rng(seed)
     fd = networks.random_radial(n, seed=int(rng.integers(0, 1000)))

@@ -129,6 +129,31 @@ def test_validation_diagnostics(mutate, fragment):
         build_admittance(feeder)
 
 
+@pytest.mark.parametrize(
+    "der_nodes, ratings",
+    [((2, 2), (0.5,)), ((2, 7), (0.5,)), ((2,), (0.5, 0.5))],
+    ids=["duplicate DER", "outside 1..2", "length does not match"],
+)
+def test_writer_rejects_der_lists_of_unequal_length(der_nodes, ratings, tmp_path):
+    # the mismatched cases of test_validation_diagnostics: the file format
+    # pairs each DER bus with its rating, so the writer may not drop one
+    feeder = FeederModel(
+        n_nodes=2,
+        terminals=[(0, 1), (1, 2)],
+        z=[0.01 + 0.01j] * 2,
+        y_shunt=np.zeros(2),
+        der_nodes=der_nodes,
+        monitored_nodes=(1, 2),
+        der_ratings=ratings,
+    )
+    with pytest.raises(FeederError, match="der_ratings length does not match der_nodes"):
+        feeder_to_dict(feeder)
+    path = tmp_path / "feeder.json"
+    with pytest.raises(FeederError, match="der_ratings length does not match der_nodes"):
+        save_feeder(feeder, str(path))
+    assert not path.exists()
+
+
 def test_clean_feeder_has_no_diagnostics():
     assert validate_feeder(networks.feeder36()) == []
     assert validate_feeder(networks.two_bus()) == []
