@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "REGION_KINDS",
@@ -189,7 +188,9 @@ class Inverters:
         s = self.s_rating
         left = p <= 0.0
         r = np.where(left, s, np.hypot(p, q))  # r = 0 only on the left face
-        scale = s / r
+        # the radial scale, used only outside the disk: inside it s / r could
+        # overflow (r subnormal)
+        scale = np.divide(s, r, out=np.ones_like(r), where=r > s)
         p_arc = p * scale
         inside = r <= s  # left points included
         member = inside & (p <= p_av) & ~left
@@ -242,31 +243,33 @@ class DualState:
 class VoltageCoupling:
     """The linear surrogate of the metered voltage magnitudes.
 
-    ``r`` and ``b`` hold the active/reactive sensitivity columns of the
-    DER buses (shape M x n_der) and ``c`` the offset: the linear model's
-    metered magnitudes at the loads with every DER off (see
+    ``rb`` is the stacked sensitivity block ``[r b]`` (M x 2 n_der): ``r``
+    and ``b``, views of its two halves, hold the active/reactive sensitivity
+    columns of the DER buses. ``c`` is the offset: the linear model's metered
+    magnitudes at the loads with every DER off (see
     :func:`~opftrack.powerflow.constraint_offsets`). The prediction for
     setpoints (P, Q) is ``r P + b Q + c``. ``c`` may carry leading axes, one
     offset row per step.
     """
 
-    r: np.ndarray
-    b: np.ndarray
+    rb: np.ndarray
     c: np.ndarray
+    r: np.ndarray = field(init=False, repr=False, compare=False)
+    b: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        r = np.asarray(self.r, dtype=float)
-        b = np.asarray(self.b, dtype=float)
+        rb = np.asarray(self.rb, dtype=float)
         c = np.asarray(self.c, dtype=float)
-        if r.shape != b.shape or r.ndim != 2 or c.shape[-1:] != (r.shape[0],):
+        if rb.ndim != 2 or rb.shape[1] % 2 or c.shape[-1:] != (rb.shape[0],):
             raise ValueError("inconsistent coupling shapes")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "rb", rb)
         object.__setattr__(self, "c", c)
+        object.__setattr__(self, "r", rb[:, : rb.shape[1] // 2])
+        object.__setattr__(self, "b", rb[:, rb.shape[1] // 2 :])
 
     @property
     def n_monitored(self) -> int:
-        return self.r.shape[0]
+        return self.rb.shape[0]
 
     @property
     def n_der(self) -> int:
@@ -368,7 +371,7 @@ def convergence_constants(
     constant of the full primal-dual operator.
     """
     L = 2.0 * float(max(inv.c_p.max(), inv.c_q.max()))
-    G = _spectral_norm(np.hstack([coupling.r, coupling.b]))
+    G = _spectral_norm(coupling.rb)
     eta = min(params.nu, params.epsilon)
     L_reg = math.sqrt((L + params.nu + 2.0 * G) ** 2 + 2.0 * (G + params.epsilon) ** 2)
     # rho_alpha is rho(alpha), from the one formula in ConvergenceConstants.rho
@@ -521,6 +524,7 @@ def solve_saddle_oracle(
     h_cost = np.column_stack([2.0 * inv.c_p + prm.nu, 2.0 * inv.c_q + prm.nu]).ravel()
     lip = h_cost.max() + float(np.sum(a * a)) / prm.epsilon
 
+    der = np.arange(n)
     x = inv.project(u0, pav)
     cur = _newton_point(problem, x, *_penalty_value(problem, x), lip)
     its = 0
@@ -529,7 +533,9 @@ def solve_saddle_oracle(
             raise OracleError(f"saddle oracle: no convergence in {max_iter} iterations")
         # Newton step on r(u) = 0 with r' = I - D (I - H / lip), D the block
         # diagonal of the projection Jacobians and H the generalized Hessian
-        d_proj = scipy.linalg.block_diag(*cur.jac.reshape(n, 2, 2))
+        d_proj = np.zeros((n, 2, n, 2))
+        d_proj[der, :, der, :] = cur.jac.reshape(n, 2, 2)  # block diagonal
+        d_proj = d_proj.reshape(2 * n, 2 * n)
         a_act = a[cur.duals.mu != cur.duals.gamma]  # rows of the violated limits
         hess = np.diag(h_cost) + (a_act.T @ a_act) / prm.epsilon
         jac_r = np.eye(2 * n) - d_proj + d_proj @ hess / lip

@@ -11,9 +11,16 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
+# scipy.linalg before scipy.sparse, which imports it too. In the other
+# order its import leaves BLAS threads spinning for about 70 ms, into
+# set-up, and the first threaded product after it (convergence_constants'
+# Gram) stalled 2.5-4 ms in 6-9 of 20 fresh processes (2 vCPUs, OpenBLAS 0.3.31)
+import scipy.linalg  # noqa: F401
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import SuperLU, splu
@@ -76,11 +83,9 @@ class FeederModel:
         shapes = (self.terminals.shape, self.z.shape, self.y_shunt.shape)
         if self.z.ndim != 1 or shapes[0] != (len(self.z), 2) or shapes[2] != shapes[1]:
             raise ValueError(f"line arrays need shapes (L, 2), (L,), (L,), got {shapes}")
-        object.__setattr__(self, "der_nodes", tuple(int(n) for n in self.der_nodes))
-        object.__setattr__(
-            self, "monitored_nodes", tuple(int(n) for n in self.monitored_nodes)
-        )
-        ratings = tuple(float(s) for s in self.der_ratings)
+        object.__setattr__(self, "der_nodes", tuple(map(int, self.der_nodes)))
+        object.__setattr__(self, "monitored_nodes", tuple(map(int, self.monitored_nodes)))
+        ratings = tuple(map(float, self.der_ratings))
         if not ratings:
             ratings = tuple(1.0 for _ in self.der_nodes)
         object.__setattr__(self, "der_ratings", ratings)
@@ -113,14 +118,25 @@ class AdmittanceMatrix:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """``Y^{-1} rhs`` for a vector or an N x K array, from the stored factor."""
-        if rhs.ndim == 1 or rhs.shape[1] <= SOLVE_BLOCK:
+        if rhs.ndim == 1:
             return self.lu.solve(rhs)
-        return np.hstack(
-            [
-                self.lu.solve(rhs[:, j : j + SOLVE_BLOCK])
-                for j in range(0, rhs.shape[1], SOLVE_BLOCK)
-            ]
-        )
+        out = np.empty(rhs.shape, dtype=complex)
+        for cols, x in self.solve_blocks(rhs.shape[1], lambda cols: rhs[:, cols]):
+            out[:, cols] = x
+        return out
+
+    def solve_blocks(
+        self, k: int, rhs: Callable[[slice], np.ndarray]
+    ) -> Iterator[tuple[slice, np.ndarray]]:
+        """``(cols, Y^{-1} rhs(cols))`` over a K-column right-hand side.
+
+        ``cols`` runs over consecutive slices of ``SOLVE_BLOCK`` columns, and
+        ``rhs(cols)`` builds just that block, so a caller keeps no more than
+        one block of right-hand sides and solutions at a time.
+        """
+        for j in range(0, k, SOLVE_BLOCK):
+            cols = slice(j, min(j + SOLVE_BLOCK, k))
+            yield cols, self.lu.solve(rhs(cols))
 
 
 def validate_feeder(feeder: FeederModel) -> list[str]:
@@ -285,8 +301,6 @@ _TOP_KEYS = {
     "monitored_nodes",
 }
 _SLACK_KEYS = {"magnitude_pu", "angle_deg"}
-_LINE_KEYS = {"from", "to", "r_pu", "x_pu", "b_shunt_pu"}
-_DER_KEYS = {"node", "s_rating_pu"}
 
 
 def _object(value: object, allowed: set[str], where: str) -> dict:
@@ -321,12 +335,76 @@ def _number(value: object, where: str, i: int = 0) -> float:
     return float(value)
 
 
+# the fields of a list's objects in checking order: key, check, and the
+# default of an optional key (None for a required one)
+_LINE_FIELDS = (
+    ("from", _int, None),
+    ("to", _int, None),
+    ("r_pu", _number, None),
+    ("x_pu", _number, None),
+    ("b_shunt_pu", _number, 0.0),
+)
+_DER_FIELDS = (("node", _int, None), ("s_rating_pu", _number, 1.0))
+_LINE_KEYS = {key for key, _, _ in _LINE_FIELDS}
+_DER_KEYS = {key for key, _, _ in _DER_FIELDS}
+
+
+class _Rejected(ValueError):
+    """A column failed its check as a whole."""
+
+
+def _column(values: list, check: Callable) -> list | np.ndarray:
+    # the whole-column form of _int (the list itself) or _number (a float
+    # array); _Rejected if any value would fail the per-value check
+    types = set(map(type, values))
+    if check is _int and types <= {int}:
+        return values
+    if check is _number and types <= {int, float}:
+        try:
+            col = np.array(values, dtype=float)
+        except OverflowError:  # an integer beyond the float range
+            raise _Rejected from None
+        if np.isfinite(col).all():
+            return col
+    raise _Rejected
+
+
+def _object_columns(rows: list, fields: tuple, where: str) -> list:
+    """One checked column per field of the objects ``rows`` (see :func:`_column`).
+
+    Types, keys and finiteness are checked a whole column at a time. If a
+    column fails, the per-row checks run from the first row on and raise at
+    the first bad row, with the message naming that row and field.
+    """
+    keys = {key for key, _, _ in fields}
+    try:
+        if not (set(map(type, rows)) <= {dict} and set().union(*rows) <= keys):
+            raise _Rejected
+        return [
+            _column(
+                list(map(itemgetter(key), rows))
+                if default is None
+                else [row.get(key, default) for row in rows],
+                check,
+            )
+            for key, check, default in fields
+        ]
+    except (_Rejected, KeyError):
+        for i, row in enumerate(rows):
+            _object(row, keys, f"{where}[{i}]")
+            for key, check, default in fields:
+                value = row[key] if default is None else row.get(key, default)
+                check(value, f"{where}[{{}}].{key}", i)
+        raise
+
+
 def feeder_from_dict(data: dict) -> FeederModel:
     """Build a :class:`FeederModel` from the documented mapping.
 
     Rejects unknown keys, containers of the wrong JSON type, bus ids that
     are not JSON integers and electrical values that are not finite JSON
-    numbers.
+    numbers. Each list is checked a column at a time; a failure is named by
+    its first bad row, as the per-row checks would name it.
     """
     _object(data, _TOP_KEYS, "feeder description")
     try:
@@ -338,29 +416,29 @@ def feeder_from_dict(data: dict) -> FeederModel:
         v0 = cmath.rect(
             v0_mag, math.radians(_number(slack.get("angle_deg", 0.0), "slack.angle_deg"))
         )
-        terminals, z, y_shunt = [], [], []
-        for i, row in enumerate(_list(data["lines"], "lines")):
-            _object(row, _LINE_KEYS, f"lines[{i}]")
-            terminals.append([_int(row[k], "lines[{}]." + k, i) for k in ("from", "to")])
-            r, x = (_number(row[k], "lines[{}]." + k, i) for k in ("r_pu", "x_pu"))
-            b = _number(row.get("b_shunt_pu", 0.0), "lines[{}].b_shunt_pu", i)
-            z.append(complex(r, x))
-            y_shunt.append(complex(0.0, b))
-        ders, ratings = [], []
-        for i, row in enumerate(_list(data["der_nodes"], "der_nodes")):
-            _object(row, _DER_KEYS, f"der_nodes[{i}]")
-            ders.append(_int(row["node"], "der_nodes[{}].node", i))
-            ratings.append(_number(row.get("s_rating_pu", 1.0), "der_nodes[{}].s_rating_pu", i))
+        lines = _list(data["lines"], "lines")
+        a, b, r, x, b_shunt = _object_columns(lines, _LINE_FIELDS, "lines")
+        z = np.empty(len(lines), dtype=complex)
+        z.real, z.imag = r, x
+        y_shunt = np.zeros(len(lines), dtype=complex)
+        y_shunt.imag = b_shunt
+        ders = _list(data["der_nodes"], "der_nodes")
+        der_nodes, ratings = _object_columns(ders, _DER_FIELDS, "der_nodes")
         monitored = _list(data["monitored_nodes"], "monitored_nodes")
-        monitored = [_int(m, "monitored_nodes[{}]", i) for i, m in enumerate(monitored)]
+        try:
+            _column(monitored, _int)
+        except _Rejected:
+            for i, m in enumerate(monitored):
+                _int(m, "monitored_nodes[{}]", i)
+            raise
         return FeederModel(
             n_nodes=n_nodes,
-            terminals=np.reshape(terminals, (-1, 2)),
+            terminals=np.column_stack([a, b]),
             z=z,
             y_shunt=y_shunt,
-            der_nodes=ders,
+            der_nodes=der_nodes,
             monitored_nodes=monitored,
-            der_ratings=ratings,
+            der_ratings=ratings.tolist(),
             slack_voltage=v0,
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

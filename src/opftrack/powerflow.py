@@ -90,7 +90,7 @@ class LinearModel:
     ``R p + B q = Re(exp(-j theta) * Y^{-1} (ebar * (p - jq)))``: the first
     order change of ``|v|`` whatever the slack's reference angle. R and B
     are therefore not stored: :meth:`response` applies them with one solve
-    of the admittance factor, and :meth:`columns` forms only the columns
+    of the admittance factor, and :meth:`columns` forms only the entries
     asked for.
     """
 
@@ -106,13 +106,29 @@ class LinearModel:
             scale, rot = scale[:, None], rot[:, None]
         return (rot * self.adm.solve(scale * (p - 1j * q))).real
 
-    def columns(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Columns ``idx`` of R and of B (each N x len(idx)), one solve per column."""
+    def columns(self, idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Rows ``rows`` of columns ``idx`` of R and of B, side by side: ``[R B]``.
+
+        The result is len(rows) x 2 len(idx). Solves ``SOLVE_BLOCK`` unit
+        right-hand sides at a time and writes only the kept rows of each
+        block into it, so no N x len(idx) array is formed.
+        """
         idx = np.asarray(idx, dtype=int)
-        rhs = np.zeros((self.a.shape[0], idx.size), dtype=complex)
-        rhs[idx, np.arange(idx.size)] = self.ebar[idx]
-        h = (np.conj(self.ebar) * self.a)[:, None] * self.adm.solve(rhs)
-        return h.real, h.imag
+        rows = np.asarray(rows, dtype=int)
+        k = idx.size
+        rot = (np.conj(self.ebar) * self.a)[rows, None]  # exp(-j theta)
+        rb = np.empty((rows.size, 2 * k))
+
+        def units(cols: slice) -> np.ndarray:
+            rhs = np.zeros((self.a.shape[0], cols.stop - cols.start), dtype=complex)
+            rhs[idx[cols], np.arange(rhs.shape[1])] = self.ebar[idx[cols]]
+            return rhs
+
+        for cols, x in self.adm.solve_blocks(k, units):
+            h = rot * x[rows]
+            rb[:, cols] = h.real
+            rb[:, k + cols.start : k + cols.stop] = h.imag
+        return rb
 
 
 def no_load_voltage(adm: AdmittanceMatrix, v0: complex) -> np.ndarray:

@@ -19,6 +19,7 @@ import re
 import sys
 import warnings
 from dataclasses import asdict, dataclass, replace
+from itertools import chain
 
 import numpy as np
 import orjson
@@ -295,17 +296,31 @@ def _read_rows(path: str, columns: list[str], what: str) -> np.ndarray:
                 if bad else f"{len(header)} columns, expected {m}"
             )
             raise ValueError(f"{path}: {what} columns do not match the feeder ({found})")
-        rows = []
-        for i, row in enumerate((r for r in reader if r), start=1):
-            if len(row) != m:
-                raise ValueError(f"{path}: row {i} has {len(row)} columns, expected {m}")
-            try:
-                rows.append([float(x) for x in row])
-            except ValueError as exc:
-                raise ValueError(f"{path}: row {i}: {exc}") from exc
-    if not rows:
+        n = 0  # non-empty rows fetched
+        wrong_width = None
+
+        def rows():
+            # the non-empty rows, up to the first one of the wrong width
+            nonlocal n, wrong_width
+            for row in reader:
+                if row:
+                    n += 1
+                    if len(row) != m:
+                        wrong_width = len(row)
+                        return
+                    yield row
+
+        # one pass that converts every cell with float(); a bad cell stops it
+        # in row n, and a row of the wrong width ends it before row n
+        try:
+            data = np.fromiter(map(float, chain.from_iterable(rows())), dtype=float)
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {n}: {exc}") from exc
+    if wrong_width is not None:
+        raise ValueError(f"{path}: row {n} has {wrong_width} columns, expected {m}")
+    if n == 0:
         raise ValueError(f"{path}: {what} has no rows")
-    return np.asarray(rows, dtype=float)
+    return data.reshape(n, m)
 
 
 _BLOCK_CELLS = 2048
@@ -460,8 +475,8 @@ def compile_feeder(feeder: FeederModel) -> CompiledFeeder:
     """
     lm = build_linear_model(build_admittance(feeder), feeder.slack_voltage)
     mon = feeder.monitored_indices()
-    r, b = lm.columns(feeder.der_indices())
-    return CompiledFeeder(feeder, lm, VoltageCoupling(r=r[mon], b=b[mon], c=lm.a[mon]))
+    rb = lm.columns(feeder.der_indices(), mon)
+    return CompiledFeeder(feeder, lm, VoltageCoupling(rb=rb, c=lm.a[mon]))
 
 
 def run_closed_loop(

@@ -59,7 +59,7 @@ def test_one_solve_response_matches_inverse_sensitivities(fd, seed):
     R, B = S.real, S.imag
     inj = _injection(fd.n_nodes, seed, 0.05)
     assert np.max(np.abs(lm.response(inj.p, inj.q) - (R @ inj.p + B @ inj.q))) <= 1e-12
-    Rc, Bc = lm.columns(np.arange(fd.n_nodes))
+    Rc, Bc = np.hsplit(lm.columns(np.arange(fd.n_nodes), np.arange(fd.n_nodes)), 2)
     assert np.max(np.abs(Rc - R)) <= 1e-12
     assert np.max(np.abs(Bc - B)) <= 1e-12
 

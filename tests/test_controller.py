@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -377,6 +378,21 @@ def test_spectral_norm_matches_the_two_norm(shape):
     assert _spectral_norm(a) == pytest.approx(float(np.linalg.norm(a, 2)), rel=1e-13)
 
 
+@pytest.mark.parametrize(
+    "fd",
+    [
+        networks.feeder36(),  # 10 metered x 18 DERs: the stack is wide
+        networks.random_radial(120, 3, der_nodes=tuple(range(4, 121, 4))),  # tall
+    ],
+)
+def test_convergence_constants_g_is_the_stacked_two_norm(fd):
+    coupling = compile_feeder(fd).coupling
+    inv = Inverters("joint", fd.der_ratings, np.ones(fd.n_der), np.ones(fd.n_der))
+    consts = convergence_constants(inv, coupling, ControllerParams(0.2, 1e-3, 1e-4))
+    want = float(np.linalg.norm(np.hstack([coupling.r, coupling.b]), 2))
+    assert consts.G == pytest.approx(want, rel=1e-12)
+
+
 def test_error_free_iteration_contracts_at_certified_rate():
     # well-regularized instance: nu = eps = 0.1 gives a usable alpha_max
     prob = _tb1_setup(nu=0.1, eps=0.1, c=(0.5, 0.5))
@@ -578,11 +594,13 @@ def test_coupling_slicing_and_validation():
     coup, lm = net.coupling, net.lm
     assert coup.n_monitored == 10 and coup.n_der == 18
     mi, di = fd.monitored_indices(), fd.der_indices()
-    R, B = lm.columns(np.arange(fd.n_nodes))
+    R, B = np.hsplit(lm.columns(np.arange(fd.n_nodes), np.arange(fd.n_nodes)), 2)
     assert coup.r[3, 5] == R[mi[3], di[5]]
     assert coup.b[7, 11] == B[mi[7], di[11]]
     with pytest.raises(ValueError, match="inconsistent"):
-        VoltageCoupling(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros(5))
+        VoltageCoupling(np.zeros((2, 6)), np.zeros(5))
+    with pytest.raises(ValueError, match="inconsistent"):
+        VoltageCoupling(np.zeros((2, 3)), np.zeros(2))  # no even split into r and b
     with pytest.raises(ValueError, match="DER count"):
         SaddleProblem(
             inverters=fleet("joint", 1.0),
@@ -650,7 +668,8 @@ def test_projected_gradient_point_meets_the_armijo_condition(batch, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     inv = Inverters(inv.kind, inv.s_rating, *rng.uniform(0.0, 3.0, (2, n)))
     coupling = VoltageCoupling(
-        rng.normal(0.0, 0.05, (m, n)), rng.normal(0.0, 0.05, (m, n)), rng.uniform(0.9, 1.1, m)
+        np.hstack([rng.normal(0.0, 0.05, (m, n)), rng.normal(0.0, 0.05, (m, n))]),
+        rng.uniform(0.9, 1.1, m),
     )
     eps = data.draw(st.sampled_from([1e-4, 1e-2, 1.0]))
     prob = SaddleProblem(inv, p_av, coupling, 0.95, 1.05, ControllerParams(0.2, 1e-3, eps))
@@ -686,3 +705,13 @@ def test_saddle_oracle_property_random_radial(n, seed):
     sol = solve_saddle_oracle(prob)
     assert saddle_residual(prob, sol.u, sol.gamma, sol.mu) <= 1e-9
     assert sol.iterations <= 50
+
+
+def test_a_subnormal_setpoint_projects_without_overflow():
+    # inside the disk the radial scale s / r is not formed, so a setpoint of
+    # subnormal radius divides nothing by it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, jac = JOINT.project_jacobian(np.asarray([[1e-310, 1e-310]]), np.asarray([0.8]))
+    assert out.tolist() == [[1e-310, 1e-310]]
+    assert jac.tolist() == [[1.0, 0.0, 0.0, 1.0]]

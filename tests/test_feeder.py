@@ -359,3 +359,82 @@ def test_save_load_save_is_byte_identical(n, seed):
         save_feeder(networks.random_radial(n, seed, shunt_prob=0.5), str(first))
         save_feeder(load_feeder(str(first)), str(second))
         assert first.read_bytes() == second.read_bytes()
+
+
+# values of the wrong JSON type for an integer field and for a number field,
+# and the non-finite numbers json writes as NaN / Infinity
+_NOT_INTEGERS = (1.0, "3", True, None, [1], {"a": 1})
+_NOT_NUMBERS = ("0.01", True, False, None, [0.5], {"a": 1})
+_NON_FINITE = (math.nan, math.inf, -math.inf)
+_FIELDS = {
+    "lines": {"from": "int", "to": "int", "r_pu": "num", "x_pu": "num", "b_shunt_pu": "num"},
+    "der_nodes": {"node": "int", "s_rating_pu": "num"},
+}
+_REQUIRED = {"lines": ("from", "to", "r_pu", "x_pu"), "der_nodes": ("node",)}
+
+
+@st.composite
+def _corruption(draw, data):
+    # one bad cell in a random row: (list, row, apply, expected message)
+    lst = draw(st.sampled_from(["lines", "der_nodes", "monitored_nodes"]))
+    i = draw(st.integers(0, len(data[lst]) - 1))
+    if lst == "monitored_nodes":
+        value = draw(st.sampled_from(_NOT_INTEGERS))
+        return lst, i, lambda rows: rows.__setitem__(i, value), (
+            f"monitored_nodes[{i}]: expected an integer, got {json.dumps(value)}"
+        )
+    kind = draw(st.sampled_from(["type", "non_finite", "unknown", "missing"]))
+    if kind == "unknown":
+        key = draw(st.sampled_from(["bogus", "length_km", "kind"]))
+        return lst, i, lambda rows: rows[i].__setitem__(key, 1.0), (
+            f"unknown key(s) ['{key}'] in {lst}[{i}]"
+        )
+    if kind == "missing":
+        key = draw(st.sampled_from(_REQUIRED[lst]))
+        return lst, i, lambda rows: rows[i].pop(key), repr(key)
+    fields = _FIELDS[lst]
+    numbers = [k for k, t in fields.items() if t == "num"]
+    key = draw(st.sampled_from(numbers if kind == "non_finite" else list(fields)))
+    if kind == "non_finite":
+        value, want = draw(st.sampled_from(_NON_FINITE)), "a finite number"
+    elif fields[key] == "int":
+        value, want = draw(st.sampled_from(_NOT_INTEGERS)), "an integer"
+    else:
+        value, want = draw(st.sampled_from(_NOT_NUMBERS)), "a finite number"
+    return lst, i, lambda rows: rows[i].__setitem__(key, value), (
+        f"{lst}[{i}].{key}: expected {want}, got {json.dumps(value)}"
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 80), seed=st.integers(0, 2**16), data=st.data())
+def test_a_corrupt_cell_is_named_by_its_row_and_field(n, seed, data):
+    # each list is checked a column at a time; the message is the per-row
+    # check's for the first bad row, also with a second bad row after it
+    fd = networks.random_radial(n, seed, shunt_prob=0.5, der_nodes=tuple(range(1, n + 1, 2)))
+    clean = feeder_to_dict(fd)
+    lst, i, corrupt, message = data.draw(_corruption(clean))
+    bad = json.loads(json.dumps(clean))
+    corrupt(bad[lst])
+    rows = len(clean[lst])
+    if i + 1 < rows and data.draw(st.booleans()):
+        later = data.draw(st.integers(i + 1, rows - 1))
+        bad[lst][later] = -0.5 if lst == "monitored_nodes" else "not a row"
+    with pytest.raises(FeederError) as err:
+        feeder_from_dict(bad)
+    assert str(err.value) == f"malformed feeder description: {message}"
+
+
+def test_a_clean_file_reads_as_the_per_value_conversions():
+    # bus ids stay Python ints; numbers, ints among them, read as float()
+    data = feeder_to_dict(networks.random_radial(30, 5, shunt_prob=0.5, der_nodes=(3, 9)))
+    data["lines"][4].update(r_pu=2, x_pu=-0.0)
+    del data["lines"][6]["b_shunt_pu"]
+    del data["der_nodes"][1]["s_rating_pu"]
+    fd = feeder_from_dict(data)
+    assert fd.z[4] == complex(2.0, -0.0) and math.copysign(1.0, fd.z[4].imag) == -1.0
+    assert fd.y_shunt[6] == 0j
+    assert fd.der_ratings[1] == 1.0 and type(fd.der_ratings[0]) is float
+    assert fd.terminals.tolist() == [[row["from"], row["to"]] for row in data["lines"]]
+    for k, row in enumerate(data["lines"]):
+        assert fd.z[k] == complex(float(row["r_pu"]), float(row["x_pu"]))

@@ -34,7 +34,7 @@ def test_no_load_profile_is_flat_without_shunts():
 
 def test_two_bus_linear_model_hand_values():
     lm = build_linear_model(build_admittance(networks.two_bus()), 1.0 + 0j)
-    R, B = lm.columns([0])
+    R, B = np.hsplit(lm.columns([0], [0]), 2)
     assert np.allclose(R, [[0.01]], atol=1e-15)
     assert np.allclose(B, [[0.01]], atol=1e-15)
     assert np.allclose(lm.a, [1.0], atol=1e-15)
@@ -78,7 +78,7 @@ def test_linear_model_is_derivative_at_no_load(fd):
     # every column of R and B against central differences of the AC solve
     n, v0 = fd.n_nodes, fd.slack_voltage
     adm = build_admittance(fd)
-    R, B = build_linear_model(adm, v0).columns(np.arange(n))
+    R, B = np.hsplit(build_linear_model(adm, v0).columns(np.arange(n), np.arange(n)), 2)
     h = 1e-4
 
     def mags(p, q):
@@ -113,7 +113,7 @@ def test_linear_model_ignores_the_reference_angle(fd, angle):
     ref = build_linear_model(build_admittance(fd), fd.slack_voltage)
     turned = _rotated(fd, angle)
     lm = build_linear_model(build_admittance(turned), turned.slack_voltage)
-    for got, want in zip(lm.columns(idx) + (lm.a,), ref.columns(idx) + (ref.a,)):
+    for got, want in ((lm.columns(idx, idx), ref.columns(idx, idx)), (lm.a, ref.a)):
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -232,7 +232,6 @@ def test_constraint_offsets_consistent_with_full_model():
     # DER off, so the coupling form r P + b Q + c equals the feeder-wide
     # prediction with loads netted in, at the monitored rows; one load row,
     # or K rows from one solve
-    from opftrack.controller import VoltageCoupling
     from opftrack.sim import compile_feeder
 
     fd = networks.feeder36()
@@ -256,7 +255,7 @@ def test_constraint_offsets_consistent_with_full_model():
             p_net[der] += u[:, 0]
             q_net[der] += u[:, 1]
             full = predict_voltage_magnitude(lm, PowerInjection(p_net, q_net))
-            via_coupling = VoltageCoupling(coup.r, coup.b, c_row).predict(u)
+            via_coupling = replace(coup, c=c_row).predict(u)
             assert np.allclose(via_coupling, full[mon], rtol=0.0, atol=1e-12)
 
     with pytest.raises(ValueError, match="one entry per"):
@@ -268,3 +267,26 @@ def test_linear_model_requires_nonzero_profile():
     assert isinstance(lm, LinearModel)
     with pytest.raises(ValueError, match="zero-magnitude"):
         build_linear_model(build_admittance(networks.two_bus()), 0j)
+
+
+@pytest.mark.parametrize("n_der", [1, 31, 32, 33, 65])
+def test_columns_are_the_response_to_unit_injections(n_der):
+    # blocks of SOLVE_BLOCK = 32 right-hand sides, unsorted DER and metered
+    # sets, a slack off the real axis
+    fd = networks.random_radial(90, 11, shunt_prob=0.3)
+    lm = build_linear_model(build_admittance(fd), cmath.rect(1.02, 0.4))
+    rng = np.random.default_rng(n_der)
+    n = fd.n_nodes
+    idx, rows = rng.permutation(n)[:n_der], rng.permutation(n)[:37]
+    r, b = np.hsplit(lm.columns(idx, rows), 2)
+    unit = np.zeros((n, n_der))
+    unit[idx, np.arange(n_der)] = 1.0
+    assert np.array_equal(r, lm.response(unit, np.zeros_like(unit))[rows])
+    # B is the imaginary part of the same solves, as one N x n_der solve
+    # gives it; the response to unit reactive injections solves -j times
+    # those right-hand sides, which rounds differently in the last place
+    rhs = unit * lm.ebar[:, None]
+    h = (np.conj(lm.ebar) * lm.a)[:, None] * lm.adm.solve(rhs)
+    assert np.array_equal(r, h.real[rows]) and np.array_equal(b, h.imag[rows])
+    want = lm.response(np.zeros_like(unit), unit)[rows]
+    assert np.max(np.abs(b - want)) <= 1e-15 * np.max(np.abs(want))

@@ -793,3 +793,31 @@ def test_over_rated_scenario_warns_once_per_report():
         warnings.simplefilter("always")
         measure_tracking(net, over, inv, PARAMS, traj, decimation=5)
     assert [str(w.message).endswith("clipped to the rating") for w in caught] == [True]
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        # the first bad row is named, whichever fault a later row has
+        ("1,2,3\n4,abc,6\n7,8\n", "row 2: could not convert string to float: 'abc'"),
+        ("1,2,3\n4,5\n7,x,9\n", "row 2 has 2 columns, expected 3"),
+        ("1,2,3,4\n5,6,7,8\n", "row 1 has 4 columns, expected 3"),
+        ("1,2,3\n\n4,5,0x10\n", "row 2: could not convert string to float: '0x10'"),
+    ],
+)
+def test_rows_reader_names_the_first_bad_row(tmp_path, body, message):
+    path = tmp_path / "rows.csv"
+    path.write_text("a,b,c\n" + body, encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        sim._read_rows(str(path), ["a", "b", "c"], "test")
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_rows_reader_reads_a_cell_as_float_does(tmp_path):
+    cells = ["1_0", " 2.5 ", "nan", "-Infinity", "1e400", "+.5", "5e-324", "-0.0", "١٢"]
+    path = tmp_path / "rows.csv"
+    path.write_text("a,b,c\n" + "\n".join(",".join(cells[k:k + 3]) for k in (0, 3, 6)) + "\n",
+                    encoding="utf-8")
+    got = sim._read_rows(str(path), ["a", "b", "c"], "test")
+    want = np.asarray([float(c) for c in cells]).reshape(3, 3)
+    assert got.tobytes() == want.tobytes()
