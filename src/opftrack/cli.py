@@ -251,13 +251,9 @@ def _load_run(
     return cfg, net, scen, Inverters(cfg.region_kind, feeder.der_ratings, c_p, c_q)
 
 
-def _json_bytes(obj: dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
 def _emit_json(obj: dict, path: str | None) -> None:
     """``obj`` as JSON into the file ``path``, or on stdout without one."""
-    text = _json_bytes(obj)
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -330,8 +326,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
         summary["tracking"] = rep.to_dict()
     summary_path = os.path.join(cfg.output_dir, "summary.json")
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        fh.write(_json_bytes(summary))
+    _emit_json(summary, summary_path)
     print(f"trajectory -> {traj_path}")
     print(f"summary    -> {summary_path}")
     print(f"final max_violation = {traj.max_violation[-1]:.6e}")

@@ -268,10 +268,6 @@ class VoltageCoupling:
         object.__setattr__(self, "b", rb[:, rb.shape[1] // 2 :])
 
     @property
-    def n_monitored(self) -> int:
-        return self.rb.shape[0]
-
-    @property
     def n_der(self) -> int:
         return self.r.shape[1]
 
@@ -516,12 +512,10 @@ def solve_saddle_oracle(
     n = problem.coupling.n_der
     u0 = np.column_stack([pav, np.zeros(n)]) if u0 is None else np.asarray(u0, float)
 
-    # sensitivities and curvature in the order of u.ravel(): P_0, Q_0, P_1, ...;
+    # sensitivities and curvature in the coupling's order: P_0..P_{n-1}, then Q;
     # the Frobenius norm of a bounds its spectral norm in lip, with no eigensolve
-    a = np.empty((problem.coupling.n_monitored, 2 * n))
-    a[:, 0::2] = problem.coupling.r
-    a[:, 1::2] = problem.coupling.b
-    h_cost = np.column_stack([2.0 * inv.c_p + prm.nu, 2.0 * inv.c_q + prm.nu]).ravel()
+    a = problem.coupling.rb
+    h_cost = np.concatenate([2.0 * inv.c_p + prm.nu, 2.0 * inv.c_q + prm.nu])
     lip = h_cost.max() + float(np.sum(a * a)) / prm.epsilon
 
     der = np.arange(n)
@@ -531,15 +525,16 @@ def solve_saddle_oracle(
     while cur.res > tol:
         if its == max_iter:
             raise OracleError(f"saddle oracle: no convergence in {max_iter} iterations")
-        # Newton step on r(u) = 0 with r' = I - D (I - H / lip), D the block
-        # diagonal of the projection Jacobians and H the generalized Hessian
-        d_proj = np.zeros((n, 2, n, 2))
-        d_proj[der, :, der, :] = cur.jac.reshape(n, 2, 2)  # block diagonal
+        # Newton step on r(u) = 0 with r' = I - D (I - H / lip), D the
+        # projection Jacobians (DER k's 2 x 2 block at rows and columns k,
+        # n + k) and H the generalized Hessian
+        d_proj = np.zeros((2, n, 2, n))
+        d_proj[:, der, :, der] = cur.jac.reshape(n, 2, 2)
         d_proj = d_proj.reshape(2 * n, 2 * n)
         a_act = a[cur.duals.mu != cur.duals.gamma]  # rows of the violated limits
         hess = np.diag(h_cost) + (a_act.T @ a_act) / prm.epsilon
         jac_r = np.eye(2 * n) - d_proj + d_proj @ hess / lip
-        step = np.linalg.solve(jac_r, -cur.r.ravel()).reshape(n, 2)
+        step = np.linalg.solve(jac_r, -cur.r.T.ravel()).reshape(2, n).T
         # backtracking on F along x(t) = proj(u - r + t (step + r)), t = 1,
         # 1/2, ..., _MIN_STEP, 0; a trial point costs only F and its duals
         t = 1.0

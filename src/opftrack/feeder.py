@@ -9,6 +9,7 @@ and every computation are in pu, and no base power is carried.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import json
 import math
 from collections.abc import Callable, Iterator
@@ -157,9 +158,11 @@ def validate_feeder(feeder: FeederModel) -> list[str]:
     loop = ~outside & (t[:, 0] == t[:, 1])
     zero = ~outside & ~loop & (feeder.z == 0)
     usable = ~(outside | loop | zero)
+    # the usable lines' buses renumbered 0..m-1, so no array is sized by n;
     # a corridor's first usable line is kept, every later one is a duplicate
-    edges = t[usable]
-    corridor = edges.min(axis=1) * (n + 1) + edges.max(axis=1)
+    buses, edges = np.unique(t[usable], return_inverse=True)
+    edges, m = edges.reshape(-1, 2), len(buses)
+    corridor = edges.min(axis=1) * m + edges.max(axis=1)
     _, first = np.unique(corridor, return_index=True)
     dup = usable.copy()
     dup[np.flatnonzero(usable)[first]] = False
@@ -175,12 +178,13 @@ def validate_feeder(feeder: FeederModel) -> list[str]:
             diags.append(f"duplicate line corridor ({min(a, b)},{max(a, b)})")
 
     # islands: strong components of every corridor taken once each way, which
-    # skip the undirected search's transpose (a repeated entry hangs scipy's)
+    # skip the undirected search's transpose (a repeated entry hangs scipy's),
+    # and one more per bus no usable line touches
     ends = np.concatenate([edges[first], edges[first, ::-1]])
     ends = ends[np.argsort(ends[:, 0])]
-    indptr = np.searchsorted(ends[:, 0], np.arange(n + 2))
-    graph = sp.csr_matrix((np.ones(len(ends)), ends[:, 1], indptr), shape=(n + 1, n + 1))
-    n_comp = connected_components(graph, connection="strong", return_labels=False)
+    indptr = np.searchsorted(ends[:, 0], np.arange(m + 1))
+    graph = sp.csr_matrix((np.ones(len(ends)), ends[:, 1], indptr), shape=(m, m))
+    n_comp = connected_components(graph, connection="strong", return_labels=False) + n + 1 - m
     if n_comp != 1:
         diags.append(f"disconnected: {n_comp} components over buses 0..{n}")
 
@@ -293,13 +297,8 @@ def _inverse_norm1(lu: SuperLU, n: int) -> float:
 # ---------------------------------------------------------------------------
 # feeder description files (JSON, strict keys)
 
-_TOP_KEYS = {
-    "n_nodes",
-    "slack",
-    "lines",
-    "der_nodes",
-    "monitored_nodes",
-}
+_TOP_REQUIRED = ("n_nodes", "lines", "der_nodes", "monitored_nodes")
+_TOP_KEYS = {*_TOP_REQUIRED, "slack"}
 _SLACK_KEYS = {"magnitude_pu", "angle_deg"}
 
 
@@ -322,17 +321,20 @@ def _list(value: object, where: str) -> list:
 
 
 def _int(value: object, where: str, i: int = 0) -> int:
-    """A JSON integer (a boolean is not one); ``where.format(i)`` names it."""
+    """A JSON integer in the int64 range (a boolean is not one); ``where.format(i)`` names it."""
     if type(value) is not int:
         raise TypeError(f"{where.format(i)}: expected an integer, got {json.dumps(value)}")
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{where.format(i)}: {value} is outside the int64 range")
     return value
 
 
 def _number(value: object, where: str, i: int = 0) -> float:
     """A finite JSON number (a boolean is not one); ``where.format(i)`` names it."""
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise TypeError(f"{where.format(i)}: expected a finite number, got {json.dumps(value)}")
-    return float(value)
+    with contextlib.suppress(OverflowError):  # an integer beyond the float range
+        if type(value) in (int, float) and math.isfinite(value):
+            return float(value)
+    raise TypeError(f"{where.format(i)}: expected a finite number, got {json.dumps(value)}")
 
 
 # the fields of a list's objects in checking order: key, check, and the
@@ -345,26 +347,21 @@ _LINE_FIELDS = (
     ("b_shunt_pu", _number, 0.0),
 )
 _DER_FIELDS = (("node", _int, None), ("s_rating_pu", _number, 1.0))
-_LINE_KEYS = {key for key, _, _ in _LINE_FIELDS}
-_DER_KEYS = {key for key, _, _ in _DER_FIELDS}
 
 
 class _Rejected(ValueError):
     """A column failed its check as a whole."""
 
 
-def _column(values: list, check: Callable) -> list | np.ndarray:
-    # the whole-column form of _int (the list itself) or _number (a float
+def _column(values: list, check: Callable) -> np.ndarray:
+    # the whole-column form of _int (an int64 array) or _number (a float
     # array); _Rejected if any value would fail the per-value check
-    types = set(map(type, values))
-    if check is _int and types <= {int}:
-        return values
-    if check is _number and types <= {int, float}:
+    if set(map(type, values)) <= ({int} if check is _int else {int, float}):
         try:
-            col = np.array(values, dtype=float)
-        except OverflowError:  # an integer beyond the float range
+            col = np.array(values, dtype=np.int64 if check is _int else float)
+        except OverflowError:  # an integer beyond int64 or the float range
             raise _Rejected from None
-        if np.isfinite(col).all():
+        if check is _int or np.isfinite(col).all():
             return col
     raise _Rejected
 
@@ -372,9 +369,10 @@ def _column(values: list, check: Callable) -> list | np.ndarray:
 def _object_columns(rows: list, fields: tuple, where: str) -> list:
     """One checked column per field of the objects ``rows`` (see :func:`_column`).
 
-    Types, keys and finiteness are checked a whole column at a time. If a
-    column fails, the per-row checks run from the first row on and raise at
-    the first bad row, with the message naming that row and field.
+    Types, keys, ranges and finiteness are checked a whole column at a
+    time. If a column fails, the per-row checks run from the first row on
+    and raise at the first bad row, with the message naming that row and
+    field.
     """
     keys = {key for key, _, _ in fields}
     try:
@@ -393,21 +391,25 @@ def _object_columns(rows: list, fields: tuple, where: str) -> list:
         for i, row in enumerate(rows):
             _object(row, keys, f"{where}[{i}]")
             for key, check, default in fields:
-                value = row[key] if default is None else row.get(key, default)
-                check(value, f"{where}[{{}}].{key}", i)
+                if default is None and key not in row:
+                    raise ValueError(f"missing required key {key!r} in {where}[{i}]")
+                check(row.get(key, default), f"{where}[{{}}].{key}", i)
         raise
 
 
 def feeder_from_dict(data: dict) -> FeederModel:
     """Build a :class:`FeederModel` from the documented mapping.
 
-    Rejects unknown keys, containers of the wrong JSON type, bus ids that
-    are not JSON integers and electrical values that are not finite JSON
-    numbers. Each list is checked a column at a time; a failure is named by
+    Rejects unknown or missing keys, containers of the wrong JSON type, bus
+    ids that are not JSON integers in the int64 range and electrical values
+    that are not finite JSON numbers. Each list is checked a column at a time; a failure is named by
     its first bad row, as the per-row checks would name it.
     """
     _object(data, _TOP_KEYS, "feeder description")
     try:
+        for key in _TOP_REQUIRED:
+            if key not in data:
+                raise ValueError(f"missing required key {key!r} in feeder description")
         n_nodes = _int(data["n_nodes"], "n_nodes")
         slack = _object(data.get("slack", {}), _SLACK_KEYS, "slack")
         v0_mag = _number(slack.get("magnitude_pu", 1.0), "slack.magnitude_pu")
@@ -426,7 +428,7 @@ def feeder_from_dict(data: dict) -> FeederModel:
         der_nodes, ratings = _object_columns(ders, _DER_FIELDS, "der_nodes")
         monitored = _list(data["monitored_nodes"], "monitored_nodes")
         try:
-            _column(monitored, _int)
+            monitored = _column(monitored, _int)
         except _Rejected:
             for i, m in enumerate(monitored):
                 _int(m, "monitored_nodes[{}]", i)
@@ -441,7 +443,7 @@ def feeder_from_dict(data: dict) -> FeederModel:
             der_ratings=ratings.tolist(),
             slack_voltage=v0,
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise FeederError(f"malformed feeder description: {exc}") from exc
 
 

@@ -38,10 +38,6 @@ COLLAPSE_HI = 3.0
 class PowerFlowError(RuntimeError):
     """Fixed-point iteration failed to converge."""
 
-    def __init__(self, message: str, residual: float = float("nan")):
-        super().__init__(message)
-        self.residual = residual
-
 
 class VoltageCollapseError(PowerFlowError):
     """Iterates left the physically meaningful magnitude band."""
@@ -201,16 +197,12 @@ def solve_ac(
         v, v_prev = adm.solve(np.conj(s / v) - yv0), v
         if not in_band(v):
             raise VoltageCollapseError(
-                f"collapse: |v| outside [{COLLAPSE_LO}, {COLLAPSE_HI}] at iteration {it}",
-                residual,
+                f"collapse: |v| outside [{COLLAPSE_LO}, {COLLAPSE_HI}] at iteration {it}"
             )
         residual = float(np.abs(s * (v / v_prev - 1.0)).max())
         if residual <= tol:
             return PFSolution(v, it, residual)
-    raise PowerFlowError(
-        f"no convergence after {max_iter} iterations, residual {residual:.3e}",
-        residual,
-    )
+    raise PowerFlowError(f"no convergence after {max_iter} iterations, residual {residual:.3e}")
 
 
 def in_band(v: np.ndarray) -> bool:

@@ -557,7 +557,7 @@ def run_closed_loop(
             try:
                 sol = solve_ac(net.lm.adm, inj, v0, init=_ac_start(v_last, net.lm.vbar))
             except PowerFlowError as exc:  # the same error, naming the step
-                raise type(exc)(f"step {k}: {exc}", exc.residual) from exc
+                raise type(exc)(f"step {k}: {exc}") from exc
             v_last = [sol.v, *v_last[:2]]
             v_mag = np.abs(sol.v)
             pf_residual[k] = sol.residual

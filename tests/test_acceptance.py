@@ -446,7 +446,7 @@ def test_a8_gradients_match_finite_differences():
         n = int(rng.integers(3, 11))
         fd = networks.random_radial(n, seed=200 + inst)
         coupling = compile_feeder(fd).coupling
-        g, m = coupling.n_der, coupling.n_monitored
+        g, m = coupling.n_der, coupling.rb.shape[0]
         u = rng.normal(0.0, 0.5, (g, 2))
         duals = DualState(rng.uniform(0.0, 2.0, m), rng.uniform(0.0, 2.0, m))
         pl = rng.uniform(-0.05, 0.05, g)

@@ -500,7 +500,7 @@ def _penalty_instance():
     # both limits are violated at different metered buses
     fd = networks.feeder36()
     coupling = compile_feeder(fd).coupling
-    m = coupling.n_monitored
+    m = coupling.rb.shape[0]
     c = np.where(np.arange(m) % 2 == 0, 0.90, 1.10)
     rng = np.random.default_rng(11)
     w = rng.uniform(0.5, 3.0, (18, 2))
@@ -592,7 +592,7 @@ def test_coupling_slicing_and_validation():
     fd = networks.feeder36()
     net = compile_feeder(fd)
     coup, lm = net.coupling, net.lm
-    assert coup.n_monitored == 10 and coup.n_der == 18
+    assert coup.rb.shape[0] == 10 and coup.n_der == 18
     mi, di = fd.monitored_indices(), fd.der_indices()
     R, B = np.hsplit(lm.columns(np.arange(fd.n_nodes), np.arange(fd.n_nodes)), 2)
     assert coup.r[3, 5] == R[mi[3], di[5]]

@@ -1,6 +1,8 @@
 import json
 import math
+import sys
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,6 +16,9 @@ from opftrack import cli, networks
 from opftrack.feeder import (
     FeederError,
     FeederModel,
+    _column,
+    _int,
+    _number,
     build_admittance,
     feeder_from_dict,
     feeder_to_dict,
@@ -259,6 +264,35 @@ FEEDER36 = Path(__file__).resolve().parents[1] / "data" / "feeder36.json"
         (lambda d: d["lines"].__setitem__(0, [0, 1]), "lines[0]: expected an object, got [0, 1]"),
         (lambda d: d.update(monitored_nodes="12"),
          'monitored_nodes: expected a list, got "12"'),
+        # bus ids are int64: a column beyond it is named by its first bad row
+        (lambda d: d["lines"][3].update({"from": 2**70}),
+         f"lines[3].from: {2**70} is outside the int64 range"),
+        (lambda d: d["lines"][5].update(to=-(2**63) - 1),
+         f"lines[5].to: {-(2**63) - 1} is outside the int64 range"),
+        (lambda d: d["der_nodes"][2].update(node=2**63),
+         f"der_nodes[2].node: {2**63} is outside the int64 range"),
+        (lambda d: d["monitored_nodes"].__setitem__(1, 2**64),
+         f"monitored_nodes[1]: {2**64} is outside the int64 range"),
+        (lambda d: d.update(n_nodes=2**63), f"n_nodes: {2**63} is outside the int64 range"),
+        # an integer beyond the float range is not a finite number
+        *[
+            pytest.param(
+                lambda d, row=row, key=key: row(d).update({key: -(2**1100)}),
+                f"{where}.{key}: expected a finite number, got {-(2**1100)}",
+                id=f"{where}.{key}: -2**1100",
+            )
+            for where, row, keys in [
+                ("lines[3]", lambda d: d["lines"][3], ("r_pu", "x_pu", "b_shunt_pu")),
+                ("der_nodes[4]", lambda d: d["der_nodes"][4], ("s_rating_pu",)),
+                ("slack", lambda d: d["slack"], ("magnitude_pu", "angle_deg")),
+            ]
+            for key in keys
+        ],
+        # a missing key is named with the object that lacks it
+        (lambda d: d["lines"][3].pop("x_pu"), "missing required key 'x_pu' in lines[3]"),
+        (lambda d: d["der_nodes"][0].pop("node"), "missing required key 'node' in der_nodes[0]"),
+        (lambda d: d.pop("monitored_nodes"),
+         "missing required key 'monitored_nodes' in feeder description"),
     ],
 )
 def test_validate_rejects_wrong_types_and_values(tmp_path, capsys, mutate, fragment):
@@ -270,6 +304,38 @@ def test_validate_rejects_wrong_types_and_values(tmp_path, capsys, mutate, fragm
     out, err = capsys.readouterr()
     lines = (out + err).strip().splitlines()
     assert len(lines) == 1 and fragment in lines[0] and str(path) in lines[0], lines
+
+
+_FLOAT_MAX = int(sys.float_info.max)
+# values at the edges of int64 and of the float range (float() rounds the
+# integers below max + half an ulp to max), and of the wrong type
+_EDGE_VALUES = {
+    "int64_max": 2**63 - 1,
+    "int64_max+1": 2**63,
+    "int64_min": -(2**63),
+    "int64_min-1": -(2**63) - 1,
+    "float_max": _FLOAT_MAX,
+    "float_max+half_ulp": _FLOAT_MAX + 2**969,
+    "float_max+ulp": _FLOAT_MAX + 2**970,
+    "-2**1024": -(2**1024),
+    "2**1100": 2**1100,
+    "1.5": 1.5,
+    "inf": math.inf,
+    "true": True,
+}
+
+
+@pytest.mark.parametrize("value", list(_EDGE_VALUES.values()), ids=list(_EDGE_VALUES))
+@pytest.mark.parametrize("check", [_int, _number])
+def test_a_column_rejects_what_its_per_value_check_rejects(value, check):
+    def fails(run):
+        try:
+            run()
+        except (TypeError, ValueError):
+            return True
+        return False
+
+    assert fails(lambda: _column([0, value, 1], check)) == fails(lambda: check(value, "x"))
 
 
 def test_shipped_feeder36_file_is_networks_feeder36():
@@ -321,6 +387,20 @@ def test_a_zero_impedance_line_connects_nothing():
         "line (1,2) has zero series impedance",
         "disconnected: 2 components over buses 0..2",
     ]
+
+
+def test_connectivity_is_counted_over_the_buses_the_lines_touch():
+    # every bus no line reaches is one component, and nothing is sized by n_nodes
+    fd = networks.feeder36()
+    for n in (10**6, 2**62, 2**63 - 1):
+        tracemalloc.start()
+        try:
+            diags = validate_feeder(replace(fd, n_nodes=n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert diags == [f"disconnected: {n - 35} components over buses 0..{n}"]
+        assert peak < 1e6, peak
 
 
 def test_line_arrays_must_agree_in_length():
@@ -391,7 +471,9 @@ def _corruption(draw, data):
         )
     if kind == "missing":
         key = draw(st.sampled_from(_REQUIRED[lst]))
-        return lst, i, lambda rows: rows[i].pop(key), repr(key)
+        return lst, i, lambda rows: rows[i].pop(key), (
+            f"missing required key {key!r} in {lst}[{i}]"
+        )
     fields = _FIELDS[lst]
     numbers = [k for k, t in fields.items() if t == "num"]
     key = draw(st.sampled_from(numbers if kind == "non_finite" else list(fields)))

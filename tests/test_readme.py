@@ -64,5 +64,5 @@ def test_feeder_json_paragraph_names_the_keys_the_loader_accepts():
     }
     assert set(named) == feeder._TOP_KEYS
     assert named["slack"] == feeder._SLACK_KEYS
-    assert named["lines"] == feeder._LINE_KEYS
-    assert named["der_nodes"] == feeder._DER_KEYS
+    assert named["lines"] == {key for key, _, _ in feeder._LINE_FIELDS}
+    assert named["der_nodes"] == {key for key, _, _ in feeder._DER_FIELDS}
