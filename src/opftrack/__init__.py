@@ -18,6 +18,7 @@ from .controller import (
     OracleError,
     SaddleProblem,
     SaddleSolution,
+    StepMap,
     VoltageCoupling,
     convergence_constants,
     dual_step_feedback,
@@ -40,7 +41,6 @@ from .powerflow import (
     LinearModel,
     PFSolution,
     PowerFlowError,
-    PowerInjection,
     VoltageCollapseError,
     build_linear_model,
     constraint_offsets,

@@ -194,7 +194,7 @@ def load_config(path: str, flags: argparse.Namespace | None = None) -> RunConfig
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or a number json cannot convert
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
@@ -301,6 +301,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     traj_path = os.path.join(cfg.output_dir, "trajectory.csv")
     write_trajectory(traj, net.feeder, scen, traj_path)
 
+    worst = int(np.argmax(traj.max_violation))  # the first step of the run's largest excursion
+
     summary: dict = {
         "seed": cfg.seed,
         "strategy": cfg.strategy,
@@ -311,12 +313,17 @@ def cmd_run(args: argparse.Namespace) -> int:
         "mean_cost_tail": float(np.mean(traj.cost[traj.tail_start:])),
         "final_max_violation": float(traj.max_violation[-1]),
         "max_violation_tail": float(np.max(traj.max_violation[traj.tail_start:])),
+        "max_violation_run": float(traj.max_violation[worst]),
+        "max_violation_run_step": worst,
+        "steps_outside_band": int(np.count_nonzero(traj.max_violation > 0.0)),
+        "violation_integral_pu_s": scen.tau * math.fsum(traj.max_violation),
         "constants": asdict(consts),
         "alpha": alpha,
         "alpha_condition_satisfied": bool(0.0 < alpha < consts.alpha_max),
         "solver": {
             "pf_iterations_total": int(traj.pf_iterations.sum()),
             "pf_iterations_max": int(traj.pf_iterations.max()),
+            "pf_residual_max": float(traj.pf_residual.max()),
         },
     }
     if cfg.strategy == "pursuit" and cfg.report:

@@ -29,6 +29,7 @@ __all__ = [
     "ControllerParams",
     "DualState",
     "VoltageCoupling",
+    "StepMap",
     "ConvergenceConstants",
     "SaddleProblem",
     "SaddleSolution",
@@ -91,13 +92,16 @@ class Inverters:
     - ``joint``:          {(P, Q) : 0 <= P <= p_av, P^2 + Q^2 <= S^2}
 
     and DER i costs ``c_p[i] (p_av - P)^2 + c_q[i] Q^2``. Availability varies
-    by step, so it is passed to each call.
+    by step, so it is passed to each call. ``m2c`` holds ``[-2 c_p, -2 c_q]``
+    per DER, the cost gradient's slopes, and ``s2`` the squared ratings.
     """
 
     kind: str
     s_rating: np.ndarray
     c_p: np.ndarray
     c_q: np.ndarray
+    m2c: np.ndarray = field(init=False, repr=False, compare=False)
+    s2: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in REGION_KINDS:
@@ -113,6 +117,8 @@ class Inverters:
             raise ValueError("s_rating must be positive")
         if np.any(self.c_p < 0) or np.any(self.c_q < 0):
             raise ValueError("cost weights must be nonnegative")
+        object.__setattr__(self, "m2c", np.column_stack([-2.0 * self.c_p, -2.0 * self.c_q]))
+        object.__setattr__(self, "s2", self.s_rating * self.s_rating)
 
     @property
     def n_der(self) -> int:
@@ -144,9 +150,22 @@ class Inverters:
             np.maximum(np.float_power(self.s_rating, 2) - np.float_power(p_av, 2), 0.0)
         )
 
+    def q_cap(self, p_av: np.ndarray) -> np.ndarray:
+        """The region's largest |Q| at P = ``p_av`` (..., n_der), as the projection reads it.
+
+        The joint chord ``sqrt(S^2 - p_av^2)``, the reactive-only
+        :meth:`headroom`, and 0 for ``real_only``, which holds Q at 0.
+        """
+        p_av = np.asarray(p_av, dtype=float)
+        if self.kind == "joint":
+            return np.sqrt(np.maximum(self.s2 - p_av * p_av, 0.0))
+        if self.kind == "reactive_only":
+            return self.headroom(p_av)
+        return np.zeros_like(p_av)
+
     def project(self, u: np.ndarray, p_av: np.ndarray) -> np.ndarray:
         """Euclidean projection of setpoints ``u`` (n_der, 2) onto the regions at ``p_av``."""
-        return self._project(u, p_av, with_jacobian=False)[0]
+        return self._project(u, p_av, self.q_cap(p_av), with_jacobian=False)[0]
 
     def project_jacobian(
         self, u: np.ndarray, p_av: np.ndarray
@@ -157,57 +176,63 @@ class Inverters:
         Boundaries are resolved with ``<=``, so every point falls in exactly
         one case and neighbouring cases agree on their common boundary.
         """
-        return self._project(u, p_av, with_jacobian=True)
+        return self._project(u, p_av, self.q_cap(p_av), with_jacobian=True)
 
     def _project(
-        self, u: np.ndarray, p_av: np.ndarray, with_jacobian: bool
+        self, u: np.ndarray, p_av: np.ndarray, cap: np.ndarray, with_jacobian: bool
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        # one case analysis for both projections; the Jacobian rows are
-        # formed only when asked for, after the setpoints
+        # one case analysis for both projections, at availability p_av and its
+        # q_cap; the Jacobian rows are formed only when asked for, after the
+        # setpoints
         p, q = u[:, 0], u[:, 1]
         if self.kind == "real_only":
-            p_out = np.where(p <= 0.0, 0.0, np.minimum(p, p_av))
-            out = np.column_stack([p_out, np.zeros_like(p)])
+            out = np.empty(u.shape)
+            out[:, 0] = np.where(p <= 0.0, 0.0, np.minimum(p, p_av))
+            out[:, 1] = 0.0
             if not with_jacobian:
                 return out, None
             jac = np.zeros((len(u), 4))
             jac[:, 0] = (p > 0.0) & (p < p_av)
             return out, jac
         if self.kind == "reactive_only":
-            cap = self.headroom(p_av)
-            out = np.column_stack([np.broadcast_to(p_av, p.shape), _clamp(q, cap)])
+            out = np.empty(u.shape)
+            out[:, 0] = p_av
+            out[:, 1] = _clamp(q, cap)
             if not with_jacobian:
                 return out, None
             jac = np.zeros((len(u), 4))
             jac[:, 3] = (q < cap) & (q > -cap)  # Q free of the clamp
             return out, jac
-        # joint: the strip 0 <= P <= p_av cut by the rating disk. Left of the
-        # strip, Q is clamped on the P = 0 face; inside the disk beyond the
-        # strip, on the chord P = p_av; outside the disk, the radial
-        # projection onto the arc holds unless it lands beyond the chord.
+        # joint: the strip 0 <= P <= p_av cut by the rating disk. A point
+        # right of P = 0 keeps its radial scaling by s / max(r, s), exactly 1
+        # inside the disk, unless that lands beyond the chord P = p_av; every
+        # other point has Q clamped on its face: P = 0 left of the strip, the
+        # chord beyond it. In a closed loop most steps keep every point.
         s = self.s_rating
-        left = p <= 0.0
-        r = np.where(left, s, np.hypot(p, q))  # r = 0 only on the left face
-        # the radial scale, used only outside the disk: inside it s / r could
-        # overflow (r subnormal)
-        scale = np.divide(s, r, out=np.ones_like(r), where=r > s)
-        p_arc = p * scale
-        inside = r <= s  # left points included
-        member = inside & (p <= p_av) & ~left
-        arc = ~inside & (p_arc <= p_av)
-        face_cap = np.where(left, s, np.sqrt(np.maximum(s * s - p_av * p_av, 0.0)))
-        out = np.empty_like(u)
-        out[:, 0] = np.where(member, p, np.where(arc, p_arc, np.where(left, 0.0, p_av)))
-        out[:, 1] = np.where(member, q, np.where(arc, q * scale, _clamp(q, face_cap)))
+        r = np.hypot(p, q)
+        # never s / r for r <= s, where a subnormal r would overflow
+        scale = s / np.maximum(r, s)
+        out = u * scale[:, None]
+        keep = (p > 0.0) & (out[:, 0] <= p_av)  # a NaN fails both tests
+        if not keep.all():
+            left = p <= 0.0
+            face = np.where(left, s, cap)
+            out[:, 0] = np.where(keep, out[:, 0], np.where(left, 0.0, p_av))
+            out[:, 1] = np.where(keep, out[:, 1], _clamp(q, face))
         if not with_jacobian:
             return out, None
         # on the arc the Jacobian (s/r)(I - n n^T) keeps the tangential
-        # direction, shrunk by the radial scale
-        n_p, n_q = p / r, q / r
+        # direction, shrunk by the radial scale; n is formed only there, so a
+        # left point at r = 0 divides nothing
+        arc = keep & (r > s)
+        member = keep & ~arc
+        face = np.where(p <= 0.0, s, cap)
+        n_p = np.divide(p, r, out=np.zeros_like(r), where=arc)
+        n_q = np.divide(q, r, out=np.zeros_like(r), where=arc)
         jac = np.empty((len(u), 4))
         jac[:, 0] = np.where(arc, scale * n_q * n_q, member)
         jac[:, 1] = jac[:, 2] = np.where(arc, -scale * n_p * n_q, 0.0)
-        jac[:, 3] = np.where(arc, scale * n_p * n_p, member | ((q < face_cap) & (q > -face_cap)))
+        jac[:, 3] = np.where(arc, scale * n_p * n_p, member | ((q < face) & (q > -face)))
         return out, jac
 
 
@@ -217,26 +242,44 @@ def _clamp(q: np.ndarray, cap: np.ndarray) -> np.ndarray:
     return np.where(q >= cap, cap, np.maximum(q, -cap))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DualState:
-    """Multipliers of the lower/upper voltage limits, one pair per metered bus."""
+    """Multipliers of the lower/upper voltage limits, one pair per metered bus.
 
-    gamma: np.ndarray
-    mu: np.ndarray
+    Held as one stacked array ``[gamma; mu]`` (2 x M); ``gamma`` and ``mu``
+    are views of its rows. The constructor checks duals that come in from
+    outside; a step's own ``max(0, .)`` output needs no check.
+    """
 
-    def __post_init__(self) -> None:
-        g = np.asarray(self.gamma, dtype=float)
-        m = np.asarray(self.mu, dtype=float)
+    stacked: np.ndarray
+
+    def __init__(self, gamma: np.ndarray, mu: np.ndarray) -> None:
+        g = np.asarray(gamma, dtype=float)
+        m = np.asarray(mu, dtype=float)
         if g.shape != m.shape or g.ndim != 1:
             raise ValueError("gamma and mu must be 1-d arrays of equal length")
         if g.min(initial=0.0) < 0.0 or m.min(initial=0.0) < 0.0:
             raise ValueError("duals must be nonnegative")
-        object.__setattr__(self, "gamma", g)
-        object.__setattr__(self, "mu", m)
+        object.__setattr__(self, "stacked", np.stack([g, m]))
+
+    @property
+    def gamma(self) -> np.ndarray:
+        return self.stacked[0]
+
+    @property
+    def mu(self) -> np.ndarray:
+        return self.stacked[1]
 
     @classmethod
     def zeros(cls, m: int) -> "DualState":
-        return cls(np.zeros(m), np.zeros(m))
+        return cls._of(np.zeros((2, m)))
+
+    @classmethod
+    def _of(cls, stacked: np.ndarray) -> "DualState":
+        # the duals [gamma; mu] a step computed, taken as they are
+        duals = object.__new__(cls)
+        object.__setattr__(duals, "stacked", stacked)
+        return duals
 
 
 @dataclass(frozen=True)
@@ -276,51 +319,98 @@ class VoltageCoupling:
         return u[..., 0] @ self.r.T + u[..., 1] @ self.b.T + self.c
 
 
-def grad_primal(
-    u: np.ndarray,
-    duals: DualState,
-    inv: Inverters,
-    p_av: np.ndarray,
-    coupling: VoltageCoupling,
-    params: ControllerParams,
-) -> np.ndarray:
-    """Gradient of the regularized Lagrangian in the setpoints, one row per DER.
+# sign of y in the rows [gamma; mu] of the dual step: v_min - y and y - v_max
+_SIGMA = np.array([[-1.0], [1.0]])
+
+
+@dataclass(frozen=True)
+class StepMap:
+    """The projected primal-dual step map of a run, with one row per step.
+
+    Built once from what a run holds fixed (``inverters``; ``coupling``,
+    whose sensitivities ``r`` and ``b`` are read and not its offset;
+    ``params``) and its per-step inputs: the availability ``p_av`` (K x
+    n_der) as the regions use it (:meth:`Inverters.available`) and the
+    voltage band ``v_min``, ``v_max`` (K,). A single step may pass ``p_av``
+    (n_der,) and scalar limits, and is then step 0. Per step it keeps the
+    rows each step reads: ``pa0`` the points ``(p_av, 0)`` (K x n_der x 2)
+    the cost pulls toward, ``cap`` the region's Q cap at full output
+    (:meth:`Inverters.q_cap`) and ``band`` the limits ``[v_min; -v_max]``
+    (K x 2 x 1).
+    """
+
+    inverters: Inverters
+    coupling: VoltageCoupling
+    params: ControllerParams
+    p_av: np.ndarray
+    v_min: np.ndarray
+    v_max: np.ndarray
+    pa0: np.ndarray = field(init=False, repr=False, compare=False)
+    cap: np.ndarray = field(init=False, repr=False, compare=False)
+    band: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        p_av = np.atleast_2d(np.asarray(self.p_av, dtype=float))
+        v_min = np.atleast_1d(np.asarray(self.v_min, dtype=float))
+        v_max = np.atleast_1d(np.asarray(self.v_max, dtype=float))
+        n = self.inverters.n_der
+        if self.coupling.n_der != n or p_av.ndim != 2 or p_av.shape[1] != n:
+            raise ValueError("inverters, coupling and p_av must have one entry per DER")
+        if not v_min.shape == v_max.shape == (len(p_av),):
+            raise ValueError("v_min and v_max need one entry per p_av row")
+        pa0 = np.zeros(p_av.shape + (2,))
+        pa0[:, :, 0] = p_av
+        for name, value in (
+            ("p_av", p_av), ("v_min", v_min), ("v_max", v_max), ("pa0", pa0),
+            ("cap", self.inverters.q_cap(p_av)),
+            ("band", np.stack([v_min, -v_max], axis=1)[:, :, None]),
+        ):
+            object.__setattr__(self, name, value)
+
+    def project(self, k: int, u: np.ndarray) -> np.ndarray:
+        """:meth:`Inverters.project` of ``u`` onto step ``k``'s regions."""
+        return self.inverters._project(u, self.p_av[k], self.cap[k], with_jacobian=False)[0]
+
+    def project_jacobian(self, k: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`Inverters.project_jacobian` of ``u`` at step ``k``'s regions."""
+        return self.inverters._project(u, self.p_av[k], self.cap[k], with_jacobian=True)
+
+
+def grad_primal(u: np.ndarray, duals: DualState, step_map: StepMap, k: int) -> np.ndarray:
+    """Gradient of step ``k``'s regularized Lagrangian in the setpoints, one row per DER.
 
     Row i is ``(-2 c_p (P_av - P_i) + r_i^T (mu - gamma) + nu P_i,
-    2 c_q Q_i + b_i^T (mu - gamma) + nu Q_i)``.
+    2 c_q Q_i + b_i^T (mu - gamma) + nu Q_i)``, both columns formed at once
+    as ``[-2 c_p, -2 c_q] ((P_av, 0) - u_i) + [r_i, b_i]^T (mu - gamma) +
+    nu u_i``.
     """
     lam = duals.mu - duals.gamma
-    out = np.empty_like(u)
-    out[:, 0] = -2.0 * inv.c_p * (p_av - u[:, 0]) + coupling.r.T @ lam + params.nu * u[:, 0]
-    out[:, 1] = 2.0 * inv.c_q * u[:, 1] + coupling.b.T @ lam + params.nu * u[:, 1]
-    return out
+    coupling = step_map.coupling
+    back = np.empty(u.shape)
+    back[:, 0] = coupling.r.T @ lam
+    back[:, 1] = coupling.b.T @ lam
+    return step_map.inverters.m2c * (step_map.pa0[k] - u) + back + step_map.params.nu * u
 
 
 def dual_step_feedback(
-    duals: DualState, y: np.ndarray, v_min: float, v_max: float, params: ControllerParams
+    duals: DualState, y: np.ndarray, step_map: StepMap, k: int
 ) -> DualState:
-    """Projected dual ascent driven by metered magnitudes ``y``.
+    """Projected dual ascent at step ``k``, driven by metered magnitudes ``y``.
 
-    Fed the model prediction ``coupling.predict(u)`` in place of a
-    measurement, it is the model-based dual step.
+    Both limits in one update of ``[gamma; mu]``: ``max(0, d + alpha
+    (([v_min; -v_max] + [-y; y]) - eps d))``. Fed the model prediction
+    ``coupling.predict(u)`` in place of a measurement, it is the model-based
+    dual step.
     """
-    a, eps = params.alpha, params.epsilon
-    gamma = np.maximum(0.0, duals.gamma + a * (v_min - y - eps * duals.gamma))
-    mu = np.maximum(0.0, duals.mu + a * (y - v_max - eps * duals.mu))
-    return DualState(gamma, mu)
+    a, eps = step_map.params.alpha, step_map.params.epsilon
+    d = duals.stacked
+    return DualState._of(np.maximum(0.0, d + a * ((step_map.band[k] + _SIGMA * y) - eps * d)))
 
 
-def primal_step(
-    u: np.ndarray,
-    duals: DualState,
-    inv: Inverters,
-    p_av: np.ndarray,
-    coupling: VoltageCoupling,
-    params: ControllerParams,
-) -> np.ndarray:
-    """Projected gradient step on the setpoints, independently per DER."""
-    grad = grad_primal(u, duals, inv, p_av, coupling, params)
-    return inv.project(u - params.alpha * grad, p_av)
+def primal_step(u: np.ndarray, duals: DualState, step_map: StepMap, k: int) -> np.ndarray:
+    """Projected gradient step on the setpoints at step ``k``, independently per DER."""
+    grad = grad_primal(u, duals, step_map, k)
+    return step_map.project(k, u - step_map.params.alpha * grad)
 
 
 @dataclass(frozen=True)
@@ -386,7 +476,9 @@ class SaddleProblem:
     ``p_av`` is the availability as the regions use it (see
     :meth:`Inverters.available`), ``coupling`` the step's linear surrogate
     (its offset ``c`` carries the step's loads) and ``[v_min, v_max]`` the
-    voltage band.
+    voltage band. ``step_map`` is the problem's unit-step map ``T_1`` (the
+    :class:`StepMap` of its one step at ``alpha = 1``), which the oracle and
+    :func:`saddle_residual` step and project with.
     """
 
     inverters: Inverters
@@ -395,6 +487,7 @@ class SaddleProblem:
     v_min: float
     v_max: float
     params: ControllerParams
+    step_map: StepMap = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p_av", np.asarray(self.p_av, dtype=float))
@@ -403,6 +496,11 @@ class SaddleProblem:
             raise ValueError("inverters and p_av must match the coupling's DER count")
         if not self.v_min < self.v_max:
             raise ValueError("v_min must be below v_max")
+        unit = replace(self.params, alpha=1.0)
+        object.__setattr__(
+            self, "step_map",
+            StepMap(self.inverters, self.coupling, unit, self.p_av, self.v_min, self.v_max),
+        )
 
 
 @dataclass(frozen=True)
@@ -436,12 +534,11 @@ def _penalty_value(problem: SaddleProblem, u: np.ndarray) -> tuple[float, DualSt
 
 
 def _closed_form_duals(problem: SaddleProblem, u: np.ndarray) -> DualState:
-    # the maximizing duals: each limit's violation by the surrogate over eps
+    # the maximizing duals: each limit's violation by the surrogate over eps,
+    # [v_min - w; w - v_max] from the band row as in the dual step
     w = problem.coupling.predict(u)
-    eps = problem.params.epsilon
-    return DualState(
-        np.maximum(problem.v_min - w, 0.0) / eps, np.maximum(w - problem.v_max, 0.0) / eps
-    )
+    band = problem.step_map.band[0]
+    return DualState._of(np.maximum(band + _SIGMA * w, 0.0) / problem.params.epsilon)
 
 
 class _NewtonPoint(NamedTuple):
@@ -460,11 +557,11 @@ def _newton_point(
 ) -> _NewtonPoint:
     # the rest of an accepted point, from F(u) and its duals (_penalty_value):
     # grad F is the Lagrangian's gradient at those duals
-    inv, pav = problem.inverters, problem.p_av
-    grad = grad_primal(u, duals, inv, pav, problem.coupling, problem.params)
+    steps = problem.step_map
+    grad = grad_primal(u, duals, steps, 0)
     w = u - grad / lip
-    v, jac = inv.project_jacobian(w, pav)
-    res = float(np.linalg.norm(u - inv.project(u - grad, pav)))
+    v, jac = steps.project_jacobian(0, w)
+    res = float(np.linalg.norm(u - steps.project(0, u - grad)))
     # r = u - v summed as grad/lip + (w - v): as u - v, free DERs cancel to
     # |u| eps_mach, lip times that at the scale of the stop test
     return _NewtonPoint(u, f, duals, grad, jac, grad / lip + (w - v), res)
@@ -508,7 +605,7 @@ def solve_saddle_oracle(
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"oracle tolerance must be positive and finite, got {tol!r}")
-    inv, pav, prm = problem.inverters, problem.p_av, problem.params
+    inv, pav, prm, steps = problem.inverters, problem.p_av, problem.params, problem.step_map
     n = problem.coupling.n_der
     u0 = np.column_stack([pav, np.zeros(n)]) if u0 is None else np.asarray(u0, float)
 
@@ -519,7 +616,7 @@ def solve_saddle_oracle(
     lip = h_cost.max() + float(np.sum(a * a)) / prm.epsilon
 
     der = np.arange(n)
-    x = inv.project(u0, pav)
+    x = steps.project(0, u0)
     cur = _newton_point(problem, x, *_penalty_value(problem, x), lip)
     its = 0
     while cur.res > tol:
@@ -539,7 +636,7 @@ def solve_saddle_oracle(
         # 1/2, ..., _MIN_STEP, 0; a trial point costs only F and its duals
         t = 1.0
         while True:
-            x = inv.project(cur.u - cur.r + t * (step + cur.r), pav)
+            x = steps.project(0, cur.u - cur.r + t * (step + cur.r))
             f, duals = _penalty_value(problem, x)
             # t = 0 is proj(u - grad/lip), accepted untested: 1/lip <=
             # 1/Lip(grad F), so the descent lemma and the projection give
@@ -567,13 +664,11 @@ def saddle_residual(
     """Fixed-point residual ``||z - T_1(z)||_2`` of the step map at unit step.
 
     ``T_1`` is :func:`primal_step` together with :func:`dual_step_feedback`
-    fed the surrogate's prediction, both at ``alpha = 1``. Zero exactly at
+    fed the surrogate's prediction, both on the problem's unit-step map
+    (``alpha = 1``): the closed loop's step code at K = 1. Zero exactly at
     the saddle point, independent of the step size used by any solver.
     """
     duals = DualState(gamma, mu)
-    unit = replace(problem.params, alpha=1.0)
-    u2 = primal_step(u, duals, problem.inverters, problem.p_av, problem.coupling, unit)
-    d2 = dual_step_feedback(
-        duals, problem.coupling.predict(u), problem.v_min, problem.v_max, unit
-    )
+    u2 = primal_step(u, duals, problem.step_map, 0)
+    d2 = dual_step_feedback(duals, problem.coupling.predict(u), problem.step_map, 0)
     return float(np.linalg.norm(pack_state(u - u2, gamma - d2.gamma, mu - d2.mu)))

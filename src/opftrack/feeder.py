@@ -475,11 +475,13 @@ def load_feeder(path: str) -> FeederModel:
     """:func:`feeder_from_dict` of the JSON file ``path``; a :class:`FeederError` names it."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return feeder_from_dict(json.load(fh))
-        except json.JSONDecodeError as exc:
+            data = json.load(fh)
+        except ValueError as exc:  # a JSONDecodeError, or a number json cannot convert
             raise FeederError(f"{path}: not valid JSON: {exc}") from exc
-        except FeederError as exc:
-            raise FeederError(f"{path}: {exc}") from exc
+    try:
+        return feeder_from_dict(data)
+    except FeederError as exc:
+        raise FeederError(f"{path}: {exc}") from exc
 
 
 def save_feeder(feeder: FeederModel, path: str) -> None:

@@ -17,7 +17,6 @@ import numpy as np
 from .feeder import AdmittanceMatrix, FeederModel
 
 __all__ = [
-    "PowerInjection",
     "PFSolution",
     "LinearModel",
     "PowerFlowError",
@@ -44,32 +43,11 @@ class VoltageCollapseError(PowerFlowError):
 
 
 @dataclass(frozen=True)
-class PowerInjection:
-    """Net complex injections at buses 1..N (generation positive, pu)."""
-
-    p: np.ndarray
-    q: np.ndarray
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.p, dtype=float)
-        q = np.asarray(self.q, dtype=float)
-        if p.shape != q.shape or p.ndim != 1:
-            raise ValueError("p and q must be 1-d arrays of equal length")
-        if not (np.isfinite(p).all() and np.isfinite(q).all()):
-            raise ValueError("injections must be finite")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-
-    @property
-    def s(self) -> np.ndarray:
-        return self.p + 1j * self.q
-
-
-@dataclass(frozen=True)
 class PFSolution:
-    """Complex bus voltages ``v`` for buses 1..N, and how the solve went."""
+    """Complex bus voltages ``v`` for buses 1..N, their magnitudes, and how the solve went."""
 
     v: np.ndarray
+    v_mag: np.ndarray
     iterations: int
     residual: float
 
@@ -150,13 +128,14 @@ def build_linear_model(adm: AdmittanceMatrix, v0: complex) -> LinearModel:
     return LinearModel(adm=adm, vbar=vbar, a=rho, ebar=ebar)
 
 
-def predict_voltage_magnitude(lm: LinearModel, inj: PowerInjection) -> np.ndarray:
-    return lm.response(inj.p, inj.q) + lm.a
+def predict_voltage_magnitude(lm: LinearModel, s: np.ndarray) -> np.ndarray:
+    """The linear model's magnitudes at net complex injections ``s = p + jq`` (N,)."""
+    return lm.response(s.real, s.imag) + lm.a
 
 
 def solve_ac(
     adm: AdmittanceMatrix,
-    inj: PowerInjection,
+    s: np.ndarray,
     v0: complex,
     init: np.ndarray | None = None,
     tol: float = 1e-9,
@@ -169,6 +148,9 @@ def solve_ac(
 
     Parameters
     ----------
+    s : complex array (N,)
+        Net complex injections ``p + jq`` at buses 1..N (generation
+        positive, pu). A non-finite entry raises ``ValueError``.
     init : array or None
         Warm-start voltages; defaults to the no-load profile. A start with
         a magnitude outside ``[0.3, 3]`` pu, NaN or infinite, raises
@@ -178,37 +160,42 @@ def solve_ac(
         Convergence threshold on the infinity norm of the power mismatch
         at the new iterate, ``s (v+ / v - 1)``: the update makes
         ``Y v+ + ybar V0`` equal ``conj(s / v)`` up to the solve's rounding.
+
+    The returned ``v_mag`` are the magnitudes of ``v`` that the collapse
+    test read.
     """
     n = adm.ybar.shape[0]
-    if inj.p.shape[0] != n:
-        raise ValueError(f"injection length {inj.p.shape[0]} != network size {n}")
+    s = np.asarray(s, dtype=complex)
+    if s.shape != (n,):
+        raise ValueError(f"injections must be a vector of length {n}, got shape {s.shape}")
+    if not np.isfinite(s).all():
+        raise ValueError("injections must be finite")
     if init is None:
         v = no_load_voltage(adm, v0)
     else:
         v = np.asarray(init, dtype=complex)
-        if not in_band(v):
+        if not in_band(np.abs(v)):
             raise ValueError(
                 f"warm-start magnitudes must be in [{COLLAPSE_LO}, {COLLAPSE_HI}] pu"
             )
-    s = inj.s
     yv0 = adm.ybar * v0
     residual = float("inf")
     for it in range(1, max_iter + 1):
-        v, v_prev = adm.solve(np.conj(s / v) - yv0), v
-        if not in_band(v):
+        v, v_prev = adm.lu.solve(np.conj(s / v) - yv0), v
+        v_mag = np.abs(v)
+        if not in_band(v_mag):
             raise VoltageCollapseError(
                 f"collapse: |v| outside [{COLLAPSE_LO}, {COLLAPSE_HI}] at iteration {it}"
             )
-        residual = float(np.abs(s * (v / v_prev - 1.0)).max())
+        residual = float(np.maximum.reduce(np.abs(s * (v / v_prev - 1.0))))
         if residual <= tol:
-            return PFSolution(v, it, residual)
+            return PFSolution(v, v_mag, it, residual)
     raise PowerFlowError(f"no convergence after {max_iter} iterations, residual {residual:.3e}")
 
 
-def in_band(v: np.ndarray) -> bool:
-    """Whether every magnitude of ``v`` is in ``[COLLAPSE_LO, COLLAPSE_HI]`` (a NaN is not)."""
-    mags = np.abs(v)
-    return COLLAPSE_LO <= mags.min() and mags.max() <= COLLAPSE_HI
+def in_band(v_mag: np.ndarray) -> bool:
+    """Whether every magnitude ``v_mag`` is in ``[COLLAPSE_LO, COLLAPSE_HI]`` (a NaN is not)."""
+    return COLLAPSE_LO <= np.minimum.reduce(v_mag) and np.maximum.reduce(v_mag) <= COLLAPSE_HI
 
 
 def constraint_offsets(

@@ -31,6 +31,7 @@ from .controller import (
     DualState,
     Inverters,
     SaddleProblem,
+    StepMap,
     VoltageCoupling,
     convergence_constants,
     dual_step_feedback,
@@ -42,7 +43,6 @@ from .feeder import FeederModel, build_admittance
 from .powerflow import (
     LinearModel,
     PowerFlowError,
-    PowerInjection,
     build_linear_model,
     constraint_offsets,
     in_band,
@@ -77,6 +77,10 @@ PLANTS = ("ac", "linear")
 SCENARIO_KINDS = ("static", "ramp", "cloud_transient", "vmax_steps")
 
 DUAL_DIAG_LIMIT = 1e6
+# run_closed_loop forms the per-step rows (loads, step map) of as many
+# steps at a time as make about ROW_CELLS load entries: the rows of a whole
+# run, and the temporaries that form them, would add to its peak memory
+ROW_CELLS = 8192
 
 
 @dataclass(frozen=True)
@@ -510,6 +514,14 @@ def run_closed_loop(
     regions use it (:meth:`Inverters.available`, clipped to the ratings
     with one warning per run); the setpoints P of ``none`` and ``droop``,
     the start and the recorded cost take ``scenario.p_av`` as it is.
+
+    The per-step rows are formed ahead of the steps, a block of steps at a
+    time (``ROW_CELLS`` load entries; 227 steps on feeder36): the complex
+    load injections, and for ``pursuit`` the
+    :class:`~opftrack.controller.StepMap` of those steps. A step is then one
+    plant solve on its load row plus the setpoints at the DER buses, and for
+    ``pursuit`` one :func:`~opftrack.controller.primal_step` and one
+    :func:`~opftrack.controller.dual_step_feedback` on its row of the map.
     """
     feeder = net.feeder
     if strategy not in STRATEGIES:
@@ -541,44 +553,48 @@ def run_closed_loop(
     n_steps = scenario.n_steps
     ys = np.empty((n_steps, len(mon)))
     us = np.empty((n_steps, g, 2))
-    gammas = np.empty((n_steps, len(mon)))
-    mus = np.empty((n_steps, len(mon)))
+    held = np.empty((n_steps, 2, len(mon)))  # [gamma; mu] of each step
     v_mags = np.empty((n_steps, feeder.n_nodes))
     pf_residual = np.zeros(n_steps)
     pf_iterations = np.zeros(n_steps, dtype=int)
+    block = max(1, ROW_CELLS // feeder.n_nodes)
     for k in range(n_steps):
-        p_net = -scenario.p_load[k]
-        q_net = -scenario.q_load[k]
-        p_net[der] += u[:, 0]
-        q_net[der] += u[:, 1]
-        inj = PowerInjection(p_net, q_net)
+        j = k % block
+        if j == 0:  # the rows of the next block of steps
+            rows = slice(k, k + block)
+            # net injections with every DER off; a step adds its setpoints
+            loads = -scenario.p_load[rows] + 1j * -scenario.q_load[rows]
+            if strategy == "pursuit":
+                steps = StepMap(
+                    inv, net.coupling, params, p_av[rows], scenario.v_min[rows],
+                    scenario.v_max[rows],
+                )
+        s = loads[j]
+        s[der] += u.view(complex)[:, 0]  # (P, Q) rows read as P + jQ
 
         if plant == "ac":
             try:
-                sol = solve_ac(net.lm.adm, inj, v0, init=_ac_start(v_last, net.lm.vbar))
+                sol = solve_ac(net.lm.adm, s, v0, init=_ac_start(v_last, net.lm.vbar))
             except PowerFlowError as exc:  # the same error, naming the step
                 raise type(exc)(f"step {k}: {exc}") from exc
             v_last = [sol.v, *v_last[:2]]
-            v_mag = np.abs(sol.v)
+            v_mag = sol.v_mag
             pf_residual[k] = sol.residual
             pf_iterations[k] = sol.iterations
         else:
-            v_mag = predict_voltage_magnitude(net.lm, inj)
+            v_mag = predict_voltage_magnitude(net.lm, s)
 
         y = v_mag[mon]
         if noise_amp > 0.0:
             y = y + rng.uniform(-noise_amp, noise_amp, len(mon))
-        ys[k], us[k], gammas[k], mus[k], v_mags[k] = y, u, duals.gamma, duals.mu, v_mag
+        ys[k], us[k], held[k], v_mags[k] = y, u, duals.stacked, v_mag
 
         if strategy == "pursuit":
             # simultaneous update: the primal step reads the pre-update duals
-            u_next = primal_step(u, duals, inv, p_av[k], net.coupling, params)
-            duals = dual_step_feedback(duals, y, scenario.v_min[k], scenario.v_max[k], params)
+            u_next = primal_step(u, duals, steps, j)
+            duals = dual_step_feedback(duals, y, steps, j)
             u = u_next
-            if not dual_warned and (
-                duals.gamma.max(initial=0.0) > DUAL_DIAG_LIMIT
-                or duals.mu.max(initial=0.0) > DUAL_DIAG_LIMIT
-            ):
+            if not dual_warned and duals.stacked.max() > DUAL_DIAG_LIMIT:
                 dual_warned = True
                 warnings.warn(
                     f"dual magnitude exceeded {DUAL_DIAG_LIMIT:.0e} at step {k}; "
@@ -596,7 +612,7 @@ def run_closed_loop(
             u = np.column_stack([scenario.p_av[k], np.zeros(g)])
 
     return Trajectory(
-        y=ys, u=us, gamma=gammas, mu=mus, v_mag=v_mags,
+        y=ys, u=us, gamma=held[:, 0], mu=held[:, 1], v_mag=v_mags,
         cost=eval_cost(us, inv, scenario.p_av),
         max_violation=_max_violation(v_mags[:, mon], scenario),
         pf_residual=pf_residual,
@@ -623,7 +639,7 @@ def _ac_start(v_last: list[np.ndarray], vbar: np.ndarray) -> np.ndarray:
         guess = 2.0 * v_last[0] - v_last[1]
     else:
         guess = 3.0 * (v_last[0] - v_last[1]) + v_last[2]
-    return guess if in_band(guess) else v_last[0]
+    return guess if in_band(np.abs(guess)) else v_last[0]
 
 
 def _max_violation(mon_mag: np.ndarray, scenario: Scenario) -> np.ndarray:

@@ -21,6 +21,7 @@ from opftrack.controller import (
     DualState,
     Inverters,
     SaddleProblem,
+    StepMap,
     convergence_constants,
     dual_step_feedback,
     grad_primal,
@@ -31,7 +32,6 @@ from opftrack.controller import (
 )
 from opftrack.feeder import build_admittance
 from opftrack.powerflow import (
-    PowerInjection,
     build_linear_model,
     predict_voltage_magnitude,
     solve_ac,
@@ -168,7 +168,7 @@ def test_a2_linear_model_fidelity():
         adm = build_admittance(fd)
         lm = build_linear_model(adm, fd.slack_voltage)
         for amp in (0.1, 0.02):
-            inj = PowerInjection(rng.uniform(-amp, amp, n), rng.uniform(-amp, amp, n))
+            inj = rng.uniform(-amp, amp, n) + 1j * rng.uniform(-amp, amp, n)
             sol = solve_ac(adm, inj, fd.slack_voltage)
             pred = predict_voltage_magnitude(lm, inj)
             err = float(np.max(np.abs(np.abs(sol.v) - pred)))
@@ -221,14 +221,15 @@ def test_a3_error_free_contraction():
 
     # full available power at unity power factor, zero duals
     u, duals = inv.project(np.column_stack([p_av, np.zeros(g)]), p_av), DualState.zeros(1)
+    step_map = StepMap(inv, coupling, params, p_av, v_min, v_max)
     dist = float(np.linalg.norm(pack_state(u, duals.gamma, duals.mu) - z_star))
     worst_ratio = 0.0
     steps = 0
     while dist > 1e-10 and steps < 60_000:
         # error free: the dual step is fed the model's own prediction
         w = coupling.predict(u)
-        u_next = primal_step(u, duals, inv, p_av, coupling, params)
-        duals = dual_step_feedback(duals, w, v_min, v_max, params)
+        u_next = primal_step(u, duals, step_map, 0)
+        duals = dual_step_feedback(duals, w, step_map, 0)
         u = u_next
         nxt = float(np.linalg.norm(pack_state(u, duals.gamma, duals.mu) - z_star))
         worst_ratio = max(worst_ratio, nxt / dist)
@@ -463,7 +464,8 @@ def test_a8_gradients_match_finite_differences():
         def lag(uu, gam, muu, w=None):
             return _lagrangian(uu, gam, muu, cost_w, coupling, pl, ql, pav, params, w)
 
-        grad = grad_primal(u, duals, inv, pav, coupling, params)
+        step_map = StepMap(inv, coupling, params, pav, V_MIN, V_MAX)
+        grad = grad_primal(u, duals, step_map, 0)
         for i in range(g):
             for j in range(2):
                 up, dn = u.copy(), u.copy()
@@ -475,9 +477,9 @@ def test_a8_gradients_match_finite_differences():
         # the model-based step is the feedback step fed the model prediction,
         # the DER-bus demand folded into the offset
         loaded = replace(coupling, c=coupling.c - coupling.r @ pl - coupling.b @ ql)
-        stepped = dual_step_feedback(duals, loaded.predict(u), V_MIN, V_MAX, params)
+        stepped = dual_step_feedback(duals, loaded.predict(u), step_map, 0)
         y = rng.uniform(0.9, 1.1, m)
-        fed = dual_step_feedback(duals, y, V_MIN, V_MAX, params)
+        fed = dual_step_feedback(duals, y, step_map, 0)
         for j in range(m):
             for which, got in (("model", stepped), ("feedback", fed)):
                 w_arg = None if which == "model" else y

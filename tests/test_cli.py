@@ -74,6 +74,40 @@ def test_validate_missing_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_whole_run_band_figures_are_read_off_the_trajectory(tmp_path):
+    # the shipped config leaves the band mid-run; the summary's whole-run
+    # figures are those of the trajectory's max_violation column
+    cfg = json.loads((DATA / "config36.json").read_text(encoding="utf-8"))
+    cfg.update(feeder=str(DATA / "feeder36.json"), output_dir=str(tmp_path), report=False)
+    path = tmp_path / "config.json"
+    write_json(path, cfg)
+    assert cli.main(["run", "--config", str(path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+    with open(tmp_path / "trajectory.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    viol = [float(r["max_violation"]) for r in rows]
+    worst = max(viol)
+    assert summary["max_violation_run"] == worst
+    assert summary["max_violation_run_step"] == viol.index(worst)
+    assert summary["steps_outside_band"] == sum(v > 0.0 for v in viol)
+    assert summary["violation_integral_pu_s"] == summary["tau_s"] * math.fsum(viol)
+    assert summary["solver"]["pf_residual_max"] == max(float(r["pf_residual"]) for r in rows)
+    # the figures the README quotes for the headline run
+    assert (round(worst, 4), viol.index(worst)) == (0.0402, 212)
+    assert summary["steps_outside_band"] == 221
+    assert round(summary["violation_integral_pu_s"], 3) == 1.370
+
+
+def test_config_number_json_cannot_convert_names_the_file(tmp_path, run_config, capsys):
+    # json parses the 5000-digit integer into a ValueError that is not a
+    # JSONDecodeError; the message still names the file
+    text = run_config.read_text(encoding="utf-8")
+    text = text.replace('"n_steps": 41', '"n_steps": ' + "9" * 5000)
+    run_config.write_text(text, encoding="utf-8")
+    assert cli.main(["run", "--config", str(run_config)]) == 1
+    assert f"error: {run_config}: invalid JSON: Exceeds the limit" in _one_line_error(capsys)
+
+
 def test_validate_invalid_json(tmp_path, capsys):
     path = tmp_path / "garbage.json"
     path.write_text("{not json", encoding="utf-8")
@@ -271,7 +305,9 @@ def test_run_end_to_end(tmp_path, run_config, capsys):
     assert set(summary["constants"]) == {"L", "G", "eta", "L_reg", "rho_alpha", "alpha_max"}
     assert "constants" not in summary["tracking"]
     # the linear plant runs no power-flow solve
-    assert summary["solver"] == {"pf_iterations_total": 0, "pf_iterations_max": 0}
+    assert summary["solver"] == {
+        "pf_iterations_total": 0, "pf_iterations_max": 0, "pf_residual_max": 0.0,
+    }
     # byte-stable artifacts for identical configuration
     assert cli.main(["run", "--config", str(run_config),
                      "--output-dir", str(tmp_path / "out2")]) == 0
@@ -292,7 +328,9 @@ def test_summary_solver_section_totals_the_plant_iterations(tmp_path, run_config
     assert counts.min() >= 1
     assert json.loads(first)["solver"] == {
         "pf_iterations_total": int(counts.sum()), "pf_iterations_max": int(counts.max()),
+        "pf_residual_max": float(traj.pf_residual.max()),
     }
+    assert 0.0 < traj.pf_residual.max() <= 1e-9
 
 
 def test_run_overrides(tmp_path, run_config, capsys):

@@ -17,6 +17,7 @@ from opftrack.controller import (
     Inverters,
     OracleError,
     SaddleProblem,
+    StepMap,
     VoltageCoupling,
     _ARMIJO,
     _closed_form_duals,
@@ -152,6 +153,76 @@ def test_values_only_projection_equals_the_projection_with_its_jacobian():
         assert jac.shape == (n, 4)
 
 
+def _joint_by_cases(s, p_av, p, q):
+    # the joint projection as one case test per region piece: the left face,
+    # the disk, the arc, the chord; the step code takes it in fewer operations
+    left = p <= 0.0
+    r = np.where(left, s, np.hypot(p, q))
+    scale = np.divide(s, r, out=np.ones_like(r), where=r > s)
+    inside = r <= s
+    member = inside & (p <= p_av) & ~left
+    arc = ~inside & (p * scale <= p_av)
+    cap = np.where(left, s, np.sqrt(np.maximum(s * s - p_av * p_av, 0.0)))
+    clamped = np.where(q >= cap, cap, np.maximum(q, -cap))
+    return np.column_stack([
+        np.where(member, p, np.where(arc, p * scale, np.where(left, 0.0, p_av))),
+        np.where(member, q, np.where(arc, q * scale, clamped)),
+    ])
+
+
+def _special_points(s, p_av, rng, n):
+    # random points, and points on every edge: the circle, the chord, the
+    # axes, signed zeros, subnormals and huge coordinates
+    special = np.asarray([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300])
+    p = rng.uniform(-2.5, 2.5, n)
+    q = rng.uniform(-2.5, 2.5, n)
+    pick = rng.integers(0, 6, n)
+    theta = rng.uniform(-np.pi, np.pi, n)
+    chord = np.sqrt(np.maximum(s * s - p_av * p_av, 0.0))
+    on_circle, on_chord = pick == 1, pick == 2
+    p[on_circle], q[on_circle] = (s * np.cos(theta))[on_circle], (s * np.sin(theta))[on_circle]
+    p[on_chord] = p_av[on_chord]
+    q[on_chord] = (chord * rng.choice([-1.0, 1.0, 0.5, 2.0], n))[on_chord]
+    p[pick == 3] = rng.choice(special, n)[pick == 3]
+    q[pick == 4] = rng.choice(special, n)[pick == 4]
+    both = pick == 5
+    p[both], q[both] = rng.choice(special, n)[both], rng.choice(special, n)[both]
+    return np.column_stack([p, q])
+
+
+def test_joint_projection_equals_its_case_analysis_bit_for_bit():
+    # signed zeros included: the recorded setpoints are byte-stable
+    rng = np.random.default_rng(25)
+    n = 200_000
+    s = rng.uniform(0.2, 2.0, n)
+    p_av = s * rng.choice([0.0, 1.0, 0.3, 0.8, 0.999999], n)
+    u = _special_points(s, p_av, rng, n)
+    inv = Inverters("joint", s, np.ones(n), np.ones(n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = inv.project(u, p_av)
+        with np.errstate(all="ignore"):  # the case analysis may overflow s / r
+            want = _joint_by_cases(s, p_av, u[:, 0], u[:, 1])
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("kind", REGION_KINDS)
+def test_projection_raises_no_warning_on_zeros_subnormals_and_huge_points(kind):
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300, 0.5, -0.5]
+    pts = np.asarray([(p, q) for p in special for q in special])
+    n = len(pts)
+    for frac in (0.0, 0.5, 1.0):
+        inv = Inverters(kind, np.full(n, 0.8), np.ones(n), np.ones(n))
+        p_av = np.full(n, 0.8 * frac)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = inv.project(pts, p_av)
+            again, jac = inv.project_jacobian(pts, p_av)
+        assert np.isfinite(out).all() and np.isfinite(jac).all()
+        assert np.all(in_region(kind, 0.8, p_av, out[:, 0], out[:, 1], tol=1e-12))
+        assert out.view(np.int64).tolist() == again.view(np.int64).tolist()
+
+
 def test_region_validation():
     with pytest.raises(ValueError, match="unknown region kind"):
         fleet("boxy", 1.0)
@@ -233,6 +304,13 @@ def _tb1_setup(nu=1e-3, eps=1e-4, c=(3.0, 1.0), z=0.1 + 0.1j, pav=0.95, v_min=0.
     return problem
 
 
+def _step_map(prob, params=None):
+    # the one-step map of a saddle instance at its own (or the given) stepsize
+    return StepMap(
+        prob.inverters, prob.coupling, params or prob.params, prob.p_av, prob.v_min, prob.v_max
+    )
+
+
 def _model_dual_step(prob, duals, u, params):
     # the model-based dual step written out from the constraint values
     w = prob.coupling.r @ u[:, 0] + prob.coupling.b @ u[:, 1] + prob.coupling.c
@@ -296,7 +374,7 @@ def test_gradient_matches_finite_differences():
     )
     u = np.column_stack([rng.uniform(0, 0.15, 18), rng.uniform(-0.1, 0.1, 18)])
     duals = DualState(rng.uniform(0, 2, 10), rng.uniform(0, 2, 10))
-    grad = grad_primal(u, duals, inv, problem.p_av, coupling, params)
+    grad = grad_primal(u, duals, _step_map(problem), 0)
     h = 1e-6
     for i in (0, 7, 17):
         for j in (0, 1):
@@ -315,7 +393,9 @@ def test_dual_steps_hand_values_and_clamping():
     params = ControllerParams(alpha=0.5, nu=1e-3, epsilon=0.01)
     duals = DualState(np.asarray([0.3, 0.0]), np.asarray([0.1, 0.4]))
     y = np.asarray([0.94, 1.2])
-    out = dual_step_feedback(duals, y, 0.95, 1.05, params)
+    coupling = VoltageCoupling(np.zeros((2, 2)), np.ones(2))  # two metered buses, one DER
+    steps = StepMap(fleet("joint", 1.0), coupling, params, [0.5], 0.95, 1.05)
+    out = dual_step_feedback(duals, y, steps, 0)
     # gamma: [0.3 + 0.5*(0.95-0.94-0.003), 0 + 0.5*(0.95-1.2)] -> clamp
     assert out.gamma[0] == pytest.approx(0.3 + 0.5 * (0.01 - 0.003))
     assert out.gamma[1] == 0.0
@@ -329,7 +409,7 @@ def test_dual_routes_coincide_on_exact_measurements():
     duals = DualState(np.asarray([0.2]), np.asarray([1.1]))
     w = prob.coupling.predict(u)
     via_model = _model_dual_step(prob, duals, u, prob.params)
-    via_meas = dual_step_feedback(duals, w, prob.v_min, prob.v_max, prob.params)
+    via_meas = dual_step_feedback(duals, w, _step_map(prob), 0)
     assert np.array_equal(via_model.gamma, via_meas.gamma)
     assert np.array_equal(via_model.mu, via_meas.mu)
 
@@ -338,11 +418,11 @@ def test_primal_step_fixed_point_without_binding_constraints():
     prob = _tb1_setup(v_max=1.5)  # never binds
     c_p, nu, pav = 3.0, 1e-3, 0.95
     u_star = np.asarray([[2 * c_p * pav / (2 * c_p + nu), 0.0]])
-    args = (prob.inverters, prob.p_av, prob.coupling, prob.params)
-    stepped = primal_step(u_star, DualState.zeros(1), *args)
+    steps = _step_map(prob)
+    stepped = primal_step(u_star, DualState.zeros(1), steps, 0)
     assert np.allclose(stepped, u_star, atol=1e-14)
     far = np.asarray([[0.0, 0.5]])
-    once = primal_step(far, DualState.zeros(1), *args)
+    once = primal_step(far, DualState.zeros(1), steps, 0)
     assert np.linalg.norm(once - u_star) < np.linalg.norm(far - u_star)
 
 
@@ -405,13 +485,14 @@ def test_error_free_iteration_contracts_at_certified_rate():
     assert rho < 1.0
 
     prm = replace(prob.params, alpha=alpha)
+    steps = _step_map(prob, prm)
     star = solve_saddle_oracle(prob, tol=1e-12)
     z_star = pack_state(star.u, star.gamma, star.mu)
     u = np.asarray([[0.0, 0.0]])
     duals = DualState(np.asarray([0.5]), np.asarray([2.0]))
     dist = np.linalg.norm(pack_state(u, duals.gamma, duals.mu) - z_star)
     for _ in range(4000):
-        u_new = primal_step(u, duals, prob.inverters, prob.p_av, prob.coupling, prm)
+        u_new = primal_step(u, duals, steps, 0)
         duals = _model_dual_step(prob, duals, u, prm)
         u = u_new
         new_dist = np.linalg.norm(pack_state(u, duals.gamma, duals.mu) - z_star)
@@ -558,7 +639,7 @@ def _saddle_residual_reference(problem, u, gamma, mu):
     coup = problem.coupling
     w = coup.predict(u)
     g, g_bar = problem.v_min - w, w - problem.v_max
-    gp = grad_primal(u, duals, problem.inverters, problem.p_av, coup, problem.params)
+    gp = grad_primal(u, duals, _step_map(problem), 0)
     u2 = problem.inverters.project(u - gp, problem.p_av)
     eps = problem.params.epsilon
     gamma2 = np.maximum(0.0, gamma + (g - eps * gamma))
@@ -645,6 +726,18 @@ def test_projection_property_idempotent_and_nonexpansive(batch, data):
 
 @settings(max_examples=300, deadline=None)
 @given(fleets(), st.data())
+def test_projection_property_variational_inequality(batch, data):
+    # P z is the nearest point of the region: <z - P z, x - P z> <= 0 for
+    # every feasible x, here region points sampled as projections
+    inv, p_av = batch
+    z = data.draw(setpoints(inv.n_der))
+    x = inv.project(data.draw(setpoints(inv.n_der)), p_av)
+    pz = inv.project(z, p_av)
+    assert np.all(np.sum((z - pz) * (x - pz), axis=1) <= 1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fleets(), st.data())
 def test_projection_jacobian_matches_central_differences(batch, data):
     inv, p_av = batch
     u = data.draw(setpoints(inv.n_der))
@@ -675,7 +768,7 @@ def test_projected_gradient_point_meets_the_armijo_condition(batch, data):
     prob = SaddleProblem(inv, p_av, coupling, 0.95, 1.05, ControllerParams(0.2, 1e-3, eps))
     u = inv.project(data.draw(setpoints(n)), p_av)
     f, duals = _penalty_value(prob, u)
-    grad = grad_primal(u, duals, inv, p_av, coupling, prob.params)
+    grad = grad_primal(u, duals, prob.step_map, 0)
     x = inv.project(u - grad / _lipschitz_bound(prob), p_av)
     decrease = float(np.sum(grad * (x - u)))
     assert decrease <= 0.0

@@ -349,6 +349,17 @@ def test_load_rejects_invalid_json(tmp_path):
         load_feeder(str(path))
 
 
+def test_load_names_the_file_of_a_number_json_cannot_convert(tmp_path):
+    # a 5000-digit integer passes the JSON grammar but not int(); the error
+    # names the file as for any other unreadable feeder
+    d = json.loads((Path(__file__).resolve().parents[1] / "data" / "feeder36.json").read_text())
+    d["lines"][3]["r_pu"] = 0.125
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(d).replace("0.125", "9" * 5000))
+    with pytest.raises(FeederError, match=f"^{path}: not valid JSON: Exceeds the limit"):
+        load_feeder(str(path))
+
+
 def test_reduced_index_helpers():
     fd = networks.feeder36()
     assert list(fd.der_indices()) == [n - 1 for n in fd.der_nodes]

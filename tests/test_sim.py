@@ -21,6 +21,7 @@ from opftrack.controller import (
     DualState,
     Inverters,
     SaddleProblem,
+    StepMap,
     convergence_constants,
     dual_step_feedback,
     pack_state,
@@ -29,7 +30,7 @@ from opftrack.controller import (
 )
 from opftrack.feeder import load_feeder
 from opftrack import sim
-from opftrack.powerflow import PowerFlowError, PowerInjection, constraint_offsets, solve_ac
+from opftrack.powerflow import PowerFlowError, constraint_offsets, solve_ac
 from opftrack.sim import (
     Scenario,
     ScenarioParams,
@@ -381,23 +382,34 @@ def test_pursuit_setpoints_stay_in_their_regions(kind):
 
 @pytest.mark.parametrize("kind", REGION_KINDS)
 def test_the_loop_applies_the_public_step_map_at_every_step(kind):
-    # a short, noisy feeder36 pursuit run: the recorded state of step k + 1
-    # is primal_step and dual_step_feedback applied to step k's recorded
-    # state and measurement, bit for bit
+    # a noisy feeder36 pursuit run on either plant, longer than one block of
+    # rows: the recorded state of step k + 1 is primal_step and
+    # dual_step_feedback on a whole-run step map, applied to step k's
+    # recorded state and measurement, bit for bit, sign bits included
     fd = networks.feeder36()
     net = compile_feeder(fd)
-    scen = generate_scenario("cloud_transient", fd, seed=5, params=ScenarioParams(n_steps=80))
+    n_steps = sim.ROW_CELLS // fd.n_nodes + 20
+    scen = generate_scenario(
+        "cloud_transient", fd, seed=5, params=ScenarioParams(n_steps=n_steps)
+    )
     inv = _inverters(fd, kind=kind)
-    traj = run_closed_loop(net, scen, "pursuit", inv, PARAMS, seed=3, noise_amp=1e-3)
-    assert traj.mu.max() > 0.0  # the upper limits bind, so the duals move
-    p_av = inv.available(scen.p_av)
-    for k in range(scen.n_steps - 1):
-        duals = DualState(traj.gamma[k], traj.mu[k])
-        u_next = primal_step(traj.u[k], duals, inv, p_av[k], net.coupling, PARAMS)
-        assert np.array_equal(u_next, traj.u[k + 1]), k
-        d_next = dual_step_feedback(duals, traj.y[k], scen.v_min[k], scen.v_max[k], PARAMS)
-        assert np.array_equal(d_next.gamma, traj.gamma[k + 1]), k
-        assert np.array_equal(d_next.mu, traj.mu[k + 1]), k
+    steps = StepMap(inv, net.coupling, PARAMS, inv.available(scen.p_av), scen.v_min, scen.v_max)
+
+    def bits(a):
+        return np.ascontiguousarray(a).view(np.int64).tolist()
+
+    for plant in sim.PLANTS:
+        traj = run_closed_loop(
+            net, scen, "pursuit", inv, PARAMS, seed=3, plant=plant, noise_amp=1e-3
+        )
+        assert traj.mu.max() > 0.0  # the upper limits bind, so the duals move
+        for k in range(n_steps - 1):
+            duals = DualState(traj.gamma[k], traj.mu[k])
+            u_next = primal_step(traj.u[k], duals, steps, k)
+            assert bits(u_next) == bits(traj.u[k + 1]), (plant, k)
+            d_next = dual_step_feedback(duals, traj.y[k], steps, k)
+            assert bits(d_next.gamma) == bits(traj.gamma[k + 1]), (plant, k)
+            assert bits(d_next.mu) == bits(traj.mu[k + 1]), (plant, k)
 
 
 def test_over_rated_availability_is_clipped_once_per_run(tmp_path):
@@ -469,7 +481,7 @@ def test_extrapolated_ac_start_keeps_the_solution_and_saves_iterations(strategy,
         p, q = -scen.p_load[k], -scen.q_load[k]
         p[der] += traj.u[k, :, 0]
         q[der] += traj.u[k, :, 1]
-        inj = PowerInjection(p, q)
+        inj = p + 1j * q
         cold = solve_ac(net.lm.adm, inj, v0)
         assert np.max(np.abs(np.abs(cold.v) - traj.v_mag[k])) <= 1e-8, k
         previous_start_total += solve_ac(net.lm.adm, inj, v0, init=v_prev).iterations
@@ -491,12 +503,12 @@ def test_extrapolated_start_outside_the_band_falls_back_to_the_last_solution():
         tau=1.0, p_load=p_load, q_load=zeros, p_av=zeros,
         v_min=np.full(5, 0.95), v_max=np.full(5, 1.05),
     )
-    cold = [solve_ac(net.lm.adm, PowerInjection(-p, np.zeros(1)), fd.slack_voltage).v
+    cold = [solve_ac(net.lm.adm, -p + 0j, fd.slack_voltage).v
             for p in p_load]
     predicted = 3.0 * (cold[2] - cold[1]) + cold[0]
     assert np.abs(predicted).max() < 0.3
     with pytest.raises(ValueError, match="warm-start"):
-        solve_ac(net.lm.adm, PowerInjection(np.zeros(1), np.zeros(1)), fd.slack_voltage,
+        solve_ac(net.lm.adm, np.zeros(1, dtype=complex), fd.slack_voltage,
                  init=predicted)
     traj = run_closed_loop(net, scen, "none", FAST_INV, FAST_PARAMS)
     assert np.all(traj.pf_residual <= 1e-9)
