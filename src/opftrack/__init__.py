@@ -58,6 +58,7 @@ from .sim import (
     eval_cost,
     generate_scenario,
     measure_tracking,
+    oracle_map,
     read_scenario,
     run_closed_loop,
     step_problem,

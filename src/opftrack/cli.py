@@ -39,6 +39,7 @@ from .sim import (
     compile_feeder,
     generate_scenario,
     measure_tracking,
+    oracle_map,
     read_scenario,
     run_closed_loop,
     step_problem,
@@ -345,9 +346,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     k = args.step
     if not 0 <= k < scen.n_steps:
         raise ConfigError(f"step {k} outside scenario range [0, {scen.n_steps})")
-    p_av = inv.available(scen.p_av)
-    prob = step_problem(inv, p_av, net.surrogate(scen), scen, cfg.controller, k)
-    sol = solve_saddle_oracle(prob, tol=args.tol)
+    steps, c = oracle_map(net, scen, inv, cfg.controller)
+    sol = solve_saddle_oracle(step_problem(steps, c, k), tol=args.tol)
     out = {
         "step": k,
         "p_star": [float(x) for x in sol.u[:, 0]],

@@ -163,21 +163,6 @@ class Inverters:
             return self.headroom(p_av)
         return np.zeros_like(p_av)
 
-    def project(self, u: np.ndarray, p_av: np.ndarray) -> np.ndarray:
-        """Euclidean projection of setpoints ``u`` (n_der, 2) onto the regions at ``p_av``."""
-        return self._project(u, p_av, self.q_cap(p_av), with_jacobian=False)[0]
-
-    def project_jacobian(
-        self, u: np.ndarray, p_av: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`project`, plus the generalized (Clarke) Jacobian at ``u``.
-
-        The Jacobian has one row (dP/dp, dP/dq, dQ/dp, dQ/dq) per DER.
-        Boundaries are resolved with ``<=``, so every point falls in exactly
-        one case and neighbouring cases agree on their common boundary.
-        """
-        return self._project(u, p_av, self.q_cap(p_av), with_jacobian=True)
-
     def _project(
         self, u: np.ndarray, p_av: np.ndarray, cap: np.ndarray, with_jacobian: bool
     ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -314,9 +299,12 @@ class VoltageCoupling:
     def n_der(self) -> int:
         return self.r.shape[1]
 
-    def predict(self, u: np.ndarray) -> np.ndarray:
-        """``r P + b Q + c`` for setpoints ``u`` (..., n_der, 2), shape (..., M)."""
-        return u[..., 0] @ self.r.T + u[..., 1] @ self.b.T + self.c
+    def predict(self, u: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
+        """``r P + b Q + c`` for setpoints ``u`` (..., n_der, 2), shape (..., M).
+
+        A ``c`` given here, such as one step's offset row, replaces the coupling's.
+        """
+        return u[..., 0] @ self.r.T + u[..., 1] @ self.b.T + (self.c if c is None else c)
 
 
 # sign of y in the rows [gamma; mu] of the dual step: v_min - y and y - v_max
@@ -331,7 +319,7 @@ class StepMap:
     whose sensitivities ``r`` and ``b`` are read and not its offset;
     ``params``) and its per-step inputs: the availability ``p_av`` (K x
     n_der) as the regions use it (:meth:`Inverters.available`) and the
-    voltage band ``v_min``, ``v_max`` (K,). A single step may pass ``p_av``
+    voltage band ``v_min`` < ``v_max`` (K,). A single step may pass ``p_av``
     (n_der,) and scalar limits, and is then step 0. Per step it keeps the
     rows each step reads: ``pa0`` the points ``(p_av, 0)`` (K x n_der x 2)
     the cost pulls toward, ``cap`` the region's Q cap at full output
@@ -358,6 +346,8 @@ class StepMap:
             raise ValueError("inverters, coupling and p_av must have one entry per DER")
         if not v_min.shape == v_max.shape == (len(p_av),):
             raise ValueError("v_min and v_max need one entry per p_av row")
+        if not np.all(v_min < v_max):
+            raise ValueError("v_min must be below v_max")
         pa0 = np.zeros(p_av.shape + (2,))
         pa0[:, :, 0] = p_av
         for name, value in (
@@ -368,11 +358,16 @@ class StepMap:
             object.__setattr__(self, name, value)
 
     def project(self, k: int, u: np.ndarray) -> np.ndarray:
-        """:meth:`Inverters.project` of ``u`` onto step ``k``'s regions."""
+        """Euclidean projection of setpoints ``u`` (n_der, 2) onto step ``k``'s regions."""
         return self.inverters._project(u, self.p_av[k], self.cap[k], with_jacobian=False)[0]
 
     def project_jacobian(self, k: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`Inverters.project_jacobian` of ``u`` at step ``k``'s regions."""
+        """:meth:`project`, plus the generalized (Clarke) Jacobian at ``u``.
+
+        The Jacobian has one row (dP/dp, dP/dq, dQ/dp, dQ/dq) per DER.
+        Boundaries are resolved with ``<=``, so every point falls in exactly
+        one case and neighbouring cases agree on their common boundary.
+        """
         return self.inverters._project(u, self.p_av[k], self.cap[k], with_jacobian=True)
 
 
@@ -473,34 +468,16 @@ def convergence_constants(
 class SaddleProblem:
     """One time-frozen instance of the regularized saddle-point problem.
 
-    ``p_av`` is the availability as the regions use it (see
-    :meth:`Inverters.available`), ``coupling`` the step's linear surrogate
-    (its offset ``c`` carries the step's loads) and ``[v_min, v_max]`` the
-    voltage band. ``step_map`` is the problem's unit-step map ``T_1`` (the
-    :class:`StepMap` of its one step at ``alpha = 1``), which the oracle and
-    :func:`saddle_residual` step and project with.
+    Row ``k`` of ``step_map``, a unit-step map ``T_1`` (a :class:`StepMap`
+    at ``alpha = 1``), holds the step's availability, Q caps and voltage
+    band; the oracle and :func:`saddle_residual` step and project with it.
+    ``c`` (M,) is the step's offset, the surrogate's metered magnitudes at
+    its loads with every DER off, so the step predicts ``r P + b Q + c``.
     """
 
-    inverters: Inverters
-    p_av: np.ndarray
-    coupling: VoltageCoupling
-    v_min: float
-    v_max: float
-    params: ControllerParams
-    step_map: StepMap = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p_av", np.asarray(self.p_av, dtype=float))
-        n = self.coupling.n_der
-        if self.inverters.n_der != n or self.p_av.shape != (n,):
-            raise ValueError("inverters and p_av must match the coupling's DER count")
-        if not self.v_min < self.v_max:
-            raise ValueError("v_min must be below v_max")
-        unit = replace(self.params, alpha=1.0)
-        object.__setattr__(
-            self, "step_map",
-            StepMap(self.inverters, self.coupling, unit, self.p_av, self.v_min, self.v_max),
-        )
+    step_map: StepMap
+    k: int
+    c: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -522,23 +499,19 @@ def _penalty_value(problem: SaddleProblem, u: np.ndarray) -> tuple[float, DualSt
     # form turns the constraints into one-sided quadratic penalties with
     # weight 1/eps; the saddle's primal part minimizes this smooth strongly
     # convex function F over the operating regions. Returns F(u) and the
-    # maximizing duals, all a line search needs of a trial point.
-    prm, inv, pav = problem.params, problem.inverters, problem.p_av
-    duals = _closed_form_duals(problem, u)
+    # maximizing duals, all a line search needs of a trial point: each
+    # limit's violation by the surrogate over eps, [v_min - w; w - v_max]
+    # from the band row as in the dual step.
+    steps, k = problem.step_map, problem.k
+    prm, inv = steps.params, steps.inverters
+    w = steps.coupling.predict(u, problem.c)
+    duals = DualState._of(np.maximum(steps.band[k] + _SIGMA * w, 0.0) / prm.epsilon)
     val = (
-        float(np.sum(inv.c_p * (pav - u[:, 0]) ** 2 + inv.c_q * u[:, 1] ** 2))
+        float(np.sum(inv.c_p * (steps.p_av[k] - u[:, 0]) ** 2 + inv.c_q * u[:, 1] ** 2))
         + 0.5 * prm.nu * float(np.sum(u * u))
         + 0.5 * prm.epsilon * (float(duals.gamma @ duals.gamma) + float(duals.mu @ duals.mu))
     )
     return val, duals
-
-
-def _closed_form_duals(problem: SaddleProblem, u: np.ndarray) -> DualState:
-    # the maximizing duals: each limit's violation by the surrogate over eps,
-    # [v_min - w; w - v_max] from the band row as in the dual step
-    w = problem.coupling.predict(u)
-    band = problem.step_map.band[0]
-    return DualState._of(np.maximum(band + _SIGMA * w, 0.0) / problem.params.epsilon)
 
 
 class _NewtonPoint(NamedTuple):
@@ -557,11 +530,11 @@ def _newton_point(
 ) -> _NewtonPoint:
     # the rest of an accepted point, from F(u) and its duals (_penalty_value):
     # grad F is the Lagrangian's gradient at those duals
-    steps = problem.step_map
-    grad = grad_primal(u, duals, steps, 0)
+    steps, k = problem.step_map, problem.k
+    grad = grad_primal(u, duals, steps, k)
     w = u - grad / lip
-    v, jac = steps.project_jacobian(0, w)
-    res = float(np.linalg.norm(u - steps.project(0, u - grad)))
+    v, jac = steps.project_jacobian(k, w)
+    res = float(np.linalg.norm(u - steps.project(k, u - grad)))
     # r = u - v summed as grad/lip + (w - v): as u - v, free DERs cancel to
     # |u| eps_mach, lip times that at the scale of the stop test
     return _NewtonPoint(u, f, duals, grad, jac, grad / lip + (w - v), res)
@@ -605,26 +578,27 @@ def solve_saddle_oracle(
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"oracle tolerance must be positive and finite, got {tol!r}")
-    inv, pav, prm, steps = problem.inverters, problem.p_av, problem.params, problem.step_map
-    n = problem.coupling.n_der
-    u0 = np.column_stack([pav, np.zeros(n)]) if u0 is None else np.asarray(u0, float)
+    steps, k = problem.step_map, problem.k
+    inv, prm = steps.inverters, steps.params
+    n = inv.n_der
+    u0 = steps.pa0[k] if u0 is None else np.asarray(u0, float)
 
     # sensitivities and curvature in the coupling's order: P_0..P_{n-1}, then Q;
     # the Frobenius norm of a bounds its spectral norm in lip, with no eigensolve
-    a = problem.coupling.rb
+    a = steps.coupling.rb
     h_cost = np.concatenate([2.0 * inv.c_p + prm.nu, 2.0 * inv.c_q + prm.nu])
     lip = h_cost.max() + float(np.sum(a * a)) / prm.epsilon
 
     der = np.arange(n)
-    x = steps.project(0, u0)
+    x = steps.project(k, u0)
     cur = _newton_point(problem, x, *_penalty_value(problem, x), lip)
     its = 0
     while cur.res > tol:
         if its == max_iter:
             raise OracleError(f"saddle oracle: no convergence in {max_iter} iterations")
         # Newton step on r(u) = 0 with r' = I - D (I - H / lip), D the
-        # projection Jacobians (DER k's 2 x 2 block at rows and columns k,
-        # n + k) and H the generalized Hessian
+        # projection Jacobians (DER i's 2 x 2 block at rows and columns i,
+        # n + i) and H the generalized Hessian
         d_proj = np.zeros((2, n, 2, n))
         d_proj[:, der, :, der] = cur.jac.reshape(n, 2, 2)
         d_proj = d_proj.reshape(2 * n, 2 * n)
@@ -636,7 +610,7 @@ def solve_saddle_oracle(
         # 1/2, ..., _MIN_STEP, 0; a trial point costs only F and its duals
         t = 1.0
         while True:
-            x = steps.project(0, cur.u - cur.r + t * (step + cur.r))
+            x = steps.project(k, cur.u - cur.r + t * (step + cur.r))
             f, duals = _penalty_value(problem, x)
             # t = 0 is proj(u - grad/lip), accepted untested: 1/lip <=
             # 1/Lip(grad F), so the descent lemma and the projection give
@@ -664,11 +638,12 @@ def saddle_residual(
     """Fixed-point residual ``||z - T_1(z)||_2`` of the step map at unit step.
 
     ``T_1`` is :func:`primal_step` together with :func:`dual_step_feedback`
-    fed the surrogate's prediction, both on the problem's unit-step map
-    (``alpha = 1``): the closed loop's step code at K = 1. Zero exactly at
-    the saddle point, independent of the step size used by any solver.
+    fed the surrogate's prediction, both on row ``k`` of the problem's
+    unit-step map (``alpha = 1``): the closed loop's step code. Zero exactly
+    at the saddle point, independent of the step size used by any solver.
     """
+    steps, k = problem.step_map, problem.k
     duals = DualState(gamma, mu)
-    u2 = primal_step(u, duals, problem.step_map, 0)
-    d2 = dual_step_feedback(duals, problem.coupling.predict(u), problem.step_map, 0)
+    u2 = primal_step(u, duals, steps, k)
+    d2 = dual_step_feedback(duals, steps.coupling.predict(u, problem.c), steps, k)
     return float(np.linalg.norm(pack_state(u - u2, gamma - d2.gamma, mu - d2.mu)))

@@ -140,6 +140,7 @@ def solve_ac(
     init: np.ndarray | None = None,
     tol: float = 1e-9,
     max_iter: int = 1000,
+    fallback: np.ndarray | None = None,
 ) -> PFSolution:
     """Z-bus fixed-point AC solve, ``v+ <- Y^{-1}(conj(s / v) - ybar V0)``.
 
@@ -156,6 +157,9 @@ def solve_ac(
         a magnitude outside ``[0.3, 3]`` pu, NaN or infinite, raises
         ``ValueError``; an iterate that leaves that band, or has a NaN
         magnitude, aborts the solve with :class:`VoltageCollapseError`.
+    fallback : array or None
+        The start taken, and only then checked, in place of an ``init``
+        outside that band, such as the solution ``init`` extrapolates from.
     tol : float
         Convergence threshold on the infinity norm of the power mismatch
         at the new iterate, ``s (v+ / v - 1)``: the update makes
@@ -175,9 +179,11 @@ def solve_ac(
     else:
         v = np.asarray(init, dtype=complex)
         if not in_band(np.abs(v)):
-            raise ValueError(
-                f"warm-start magnitudes must be in [{COLLAPSE_LO}, {COLLAPSE_HI}] pu"
-            )
+            if fallback is None or not in_band(np.abs(fallback)):
+                raise ValueError(
+                    f"warm-start magnitudes must be in [{COLLAPSE_LO}, {COLLAPSE_HI}] pu"
+                )
+            v = np.asarray(fallback, dtype=complex)
     yv0 = adm.ybar * v0
     residual = float("inf")
     for it in range(1, max_iter + 1):

@@ -45,7 +45,6 @@ from .powerflow import (
     PowerFlowError,
     build_linear_model,
     constraint_offsets,
-    in_band,
     predict_voltage_magnitude,
     solve_ac,
 )
@@ -64,6 +63,7 @@ __all__ = [
     "read_scenario",
     "write_scenario",
     "run_closed_loop",
+    "oracle_map",
     "step_problem",
     "eval_cost",
     "measure_tracking",
@@ -456,17 +456,12 @@ class CompiledFeeder:
 
     Holds the feeder model, its linear model (which carries the factored
     sparse admittance) and the metered x DER coupling at no load; a step's
-    coupling differs from it only in the load offsets ``c``.
+    surrogate differs from it only in the load offsets ``c``.
     """
 
     feeder: FeederModel
     lm: LinearModel
     coupling: VoltageCoupling
-
-    def surrogate(self, scenario: Scenario) -> VoltageCoupling:
-        """``coupling`` with one offset row per step of ``scenario``, from one solve."""
-        c = constraint_offsets(self.lm, scenario.p_load, scenario.q_load, self.feeder)
-        return replace(self.coupling, c=c)
 
 
 def compile_feeder(feeder: FeederModel) -> CompiledFeeder:
@@ -506,9 +501,10 @@ def run_closed_loop(
     ``seed``, so a run is deterministic for fixed inputs. Step 0 applies
     full available power at unity power factor with zero duals. Each AC
     solve starts from :func:`_ac_start`, an extrapolation of the plant's
-    last solutions; the solve accepts its iterate by the same residual test
-    wherever it starts. A failed solve re-raises its :class:`PowerFlowError`,
-    of the same class, with ``step k:`` put before the message.
+    last solutions (the newest if it is out of band); the solve accepts its
+    iterate by the same residual test wherever it starts. A failed solve
+    re-raises its :class:`PowerFlowError`, of the same class, with ``step
+    k:`` put before the message.
 
     The controller and the droop headroom see the availability as the
     regions use it (:meth:`Inverters.available`, clipped to the ratings
@@ -574,7 +570,10 @@ def run_closed_loop(
 
         if plant == "ac":
             try:
-                sol = solve_ac(net.lm.adm, s, v0, init=_ac_start(v_last, net.lm.vbar))
+                sol = solve_ac(
+                    net.lm.adm, s, v0, init=_ac_start(v_last, net.lm.vbar),
+                    fallback=v_last[0] if v_last else None,
+                )
             except PowerFlowError as exc:  # the same error, naming the step
                 raise type(exc)(f"step {k}: {exc}") from exc
             v_last = [sol.v, *v_last[:2]]
@@ -627,19 +626,17 @@ def _ac_start(v_last: list[np.ndarray], vbar: np.ndarray) -> np.ndarray:
     extrapolation through the last one, two or three solutions: ``v1``,
     ``2 v1 - v2`` and ``3 v1 - 3 v2 + v3``. Consecutive solutions lie on the
     smooth path the loads and setpoints trace, so the extrapolation starts
-    the fixed-point iteration close to the next one. A prediction with a
-    magnitude outside the band :func:`solve_ac` accepts, or a NaN one, falls
-    back to ``v1``.
+    the fixed-point iteration close to the next one. The loop passes ``v1``
+    as :func:`solve_ac`'s fallback, which it starts from instead when a
+    magnitude of this start is outside the band it accepts, or NaN.
     """
     if not v_last:
         return vbar
     if len(v_last) == 1:
         return v_last[0]
     if len(v_last) == 2:
-        guess = 2.0 * v_last[0] - v_last[1]
-    else:
-        guess = 3.0 * (v_last[0] - v_last[1]) + v_last[2]
-    return guess if in_band(np.abs(guess)) else v_last[0]
+        return 2.0 * v_last[0] - v_last[1]
+    return 3.0 * (v_last[0] - v_last[1]) + v_last[2]
 
 
 def _max_violation(mon_mag: np.ndarray, scenario: Scenario) -> np.ndarray:
@@ -650,26 +647,25 @@ def _max_violation(mon_mag: np.ndarray, scenario: Scenario) -> np.ndarray:
     ))
 
 
-def step_problem(
-    inv: Inverters,
-    p_av: np.ndarray,
-    coupling: VoltageCoupling,
-    scenario: Scenario,
-    params: ControllerParams,
-    k: int,
-) -> SaddleProblem:
-    """Time-frozen saddle instance for step ``k`` of a scenario.
+def oracle_map(
+    net: CompiledFeeder, scenario: Scenario, inv: Inverters, params: ControllerParams
+) -> tuple[StepMap, np.ndarray]:
+    """The oracles' :class:`~opftrack.controller.StepMap` of every step at ``alpha = 1``, and ``c``.
 
-    Takes what a caller derives once per run: the run's inverters, the
-    availability of every step as the regions use it
-    (:meth:`Inverters.available`) and a surrogate with one offset row per
-    step, such as :meth:`CompiledFeeder.surrogate`. Step ``k`` reads row
-    ``k`` of both and the step's voltage band.
+    The map holds the availability as the regions use it (one warning when
+    the scenario exceeds a rating); ``c`` (K x M) holds each step's offsets
+    from one multi-column solve. Row ``k`` of both is :func:`step_problem`.
     """
-    return SaddleProblem(
-        inv, p_av[k], replace(coupling, c=coupling.c[k]),
-        float(scenario.v_min[k]), float(scenario.v_max[k]), params,
+    steps = StepMap(
+        inv, net.coupling, replace(params, alpha=1.0), inv.available(scenario.p_av),
+        scenario.v_min, scenario.v_max,
     )
+    return steps, constraint_offsets(net.lm, scenario.p_load, scenario.q_load, net.feeder)
+
+
+def step_problem(steps: StepMap, c: np.ndarray, k: int) -> SaddleProblem:
+    """Step ``k``'s time-frozen saddle instance: row ``k`` of an :func:`oracle_map`."""
+    return SaddleProblem(steps, k, c[k])
 
 
 def eval_cost(u: np.ndarray, inv: Inverters, p_av: np.ndarray) -> np.ndarray:
@@ -721,12 +717,9 @@ def measure_tracking(
 ) -> TrackingReport:
     """Compare a recorded pursuit run against per-step saddle oracles.
 
-    Oracles are solved on every ``decimation``-th step, in one pass: each
-    starts from the previous sampled step's optimal setpoints, and each
-    step's problem is :func:`step_problem` of the run's inverters ``inv``
-    and controller ``params``, their clipped availability (one warning per
-    report when the scenario exceeds a rating) and the one surrogate whose
-    offsets ``c_k`` of all steps come from one multi-column solve.
+    Oracles are solved on every ``decimation``-th step, in one pass, each
+    on its row of the report's one :func:`oracle_map` (:func:`step_problem`)
+    and started from the previous sampled step's optimal setpoints.
     ``sigma_z_measured`` is the largest optimizer drift per step, averaged
     over each pair of consecutive oracles ``decimation`` steps apart; for
     ``decimation > 1`` it is therefore an estimate that bounds the true
@@ -749,16 +742,14 @@ def measure_tracking(
         )
     if constants is None:
         constants = convergence_constants(inv, net.coupling, params)
-    p_av = inv.available(scenario.p_av)
-    coupling = net.surrogate(scenario)
-    e_measured = float(np.max(np.linalg.norm(traj.y - coupling.predict(traj.u), axis=1)))
+    steps, c = oracle_map(net, scenario, inv, params)
+    e_measured = float(np.max(np.linalg.norm(traj.y - net.coupling.predict(traj.u, c), axis=1)))
 
     sigma_z = tail = res_max = 0.0
     its_total = its_max = 0
     sol = star = None
     for k in range(0, scenario.n_steps, decimation):
-        prob = step_problem(inv, p_av, coupling, scenario, params, k)
-        sol = solve_saddle_oracle(prob, u0=None if sol is None else sol.u)
+        sol = solve_saddle_oracle(step_problem(steps, c, k), u0=None if sol is None else sol.u)
         its_total += sol.iterations
         its_max = max(its_max, sol.iterations)
         res_max = max(res_max, sol.residual)

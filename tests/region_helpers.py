@@ -19,7 +19,7 @@ def in_region(kind, s, p_av, p, q, tol=1e-9):
 def project_scalar(kind, s, p_av, p, q):
     """One DER's projection and its Jacobian row, case by case in plain floats.
 
-    The per-point reference for the vectorised ``Inverters.project``.
+    The per-point reference for the vectorised ``StepMap.project``.
     """
     def clamp(p_fixed, cap):
         if q >= cap:

@@ -13,6 +13,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from region_helpers import in_region
+from small_feeders import two_bus
+from step_helpers import project, saddle
 
 from opftrack import networks
 from opftrack.controller import (
@@ -20,7 +22,6 @@ from opftrack.controller import (
     ControllerParams,
     DualState,
     Inverters,
-    SaddleProblem,
     StepMap,
     convergence_constants,
     dual_step_feedback,
@@ -135,7 +136,7 @@ def test_a1_projection_matches_grid_search():
             # every point projected at once, as copies of one inverter
             m = len(pts)
             fleet = Inverters(kind, np.full(m, s), np.ones(m), np.ones(m))
-            projs = fleet.project(np.asarray(pts), np.full(m, p_av))
+            projs = project(fleet, np.asarray(pts), np.full(m, p_av))
             assert np.all(in_region(kind, s, p_av, projs[:, 0], projs[:, 1], tol=1e-9))
             for (xp, xq), proj in zip(pts, projs.tolist()):
                 grid_pt, d_grid = _grid_nearest(xp, xq, kind, s, p_av, boundary)
@@ -189,7 +190,7 @@ def test_a2_linear_model_fidelity():
 
 def test_a3_error_free_contraction():
     t0 = time.perf_counter()
-    fd = networks.two_bus(z=0.1 + 0.1j)
+    fd = two_bus(z=0.1 + 0.1j)
     coupling = compile_feeder(fd).coupling
     inv = Inverters("joint", [1.0], [0.5], [0.5])
     p_av = np.asarray([0.95])
@@ -211,16 +212,13 @@ def test_a3_error_free_contraction():
     assert alpha < consts.alpha_max
 
     g = len(fd.der_nodes)
-    prob = SaddleProblem(
-        inverters=inv, p_av=p_av, coupling=coupling,
-        v_min=v_min, v_max=v_max, params=params,
-    )
+    prob = saddle(inv, p_av, coupling, v_min, v_max, params)
     sol = solve_saddle_oracle(prob, tol=1e-12)
     z_star = pack_state(sol.u, sol.gamma, sol.mu)
     assert sol.mu[0] > 0  # the upper limit binds, so the duals are exercised
 
     # full available power at unity power factor, zero duals
-    u, duals = inv.project(np.column_stack([p_av, np.zeros(g)]), p_av), DualState.zeros(1)
+    u, duals = project(inv, np.column_stack([p_av, np.zeros(g)]), p_av), DualState.zeros(1)
     step_map = StepMap(inv, coupling, params, p_av, v_min, v_max)
     dist = float(np.linalg.norm(pack_state(u, duals.gamma, duals.mu) - z_star))
     worst_ratio = 0.0
@@ -251,7 +249,7 @@ def test_a3_error_free_contraction():
 
 def test_a4_tracking_bound_on_ramp():
     t0 = time.perf_counter()
-    fd = networks.two_bus(z=0.1 + 0.1j)
+    fd = two_bus(z=0.1 + 0.1j)
     par = ScenarioParams(n_steps=100, tau=1.0, load_p=0.0, load_swing=0.0,
                          ramp_start=0.2, ramp_end=0.9)
     scen = generate_scenario("ramp", fd, seed=0, params=par)
@@ -518,13 +516,13 @@ def test_a9_oracle_uniqueness_and_stationarity():
         g = coupling.n_der
         pav = rng.uniform(0.3, 1.0, g)
         cost_w = rng.uniform(0.2, 3.0, (g, 2))
-        prob = SaddleProblem(
-            inverters=Inverters("joint", np.ones(g), cost_w[:, 0], cost_w[:, 1]),
-            p_av=pav,
-            coupling=coupling,
-            v_min=0.95,
-            v_max=float(rng.uniform(1.0, 1.03)),
-            params=ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4),
+        prob = saddle(
+            Inverters("joint", np.ones(g), cost_w[:, 0], cost_w[:, 1]),
+            pav,
+            coupling,
+            0.95,
+            float(rng.uniform(1.0, 1.03)),
+            ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4),
         )
         packed = []
         for s in range(10):

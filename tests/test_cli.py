@@ -5,8 +5,9 @@ import shutil
 from pathlib import Path
 
 import pytest
+from small_feeders import two_bus
 
-from opftrack import cli, controller, networks
+from opftrack import cli, controller
 from opftrack.controller import OracleError
 from opftrack.feeder import feeder_to_dict, save_feeder
 from opftrack.sim import run_closed_loop
@@ -21,7 +22,7 @@ def write_json(path, obj):
 @pytest.fixture()
 def feeder_file(tmp_path):
     path = tmp_path / "feeder.json"
-    save_feeder(networks.two_bus(z=0.1 + 0.1j), str(path))
+    save_feeder(two_bus(z=0.1 + 0.1j), str(path))
     return path
 
 
@@ -61,7 +62,7 @@ def test_validate_ok(feeder_file, capsys):
 
 
 def test_validate_reports_diagnostics(tmp_path, capsys):
-    d = feeder_to_dict(networks.two_bus())
+    d = feeder_to_dict(two_bus())
     d["lines"][0]["to"] = d["lines"][0]["from"]
     path = tmp_path / "bad.json"
     write_json(path, d)
@@ -433,7 +434,7 @@ def test_report_after_run(tmp_path, run_config, capsys):
 def test_run_header_only_scenario_file(tmp_path, run_config, capsys):
     from opftrack.sim import ScenarioParams, generate_scenario, write_scenario
 
-    fd = networks.two_bus(z=0.1 + 0.1j)
+    fd = two_bus(z=0.1 + 0.1j)
     spath = tmp_path / "empty.csv"
     write_scenario(generate_scenario("static", fd, seed=0, params=ScenarioParams(n_steps=2)),
                    fd, str(spath))
@@ -456,7 +457,7 @@ def _scenario_file_config(tmp_path, run_config, edit):
     # a copy of the run config that reads it
     from opftrack.sim import ScenarioParams, generate_scenario, write_scenario
 
-    fd = networks.two_bus(z=0.1 + 0.1j)
+    fd = two_bus(z=0.1 + 0.1j)
     spath = tmp_path / "scen.csv"
     write_scenario(generate_scenario("static", fd, seed=0, params=ScenarioParams(n_steps=4)),
                    fd, str(spath))

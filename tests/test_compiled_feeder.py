@@ -7,6 +7,7 @@ import numpy as np
 from dense_helpers import dense_admittance, factored_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from small_feeders import chain
 
 import opftrack
 from opftrack import cli, networks
@@ -22,7 +23,7 @@ feeders = st.one_of(
         st.integers(0, 2**16),
         st.sampled_from([0.0, 0.5]),
     ),
-    st.builds(networks.chain, st.integers(2, 60)),
+    st.builds(chain, st.integers(2, 60)),
 )
 
 

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from region_helpers import in_region, kink_distance, project_scalar
+from small_feeders import two_bus
+from step_helpers import project, project_jacobian, saddle
 
 from opftrack import networks
 from opftrack.controller import (
@@ -16,11 +18,9 @@ from opftrack.controller import (
     DualState,
     Inverters,
     OracleError,
-    SaddleProblem,
     StepMap,
     VoltageCoupling,
     _ARMIJO,
-    _closed_form_duals,
     _newton_point,
     _penalty_value,
     _spectral_norm,
@@ -32,7 +32,13 @@ from opftrack.controller import (
     saddle_residual,
     solve_saddle_oracle,
 )
-from opftrack.sim import ScenarioParams, compile_feeder, generate_scenario, step_problem
+from opftrack.sim import (
+    ScenarioParams,
+    compile_feeder,
+    generate_scenario,
+    oracle_map,
+    step_problem,
+)
 
 
 def fleet(kind, s, n=1):
@@ -41,7 +47,7 @@ def fleet(kind, s, n=1):
 
 
 def project_one(inv, point, p_av):
-    out = inv.project(np.asarray([point], dtype=float), np.asarray([p_av], dtype=float))
+    out = project(inv, np.asarray([point], dtype=float), np.asarray([p_av], dtype=float))
     return tuple(out[0])
 
 
@@ -78,7 +84,7 @@ def test_joint_projection_matches_grid_oracle():
     h = 0.004
     rng = np.random.default_rng(0)
     pts = np.column_stack([rng.uniform(-0.5, 1.6, 12), rng.uniform(-1.5, 1.5, 12)])
-    out = fleet("joint", 1.0, 12).project(pts, np.full(12, 0.8))
+    out = project(fleet("joint", 1.0, 12), pts, np.full(12, 0.8))
     for (p, q), (p_out, q_out) in zip(pts, out):
         d_closed = math.hypot(p_out - p, q_out - q)
         d_grid = grid_distance(p, q, h)
@@ -110,9 +116,9 @@ def test_projection_nonexpansive_and_idempotent():
         reg, p_av = fleet(kind, 1.0, 50), np.full(50, 0.8)
         x = rng.uniform(-2, 2, (50, 2))
         y = rng.uniform(-2, 2, (50, 2))
-        px, py = reg.project(x, p_av), reg.project(y, p_av)
+        px, py = project(reg, x, p_av), project(reg, y, p_av)
         assert np.all(np.linalg.norm(px - py, axis=1) <= np.linalg.norm(x - y, axis=1) + 1e-12)
-        assert np.allclose(reg.project(px, p_av), px, rtol=0.0, atol=1e-12)
+        assert np.allclose(project(reg, px, p_av), px, rtol=0.0, atol=1e-12)
 
 
 def test_projection_matches_the_scalar_reference():
@@ -126,7 +132,7 @@ def test_projection_matches_the_scalar_reference():
     u[::7, 0] = 0.0
     u[::5, 1] = -0.0  # signed zeros reach the trajectory file as "-0.0"
     for kind in REGION_KINDS:
-        out, jac = Inverters(kind, s, np.ones(n), np.ones(n)).project_jacobian(u, p_av)
+        out, jac = project_jacobian(Inverters(kind, s, np.ones(n), np.ones(n)), u, p_av)
         for i in range(n):
             p, q, row = project_scalar(kind, s[i], p_av[i], u[i, 0], u[i, 1])
             assert np.allclose(out[i], (p, q), rtol=4e-16, atol=0.0), (kind, i)
@@ -147,8 +153,8 @@ def test_values_only_projection_equals_the_projection_with_its_jacobian():
     u[2::9, 0] = p_av[2::9]  # on the chord P = p_av
     for kind in REGION_KINDS:
         inv = Inverters(kind, s, np.ones(n), np.ones(n))
-        values = inv.project(u, p_av)
-        with_jac, jac = inv.project_jacobian(u, p_av)
+        values = project(inv, u, p_av)
+        with_jac, jac = project_jacobian(inv, u, p_av)
         assert values.view(np.int64).tolist() == with_jac.view(np.int64).tolist(), kind
         assert jac.shape == (n, 4)
 
@@ -200,7 +206,7 @@ def test_joint_projection_equals_its_case_analysis_bit_for_bit():
     inv = Inverters("joint", s, np.ones(n), np.ones(n))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = inv.project(u, p_av)
+        got = project(inv, u, p_av)
         with np.errstate(all="ignore"):  # the case analysis may overflow s / r
             want = _joint_by_cases(s, p_av, u[:, 0], u[:, 1])
     assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
@@ -216,8 +222,8 @@ def test_projection_raises_no_warning_on_zeros_subnormals_and_huge_points(kind):
         p_av = np.full(n, 0.8 * frac)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = inv.project(pts, p_av)
-            again, jac = inv.project_jacobian(pts, p_av)
+            out = project(inv, pts, p_av)
+            again, jac = project_jacobian(inv, pts, p_av)
         assert np.isfinite(out).all() and np.isfinite(jac).all()
         assert np.all(in_region(kind, 0.8, p_av, out[:, 0], out[:, 1], tol=1e-12))
         assert out.view(np.int64).tolist() == again.view(np.int64).tolist()
@@ -266,8 +272,19 @@ def test_controller_params_validation():
             values = {"alpha": 0.1, "nu": 1e-3, "epsilon": 1e-4, name: bad}
             with pytest.raises(ValueError, match="finite"):
                 ControllerParams(**values)
+
+
+def test_step_map_needs_v_min_below_v_max_on_every_row():
+    coupling = compile_feeder(two_bus()).coupling
+    params = ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4)
+    inv = fleet("joint", 1.0)
     with pytest.raises(ValueError, match="v_min must be below v_max"):
-        _tb1_setup(v_min=1.1, v_max=1.0)
+        StepMap(inv, coupling, params, [0.95], 1.1, 1.0)
+    # one bad row of many, an empty band and a NaN limit are each refused
+    for v_max in ([1.05, 0.9, 1.05], [1.05, 0.95, 1.05], [1.05, math.nan, 1.05]):
+        with pytest.raises(ValueError, match="v_min must be below v_max"):
+            StepMap(inv, coupling, params, np.full((3, 1), 0.95), np.full(3, 0.95), v_max)
+    StepMap(inv, coupling, params, np.full((3, 1), 0.95), np.full(3, 0.95), np.full(3, 1.05))
 
 
 def test_dual_state_validation():
@@ -289,32 +306,27 @@ def test_dual_state_rejects_any_negative_entry():
     assert DualState(np.zeros(0), np.zeros(0)).gamma.shape == (0,)
 
 
+TB1_ALPHA = 0.2  # the run's stepsize on the two-bus instances
+
+
 def _tb1_setup(nu=1e-3, eps=1e-4, c=(3.0, 1.0), z=0.1 + 0.1j, pav=0.95, v_min=0.95, v_max=1.05):
-    fd = networks.two_bus(z=z)
+    fd = two_bus(z=z)
     coupling = compile_feeder(fd).coupling
-    params = ControllerParams(alpha=0.2, nu=nu, epsilon=eps)
-    problem = SaddleProblem(
-        inverters=Inverters("joint", [1.0], [c[0]], [c[1]]),
-        p_av=[pav],
-        coupling=coupling,
-        v_min=v_min,
-        v_max=v_max,
-        params=params,
-    )
-    return problem
+    params = ControllerParams(alpha=TB1_ALPHA, nu=nu, epsilon=eps)
+    return saddle(Inverters("joint", [1.0], [c[0]], [c[1]]), [pav], coupling, v_min, v_max, params)
 
 
-def _step_map(prob, params=None):
-    # the one-step map of a saddle instance at its own (or the given) stepsize
-    return StepMap(
-        prob.inverters, prob.coupling, params or prob.params, prob.p_av, prob.v_min, prob.v_max
-    )
+def _step_map(prob, alpha=TB1_ALPHA):
+    # the one-step map of a saddle instance at the given stepsize
+    steps = prob.step_map
+    return replace(steps, params=replace(steps.params, alpha=alpha))
 
 
 def _model_dual_step(prob, duals, u, params):
     # the model-based dual step written out from the constraint values
-    w = prob.coupling.r @ u[:, 0] + prob.coupling.b @ u[:, 1] + prob.coupling.c
-    g, g_bar = prob.v_min - w, w - prob.v_max
+    steps = prob.step_map
+    w = steps.coupling.r @ u[:, 0] + steps.coupling.b @ u[:, 1] + prob.c
+    g, g_bar = steps.v_min[0] - w, w - steps.v_max[0]
     a, eps = params.alpha, params.epsilon
     return DualState(
         np.maximum(0.0, duals.gamma + a * (g - eps * duals.gamma)),
@@ -324,7 +336,7 @@ def _model_dual_step(prob, duals, u, params):
 
 def test_coupling_predicts_over_leading_axes():
     prob = _tb1_setup()
-    coup = prob.coupling
+    coup = prob.step_map.coupling
     u = np.asarray([[0.3, -0.1]])
     assert np.allclose(coup.predict(u), coup.r @ u[:, 0] + coup.b @ u[:, 1] + coup.c,
                        rtol=0.0, atol=1e-15)
@@ -337,15 +349,18 @@ def test_coupling_predicts_over_leading_axes():
         assert np.allclose(stacked[k], replace(coup, c=cs[k]).predict(us[k]),
                            rtol=0.0, atol=1e-15)
     assert stacked[2, 0] == cs[2, 0]
+    # an offset passed in replaces the coupling's own, bit for bit
+    for k in range(3):
+        assert np.array_equal(coup.predict(us[k], cs[k]), replace(coup, c=cs[k]).predict(us[k]))
 
 
 def _lagrangian_value(problem, u, duals):
     # assembled independently of grad_primal for the finite-difference check
-    prm, inv = problem.params, problem.inverters
-    f = float(np.sum(inv.c_p * (problem.p_av - u[:, 0]) ** 2 + inv.c_q * u[:, 1] ** 2))
-    coup = problem.coupling
-    w = coup.r @ u[:, 0] + coup.b @ u[:, 1] + coup.c
-    g, g_bar = problem.v_min - w, w - problem.v_max
+    steps = problem.step_map
+    prm, inv, coup = steps.params, steps.inverters, steps.coupling
+    f = float(np.sum(inv.c_p * (steps.p_av[0] - u[:, 0]) ** 2 + inv.c_q * u[:, 1] ** 2))
+    w = coup.r @ u[:, 0] + coup.b @ u[:, 1] + problem.c
+    g, g_bar = steps.v_min[0] - w, w - steps.v_max[0]
     return (
         f
         + 0.5 * prm.nu * float(np.sum(u * u))
@@ -364,17 +379,10 @@ def test_gradient_matches_finite_differences():
     # demand at the DER buses, folded into the offset
     p_load, q_load = rng.uniform(0, 0.01, 18), rng.uniform(0, 0.004, 18)
     coupling = replace(coupling, c=coupling.c - coupling.r @ p_load - coupling.b @ q_load)
-    problem = SaddleProblem(
-        inverters=inv,
-        p_av=0.8 * inv.s_rating,
-        coupling=coupling,
-        v_min=0.95,
-        v_max=1.05,
-        params=params,
-    )
+    problem = saddle(inv, 0.8 * inv.s_rating, coupling, 0.95, 1.05, params)
     u = np.column_stack([rng.uniform(0, 0.15, 18), rng.uniform(-0.1, 0.1, 18)])
     duals = DualState(rng.uniform(0, 2, 10), rng.uniform(0, 2, 10))
-    grad = grad_primal(u, duals, _step_map(problem), 0)
+    grad = grad_primal(u, duals, _step_map(problem, params.alpha), 0)
     h = 1e-6
     for i in (0, 7, 17):
         for j in (0, 1):
@@ -407,9 +415,10 @@ def test_dual_routes_coincide_on_exact_measurements():
     prob = _tb1_setup()
     u = np.asarray([[0.5, -0.2]])
     duals = DualState(np.asarray([0.2]), np.asarray([1.1]))
-    w = prob.coupling.predict(u)
-    via_model = _model_dual_step(prob, duals, u, prob.params)
-    via_meas = dual_step_feedback(duals, w, _step_map(prob), 0)
+    steps = _step_map(prob)
+    w = steps.coupling.predict(u, prob.c)
+    via_model = _model_dual_step(prob, duals, u, steps.params)
+    via_meas = dual_step_feedback(duals, w, steps, 0)
     assert np.array_equal(via_model.gamma, via_meas.gamma)
     assert np.array_equal(via_model.mu, via_meas.mu)
 
@@ -428,7 +437,8 @@ def test_primal_step_fixed_point_without_binding_constraints():
 
 def test_convergence_constants_expressions():
     prob = _tb1_setup(z=0.01 + 0.01j, c=(3.0, 1.0), nu=1e-3, eps=1e-4)
-    consts = convergence_constants(prob.inverters, prob.coupling, prob.params)
+    steps = _step_map(prob)
+    consts = convergence_constants(steps.inverters, steps.coupling, steps.params)
     G = math.hypot(0.01, 0.01)
     L = 6.0
     eta = 1e-4
@@ -448,7 +458,7 @@ def test_convergence_constants_expressions():
         math.sqrt(1.0 - eta**2 / L_reg**2), rel=1e-12
     )
     assert consts.rho(a_best) < consts.rho(consts.alpha_max)
-    assert consts.rho_alpha == pytest.approx(consts.rho(prob.params.alpha), rel=1e-12)
+    assert consts.rho_alpha == pytest.approx(consts.rho(TB1_ALPHA), rel=1e-12)
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (3, 40), (40, 3), (200, 60), (60, 200), (50, 50)])
@@ -476,7 +486,8 @@ def test_convergence_constants_g_is_the_stacked_two_norm(fd):
 def test_error_free_iteration_contracts_at_certified_rate():
     # well-regularized instance: nu = eps = 0.1 gives a usable alpha_max
     prob = _tb1_setup(nu=0.1, eps=0.1, c=(0.5, 0.5))
-    consts = convergence_constants(prob.inverters, prob.coupling, prob.params)
+    steps = _step_map(prob)
+    consts = convergence_constants(steps.inverters, steps.coupling, steps.params)
     L_reg = math.sqrt((1.0 + 0.1 + 2 * consts.G) ** 2 + 2 * (consts.G + 0.1) ** 2)
     assert consts.L_reg == pytest.approx(L_reg, rel=1e-12)
     alpha = consts.eta / consts.L_reg**2
@@ -484,8 +495,8 @@ def test_error_free_iteration_contracts_at_certified_rate():
     rho = consts.rho(alpha)
     assert rho < 1.0
 
-    prm = replace(prob.params, alpha=alpha)
-    steps = _step_map(prob, prm)
+    steps = _step_map(prob, alpha)
+    prm = steps.params
     star = solve_saddle_oracle(prob, tol=1e-12)
     z_star = pack_state(star.u, star.gamma, star.mu)
     u = np.asarray([[0.0, 0.0]])
@@ -508,9 +519,9 @@ def test_saddle_oracle_binding_instance():
     sol = solve_saddle_oracle(prob, tol=1e-11)
     assert sol.residual <= 1e-9
     # upper limit binds: the regularized optimum leaves an eps*mu violation
-    w = prob.coupling.predict(sol.u)
+    w = prob.step_map.coupling.predict(sol.u, prob.c)
     assert w[0] > 1.05
-    assert sol.mu[0] == pytest.approx((w[0] - 1.05) / prob.params.epsilon, rel=1e-9)
+    assert sol.mu[0] == pytest.approx((w[0] - 1.05) / prob.step_map.params.epsilon, rel=1e-9)
     assert sol.gamma[0] == 0.0
     assert saddle_residual(prob, sol.u, sol.gamma, sol.mu) == pytest.approx(
         sol.residual, abs=1e-12
@@ -525,7 +536,7 @@ def test_saddle_oracle_multi_start_agreement():
         u0 = np.column_stack([rng.uniform(0, 0.95, 1), rng.uniform(-0.3, 0.3, 1)])
         sol = solve_saddle_oracle(prob, tol=1e-11, u0=u0)
         assert np.allclose(sol.u, ref.u, atol=1e-8)
-        assert np.allclose(sol.mu, ref.mu, atol=1e-8 / prob.params.epsilon * 1e-2)
+        assert np.allclose(sol.mu, ref.mu, atol=1e-8 / prob.step_map.params.epsilon * 1e-2)
 
 
 def test_saddle_oracle_unconstrained_instance():
@@ -552,10 +563,10 @@ def test_saddle_oracle_large_feeder_last_ramp_step():
     )
     scen = generate_scenario("ramp", fd, 0, ScenarioParams(n_steps=30))
     inv = Inverters("joint", fd.der_ratings, np.full(fd.n_der, 3.0), np.ones(fd.n_der))
-    prob = step_problem(
-        inv, inv.available(scen.p_av), compile_feeder(fd).surrogate(scen), scen,
-        ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4), scen.n_steps - 1,
+    steps, c = oracle_map(
+        compile_feeder(fd), scen, inv, ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4)
     )
+    prob = step_problem(steps, c, scen.n_steps - 1)
     sol = solve_saddle_oracle(prob)
     assert sol.residual <= 1e-11
     assert sol.iterations <= 50
@@ -571,7 +582,8 @@ def test_saddle_oracle_rejects_a_tolerance_that_is_not_positive_and_finite():
 def _lipschitz_bound(prob):
     # the oracle's bound on the Lipschitz constant of grad F: the largest
     # cost curvature plus the squared Frobenius norm of the sensitivities / eps
-    inv, prm, coup = prob.inverters, prob.params, prob.coupling
+    steps = prob.step_map
+    inv, prm, coup = steps.inverters, steps.params, steps.coupling
     curvature = 2.0 * max(inv.c_p.max(), inv.c_q.max()) + prm.nu
     return curvature + float(np.sum(coup.r**2) + np.sum(coup.b**2)) / prm.epsilon
 
@@ -586,22 +598,19 @@ def _penalty_instance():
     rng = np.random.default_rng(11)
     w = rng.uniform(0.5, 3.0, (18, 2))
     inv = Inverters("joint", fd.der_ratings, w[:, 0], w[:, 1])
-    return SaddleProblem(
-        inverters=inv,
-        p_av=0.7 * inv.s_rating,
-        coupling=replace(coupling, c=c),
-        v_min=0.95,
-        v_max=1.05,
-        params=ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4),
-    ), rng
+    params = ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4)
+    return saddle(inv, 0.7 * inv.s_rating, replace(coupling, c=c), 0.95, 1.05, params), rng
 
 
 def test_penalty_value_matches_its_gradient_with_both_limits_violated():
     prob, rng = _penalty_instance()
     u = np.column_stack([rng.uniform(0, 0.1, 18), rng.uniform(-0.05, 0.05, 18)])
     f, duals = _penalty_value(prob, u)
-    closed = _closed_form_duals(prob, u)
-    assert np.array_equal(duals.gamma, closed.gamma) and np.array_equal(duals.mu, closed.mu)
+    # the maximizing duals are each limit's violation by the surrogate over eps
+    steps = prob.step_map
+    w, eps = steps.coupling.predict(u, prob.c), steps.params.epsilon
+    assert np.array_equal(duals.gamma, np.maximum(steps.v_min[0] - w, 0.0) / eps)
+    assert np.array_equal(duals.mu, np.maximum(w - steps.v_max[0], 0.0) / eps)
     assert duals.gamma.max() > 0.0 and duals.mu.max() > 0.0
     # the oracle takes the Hessian rows of the violated limits as mu != gamma
     assert np.array_equal(duals.mu != duals.gamma, (duals.gamma > 0.0) | (duals.mu > 0.0))
@@ -611,10 +620,10 @@ def test_penalty_value_matches_its_gradient_with_both_limits_violated():
     assert point.f == f
     # r is the 1/lip-scaled natural residual, summed from the gradient step
     w = u - grad / lip
-    assert np.array_equal(point.r, grad / lip + (w - prob.inverters.project(w, prob.p_av)))
-    assert np.allclose(point.r, u - prob.inverters.project(w, prob.p_av), rtol=0, atol=1e-15)
+    assert np.array_equal(point.r, grad / lip + (w - steps.project(0, w)))
+    assert np.allclose(point.r, u - steps.project(0, w), rtol=0, atol=1e-15)
     # res stays the unit-step residual, the stop test and saddle_residual
-    unit = u - prob.inverters.project(u - grad, prob.p_av)
+    unit = u - steps.project(0, u - grad)
     assert point.res == np.linalg.norm(unit)
     assert point.res == pytest.approx(
         saddle_residual(prob, u, duals.gamma, duals.mu), rel=1e-12
@@ -636,12 +645,12 @@ def _saddle_residual_reference(problem, u, gamma, mu):
     # the residual written out from the constraint values, as the step map
     # at unit step computes it
     duals = DualState(gamma, mu)
-    coup = problem.coupling
-    w = coup.predict(u)
-    g, g_bar = problem.v_min - w, w - problem.v_max
-    gp = grad_primal(u, duals, _step_map(problem), 0)
-    u2 = problem.inverters.project(u - gp, problem.p_av)
-    eps = problem.params.epsilon
+    steps = problem.step_map
+    w = steps.coupling.predict(u, problem.c)
+    g, g_bar = steps.v_min[0] - w, w - steps.v_max[0]
+    gp = grad_primal(u, duals, steps, 0)
+    u2 = steps.project(0, u - gp)
+    eps = steps.params.epsilon
     gamma2 = np.maximum(0.0, gamma + (g - eps * gamma))
     mu2 = np.maximum(0.0, mu + (g_bar - eps * mu))
     return float(np.linalg.norm(pack_state(u - u2, gamma - gamma2, mu - mu2)))
@@ -682,14 +691,10 @@ def test_coupling_slicing_and_validation():
         VoltageCoupling(np.zeros((2, 6)), np.zeros(5))
     with pytest.raises(ValueError, match="inconsistent"):
         VoltageCoupling(np.zeros((2, 3)), np.zeros(2))  # no even split into r and b
-    with pytest.raises(ValueError, match="DER count"):
-        SaddleProblem(
-            inverters=fleet("joint", 1.0),
-            p_av=[0.5],
-            coupling=coup,
-            v_min=0.95,
-            v_max=1.05,
-            params=ControllerParams(alpha=0.1, nu=1e-3, epsilon=1e-4),
+    with pytest.raises(ValueError, match="one entry per DER"):
+        StepMap(
+            fleet("joint", 1.0), coup, ControllerParams(alpha=0.1, nu=1e-3, epsilon=1e-4),
+            [0.5], 0.95, 1.05,
         )
 
 
@@ -718,9 +723,9 @@ def setpoints(n):
 def test_projection_property_idempotent_and_nonexpansive(batch, data):
     inv, p_av = batch
     x, y = data.draw(setpoints(inv.n_der)), data.draw(setpoints(inv.n_der))
-    a, b = inv.project(x, p_av), inv.project(y, p_av)
+    a, b = project(inv, x, p_av), project(inv, y, p_av)
     assert np.all(in_region(inv.kind, inv.s_rating, p_av, a[:, 0], a[:, 1], tol=1e-12))
-    assert np.all(np.linalg.norm(inv.project(a, p_av) - a, axis=1) <= 1e-12)
+    assert np.all(np.linalg.norm(project(inv, a, p_av) - a, axis=1) <= 1e-12)
     assert np.all(np.linalg.norm(a - b, axis=1) <= np.linalg.norm(x - y, axis=1) + 1e-12)
 
 
@@ -731,8 +736,8 @@ def test_projection_property_variational_inequality(batch, data):
     # every feasible x, here region points sampled as projections
     inv, p_av = batch
     z = data.draw(setpoints(inv.n_der))
-    x = inv.project(data.draw(setpoints(inv.n_der)), p_av)
-    pz = inv.project(z, p_av)
+    x = project(inv, data.draw(setpoints(inv.n_der)), p_av)
+    pz = project(inv, z, p_av)
     assert np.all(np.sum((z - pz) * (x - pz), axis=1) <= 1e-12)
 
 
@@ -743,10 +748,10 @@ def test_projection_jacobian_matches_central_differences(batch, data):
     u = data.draw(setpoints(inv.n_der))
     smooth = kink_distance(u[:, 0], u[:, 1], inv.s_rating, p_av) >= 1e-6
     assume(smooth.any())
-    _, jac = inv.project_jacobian(u, p_av)
+    _, jac = project_jacobian(inv, u, p_av)
     h = 1e-7
     for col, d in enumerate(((h, 0.0), (0.0, h))):
-        fd = (inv.project(u + d, p_av) - inv.project(u - d, p_av)) / (2.0 * h)
+        fd = (project(inv, u + d, p_av) - project(inv, u - d, p_av)) / (2.0 * h)
         for row in range(2):
             assert np.allclose(jac[smooth, 2 * row + col], fd[smooth, row], rtol=0.0, atol=1e-6)
 
@@ -765,11 +770,11 @@ def test_projected_gradient_point_meets_the_armijo_condition(batch, data):
         rng.uniform(0.9, 1.1, m),
     )
     eps = data.draw(st.sampled_from([1e-4, 1e-2, 1.0]))
-    prob = SaddleProblem(inv, p_av, coupling, 0.95, 1.05, ControllerParams(0.2, 1e-3, eps))
-    u = inv.project(data.draw(setpoints(n)), p_av)
+    prob = saddle(inv, p_av, coupling, 0.95, 1.05, ControllerParams(0.2, 1e-3, eps))
+    u = project(inv, data.draw(setpoints(n)), p_av)
     f, duals = _penalty_value(prob, u)
     grad = grad_primal(u, duals, prob.step_map, 0)
-    x = inv.project(u - grad / _lipschitz_bound(prob), p_av)
+    x = project(inv, u - grad / _lipschitz_bound(prob), p_av)
     decrease = float(np.sum(grad * (x - u)))
     assert decrease <= 0.0
     assert _penalty_value(prob, x)[0] <= f + _ARMIJO * decrease
@@ -787,13 +792,13 @@ def test_saddle_oracle_property_random_radial(n, seed):
     w = rng.uniform(0.2, 3.0, (g, 2))
     p_av = rng.uniform(0.0, 1.0, g)
     p_load, q_load = rng.uniform(0.0, 0.05, g), rng.uniform(0.0, 0.02, g)
-    prob = SaddleProblem(
-        inverters=Inverters(kind, np.ones(g), w[:, 0], w[:, 1]),
-        p_av=p_av,
-        coupling=replace(coupling, c=coupling.c - coupling.r @ p_load - coupling.b @ q_load),
-        v_min=0.95,
-        v_max=float(rng.uniform(1.0, 1.03)),
-        params=ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4),
+    prob = saddle(
+        Inverters(kind, np.ones(g), w[:, 0], w[:, 1]),
+        p_av,
+        replace(coupling, c=coupling.c - coupling.r @ p_load - coupling.b @ q_load),
+        0.95,
+        float(rng.uniform(1.0, 1.03)),
+        ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4),
     )
     sol = solve_saddle_oracle(prob)
     assert saddle_residual(prob, sol.u, sol.gamma, sol.mu) <= 1e-9
@@ -805,6 +810,6 @@ def test_a_subnormal_setpoint_projects_without_overflow():
     # subnormal radius divides nothing by it
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out, jac = JOINT.project_jacobian(np.asarray([[1e-310, 1e-310]]), np.asarray([0.8]))
+        out, jac = project_jacobian(JOINT, np.asarray([[1e-310, 1e-310]]), np.asarray([0.8]))
     assert out.tolist() == [[1e-310, 1e-310]]
     assert jac.tolist() == [[1.0, 0.0, 0.0, 1.0]]

@@ -11,6 +11,7 @@ import pytest
 from dense_helpers import factored_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from small_feeders import chain, two_bus
 
 from opftrack import cli, networks
 from opftrack.feeder import (
@@ -30,7 +31,7 @@ from opftrack.feeder import (
 
 def test_two_bus_partition_hand_values():
     # single segment z = 0.01 + 0.01j, so 1/z = 50 - 50j
-    adm = build_admittance(networks.two_bus())
+    adm = build_admittance(two_bus())
     ys = 1.0 / (0.01 + 0.01j)
     assert ys == pytest.approx(50.0 - 50.0j)
     assert np.allclose(factored_matrix(adm), [[ys]])
@@ -38,7 +39,7 @@ def test_two_bus_partition_hand_values():
 
 
 def test_line_charging_splits_half_per_terminal():
-    adm = build_admittance(networks.two_bus(y_shunt=0.02j))
+    adm = build_admittance(two_bus(y_shunt=0.02j))
     ys = 1.0 / (0.01 + 0.01j)
     assert factored_matrix(adm)[0, 0] == pytest.approx(ys + 0.01j)
     assert adm.ybar[0] == pytest.approx(-ys)
@@ -46,7 +47,7 @@ def test_line_charging_splits_half_per_terminal():
 
 def test_chain_assembly_matches_manual():
     z = 0.02 + 0.04j
-    adm = build_admittance(networks.chain(3, z=z))
+    adm = build_admittance(chain(3, z=z))
     ys = 1.0 / z
     manual = np.zeros((4, 4), dtype=complex)
     for a, b in ((0, 1), (1, 2), (2, 3)):
@@ -161,7 +162,7 @@ def test_writer_rejects_der_lists_of_unequal_length(der_nodes, ratings, tmp_path
 
 def test_clean_feeder_has_no_diagnostics():
     assert validate_feeder(networks.feeder36()) == []
-    assert validate_feeder(networks.two_bus()) == []
+    assert validate_feeder(two_bus()) == []
 
 
 def test_degenerate_network_rejected():
@@ -381,7 +382,7 @@ def _plus_lines(fd, rows):
 
 def test_line_diagnostics_keep_line_order():
     feeder = _plus_lines(
-        networks.chain(2), [(1, 0, 0.05j), (0, 9, 0.01j), (0, 2, 0j), (2, 2, 0.01j)]
+        chain(2), [(1, 0, 0.05j), (0, 9, 0.01j), (0, 2, 0j), (2, 2, 0.01j)]
     )
     assert validate_feeder(feeder) == [
         "duplicate line corridor (0,1)",
@@ -392,7 +393,7 @@ def test_line_diagnostics_keep_line_order():
 
 
 def test_a_zero_impedance_line_connects_nothing():
-    fd = networks.chain(2)
+    fd = chain(2)
     cut = replace(fd, z=np.array([fd.z[0], 0j]))
     assert validate_feeder(cut) == [
         "line (1,2) has zero series impedance",
@@ -415,7 +416,7 @@ def test_connectivity_is_counted_over_the_buses_the_lines_touch():
 
 
 def test_line_arrays_must_agree_in_length():
-    fd = networks.chain(3)
+    fd = chain(3)
     for bad in (dict(z=fd.z[:2]), dict(y_shunt=fd.y_shunt[:2]), dict(terminals=fd.terminals.T)):
         with pytest.raises(ValueError, match="line arrays need shapes"):
             replace(fd, **bad)

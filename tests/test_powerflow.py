@@ -7,6 +7,7 @@ import pytest
 from dense_helpers import factored_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from small_feeders import chain, two_bus
 
 from opftrack import networks
 from opftrack.feeder import build_admittance
@@ -23,7 +24,7 @@ from opftrack.powerflow import (
 
 
 def test_no_load_profile_is_flat_without_shunts():
-    adm = build_admittance(networks.chain(5))
+    adm = build_admittance(chain(5))
     vbar = no_load_voltage(adm, 1.0 + 0j)
     assert np.allclose(vbar, 1.0, atol=1e-12)
     sol = solve_ac(adm, np.zeros(5, dtype=complex), 1.0 + 0j)
@@ -32,7 +33,7 @@ def test_no_load_profile_is_flat_without_shunts():
 
 
 def test_two_bus_linear_model_hand_values():
-    lm = build_linear_model(build_admittance(networks.two_bus()), 1.0 + 0j)
+    lm = build_linear_model(build_admittance(two_bus()), 1.0 + 0j)
     R, B = np.hsplit(lm.columns([0], [0]), 2)
     assert np.allclose(R, [[0.01]], atol=1e-15)
     assert np.allclose(B, [[0.01]], atol=1e-15)
@@ -51,7 +52,7 @@ def test_two_bus_ac_matches_independent_fixed_point():
     for _ in range(200):
         v = (np.conj(s / v) + y) / y
     sol = solve_ac(
-        build_admittance(networks.two_bus()), np.array([-0.1 - 0.05j]), 1.0 + 0j
+        build_admittance(two_bus()), np.array([-0.1 - 0.05j]), 1.0 + 0j
     )
     assert sol.v[0] == pytest.approx(v, abs=1e-10)
     assert abs(sol.v[0]) == pytest.approx(0.9984976, abs=1e-7)
@@ -174,7 +175,7 @@ def test_complex_sensitivity_identities():
 
 
 def test_collapse_detected():
-    adm = build_admittance(networks.two_bus())
+    adm = build_admittance(two_bus())
     with pytest.raises(VoltageCollapseError):
         solve_ac(adm, np.array([-50.0 + 0j]), 1.0 + 0j)
 
@@ -182,7 +183,7 @@ def test_collapse_detected():
 def test_collapse_band_is_checked_on_both_sides():
     # from a warm start at 1 pu, the first two-bus iterate is 1 + z conj(s)
     z = 0.01 + 0.01j
-    adm = build_admittance(networks.two_bus(z=z))
+    adm = build_admittance(two_bus(z=z))
     cases = ((0.2, True), (0.31, False), (2.9, False), (4.0, True))
     for target, collapses in cases:
         s = np.conj((target - 1.0) / z)
@@ -195,7 +196,7 @@ def test_collapse_band_is_checked_on_both_sides():
 
 
 def test_non_convergence_reports_residual():
-    adm = build_admittance(networks.two_bus())
+    adm = build_admittance(two_bus())
     with pytest.raises(PowerFlowError) as err:
         solve_ac(adm, np.array([-0.5 - 0.2j]), 1.0 + 0j, max_iter=1)
     assert not isinstance(err.value, VoltageCollapseError)
@@ -204,7 +205,7 @@ def test_non_convergence_reports_residual():
 
 
 def test_warm_start_accepted_and_validated():
-    adm = build_admittance(networks.two_bus())
+    adm = build_admittance(two_bus())
     inj = np.array([-0.3 - 0.1j])
     cold = solve_ac(adm, inj, 1.0 + 0j)
     warm = solve_ac(adm, inj, 1.0 + 0j, init=cold.v)
@@ -215,8 +216,27 @@ def test_warm_start_accepted_and_validated():
             solve_ac(adm, inj, 1.0 + 0j, init=np.asarray([outside + 0j]))
 
 
+def test_fallback_start_replaces_only_a_start_outside_the_band():
+    adm = build_admittance(two_bus())
+    inj = np.array([-0.3 - 0.1j])
+    cold = solve_ac(adm, inj, 1.0 + 0j)
+    from_cold = solve_ac(adm, inj, 1.0 + 0j, init=cold.v)
+    nan = np.asarray([np.nan + 0j])
+    # a start in band is taken as it is, and the fallback is not even read
+    kept = solve_ac(adm, inj, 1.0 + 0j, init=cold.v, fallback=nan)
+    assert kept.v.tolist() == from_cold.v.tolist() and kept.iterations == from_cold.iterations
+    # a start outside it gives way to the fallback
+    for outside in (0.1, 3.01, np.nan, np.inf):
+        fell = solve_ac(adm, inj, 1.0 + 0j, init=np.asarray([outside + 0j]), fallback=cold.v)
+        assert fell.v.tolist() == from_cold.v.tolist()
+    # a fallback outside the band is refused as a start is
+    for bad in (0.1, np.nan):
+        with pytest.raises(ValueError, match="warm-start"):
+            solve_ac(adm, inj, 1.0 + 0j, init=nan, fallback=np.asarray([bad + 0j]))
+
+
 def test_injection_validation():
-    adm = build_admittance(networks.two_bus())
+    adm = build_admittance(two_bus())
     for bad in (np.nan, np.inf, complex(0.0, -np.inf), complex(np.nan, 1.0)):
         for init in (None, np.ones(1, dtype=complex)):
             with pytest.raises(ValueError, match="injections must be finite"):
@@ -263,10 +283,10 @@ def test_constraint_offsets_consistent_with_full_model():
 
 
 def test_linear_model_requires_nonzero_profile():
-    lm = build_linear_model(build_admittance(networks.two_bus()), 1.0 + 0j)
+    lm = build_linear_model(build_admittance(two_bus()), 1.0 + 0j)
     assert isinstance(lm, LinearModel)
     with pytest.raises(ValueError, match="zero-magnitude"):
-        build_linear_model(build_admittance(networks.two_bus()), 0j)
+        build_linear_model(build_admittance(two_bus()), 0j)
 
 
 @pytest.mark.parametrize("n_der", [1, 31, 32, 33, 65])

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from region_helpers import in_region
+from small_feeders import chain, two_bus
+from step_helpers import saddle
 
 from opftrack import networks
 from opftrack.baseline import DROOP_GAIN, droop_q
@@ -20,7 +22,6 @@ from opftrack.controller import (
     ControllerParams,
     DualState,
     Inverters,
-    SaddleProblem,
     StepMap,
     convergence_constants,
     dual_step_feedback,
@@ -29,8 +30,8 @@ from opftrack.controller import (
     solve_saddle_oracle,
 )
 from opftrack.feeder import load_feeder
-from opftrack import sim
-from opftrack.powerflow import PowerFlowError, constraint_offsets, solve_ac
+from opftrack import powerflow, sim
+from opftrack.powerflow import PowerFlowError, constraint_offsets, in_band, solve_ac
 from opftrack.sim import (
     Scenario,
     ScenarioParams,
@@ -40,6 +41,7 @@ from opftrack.sim import (
     eval_cost,
     generate_scenario,
     measure_tracking,
+    oracle_map,
     read_scenario,
     read_trajectory,
     run_closed_loop,
@@ -48,7 +50,7 @@ from opftrack.sim import (
     write_trajectory,
 )
 
-TB_STRONG = networks.two_bus(z=0.33 + 0.33j)  # strong coupling settles fast
+TB_STRONG = two_bus(z=0.33 + 0.33j)  # strong coupling settles fast
 STATIC_PAR = ScenarioParams(n_steps=260, tau=1.0, load_p=0.0, load_swing=0.0, pav_peak=0.6)
 FAST_PARAMS = ControllerParams(alpha=0.8, nu=1e-5, epsilon=1e-5)
 FAST_INV = Inverters("joint", TB_STRONG.der_ratings, [1.0], [1.0])
@@ -71,7 +73,7 @@ def test_static_generator_constant_series():
 
 
 def test_ramp_generator_endpoints():
-    fd = networks.two_bus()
+    fd = two_bus()
     par = ScenarioParams(n_steps=50, load_swing=0.0, ramp_start=0.2, ramp_end=0.9)
     scen = generate_scenario("ramp", fd, seed=1, params=par)
     assert scen.p_av[0, 0] == pytest.approx(0.2)
@@ -101,7 +103,7 @@ def test_cloud_generator_flat_top_and_bounded_dips():
 
 
 def test_vmax_steps_generator_plateaus():
-    fd = networks.two_bus()
+    fd = two_bus()
     par = ScenarioParams(n_steps=120, load_swing=0.0)
     scen = generate_scenario("vmax_steps", fd, seed=2, params=par)
     b1, b2 = round(7 / 12 * 120), round(8 / 12 * 120)
@@ -124,7 +126,7 @@ def test_generator_determinism_and_seed_sensitivity():
 
 def test_generator_time_base_refinement():
     # halving tau with 2n-1 steps samples the same wall-clock trace
-    fd = networks.two_bus()
+    fd = two_bus()
     p1 = ScenarioParams(n_steps=41, tau=1.0, load_swing=0.0, ramp_start=0.2, ramp_end=0.9)
     p2 = ScenarioParams(n_steps=81, tau=0.5, load_swing=0.0, ramp_start=0.2, ramp_end=0.9)
     s1 = generate_scenario("ramp", fd, seed=0, params=p1)
@@ -134,7 +136,7 @@ def test_generator_time_base_refinement():
 
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="unknown scenario kind"):
-        generate_scenario("sunny", networks.two_bus(), seed=0)
+        generate_scenario("sunny", two_bus(), seed=0)
 
 
 def test_scenario_validation():
@@ -163,11 +165,11 @@ def test_scenario_file_round_trip(tmp_path):
     assert np.array_equal(back.p_av, scen.p_av)
     assert np.array_equal(back.v_max, scen.v_max)
     with pytest.raises(ValueError, match="columns do not match"):
-        read_scenario(str(path), networks.two_bus())
+        read_scenario(str(path), two_bus())
 
 
 def test_closed_loop_rejects_bad_arguments():
-    fd = networks.two_bus()
+    fd = two_bus()
     net = compile_feeder(fd)
     scen = generate_scenario("static", fd, seed=0, params=ScenarioParams(n_steps=5))
     with pytest.raises(ValueError, match="unknown strategy"):
@@ -324,20 +326,23 @@ def test_step_problem_uses_scenario_step_data():
     net = compile_feeder(fd)
     k = 100
     inv = _inverters(fd)
-    prob = step_problem(inv, inv.available(scen.p_av), net.surrogate(scen), scen, PARAMS, k)
-    assert prob.inverters is inv and prob.params is PARAMS
-    assert prob.v_min == scen.v_min[k] and prob.v_max == scen.v_max[k]
-    assert np.array_equal(prob.p_av, scen.p_av[k])
-    assert np.array_equal(prob.coupling.r, net.coupling.r)
+    steps, c = oracle_map(net, scen, inv, PARAMS)
+    assert len(steps.p_av) == len(c) == scen.n_steps
+    assert steps.inverters is inv and steps.params == replace(PARAMS, alpha=1.0)
+    assert steps.coupling is net.coupling
+    prob = step_problem(steps, c, k)
+    assert prob.step_map is steps and prob.k == k
+    assert steps.v_min[k] == scen.v_min[k] and steps.v_max[k] == scen.v_max[k]
+    assert np.array_equal(steps.p_av[k], scen.p_av[k])
     expect_c = constraint_offsets(net.lm, scen.p_load[k], scen.q_load[k], fd)
-    assert np.allclose(prob.coupling.c, expect_c, atol=1e-15)
+    assert np.allclose(prob.c, expect_c, atol=1e-15)
 
 
 def _own_step_problem(net, scen, inv, params, k):
     # step k's saddle instance built from that step's data alone: its own
     # one-column offset solve and its own clipped availability
     c = constraint_offsets(net.lm, scen.p_load[k], scen.q_load[k], net.feeder)
-    return SaddleProblem(
+    return saddle(
         inv, inv.available(scen.p_av[k]), replace(net.coupling, c=c),
         float(scen.v_min[k]), float(scen.v_max[k]), params,
     )
@@ -443,7 +448,7 @@ def test_over_rated_availability_is_clipped_once_per_run(tmp_path):
 
 
 def test_plant_failure_reports_step():
-    fd = networks.two_bus()
+    fd = two_bus()
     k = 3
     p_load = np.zeros((6, 1))
     p_load[k, 0] = 80.0  # far beyond any power-flow solution
@@ -494,7 +499,7 @@ def test_extrapolated_start_outside_the_band_falls_back_to_the_last_solution():
     # unloaded again, so the quadratic extrapolation to step 3,
     # 3 (v_2 - v_1) + v_0, has magnitude 0.15 pu: a start solve_ac rejects.
     # The run starts step 3 at v_2 and ends as the cold solves do.
-    fd = networks.two_bus(z=0.1 + 0.01j)
+    fd = two_bus(z=0.1 + 0.01j)
     net = compile_feeder(fd)
     p_load = np.zeros((5, 1))
     p_load[1, 0] = -4.0
@@ -515,10 +520,27 @@ def test_extrapolated_start_outside_the_band_falls_back_to_the_last_solution():
     assert np.allclose(traj.v_mag, np.abs(cold), rtol=0.0, atol=1e-8)
 
 
+def test_each_step_tests_its_ac_start_once(monkeypatch):
+    # every magnitude band test is either one per fixed-point iterate, in
+    # solve_ac, or the one test of the step's start
+    net, scen, inv, params, seed = _config36(n_steps=60)
+    tests = []
+
+    def counted(v_mag):
+        tests.append(v_mag)
+        return in_band(v_mag)
+
+    monkeypatch.setattr(powerflow, "in_band", counted)
+    # a test the loop made of its own, through an imported in_band, counts too
+    monkeypatch.setattr(sim, "in_band", counted, raising=False)
+    traj = run_closed_loop(net, scen, "pursuit", inv, params, seed=seed)
+    assert len(tests) == traj.pf_iterations.sum() + scen.n_steps
+
+
 def test_runaway_duals_warn():
     # a huge stepsize against an upper limit below the unloaded magnitude
     # drives mu past the limit in the first dual step
-    fd = networks.two_bus()
+    fd = two_bus()
     par = ScenarioParams(n_steps=2, load_p=0.0, v_max=0.96)
     scen = generate_scenario("static", fd, seed=0, params=par)
     params = replace(FAST_PARAMS, alpha=1e8)
@@ -539,14 +561,14 @@ def test_trajectory_round_trip(tmp_path):
     write_trajectory(back, fd, scen, str(again))
     assert again.read_bytes() == path.read_bytes()
     with pytest.raises(ValueError, match="columns do not match"):
-        read_trajectory(str(path), networks.two_bus())
+        read_trajectory(str(path), two_bus())
 
 
 # a narrow layout (11 trajectory columns) and one wider than a writer block
 # (4845 trajectory and 2423 scenario columns)
 WRITER_LAYOUTS = (
-    networks.two_bus(),
-    networks.chain(1100, der_nodes=tuple(range(5, 1101, 5))),
+    two_bus(),
+    chain(1100, der_nodes=tuple(range(5, 1101, 5))),
 )
 # signed zeros, the smallest subnormal and others, values whose repr
 # switches notation or whose digits hold 0.0000 inside a longer number;
@@ -634,7 +656,7 @@ def test_writers_match_the_csv_reference_and_round_trip(tmp_path_factory, layout
         assert _same_bits(getattr(back, name), getattr(traj, name)), name
 
 
-TRACK_FEEDER = networks.two_bus(z=0.1 + 0.1j)
+TRACK_FEEDER = two_bus(z=0.1 + 0.1j)
 TRACK_NET = compile_feeder(TRACK_FEEDER)
 TRACK_INV = _inverters(TRACK_FEEDER, 0.5, 0.5)
 TRACK_PARAMS = ControllerParams(alpha=0.05, nu=0.1, epsilon=0.1)
@@ -712,8 +734,9 @@ def test_e_measured_is_the_largest_per_step_model_mismatch():
     inv = _inverters(fd)
     traj = run_closed_loop(net, scen, "pursuit", inv, PARAMS, noise_amp=1e-3)
     rep = measure_tracking(net, scen, inv, PARAMS, traj, decimation=40)
+    own = [_own_step_problem(net, scen, inv, PARAMS, k) for k in range(scen.n_steps)]
     ref = max(
-        np.linalg.norm(traj.y[k] - _own_step_problem(net, scen, inv, PARAMS, k).coupling.predict(u))
+        np.linalg.norm(traj.y[k] - net.coupling.predict(u, own[k].c))
         for k, u in enumerate(traj.u)
     )
     assert ref > 1e-3
