@@ -13,7 +13,6 @@ from .controller import (
     ControllerParams,
     ConvergenceConstants,
     CostParams,
-    DualState,
     Inverters,
     OracleError,
     SaddleProblem,
@@ -62,7 +61,6 @@ from .sim import (
     read_scenario,
     run_closed_loop,
     step_problem,
-    write_scenario,
     write_trajectory,
 )
 

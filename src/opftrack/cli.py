@@ -35,6 +35,7 @@ from .sim import (
     CompiledFeeder,
     Scenario,
     ScenarioParams,
+    check_decimation,
     check_trajectory,
     compile_feeder,
     generate_scenario,
@@ -279,6 +280,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg, net, scen, inv = _load_run(args)
+    report = cfg.strategy == "pursuit" and cfg.report
+    if report:  # refused before the run, not after it
+        check_decimation(scen.n_steps, cfg.report_decimation)
     consts = convergence_constants(inv, net.coupling, cfg.controller)
     alpha = cfg.controller.alpha
     print(f"eta        = {consts.eta:.6e}")
@@ -318,7 +322,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         "max_violation_run_step": worst,
         "steps_outside_band": int(np.count_nonzero(traj.max_violation > 0.0)),
         "violation_integral_pu_s": scen.tau * math.fsum(traj.max_violation),
-        "constants": asdict(consts),
+        # strict JSON has no Infinity; an overflowed constant serializes as null
+        "constants": {k: v if math.isfinite(v) else None for k, v in asdict(consts).items()},
         "alpha": alpha,
         "alpha_condition_satisfied": bool(0.0 < alpha < consts.alpha_max),
         "solver": {
@@ -327,7 +332,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             "pf_residual_max": float(traj.pf_residual.max()),
         },
     }
-    if cfg.strategy == "pursuit" and cfg.report:
+    if report:
         rep = measure_tracking(
             net, scen, inv, cfg.controller, traj, decimation=cfg.report_decimation,
             constants=consts,

@@ -27,7 +27,6 @@ __all__ = [
     "Inverters",
     "CostParams",
     "ControllerParams",
-    "DualState",
     "VoltageCoupling",
     "StepMap",
     "ConvergenceConstants",
@@ -227,71 +226,27 @@ def _clamp(q: np.ndarray, cap: np.ndarray) -> np.ndarray:
     return np.where(q >= cap, cap, np.maximum(q, -cap))
 
 
-@dataclass(frozen=True, init=False)
-class DualState:
-    """Multipliers of the lower/upper voltage limits, one pair per metered bus.
-
-    Held as one stacked array ``[gamma; mu]`` (2 x M); ``gamma`` and ``mu``
-    are views of its rows. The constructor checks duals that come in from
-    outside; a step's own ``max(0, .)`` output needs no check.
-    """
-
-    stacked: np.ndarray
-
-    def __init__(self, gamma: np.ndarray, mu: np.ndarray) -> None:
-        g = np.asarray(gamma, dtype=float)
-        m = np.asarray(mu, dtype=float)
-        if g.shape != m.shape or g.ndim != 1:
-            raise ValueError("gamma and mu must be 1-d arrays of equal length")
-        if g.min(initial=0.0) < 0.0 or m.min(initial=0.0) < 0.0:
-            raise ValueError("duals must be nonnegative")
-        object.__setattr__(self, "stacked", np.stack([g, m]))
-
-    @property
-    def gamma(self) -> np.ndarray:
-        return self.stacked[0]
-
-    @property
-    def mu(self) -> np.ndarray:
-        return self.stacked[1]
-
-    @classmethod
-    def zeros(cls, m: int) -> "DualState":
-        return cls._of(np.zeros((2, m)))
-
-    @classmethod
-    def _of(cls, stacked: np.ndarray) -> "DualState":
-        # the duals [gamma; mu] a step computed, taken as they are
-        duals = object.__new__(cls)
-        object.__setattr__(duals, "stacked", stacked)
-        return duals
-
-
 @dataclass(frozen=True)
 class VoltageCoupling:
     """The linear surrogate of the metered voltage magnitudes.
 
     ``rb`` is the stacked sensitivity block ``[r b]`` (M x 2 n_der): ``r``
     and ``b``, views of its two halves, hold the active/reactive sensitivity
-    columns of the DER buses. ``c`` is the offset: the linear model's metered
-    magnitudes at the loads with every DER off (see
-    :func:`~opftrack.powerflow.constraint_offsets`). The prediction for
-    setpoints (P, Q) is ``r P + b Q + c``. ``c`` may carry leading axes, one
-    offset row per step.
+    columns of the DER buses. The prediction for setpoints (P, Q) is ``r P +
+    b Q + c``, where the offset ``c`` is a step's metered magnitudes at its
+    loads with every DER off (see
+    :func:`~opftrack.powerflow.constraint_offsets`).
     """
 
     rb: np.ndarray
-    c: np.ndarray
     r: np.ndarray = field(init=False, repr=False, compare=False)
     b: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rb = np.asarray(self.rb, dtype=float)
-        c = np.asarray(self.c, dtype=float)
-        if rb.ndim != 2 or rb.shape[1] % 2 or c.shape[-1:] != (rb.shape[0],):
+        if rb.ndim != 2 or rb.shape[1] % 2:
             raise ValueError("inconsistent coupling shapes")
         object.__setattr__(self, "rb", rb)
-        object.__setattr__(self, "c", c)
         object.__setattr__(self, "r", rb[:, : rb.shape[1] // 2])
         object.__setattr__(self, "b", rb[:, rb.shape[1] // 2 :])
 
@@ -299,12 +254,9 @@ class VoltageCoupling:
     def n_der(self) -> int:
         return self.r.shape[1]
 
-    def predict(self, u: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
-        """``r P + b Q + c`` for setpoints ``u`` (..., n_der, 2), shape (..., M).
-
-        A ``c`` given here, such as one step's offset row, replaces the coupling's.
-        """
-        return u[..., 0] @ self.r.T + u[..., 1] @ self.b.T + (self.c if c is None else c)
+    def predict(self, u: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """``r P + b Q + c`` for setpoints ``u`` (..., n_der, 2) and offsets ``c`` (..., M)."""
+        return u[..., 0] @ self.r.T + u[..., 1] @ self.b.T + c
 
 
 # sign of y in the rows [gamma; mu] of the dual step: v_min - y and y - v_max
@@ -315,13 +267,11 @@ _SIGMA = np.array([[-1.0], [1.0]])
 class StepMap:
     """The projected primal-dual step map of a run, with one row per step.
 
-    Built once from what a run holds fixed (``inverters``; ``coupling``,
-    whose sensitivities ``r`` and ``b`` are read and not its offset;
+    Built once from what a run holds fixed (``inverters``, ``coupling``,
     ``params``) and its per-step inputs: the availability ``p_av`` (K x
     n_der) as the regions use it (:meth:`Inverters.available`) and the
-    voltage band ``v_min`` < ``v_max`` (K,). A single step may pass ``p_av``
-    (n_der,) and scalar limits, and is then step 0. Per step it keeps the
-    rows each step reads: ``pa0`` the points ``(p_av, 0)`` (K x n_der x 2)
+    voltage band ``v_min`` < ``v_max`` (K,). Per step it keeps the rows
+    each step reads: ``pa0`` the points ``(p_av, 0)`` (K x n_der x 2)
     the cost pulls toward, ``cap`` the region's Q cap at full output
     (:meth:`Inverters.q_cap`) and ``band`` the limits ``[v_min; -v_max]``
     (K x 2 x 1).
@@ -338,9 +288,9 @@ class StepMap:
     band: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        p_av = np.atleast_2d(np.asarray(self.p_av, dtype=float))
-        v_min = np.atleast_1d(np.asarray(self.v_min, dtype=float))
-        v_max = np.atleast_1d(np.asarray(self.v_max, dtype=float))
+        p_av = np.asarray(self.p_av, dtype=float)
+        v_min = np.asarray(self.v_min, dtype=float)
+        v_max = np.asarray(self.v_max, dtype=float)
         n = self.inverters.n_der
         if self.coupling.n_der != n or p_av.ndim != 2 or p_av.shape[1] != n:
             raise ValueError("inverters, coupling and p_av must have one entry per DER")
@@ -371,15 +321,18 @@ class StepMap:
         return self.inverters._project(u, self.p_av[k], self.cap[k], with_jacobian=True)
 
 
-def grad_primal(u: np.ndarray, duals: DualState, step_map: StepMap, k: int) -> np.ndarray:
+def grad_primal(u: np.ndarray, duals: np.ndarray, step_map: StepMap, k: int) -> np.ndarray:
     """Gradient of step ``k``'s regularized Lagrangian in the setpoints, one row per DER.
+
+    ``duals`` is ``[gamma; mu]`` (2 x M), the multipliers of the lower and
+    upper voltage limits, one pair per metered bus.
 
     Row i is ``(-2 c_p (P_av - P_i) + r_i^T (mu - gamma) + nu P_i,
     2 c_q Q_i + b_i^T (mu - gamma) + nu Q_i)``, both columns formed at once
     as ``[-2 c_p, -2 c_q] ((P_av, 0) - u_i) + [r_i, b_i]^T (mu - gamma) +
     nu u_i``.
     """
-    lam = duals.mu - duals.gamma
+    lam = duals[1] - duals[0]
     coupling = step_map.coupling
     back = np.empty(u.shape)
     back[:, 0] = coupling.r.T @ lam
@@ -388,21 +341,20 @@ def grad_primal(u: np.ndarray, duals: DualState, step_map: StepMap, k: int) -> n
 
 
 def dual_step_feedback(
-    duals: DualState, y: np.ndarray, step_map: StepMap, k: int
-) -> DualState:
+    duals: np.ndarray, y: np.ndarray, step_map: StepMap, k: int
+) -> np.ndarray:
     """Projected dual ascent at step ``k``, driven by metered magnitudes ``y``.
 
     Both limits in one update of ``[gamma; mu]``: ``max(0, d + alpha
     (([v_min; -v_max] + [-y; y]) - eps d))``. Fed the model prediction
-    ``coupling.predict(u)`` in place of a measurement, it is the model-based
-    dual step.
+    ``coupling.predict(u, c)`` in place of a measurement, it is the
+    model-based dual step.
     """
-    a, eps = step_map.params.alpha, step_map.params.epsilon
-    d = duals.stacked
-    return DualState._of(np.maximum(0.0, d + a * ((step_map.band[k] + _SIGMA * y) - eps * d)))
+    a, eps, d = step_map.params.alpha, step_map.params.epsilon, duals
+    return np.maximum(0.0, d + a * ((step_map.band[k] + _SIGMA * y) - eps * d))
 
 
-def primal_step(u: np.ndarray, duals: DualState, step_map: StepMap, k: int) -> np.ndarray:
+def primal_step(u: np.ndarray, duals: np.ndarray, step_map: StepMap, k: int) -> np.ndarray:
     """Projected gradient step on the setpoints at step ``k``, independently per DER."""
     grad = grad_primal(u, duals, step_map, k)
     return step_map.project(k, u - step_map.params.alpha * grad)
@@ -414,7 +366,8 @@ class ConvergenceConstants:
 
     ``rho_alpha`` is the certified per-step contraction factor at the
     configured stepsize; it is below one exactly when
-    ``0 < alpha < alpha_max``.
+    ``0 < alpha < alpha_max``. A constant whose formula overflows a float
+    is ``inf``.
     """
 
     L: float
@@ -425,7 +378,12 @@ class ConvergenceConstants:
     alpha_max: float
 
     def rho(self, alpha: float) -> float:
-        return math.sqrt(max(0.0, 1.0 - 2.0 * self.eta * alpha + alpha**2 * self.L_reg**2))
+        try:
+            rho2 = 1.0 - 2.0 * self.eta * alpha + alpha**2 * self.L_reg**2
+        except OverflowError:
+            return math.inf
+        # NaN is -inf + inf: both terms overflowed
+        return math.inf if math.isnan(rho2) else math.sqrt(max(0.0, rho2))
 
 
 def _spectral_norm(a: np.ndarray) -> float:
@@ -454,7 +412,10 @@ def convergence_constants(
     L = 2.0 * float(max(inv.c_p.max(), inv.c_q.max()))
     G = _spectral_norm(coupling.rb)
     eta = min(params.nu, params.epsilon)
-    L_reg = math.sqrt((L + params.nu + 2.0 * G) ** 2 + 2.0 * (G + params.epsilon) ** 2)
+    try:
+        L_reg = math.sqrt((L + params.nu + 2.0 * G) ** 2 + 2.0 * (G + params.epsilon) ** 2)
+    except OverflowError:
+        L_reg = math.inf
     # rho_alpha is rho(alpha), from the one formula in ConvergenceConstants.rho
     consts = ConvergenceConstants(L, G, eta, L_reg, math.nan, 2.0 * eta / L_reg**2)
     return replace(consts, rho_alpha=consts.rho(params.alpha))
@@ -494,7 +455,7 @@ def pack_state(u: np.ndarray, gamma: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return np.concatenate([np.asarray(u, float).ravel(), gamma, mu])
 
 
-def _penalty_value(problem: SaddleProblem, u: np.ndarray) -> tuple[float, DualState]:
+def _penalty_value(problem: SaddleProblem, u: np.ndarray) -> tuple[float, np.ndarray]:
     # Maximizing the regularized Lagrangian over nonnegative duals in closed
     # form turns the constraints into one-sided quadratic penalties with
     # weight 1/eps; the saddle's primal part minimizes this smooth strongly
@@ -505,11 +466,11 @@ def _penalty_value(problem: SaddleProblem, u: np.ndarray) -> tuple[float, DualSt
     steps, k = problem.step_map, problem.k
     prm, inv = steps.params, steps.inverters
     w = steps.coupling.predict(u, problem.c)
-    duals = DualState._of(np.maximum(steps.band[k] + _SIGMA * w, 0.0) / prm.epsilon)
+    duals = np.maximum(steps.band[k] + _SIGMA * w, 0.0) / prm.epsilon
     val = (
         float(np.sum(inv.c_p * (steps.p_av[k] - u[:, 0]) ** 2 + inv.c_q * u[:, 1] ** 2))
         + 0.5 * prm.nu * float(np.sum(u * u))
-        + 0.5 * prm.epsilon * (float(duals.gamma @ duals.gamma) + float(duals.mu @ duals.mu))
+        + 0.5 * prm.epsilon * (float(duals[0] @ duals[0]) + float(duals[1] @ duals[1]))
     )
     return val, duals
 
@@ -518,7 +479,7 @@ class _NewtonPoint(NamedTuple):
     # an iterate of the oracle with what the next Newton step needs
     u: np.ndarray
     f: float  # penalty objective
-    duals: DualState  # its maximizing duals
+    duals: np.ndarray  # its maximizing duals [gamma; mu]
     grad: np.ndarray
     jac: np.ndarray  # projection Jacobians at u - grad/lip, one row per DER
     r: np.ndarray  # scaled natural residual u - proj(u - grad/lip)
@@ -526,7 +487,7 @@ class _NewtonPoint(NamedTuple):
 
 
 def _newton_point(
-    problem: SaddleProblem, u: np.ndarray, f: float, duals: DualState, lip: float
+    problem: SaddleProblem, u: np.ndarray, f: float, duals: np.ndarray, lip: float
 ) -> _NewtonPoint:
     # the rest of an accepted point, from F(u) and its duals (_penalty_value):
     # grad F is the Lagrangian's gradient at those duals
@@ -602,7 +563,7 @@ def solve_saddle_oracle(
         d_proj = np.zeros((2, n, 2, n))
         d_proj[:, der, :, der] = cur.jac.reshape(n, 2, 2)
         d_proj = d_proj.reshape(2 * n, 2 * n)
-        a_act = a[cur.duals.mu != cur.duals.gamma]  # rows of the violated limits
+        a_act = a[cur.duals[1] != cur.duals[0]]  # rows of the violated limits
         hess = np.diag(h_cost) + (a_act.T @ a_act) / prm.epsilon
         jac_r = np.eye(2 * n) - d_proj + d_proj @ hess / lip
         step = np.linalg.solve(jac_r, -cur.r.T.ravel()).reshape(2, n).T
@@ -625,11 +586,11 @@ def solve_saddle_oracle(
         its += 1
         cur = new
 
-    u, duals = cur.u, cur.duals
-    res = saddle_residual(problem, u, duals.gamma, duals.mu)
+    u, (gamma, mu) = cur.u, cur.duals
+    res = saddle_residual(problem, u, gamma, mu)
     if not math.isfinite(res) or res > max(tol, 1e-6):
         raise OracleError(f"saddle oracle: stationarity residual {res:.3e} out of tolerance")
-    return SaddleSolution(u=u, gamma=duals.gamma, mu=duals.mu, iterations=its, residual=res)
+    return SaddleSolution(u=u, gamma=gamma, mu=mu, iterations=its, residual=res)
 
 
 def saddle_residual(
@@ -641,9 +602,12 @@ def saddle_residual(
     fed the surrogate's prediction, both on row ``k`` of the problem's
     unit-step map (``alpha = 1``): the closed loop's step code. Zero exactly
     at the saddle point, independent of the step size used by any solver.
+    Raises ``ValueError`` for a negative dual.
     """
     steps, k = problem.step_map, problem.k
-    duals = DualState(gamma, mu)
+    duals = np.stack([np.asarray(gamma, dtype=float), np.asarray(mu, dtype=float)])
+    if duals.min(initial=0.0) < 0.0:
+        raise ValueError("duals must be nonnegative")
     u2 = primal_step(u, duals, steps, k)
     d2 = dual_step_feedback(duals, steps.coupling.predict(u, problem.c), steps, k)
-    return float(np.linalg.norm(pack_state(u - u2, gamma - d2.gamma, mu - d2.mu)))
+    return float(np.linalg.norm(pack_state(u - u2, *(duals - d2))))

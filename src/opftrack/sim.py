@@ -28,7 +28,6 @@ from .baseline import DROOP_GAIN, droop_q
 from .controller import (
     ControllerParams,
     ConvergenceConstants,
-    DualState,
     Inverters,
     SaddleProblem,
     StepMap,
@@ -61,11 +60,11 @@ __all__ = [
     "SCENARIO_KINDS",
     "generate_scenario",
     "read_scenario",
-    "write_scenario",
     "run_closed_loop",
     "oracle_map",
     "step_problem",
     "eval_cost",
+    "check_decimation",
     "measure_tracking",
     "write_trajectory",
     "read_trajectory",
@@ -371,26 +370,21 @@ def _write_columns(
             fh.write(b"\r\n".join(rows) + b"\r\n")
 
 
-def write_scenario(scenario: Scenario, feeder: FeederModel, path: str) -> None:
-    parts = [
-        np.arange(scenario.n_steps) * scenario.tau, scenario.v_min, scenario.v_max,
-        scenario.p_load, scenario.q_load, scenario.p_av,
-    ]
-    _write_columns(path, _scenario_columns(feeder), parts)
-
-
 def read_scenario(path: str, feeder: FeederModel) -> Scenario:
     """Parse a columnar scenario file; the column set must match the feeder.
 
-    Every row must have one numeric cell per column, ``time_s`` must be
-    uniformly spaced (tau is that spacing) and every value finite. A
-    violation raises ``ValueError`` naming the file and, where it is one
-    row's fault, the row (numbered from 1 after the header).
+    Every row must have one numeric cell per column, there must be at
+    least two rows, ``time_s`` must be uniformly spaced (tau is that
+    spacing) and every value finite. A violation raises ``ValueError``
+    naming the file and, where it is one row's fault, the row (numbered
+    from 1 after the header).
     """
     n = feeder.n_nodes
     data = _read_rows(path, _scenario_columns(feeder), "scenario")
+    if len(data) < 2:
+        raise ValueError(f"{path}: scenario has one row, so time_s gives no spacing tau")
     steps = np.diff(data[:, 0])
-    tau = float(steps[0]) if steps.size else 1.0
+    tau = float(steps[0])
     if not np.allclose(steps, tau, rtol=1e-9, atol=0.0):
         j = int(np.argmax(np.abs(steps - tau)))
         raise ValueError(
@@ -455,8 +449,8 @@ class CompiledFeeder:
     """A feeder compiled once for every layer of a run.
 
     Holds the feeder model, its linear model (which carries the factored
-    sparse admittance) and the metered x DER coupling at no load; a step's
-    surrogate differs from it only in the load offsets ``c``.
+    sparse admittance) and the metered x DER coupling; a step's surrogate
+    adds to it the offsets ``c`` of the step's loads.
     """
 
     feeder: FeederModel
@@ -468,14 +462,13 @@ def compile_feeder(feeder: FeederModel) -> CompiledFeeder:
     """Validate, assemble and factor the feeder, then linearize it once.
 
     The coupling is the linear model's metered x DER block, one solve per
-    DER, with the no-load magnitudes as its offset. Raises
+    DER. Raises
     :class:`~opftrack.feeder.FeederError` for an invalid or degenerate
     network.
     """
     lm = build_linear_model(build_admittance(feeder), feeder.slack_voltage)
-    mon = feeder.monitored_indices()
-    rb = lm.columns(feeder.der_indices(), mon)
-    return CompiledFeeder(feeder, lm, VoltageCoupling(rb=rb, c=lm.a[mon]))
+    rb = lm.columns(feeder.der_indices(), feeder.monitored_indices())
+    return CompiledFeeder(feeder, lm, VoltageCoupling(rb))
 
 
 def run_closed_loop(
@@ -542,7 +535,7 @@ def run_closed_loop(
     headroom = inv.headroom(p_av) if strategy == "droop" else None
 
     u = np.column_stack([scenario.p_av[0], np.zeros(g)])
-    duals = DualState.zeros(len(mon))
+    duals = np.zeros((2, len(mon)))  # [gamma; mu]
     v_last: list[np.ndarray] = []  # the plant's last three solutions, newest first
     dual_warned = False
 
@@ -586,14 +579,14 @@ def run_closed_loop(
         y = v_mag[mon]
         if noise_amp > 0.0:
             y = y + rng.uniform(-noise_amp, noise_amp, len(mon))
-        ys[k], us[k], held[k], v_mags[k] = y, u, duals.stacked, v_mag
+        ys[k], us[k], held[k], v_mags[k] = y, u, duals, v_mag
 
         if strategy == "pursuit":
             # simultaneous update: the primal step reads the pre-update duals
             u_next = primal_step(u, duals, steps, j)
             duals = dual_step_feedback(duals, y, steps, j)
             u = u_next
-            if not dual_warned and duals.stacked.max() > DUAL_DIAG_LIMIT:
+            if not dual_warned and duals.max() > DUAL_DIAG_LIMIT:
                 dual_warned = True
                 warnings.warn(
                     f"dual magnitude exceeded {DUAL_DIAG_LIMIT:.0e} at step {k}; "
@@ -706,6 +699,24 @@ class TrackingReport:
         return d
 
 
+def check_decimation(n_steps: int, decimation: int) -> None:
+    """Refuse a report decimation that samples no step of the run's last quarter.
+
+    A report of ``n_steps`` steps samples the steps 0, d, 2d, ..., the last
+    of them ``((n_steps - 1) // d) d``; its tail figures need that step at
+    or after the tail start ``int(0.75 n_steps)`` (:attr:`Trajectory.tail_start`).
+    Raises ``ValueError`` naming ``d`` and the tail's steps, or for ``d < 1``.
+    """
+    if decimation < 1:
+        raise ValueError("decimation must be >= 1")
+    tail = int(0.75 * n_steps)
+    if (n_steps - 1) // decimation * decimation < tail:
+        raise ValueError(
+            f"decimation {decimation} samples no step of the tail, steps {tail}..{n_steps - 1} "
+            f"of {n_steps}"
+        )
+
+
 def measure_tracking(
     net: CompiledFeeder,
     scenario: Scenario,
@@ -726,7 +737,8 @@ def measure_tracking(
     per-step maximum from below. The oracles solve to their default
     tolerance. ``tracking_error_tail`` is likewise sampled only on the
     oracle steps of the last quarter of the run, so ``bound_satisfied`` is
-    exact only at ``decimation = 1``. ``e_measured`` is the model-mismatch
+    exact only at ``decimation = 1``; :func:`check_decimation` refuses a
+    decimation that samples no tail step. ``e_measured`` is the model-mismatch
     level ``max_k ||y_k - w_k||`` between the measured magnitudes and the
     surrogate's prediction ``w_k = r P_k + b Q_k + c_k`` over all recorded
     steps (the gap between measurement-based and model-based dual
@@ -734,8 +746,7 @@ def measure_tracking(
     computed here when not given; only their ``rho_alpha`` enters the
     report.
     """
-    if decimation < 1:
-        raise ValueError("decimation must be >= 1")
+    check_decimation(scenario.n_steps, decimation)
     if traj.n_steps != scenario.n_steps:
         raise ValueError(
             f"trajectory has {traj.n_steps} steps, scenario has {scenario.n_steps}"

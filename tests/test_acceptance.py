@@ -8,21 +8,18 @@ lines for passing tests too.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from region_helpers import in_region
 from small_feeders import two_bus
-from step_helpers import project, saddle
+from step_helpers import no_load_offset, one_step, project, saddle
 
 from opftrack import networks
 from opftrack.controller import (
     REGION_KINDS,
     ControllerParams,
-    DualState,
     Inverters,
-    StepMap,
     convergence_constants,
     dual_step_feedback,
     grad_primal,
@@ -191,7 +188,8 @@ def test_a2_linear_model_fidelity():
 def test_a3_error_free_contraction():
     t0 = time.perf_counter()
     fd = two_bus(z=0.1 + 0.1j)
-    coupling = compile_feeder(fd).coupling
+    net = compile_feeder(fd)
+    coupling, c = net.coupling, no_load_offset(net)
     inv = Inverters("joint", [1.0], [0.5], [0.5])
     p_av = np.asarray([0.95])
 
@@ -212,24 +210,24 @@ def test_a3_error_free_contraction():
     assert alpha < consts.alpha_max
 
     g = len(fd.der_nodes)
-    prob = saddle(inv, p_av, coupling, v_min, v_max, params)
+    prob = saddle(inv, p_av, coupling, c, v_min, v_max, params)
     sol = solve_saddle_oracle(prob, tol=1e-12)
     z_star = pack_state(sol.u, sol.gamma, sol.mu)
     assert sol.mu[0] > 0  # the upper limit binds, so the duals are exercised
 
     # full available power at unity power factor, zero duals
-    u, duals = project(inv, np.column_stack([p_av, np.zeros(g)]), p_av), DualState.zeros(1)
-    step_map = StepMap(inv, coupling, params, p_av, v_min, v_max)
-    dist = float(np.linalg.norm(pack_state(u, duals.gamma, duals.mu) - z_star))
+    u, duals = project(inv, np.column_stack([p_av, np.zeros(g)]), p_av), np.zeros((2, 1))
+    step_map = one_step(inv, coupling, params, p_av, v_min, v_max)
+    dist = float(np.linalg.norm(pack_state(u, *duals) - z_star))
     worst_ratio = 0.0
     steps = 0
     while dist > 1e-10 and steps < 60_000:
         # error free: the dual step is fed the model's own prediction
-        w = coupling.predict(u)
+        w = coupling.predict(u, c)
         u_next = primal_step(u, duals, step_map, 0)
         duals = dual_step_feedback(duals, w, step_map, 0)
         u = u_next
-        nxt = float(np.linalg.norm(pack_state(u, duals.gamma, duals.mu) - z_star))
+        nxt = float(np.linalg.norm(pack_state(u, *duals) - z_star))
         worst_ratio = max(worst_ratio, nxt / dist)
         dist = nxt
         steps += 1
@@ -425,9 +423,9 @@ def test_a7_stepped_voltage_limit():
 V_MIN, V_MAX = 0.95, 1.05
 
 
-def _lagrangian(u, gamma, mu, cost_w, coupling, pl, ql, pav, params, w=None):
+def _lagrangian(u, gamma, mu, cost_w, coupling, c, pl, ql, pav, params, w=None):
     if w is None:
-        w = coupling.r @ (u[:, 0] - pl) + coupling.b @ (u[:, 1] - ql) + coupling.c
+        w = coupling.r @ (u[:, 0] - pl) + coupling.b @ (u[:, 1] - ql) + c
     val = params.nu / 2.0 * float(np.sum(u * u))
     for i, (c_p, c_q) in enumerate(cost_w):
         val += c_p * (pav[i] - u[i, 0]) ** 2 + c_q * u[i, 1] ** 2
@@ -444,10 +442,12 @@ def test_a8_gradients_match_finite_differences():
         rng = np.random.default_rng(4000 + inst)
         n = int(rng.integers(3, 11))
         fd = networks.random_radial(n, seed=200 + inst)
-        coupling = compile_feeder(fd).coupling
+        net = compile_feeder(fd)
+        coupling, c = net.coupling, no_load_offset(net)
         g, m = coupling.n_der, coupling.rb.shape[0]
         u = rng.normal(0.0, 0.5, (g, 2))
-        duals = DualState(rng.uniform(0.0, 2.0, m), rng.uniform(0.0, 2.0, m))
+        duals = np.stack([rng.uniform(0.0, 2.0, m), rng.uniform(0.0, 2.0, m)])
+        gamma, mu = duals
         pl = rng.uniform(-0.05, 0.05, g)
         ql = rng.uniform(-0.05, 0.05, g)
         pav = rng.uniform(0.0, 1.0, g)
@@ -460,22 +460,22 @@ def test_a8_gradients_match_finite_differences():
         )
 
         def lag(uu, gam, muu, w=None):
-            return _lagrangian(uu, gam, muu, cost_w, coupling, pl, ql, pav, params, w)
+            return _lagrangian(uu, gam, muu, cost_w, coupling, c, pl, ql, pav, params, w)
 
-        step_map = StepMap(inv, coupling, params, pav, V_MIN, V_MAX)
+        step_map = one_step(inv, coupling, params, pav, V_MIN, V_MAX)
         grad = grad_primal(u, duals, step_map, 0)
         for i in range(g):
             for j in range(2):
                 up, dn = u.copy(), u.copy()
                 up[i, j] += h
                 dn[i, j] -= h
-                fd_ij = (lag(up, duals.gamma, duals.mu) - lag(dn, duals.gamma, duals.mu)) / (2 * h)
+                fd_ij = (lag(up, gamma, mu) - lag(dn, gamma, mu)) / (2 * h)
                 worst = max(worst, abs(grad[i, j] - fd_ij))
 
         # the model-based step is the feedback step fed the model prediction,
         # the DER-bus demand folded into the offset
-        loaded = replace(coupling, c=coupling.c - coupling.r @ pl - coupling.b @ ql)
-        stepped = dual_step_feedback(duals, loaded.predict(u), step_map, 0)
+        loaded = c - coupling.r @ pl - coupling.b @ ql
+        stepped = dual_step_feedback(duals, coupling.predict(u, loaded), step_map, 0)
         y = rng.uniform(0.9, 1.1, m)
         fed = dual_step_feedback(duals, y, step_map, 0)
         for j in range(m):
@@ -483,13 +483,11 @@ def test_a8_gradients_match_finite_differences():
                 w_arg = None if which == "model" else y
                 e = np.zeros(m)
                 e[j] = h
-                dg = (lag(u, duals.gamma + e, duals.mu, w_arg)
-                      - lag(u, duals.gamma - e, duals.mu, w_arg)) / (2 * h)
-                dm = (lag(u, duals.gamma, duals.mu + e, w_arg)
-                      - lag(u, duals.gamma, duals.mu - e, w_arg)) / (2 * h)
-                exp_g = max(0.0, duals.gamma[j] + params.alpha * dg)
-                exp_m = max(0.0, duals.mu[j] + params.alpha * dm)
-                worst = max(worst, abs(got.gamma[j] - exp_g), abs(got.mu[j] - exp_m))
+                dg = (lag(u, gamma + e, mu, w_arg) - lag(u, gamma - e, mu, w_arg)) / (2 * h)
+                dm = (lag(u, gamma, mu + e, w_arg) - lag(u, gamma, mu - e, w_arg)) / (2 * h)
+                exp_g = max(0.0, gamma[j] + params.alpha * dg)
+                exp_m = max(0.0, mu[j] + params.alpha * dm)
+                worst = max(worst, abs(got[0, j] - exp_g), abs(got[1, j] - exp_m))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-6 and elapsed < 5.0
     _report(
@@ -512,14 +510,15 @@ def test_a9_oracle_uniqueness_and_stationarity():
         rng = np.random.default_rng(3000 + inst)
         n = int(rng.integers(4, 9))
         fd = networks.random_radial(n, seed=500 + inst)
-        coupling = compile_feeder(fd).coupling
-        g = coupling.n_der
+        net = compile_feeder(fd)
+        g = net.coupling.n_der
         pav = rng.uniform(0.3, 1.0, g)
         cost_w = rng.uniform(0.2, 3.0, (g, 2))
         prob = saddle(
             Inverters("joint", np.ones(g), cost_w[:, 0], cost_w[:, 1]),
             pav,
-            coupling,
+            net.coupling,
+            no_load_offset(net),
             0.95,
             float(rng.uniform(1.0, 1.03)),
             ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4),

@@ -5,6 +5,7 @@ import shutil
 from pathlib import Path
 
 import pytest
+from scenario_files import write_scenario_file
 from small_feeders import two_bus
 
 from opftrack import cli, controller
@@ -284,6 +285,49 @@ def test_run_alpha_flag_must_be_finite(run_config, capsys):
     assert "controller: alpha, nu, epsilon must be finite" in _one_line_error(capsys)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_run_overflowing_stepsize_is_a_plant_failure(tmp_path, capsys):
+    # alpha**2 overflows a float: rho(alpha) is inf, and the controller's
+    # steps overflow (numpy warns) until the plant collapses
+    args = ["run", "--config", str(DATA / "config36.json"), "--alpha", "1e200", "--no-report",
+            "--output-dir", str(tmp_path / "out")]
+    with pytest.warns(UserWarning, match="dual magnitude exceeded"):
+        assert cli.main(args) == 3
+    out, err = capsys.readouterr()
+    assert "rho(alpha) = inf" in out
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: plant failure: step ")
+
+
+def test_summary_writes_an_overflowing_constant_as_null(tmp_path):
+    # nu = 1e200 overflows L_reg; strategy none runs without the controller
+    cfg = json.loads((DATA / "config36.json").read_text(encoding="utf-8"))
+    cfg.update(feeder=str(DATA / "feeder36.json"), output_dir=str(tmp_path), strategy="none")
+    cfg["controller"]["nu"] = 1e200
+    path = tmp_path / "config.json"
+    write_json(path, cfg)
+    assert cli.main(["run", "--config", str(path)]) == 0
+    text = (tmp_path / "summary.json").read_text(encoding="utf-8")
+    assert "Infinity" not in text
+    consts = json.loads(text)["constants"]
+    assert consts["L_reg"] is None and consts["rho_alpha"] is None
+    assert consts["alpha_max"] == 0.0 and consts["eta"] == 1e-4
+
+
+def test_run_refuses_a_decimation_that_samples_no_tail_step(tmp_path, capsys):
+    # config36 has 600 steps: decimation 600 samples step 0 only, the tail is 450..599
+    out_dir = tmp_path / "out"
+    args = ["run", "--config", str(DATA / "config36.json"), "--decimation", "600",
+            "--output-dir", str(out_dir)]
+    assert cli.main(args) == 1
+    err = _one_line_error(capsys)
+    assert "decimation 600 samples no step of the tail, steps 450..599 of 600" in err
+    assert not out_dir.exists()
+    # the run without a report does not sample at all
+    assert cli.main([*args, "--no-report"]) == 0
+
+
 def test_run_seed_flag_must_be_nonnegative(run_config, capsys):
     assert cli.main(["run", "--config", str(run_config), "--seed", "-1"]) == 1
     assert f"{run_config}: seed must be >= 0, got -1" in _one_line_error(capsys)
@@ -432,12 +476,12 @@ def test_report_after_run(tmp_path, run_config, capsys):
 
 
 def test_run_header_only_scenario_file(tmp_path, run_config, capsys):
-    from opftrack.sim import ScenarioParams, generate_scenario, write_scenario
+    from opftrack.sim import ScenarioParams, generate_scenario
 
     fd = two_bus(z=0.1 + 0.1j)
     spath = tmp_path / "empty.csv"
-    write_scenario(generate_scenario("static", fd, seed=0, params=ScenarioParams(n_steps=2)),
-                   fd, str(spath))
+    write_scenario_file(generate_scenario("static", fd, seed=0, params=ScenarioParams(n_steps=2)),
+                        fd, spath)
     header = spath.read_text(encoding="utf-8").splitlines(keepends=True)[0]
     spath.write_text(header, encoding="utf-8")
     cfg = json.loads(run_config.read_text(encoding="utf-8"))
@@ -454,18 +498,20 @@ def test_run_header_only_scenario_file(tmp_path, run_config, capsys):
 
 def _scenario_file_config(tmp_path, run_config, edit):
     # the two-bus feeder's scenario as a file, rows changed by ``edit``, and
-    # a copy of the run config that reads it
-    from opftrack.sim import ScenarioParams, generate_scenario, write_scenario
+    # a copy of the run config that reads it, reporting on every step: the
+    # run config's decimation 5 samples no step of a 4-step run's tail
+    from opftrack.sim import ScenarioParams, generate_scenario
 
     fd = two_bus(z=0.1 + 0.1j)
     spath = tmp_path / "scen.csv"
-    write_scenario(generate_scenario("static", fd, seed=0, params=ScenarioParams(n_steps=4)),
-                   fd, str(spath))
+    write_scenario_file(generate_scenario("static", fd, seed=0, params=ScenarioParams(n_steps=4)),
+                        fd, spath)
     lines = spath.read_text(encoding="utf-8").splitlines()
     spath.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
     cfg = json.loads(run_config.read_text(encoding="utf-8"))
     del cfg["generator"]
     cfg["scenario_file"] = "scen.csv"
+    cfg["report_decimation"] = 1
     path = tmp_path / "scen_config.json"
     write_json(path, cfg)
     return path, spath
@@ -516,6 +562,14 @@ def test_run_scenario_non_uniform_time_column(tmp_path, run_config, capsys):
     assert cli.main(["run", "--config", str(cfg)]) == 1
     err = _one_line_error(capsys)
     assert f"{spath}: time_s is not uniformly spaced" in err
+
+
+def test_run_scenario_file_of_one_row(tmp_path, run_config, capsys):
+    cfg, spath = _scenario_file_config(tmp_path, run_config, lambda lines: lines[:2])
+    assert cli.main(["run", "--config", str(cfg)]) == 1
+    err = _one_line_error(capsys)
+    assert f"{spath}: scenario has one row, so time_s gives no spacing tau" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -8,14 +8,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from region_helpers import in_region, kink_distance, project_scalar
 from small_feeders import two_bus
-from step_helpers import project, project_jacobian, saddle
+from step_helpers import no_load_offset, one_step, project, project_jacobian, saddle
 
 from opftrack import networks
 from opftrack.controller import (
     REGION_KINDS,
     ControllerParams,
     CostParams,
-    DualState,
     Inverters,
     OracleError,
     StepMap,
@@ -279,7 +278,7 @@ def test_step_map_needs_v_min_below_v_max_on_every_row():
     params = ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4)
     inv = fleet("joint", 1.0)
     with pytest.raises(ValueError, match="v_min must be below v_max"):
-        StepMap(inv, coupling, params, [0.95], 1.1, 1.0)
+        StepMap(inv, coupling, params, [[0.95]], [1.1], [1.0])
     # one bad row of many, an empty band and a NaN limit are each refused
     for v_max in ([1.05, 0.9, 1.05], [1.05, 0.95, 1.05], [1.05, math.nan, 1.05]):
         with pytest.raises(ValueError, match="v_min must be below v_max"):
@@ -287,33 +286,39 @@ def test_step_map_needs_v_min_below_v_max_on_every_row():
     StepMap(inv, coupling, params, np.full((3, 1), 0.95), np.full(3, 0.95), np.full(3, 1.05))
 
 
-def test_dual_state_validation():
+def test_saddle_residual_validates_duals():
+    prob, u = _tb1_setup(), np.asarray([[0.5, 0.0]])
     with pytest.raises(ValueError):
-        DualState(np.asarray([-0.1]), np.asarray([0.0]))
-    z = DualState.zeros(3)
-    assert z.gamma.shape == (3,) and z.mu.shape == (3,)
+        saddle_residual(prob, u, np.asarray([-0.1]), np.asarray([0.0]))
+    with pytest.raises(ValueError):  # gamma and mu of unequal length
+        saddle_residual(prob, u, np.zeros(1), np.zeros(2))
+    assert saddle_residual(prob, u, np.zeros(1), np.zeros(1)) >= 0.0
 
 
-def test_dual_state_rejects_any_negative_entry():
+def test_saddle_residual_rejects_any_negative_dual():
+    prob, u = _tb1_setup(), np.asarray([[0.5, 0.0]])
     for bad in ([0.0, 2.0, -1e-300], [-5e-324], [3.0, -1.0]):
         zeros = np.zeros(len(bad))
         with pytest.raises(ValueError, match="nonnegative"):
-            DualState(np.asarray(bad), zeros)
+            saddle_residual(prob, u, np.asarray(bad), zeros)
         with pytest.raises(ValueError, match="nonnegative"):
-            DualState(zeros, np.asarray(bad))
+            saddle_residual(prob, u, zeros, np.asarray(bad))
     # a signed zero is not negative, and no multipliers at all is a valid state
-    assert np.signbit(DualState(np.asarray([-0.0]), np.asarray([0.0])).gamma[0])
-    assert DualState(np.zeros(0), np.zeros(0)).gamma.shape == (0,)
+    zero = saddle_residual(prob, u, np.zeros(1), np.zeros(1))
+    assert saddle_residual(prob, u, np.asarray([-0.0]), np.asarray([0.0])) == zero
+    none = saddle(fleet("joint", 1.0), [0.5], VoltageCoupling(np.zeros((0, 2))), np.zeros(0),
+                  0.95, 1.05, ControllerParams(0.2, 1e-3, 1e-4))
+    assert math.isfinite(saddle_residual(none, u, np.zeros(0), np.zeros(0)))
 
 
 TB1_ALPHA = 0.2  # the run's stepsize on the two-bus instances
 
 
 def _tb1_setup(nu=1e-3, eps=1e-4, c=(3.0, 1.0), z=0.1 + 0.1j, pav=0.95, v_min=0.95, v_max=1.05):
-    fd = two_bus(z=z)
-    coupling = compile_feeder(fd).coupling
+    net = compile_feeder(two_bus(z=z))
     params = ControllerParams(alpha=TB1_ALPHA, nu=nu, epsilon=eps)
-    return saddle(Inverters("joint", [1.0], [c[0]], [c[1]]), [pav], coupling, v_min, v_max, params)
+    return saddle(Inverters("joint", [1.0], [c[0]], [c[1]]), [pav], net.coupling,
+                  no_load_offset(net), v_min, v_max, params)
 
 
 def _step_map(prob, alpha=TB1_ALPHA):
@@ -328,30 +333,26 @@ def _model_dual_step(prob, duals, u, params):
     w = steps.coupling.r @ u[:, 0] + steps.coupling.b @ u[:, 1] + prob.c
     g, g_bar = steps.v_min[0] - w, w - steps.v_max[0]
     a, eps = params.alpha, params.epsilon
-    return DualState(
-        np.maximum(0.0, duals.gamma + a * (g - eps * duals.gamma)),
-        np.maximum(0.0, duals.mu + a * (g_bar - eps * duals.mu)),
-    )
+    return np.stack([
+        np.maximum(0.0, duals[0] + a * (g - eps * duals[0])),
+        np.maximum(0.0, duals[1] + a * (g_bar - eps * duals[1])),
+    ])
 
 
 def test_coupling_predicts_over_leading_axes():
     prob = _tb1_setup()
-    coup = prob.step_map.coupling
+    coup, c = prob.step_map.coupling, prob.c
     u = np.asarray([[0.3, -0.1]])
-    assert np.allclose(coup.predict(u), coup.r @ u[:, 0] + coup.b @ u[:, 1] + coup.c,
+    assert np.allclose(coup.predict(u, c), coup.r @ u[:, 0] + coup.b @ u[:, 1] + c,
                        rtol=0.0, atol=1e-15)
     # K setpoints against K offset rows give K predictions, row by row
     us = np.asarray([[[0.3, -0.1]], [[0.5, 0.2]], [[0.0, 0.0]]])
-    cs = coup.c + np.asarray([[0.0], [0.01], [-0.02]])
-    stacked = replace(coup, c=cs).predict(us)
+    cs = c + np.asarray([[0.0], [0.01], [-0.02]])
+    stacked = coup.predict(us, cs)
     assert stacked.shape == (3, 1)
     for k in range(3):
-        assert np.allclose(stacked[k], replace(coup, c=cs[k]).predict(us[k]),
-                           rtol=0.0, atol=1e-15)
+        assert np.allclose(stacked[k], coup.predict(us[k], cs[k]), rtol=0.0, atol=1e-15)
     assert stacked[2, 0] == cs[2, 0]
-    # an offset passed in replaces the coupling's own, bit for bit
-    for k in range(3):
-        assert np.array_equal(coup.predict(us[k], cs[k]), replace(coup, c=cs[k]).predict(us[k]))
 
 
 def _lagrangian_value(problem, u, duals):
@@ -364,24 +365,25 @@ def _lagrangian_value(problem, u, duals):
     return (
         f
         + 0.5 * prm.nu * float(np.sum(u * u))
-        + float(duals.gamma @ g + duals.mu @ g_bar)
-        - 0.5 * prm.epsilon * (float(duals.gamma @ duals.gamma) + float(duals.mu @ duals.mu))
+        + float(duals[0] @ g + duals[1] @ g_bar)
+        - 0.5 * prm.epsilon * (float(duals[0] @ duals[0]) + float(duals[1] @ duals[1]))
     )
 
 
 def test_gradient_matches_finite_differences():
     fd = networks.feeder36()
-    coupling = compile_feeder(fd).coupling
+    net = compile_feeder(fd)
+    coupling = net.coupling
     params = ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4)
     rng = np.random.default_rng(2)
     w = np.asarray([(rng.uniform(0.5, 4), rng.uniform(0.2, 2)) for _ in range(18)])
     inv = Inverters("joint", fd.der_ratings, w[:, 0], w[:, 1])
     # demand at the DER buses, folded into the offset
     p_load, q_load = rng.uniform(0, 0.01, 18), rng.uniform(0, 0.004, 18)
-    coupling = replace(coupling, c=coupling.c - coupling.r @ p_load - coupling.b @ q_load)
-    problem = saddle(inv, 0.8 * inv.s_rating, coupling, 0.95, 1.05, params)
+    c = no_load_offset(net) - coupling.r @ p_load - coupling.b @ q_load
+    problem = saddle(inv, 0.8 * inv.s_rating, coupling, c, 0.95, 1.05, params)
     u = np.column_stack([rng.uniform(0, 0.15, 18), rng.uniform(-0.1, 0.1, 18)])
-    duals = DualState(rng.uniform(0, 2, 10), rng.uniform(0, 2, 10))
+    duals = np.stack([rng.uniform(0, 2, 10), rng.uniform(0, 2, 10)])
     grad = grad_primal(u, duals, _step_map(problem, params.alpha), 0)
     h = 1e-6
     for i in (0, 7, 17):
@@ -399,28 +401,27 @@ def test_gradient_matches_finite_differences():
 
 def test_dual_steps_hand_values_and_clamping():
     params = ControllerParams(alpha=0.5, nu=1e-3, epsilon=0.01)
-    duals = DualState(np.asarray([0.3, 0.0]), np.asarray([0.1, 0.4]))
+    duals = np.asarray([[0.3, 0.0], [0.1, 0.4]])  # [gamma; mu]
     y = np.asarray([0.94, 1.2])
-    coupling = VoltageCoupling(np.zeros((2, 2)), np.ones(2))  # two metered buses, one DER
-    steps = StepMap(fleet("joint", 1.0), coupling, params, [0.5], 0.95, 1.05)
-    out = dual_step_feedback(duals, y, steps, 0)
+    coupling = VoltageCoupling(np.zeros((2, 2)))  # two metered buses, one DER
+    steps = one_step(fleet("joint", 1.0), coupling, params, [0.5], 0.95, 1.05)
+    gamma, mu = dual_step_feedback(duals, y, steps, 0)
     # gamma: [0.3 + 0.5*(0.95-0.94-0.003), 0 + 0.5*(0.95-1.2)] -> clamp
-    assert out.gamma[0] == pytest.approx(0.3 + 0.5 * (0.01 - 0.003))
-    assert out.gamma[1] == 0.0
-    assert out.mu[0] == pytest.approx(max(0.0, 0.1 + 0.5 * (0.94 - 1.05 - 0.001)))
-    assert out.mu[1] == pytest.approx(0.4 + 0.5 * (1.2 - 1.05 - 0.004))
+    assert gamma[0] == pytest.approx(0.3 + 0.5 * (0.01 - 0.003))
+    assert gamma[1] == 0.0
+    assert mu[0] == pytest.approx(max(0.0, 0.1 + 0.5 * (0.94 - 1.05 - 0.001)))
+    assert mu[1] == pytest.approx(0.4 + 0.5 * (1.2 - 1.05 - 0.004))
 
 
 def test_dual_routes_coincide_on_exact_measurements():
     prob = _tb1_setup()
     u = np.asarray([[0.5, -0.2]])
-    duals = DualState(np.asarray([0.2]), np.asarray([1.1]))
+    duals = np.asarray([[0.2], [1.1]])
     steps = _step_map(prob)
     w = steps.coupling.predict(u, prob.c)
     via_model = _model_dual_step(prob, duals, u, steps.params)
     via_meas = dual_step_feedback(duals, w, steps, 0)
-    assert np.array_equal(via_model.gamma, via_meas.gamma)
-    assert np.array_equal(via_model.mu, via_meas.mu)
+    assert np.array_equal(via_model, via_meas)
 
 
 def test_primal_step_fixed_point_without_binding_constraints():
@@ -428,10 +429,10 @@ def test_primal_step_fixed_point_without_binding_constraints():
     c_p, nu, pav = 3.0, 1e-3, 0.95
     u_star = np.asarray([[2 * c_p * pav / (2 * c_p + nu), 0.0]])
     steps = _step_map(prob)
-    stepped = primal_step(u_star, DualState.zeros(1), steps, 0)
+    stepped = primal_step(u_star, np.zeros((2, 1)), steps, 0)
     assert np.allclose(stepped, u_star, atol=1e-14)
     far = np.asarray([[0.0, 0.5]])
-    once = primal_step(far, DualState.zeros(1), steps, 0)
+    once = primal_step(far, np.zeros((2, 1)), steps, 0)
     assert np.linalg.norm(once - u_star) < np.linalg.norm(far - u_star)
 
 
@@ -458,6 +459,25 @@ def test_convergence_constants_expressions():
         math.sqrt(1.0 - eta**2 / L_reg**2), rel=1e-12
     )
     assert consts.rho(a_best) < consts.rho(consts.alpha_max)
+
+
+def test_a_constant_that_overflows_is_infinite():
+    steps = _step_map(_tb1_setup())
+    base = convergence_constants(steps.inverters, steps.coupling, steps.params)
+    # alpha**2 overflows in rho alone; the other constants keep their bits
+    big = convergence_constants(steps.inverters, steps.coupling, replace(steps.params, alpha=1e200))
+    assert big.rho_alpha == math.inf == base.rho(1e155)
+    assert (big.L, big.G, big.eta, big.L_reg, big.alpha_max) == (
+        base.L, base.G, base.eta, base.L_reg, base.alpha_max)
+    # nu or epsilon squared overflows L_reg, so no stepsize contracts
+    for name in ("nu", "epsilon"):
+        params = replace(steps.params, **{name: 1e200})
+        consts = convergence_constants(steps.inverters, steps.coupling, params)
+        assert consts.L_reg == math.inf and consts.rho_alpha == math.inf
+        assert consts.alpha_max == 0.0
+    # both terms of rho^2 overflow, -inf + inf: still inf, never 0
+    both = replace(steps.params, alpha=1e150, nu=1e200, epsilon=1e200)
+    assert convergence_constants(steps.inverters, steps.coupling, both).rho_alpha == math.inf
     assert consts.rho_alpha == pytest.approx(consts.rho(TB1_ALPHA), rel=1e-12)
 
 
@@ -500,13 +520,13 @@ def test_error_free_iteration_contracts_at_certified_rate():
     star = solve_saddle_oracle(prob, tol=1e-12)
     z_star = pack_state(star.u, star.gamma, star.mu)
     u = np.asarray([[0.0, 0.0]])
-    duals = DualState(np.asarray([0.5]), np.asarray([2.0]))
-    dist = np.linalg.norm(pack_state(u, duals.gamma, duals.mu) - z_star)
+    duals = np.asarray([[0.5], [2.0]])
+    dist = np.linalg.norm(pack_state(u, *duals) - z_star)
     for _ in range(4000):
         u_new = primal_step(u, duals, steps, 0)
         duals = _model_dual_step(prob, duals, u, prm)
         u = u_new
-        new_dist = np.linalg.norm(pack_state(u, duals.gamma, duals.mu) - z_star)
+        new_dist = np.linalg.norm(pack_state(u, *duals) - z_star)
         if new_dist <= 1e-10:
             break
         assert new_dist <= dist * (rho + 1e-6)
@@ -599,7 +619,7 @@ def _penalty_instance():
     w = rng.uniform(0.5, 3.0, (18, 2))
     inv = Inverters("joint", fd.der_ratings, w[:, 0], w[:, 1])
     params = ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4)
-    return saddle(inv, 0.7 * inv.s_rating, replace(coupling, c=c), 0.95, 1.05, params), rng
+    return saddle(inv, 0.7 * inv.s_rating, coupling, c, 0.95, 1.05, params), rng
 
 
 def test_penalty_value_matches_its_gradient_with_both_limits_violated():
@@ -609,11 +629,12 @@ def test_penalty_value_matches_its_gradient_with_both_limits_violated():
     # the maximizing duals are each limit's violation by the surrogate over eps
     steps = prob.step_map
     w, eps = steps.coupling.predict(u, prob.c), steps.params.epsilon
-    assert np.array_equal(duals.gamma, np.maximum(steps.v_min[0] - w, 0.0) / eps)
-    assert np.array_equal(duals.mu, np.maximum(w - steps.v_max[0], 0.0) / eps)
-    assert duals.gamma.max() > 0.0 and duals.mu.max() > 0.0
+    gamma, mu = duals
+    assert np.array_equal(gamma, np.maximum(steps.v_min[0] - w, 0.0) / eps)
+    assert np.array_equal(mu, np.maximum(w - steps.v_max[0], 0.0) / eps)
+    assert gamma.max() > 0.0 and mu.max() > 0.0
     # the oracle takes the Hessian rows of the violated limits as mu != gamma
-    assert np.array_equal(duals.mu != duals.gamma, (duals.gamma > 0.0) | (duals.mu > 0.0))
+    assert np.array_equal(mu != gamma, (gamma > 0.0) | (mu > 0.0))
     lip = _lipschitz_bound(prob)
     point = _newton_point(prob, u, f, duals, lip)
     grad = point.grad
@@ -626,7 +647,7 @@ def test_penalty_value_matches_its_gradient_with_both_limits_violated():
     unit = u - steps.project(0, u - grad)
     assert point.res == np.linalg.norm(unit)
     assert point.res == pytest.approx(
-        saddle_residual(prob, u, duals.gamma, duals.mu), rel=1e-12
+        saddle_residual(prob, u, gamma, mu), rel=1e-12
     )
     # F is quadratic between kinks, so central differences are exact up to
     # rounding as long as no limit crosses its kink within h
@@ -644,7 +665,7 @@ def test_penalty_value_matches_its_gradient_with_both_limits_violated():
 def _saddle_residual_reference(problem, u, gamma, mu):
     # the residual written out from the constraint values, as the step map
     # at unit step computes it
-    duals = DualState(gamma, mu)
+    duals = np.stack([gamma, mu])
     steps = problem.step_map
     w = steps.coupling.predict(u, problem.c)
     g, g_bar = steps.v_min[0] - w, w - steps.v_max[0]
@@ -688,14 +709,15 @@ def test_coupling_slicing_and_validation():
     assert coup.r[3, 5] == R[mi[3], di[5]]
     assert coup.b[7, 11] == B[mi[7], di[11]]
     with pytest.raises(ValueError, match="inconsistent"):
-        VoltageCoupling(np.zeros((2, 6)), np.zeros(5))
+        VoltageCoupling(np.zeros(6))  # not a block
     with pytest.raises(ValueError, match="inconsistent"):
-        VoltageCoupling(np.zeros((2, 3)), np.zeros(2))  # no even split into r and b
+        VoltageCoupling(np.zeros((2, 3)))  # no even split into r and b
+    params = ControllerParams(alpha=0.1, nu=1e-3, epsilon=1e-4)
     with pytest.raises(ValueError, match="one entry per DER"):
-        StepMap(
-            fleet("joint", 1.0), coup, ControllerParams(alpha=0.1, nu=1e-3, epsilon=1e-4),
-            [0.5], 0.95, 1.05,
-        )
+        one_step(fleet("joint", 1.0), coup, params, [0.5], 0.95, 1.05)
+    # a single step's 1-d availability is not a K-row map
+    with pytest.raises(ValueError, match="one entry per DER"):
+        StepMap(fleet("joint", 1.0, 18), coup, params, np.full(18, 0.5), [0.95], [1.05])
 
 
 # ---------------------------------------------------------------------------
@@ -767,10 +789,10 @@ def test_projected_gradient_point_meets_the_armijo_condition(batch, data):
     inv = Inverters(inv.kind, inv.s_rating, *rng.uniform(0.0, 3.0, (2, n)))
     coupling = VoltageCoupling(
         np.hstack([rng.normal(0.0, 0.05, (m, n)), rng.normal(0.0, 0.05, (m, n))]),
-        rng.uniform(0.9, 1.1, m),
     )
+    c = rng.uniform(0.9, 1.1, m)
     eps = data.draw(st.sampled_from([1e-4, 1e-2, 1.0]))
-    prob = saddle(inv, p_av, coupling, 0.95, 1.05, ControllerParams(0.2, 1e-3, eps))
+    prob = saddle(inv, p_av, coupling, c, 0.95, 1.05, ControllerParams(0.2, 1e-3, eps))
     u = project(inv, data.draw(setpoints(n)), p_av)
     f, duals = _penalty_value(prob, u)
     grad = grad_primal(u, duals, prob.step_map, 0)
@@ -786,7 +808,8 @@ def test_projected_gradient_point_meets_the_armijo_condition(batch, data):
 def test_saddle_oracle_property_random_radial(n, seed):
     rng = np.random.default_rng(seed)
     fd = networks.random_radial(n, seed=int(rng.integers(0, 1000)))
-    coupling = compile_feeder(fd).coupling
+    net = compile_feeder(fd)
+    coupling = net.coupling
     g = coupling.n_der
     kind = str(rng.choice(["joint", "joint", "real_only", "reactive_only"]))
     w = rng.uniform(0.2, 3.0, (g, 2))
@@ -795,7 +818,8 @@ def test_saddle_oracle_property_random_radial(n, seed):
     prob = saddle(
         Inverters(kind, np.ones(g), w[:, 0], w[:, 1]),
         p_av,
-        replace(coupling, c=coupling.c - coupling.r @ p_load - coupling.b @ q_load),
+        coupling,
+        no_load_offset(net) - coupling.r @ p_load - coupling.b @ q_load,
         0.95,
         float(rng.uniform(1.0, 1.03)),
         ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4),

@@ -275,7 +275,7 @@ def test_constraint_offsets_consistent_with_full_model():
             p_net[der] += u[:, 0]
             q_net[der] += u[:, 1]
             full = predict_voltage_magnitude(lm, p_net + 1j * q_net)
-            via_coupling = replace(coup, c=c_row).predict(u)
+            via_coupling = coup.predict(u, c_row)
             assert np.allclose(via_coupling, full[mon], rtol=0.0, atol=1e-12)
 
     with pytest.raises(ValueError, match="one entry per"):

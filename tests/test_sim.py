@@ -1,6 +1,5 @@
 import cmath
 import csv
-import io
 import math
 import warnings
 from dataclasses import replace
@@ -11,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from region_helpers import in_region
+from scenario_files import csv_reference, write_scenario_file
 from small_feeders import chain, two_bus
 from step_helpers import saddle
 
@@ -20,7 +20,6 @@ from opftrack.cli import load_config
 from opftrack.controller import (
     REGION_KINDS,
     ControllerParams,
-    DualState,
     Inverters,
     StepMap,
     convergence_constants,
@@ -37,6 +36,7 @@ from opftrack.sim import (
     ScenarioParams,
     TrackingReport,
     Trajectory,
+    check_decimation,
     compile_feeder,
     eval_cost,
     generate_scenario,
@@ -46,7 +46,6 @@ from opftrack.sim import (
     read_trajectory,
     run_closed_loop,
     step_problem,
-    write_scenario,
     write_trajectory,
 )
 
@@ -157,7 +156,7 @@ def test_scenario_file_round_trip(tmp_path):
     fd = networks.feeder36()
     scen = generate_scenario("cloud_transient", fd, seed=3)
     path = tmp_path / "scenario.csv"
-    write_scenario(scen, fd, str(path))
+    write_scenario_file(scen, fd, path)
     back = read_scenario(str(path), fd)
     assert back.tau == scen.tau
     assert np.array_equal(back.p_load, scen.p_load)
@@ -343,7 +342,7 @@ def _own_step_problem(net, scen, inv, params, k):
     # one-column offset solve and its own clipped availability
     c = constraint_offsets(net.lm, scen.p_load[k], scen.q_load[k], net.feeder)
     return saddle(
-        inv, inv.available(scen.p_av[k]), replace(net.coupling, c=c),
+        inv, inv.available(scen.p_av[k]), net.coupling, c,
         float(scen.v_min[k]), float(scen.v_max[k]), params,
     )
 
@@ -409,12 +408,12 @@ def test_the_loop_applies_the_public_step_map_at_every_step(kind):
         )
         assert traj.mu.max() > 0.0  # the upper limits bind, so the duals move
         for k in range(n_steps - 1):
-            duals = DualState(traj.gamma[k], traj.mu[k])
+            duals = np.stack([traj.gamma[k], traj.mu[k]])
             u_next = primal_step(traj.u[k], duals, steps, k)
             assert bits(u_next) == bits(traj.u[k + 1]), (plant, k)
             d_next = dual_step_feedback(duals, traj.y[k], steps, k)
-            assert bits(d_next.gamma) == bits(traj.gamma[k + 1]), (plant, k)
-            assert bits(d_next.mu) == bits(traj.mu[k + 1]), (plant, k)
+            assert bits(d_next[0]) == bits(traj.gamma[k + 1]), (plant, k)
+            assert bits(d_next[1]) == bits(traj.mu[k + 1]), (plant, k)
 
 
 def test_over_rated_availability_is_clipped_once_per_run(tmp_path):
@@ -422,7 +421,7 @@ def test_over_rated_availability_is_clipped_once_per_run(tmp_path):
     net = compile_feeder(fd)
     scen = generate_scenario("cloud_transient", fd, seed=3, params=ScenarioParams(n_steps=40))
     path = tmp_path / "over.csv"
-    write_scenario(replace(scen, p_av=1.3 * scen.p_av), fd, str(path))
+    write_scenario_file(replace(scen, p_av=1.3 * scen.p_av), fd, path)
     over = read_scenario(str(path), fd)
     ratings = np.asarray(fd.der_ratings)
     assert np.any(over.p_av > ratings)
@@ -581,15 +580,6 @@ SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1
 NON_FINITE = (math.nan, math.inf, -math.inf)
 
 
-def _csv_reference(columns, rows) -> bytes:
-    # what csv.writer prints: each Python float as its repr, rows ending \r\n
-    buf = io.StringIO(newline="")
-    writer = csv.writer(buf)
-    writer.writerow(columns)
-    writer.writerows(rows)
-    return buf.getvalue().encode("utf-8")
-
-
 def _same_bits(a, b) -> bool:
     a, b = np.ascontiguousarray(a, float), np.ascontiguousarray(b, float)
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
@@ -628,18 +618,17 @@ def test_writers_match_the_csv_reference_and_round_trip(tmp_path_factory, layout
     )
     tmp = tmp_path_factory.mktemp("writers")
 
+    # the scenario reader reads csv.writer's bytes back bit for bit
     path = tmp / "scenario.csv"
-    write_scenario(scen, layout, str(path))
-    parts = [np.arange(k) * tau, scen.v_min, scen.v_max, scen.p_load, scen.q_load, scen.p_av]
-    rows = [row.tolist() for row in np.column_stack(parts)]
-    header = ["time_s", "v_min", "v_max", *(f"pl_{i}" for i in range(1, n + 1)),
-              *(f"ql_{i}" for i in range(1, n + 1)), *(f"pav_{i}" for i in layout.der_nodes)]
-    assert path.read_bytes() == _csv_reference(header, rows)
-    if k > 1:  # one row gives no spacing to read tau from
+    write_scenario_file(scen, layout, path)
+    if k > 1:
         back = read_scenario(str(path), layout)
         for name in ("p_load", "q_load", "p_av", "v_min", "v_max"):
             assert _same_bits(getattr(back, name), getattr(scen, name)), name
         assert back.tau == tau
+    else:  # one row gives no spacing to read tau from
+        with pytest.raises(ValueError, match=f"{path}: scenario has one row"):
+            read_scenario(str(path), layout)
 
     path = tmp / "trajectory.csv"
     write_trajectory(traj, layout, scen, str(path))
@@ -650,7 +639,7 @@ def test_writers_match_the_csv_reference_and_round_trip(tmp_path_factory, layout
         header = next(csv.reader(fh))
     assert header[:5] == ["k", "time_s", "cost", "max_violation", "pf_residual"]
     assert len(header) == 5 + 3 * m + 2 * g + n
-    assert path.read_bytes() == _csv_reference(header, rows)
+    assert path.read_bytes() == csv_reference(header, rows)
     back = read_trajectory(str(path), layout)
     for name in ("y", "u", "gamma", "mu", "v_mag", "cost", "max_violation", "pf_residual"):
         assert _same_bits(getattr(back, name), getattr(traj, name)), name
@@ -704,13 +693,32 @@ def test_tracking_without_contraction_guarantee():
     scen = generate_scenario("ramp", TRACK_FEEDER, seed=0, params=par)
     inv = _inverters(TRACK_FEEDER)
     traj = run_closed_loop(TRACK_NET, scen, "pursuit", inv, PARAMS, plant="linear")
-    rep = measure_tracking(TRACK_NET, scen, inv, PARAMS, traj, decimation=10)
+    rep = measure_tracking(TRACK_NET, scen, inv, PARAMS, traj, decimation=11)
     assert _rho_alpha(TRACK_NET, inv, PARAMS) >= 1.0
     assert rep.bound_satisfied is None
     assert math.isinf(rep.bound_rhs)
     assert "no contraction guarantee" in rep.note
     with pytest.raises(ValueError, match="decimation"):
         measure_tracking(TRACK_NET, scen, inv, PARAMS, traj, decimation=0)
+    # steps 0, 10, 20 all lie before the tail, steps 22..29
+    with pytest.raises(ValueError, match="decimation 10 samples no step of the tail, steps 22..29"):
+        measure_tracking(TRACK_NET, scen, inv, PARAMS, traj, decimation=10)
+
+
+def test_check_decimation_refuses_exactly_the_decimations_that_miss_the_tail():
+    # a report samples the steps 0, d, 2d, ...; its tail figures need one of
+    # them in the run's last quarter, from Trajectory.tail_start on
+    for n_steps in (1, 2, 3, 4, 30, 40, 600):
+        tail = int(0.75 * n_steps)
+        for d in range(1, n_steps + 2):
+            if any(k >= tail for k in range(0, n_steps, d)):
+                check_decimation(n_steps, d)
+            else:
+                with pytest.raises(ValueError, match=f"decimation {d} samples no step of the "
+                                                     f"tail, steps {tail}..{n_steps - 1} of "):
+                    check_decimation(n_steps, d)
+    with pytest.raises(ValueError, match="decimation must be >= 1"):
+        check_decimation(600, 0)
 
 
 def test_scenario_rejects_non_finite_series():
@@ -733,7 +741,7 @@ def test_e_measured_is_the_largest_per_step_model_mismatch():
     scen = generate_scenario("cloud_transient", fd, seed=2, params=ScenarioParams(n_steps=40))
     inv = _inverters(fd)
     traj = run_closed_loop(net, scen, "pursuit", inv, PARAMS, noise_amp=1e-3)
-    rep = measure_tracking(net, scen, inv, PARAMS, traj, decimation=40)
+    rep = measure_tracking(net, scen, inv, PARAMS, traj, decimation=30)
     own = [_own_step_problem(net, scen, inv, PARAMS, k) for k in range(scen.n_steps)]
     ref = max(
         np.linalg.norm(traj.y[k] - net.coupling.predict(u, own[k].c))
@@ -758,7 +766,7 @@ def _reference_report(net, scen, inv, params, traj, decimation):
         default=0.0,
     )
     c = constraint_offsets(net.lm, scen.p_load, scen.q_load, net.feeder)
-    w = replace(net.coupling, c=c).predict(traj.u)
+    w = net.coupling.predict(traj.u, c)
     e = float(np.max(np.linalg.norm(traj.y - w, axis=1)))
     tail = max(
         (float(np.linalg.norm(pack_state(traj.u[k], traj.gamma[k], traj.mu[k]) - stars[k]))
