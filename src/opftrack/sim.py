@@ -409,6 +409,11 @@ def read_scenario(path: str, feeder: FeederModel) -> Scenario:
 # closed loop
 
 
+def _tail_start(n_steps: int) -> int:
+    """First step of the last quarter of ``n_steps`` steps: the tail of every report."""
+    return int(0.75 * n_steps)
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """A recorded closed-loop run; row k of every array is step k.
@@ -441,7 +446,7 @@ class Trajectory:
     @property
     def tail_start(self) -> int:
         """First step of the run's last quarter, which every tail figure covers."""
-        return int(0.75 * self.n_steps)
+        return _tail_start(self.n_steps)
 
 
 @dataclass(frozen=True)
@@ -709,7 +714,7 @@ def check_decimation(n_steps: int, decimation: int) -> None:
     """
     if decimation < 1:
         raise ValueError("decimation must be >= 1")
-    tail = int(0.75 * n_steps)
+    tail = _tail_start(n_steps)
     if (n_steps - 1) // decimation * decimation < tail:
         raise ValueError(
             f"decimation {decimation} samples no step of the tail, steps {tail}..{n_steps - 1} "

@@ -459,6 +459,7 @@ def test_convergence_constants_expressions():
         math.sqrt(1.0 - eta**2 / L_reg**2), rel=1e-12
     )
     assert consts.rho(a_best) < consts.rho(consts.alpha_max)
+    assert consts.rho_alpha == pytest.approx(consts.rho(TB1_ALPHA), rel=1e-12)
 
 
 def test_a_constant_that_overflows_is_infinite():
@@ -478,7 +479,6 @@ def test_a_constant_that_overflows_is_infinite():
     # both terms of rho^2 overflow, -inf + inf: still inf, never 0
     both = replace(steps.params, alpha=1e150, nu=1e200, epsilon=1e200)
     assert convergence_constants(steps.inverters, steps.coupling, both).rho_alpha == math.inf
-    assert consts.rho_alpha == pytest.approx(consts.rho(TB1_ALPHA), rel=1e-12)
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (3, 40), (40, 3), (200, 60), (60, 200), (50, 50)])
