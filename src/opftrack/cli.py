@@ -329,6 +329,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         "solver": {
             "pf_iterations_total": int(traj.pf_iterations.sum()),
             "pf_iterations_max": int(traj.pf_iterations.max()),
+            # the smallest count that at least 99% of the steps stay within
+            "pf_iterations_p99": int(np.percentile(traj.pf_iterations, 99, method="inverted_cdf")),
             "pf_residual_max": float(traj.pf_residual.max()),
         },
     }

@@ -13,7 +13,7 @@ import contextlib
 import json
 import math
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import itemgetter
 
 import numpy as np
@@ -28,6 +28,7 @@ from scipy.sparse.linalg import SuperLU, splu
 
 __all__ = [
     "RCOND_LIMIT",
+    "DENSE_Z_MAX_NODES",
     "FeederError",
     "FeederModel",
     "AdmittanceMatrix",
@@ -47,6 +48,12 @@ RCOND_LIMIT = 1e-10
 # BLAS, which on a 2-vCPU host took 15-100 ms for 100-600 columns at N = 36
 # against under 1 ms in blocks of this width
 SOLVE_BLOCK = 32
+
+# feeders of up to this many buses also keep Z = Y^{-1} dense for the AC
+# iteration: per vector, a product with Z beat a solve with the factor up to
+# N = 192 and lost from N = 256 (random_radial, 2 vCPUs: 2.8 against 9.1 us
+# at N = 36, 12.6 against 15.4 us at 192, 19.2 against 17.5 us at 256)
+DENSE_Z_MAX_NODES = 192
 
 
 class FeederError(ValueError):
@@ -111,11 +118,21 @@ class AdmittanceMatrix:
     Holds what the solves use of the full ``(N+1) x (N+1)`` matrix: the
     slack-to-network column ``ybar`` and ``lu``, the sparse LU factor of the
     reduced network block ``Y`` whose row i is bus i + 1. Every use of ``Y``
-    is a solve with that factor; ``Y`` itself is not kept.
+    is a solve with that factor, and ``Y`` itself is not kept, except that
+    the AC fixed-point iteration takes :attr:`vector_solve`: a product with
+    the dense ``z = Y^{-1}`` where it is kept (``build_admittance`` keeps it
+    on feeders of up to ``DENSE_Z_MAX_NODES`` buses), else a solve with the
+    factor. The two agree to rounding.
     """
 
     ybar: np.ndarray
     lu: SuperLU
+    z: np.ndarray | None = None
+
+    @property
+    def vector_solve(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The AC iteration's per-vector ``Y^{-1} x``: ``z.dot`` if kept, else ``lu.solve``."""
+        return self.lu.solve if self.z is None else self.z.dot
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """``Y^{-1} rhs`` for a vector or an N x K array, from the stored factor."""
@@ -214,7 +231,9 @@ def build_admittance(feeder: FeederModel) -> AdmittanceMatrix:
     Line l contributes ``1/z[l]`` between ``terminals[l]`` plus half of
     ``y_shunt[l]`` at each; the reduced block is assembled directly in CSC
     form from the line arrays, so a radial feeder costs O(N). It is
-    factored once with ``splu``, and only the factor is kept. Raises
+    factored once with ``splu``, and only the factor is kept, with the dense
+    inverse ``z`` beside it on a feeder of up to ``DENSE_Z_MAX_NODES``
+    buses (:class:`AdmittanceMatrix`). Raises
     :class:`FeederError`, with the diagnostics, if the feeder fails
     validation, or if the reduced block is numerically singular: its
     reciprocal 1-norm condition number, ``1 / (||Y||_1 ||Y^{-1}||_1)``
@@ -267,7 +286,10 @@ def build_admittance(feeder: FeederModel) -> AdmittanceMatrix:
         raise FeederError(
             f"degenerate network: reduced admittance rcond {rcond:.3e} < {RCOND_LIMIT:.0e}"
         )
-    return AdmittanceMatrix(ybar=ybar, lu=lu)
+    adm = AdmittanceMatrix(ybar=ybar, lu=lu)
+    if n <= DENSE_Z_MAX_NODES:
+        adm = replace(adm, z=adm.solve(np.eye(n, dtype=complex)))
+    return adm
 
 
 def _inverse_norm1(lu: SuperLU, n: int) -> float:

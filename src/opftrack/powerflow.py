@@ -3,13 +3,17 @@
 The AC solver is a Z-bus fixed-point iteration on the slack-reduced
 network equations; the linear model maps net nodal injections to
 approximate voltage magnitudes around the no-load profile and supplies the
-sensitivities used by the voltage-regulation controller. Both work through
-the sparse LU factor of the reduced admittance that ``build_admittance``
-computes once; no N x N matrix is formed.
+sensitivities used by the voltage-regulation controller. The linear model
+works through the sparse LU factor of the reduced admittance that
+``build_admittance`` computes once. The AC iteration applies ``Y^{-1}``
+with the same factor, or, on a feeder of up to ``DENSE_Z_MAX_NODES`` buses,
+as a product with the dense inverse kept beside it: the only N x N matrix
+formed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,8 +148,9 @@ def solve_ac(
 ) -> PFSolution:
     """Z-bus fixed-point AC solve, ``v+ <- Y^{-1}(conj(s / v) - ybar V0)``.
 
-    Each iteration is one solve with the factor stored in ``adm``; nothing
-    is factored here.
+    Each iteration applies ``Y^{-1}`` once, by ``adm.vector_solve``: a
+    product with the dense inverse on a small feeder, else a solve with the
+    stored factor. Nothing is factored here.
 
     Parameters
     ----------
@@ -164,10 +169,18 @@ def solve_ac(
         Convergence threshold on the infinity norm of the power mismatch
         at the new iterate, ``s (v+ / v - 1)``: the update makes
         ``Y v+ + ybar V0`` equal ``conj(s / v)`` up to the solve's rounding.
+        ``ValueError`` unless ``0 < tol < inf``.
+    max_iter : int
+        Iterations before :class:`PowerFlowError`; ``ValueError`` unless
+        at least 1.
 
     The returned ``v_mag`` are the magnitudes of ``v`` that the collapse
     test read.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"power-flow tolerance must be positive and finite, got {tol!r}")
+    if not max_iter >= 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     n = adm.ybar.shape[0]
     s = np.asarray(s, dtype=complex)
     if s.shape != (n,):
@@ -185,9 +198,10 @@ def solve_ac(
                 )
             v = np.asarray(fallback, dtype=complex)
     yv0 = adm.ybar * v0
+    solve = adm.vector_solve
     residual = float("inf")
     for it in range(1, max_iter + 1):
-        v, v_prev = adm.lu.solve(np.conj(s / v) - yv0), v
+        v, v_prev = solve(np.conj(s / v) - yv0), v
         v_mag = np.abs(v)
         if not in_band(v_mag):
             raise VoltageCollapseError(

@@ -498,9 +498,13 @@ def run_closed_loop(
     uniform noise of half-width ``noise_amp`` from a generator seeded with
     ``seed``, so a run is deterministic for fixed inputs. Step 0 applies
     full available power at unity power factor with zero duals. Each AC
-    solve starts from :func:`_ac_start`, an extrapolation of the plant's
-    last solutions (the newest if it is out of band); the solve accepts its
-    iterate by the same residual test wherever it starts. A failed solve
+    solve starts from :func:`_ac_start`, a cubic extrapolation through the
+    plant's last four solutions (lower orders on the first steps, and the
+    newest solution if the extrapolation is out of band); the solve accepts
+    its iterate by the same residual test wherever it starts. On a feeder
+    of up to ``DENSE_Z_MAX_NODES`` buses its iterations are products with
+    the dense ``Y^{-1}``, and larger feeders take the factor's solve
+    (:class:`~opftrack.feeder.AdmittanceMatrix`). A failed solve
     re-raises its :class:`PowerFlowError`, of the same class, with ``step
     k:`` put before the message.
 
@@ -541,7 +545,7 @@ def run_closed_loop(
 
     u = np.column_stack([scenario.p_av[0], np.zeros(g)])
     duals = np.zeros((2, len(mon)))  # [gamma; mu]
-    v_last: list[np.ndarray] = []  # the plant's last three solutions, newest first
+    v_last: list[np.ndarray] = []  # the plant's last four solutions, newest first
     dual_warned = False
 
     n_steps = scenario.n_steps
@@ -574,7 +578,7 @@ def run_closed_loop(
                 )
             except PowerFlowError as exc:  # the same error, naming the step
                 raise type(exc)(f"step {k}: {exc}") from exc
-            v_last = [sol.v, *v_last[:2]]
+            v_last = [sol.v, *v_last[:3]]
             v_mag = sol.v_mag
             pf_residual[k] = sol.residual
             pf_iterations[k] = sol.iterations
@@ -591,7 +595,7 @@ def run_closed_loop(
             u_next = primal_step(u, duals, steps, j)
             duals = dual_step_feedback(duals, y, steps, j)
             u = u_next
-            if not dual_warned and duals.max() > DUAL_DIAG_LIMIT:
+            if not dual_warned and np.maximum.reduce(duals, axis=None) > DUAL_DIAG_LIMIT:
                 dual_warned = True
                 warnings.warn(
                     f"dual magnitude exceeded {DUAL_DIAG_LIMIT:.0e} at step {k}; "
@@ -621,10 +625,11 @@ def _ac_start(v_last: list[np.ndarray], vbar: np.ndarray) -> np.ndarray:
     """Start of the next AC solve from the plant's last solutions, newest first.
 
     The no-load profile ``vbar`` with no solution yet, then the polynomial
-    extrapolation through the last one, two or three solutions: ``v1``,
-    ``2 v1 - v2`` and ``3 v1 - 3 v2 + v3``. Consecutive solutions lie on the
-    smooth path the loads and setpoints trace, so the extrapolation starts
-    the fixed-point iteration close to the next one. The loop passes ``v1``
+    extrapolation through the last one, two, three or four solutions:
+    ``v1``, ``2 v1 - v2``, ``3 v1 - 3 v2 + v3`` and the cubic
+    ``4 v1 - 6 v2 + 4 v3 - v4``. Consecutive solutions lie on the smooth
+    path the loads and setpoints trace, so the extrapolation starts the
+    fixed-point iteration close to the next one. The loop passes ``v1``
     as :func:`solve_ac`'s fallback, which it starts from instead when a
     magnitude of this start is outside the band it accepts, or NaN.
     """
@@ -634,7 +639,10 @@ def _ac_start(v_last: list[np.ndarray], vbar: np.ndarray) -> np.ndarray:
         return v_last[0]
     if len(v_last) == 2:
         return 2.0 * v_last[0] - v_last[1]
-    return 3.0 * (v_last[0] - v_last[1]) + v_last[2]
+    if len(v_last) == 3:
+        return 3.0 * (v_last[0] - v_last[1]) + v_last[2]
+    v1, v2, v3, v4 = v_last
+    return 4.0 * v1 - 6.0 * v2 + 4.0 * v3 - v4
 
 
 def _max_violation(mon_mag: np.ndarray, scenario: Scenario) -> np.ndarray:

@@ -351,7 +351,8 @@ def test_run_end_to_end(tmp_path, run_config, capsys):
     assert "constants" not in summary["tracking"]
     # the linear plant runs no power-flow solve
     assert summary["solver"] == {
-        "pf_iterations_total": 0, "pf_iterations_max": 0, "pf_residual_max": 0.0,
+        "pf_iterations_total": 0, "pf_iterations_max": 0, "pf_iterations_p99": 0,
+        "pf_residual_max": 0.0,
     }
     # byte-stable artifacts for identical configuration
     assert cli.main(["run", "--config", str(run_config),
@@ -373,9 +374,33 @@ def test_summary_solver_section_totals_the_plant_iterations(tmp_path, run_config
     assert counts.min() >= 1
     assert json.loads(first)["solver"] == {
         "pf_iterations_total": int(counts.sum()), "pf_iterations_max": int(counts.max()),
+        # 99% of 41 steps rounds up to all 41, so the p99 is the largest count
+        "pf_iterations_p99": int(counts.max()),
         "pf_residual_max": float(traj.pf_residual.max()),
     }
     assert 0.0 < traj.pf_residual.max() <= 1e-9
+
+
+def test_summary_pf_p99_is_the_nearest_rank_step_count(tmp_path):
+    # the smallest count that at least 99% of config36's 600 steps do not
+    # exceed, an integer from the run's own counts; the run's largest counts
+    # lie above it
+    cfg = json.loads((DATA / "config36.json").read_text(encoding="utf-8"))
+    cfg.update(feeder=str(DATA / "feeder36.json"), output_dir=str(tmp_path), report=False)
+    path = tmp_path / "config.json"
+    write_json(path, cfg)
+    args = ["run", "--config", str(path)]
+    assert cli.main(args) == 0
+    solver = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))["solver"]
+    cfg, net, scen, inv = cli._load_run(cli._build_parser().parse_args(args))
+    traj = run_closed_loop(net, scen, cfg.strategy, inv, cfg.controller, seed=cfg.seed,
+                           noise_amp=cfg.noise_amp)
+    counts = sorted(traj.pf_iterations.tolist())
+    n = len(counts)
+    p99 = counts[-(-99 * n // 100) - 1]
+    assert type(solver["pf_iterations_p99"]) is int and solver["pf_iterations_p99"] == p99
+    assert sum(c < p99 for c in counts) < 0.99 * n <= sum(c <= p99 for c in counts)
+    assert p99 < solver["pf_iterations_max"] == counts[-1]
 
 
 def test_run_overrides(tmp_path, run_config, capsys):

@@ -15,6 +15,7 @@ from small_feeders import chain, two_bus
 
 from opftrack import cli, networks
 from opftrack.feeder import (
+    DENSE_Z_MAX_NODES,
     FeederError,
     FeederModel,
     _column,
@@ -36,6 +37,17 @@ def test_two_bus_partition_hand_values():
     assert ys == pytest.approx(50.0 - 50.0j)
     assert np.allclose(factored_matrix(adm), [[ys]])
     assert np.allclose(adm.ybar, [-ys])
+
+
+def test_the_dense_inverse_is_kept_up_to_the_crossover_size():
+    n = DENSE_Z_MAX_NODES
+    at = build_admittance(networks.random_radial(n, seed=0, shunt_prob=0.5))
+    above = build_admittance(networks.random_radial(n + 1, seed=0, shunt_prob=0.5))
+    assert at.z.shape == (n, n)
+    assert np.allclose(factored_matrix(at) @ at.z, np.eye(n), rtol=0.0, atol=1e-9)
+    assert at.vector_solve == at.z.dot
+    assert above.z is None
+    assert above.vector_solve == above.lu.solve
 
 
 def test_line_charging_splits_half_per_terminal():

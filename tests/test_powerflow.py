@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from small_feeders import chain, two_bus
 
 from opftrack import networks
-from opftrack.feeder import build_admittance
+from opftrack.feeder import DENSE_Z_MAX_NODES, AdmittanceMatrix, build_admittance
 from opftrack.powerflow import (
     LinearModel,
     PowerFlowError,
@@ -233,6 +233,43 @@ def test_fallback_start_replaces_only_a_start_outside_the_band():
     for bad in (0.1, np.nan):
         with pytest.raises(ValueError, match="warm-start"):
             solve_ac(adm, inj, 1.0 + 0j, init=nan, fallback=np.asarray([bad + 0j]))
+
+
+@pytest.mark.parametrize(
+    "fd", [networks.feeder36(), networks.random_radial(DENSE_Z_MAX_NODES, 3, shunt_prob=0.5)],
+    ids=["feeder36", f"radial{DENSE_Z_MAX_NODES}-shunts"],
+)
+def test_ac_solve_through_the_dense_inverse_matches_the_factor(fd):
+    # the same feeder without z takes the factor's solve: the iterates differ
+    # only by rounding, so both accept at the same iteration, at loads that
+    # pull the lowest bus to 0.88-0.94 pu
+    adm = build_admittance(fd)
+    assert adm.z is not None
+    factor_only = AdmittanceMatrix(adm.ybar, adm.lu)
+    n, v0 = fd.n_nodes, fd.slack_voltage
+    rng = np.random.default_rng(0)
+    s = -0.02 * (rng.uniform(0.5, 1.5, n) + 0.5j * rng.uniform(0.5, 1.5, n))
+    dense, sparse = solve_ac(adm, s, v0), solve_ac(factor_only, s, v0)
+    assert np.abs(sparse.v).min() < 0.95
+    assert dense.iterations == sparse.iterations
+    assert np.max(np.abs(dense.v - sparse.v)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "bad", [{"tol": math.nan}, {"tol": -1.0}, {"tol": 0.0}, {"tol": math.inf},
+            {"max_iter": 0}, {"max_iter": -1}],
+    ids=["tol-nan", "tol-negative", "tol-zero", "tol-inf", "max_iter-0", "max_iter-negative"],
+)
+def test_solve_ac_rejects_a_tolerance_or_iteration_limit_it_cannot_use(bad):
+    # a caller's misuse is a ValueError before any iteration, not a plant
+    # failure: with tol = nan or -1 a converged feeder36 solve used to run
+    # 1000 iterations and raise "no convergence", and tol = inf accepted the
+    # first iterate
+    adm = build_admittance(networks.feeder36())
+    s = np.full(36, -0.01 - 0.005j)
+    with pytest.raises(ValueError, match="tolerance must be positive and finite|max_iter must be"):
+        solve_ac(adm, s, 1.0 + 0j, **bad)
+    assert solve_ac(adm, s, 1.0 + 0j, tol=1e-9, max_iter=1000).residual <= 1e-9
 
 
 def test_injection_validation():

@@ -459,12 +459,17 @@ def test_plant_failure_reports_step():
         run_closed_loop(compile_feeder(fd), scen, "none", FAST_INV, FAST_PARAMS)
 
 
-@pytest.mark.parametrize("strategy", ["pursuit", "none"])
-def test_extrapolated_ac_start_keeps_the_solution_and_saves_iterations(strategy, monkeypatch):
+@pytest.mark.parametrize(
+    "strategy, three_point_total", [("pursuit", 2653), ("none", 2461)], ids=["pursuit", "none"]
+)
+def test_extrapolated_ac_start_keeps_the_solution_and_saves_iterations(
+    strategy, three_point_total, monkeypatch
+):
     # every step re-solved from the no-load profile at the recorded
     # injections lands on the recorded magnitudes, so the extrapolated start
     # keeps the plant on the same solution branch; starting each step at the
-    # previous solution instead takes more iterations in total
+    # previous solution instead takes more iterations in total, and so did
+    # the three-point extrapolation (three_point_total)
     net, scen, inv, params, seed = _config36()
     counts = []
 
@@ -490,33 +495,52 @@ def test_extrapolated_ac_start_keeps_the_solution_and_saves_iterations(strategy,
         assert np.max(np.abs(np.abs(cold.v) - traj.v_mag[k])) <= 1e-8, k
         previous_start_total += solve_ac(net.lm.adm, inj, v0, init=v_prev).iterations
         v_prev = cold.v
-    assert traj.pf_iterations.sum() < previous_start_total
+    assert traj.pf_iterations.sum() < min(previous_start_total, three_point_total)
 
 
 def test_extrapolated_start_outside_the_band_falls_back_to_the_last_solution():
     # 4 pu of generation lifts the bus to 1.31 pu at step 1 and step 2 is
-    # unloaded again, so the quadratic extrapolation to step 3,
+    # unloaded again, so the three-point extrapolation to step 3,
     # 3 (v_2 - v_1) + v_0, has magnitude 0.15 pu: a start solve_ac rejects.
-    # The run starts step 3 at v_2 and ends as the cold solves do.
+    # 2 pu at step 4 lifts it to 1.17 pu, and the four-point extrapolation
+    # to step 6, 4 v_5 - 6 v_4 + 4 v_3 - v_2, has magnitude 0.12 pu. The run
+    # starts steps 3 and 6 at the last solution and ends as the cold solves do.
     fd = two_bus(z=0.1 + 0.01j)
     net = compile_feeder(fd)
-    p_load = np.zeros((5, 1))
-    p_load[1, 0] = -4.0
-    zeros = np.zeros((5, 1))
+    p_load = np.zeros((7, 1))
+    p_load[1, 0], p_load[4, 0] = -4.0, -2.0
+    zeros = np.zeros((7, 1))
     scen = Scenario(
         tau=1.0, p_load=p_load, q_load=zeros, p_av=zeros,
-        v_min=np.full(5, 0.95), v_max=np.full(5, 1.05),
+        v_min=np.full(7, 0.95), v_max=np.full(7, 1.05),
     )
     cold = [solve_ac(net.lm.adm, -p + 0j, fd.slack_voltage).v
             for p in p_load]
-    predicted = 3.0 * (cold[2] - cold[1]) + cold[0]
-    assert np.abs(predicted).max() < 0.3
-    with pytest.raises(ValueError, match="warm-start"):
-        solve_ac(net.lm.adm, np.zeros(1, dtype=complex), fd.slack_voltage,
-                 init=predicted)
+    for predicted in (3.0 * (cold[2] - cold[1]) + cold[0],
+                      4.0 * cold[5] - 6.0 * cold[4] + 4.0 * cold[3] - cold[2]):
+        assert np.abs(predicted).max() < 0.3
+        with pytest.raises(ValueError, match="warm-start"):
+            solve_ac(net.lm.adm, np.zeros(1, dtype=complex), fd.slack_voltage,
+                     init=predicted)
     traj = run_closed_loop(net, scen, "none", FAST_INV, FAST_PARAMS)
     assert np.all(traj.pf_residual <= 1e-9)
     assert np.allclose(traj.v_mag, np.abs(cold), rtol=0.0, atol=1e-8)
+
+
+def test_ac_start_extrapolates_through_up_to_four_solutions():
+    # the no-load profile, then the polynomial through the last one to four
+    # solutions, newest first, evaluated in this order to the bit
+    rng = np.random.default_rng(0)
+    vbar, v1, v2, v3, v4 = rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6))
+    cases = [
+        ([], vbar),
+        ([v1], v1),
+        ([v1, v2], 2.0 * v1 - v2),
+        ([v1, v2, v3], 3.0 * (v1 - v2) + v3),
+        ([v1, v2, v3, v4], 4.0 * v1 - 6.0 * v2 + 4.0 * v3 - v4),
+    ]
+    for v_last, want in cases:
+        assert sim._ac_start(v_last, vbar).tobytes() == want.tobytes(), len(v_last)
 
 
 def test_each_step_tests_its_ac_start_once(monkeypatch):
