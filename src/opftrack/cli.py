@@ -253,9 +253,18 @@ def _load_run(
     return cfg, net, scen, Inverters(cfg.region_kind, feeder.der_ratings, c_p, c_q)
 
 
+def _finite(obj: object) -> object:
+    # strict JSON has no NaN or Infinity: every non-finite float becomes null
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_finite(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def _emit_json(obj: dict, path: str | None) -> None:
-    """``obj`` as JSON into the file ``path``, or on stdout without one."""
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``obj`` as strict JSON, each non-finite float ``null``, into ``path`` or on stdout."""
+    text = json.dumps(_finite(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -285,10 +294,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         check_decimation(scen.n_steps, cfg.report_decimation)
     consts = convergence_constants(inv, net.coupling, cfg.controller)
     alpha = cfg.controller.alpha
-    print(f"eta        = {consts.eta:.6e}")
-    print(f"L_reg      = {consts.L_reg:.6e}")
-    print(f"rho(alpha) = {consts.rho(alpha):.10f}")
-    print(f"alpha_max  = {consts.alpha_max:.6e}")
     if 0.0 < alpha < consts.alpha_max:
         print(f"stepsize condition 0 < alpha < alpha_max: satisfied (alpha = {alpha})")
     else:
@@ -322,8 +327,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         "max_violation_run_step": worst,
         "steps_outside_band": int(np.count_nonzero(traj.max_violation > 0.0)),
         "violation_integral_pu_s": scen.tau * math.fsum(traj.max_violation),
-        # strict JSON has no Infinity; an overflowed constant serializes as null
-        "constants": {k: v if math.isfinite(v) else None for k, v in asdict(consts).items()},
+        "dual_max": float(traj.duals.max()),  # 1e6 and above: perhaps no strictly feasible point
+        "constants": asdict(consts),
         "alpha": alpha,
         "alpha_condition_satisfied": bool(0.0 < alpha < consts.alpha_max),
         "solver": {
@@ -335,11 +340,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         },
     }
     if report:
-        rep = measure_tracking(
-            net, scen, inv, cfg.controller, traj, decimation=cfg.report_decimation,
-            constants=consts,
-        )
-        summary["tracking"] = rep.to_dict()
+        rep = measure_tracking(net, scen, inv, cfg.controller, traj, cfg.report_decimation)
+        summary["tracking"] = asdict(rep)
     summary_path = os.path.join(cfg.output_dir, "summary.json")
     _emit_json(summary, summary_path)
     print(f"trajectory -> {traj_path}")
@@ -359,8 +361,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         "step": k,
         "p_star": [float(x) for x in sol.u[:, 0]],
         "q_star": [float(x) for x in sol.u[:, 1]],
-        "gamma_star": [float(x) for x in sol.gamma],
-        "mu_star": [float(x) for x in sol.mu],
+        "gamma_star": [float(x) for x in sol.duals[0]],
+        "mu_star": [float(x) for x in sol.duals[1]],
         "iterations": sol.iterations,
         "kkt_residual": sol.residual,
     }
@@ -374,7 +376,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     path = args.trajectory or os.path.join(cfg.output_dir, "trajectory.csv")
     traj = check_trajectory(path, net, scen, inv)
     rep = measure_tracking(net, scen, inv, cfg.controller, traj, decimation=cfg.report_decimation)
-    _emit_json(rep.to_dict(), args.output)
+    _emit_json(asdict(rep), args.output)
     return 0
 
 

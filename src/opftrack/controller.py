@@ -136,7 +136,6 @@ class Inverters:
         warnings.warn(
             f"p_av exceeds the DER rating in {int(over.sum())} of {over.size} entries "
             f"(by up to {float(np.max(p_av - self.s_rating)):.6g}); clipped to the rating",
-            stacklevel=2,
         )
         return np.minimum(p_av, self.s_rating)
 
@@ -443,16 +442,17 @@ class SaddleProblem:
 
 @dataclass(frozen=True)
 class SaddleSolution:
+    """The oracle's saddle point: setpoints ``u`` (n_der, 2), ``duals`` [gamma; mu] (2, M)."""
+
     u: np.ndarray
-    gamma: np.ndarray
-    mu: np.ndarray
+    duals: np.ndarray
     iterations: int
     residual: float
 
 
-def pack_state(u: np.ndarray, gamma: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Flatten a primal-dual point into one vector (row-major setpoints first)."""
-    return np.concatenate([np.asarray(u, float).ravel(), gamma, mu])
+def pack_state(u: np.ndarray, duals: np.ndarray) -> np.ndarray:
+    """Flatten a primal-dual point into one vector: row-major setpoints, then gamma, then mu."""
+    return np.concatenate([np.asarray(u, float).ravel(), np.asarray(duals, float).ravel()])
 
 
 def _penalty_value(problem: SaddleProblem, u: np.ndarray) -> tuple[float, np.ndarray]:
@@ -586,28 +586,28 @@ def solve_saddle_oracle(
         its += 1
         cur = new
 
-    u, (gamma, mu) = cur.u, cur.duals
-    res = saddle_residual(problem, u, gamma, mu)
+    res = saddle_residual(problem, cur.u, cur.duals)
     if not math.isfinite(res) or res > max(tol, 1e-6):
         raise OracleError(f"saddle oracle: stationarity residual {res:.3e} out of tolerance")
-    return SaddleSolution(u=u, gamma=gamma, mu=mu, iterations=its, residual=res)
+    return SaddleSolution(u=cur.u, duals=cur.duals, iterations=its, residual=res)
 
 
-def saddle_residual(
-    problem: SaddleProblem, u: np.ndarray, gamma: np.ndarray, mu: np.ndarray
-) -> float:
+def saddle_residual(problem: SaddleProblem, u: np.ndarray, duals: np.ndarray) -> float:
     """Fixed-point residual ``||z - T_1(z)||_2`` of the step map at unit step.
 
     ``T_1`` is :func:`primal_step` together with :func:`dual_step_feedback`
     fed the surrogate's prediction, both on row ``k`` of the problem's
     unit-step map (``alpha = 1``): the closed loop's step code. Zero exactly
     at the saddle point, independent of the step size used by any solver.
-    Raises ``ValueError`` for a negative dual.
+    ``duals`` is ``[gamma; mu]`` (2, M); raises ``ValueError`` for a
+    negative dual or any other shape.
     """
     steps, k = problem.step_map, problem.k
-    duals = np.stack([np.asarray(gamma, dtype=float), np.asarray(mu, dtype=float)])
+    duals = np.asarray(duals, dtype=float)
     if duals.min(initial=0.0) < 0.0:
         raise ValueError("duals must be nonnegative")
+    if duals.shape != (2, steps.coupling.rb.shape[0]):
+        raise ValueError(f"duals must be [gamma; mu] of shape (2, M), got {duals.shape}")
     u2 = primal_step(u, duals, steps, k)
     d2 = dual_step_feedback(duals, steps.coupling.predict(u, problem.c), steps, k)
-    return float(np.linalg.norm(pack_state(u - u2, *(duals - d2))))
+    return float(np.linalg.norm(pack_state(u - u2, duals - d2)))

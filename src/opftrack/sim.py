@@ -17,8 +17,7 @@ import csv
 import math
 import re
 import sys
-import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
@@ -27,7 +26,6 @@ import orjson
 from .baseline import DROOP_GAIN, droop_q
 from .controller import (
     ControllerParams,
-    ConvergenceConstants,
     Inverters,
     SaddleProblem,
     StepMap,
@@ -67,7 +65,6 @@ __all__ = [
     "check_decimation",
     "measure_tracking",
     "write_trajectory",
-    "read_trajectory",
     "check_trajectory",
 ]
 
@@ -75,7 +72,6 @@ STRATEGIES = ("pursuit", "droop", "none")
 PLANTS = ("ac", "linear")
 SCENARIO_KINDS = ("static", "ramp", "cloud_transient", "vmax_steps")
 
-DUAL_DIAG_LIMIT = 1e6
 # run_closed_loop forms the per-step rows (loads, step map) of as many
 # steps at a time as make about ROW_CELLS load entries: the rows of a whole
 # run, and the temporaries that form them, would add to its peak memory
@@ -331,13 +327,11 @@ _POS_EXPONENT = re.compile(rb"e(?=\d)")  # 1e16 -> 1e+16
 _ONE_DIGIT_EXPONENT = re.compile(rb"e-(?=\d(?!\d))")  # 1e-7 -> 1e-07
 
 
-def _write_columns(
-    path: str, columns: list[str], parts: list[np.ndarray], numbered: bool = False
-) -> None:
-    """Write the header ``columns``, then the rows of ``parts`` side by side.
+def _write_columns(path: str, columns: list[str], parts: list[np.ndarray]) -> None:
+    """Write the header ``columns``, then the row index k and the rows of ``parts``.
 
-    Each part is a (K,) or (K, c) float array; ``numbered`` puts the row
-    index k first. Every float prints as its exact ``repr``, cells are
+    Each part is a (K,) or (K, c) float array, its rows side by side after
+    k. Every float prints as its exact ``repr``, cells are
     joined by commas and rows end in ``\\r\\n``, the bytes csv writes.
     The parts are stacked about ``_BLOCK_CELLS`` cells at a time (at least
     one row), so no copy of a whole file is made.
@@ -364,9 +358,7 @@ def _write_columns(
                 cells = text.split(b"null")
                 reprs = [repr(x).encode() for x in block[odd].tolist()]
                 text = cells[0] + b"".join(r + c for r, c in zip(reprs, cells[1:]))
-            rows = text[2:-2].split(b"],[")
-            if numbered:
-                rows = [b"%d,%s" % (k, row) for k, row in enumerate(rows, start=lo)]
+            rows = [b"%d,%s" % (k, row) for k, row in enumerate(text[2:-2].split(b"],["), lo)]
             fh.write(b"\r\n".join(rows) + b"\r\n")
 
 
@@ -418,8 +410,9 @@ def _tail_start(n_steps: int) -> int:
 class Trajectory:
     """A recorded closed-loop run; row k of every array is step k.
 
-    ``u`` (K, n_der, 2) holds the applied (P, Q) setpoints and ``gamma`` /
-    ``mu`` (K, M) the duals held while applying them; ``y`` (K, M) is the
+    ``u`` (K, n_der, 2) holds the applied (P, Q) setpoints and ``duals``
+    (K, 2, M) the duals ``[gamma; mu]`` held while applying them (the
+    ``gamma_*`` and ``mu_*`` columns of the file); ``y`` (K, M) is the
     noisy metered magnitudes and ``v_mag`` (K, N) the plant's magnitudes at
     every bus. ``cost`` is the generation cost of ``u``, ``max_violation``
     the largest metered excursion outside the step's voltage band, and
@@ -431,8 +424,7 @@ class Trajectory:
 
     y: np.ndarray
     u: np.ndarray
-    gamma: np.ndarray
-    mu: np.ndarray
+    duals: np.ndarray
     v_mag: np.ndarray
     cost: np.ndarray
     max_violation: np.ndarray
@@ -497,7 +489,9 @@ def run_closed_loop(
     fixed-point solve or the linear magnitude model. Measurements carry
     uniform noise of half-width ``noise_amp`` from a generator seeded with
     ``seed``, so a run is deterministic for fixed inputs. Step 0 applies
-    full available power at unity power factor with zero duals. Each AC
+    full available power at unity power factor with zero duals; the loop
+    keeps no diagnostics of the duals, whose largest value the run's
+    summary reports (``dual_max``). Each AC
     solve starts from :func:`_ac_start`, a cubic extrapolation through the
     plant's last four solutions (lower orders on the first steps, and the
     newest solution if the extrapolation is out of band); the solve accepts
@@ -546,7 +540,6 @@ def run_closed_loop(
     u = np.column_stack([scenario.p_av[0], np.zeros(g)])
     duals = np.zeros((2, len(mon)))  # [gamma; mu]
     v_last: list[np.ndarray] = []  # the plant's last four solutions, newest first
-    dual_warned = False
 
     n_steps = scenario.n_steps
     ys = np.empty((n_steps, len(mon)))
@@ -595,13 +588,6 @@ def run_closed_loop(
             u_next = primal_step(u, duals, steps, j)
             duals = dual_step_feedback(duals, y, steps, j)
             u = u_next
-            if not dual_warned and np.maximum.reduce(duals, axis=None) > DUAL_DIAG_LIMIT:
-                dual_warned = True
-                warnings.warn(
-                    f"dual magnitude exceeded {DUAL_DIAG_LIMIT:.0e} at step {k}; "
-                    "the instance may lack a strictly feasible point",
-                    stacklevel=2,
-                )
         elif strategy == "droop":
             v_local = v_mag[der]
             if noise_amp > 0.0:
@@ -613,7 +599,7 @@ def run_closed_loop(
             u = np.column_stack([scenario.p_av[k], np.zeros(g)])
 
     return Trajectory(
-        y=ys, u=us, gamma=held[:, 0], mu=held[:, 1], v_mag=v_mags,
+        y=ys, u=us, duals=held, v_mag=v_mags,
         cost=eval_cost(us, inv, scenario.p_av),
         max_violation=_max_violation(v_mags[:, mon], scenario),
         pf_residual=pf_residual,
@@ -704,13 +690,6 @@ class TrackingReport:
     oracle_residual_max: float
     note: str = ""
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        # strict JSON has no Infinity; a vacuous bound serializes as null
-        if not math.isfinite(self.bound_rhs):
-            d["bound_rhs"] = None
-        return d
-
 
 def check_decimation(n_steps: int, decimation: int) -> None:
     """Refuse a report decimation that samples no step of the run's last quarter.
@@ -737,7 +716,6 @@ def measure_tracking(
     params: ControllerParams,
     traj: Trajectory,
     decimation: int = 10,
-    constants: ConvergenceConstants | None = None,
 ) -> TrackingReport:
     """Compare a recorded pursuit run against per-step saddle oracles.
 
@@ -755,17 +733,14 @@ def measure_tracking(
     level ``max_k ||y_k - w_k||`` between the measured magnitudes and the
     surrogate's prediction ``w_k = r P_k + b Q_k + c_k`` over all recorded
     steps (the gap between measurement-based and model-based dual
-    gradients). ``constants`` are the run's :func:`convergence_constants`,
-    computed here when not given; only their ``rho_alpha`` enters the
-    report.
+    gradients). Of the run's :func:`convergence_constants` only
+    ``rho_alpha`` enters the report.
     """
     check_decimation(scenario.n_steps, decimation)
     if traj.n_steps != scenario.n_steps:
         raise ValueError(
             f"trajectory has {traj.n_steps} steps, scenario has {scenario.n_steps}"
         )
-    if constants is None:
-        constants = convergence_constants(inv, net.coupling, params)
     steps, c = oracle_map(net, scenario, inv, params)
     e_measured = float(np.max(np.linalg.norm(traj.y - net.coupling.predict(traj.u, c), axis=1)))
 
@@ -777,14 +752,14 @@ def measure_tracking(
         its_total += sol.iterations
         its_max = max(its_max, sol.iterations)
         res_max = max(res_max, sol.residual)
-        last, star = star, pack_state(sol.u, sol.gamma, sol.mu)
+        last, star = star, pack_state(sol.u, sol.duals)
         if last is not None:
             sigma_z = max(sigma_z, float(np.linalg.norm(star - last)) / decimation)
         if k >= traj.tail_start:
-            zk = pack_state(traj.u[k], traj.gamma[k], traj.mu[k])
+            zk = pack_state(traj.u[k], traj.duals[k])
             tail = max(tail, float(np.linalg.norm(zk - star)))
 
-    rho = constants.rho_alpha
+    rho = convergence_constants(inv, net.coupling, params).rho_alpha
     if rho < 1.0:
         bound_rhs = (math.sqrt(2.0) * params.alpha * e_measured + sigma_z) / (1.0 - rho)
         satisfied: bool | None = tail <= bound_rhs
@@ -827,24 +802,13 @@ def write_trajectory(
     parts = [
         np.arange(traj.n_steps) * scenario.tau, traj.cost, traj.max_violation,
         traj.pf_residual, traj.y, traj.u[:, :, 0], traj.u[:, :, 1],
-        traj.gamma, traj.mu, traj.v_mag,
+        traj.duals[:, 0], traj.duals[:, 1], traj.v_mag,
     ]
-    _write_columns(path, _trajectory_columns(feeder), parts, numbered=True)
-
-
-def read_trajectory(path: str, feeder: FeederModel) -> Trajectory:
-    """Inverse of write_trajectory for the given feeder layout.
-
-    The header must be exactly the feeder's trajectory columns, every row
-    must have one numeric cell per column, and the ``k`` column must read
-    0, 1, 2, ... in row order; a violation raises ``ValueError`` naming the
-    file and, where it is one row's fault, the first such row.
-    """
-    return _read_trajectory(path, feeder)[1]
+    _write_columns(path, _trajectory_columns(feeder), parts)
 
 
 def _read_trajectory(path: str, feeder: FeederModel) -> tuple[np.ndarray, Trajectory]:
-    # read_trajectory, plus the time_s column it does not keep
+    # the file's time_s column and its trajectory, as check_trajectory documents
     data = _read_rows(path, _trajectory_columns(feeder), "trajectory")
     wrong = np.flatnonzero(data[:, 0] != np.arange(len(data)))
     if wrong.size:
@@ -854,11 +818,9 @@ def _read_trajectory(path: str, feeder: FeederModel) -> tuple[np.ndarray, Trajec
             "(rows must be the steps 0, 1, 2, ... in order)"
         )
     m, g = len(feeder.monitored_nodes), feeder.n_der
-    head, y, p, q, gamma, mu, v_mag = np.split(
-        data, np.cumsum([5, m, g, g, m, m]), axis=1
-    )
+    head, y, p, q, duals, v_mag = np.split(data, np.cumsum([5, m, g, g, 2 * m]), axis=1)
     return head[:, 1], Trajectory(
-        y=y, u=np.stack([p, q], axis=-1), gamma=gamma, mu=mu, v_mag=v_mag,
+        y=y, u=np.stack([p, q], axis=-1), duals=duals.reshape(-1, 2, m), v_mag=v_mag,
         cost=head[:, 2], max_violation=head[:, 3], pf_residual=head[:, 4],
     )
 
@@ -866,11 +828,16 @@ def _read_trajectory(path: str, feeder: FeederModel) -> tuple[np.ndarray, Trajec
 def check_trajectory(
     path: str, net: CompiledFeeder, scenario: Scenario, inv: Inverters
 ) -> Trajectory:
-    """:func:`read_trajectory` for a run of ``scenario``, its derived columns checked.
+    """Read the trajectory file of a run of ``scenario``, its derived columns checked.
 
-    The file must have one row per scenario step, ``time_s`` must be
-    ``k * tau``, ``cost`` the :func:`eval_cost` for ``inv`` of the file's
-    own setpoints and ``max_violation`` the excursion of its metered ``vmag`` outside the
+    The inverse of :func:`write_trajectory`. The header must be exactly the
+    feeder's trajectory columns, every row must have one numeric cell per
+    column, and the ``k`` column must read 0, 1, 2, ... in row order; a
+    violation raises ``ValueError`` naming the file and, where it is one
+    row's fault, the first such row. The file must also have one row per
+    scenario step, ``time_s`` must be ``k * tau``, ``cost`` the
+    :func:`eval_cost` for ``inv`` of the file's own setpoints and
+    ``max_violation`` the excursion of its metered ``vmag`` outside the
     scenario's band. The writer round-trips every float, so each must match
     bit for bit; a mismatch raises ``ValueError`` naming the file, the
     column and the first wrong row.

@@ -212,13 +212,13 @@ def test_a3_error_free_contraction():
     g = len(fd.der_nodes)
     prob = saddle(inv, p_av, coupling, c, v_min, v_max, params)
     sol = solve_saddle_oracle(prob, tol=1e-12)
-    z_star = pack_state(sol.u, sol.gamma, sol.mu)
-    assert sol.mu[0] > 0  # the upper limit binds, so the duals are exercised
+    z_star = pack_state(sol.u, sol.duals)
+    assert sol.duals[1, 0] > 0  # mu: the upper limit binds, so the duals are exercised
 
     # full available power at unity power factor, zero duals
     u, duals = project(inv, np.column_stack([p_av, np.zeros(g)]), p_av), np.zeros((2, 1))
     step_map = one_step(inv, coupling, params, p_av, v_min, v_max)
-    dist = float(np.linalg.norm(pack_state(u, *duals) - z_star))
+    dist = float(np.linalg.norm(pack_state(u, duals) - z_star))
     worst_ratio = 0.0
     steps = 0
     while dist > 1e-10 and steps < 60_000:
@@ -227,7 +227,7 @@ def test_a3_error_free_contraction():
         u_next = primal_step(u, duals, step_map, 0)
         duals = dual_step_feedback(duals, w, step_map, 0)
         u = u_next
-        nxt = float(np.linalg.norm(pack_state(u, *duals) - z_star))
+        nxt = float(np.linalg.norm(pack_state(u, duals) - z_star))
         worst_ratio = max(worst_ratio, nxt / dist)
         dist = nxt
         steps += 1
@@ -256,7 +256,7 @@ def test_a4_tracking_bound_on_ramp():
     net = compile_feeder(fd)
     consts = convergence_constants(inv, net.coupling, params)
     traj = run_closed_loop(net, scen, "pursuit", inv, params, plant="ac")
-    rep = measure_tracking(net, scen, inv, params, traj, decimation=1, constants=consts)
+    rep = measure_tracking(net, scen, inv, params, traj, decimation=1)
     elapsed = time.perf_counter() - t0
     ok = (
         consts.rho_alpha < 1.0
@@ -531,8 +531,8 @@ def test_a9_oracle_uniqueness_and_stationarity():
                 r2 = np.random.default_rng(7000 + 100 * inst + s)
                 u0 = np.column_stack([r2.uniform(0, 1, g), r2.uniform(-1, 1, g)])
             sol = solve_saddle_oracle(prob, u0=u0)
-            worst_res = max(worst_res, saddle_residual(prob, sol.u, sol.gamma, sol.mu))
-            packed.append(pack_state(sol.u, sol.gamma, sol.mu))
+            worst_res = max(worst_res, saddle_residual(prob, sol.u, sol.duals))
+            packed.append(pack_state(sol.u, sol.duals))
         for z in packed[1:]:
             worst_spread = max(worst_spread, float(np.max(np.abs(z - packed[0]))))
     elapsed = time.perf_counter() - t0

@@ -289,10 +289,21 @@ def test_step_map_needs_v_min_below_v_max_on_every_row():
 def test_saddle_residual_validates_duals():
     prob, u = _tb1_setup(), np.asarray([[0.5, 0.0]])
     with pytest.raises(ValueError):
-        saddle_residual(prob, u, np.asarray([-0.1]), np.asarray([0.0]))
-    with pytest.raises(ValueError):  # gamma and mu of unequal length
-        saddle_residual(prob, u, np.zeros(1), np.zeros(2))
-    assert saddle_residual(prob, u, np.zeros(1), np.zeros(1)) >= 0.0
+        saddle_residual(prob, u, np.asarray([[-0.1], [0.0]]))
+    with pytest.raises(ValueError):  # more dual pairs than metered buses
+        saddle_residual(prob, u, np.zeros((2, 2)))
+    assert saddle_residual(prob, u, np.zeros((2, 1))) >= 0.0
+
+
+def test_saddle_residual_refuses_duals_of_any_shape_but_two_by_m():
+    prob, _ = _penalty_instance()
+    sol = solve_saddle_oracle(prob)
+    m = sol.duals.shape[1]
+    assert sol.duals.shape == (2, m) and m > 1
+    for shape in ((m,), (3, m), (2, m + 1)):
+        with pytest.raises(ValueError, match=r"shape \(2, M\)"):
+            saddle_residual(prob, sol.u, np.zeros(shape))
+    assert saddle_residual(prob, sol.u, sol.duals) == sol.residual
 
 
 def test_saddle_residual_rejects_any_negative_dual():
@@ -300,15 +311,15 @@ def test_saddle_residual_rejects_any_negative_dual():
     for bad in ([0.0, 2.0, -1e-300], [-5e-324], [3.0, -1.0]):
         zeros = np.zeros(len(bad))
         with pytest.raises(ValueError, match="nonnegative"):
-            saddle_residual(prob, u, np.asarray(bad), zeros)
+            saddle_residual(prob, u, np.stack([bad, zeros]))
         with pytest.raises(ValueError, match="nonnegative"):
-            saddle_residual(prob, u, zeros, np.asarray(bad))
+            saddle_residual(prob, u, np.stack([zeros, bad]))
     # a signed zero is not negative, and no multipliers at all is a valid state
-    zero = saddle_residual(prob, u, np.zeros(1), np.zeros(1))
-    assert saddle_residual(prob, u, np.asarray([-0.0]), np.asarray([0.0])) == zero
+    zero = saddle_residual(prob, u, np.zeros((2, 1)))
+    assert saddle_residual(prob, u, np.asarray([[-0.0], [0.0]])) == zero
     none = saddle(fleet("joint", 1.0), [0.5], VoltageCoupling(np.zeros((0, 2))), np.zeros(0),
                   0.95, 1.05, ControllerParams(0.2, 1e-3, 1e-4))
-    assert math.isfinite(saddle_residual(none, u, np.zeros(0), np.zeros(0)))
+    assert math.isfinite(saddle_residual(none, u, np.zeros((2, 0))))
 
 
 TB1_ALPHA = 0.2  # the run's stepsize on the two-bus instances
@@ -518,15 +529,15 @@ def test_error_free_iteration_contracts_at_certified_rate():
     steps = _step_map(prob, alpha)
     prm = steps.params
     star = solve_saddle_oracle(prob, tol=1e-12)
-    z_star = pack_state(star.u, star.gamma, star.mu)
+    z_star = pack_state(star.u, star.duals)
     u = np.asarray([[0.0, 0.0]])
     duals = np.asarray([[0.5], [2.0]])
-    dist = np.linalg.norm(pack_state(u, *duals) - z_star)
+    dist = np.linalg.norm(pack_state(u, duals) - z_star)
     for _ in range(4000):
         u_new = primal_step(u, duals, steps, 0)
         duals = _model_dual_step(prob, duals, u, prm)
         u = u_new
-        new_dist = np.linalg.norm(pack_state(u, *duals) - z_star)
+        new_dist = np.linalg.norm(pack_state(u, duals) - z_star)
         if new_dist <= 1e-10:
             break
         assert new_dist <= dist * (rho + 1e-6)
@@ -541,9 +552,10 @@ def test_saddle_oracle_binding_instance():
     # upper limit binds: the regularized optimum leaves an eps*mu violation
     w = prob.step_map.coupling.predict(sol.u, prob.c)
     assert w[0] > 1.05
-    assert sol.mu[0] == pytest.approx((w[0] - 1.05) / prob.step_map.params.epsilon, rel=1e-9)
-    assert sol.gamma[0] == 0.0
-    assert saddle_residual(prob, sol.u, sol.gamma, sol.mu) == pytest.approx(
+    gamma, mu = sol.duals
+    assert mu[0] == pytest.approx((w[0] - 1.05) / prob.step_map.params.epsilon, rel=1e-9)
+    assert gamma[0] == 0.0
+    assert saddle_residual(prob, sol.u, sol.duals) == pytest.approx(
         sol.residual, abs=1e-12
     )
 
@@ -556,7 +568,8 @@ def test_saddle_oracle_multi_start_agreement():
         u0 = np.column_stack([rng.uniform(0, 0.95, 1), rng.uniform(-0.3, 0.3, 1)])
         sol = solve_saddle_oracle(prob, tol=1e-11, u0=u0)
         assert np.allclose(sol.u, ref.u, atol=1e-8)
-        assert np.allclose(sol.mu, ref.mu, atol=1e-8 / prob.step_map.params.epsilon * 1e-2)
+        mu, ref_mu = sol.duals[1], ref.duals[1]
+        assert np.allclose(mu, ref_mu, atol=1e-8 / prob.step_map.params.epsilon * 1e-2)
 
 
 def test_saddle_oracle_unconstrained_instance():
@@ -565,7 +578,7 @@ def test_saddle_oracle_unconstrained_instance():
     c_p, nu, pav = 3.0, 1e-3, 0.95
     assert sol.u[0, 0] == pytest.approx(2 * c_p * pav / (2 * c_p + nu), abs=1e-9)
     assert sol.u[0, 1] == pytest.approx(0.0, abs=1e-9)
-    assert sol.gamma[0] == 0.0 and sol.mu[0] == 0.0
+    assert sol.duals[0, 0] == 0.0 and sol.duals[1, 0] == 0.0
 
 
 def test_saddle_oracle_budget_exhaustion():
@@ -646,9 +659,7 @@ def test_penalty_value_matches_its_gradient_with_both_limits_violated():
     # res stays the unit-step residual, the stop test and saddle_residual
     unit = u - steps.project(0, u - grad)
     assert point.res == np.linalg.norm(unit)
-    assert point.res == pytest.approx(
-        saddle_residual(prob, u, gamma, mu), rel=1e-12
-    )
+    assert point.res == pytest.approx(saddle_residual(prob, u, duals), rel=1e-12)
     # F is quadratic between kinks, so central differences are exact up to
     # rounding as long as no limit crosses its kink within h
     h = 1e-5
@@ -674,13 +685,13 @@ def _saddle_residual_reference(problem, u, gamma, mu):
     eps = steps.params.epsilon
     gamma2 = np.maximum(0.0, gamma + (g - eps * gamma))
     mu2 = np.maximum(0.0, mu + (g_bar - eps * mu))
-    return float(np.linalg.norm(pack_state(u - u2, gamma - gamma2, mu - mu2)))
+    return float(np.linalg.norm(pack_state(u - u2, np.stack([gamma - gamma2, mu - mu2]))))
 
 
 def test_saddle_residual_equals_its_written_out_formula():
     prob, rng = _penalty_instance()
     sol = solve_saddle_oracle(prob)
-    points = [(sol.u, sol.gamma, sol.mu)]
+    points = [(sol.u, *sol.duals)]
     for _ in range(20):
         points.append((
             np.column_stack([rng.uniform(-0.1, 0.3, 18), rng.uniform(-0.2, 0.2, 18)]),
@@ -688,14 +699,14 @@ def test_saddle_residual_equals_its_written_out_formula():
             rng.uniform(0, 5, 10) * (rng.uniform(size=10) < 0.5),
         ))
     for u, gamma, mu in points:
-        assert saddle_residual(prob, u, gamma, mu) == _saddle_residual_reference(
+        assert saddle_residual(prob, u, np.stack([gamma, mu])) == _saddle_residual_reference(
             prob, u, gamma, mu
         )
-    assert sol.residual == saddle_residual(prob, sol.u, sol.gamma, sol.mu) <= 1e-9
+    assert sol.residual == saddle_residual(prob, sol.u, sol.duals) <= 1e-9
 
 
 def test_pack_state_layout():
-    z = pack_state(np.asarray([[0.95, -0.1]]), np.asarray([1.0]), np.asarray([2.0]))
+    z = pack_state(np.asarray([[0.95, -0.1]]), np.asarray([[1.0], [2.0]]))
     assert z.tolist() == [0.95, -0.1, 1.0, 2.0]
 
 
@@ -825,7 +836,7 @@ def test_saddle_oracle_property_random_radial(n, seed):
         ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4),
     )
     sol = solve_saddle_oracle(prob)
-    assert saddle_residual(prob, sol.u, sol.gamma, sol.mu) <= 1e-9
+    assert saddle_residual(prob, sol.u, sol.duals) <= 1e-9
     assert sol.iterations <= 50
 
 

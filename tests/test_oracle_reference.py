@@ -11,6 +11,7 @@ last bits move with the numpy and BLAS a platform resolves.
 import argparse
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -67,9 +68,11 @@ def test_oracle_matches_the_recorded_solution(k, run36, tmp_path):
 
 
 @pytest.mark.parametrize("decimation", [60, 1])
-def test_tracking_report_matches_the_recorded_one(decimation, run36):
+def test_tracking_report_matches_the_recorded_one(decimation, run36, capsys):
     cfg, net, scen, inv, traj = run36
-    got = measure_tracking(net, scen, inv, cfg.controller, traj, decimation=decimation).to_dict()
+    rep = measure_tracking(net, scen, inv, cfg.controller, traj, decimation=decimation)
+    cli._emit_json(asdict(rep), None)  # the JSON form, as the summary writes it
+    got = json.loads(capsys.readouterr().out)
     want = REF["tracking"][str(decimation)]
     for key in ("decimation", "note", "bound_rhs", "bound_satisfied"):
         assert got[key] == want[key], key

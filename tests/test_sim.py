@@ -1,8 +1,9 @@
 import cmath
 import csv
+import json
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from step_helpers import saddle
 
 from opftrack import networks
 from opftrack.baseline import DROOP_GAIN, droop_q
-from opftrack.cli import load_config
+from opftrack.cli import _emit_json, load_config
 from opftrack.controller import (
     REGION_KINDS,
     ControllerParams,
@@ -37,13 +38,13 @@ from opftrack.sim import (
     TrackingReport,
     Trajectory,
     check_decimation,
+    check_trajectory,
     compile_feeder,
     eval_cost,
     generate_scenario,
     measure_tracking,
     oracle_map,
     read_scenario,
-    read_trajectory,
     run_closed_loop,
     step_problem,
     write_trajectory,
@@ -231,9 +232,9 @@ def test_a_turned_slack_angle_moves_no_run_figure():
     for f in (fd, turned):
         net = compile_feeder(f)
         traj = run_closed_loop(net, scen, "pursuit", inv, PARAMS)
-        runs.append((traj, measure_tracking(net, scen, inv, PARAMS, traj).to_dict()))
+        runs.append((traj, asdict(measure_tracking(net, scen, inv, PARAMS, traj))))
     (traj0, rep0), (traj1, rep1) = runs
-    for name in ("v_mag", "u", "y", "gamma", "mu"):
+    for name in ("v_mag", "u", "y", "duals"):
         assert np.max(np.abs(getattr(traj1, name) - getattr(traj0, name))) <= 1e-12, name
     np.testing.assert_allclose(traj1.cost, traj0.cost, rtol=1e-9)
     assert rep0["e_measured"] > 0.0
@@ -406,14 +407,13 @@ def test_the_loop_applies_the_public_step_map_at_every_step(kind):
         traj = run_closed_loop(
             net, scen, "pursuit", inv, PARAMS, seed=3, plant=plant, noise_amp=1e-3
         )
-        assert traj.mu.max() > 0.0  # the upper limits bind, so the duals move
+        assert traj.duals[:, 1].max() > 0.0  # mu: the upper limits bind, so the duals move
         for k in range(n_steps - 1):
-            duals = np.stack([traj.gamma[k], traj.mu[k]])
+            duals = traj.duals[k]
             u_next = primal_step(traj.u[k], duals, steps, k)
             assert bits(u_next) == bits(traj.u[k + 1]), (plant, k)
             d_next = dual_step_feedback(duals, traj.y[k], steps, k)
-            assert bits(d_next[0]) == bits(traj.gamma[k + 1]), (plant, k)
-            assert bits(d_next[1]) == bits(traj.mu[k + 1]), (plant, k)
+            assert bits(d_next) == bits(traj.duals[k + 1]), (plant, k)
 
 
 def test_over_rated_availability_is_clipped_once_per_run(tmp_path):
@@ -439,7 +439,7 @@ def test_over_rated_availability_is_clipped_once_per_run(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         ref = run_closed_loop(net, clipped, "pursuit", inv, PARAMS)
-    for name in ("y", "u", "gamma", "mu", "v_mag", "max_violation", "pf_residual"):
+    for name in ("y", "u", "duals", "v_mag", "max_violation", "pf_residual"):
         assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
     # the recorded cost is charged against the raw availability
     assert np.array_equal(traj.cost, eval_cost(traj.u, inv, over.p_av))
@@ -562,13 +562,18 @@ def test_each_step_tests_its_ac_start_once(monkeypatch):
 
 def test_runaway_duals_warn():
     # a huge stepsize against an upper limit below the unloaded magnitude
-    # drives mu past the limit in the first dual step
+    # drives mu past 1e6 in the first dual step; the recorded duals show it
+    # (the run's summary reports their largest value), and the loop warns
+    # nothing
     fd = two_bus()
     par = ScenarioParams(n_steps=2, load_p=0.0, v_max=0.96)
     scen = generate_scenario("static", fd, seed=0, params=par)
     params = replace(FAST_PARAMS, alpha=1e8)
-    with pytest.warns(UserWarning, match="dual magnitude exceeded 1e\\+06 at step 0"):
-        run_closed_loop(compile_feeder(fd), scen, "pursuit", FAST_INV, params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        traj = run_closed_loop(compile_feeder(fd), scen, "pursuit", FAST_INV, params)
+    assert traj.duals[0].max() == 0.0
+    assert traj.duals[1, 1].max() > 1e6
 
 
 def test_trajectory_round_trip(tmp_path):
@@ -578,13 +583,13 @@ def test_trajectory_round_trip(tmp_path):
     traj = run_closed_loop(net, scen, "pursuit", _inverters(fd), PARAMS, noise_amp=1e-3)
     path, again = tmp_path / "traj.csv", tmp_path / "again.csv"
     write_trajectory(traj, fd, scen, str(path))
-    back = read_trajectory(str(path), fd)
-    for name in ("y", "u", "gamma", "mu", "v_mag", "cost", "max_violation", "pf_residual"):
+    back = check_trajectory(str(path), net, scen, _inverters(fd))
+    for name in ("y", "u", "duals", "v_mag", "cost", "max_violation", "pf_residual"):
         assert np.array_equal(getattr(back, name), getattr(traj, name)), name
     write_trajectory(back, fd, scen, str(again))
     assert again.read_bytes() == path.read_bytes()
     with pytest.raises(ValueError, match="columns do not match"):
-        read_trajectory(str(path), two_bus())
+        sim._read_trajectory(str(path), two_bus())
 
 
 # a narrow layout (11 trajectory columns) and one wider than a writer block
@@ -636,7 +641,7 @@ def test_writers_match_the_csv_reference_and_round_trip(tmp_path_factory, layout
         v_min=-np.abs(cells(k)) - 5e-324, v_max=np.abs(cells(k)),  # v_min < 0 <= v_max
     )
     traj = Trajectory(
-        y=traj_cells(k, m), u=traj_cells(k, g, 2), gamma=traj_cells(k, m), mu=traj_cells(k, m),
+        y=traj_cells(k, m), u=traj_cells(k, g, 2), duals=traj_cells(k, 2, m),
         v_mag=traj_cells(k, n), cost=traj_cells(k), max_violation=traj_cells(k),
         pf_residual=traj_cells(k),
     )
@@ -657,15 +662,15 @@ def test_writers_match_the_csv_reference_and_round_trip(tmp_path_factory, layout
     path = tmp / "trajectory.csv"
     write_trajectory(traj, layout, scen, str(path))
     parts = [np.arange(k) * tau, traj.cost, traj.max_violation, traj.pf_residual, traj.y,
-             traj.u[:, :, 0], traj.u[:, :, 1], traj.gamma, traj.mu, traj.v_mag]
+             traj.u[:, :, 0], traj.u[:, :, 1], traj.duals[:, 0], traj.duals[:, 1], traj.v_mag]
     rows = [[i, *row.tolist()] for i, row in enumerate(np.column_stack(parts))]
     with open(path, encoding="utf-8", newline="") as fh:
         header = next(csv.reader(fh))
     assert header[:5] == ["k", "time_s", "cost", "max_violation", "pf_residual"]
     assert len(header) == 5 + 3 * m + 2 * g + n
     assert path.read_bytes() == csv_reference(header, rows)
-    back = read_trajectory(str(path), layout)
-    for name in ("y", "u", "gamma", "mu", "v_mag", "cost", "max_violation", "pf_residual"):
+    back = sim._read_trajectory(str(path), layout)[1]
+    for name in ("y", "u", "duals", "v_mag", "cost", "max_violation", "pf_residual"):
         assert _same_bits(getattr(back, name), getattr(traj, name)), name
 
 
@@ -688,7 +693,7 @@ def test_tracking_bound_on_linear_plant_ramp():
     assert rep.bound_satisfied is True
     assert rep.tracking_error_tail <= rep.bound_rhs
     assert rep.note == ""
-    d = rep.to_dict()
+    d = asdict(rep)
     assert "constants" not in d  # the run's constants are summary.json's own section
     assert d["bound_satisfied"] is True
 
@@ -784,7 +789,7 @@ def _reference_report(net, scen, inv, params, traj, decimation):
     for k in ks:
         sols[k] = solve_saddle_oracle(_own_step_problem(net, scen, inv, params, k), u0=u0)
         u0 = sols[k].u
-    stars = {k: pack_state(s.u, s.gamma, s.mu) for k, s in sols.items()}
+    stars = {k: pack_state(s.u, s.duals) for k, s in sols.items()}
     sigma_z = max(
         (float(np.linalg.norm(stars[b] - stars[a])) / (b - a) for a, b in zip(ks, ks[1:])),
         default=0.0,
@@ -793,7 +798,7 @@ def _reference_report(net, scen, inv, params, traj, decimation):
     w = net.coupling.predict(traj.u, c)
     e = float(np.max(np.linalg.norm(traj.y - w, axis=1)))
     tail = max(
-        (float(np.linalg.norm(pack_state(traj.u[k], traj.gamma[k], traj.mu[k]) - stars[k]))
+        (float(np.linalg.norm(pack_state(traj.u[k], traj.duals[k]) - stars[k]))
          for k in ks if k >= int(0.75 * scen.n_steps)),
         default=0.0,
     )
@@ -833,7 +838,7 @@ def _track_ramp_run():
     "run", [_config36_run, _config36_short_run, _track_ramp_run],
     ids=["config36-60", "config36-30-steps-1", "track-1"],
 )
-def test_one_pass_report_equals_the_step_by_step_reference(run):
+def test_one_pass_report_equals_the_step_by_step_reference(run, capsys):
     net, scen, inv, params, traj, decimation = run()
     rep = measure_tracking(net, scen, inv, params, traj, decimation=decimation)
     ref = _reference_report(net, scen, inv, params, traj, decimation)
@@ -841,7 +846,8 @@ def test_one_pass_report_equals_the_step_by_step_reference(run):
     # the oracle figures summarize real solves, and the JSON form keeps them
     assert rep.oracle_iterations_total >= rep.oracle_iterations_max > 0
     assert 0.0 < rep.oracle_residual_max <= 1e-11
-    d = rep.to_dict()
+    _emit_json(asdict(rep), None)
+    d = json.loads(capsys.readouterr().out)
     assert d["oracle_iterations_total"] == rep.oracle_iterations_total
     assert "constants" not in d
     assert d["bound_rhs"] == (rep.bound_rhs if math.isfinite(rep.bound_rhs) else None)
