@@ -197,7 +197,7 @@ class Inverters:
         scale = s / np.maximum(r, s)
         out = u * scale[:, None]
         keep = (p > 0.0) & (out[:, 0] <= p_av)  # a NaN fails both tests
-        if not keep.all():
+        if not np.logical_and.reduce(keep):
             left = p <= 0.0
             face = np.where(left, s, cap)
             out[:, 0] = np.where(keep, out[:, 0], np.where(left, 0.0, p_av))
@@ -240,6 +240,7 @@ class VoltageCoupling:
     rb: np.ndarray
     r: np.ndarray = field(init=False, repr=False, compare=False)
     b: np.ndarray = field(init=False, repr=False, compare=False)
+    _step_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rb = np.asarray(self.rb, dtype=float)
@@ -256,6 +257,22 @@ class VoltageCoupling:
     def predict(self, u: np.ndarray, c: np.ndarray) -> np.ndarray:
         """``r P + b Q + c`` for setpoints ``u`` (..., n_der, 2) and offsets ``c`` (..., M)."""
         return u[..., 0] @ self.r.T + u[..., 1] @ self.b.T + c
+
+    def step_rows(self, alpha: float) -> np.ndarray:
+        """``alpha [r b]^T`` (2 n_der x M), with DER i's P and Q rows at 2i and 2i + 1.
+
+        Its product with an M-vector is in the setpoints' (n_der, 2) layout,
+        flattened. Kept for the last ``alpha`` asked for, so the step maps of
+        a run's blocks share one copy: at 1000 buses it is 1.6 MB, and
+        forming it per block of 8 steps cost more than those steps' products.
+        """
+        if alpha not in self._step_rows:
+            rows = np.empty((self.n_der, 2, self.rb.shape[0]))
+            np.multiply(alpha, self.r.T, out=rows[:, 0])
+            np.multiply(alpha, self.b.T, out=rows[:, 1])
+            self._step_rows.clear()
+            self._step_rows[alpha] = rows.reshape(2 * self.n_der, -1)
+        return self._step_rows[alpha]
 
 
 # sign of y in the rows [gamma; mu] of the dual step: v_min - y and y - v_max
@@ -274,6 +291,16 @@ class StepMap:
     the cost pulls toward, ``cap`` the region's Q cap at full output
     (:meth:`Inverters.q_cap`) and ``band`` the limits ``[v_min; -v_max]``
     (K x 2 x 1).
+
+    It also holds the steps with the stepsize ``alpha`` folded in, formed
+    once for all its rows. The primal step ``u - alpha grad_primal`` is
+    ``c1 u + c0[k] + arb (gamma - mu)``, with ``c1 = 1 - alpha nu + alpha
+    [-2 c_p, -2 c_q]`` (n_der x 2), ``c0[k] = -alpha [-2 c_p, -2 c_q]
+    (p_av, 0)`` (K x n_der x 2) and ``arb = alpha [r b]^T`` (2 n_der x M)
+    with its rows in the setpoints' order, P and Q of each DER in turn
+    (:meth:`VoltageCoupling.step_rows`, one copy for every block of a run).
+    The dual step is ``decay d + (aband[k] + asigma y)``, with ``decay =
+    1 - alpha eps``, ``aband = alpha band`` and ``asigma = alpha [-1; 1]``.
     """
 
     inverters: Inverters
@@ -285,6 +312,12 @@ class StepMap:
     pa0: np.ndarray = field(init=False, repr=False, compare=False)
     cap: np.ndarray = field(init=False, repr=False, compare=False)
     band: np.ndarray = field(init=False, repr=False, compare=False)
+    c1: np.ndarray = field(init=False, repr=False, compare=False)
+    c0: np.ndarray = field(init=False, repr=False, compare=False)
+    arb: np.ndarray = field(init=False, repr=False, compare=False)
+    decay: float = field(init=False, repr=False, compare=False)
+    aband: np.ndarray = field(init=False, repr=False, compare=False)
+    asigma: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         p_av = np.asarray(self.p_av, dtype=float)
@@ -299,10 +332,15 @@ class StepMap:
             raise ValueError("v_min must be below v_max")
         pa0 = np.zeros(p_av.shape + (2,))
         pa0[:, :, 0] = p_av
+        band = np.stack([v_min, -v_max], axis=1)[:, :, None]
+        a, slope = self.params.alpha, self.params.alpha * self.inverters.m2c
         for name, value in (
             ("p_av", p_av), ("v_min", v_min), ("v_max", v_max), ("pa0", pa0),
-            ("cap", self.inverters.q_cap(p_av)),
-            ("band", np.stack([v_min, -v_max], axis=1)[:, :, None]),
+            ("cap", self.inverters.q_cap(p_av)), ("band", band),
+            ("c1", (1.0 - a * self.params.nu) + slope), ("c0", -slope * pa0),
+            ("arb", self.coupling.step_rows(a)),
+            ("decay", 1.0 - a * self.params.epsilon), ("aband", a * band),
+            ("asigma", a * _SIGMA),
         ):
             object.__setattr__(self, name, value)
 
@@ -345,18 +383,27 @@ def dual_step_feedback(
     """Projected dual ascent at step ``k``, driven by metered magnitudes ``y``.
 
     Both limits in one update of ``[gamma; mu]``: ``max(0, d + alpha
-    (([v_min; -v_max] + [-y; y]) - eps d))``. Fed the model prediction
+    (([v_min; -v_max] + [-y; y]) - eps d))``, formed as ``max(0, (1 -
+    alpha eps) d + (alpha [v_min; -v_max] + alpha [-y; y]))`` from the
+    step map's folded rows. Fed the model prediction
     ``coupling.predict(u, c)`` in place of a measurement, it is the
     model-based dual step.
     """
-    a, eps, d = step_map.params.alpha, step_map.params.epsilon, duals
-    return np.maximum(0.0, d + a * ((step_map.band[k] + _SIGMA * y) - eps * d))
+    return np.maximum(0.0, step_map.decay * duals + (step_map.aband[k] + step_map.asigma * y))
 
 
 def primal_step(u: np.ndarray, duals: np.ndarray, step_map: StepMap, k: int) -> np.ndarray:
-    """Projected gradient step on the setpoints at step ``k``, independently per DER."""
-    grad = grad_primal(u, duals, step_map, k)
-    return step_map.project(k, u - step_map.params.alpha * grad)
+    """Projected gradient step on the setpoints at step ``k``, independently per DER.
+
+    ``project(u - alpha grad_primal(u, duals, step_map, k))``, formed as
+    ``project(c1 u + c0[k] + arb (gamma - mu))`` from the step map's
+    folded rows: one product with the stacked sensitivities.
+    """
+    back = step_map.arb.dot(duals[0] - duals[1]).reshape(u.shape)
+    # step_map.project(k, .), with one call fewer on the closed loop's path
+    return step_map.inverters._project(
+        step_map.c1 * u + step_map.c0[k] + back, step_map.p_av[k], step_map.cap[k], False
+    )[0]
 
 
 @dataclass(frozen=True)

@@ -169,7 +169,9 @@ def solve_ac(
         Convergence threshold on the infinity norm of the power mismatch
         at the new iterate, ``s (v+ / v - 1)``: the update makes
         ``Y v+ + ybar V0`` equal ``conj(s / v)`` up to the solve's rounding.
-        ``ValueError`` unless ``0 < tol < inf``.
+        Each iteration forms ``s / v`` once, for the update and for this
+        mismatch as ``(s / v) (v+ - v)``. ``ValueError`` unless
+        ``0 < tol < inf``.
     max_iter : int
         Iterations before :class:`PowerFlowError`; ``ValueError`` unless
         at least 1.
@@ -185,7 +187,7 @@ def solve_ac(
     s = np.asarray(s, dtype=complex)
     if s.shape != (n,):
         raise ValueError(f"injections must be a vector of length {n}, got shape {s.shape}")
-    if not np.isfinite(s).all():
+    if not np.logical_and.reduce(np.isfinite(s)):
         raise ValueError("injections must be finite")
     if init is None:
         v = no_load_voltage(adm, v0)
@@ -199,15 +201,18 @@ def solve_ac(
             v = np.asarray(fallback, dtype=complex)
     yv0 = adm.ybar * v0
     solve = adm.vector_solve
-    residual = float("inf")
+    residual = math.inf
     for it in range(1, max_iter + 1):
-        v, v_prev = solve(np.conj(s / v) - yv0), v
-        v_mag = np.abs(v)
+        sv = s / v
+        v_next = solve(np.conj(sv) - yv0)
+        v_mag = np.abs(v_next)
         if not in_band(v_mag):
             raise VoltageCollapseError(
                 f"collapse: |v| outside [{COLLAPSE_LO}, {COLLAPSE_HI}] at iteration {it}"
             )
-        residual = float(np.maximum.reduce(np.abs(s * (v / v_prev - 1.0))))
+        # s (v+ / v - 1), with the update's s / v
+        residual = float(np.maximum.reduce(np.abs(sv * (v_next - v))))
+        v = v_next
         if residual <= tol:
             return PFSolution(v, v_mag, it, residual)
     raise PowerFlowError(f"no convergence after {max_iter} iterations, residual {residual:.3e}")

@@ -72,6 +72,13 @@ STRATEGIES = ("pursuit", "droop", "none")
 PLANTS = ("ac", "linear")
 SCENARIO_KINDS = ("static", "ramp", "cloud_transient", "vmax_steps")
 
+# row i: the polynomial extrapolation through the last i + 1 AC solutions,
+# newest first, evaluated at the next step: v1, 2 v1 - v2, 3 v1 - 3 v2 + v3
+# and the cubic 4 v1 - 6 v2 + 4 v3 - v4. Consecutive solutions lie on the
+# smooth path the loads and setpoints trace, so it starts the fixed-point
+# iteration close to the next one
+AC_START = np.array([[1, 0, 0, 0], [2, -1, 0, 0], [3, -3, 1, 0], [4, -6, 4, -1]], dtype=float)
+
 # run_closed_loop forms the per-step rows (loads, step map) of as many
 # steps at a time as make about ROW_CELLS load entries: the rows of a whole
 # run, and the temporaries that form them, would add to its peak memory
@@ -338,7 +345,9 @@ def _write_columns(path: str, columns: list[str], parts: list[np.ndarray]) -> No
 
     Each block is one ``orjson`` (Ryu) pass: its shortest round-trip
     digits are ``repr``'s and only the notation differs. Exponents get a
-    sign and two digits (``1e16`` -> ``1e+16``, ``1e-7`` -> ``1e-07``).
+    sign and two digits (``1e16`` -> ``1e+16``, ``1e-7`` -> ``1e-07``);
+    both write a positive exponent only from 1e16 on, so the text of a
+    block with no finite cell that large is not scanned for one.
     NaN, the infinities (``null`` in orjson) and 1e-5 <= |x| < 1e-4
     (``0.0000123`` in orjson, ``1.23e-05`` in ``repr``) go to orjson as
     NaN, and each ``null`` becomes the ``repr`` of its cell.
@@ -350,9 +359,11 @@ def _write_columns(path: str, columns: list[str], parts: list[np.ndarray]) -> No
         for lo in range(0, len(parts[0]), step):
             block = np.column_stack([a[lo : lo + step] for a in parts]).astype(float, copy=False)
             mag = np.abs(block)
-            odd = ~np.isfinite(mag) | ((1e-5 <= mag) & (mag < 1e-4))
+            finite = np.isfinite(mag)
+            odd = ~finite | ((1e-5 <= mag) & (mag < 1e-4))
             text = orjson.dumps(np.where(odd, np.nan, block), option=orjson.OPT_SERIALIZE_NUMPY)
-            text = _POS_EXPONENT.sub(b"e+", text)
+            if np.maximum.reduce(mag, axis=None, initial=0.0, where=finite) >= 1e16:
+                text = _POS_EXPONENT.sub(b"e+", text)
             text = _ONE_DIGIT_EXPONENT.sub(b"e-0", text)
             if odd.any():
                 cells = text.split(b"null")
@@ -417,8 +428,9 @@ class Trajectory:
     every bus. ``cost`` is the generation cost of ``u``, ``max_violation``
     the largest metered excursion outside the step's voltage band, and
     ``pf_residual`` the AC solve's power mismatch ``max |s (v+ / v - 1)|``
-    at its last update and ``pf_iterations`` its fixed-point iteration
-    count (both 0 on the linear plant). The trajectory file does not store
+    at its last update, formed as ``max |(s / v) (v+ - v)|``, and
+    ``pf_iterations`` its fixed-point iteration count (both 0 on the linear
+    plant). The trajectory file does not store
     ``pf_iterations``, so a trajectory read back from one has None there.
     """
 
@@ -468,6 +480,9 @@ def compile_feeder(feeder: FeederModel) -> CompiledFeeder:
     return CompiledFeeder(feeder, lm, VoltageCoupling(rb))
 
 
+# a stepsize that overflows the step arithmetic shows in the recorded state,
+# or as the AC plant's failure, and not as numpy's floating-point warnings
+@np.errstate(over="ignore", invalid="ignore")
 def run_closed_loop(
     net: CompiledFeeder,
     scenario: Scenario,
@@ -491,11 +506,14 @@ def run_closed_loop(
     ``seed``, so a run is deterministic for fixed inputs. Step 0 applies
     full available power at unity power factor with zero duals; the loop
     keeps no diagnostics of the duals, whose largest value the run's
-    summary reports (``dual_max``). Each AC
-    solve starts from :func:`_ac_start`, a cubic extrapolation through the
-    plant's last four solutions (lower orders on the first steps, and the
-    newest solution if the extrapolation is out of band); the solve accepts
-    its iterate by the same residual test wherever it starts. On a feeder
+    summary reports (``dual_max``). The AC
+    solve of step 0 starts from the no-load profile, and step k's from one
+    product: row ``min(k, 4) - 1`` of ``AC_START`` times the plant's last
+    four solutions, newest first (a 4 x N array, zero before step 4), which
+    is the cubic extrapolation through them, or a lower order on the first
+    steps. ``solve_ac`` falls back to the newest solution if that start is
+    out of band, and accepts its iterate by the same residual test wherever
+    it starts. On a feeder
     of up to ``DENSE_Z_MAX_NODES`` buses its iterations are products with
     the dense ``Y^{-1}``, and larger feeders take the factor's solve
     (:class:`~opftrack.feeder.AdmittanceMatrix`). A failed solve
@@ -514,6 +532,9 @@ def run_closed_loop(
     plant solve on its load row plus the setpoints at the DER buses, and for
     ``pursuit`` one :func:`~opftrack.controller.primal_step` and one
     :func:`~opftrack.controller.dual_step_feedback` on its row of the map.
+    The run is one ``np.errstate`` that silences overflow and invalid-value
+    warnings: a stepsize that overflows the steps shows in the recorded
+    state, or as the AC plant's failure.
     """
     feeder = net.feeder
     if strategy not in STRATEGIES:
@@ -539,7 +560,9 @@ def run_closed_loop(
 
     u = np.column_stack([scenario.p_av[0], np.zeros(g)])
     duals = np.zeros((2, len(mon)))  # [gamma; mu]
-    v_last: list[np.ndarray] = []  # the plant's last four solutions, newest first
+    v_last = np.zeros((4, feeder.n_nodes), dtype=complex)  # the last four solutions, newest first
+    v_last_parts = v_last.view(float)  # each row's real and imaginary parts, interleaved
+    start, fallback = net.lm.vbar, None
 
     n_steps = scenario.n_steps
     ys = np.empty((n_steps, len(mon)))
@@ -565,13 +588,12 @@ def run_closed_loop(
 
         if plant == "ac":
             try:
-                sol = solve_ac(
-                    net.lm.adm, s, v0, init=_ac_start(v_last, net.lm.vbar),
-                    fallback=v_last[0] if v_last else None,
-                )
+                sol = solve_ac(net.lm.adm, s, v0, init=start, fallback=fallback)
             except PowerFlowError as exc:  # the same error, naming the step
                 raise type(exc)(f"step {k}: {exc}") from exc
-            v_last = [sol.v, *v_last[:3]]
+            v_last[1:] = v_last[:3]
+            v_last[0] = fallback = sol.v
+            start = (AC_START[min(k, 3)] @ v_last_parts).view(complex)  # the next step's
             v_mag = sol.v_mag
             pf_residual[k] = sol.residual
             pf_iterations[k] = sol.iterations
@@ -605,30 +627,6 @@ def run_closed_loop(
         pf_residual=pf_residual,
         pf_iterations=pf_iterations,
     )
-
-
-def _ac_start(v_last: list[np.ndarray], vbar: np.ndarray) -> np.ndarray:
-    """Start of the next AC solve from the plant's last solutions, newest first.
-
-    The no-load profile ``vbar`` with no solution yet, then the polynomial
-    extrapolation through the last one, two, three or four solutions:
-    ``v1``, ``2 v1 - v2``, ``3 v1 - 3 v2 + v3`` and the cubic
-    ``4 v1 - 6 v2 + 4 v3 - v4``. Consecutive solutions lie on the smooth
-    path the loads and setpoints trace, so the extrapolation starts the
-    fixed-point iteration close to the next one. The loop passes ``v1``
-    as :func:`solve_ac`'s fallback, which it starts from instead when a
-    magnitude of this start is outside the band it accepts, or NaN.
-    """
-    if not v_last:
-        return vbar
-    if len(v_last) == 1:
-        return v_last[0]
-    if len(v_last) == 2:
-        return 2.0 * v_last[0] - v_last[1]
-    if len(v_last) == 3:
-        return 3.0 * (v_last[0] - v_last[1]) + v_last[2]
-    v1, v2, v3, v4 = v_last
-    return 4.0 * v1 - 6.0 * v2 + 4.0 * v3 - v4
 
 
 def _max_violation(mon_mag: np.ndarray, scenario: Scenario) -> np.ndarray:

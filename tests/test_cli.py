@@ -295,13 +295,29 @@ def test_run_alpha_flag_must_be_finite(run_config, capsys):
                             "ignore:invalid value encountered:RuntimeWarning")
 def test_run_overflowing_stepsize_is_a_plant_failure(tmp_path, capsys):
     # alpha**2 overflows a float: rho(alpha) is inf, and the controller's
-    # steps overflow (numpy warns) until the plant collapses
+    # steps overflow until the plant collapses
     args = ["run", "--config", str(DATA / "config36.json"), "--alpha", "1e200", "--no-report",
             "--output-dir", str(tmp_path / "out")]
     assert cli.main(args) == 3
     out, err = capsys.readouterr()
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("error: plant failure: step ")
+
+
+def test_run_overflowing_stepsize_prints_only_the_plant_failure(tmp_path):
+    # the overflowing steps raise no numpy floating-point warning, so the
+    # plant failure is the one stderr line. A fresh interpreter runs it,
+    # since pytest records every warning.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "opftrack.cli", "run", "--config", str(DATA / "config36.json"),
+         "--alpha", "1e200", "--no-report", "--output-dir", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: plant failure: step "), proc.stderr
 
 
 def test_summary_writes_an_overflowing_constant_as_null(tmp_path):

@@ -674,17 +674,24 @@ def test_penalty_value_matches_its_gradient_with_both_limits_violated():
 
 
 def _saddle_residual_reference(problem, u, gamma, mu):
-    # the residual written out from the constraint values, as the step map
-    # at unit step computes it
-    duals = np.stack([gamma, mu])
+    # the residual written out from the costs, the sensitivities and the
+    # constraint values, in the folded order of the step map at unit step:
+    # u - grad_primal is (1 - nu - 2 c) u + 2 c (P_av, 0) + [r b]^T (gamma - mu),
+    # the product with the rows of [r b]^T in the setpoints' order, and
+    # d + (g - eps d) is (1 - eps) d + g
     steps = problem.step_map
-    w = steps.coupling.predict(u, problem.c)
+    inv, prm, coupling = steps.inverters, steps.params, steps.coupling
+    w = coupling.predict(u, problem.c)
     g, g_bar = steps.v_min[0] - w, w - steps.v_max[0]
-    gp = grad_primal(u, duals, steps, 0)
-    u2 = steps.project(0, u - gp)
-    eps = steps.params.epsilon
-    gamma2 = np.maximum(0.0, gamma + (g - eps * gamma))
-    mu2 = np.maximum(0.0, mu + (g_bar - eps * mu))
+    c = np.column_stack([inv.c_p, inv.c_q])
+    pa0 = np.column_stack([steps.p_av[0], np.zeros(inv.n_der)])
+    rows = np.empty((inv.n_der, 2, len(gamma)))  # C order, as the map's
+    rows[:, 0], rows[:, 1] = coupling.r.T, coupling.b.T
+    back = (rows.reshape(2 * inv.n_der, -1) @ (gamma - mu)).reshape(u.shape)
+    u2 = steps.project(0, ((1.0 - prm.nu) - 2.0 * c) * u + 2.0 * c * pa0 + back)
+    eps = prm.epsilon
+    gamma2 = np.maximum(0.0, (1.0 - eps) * gamma + g)
+    mu2 = np.maximum(0.0, (1.0 - eps) * mu + g_bar)
     return float(np.linalg.norm(pack_state(u - u2, np.stack([gamma - gamma2, mu - mu2]))))
 
 
@@ -811,6 +818,45 @@ def test_projected_gradient_point_meets_the_armijo_condition(batch, data):
     decrease = float(np.sum(grad * (x - u)))
     assert decrease <= 0.0
     assert _penalty_value(prob, x)[0] <= f + _ARMIJO * decrease
+
+
+@settings(max_examples=200, deadline=None)
+@given(fleets(), st.data())
+def test_folded_steps_equal_the_written_out_steps(batch, data):
+    # the step map's folded rows give the steps as written out,
+    # proj(u - alpha grad_primal) and max(0, d + alpha ((band + sigma y) -
+    # eps d)), within a few ulps of the terms each one sums, on a two-row
+    # map, at setpoints inside and outside the regions (|P|, |Q| <= 2
+    # against ratings of 0.2-2) and at duals at and above 0
+    inv, p_av = batch
+    n, m = inv.n_der, data.draw(st.integers(1, 6))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    inv = Inverters(inv.kind, inv.s_rating, *rng.uniform(0.0, 3.0, (2, n)))
+    coupling = VoltageCoupling(rng.normal(0.0, 0.05, (m, 2 * n)))
+    unit = st.floats(1e-3, 1.0)
+    params = ControllerParams(data.draw(unit), data.draw(st.floats(1e-4, 1.0)), data.draw(unit))
+    rows = np.stack([p_av, inv.s_rating * rng.uniform(0.0, 1.0, n)])
+    steps = StepMap(inv, coupling, params, rows, rng.uniform(0.9, 1.0, 2), rng.uniform(1.0, 1.1, 2))
+    k = data.draw(st.integers(0, 1))
+    u = data.draw(setpoints(n))
+    duals = rng.uniform(0.0, 5.0, (2, m)) * (rng.uniform(size=(2, m)) < 0.7)
+    y = rng.uniform(0.85, 1.15, m)
+    a, ulp = params.alpha, np.finfo(float).eps
+
+    want = steps.project(k, u - a * grad_primal(u, duals, steps, k))
+    back = np.abs(coupling.rb).T @ np.abs(duals[1] - duals[0])  # P rows, then Q rows
+    terms = np.abs(u) + a * (
+        np.abs(inv.m2c) * (np.abs(steps.pa0[k]) + np.abs(u)) + params.nu * np.abs(u)
+        + back.reshape(2, n).T
+    ) + inv.s_rating[:, None]  # the projection's own rounding
+    # the projection is non-expansive per DER
+    gap = np.linalg.norm(primal_step(u, duals, steps, k) - want, axis=1)
+    assert np.all(gap <= 32 * ulp * np.linalg.norm(terms, axis=1))
+
+    sigma = np.asarray([[-1.0], [1.0]])
+    want = np.maximum(0.0, duals + a * ((steps.band[k] + sigma * y) - params.epsilon * duals))
+    terms = np.abs(duals) + a * (np.abs(steps.band[k]) + y + params.epsilon * np.abs(duals))
+    assert np.all(np.abs(dual_step_feedback(duals, y, steps, k) - want) <= 8 * ulp * terms)
 
 
 @settings(max_examples=25, deadline=None)

@@ -235,10 +235,13 @@ def test_fallback_start_replaces_only_a_start_outside_the_band():
             solve_ac(adm, inj, 1.0 + 0j, init=nan, fallback=np.asarray([bad + 0j]))
 
 
-@pytest.mark.parametrize(
+DENSE_FEEDERS = pytest.mark.parametrize(
     "fd", [networks.feeder36(), networks.random_radial(DENSE_Z_MAX_NODES, 3, shunt_prob=0.5)],
     ids=["feeder36", f"radial{DENSE_Z_MAX_NODES}-shunts"],
 )
+
+
+@DENSE_FEEDERS
 def test_ac_solve_through_the_dense_inverse_matches_the_factor(fd):
     # the same feeder without z takes the factor's solve: the iterates differ
     # only by rounding, so both accept at the same iteration, at loads that
@@ -253,6 +256,42 @@ def test_ac_solve_through_the_dense_inverse_matches_the_factor(fd):
     assert np.abs(sparse.v).min() < 0.95
     assert dense.iterations == sparse.iterations
     assert np.max(np.abs(dense.v - sparse.v)) <= 1e-12
+
+
+class _RecordedSolves:
+    """``adm`` as solve_ac reads it, keeping every iterate its solves return."""
+
+    def __init__(self, adm):
+        self.ybar, self._solve, self.iterates = adm.ybar, adm.vector_solve, []
+
+    def vector_solve(self, rhs):
+        self.iterates.append(self._solve(rhs))
+        return self.iterates[-1]
+
+
+@DENSE_FEEDERS
+@pytest.mark.parametrize("path", ["dense", "factor"])
+def test_returned_residual_is_the_mismatch_of_the_last_two_iterates(fd, path):
+    # solve_ac forms the mismatch as (s / v)(v+ - v), with the update's s / v;
+    # it is s (v+ / v - 1) recomputed from the last two iterates, up to the
+    # rounding of the two forms, at light loads and at loads that pull the
+    # lowest bus to 0.88-0.94 pu
+    adm = build_admittance(fd)
+    if path == "factor":
+        adm = AdmittanceMatrix(adm.ybar, adm.lu)
+    n, v0 = fd.n_nodes, fd.slack_voltage
+    start = no_load_voltage(adm, v0)
+    rng = np.random.default_rng(1)
+    for scale in (0.002, 0.02):
+        s = -scale * (rng.uniform(0.5, 1.5, n) + 0.5j * rng.uniform(0.5, 1.5, n))
+        solves = _RecordedSolves(adm)
+        sol = solve_ac(solves, s, v0, init=start)
+        assert sol.iterations == len(solves.iterates) >= 2
+        assert sol.v is solves.iterates[-1]
+        ratio = sol.v / solves.iterates[-2]
+        want = float(np.max(np.abs(s * (ratio - 1.0))))
+        assert 0.0 < want <= 1e-9
+        assert abs(sol.residual - want) <= 8 * np.finfo(float).eps * np.max(np.abs(s * ratio))
 
 
 @pytest.mark.parametrize(

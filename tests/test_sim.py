@@ -527,20 +527,40 @@ def test_extrapolated_start_outside_the_band_falls_back_to_the_last_solution():
     assert np.allclose(traj.v_mag, np.abs(cold), rtol=0.0, atol=1e-8)
 
 
-def test_ac_start_extrapolates_through_up_to_four_solutions():
-    # the no-load profile, then the polynomial through the last one to four
-    # solutions, newest first, evaluated in this order to the bit
+def test_ac_start_extrapolates_through_up_to_four_solutions(monkeypatch):
+    # row i of the start table, times the last four solutions newest first,
+    # is the polynomial through the last i + 1 of them; on small-integer
+    # complex histories every operation is exact, so the product equals the
+    # polynomial, evaluated in this order, to the bit
     rng = np.random.default_rng(0)
-    vbar, v1, v2, v3, v4 = rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6))
-    cases = [
-        ([], vbar),
-        ([v1], v1),
-        ([v1, v2], 2.0 * v1 - v2),
-        ([v1, v2, v3], 3.0 * (v1 - v2) + v3),
-        ([v1, v2, v3, v4], 4.0 * v1 - 6.0 * v2 + 4.0 * v3 - v4),
-    ]
-    for v_last, want in cases:
-        assert sim._ac_start(v_last, vbar).tobytes() == want.tobytes(), len(v_last)
+    hist = rng.integers(-50, 51, (4, 6)) + 1j * rng.integers(-50, 51, (4, 6))
+    v1, v2, v3, v4 = hist
+    wants = [v1, 2.0 * v1 - v2, 3.0 * (v1 - v2) + v3, 4.0 * v1 - 6.0 * v2 + 4.0 * v3 - v4]
+    for i, want in enumerate(wants):
+        got = (sim.AC_START[i] @ hist.view(float)).view(complex)
+        assert got.tobytes() == want.tobytes(), i
+
+    # the loop: step 0 starts at the no-load profile with no fallback, and
+    # step k at row min(k, 4) - 1 times its last solutions (zeros before
+    # step 4), falling back to the newest
+    net, scen, inv, params, seed = _config36(n_steps=8)
+    calls = []
+
+    def recorded(*args, **kwargs):
+        sol = solve_ac(*args, **kwargs)
+        calls.append((kwargs["init"], kwargs["fallback"], sol.v))
+        return sol
+
+    monkeypatch.setattr(sim, "solve_ac", recorded)
+    run_closed_loop(net, scen, "pursuit", inv, params, seed=seed)
+    assert calls[0][0] is net.lm.vbar and calls[0][1] is None
+    last = np.zeros((4, net.feeder.n_nodes), dtype=complex)
+    for k, (init, fallback, v) in enumerate(calls):
+        if k:
+            want = (sim.AC_START[min(k, 4) - 1] @ last.view(float)).view(complex)
+            assert init.tobytes() == want.tobytes(), k
+            assert fallback.tobytes() == last[0].tobytes(), k
+        last = np.concatenate([v[None], last[:3]])
 
 
 def test_each_step_tests_its_ac_start_once(monkeypatch):
@@ -672,6 +692,26 @@ def test_writers_match_the_csv_reference_and_round_trip(tmp_path_factory, layout
     back = sim._read_trajectory(str(path), layout)[1]
     for name in ("y", "u", "duals", "v_mag", "cost", "max_violation", "pf_residual"):
         assert _same_bits(getattr(back, name), getattr(traj, name)), name
+
+
+def test_writer_writes_each_cell_as_repr_with_or_without_a_large_cell(tmp_path):
+    # three writer blocks: finite cells of 1e16 and above beside the other
+    # notations, 1e16 as the only such cell, and none (9999999999999998.0 is
+    # the largest float below 1e16). The e -> e+ pass runs on the first two
+    # only, and every cell of all three is its repr
+    blocks = (
+        [1e16, -3e300, 1e-7, 1.5e-5, math.nan, math.inf],
+        [0.25, 1e16, 1e-7, 1.5e-5, math.nan, -math.inf],
+        [9999999999999998.0, -1e15, 1e-7, 1.5e-5, -math.inf, 0.5],
+    )
+    rows = max(1, sim._BLOCK_CELLS // len(blocks[0]))  # one block
+    data = np.asarray([cells for cells in blocks for _ in range(rows)])
+    path = tmp_path / "cells.csv"
+    sim._write_columns(str(path), [f"c{i}" for i in range(len(blocks[0]))], [data])
+    lines = path.read_bytes().split(b"\r\n")
+    assert len(lines) == len(data) + 2 and lines[-1] == b""
+    for k, row in enumerate(data.tolist()):
+        assert lines[k + 1] == ",".join([str(k)] + [repr(x) for x in row]).encode(), k
 
 
 TRACK_FEEDER = two_bus(z=0.1 + 0.1j)
