@@ -93,6 +93,8 @@ class Inverters:
     and DER i costs ``c_p[i] (p_av - P)^2 + c_q[i] Q^2``. Availability varies
     by step, so it is passed to each call. ``m2c`` holds ``[-2 c_p, -2 c_q]``
     per DER, the cost gradient's slopes, and ``s2`` the squared ratings.
+    :meth:`headroom` is the one chord formula, read by the droop and the
+    ``reactive_only`` and ``joint`` projections.
     """
 
     kind: str
@@ -140,33 +142,14 @@ class Inverters:
         return np.minimum(p_av, self.s_rating)
 
     def headroom(self, p_av: np.ndarray) -> np.ndarray:
-        """Largest |Q| at full active output ``p_av``."""
-        # squared through pow() (float_power), where the joint chord cap
-        # squares by products: the two can differ in the last place, and each
-        # keeps the outputs of its kinds byte-stable
-        return np.sqrt(
-            np.maximum(np.float_power(self.s_rating, 2) - np.float_power(p_av, 2), 0.0)
-        )
-
-    def q_cap(self, p_av: np.ndarray) -> np.ndarray:
-        """The region's largest |Q| at P = ``p_av`` (..., n_der), as the projection reads it.
-
-        The joint chord ``sqrt(S^2 - p_av^2)``, the reactive-only
-        :meth:`headroom`, and 0 for ``real_only``, which holds Q at 0.
-        """
-        p_av = np.asarray(p_av, dtype=float)
-        if self.kind == "joint":
-            return np.sqrt(np.maximum(self.s2 - p_av * p_av, 0.0))
-        if self.kind == "reactive_only":
-            return self.headroom(p_av)
-        return np.zeros_like(p_av)
+        """Largest |Q| at full active output ``p_av``: the chord ``sqrt(S^2 - p_av^2)``."""
+        return np.sqrt(np.maximum(self.s2 - p_av * p_av, 0.0))
 
     def _project(
-        self, u: np.ndarray, p_av: np.ndarray, cap: np.ndarray, with_jacobian: bool
+        self, u: np.ndarray, p_av: np.ndarray, with_jacobian: bool
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        # one case analysis for both projections, at availability p_av and its
-        # q_cap; the Jacobian rows are formed only when asked for, after the
-        # setpoints
+        # one case analysis for both projections, at availability p_av; the
+        # chord (headroom) and the Jacobian rows are formed only where read
         p, q = u[:, 0], u[:, 1]
         if self.kind == "real_only":
             out = np.empty(u.shape)
@@ -178,6 +161,7 @@ class Inverters:
             jac[:, 0] = (p > 0.0) & (p < p_av)
             return out, jac
         if self.kind == "reactive_only":
+            cap = self.headroom(p_av)
             out = np.empty(u.shape)
             out[:, 0] = p_av
             out[:, 1] = _clamp(q, cap)
@@ -197,9 +181,12 @@ class Inverters:
         scale = s / np.maximum(r, s)
         out = u * scale[:, None]
         keep = (p > 0.0) & (out[:, 0] <= p_av)  # a NaN fails both tests
-        if not np.logical_and.reduce(keep):
-            left = p <= 0.0
-            face = np.where(left, s, cap)
+        kept = np.logical_and.reduce(keep)
+        if kept and not with_jacobian:
+            return out, None
+        left = p <= 0.0
+        face = np.where(left, s, self.headroom(p_av))
+        if not kept:
             out[:, 0] = np.where(keep, out[:, 0], np.where(left, 0.0, p_av))
             out[:, 1] = np.where(keep, out[:, 1], _clamp(q, face))
         if not with_jacobian:
@@ -209,7 +196,6 @@ class Inverters:
         # left point at r = 0 divides nothing
         arc = keep & (r > s)
         member = keep & ~arc
-        face = np.where(p <= 0.0, s, cap)
         n_p = np.divide(p, r, out=np.zeros_like(r), where=arc)
         n_q = np.divide(q, r, out=np.zeros_like(r), where=arc)
         jac = np.empty((len(u), 4))
@@ -231,24 +217,29 @@ class VoltageCoupling:
 
     ``rb`` is the stacked sensitivity block ``[r b]`` (M x 2 n_der): ``r``
     and ``b``, views of its two halves, hold the active/reactive sensitivity
-    columns of the DER buses. The prediction for setpoints (P, Q) is ``r P +
-    b Q + c``, where the offset ``c`` is a step's metered magnitudes at its
-    loads with every DER off (see
-    :func:`~opftrack.powerflow.constraint_offsets`).
+    columns of the DER buses. ``rows``, the one layout the steps, the
+    gradient, the prediction and the oracle read, is ``[r b]^T`` (2 n_der x
+    M, C order) in the setpoints' order: DER i's P and Q rows at 2i and 2i
+    + 1. The prediction for setpoints (P, Q) is ``r P + b Q + c``, the
+    offset ``c`` a step's metered magnitudes at its loads with every DER
+    off (see :func:`~opftrack.powerflow.constraint_offsets`).
     """
 
     rb: np.ndarray
     r: np.ndarray = field(init=False, repr=False, compare=False)
     b: np.ndarray = field(init=False, repr=False, compare=False)
-    _step_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rb = np.asarray(self.rb, dtype=float)
         if rb.ndim != 2 or rb.shape[1] % 2:
             raise ValueError("inconsistent coupling shapes")
-        object.__setattr__(self, "rb", rb)
-        object.__setattr__(self, "r", rb[:, : rb.shape[1] // 2])
-        object.__setattr__(self, "b", rb[:, rb.shape[1] // 2 :])
+        m, n = rb.shape[0], rb.shape[1] // 2
+        rows = np.empty((n, 2, m))  # C order: its products round as one layout
+        rows[:, 0], rows[:, 1] = rb[:, :n].T, rb[:, n:].T
+        for name, value in (("rb", rb), ("r", rb[:, :n]), ("b", rb[:, n:])):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "rows", rows.reshape(2 * n, m))
 
     @property
     def n_der(self) -> int:
@@ -256,23 +247,7 @@ class VoltageCoupling:
 
     def predict(self, u: np.ndarray, c: np.ndarray) -> np.ndarray:
         """``r P + b Q + c`` for setpoints ``u`` (..., n_der, 2) and offsets ``c`` (..., M)."""
-        return u[..., 0] @ self.r.T + u[..., 1] @ self.b.T + c
-
-    def step_rows(self, alpha: float) -> np.ndarray:
-        """``alpha [r b]^T`` (2 n_der x M), with DER i's P and Q rows at 2i and 2i + 1.
-
-        Its product with an M-vector is in the setpoints' (n_der, 2) layout,
-        flattened. Kept for the last ``alpha`` asked for, so the step maps of
-        a run's blocks share one copy: at 1000 buses it is 1.6 MB, and
-        forming it per block of 8 steps cost more than those steps' products.
-        """
-        if alpha not in self._step_rows:
-            rows = np.empty((self.n_der, 2, self.rb.shape[0]))
-            np.multiply(alpha, self.r.T, out=rows[:, 0])
-            np.multiply(alpha, self.b.T, out=rows[:, 1])
-            self._step_rows.clear()
-            self._step_rows[alpha] = rows.reshape(2 * self.n_der, -1)
-        return self._step_rows[alpha]
+        return u.reshape(u.shape[:-2] + (2 * self.n_der,)) @ self.rows + c
 
 
 # sign of y in the rows [gamma; mu] of the dual step: v_min - y and y - v_max
@@ -288,17 +263,16 @@ class StepMap:
     n_der) as the regions use it (:meth:`Inverters.available`) and the
     voltage band ``v_min`` < ``v_max`` (K,). Per step it keeps the rows
     each step reads: ``pa0`` the points ``(p_av, 0)`` (K x n_der x 2)
-    the cost pulls toward, ``cap`` the region's Q cap at full output
-    (:meth:`Inverters.q_cap`) and ``band`` the limits ``[v_min; -v_max]``
-    (K x 2 x 1).
+    the cost pulls toward and ``band`` the limits ``[v_min; -v_max]`` (K x
+    2 x 1); the projection forms the Q caps where it clamps.
 
     It also holds the steps with the stepsize ``alpha`` folded in, formed
     once for all its rows. The primal step ``u - alpha grad_primal`` is
-    ``c1 u + c0[k] + arb (gamma - mu)``, with ``c1 = 1 - alpha nu + alpha
-    [-2 c_p, -2 c_q]`` (n_der x 2), ``c0[k] = -alpha [-2 c_p, -2 c_q]
-    (p_av, 0)`` (K x n_der x 2) and ``arb = alpha [r b]^T`` (2 n_der x M)
-    with its rows in the setpoints' order, P and Q of each DER in turn
-    (:meth:`VoltageCoupling.step_rows`, one copy for every block of a run).
+    ``c1 u + c0[k] + rows (apm [gamma; mu])``, with ``c1 = 1 - alpha nu +
+    alpha [-2 c_p, -2 c_q]`` (n_der x 2), ``c0[k] = -alpha [-2 c_p, -2
+    c_q] (p_av, 0)`` (K x n_der x 2), ``apm = [alpha, -alpha]``, whose
+    product with the duals is ``alpha (gamma - mu)``, and the coupling's
+    one alpha-free ``rows`` (:class:`VoltageCoupling`).
     The dual step is ``decay d + (aband[k] + asigma y)``, with ``decay =
     1 - alpha eps``, ``aband = alpha band`` and ``asigma = alpha [-1; 1]``.
     """
@@ -310,11 +284,10 @@ class StepMap:
     v_min: np.ndarray
     v_max: np.ndarray
     pa0: np.ndarray = field(init=False, repr=False, compare=False)
-    cap: np.ndarray = field(init=False, repr=False, compare=False)
     band: np.ndarray = field(init=False, repr=False, compare=False)
     c1: np.ndarray = field(init=False, repr=False, compare=False)
     c0: np.ndarray = field(init=False, repr=False, compare=False)
-    arb: np.ndarray = field(init=False, repr=False, compare=False)
+    apm: np.ndarray = field(init=False, repr=False, compare=False)
     decay: float = field(init=False, repr=False, compare=False)
     aband: np.ndarray = field(init=False, repr=False, compare=False)
     asigma: np.ndarray = field(init=False, repr=False, compare=False)
@@ -335,10 +308,9 @@ class StepMap:
         band = np.stack([v_min, -v_max], axis=1)[:, :, None]
         a, slope = self.params.alpha, self.params.alpha * self.inverters.m2c
         for name, value in (
-            ("p_av", p_av), ("v_min", v_min), ("v_max", v_max), ("pa0", pa0),
-            ("cap", self.inverters.q_cap(p_av)), ("band", band),
+            ("p_av", p_av), ("v_min", v_min), ("v_max", v_max), ("pa0", pa0), ("band", band),
             ("c1", (1.0 - a * self.params.nu) + slope), ("c0", -slope * pa0),
-            ("arb", self.coupling.step_rows(a)),
+            ("apm", np.array([a, -a])),
             ("decay", 1.0 - a * self.params.epsilon), ("aband", a * band),
             ("asigma", a * _SIGMA),
         ):
@@ -346,7 +318,7 @@ class StepMap:
 
     def project(self, k: int, u: np.ndarray) -> np.ndarray:
         """Euclidean projection of setpoints ``u`` (n_der, 2) onto step ``k``'s regions."""
-        return self.inverters._project(u, self.p_av[k], self.cap[k], with_jacobian=False)[0]
+        return self.inverters._project(u, self.p_av[k], with_jacobian=False)[0]
 
     def project_jacobian(self, k: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`project`, plus the generalized (Clarke) Jacobian at ``u``.
@@ -355,7 +327,7 @@ class StepMap:
         Boundaries are resolved with ``<=``, so every point falls in exactly
         one case and neighbouring cases agree on their common boundary.
         """
-        return self.inverters._project(u, self.p_av[k], self.cap[k], with_jacobian=True)
+        return self.inverters._project(u, self.p_av[k], with_jacobian=True)
 
 
 def grad_primal(u: np.ndarray, duals: np.ndarray, step_map: StepMap, k: int) -> np.ndarray:
@@ -367,13 +339,9 @@ def grad_primal(u: np.ndarray, duals: np.ndarray, step_map: StepMap, k: int) -> 
     Row i is ``(-2 c_p (P_av - P_i) + r_i^T (mu - gamma) + nu P_i,
     2 c_q Q_i + b_i^T (mu - gamma) + nu Q_i)``, both columns formed at once
     as ``[-2 c_p, -2 c_q] ((P_av, 0) - u_i) + [r_i, b_i]^T (mu - gamma) +
-    nu u_i``.
+    nu u_i``: one product with the coupling's ``rows``.
     """
-    lam = duals[1] - duals[0]
-    coupling = step_map.coupling
-    back = np.empty(u.shape)
-    back[:, 0] = coupling.r.T @ lam
-    back[:, 1] = coupling.b.T @ lam
+    back = step_map.coupling.rows.dot(duals[1] - duals[0]).reshape(u.shape)
     return step_map.inverters.m2c * (step_map.pa0[k] - u) + back + step_map.params.nu * u
 
 
@@ -396,13 +364,14 @@ def primal_step(u: np.ndarray, duals: np.ndarray, step_map: StepMap, k: int) -> 
     """Projected gradient step on the setpoints at step ``k``, independently per DER.
 
     ``project(u - alpha grad_primal(u, duals, step_map, k))``, formed as
-    ``project(c1 u + c0[k] + arb (gamma - mu))`` from the step map's
-    folded rows: one product with the stacked sensitivities.
+    ``project(c1 u + c0[k] + rows (apm [gamma; mu]))`` from the step map's
+    folded rows: one product with the coupling's rows, of a 2-vector product
+    that is exactly ``gamma - mu`` at ``alpha = 1``.
     """
-    back = step_map.arb.dot(duals[0] - duals[1]).reshape(u.shape)
+    back = step_map.coupling.rows.dot(step_map.apm.dot(duals)).reshape(u.shape)
     # step_map.project(k, .), with one call fewer on the closed loop's path
     return step_map.inverters._project(
-        step_map.c1 * u + step_map.c0[k] + back, step_map.p_av[k], step_map.cap[k], False
+        step_map.c1 * u + step_map.c0[k] + back, step_map.p_av[k], False
     )[0]
 
 
@@ -476,7 +445,7 @@ class SaddleProblem:
     """One time-frozen instance of the regularized saddle-point problem.
 
     Row ``k`` of ``step_map``, a unit-step map ``T_1`` (a :class:`StepMap`
-    at ``alpha = 1``), holds the step's availability, Q caps and voltage
+    at ``alpha = 1``), holds the step's availability and voltage
     band; the oracle and :func:`saddle_residual` step and project with it.
     ``c`` (M,) is the step's offset, the surrogate's metered magnitudes at
     its loads with every DER off, so the step predicts ``r P + b Q + c``.
@@ -566,9 +535,10 @@ def solve_saddle_oracle(
     projected (semismooth) Newton method finds its minimizer as the root of
     the scaled natural residual ``u - proj(u - grad F(u) / L)``, where ``L =
     max(2 c + nu) + ||A||_F^2 / eps`` bounds the Lipschitz constant of
-    grad F (A the stacked sensitivities). Each step uses the generalized
-    Hessian ``2 diag(c) + nu I + (1/eps) A_act^T A_act`` (rows of the
-    violated limits) and the per-DER projection Jacobians. One backtracking
+    grad F (A the coupling's ``rows``, the setpoints' order the steps
+    read). Each step uses the generalized Hessian ``2 diag(c) + nu I +
+    (1/eps) A_act A_act^T`` (A's columns of the violated limits) and the
+    per-DER projection Jacobians, all in that order. One backtracking
     line search on F runs from the projected Newton point to the
     projected-gradient point, which always decreases F enough. The stop
     test reads the unit-step residual ``||u - proj(u - grad F(u))||``,
@@ -591,13 +561,12 @@ def solve_saddle_oracle(
     n = inv.n_der
     u0 = steps.pa0[k] if u0 is None else np.asarray(u0, float)
 
-    # sensitivities and curvature in the coupling's order: P_0..P_{n-1}, then Q;
-    # the Frobenius norm of a bounds its spectral norm in lip, with no eigensolve
-    a = steps.coupling.rb
-    h_cost = np.concatenate([2.0 * inv.c_p + prm.nu, 2.0 * inv.c_q + prm.nu])
+    # sensitivities and curvature in the setpoints' order; the Frobenius norm
+    # of a bounds its spectral norm in lip, with no eigensolve
+    a = steps.coupling.rows
+    h_cost = (prm.nu - inv.m2c).ravel()
     lip = h_cost.max() + float(np.sum(a * a)) / prm.epsilon
 
-    der = np.arange(n)
     x = steps.project(k, u0)
     cur = _newton_point(problem, x, *_penalty_value(problem, x), lip)
     its = 0
@@ -605,15 +574,13 @@ def solve_saddle_oracle(
         if its == max_iter:
             raise OracleError(f"saddle oracle: no convergence in {max_iter} iterations")
         # Newton step on r(u) = 0 with r' = I - D (I - H / lip), D the
-        # projection Jacobians (DER i's 2 x 2 block at rows and columns i,
-        # n + i) and H the generalized Hessian
-        d_proj = np.zeros((2, n, 2, n))
-        d_proj[:, der, :, der] = cur.jac.reshape(n, 2, 2)
-        d_proj = d_proj.reshape(2 * n, 2 * n)
-        a_act = a[cur.duals[1] != cur.duals[0]]  # rows of the violated limits
-        hess = np.diag(h_cost) + (a_act.T @ a_act) / prm.epsilon
+        # projection Jacobians (DER i's 2 x 2 block on the diagonal, at rows
+        # and columns 2i, 2i + 1) and H the generalized Hessian
+        d_proj = (np.eye(n)[:, None, :, None] * cur.jac.reshape(n, 2, 1, 2)).reshape(2 * n, 2 * n)
+        a_act = a[:, cur.duals[1] != cur.duals[0]]  # columns of the violated limits
+        hess = np.diag(h_cost) + (a_act @ a_act.T) / prm.epsilon
         jac_r = np.eye(2 * n) - d_proj + d_proj @ hess / lip
-        step = np.linalg.solve(jac_r, -cur.r.T.ravel()).reshape(2, n).T
+        step = np.linalg.solve(jac_r, -cur.r.ravel()).reshape(n, 2)
         # backtracking on F along x(t) = proj(u - r + t (step + r)), t = 1,
         # 1/2, ..., _MIN_STEP, 0; a trial point costs only F and its duals
         t = 1.0

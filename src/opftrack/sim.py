@@ -499,9 +499,12 @@ def run_closed_loop(
     Strategies: ``pursuit`` (primal-dual controller with ``params``),
     ``droop`` (local Volt/VAr: each inverter's Q closes ``DROOP_GAIN`` of its
     gap to :func:`~opftrack.baseline.droop_q` at its own bus voltage, clamped
-    to the step's headroom), ``none`` (full available power at unity power
-    factor). ``inv`` holds the feeder's DERs; ``plant`` selects the AC
-    fixed-point solve or the linear magnitude model. Measurements carry
+    to the step's headroom), ``none`` (unity power factor). Both ``droop``
+    and ``none`` set their next setpoints from step k: step k + 1 applies
+    P = ``p_av[k]``, and droop's Q is clamped to ``headroom[k]``, one step
+    behind the availability it meets. ``inv`` holds the feeder's DERs;
+    ``plant`` selects the AC fixed-point solve or the linear magnitude
+    model. Measurements carry
     uniform noise of half-width ``noise_amp`` from a generator seeded with
     ``seed``, so a run is deterministic for fixed inputs. Step 0 applies
     full available power at unity power factor with zero duals; the loop
@@ -707,6 +710,8 @@ def check_decimation(n_steps: int, decimation: int) -> None:
         )
 
 
+# as in the loop, a recorded state that overflows shows in the figures, not as warnings
+@np.errstate(over="ignore", invalid="ignore")
 def measure_tracking(
     net: CompiledFeeder,
     scenario: Scenario,

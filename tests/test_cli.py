@@ -320,6 +320,29 @@ def test_run_overflowing_stepsize_prints_only_the_plant_failure(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error: plant failure: step "), proc.stderr
 
 
+def test_report_of_an_overflowing_run_prints_nothing_to_stderr(tmp_path):
+    # on the linear plant a stepsize of 1e200 runs to the end with duals near
+    # 1e199; the report's norms of them overflow silently, and the tracking
+    # error is null. A fresh interpreter runs both commands, since pytest
+    # records every warning.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    config, out = str(DATA / "config36.json"), tmp_path / "out"
+    commands = [
+        ["run", "--config", config, "--plant", "linear", "--alpha", "1e200",
+         "--output-dir", str(out)],
+        ["report", "--config", config, "--trajectory", str(out / "trajectory.csv")],
+    ]
+    for args in commands:
+        proc = subprocess.run(
+            [sys.executable, "-m", "opftrack.cli", *args],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0 and proc.stderr == "", (args[0], proc.stderr)
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert summary["tracking"]["tracking_error_tail"] is None
+
+
 def test_summary_writes_an_overflowing_constant_as_null(tmp_path):
     # nu = 1e200 overflows L_reg; strategy none runs without the controller
     cfg = json.loads((DATA / "config36.json").read_text(encoding="utf-8"))

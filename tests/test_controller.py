@@ -211,6 +211,33 @@ def test_joint_projection_equals_its_case_analysis_bit_for_bit():
     assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
+def _reactive_by_cases(s, p_av, q):
+    # the reactive-only projection as one case test per piece: P at the
+    # availability, Q above the chord, below its mirror, or between
+    cap = np.sqrt(np.maximum(s * s - p_av * p_av, 0.0))
+    return np.column_stack([p_av, np.where(q >= cap, cap, np.where(q <= -cap, -cap, q))])
+
+
+def test_reactive_projection_equals_its_case_analysis_bit_for_bit():
+    # signed zeros included: q = -0.0 at a zero chord clamps to +0.0, and a
+    # negative subnormal Q to -0.0
+    rng = np.random.default_rng(26)
+    n = 200_000
+    s = rng.uniform(0.2, 2.0, n)
+    p_av = s * rng.choice([0.0, 1.0, 0.3, 0.8, 0.999999], n)
+    u = _special_points(s, p_av, rng, n)
+    inv = Inverters("reactive_only", s, np.ones(n), np.ones(n))
+    want = _reactive_by_cases(s, p_av, u[:, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = project(inv, u, p_av)
+        with_jac, _ = project_jacobian(inv, u, p_av)
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    assert with_jac.view(np.int64).tolist() == want.view(np.int64).tolist()
+    # the droop's headroom is the same chord, bit for bit
+    assert inv.headroom(p_av).tobytes() == np.sqrt(np.maximum(s * s - p_av * p_av, 0.0)).tobytes()
+
+
 @pytest.mark.parametrize("kind", REGION_KINDS)
 def test_projection_raises_no_warning_on_zeros_subnormals_and_huge_points(kind):
     special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300, 0.5, -0.5]
@@ -857,6 +884,72 @@ def test_folded_steps_equal_the_written_out_steps(batch, data):
     want = np.maximum(0.0, duals + a * ((steps.band[k] + sigma * y) - params.epsilon * duals))
     terms = np.abs(duals) + a * (np.abs(steps.band[k]) + y + params.epsilon * np.abs(duals))
     assert np.all(np.abs(dual_step_feedback(duals, y, steps, k) - want) <= 8 * ulp * terms)
+
+
+def _random_block(rng, m, n):
+    # an (m, 2n) sensitivity block with some signed zeros among its entries
+    rb = rng.normal(0.0, 0.05, (m, 2 * n))
+    rb[rng.uniform(size=rb.shape) < 0.2] = -0.0
+    return rb
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 6), st.integers(0, 2**32 - 1))
+@example(m=1, n=0, seed=0)
+@example(m=1, n=1, seed=0)
+def test_coupling_rows_are_the_der_interleaved_block(m, n, seed):
+    # [r b]^T, DER i's P and Q rows at 2i and 2i + 1, bit for bit and in C
+    # order, also for a coupling with no DER or with one metered bus
+    rb = _random_block(np.random.default_rng(seed), m, n)
+    coupling = VoltageCoupling(rb)
+    want = np.empty((2 * n, m))
+    want[0::2], want[1::2] = rb[:, :n].T, rb[:, n:].T
+    assert coupling.rows.shape == (2 * n, m) and coupling.rows.flags.c_contiguous
+    assert coupling.rows.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 6), st.integers(1, 4), st.integers(0, 2**32 - 1))
+@example(m=1, n=0, k=1, seed=0)
+def test_predict_equals_r_p_plus_b_q_plus_c(m, n, k, seed):
+    # within the rounding of the 2n + 1 summed terms, once on each side, for
+    # one set of setpoints and for K of them against K offset rows
+    rng = np.random.default_rng(seed)
+    coupling = VoltageCoupling(_random_block(rng, m, n))
+    r, b, ulp = coupling.r, coupling.b, np.finfo(float).eps
+    for shape in ((n, 2), (k, n, 2)):
+        u = rng.uniform(-2.0, 2.0, shape)
+        c = rng.uniform(0.9, 1.1, shape[:-2] + (m,))
+        want = u[..., 0] @ r.T + u[..., 1] @ b.T + c
+        terms = np.abs(u[..., 0]) @ np.abs(r.T) + np.abs(u[..., 1]) @ np.abs(b.T) + np.abs(c)
+        got = coupling.predict(u, c)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 2 * (2 * n + 1) * ulp * terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fleets(), st.data())
+def test_grad_primal_equals_its_two_product_form(batch, data):
+    # one product with the coupling's rows against r^T (mu - gamma) and
+    # b^T (mu - gamma) formed apart, within the rounding of the M terms
+    inv, p_av = batch
+    n, m = inv.n_der, data.draw(st.integers(1, 6))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    inv = Inverters(inv.kind, inv.s_rating, *rng.uniform(0.0, 3.0, (2, n)))
+    coupling = VoltageCoupling(_random_block(rng, m, n))
+    params = ControllerParams(0.2, data.draw(st.floats(1e-4, 1.0)), 1e-3)
+    steps = one_step(inv, coupling, params, p_av, 0.95, 1.05)
+    u = data.draw(setpoints(n))
+    duals = rng.uniform(0.0, 5.0, (2, m)) * (rng.uniform(size=(2, m)) < 0.7)
+    lam, ulp = duals[1] - duals[0], np.finfo(float).eps
+    back = np.column_stack([coupling.r.T @ lam, coupling.b.T @ lam])
+    want = inv.m2c * (steps.pa0[0] - u) + back + params.nu * u
+    terms = (
+        np.abs(inv.m2c) * (np.abs(steps.pa0[0]) + np.abs(u))
+        + np.column_stack([np.abs(coupling.r.T) @ np.abs(lam), np.abs(coupling.b.T) @ np.abs(lam)])
+        + params.nu * np.abs(u)
+    )
+    assert np.all(np.abs(grad_primal(u, duals, steps, 0) - want) <= (2 * m + 4) * ulp * terms)
 
 
 @settings(max_examples=25, deadline=None)
