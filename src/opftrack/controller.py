@@ -90,11 +90,11 @@ class Inverters:
     - ``reactive_only``:  {(p_av, Q) : Q^2 <= S^2 - p_av^2}
     - ``joint``:          {(P, Q) : 0 <= P <= p_av, P^2 + Q^2 <= S^2}
 
-    and DER i costs ``c_p[i] (p_av - P)^2 + c_q[i] Q^2``. Availability varies
-    by step, so it is passed to each call. ``m2c`` holds ``[-2 c_p, -2 c_q]``
-    per DER, the cost gradient's slopes, and ``s2`` the squared ratings.
-    :meth:`headroom` is the one chord formula, read by the droop and the
-    ``reactive_only`` and ``joint`` projections.
+    and DER i costs ``c_p[i] (p_av - P)^2 + c_q[i] Q^2`` (:meth:`cost`).
+    Availability varies by step, so it is passed to each call. ``m2c``
+    holds ``[-2 c_p, -2 c_q]`` per DER, the cost gradient's slopes, and
+    ``s2`` the squared ratings. :meth:`headroom` is the one chord formula,
+    read by the droop and the ``reactive_only`` and ``joint`` projections.
     """
 
     kind: str
@@ -124,6 +124,12 @@ class Inverters:
     @property
     def n_der(self) -> int:
         return self.s_rating.shape[0]
+
+    def cost(self, u: np.ndarray, p_av: np.ndarray) -> np.ndarray:
+        """Per-DER cost ``c_p (p_av - P)^2 + c_q Q^2`` of setpoints ``u`` (..., n_der, 2)."""
+        # float_power squares through pow(); ``**`` would square by a product,
+        # which can differ in the last place and move the recorded costs
+        return self.c_p * np.float_power(p_av - u[..., 0], 2) + self.c_q * u[..., 1] * u[..., 1]
 
     def available(self, p_av: np.ndarray) -> np.ndarray:
         """Availability ``p_av`` (..., n_der) as the regions use it.
@@ -261,10 +267,10 @@ class StepMap:
     Built once from what a run holds fixed (``inverters``, ``coupling``,
     ``params``) and its per-step inputs: the availability ``p_av`` (K x
     n_der) as the regions use it (:meth:`Inverters.available`) and the
-    voltage band ``v_min`` < ``v_max`` (K,). Per step it keeps the rows
-    each step reads: ``pa0`` the points ``(p_av, 0)`` (K x n_der x 2)
-    the cost pulls toward and ``band`` the limits ``[v_min; -v_max]`` (K x
-    2 x 1); the projection forms the Q caps where it clamps.
+    voltage band ``v_min`` < ``v_max`` (K,). Per step it stores only these
+    and the folded rows ``c0`` and ``aband`` below: the points ``(p_av, 0)``
+    and the limits ``[v_min; -v_max]`` are formed where read unfolded, and
+    the projection forms the Q caps where it clamps.
 
     It also holds the steps with the stepsize ``alpha`` folded in, formed
     once for all its rows. The primal step ``u - alpha grad_primal`` is
@@ -274,7 +280,7 @@ class StepMap:
     product with the duals is ``alpha (gamma - mu)``, and the coupling's
     one alpha-free ``rows`` (:class:`VoltageCoupling`).
     The dual step is ``decay d + (aband[k] + asigma y)``, with ``decay =
-    1 - alpha eps``, ``aband = alpha band`` and ``asigma = alpha [-1; 1]``.
+    1 - alpha eps``, ``aband[k] = alpha [v_min; -v_max]``, ``asigma = alpha [-1; 1]``.
     """
 
     inverters: Inverters
@@ -283,8 +289,6 @@ class StepMap:
     p_av: np.ndarray
     v_min: np.ndarray
     v_max: np.ndarray
-    pa0: np.ndarray = field(init=False, repr=False, compare=False)
-    band: np.ndarray = field(init=False, repr=False, compare=False)
     c1: np.ndarray = field(init=False, repr=False, compare=False)
     c0: np.ndarray = field(init=False, repr=False, compare=False)
     apm: np.ndarray = field(init=False, repr=False, compare=False)
@@ -303,13 +307,13 @@ class StepMap:
             raise ValueError("v_min and v_max need one entry per p_av row")
         if not np.all(v_min < v_max):
             raise ValueError("v_min must be below v_max")
-        pa0 = np.zeros(p_av.shape + (2,))
-        pa0[:, :, 0] = p_av
+        target = np.zeros(p_av.shape + (2,))  # the points (p_av, 0)
+        target[:, :, 0] = p_av
         band = np.stack([v_min, -v_max], axis=1)[:, :, None]
         a, slope = self.params.alpha, self.params.alpha * self.inverters.m2c
         for name, value in (
-            ("p_av", p_av), ("v_min", v_min), ("v_max", v_max), ("pa0", pa0), ("band", band),
-            ("c1", (1.0 - a * self.params.nu) + slope), ("c0", -slope * pa0),
+            ("p_av", p_av), ("v_min", v_min), ("v_max", v_max),
+            ("c1", (1.0 - a * self.params.nu) + slope), ("c0", -slope * target),
             ("apm", np.array([a, -a])),
             ("decay", 1.0 - a * self.params.epsilon), ("aband", a * band),
             ("asigma", a * _SIGMA),
@@ -342,7 +346,8 @@ def grad_primal(u: np.ndarray, duals: np.ndarray, step_map: StepMap, k: int) -> 
     nu u_i``: one product with the coupling's ``rows``.
     """
     back = step_map.coupling.rows.dot(duals[1] - duals[0]).reshape(u.shape)
-    return step_map.inverters.m2c * (step_map.pa0[k] - u) + back + step_map.params.nu * u
+    target = np.column_stack([step_map.p_av[k], np.zeros(len(u))])
+    return step_map.inverters.m2c * (target - u) + back + step_map.params.nu * u
 
 
 def dual_step_feedback(
@@ -478,13 +483,14 @@ def _penalty_value(problem: SaddleProblem, u: np.ndarray) -> tuple[float, np.nda
     # convex function F over the operating regions. Returns F(u) and the
     # maximizing duals, all a line search needs of a trial point: each
     # limit's violation by the surrogate over eps, [v_min - w; w - v_max]
-    # from the band row as in the dual step.
+    # as in the dual step.
     steps, k = problem.step_map, problem.k
-    prm, inv = steps.params, steps.inverters
+    prm = steps.params
     w = steps.coupling.predict(u, problem.c)
-    duals = np.maximum(steps.band[k] + _SIGMA * w, 0.0) / prm.epsilon
+    band = np.array([[steps.v_min[k]], [-steps.v_max[k]]])
+    duals = np.maximum(band + _SIGMA * w, 0.0) / prm.epsilon
     val = (
-        float(np.sum(inv.c_p * (steps.p_av[k] - u[:, 0]) ** 2 + inv.c_q * u[:, 1] ** 2))
+        float(np.sum(steps.inverters.cost(u, steps.p_av[k])))
         + 0.5 * prm.nu * float(np.sum(u * u))
         + 0.5 * prm.epsilon * (float(duals[0] @ duals[0]) + float(duals[1] @ duals[1]))
     )
@@ -520,12 +526,12 @@ def _newton_point(
 _ARMIJO = 1e-4  # sufficient-decrease fraction of the line search, at most 1/2
 _MIN_STEP = 2.0**-20  # shortest Newton step tried before the projected-gradient point
 _STALL_RES = 1e-9  # residual below which a step that gains nothing means rounding
+_MAX_ITER = 500_000  # Newton steps before the oracle gives up
 
 
 def solve_saddle_oracle(
     problem: SaddleProblem,
     tol: float = 1e-11,
-    max_iter: int = 500_000,
     u0: np.ndarray | None = None,
 ) -> SaddleSolution:
     """Solve the static regularized saddle-point problem to high accuracy.
@@ -550,7 +556,7 @@ def solve_saddle_oracle(
     no duals, since they follow from the setpoints in closed form. It stops
     once the residual is at most ``tol``, or, below 1e-9, when the accepted
     step fails to reduce it (the rounding floor). Raises ``ValueError``
-    unless ``0 < tol < inf``, and :class:`OracleError` if ``max_iter``
+    unless ``0 < tol < inf``, and :class:`OracleError` if ``_MAX_ITER``
     steps are exhausted or the final residual is non-finite or above
     ``max(tol, 1e-6)``.
     """
@@ -559,7 +565,7 @@ def solve_saddle_oracle(
     steps, k = problem.step_map, problem.k
     inv, prm = steps.inverters, steps.params
     n = inv.n_der
-    u0 = steps.pa0[k] if u0 is None else np.asarray(u0, float)
+    u0 = np.column_stack([steps.p_av[k], np.zeros(n)]) if u0 is None else np.asarray(u0, float)
 
     # sensitivities and curvature in the setpoints' order; the Frobenius norm
     # of a bounds its spectral norm in lip, with no eigensolve
@@ -571,8 +577,8 @@ def solve_saddle_oracle(
     cur = _newton_point(problem, x, *_penalty_value(problem, x), lip)
     its = 0
     while cur.res > tol:
-        if its == max_iter:
-            raise OracleError(f"saddle oracle: no convergence in {max_iter} iterations")
+        if its == _MAX_ITER:
+            raise OracleError(f"saddle oracle: no convergence in {_MAX_ITER} iterations")
         # Newton step on r(u) = 0 with r' = I - D (I - H / lip), D the
         # projection Jacobians (DER i's 2 x 2 block on the diagonal, at rows
         # and columns 2i, 2i + 1) and H the generalized Hessian

@@ -12,7 +12,7 @@ import cmath
 import contextlib
 import json
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from operator import itemgetter
 
@@ -135,26 +135,16 @@ class AdmittanceMatrix:
         return self.lu.solve if self.z is None else self.z.dot
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """``Y^{-1} rhs`` for a vector or an N x K array, from the stored factor."""
-        if rhs.ndim == 1:
+        """``Y^{-1} rhs`` for a vector or an N x K array, from the stored factor.
+
+        An array wider than ``SOLVE_BLOCK`` columns is solved that many at a time.
+        """
+        if rhs.ndim == 1 or rhs.shape[1] <= SOLVE_BLOCK:
             return self.lu.solve(rhs)
         out = np.empty(rhs.shape, dtype=complex)
-        for cols, x in self.solve_blocks(rhs.shape[1], lambda cols: rhs[:, cols]):
-            out[:, cols] = x
+        for j in range(0, rhs.shape[1], SOLVE_BLOCK):
+            out[:, j : j + SOLVE_BLOCK] = self.lu.solve(rhs[:, j : j + SOLVE_BLOCK])
         return out
-
-    def solve_blocks(
-        self, k: int, rhs: Callable[[slice], np.ndarray]
-    ) -> Iterator[tuple[slice, np.ndarray]]:
-        """``(cols, Y^{-1} rhs(cols))`` over a K-column right-hand side.
-
-        ``cols`` runs over consecutive slices of ``SOLVE_BLOCK`` columns, and
-        ``rhs(cols)`` builds just that block, so a caller keeps no more than
-        one block of right-hand sides and solutions at a time.
-        """
-        for j in range(0, k, SOLVE_BLOCK):
-            cols = slice(j, min(j + SOLVE_BLOCK, k))
-            yield cols, self.lu.solve(rhs(cols))
 
 
 def validate_feeder(feeder: FeederModel) -> list[str]:

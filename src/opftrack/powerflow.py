@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .feeder import AdmittanceMatrix, FeederModel
+from .feeder import SOLVE_BLOCK, AdmittanceMatrix, FeederModel
 
 __all__ = [
     "PFSolution",
@@ -96,16 +96,13 @@ class LinearModel:
         k = idx.size
         rot = (np.conj(self.ebar) * self.a)[rows, None]  # exp(-j theta)
         rb = np.empty((rows.size, 2 * k))
-
-        def units(cols: slice) -> np.ndarray:
-            rhs = np.zeros((self.a.shape[0], cols.stop - cols.start), dtype=complex)
-            rhs[idx[cols], np.arange(rhs.shape[1])] = self.ebar[idx[cols]]
-            return rhs
-
-        for cols, x in self.adm.solve_blocks(k, units):
-            h = rot * x[rows]
-            rb[:, cols] = h.real
-            rb[:, k + cols.start : k + cols.stop] = h.imag
+        for j in range(0, k, SOLVE_BLOCK):
+            cols = idx[j : j + SOLVE_BLOCK]
+            units = np.zeros((self.a.shape[0], cols.size), dtype=complex)
+            units[cols, np.arange(cols.size)] = self.ebar[cols]
+            h = rot * self.adm.solve(units)[rows]
+            rb[:, j : j + cols.size] = h.real
+            rb[:, k + j : k + j + cols.size] = h.imag
         return rb
 
 

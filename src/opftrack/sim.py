@@ -663,10 +663,7 @@ def step_problem(steps: StepMap, c: np.ndarray, k: int) -> SaddleProblem:
 
 def eval_cost(u: np.ndarray, inv: Inverters, p_av: np.ndarray) -> np.ndarray:
     """Per-step generation cost of setpoints ``u`` (K, n_der, 2), summed in DER order."""
-    # float_power squares through pow(); ``**`` would square by a product,
-    # which can differ in the last place and move the recorded costs
-    per_der = inv.c_p * np.float_power(p_av - u[:, :, 0], 2) + inv.c_q * u[:, :, 1] * u[:, :, 1]
-    return sum(per_der.T, np.zeros(len(u)))
+    return sum(inv.cost(u, p_av).T, np.zeros(len(u)))
 
 
 @dataclass(frozen=True)

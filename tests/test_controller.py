@@ -10,7 +10,7 @@ from region_helpers import in_region, kink_distance, project_scalar
 from small_feeders import two_bus
 from step_helpers import no_load_offset, one_step, project, project_jacobian, saddle
 
-from opftrack import networks
+from opftrack import controller, networks
 from opftrack.controller import (
     REGION_KINDS,
     ControllerParams,
@@ -34,6 +34,7 @@ from opftrack.controller import (
 from opftrack.sim import (
     ScenarioParams,
     compile_feeder,
+    eval_cost,
     generate_scenario,
     oracle_map,
     step_problem,
@@ -608,10 +609,11 @@ def test_saddle_oracle_unconstrained_instance():
     assert sol.duals[0, 0] == 0.0 and sol.duals[1, 0] == 0.0
 
 
-def test_saddle_oracle_budget_exhaustion():
+def test_saddle_oracle_budget_exhaustion(monkeypatch):
     prob = _tb1_setup()
+    monkeypatch.setattr(controller, "_MAX_ITER", 0)
     with pytest.raises(OracleError, match="no convergence in 0 iterations"):
-        solve_saddle_oracle(prob, tol=1e-13, max_iter=0)
+        solve_saddle_oracle(prob, tol=1e-13)
 
 
 def test_saddle_oracle_large_feeder_last_ramp_step():
@@ -698,6 +700,31 @@ def test_penalty_value_matches_its_gradient_with_both_limits_violated():
             f_up, f_dn = _penalty_value(prob, up)[0], _penalty_value(prob, dn)[0]
             fd_ij = (f_up - f_dn) / (2 * h)
             assert grad[i, j] == pytest.approx(fd_ij, rel=1e-7, abs=1e-7)
+
+
+def test_the_oracle_objective_and_the_recorded_cost_share_one_formula():
+    # F's cost term and the recorded cost are both Inverters.cost, bit for
+    # bit, at a P where pow() squares p_av - P differently from a product.
+    # Only DER 0 is available, and no limit is violated, so its cost is
+    # nearly all of F and a last-place change in it moves F
+    base, rng = _penalty_instance()
+    inv, prm, coupling = base.step_map.inverters, base.step_map.params, base.step_map.coupling
+    p_av = np.zeros(inv.n_der)
+    p_av[0] = 0.7 * inv.s_rating[0]
+    prob = saddle(inv, p_av, coupling, base.c, 0.5, 1.5, prm)
+    p = rng.uniform(0.0, 0.1, 10_000)
+    d = p_av[0] - p
+    u = np.zeros((inv.n_der, 2))
+    u[0, 0] = p[inv.c_p[0] * np.float_power(d, 2) != inv.c_p[0] * (d * d)][0]
+    f, duals = _penalty_value(prob, u)
+    assert f == (
+        float(np.sum(inv.cost(u, p_av)))
+        + 0.5 * prm.nu * float(np.sum(u * u))
+        + 0.5 * prm.epsilon * (float(duals[0] @ duals[0]) + float(duals[1] @ duals[1]))
+    )
+    # K = 2 steps of setpoints, each summed in DER order
+    us, p_avs = np.stack([u, u + 0.01]), np.stack([p_av, p_av])
+    assert np.array_equal(eval_cost(us, inv, p_avs), sum(inv.cost(us, p_avs).T, np.zeros(2)))
 
 
 def _saddle_residual_reference(problem, u, gamma, mu):
@@ -869,11 +896,13 @@ def test_folded_steps_equal_the_written_out_steps(batch, data):
     duals = rng.uniform(0.0, 5.0, (2, m)) * (rng.uniform(size=(2, m)) < 0.7)
     y = rng.uniform(0.85, 1.15, m)
     a, ulp = params.alpha, np.finfo(float).eps
+    pa0 = np.column_stack([steps.p_av[k], np.zeros(n)])
+    band = np.array([[steps.v_min[k]], [-steps.v_max[k]]])
 
     want = steps.project(k, u - a * grad_primal(u, duals, steps, k))
     back = np.abs(coupling.rb).T @ np.abs(duals[1] - duals[0])  # P rows, then Q rows
     terms = np.abs(u) + a * (
-        np.abs(inv.m2c) * (np.abs(steps.pa0[k]) + np.abs(u)) + params.nu * np.abs(u)
+        np.abs(inv.m2c) * (np.abs(pa0) + np.abs(u)) + params.nu * np.abs(u)
         + back.reshape(2, n).T
     ) + inv.s_rating[:, None]  # the projection's own rounding
     # the projection is non-expansive per DER
@@ -881,8 +910,8 @@ def test_folded_steps_equal_the_written_out_steps(batch, data):
     assert np.all(gap <= 32 * ulp * np.linalg.norm(terms, axis=1))
 
     sigma = np.asarray([[-1.0], [1.0]])
-    want = np.maximum(0.0, duals + a * ((steps.band[k] + sigma * y) - params.epsilon * duals))
-    terms = np.abs(duals) + a * (np.abs(steps.band[k]) + y + params.epsilon * np.abs(duals))
+    want = np.maximum(0.0, duals + a * ((band + sigma * y) - params.epsilon * duals))
+    terms = np.abs(duals) + a * (np.abs(band) + y + params.epsilon * np.abs(duals))
     assert np.all(np.abs(dual_step_feedback(duals, y, steps, k) - want) <= 8 * ulp * terms)
 
 
@@ -943,9 +972,10 @@ def test_grad_primal_equals_its_two_product_form(batch, data):
     duals = rng.uniform(0.0, 5.0, (2, m)) * (rng.uniform(size=(2, m)) < 0.7)
     lam, ulp = duals[1] - duals[0], np.finfo(float).eps
     back = np.column_stack([coupling.r.T @ lam, coupling.b.T @ lam])
-    want = inv.m2c * (steps.pa0[0] - u) + back + params.nu * u
+    pa0 = np.column_stack([steps.p_av[0], np.zeros(n)])
+    want = inv.m2c * (pa0 - u) + back + params.nu * u
     terms = (
-        np.abs(inv.m2c) * (np.abs(steps.pa0[0]) + np.abs(u))
+        np.abs(inv.m2c) * (np.abs(pa0) + np.abs(u))
         + np.column_stack([np.abs(coupling.r.T) @ np.abs(lam), np.abs(coupling.b.T) @ np.abs(lam)])
         + params.nu * np.abs(u)
     )

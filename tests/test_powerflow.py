@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from small_feeders import chain, two_bus
 
 from opftrack import networks
-from opftrack.feeder import DENSE_Z_MAX_NODES, AdmittanceMatrix, build_admittance
+from opftrack.feeder import DENSE_Z_MAX_NODES, SOLVE_BLOCK, AdmittanceMatrix, build_admittance
 from opftrack.powerflow import (
     LinearModel,
     PowerFlowError,
@@ -363,6 +363,31 @@ def test_linear_model_requires_nonzero_profile():
     assert isinstance(lm, LinearModel)
     with pytest.raises(ValueError, match="zero-magnitude"):
         build_linear_model(build_admittance(two_bus()), 0j)
+
+
+@pytest.mark.parametrize("k", [1, SOLVE_BLOCK, SOLVE_BLOCK + 1, 2 * SOLVE_BLOCK + 1])
+def test_an_array_solve_is_its_vector_solves_across_block_boundaries(k):
+    # N x K right-hand sides are solved SOLVE_BLOCK columns at a time, each
+    # column bit for bit its own vector solve, whether or not the dense z is
+    # kept beside the factor
+    adm = build_admittance(networks.random_radial(90, 11, shunt_prob=0.3))
+    assert adm.z is not None
+    rng = np.random.default_rng(k)
+    rhs = rng.normal(size=(90, k)) + 1j * rng.normal(size=(90, k))
+    want = np.column_stack([adm.lu.solve(rhs[:, j]) for j in range(k)])
+    for a in (adm, replace(adm, z=None)):
+        assert a.solve(rhs).tobytes() == want.tobytes()
+
+
+def test_columns_are_their_one_column_forms_across_block_boundaries():
+    fd = networks.random_radial(90, 11, shunt_prob=0.3)
+    lm = build_linear_model(build_admittance(fd), cmath.rect(1.02, 0.4))
+    rng = np.random.default_rng(5)
+    k = 2 * SOLVE_BLOCK + 1
+    idx, rows = rng.permutation(fd.n_nodes)[:k], rng.permutation(fd.n_nodes)[:37]
+    one = [lm.columns(idx[j : j + 1], rows) for j in range(k)]
+    want = np.hstack([c[:, :1] for c in one] + [c[:, 1:] for c in one])
+    assert lm.columns(idx, rows).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n_der", [1, 31, 32, 33, 65])

@@ -30,7 +30,7 @@ from opftrack.controller import (
     solve_saddle_oracle,
 )
 from opftrack.feeder import load_feeder
-from opftrack import powerflow, sim
+from opftrack import controller, powerflow, sim
 from opftrack.powerflow import PowerFlowError, constraint_offsets, in_band, solve_ac
 from opftrack.sim import (
     Scenario,
@@ -360,12 +360,13 @@ def _config36(n_steps=None):
     return net, scen, inv, cfg.controller, cfg.seed
 
 
-def test_oracle_returns_at_the_rounding_floor_below_an_unreachable_tolerance():
+def test_oracle_returns_at_the_rounding_floor_below_an_unreachable_tolerance(monkeypatch):
     # config36 step 300: below ||r|| = 1e-9 the Newton step fails the line
     # search and the accepted steps stop lowering ||r||, which ends the solve
     net, scen, inv, params, _ = _config36()
     prob = _own_step_problem(net, scen, inv, params, 300)
-    sol = solve_saddle_oracle(prob, tol=1e-15, max_iter=200)
+    monkeypatch.setattr(controller, "_MAX_ITER", 200)
+    sol = solve_saddle_oracle(prob, tol=1e-15)
     assert sol.iterations < 200
     assert sol.residual <= 1e-12
 
