@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import locale  # noqa: F401  (argparse's gettext loads it lazily: at import, not in main())
 import math
 import os
 import sys

@@ -17,14 +17,6 @@ from dataclasses import dataclass, replace
 from operator import itemgetter
 
 import numpy as np
-# scipy.linalg before scipy.sparse, which imports it too. In the other
-# order its import leaves BLAS threads spinning for about 70 ms, into
-# set-up, and the first threaded product after it (convergence_constants'
-# Gram) stalled 2.5-4 ms in 6-9 of 20 fresh processes (2 vCPUs, OpenBLAS 0.3.31)
-import scipy.linalg  # noqa: F401
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import SuperLU, splu
 
 __all__ = [
     "RCOND_LIMIT",
@@ -32,6 +24,7 @@ __all__ = [
     "FeederError",
     "FeederModel",
     "AdmittanceMatrix",
+    "TreeFactor",
     "validate_feeder",
     "build_admittance",
     "feeder_from_dict",
@@ -44,15 +37,15 @@ __all__ = [
 # is treated as numerically singular
 RCOND_LIMIT = 1e-10
 
-# right-hand-side columns per sparse solve: wider blocks go to multithreaded
-# BLAS, which on a 2-vCPU host took 15-100 ms for 100-600 columns at N = 36
-# against under 1 ms in blocks of this width
+# columns per tree-factor solve or block: each holds a few N x width
+# temporaries, which a 600-column solve at N = 1000 would make ~10 MB each
 SOLVE_BLOCK = 32
 
-# feeders of up to this many buses also keep Z = Y^{-1} dense for the AC
-# iteration: per vector, a product with Z beat a solve with the factor up to
-# N = 192 and lost from N = 256 (random_radial, 2 vCPUs: 2.8 against 9.1 us
-# at N = 36, 12.6 against 15.4 us at 192, 19.2 against 17.5 us at 256)
+# feeders of up to this many buses keep Z = Y^{-1} dense, larger ones the
+# tree factor. Per vector, z.dot beat the tree solve up to N = 256 and lost
+# from 384 (random_radial, 2 vCPUs: 7.2 against 13.8 us at 192, 10.9
+# against 15.4 us at 256, 20.0 against 16.9 us at 384), but inverting Y
+# took 3.2 ms at 192 and 6.2 ms at 256 against 0.9 ms for the tree factor
 DENSE_Z_MAX_NODES = 192
 
 
@@ -111,40 +104,147 @@ class FeederModel:
         return np.asarray([n - 1 for n in self.monitored_nodes], dtype=int)
 
 
+@dataclass(frozen=True, eq=False)
+class TreeFactor:
+    """``Y^{-1}`` of a radial or weakly meshed network, from its spanning tree.
+
+    The tree is the breadth-first one from the slack. The chords are the
+    lines it leaves out between two non-slack buses, and ``T`` is the
+    reduced block ``Y`` without them. Eliminating ``T`` leaves first creates
+    no fill-in: ``D_p <- D_p - y_c^2 / D_c`` over the children c of bus p,
+    with y_c the line to the parent and multiplier ``y_c / D_c``. With
+    ``W`` the product of the multipliers over a bus and its ancestors
+    below the slack's children (which take 1),
+    ``T^{-1} b = W * PathSum(SubtreeSum(W * b) / (W^2 D))``. In depth-first
+    preorder a subtree is one run of places, so both sums are cumulative
+    sums over the places: a subtree sum is the difference of two entries of
+    one, and a path sum an entry of one over each value added where its
+    subtree starts and taken off where it stops. The chords (a, b) enter as
+    a Woodbury correction: ``Y^{-1} b = x - H (x[a] - x[b])`` with
+    ``x = T^{-1} b``, ``G = T^{-1} U`` with a column ``e_a - e_b`` in ``U``
+    per chord, and ``H = G (diag(1 / y) + U^T G)^{-1}``.
+
+    Fields: ``w``, ``W`` by bus; ``order``, the bus at each place, and
+    ``place``, the place of each bus; ``roots``, the places of the slack's
+    neighbours, and ``branch``, the one above each place; by place,
+    ``stop``, the place after its subtree, ``c``, ``1 / (W^2 D)``, and
+    ``q``, the path sum of ``c``; ``ends`` (2, k), the buses of the chords;
+    ``g`` and ``h`` (k, N), the columns of ``G`` and ``H``.
+    """
+
+    w: np.ndarray
+    order: np.ndarray
+    place: np.ndarray
+    roots: np.ndarray
+    branch: np.ndarray
+    stop: np.ndarray
+    c: np.ndarray
+    q: np.ndarray
+    ends: np.ndarray
+    g: np.ndarray
+    h: np.ndarray
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """``Y^{-1} rhs`` for a vector or an N x K array, ``SOLVE_BLOCK`` columns at a time.
+
+        Each column of an array solve is its vector solve, bit for bit.
+        """
+        if rhs.ndim == 2 and rhs.shape[1] > SOLVE_BLOCK:
+            out = np.empty(rhs.shape, dtype=complex)
+            for j in range(0, rhs.shape[1], SOLVE_BLOCK):
+                out[:, j : j + SOLVE_BLOCK] = self.solve(rhs[:, j : j + SOLVE_BLOCK])
+            return out
+        w, c, hs = (self.w, self.c, self.h) if rhs.ndim == 1 else (
+            self.w[:, None], self.c[:, None], self.h[:, :, None]
+        )
+        # the slack's neighbours hold the slack's share of rhs (-ybar V0 in
+        # the AC iteration) and of the path sums, which dwarf the rest: summed
+        # apart, their rounding stays out of the other buses' sums
+        u = (rhs * w)[self.order]
+        top = u[self.roots]
+        u[self.roots] = 0.0
+        sums = np.zeros((len(rhs) + 1,) + rhs.shape[1:], dtype=complex)
+        np.cumsum(u, axis=0, out=sums[1:])
+        v = sums[self.stop] - sums[:-1]
+        v[self.roots] += top
+        v *= c
+        top = v[self.roots]
+        v[self.roots] = 0.0
+        sums[:-1] = v
+        sums[-1] = 0.0
+        np.subtract.at(sums, self.stop, v)
+        x = (np.cumsum(sums[:-1], axis=0) + top[self.branch])[self.place] * w
+        if len(hs):
+            for h, d in zip(hs, x[self.ends[0]] - x[self.ends[1]]):
+                x -= h * d
+        return x
+
+    def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Rows ``rows`` of columns ``cols`` of ``Y^{-1}``, ``SOLVE_BLOCK`` columns at a time.
+
+        A unit right-hand side at bus j has subtree sum ``W_j`` at j and at
+        its ancestors and 0 elsewhere, so column j of ``T^{-1}`` is ``W_j W``
+        times ``q`` of the nearest common ancestor. In preorder that column
+        is a run of constants: 0, then ``q`` of each ancestor from its
+        place, and the same values back to 0 where the subtrees stop. Each
+        chord then takes off ``H[rows] G[j]``.
+        """
+        n = len(self.order)
+        out = np.empty((len(cols), len(rows)), dtype=complex)
+        for j in range(0, len(cols), SOLVE_BLOCK):
+            part = cols[j : j + SOLVE_BLOCK]
+            k = len(part)
+            p = self.place[part, None]
+            # the places of each column's bus and its ancestors, top down
+            col, anc = np.nonzero((np.arange(n) <= p) & (p < self.stop))
+            top = np.ones(col.size, dtype=bool)
+            top[1:] = col[1:] != col[:-1]
+            # a column's runs: 0 from place 0; q of each ancestor from its
+            # place; q of the ancestor above it (0 above the topmost) from
+            # its stop, where the deeper of two equal stops comes first
+            start = np.concatenate([np.zeros(k, dtype=int), anc, self.stop[anc]])
+            owner = np.concatenate([np.arange(k), col, col])
+            value = np.concatenate(
+                [np.zeros(k), self.q[anc], np.where(top, 0.0, np.roll(self.q[anc], 1))]
+            )
+            tie = np.concatenate([np.full(k, -1), np.zeros(col.size, dtype=int), -anc])
+            by = np.lexsort((tie, start, owner))
+            start, owner, value = start[by], owner[by], value[by]
+            end = np.append(start[1:], n)
+            end[np.append(owner[1:] != owner[:-1], True)] = n
+            x = np.repeat(value, end - start).reshape(k, n)
+            np.multiply(np.take(x, self.place[rows], axis=1), self.w[rows], out=out[j : j + k])
+            out[j : j + k] *= self.w[part, None]
+            for g, h in zip(self.g, self.h):
+                out[j : j + k] -= g[part, None] * h[rows]
+        return out.T
+
+
 @dataclass(frozen=True)
 class AdmittanceMatrix:
-    """Partitioned bus admittance matrix, factored once.
+    """Partitioned bus admittance matrix, inverted or factored once.
 
     Holds what the solves use of the full ``(N+1) x (N+1)`` matrix: the
-    slack-to-network column ``ybar`` and ``lu``, the sparse LU factor of the
-    reduced network block ``Y`` whose row i is bus i + 1. Every use of ``Y``
-    is a solve with that factor, and ``Y`` itself is not kept, except that
-    the AC fixed-point iteration takes :attr:`vector_solve`: a product with
-    the dense ``z = Y^{-1}`` where it is kept (``build_admittance`` keeps it
-    on feeders of up to ``DENSE_Z_MAX_NODES`` buses), else a solve with the
-    factor. The two agree to rounding.
+    slack-to-network column ``ybar``, and one representation of the
+    reduced network block ``Y``, whose row i is bus i + 1. A feeder of up
+    to ``DENSE_Z_MAX_NODES`` buses keeps the dense inverse ``z``, and a
+    larger one ``tree``, the :class:`TreeFactor`. ``Y`` itself is not kept:
+    every use of it is :attr:`solve`, or :meth:`block` for entries of
+    ``Y^{-1}``.
     """
 
     ybar: np.ndarray
-    lu: SuperLU
     z: np.ndarray | None = None
+    tree: TreeFactor | None = None
 
     @property
-    def vector_solve(self) -> Callable[[np.ndarray], np.ndarray]:
-        """The AC iteration's per-vector ``Y^{-1} x``: ``z.dot`` if kept, else ``lu.solve``."""
-        return self.lu.solve if self.z is None else self.z.dot
+    def solve(self) -> Callable[[np.ndarray], np.ndarray]:
+        """``Y^{-1} rhs`` for a vector or an N x K array: ``z.dot``, or the tree factor's solve."""
+        return self.z.dot if self.tree is None else self.tree.solve
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """``Y^{-1} rhs`` for a vector or an N x K array, from the stored factor.
-
-        An array wider than ``SOLVE_BLOCK`` columns is solved that many at a time.
-        """
-        if rhs.ndim == 1 or rhs.shape[1] <= SOLVE_BLOCK:
-            return self.lu.solve(rhs)
-        out = np.empty(rhs.shape, dtype=complex)
-        for j in range(0, rhs.shape[1], SOLVE_BLOCK):
-            out[:, j : j + SOLVE_BLOCK] = self.lu.solve(rhs[:, j : j + SOLVE_BLOCK])
-        return out
+    def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Rows ``rows`` of columns ``cols`` of ``Y^{-1}``: entries of ``z``, or :meth:`TreeFactor.block`."""
+        return self.z[np.ix_(rows, cols)] if self.tree is None else self.tree.block(rows, cols)
 
 
 def validate_feeder(feeder: FeederModel) -> list[str]:
@@ -184,14 +284,18 @@ def validate_feeder(feeder: FeederModel) -> list[str]:
         else:
             diags.append(f"duplicate line corridor ({min(a, b)},{max(a, b)})")
 
-    # islands: strong components of every corridor taken once each way, which
-    # skip the undirected search's transpose (a repeated entry hangs scipy's),
-    # and one more per bus no usable line touches
-    ends = np.concatenate([edges[first], edges[first, ::-1]])
-    ends = ends[np.argsort(ends[:, 0])]
-    indptr = np.searchsorted(ends[:, 0], np.arange(m + 1))
-    graph = sp.csr_matrix((np.ones(len(ends)), ends[:, 1], indptr), shape=(m, m))
-    n_comp = connected_components(graph, connection="strong", return_labels=False) + n + 1 - m
+    # islands: each renumbered bus points toward the smallest bus of its
+    # island. While a corridor joins two roots, the larger root is hooked
+    # under the smallest root it meets, which at least halves the roots
+    # that still meet another, and every bus then jumps to its root. Plus
+    # one island per bus no usable line touches
+    u, v = edges[first].T
+    root = np.arange(m)
+    while not np.array_equal(root[u], root[v]):
+        np.minimum.at(root, np.maximum(root[u], root[v]), np.minimum(root[u], root[v]))
+        while not np.array_equal(root[root], root):
+            root = root[root]
+    n_comp = int(np.count_nonzero(root == np.arange(m))) + n + 1 - m
     if n_comp != 1:
         diags.append(f"disconnected: {n_comp} components over buses 0..{n}")
 
@@ -216,19 +320,20 @@ def validate_feeder(feeder: FeederModel) -> list[str]:
 
 
 def build_admittance(feeder: FeederModel) -> AdmittanceMatrix:
-    """Assemble the partitioned bus admittance matrix and factor it.
+    """Assemble the partitioned bus admittance matrix and invert or factor it.
 
     Line l contributes ``1/z[l]`` between ``terminals[l]`` plus half of
-    ``y_shunt[l]`` at each; the reduced block is assembled directly in CSC
-    form from the line arrays, so a radial feeder costs O(N). It is
-    factored once with ``splu``, and only the factor is kept, with the dense
-    inverse ``z`` beside it on a feeder of up to ``DENSE_Z_MAX_NODES``
-    buses (:class:`AdmittanceMatrix`). Raises
-    :class:`FeederError`, with the diagnostics, if the feeder fails
-    validation, or if the reduced block is numerically singular: its
-    reciprocal 1-norm condition number, ``1 / (||Y||_1 ||Y^{-1}||_1)``
-    with ``||Y^{-1}||_1`` estimated from solves with the factor, is below
-    ``RCOND_LIMIT`` (or the factorization finds an exactly zero pivot).
+    ``y_shunt[l]`` at each. A feeder of up to ``DENSE_Z_MAX_NODES`` buses
+    assembles the reduced block dense and keeps only its inverse ``z``; a
+    larger one keeps the :class:`TreeFactor`, built in O(N) for a radial
+    feeder (:class:`AdmittanceMatrix`). Raises :class:`FeederError`, with
+    the diagnostics, if the feeder fails validation, or if the reduced
+    block is numerically singular: its reciprocal 1-norm condition number,
+    ``1 / (||Y||_1 ||Y^{-1}||_1)``, is below ``RCOND_LIMIT``. That is exact
+    with ``z``; with the tree factor ``||Y^{-1}||_1`` is estimated from its
+    solves. An exactly singular ``Y``, a zero pivot of the tree or a
+    singular chord correction reads 0, and so does a tree factor whose
+    solves leave the float range.
     """
     diags = validate_feeder(feeder)
     if diags:
@@ -249,47 +354,131 @@ def build_admittance(feeder: FeederModel) -> AdmittanceMatrix:
     rows = np.concatenate([np.arange(n), a[inner] - 1, b[inner] - 1])
     cols = np.concatenate([np.arange(n), b[inner] - 1, a[inner] - 1])
     vals = np.concatenate([diag[1:], -ys[inner], -ys[inner]])
-    order = np.lexsort((rows, cols))
-    Y = sp.csc_matrix(
-        (vals[order], rows[order], np.searchsorted(cols[order], np.arange(n + 1))),
-        shape=(n, n),
-    )
     ybar = np.zeros(n, dtype=complex)
     ybar[a[~inner] + b[~inner] - 1] = -ys[~inner]
-    try:
-        # Y is structurally symmetric: order on Y + Y^T and keep diagonal
-        # pivots unless one falls below a tenth of its column's largest
-        # entry; on a radial feeder this leaves almost no fill-in
-        lu = splu(
-            Y,
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.1,
-            options={"SymmetricMode": True},
-        )
-    except RuntimeError:  # an exactly zero pivot
-        rcond = 0.0
+    # largest absolute column sum
+    y_norm = float(np.bincount(cols, np.abs(vals), n).max())
+    adm, z_norm = None, math.inf
+    if n <= DENSE_Z_MAX_NODES:
+        y = np.zeros((n, n), dtype=complex)
+        y[rows, cols] = vals
+        with contextlib.suppress(np.linalg.LinAlgError):  # exactly singular
+            adm = AdmittanceMatrix(ybar, z=np.linalg.inv(y))
+            z_norm = float(np.abs(adm.z).sum(axis=0).max())
     else:
-        # largest absolute row sum, which is ||Y||_1 because Y is symmetric
-        y_norm = float(np.bincount(Y.indices, np.abs(Y.data), n).max())
-        rcond = 1.0 / (y_norm * _inverse_norm1(lu, n))
+        # a solve that leaves the float range reads as singular
+        with np.errstate(over="ignore", invalid="ignore"):
+            tree = _tree_factor(n, a, b, ys, diag)
+            if tree is not None:
+                adm = AdmittanceMatrix(ybar, tree=tree)
+                z_norm = _inverse_norm1(tree.solve, n)
+    rcond = 1.0 / (y_norm * z_norm)
     if not rcond >= RCOND_LIMIT:
         raise FeederError(
             f"degenerate network: reduced admittance rcond {rcond:.3e} < {RCOND_LIMIT:.0e}"
         )
-    adm = AdmittanceMatrix(ybar=ybar, lu=lu)
-    if n <= DENSE_Z_MAX_NODES:
-        adm = replace(adm, z=adm.solve(np.eye(n, dtype=complex)))
     return adm
 
 
-def _inverse_norm1(lu: SuperLU, n: int) -> float:
+def _tree_factor(
+    n: int, a: np.ndarray, b: np.ndarray, ys: np.ndarray, diag: np.ndarray
+) -> TreeFactor | None:
+    # the TreeFactor of validated lines (a, b) of admittance ys, with diag the
+    # self terms of buses 0..N; None at a zero pivot or a singular chord
+    # correction. Buses keep their numbers here, the slack 0, and each loop
+    # runs once per level of the tree
+    near = np.concatenate([a, b])
+    by_near = np.argsort(near, kind="stable")
+    near, far = near[by_near], np.concatenate([b, a])[by_near]
+    line = np.tile(np.arange(len(a)), 2)[by_near]
+    first = np.searchsorted(near, np.arange(n + 2))
+    # breadth first from the slack: a level's buses in the order of the
+    # parents they were first reached from, each with that line's admittance
+    parent = np.full(n + 1, -1)
+    parent[0] = 0
+    y = np.zeros(n + 1, dtype=complex)
+    in_tree = np.zeros(len(a), dtype=bool)
+    levels, level = [], np.zeros(1, dtype=int)
+    while True:
+        count = first[level + 1] - first[level]
+        slot = np.repeat(first[level] - np.cumsum(count) + count, count) + np.arange(count.sum())
+        slot = slot[parent[far[slot]] < 0]
+        slot = slot[np.sort(np.unique(far[slot], return_index=True)[1])]
+        if not slot.size:
+            break
+        level = far[slot]
+        parent[level] = near[slot]
+        y[level] = ys[line[slot]]
+        in_tree[line[slot]] = True
+        levels.append(level)
+    chord = ~in_tree & (a > 0) & (b > 0)
+    d = diag.copy()
+    np.subtract.at(d, np.concatenate([a[chord], b[chord]]), np.tile(ys[chord], 2))
+    # leaves first: pivots, multipliers and subtree sizes
+    w = np.ones(n + 1, dtype=complex)
+    size = np.ones(n + 1, dtype=int)
+    for bus in reversed(levels):
+        if not d[bus].all():
+            return None
+        w[bus] = y[bus] / d[bus]
+        np.add.at(d, parent[bus], -y[bus] * w[bus])
+        np.add.at(size, parent[bus], size[bus])
+    # from the slack: W, and each bus's preorder place after its parent and
+    # the subtrees of its earlier siblings
+    w[levels[0]] = 1.0
+    c, q = np.zeros(n + 1, dtype=complex), np.zeros(n + 1, dtype=complex)
+    pre = np.zeros(n + 1, dtype=int)
+    for bus in levels:
+        up = parent[bus]
+        w[bus] *= w[up]
+        c[bus] = 1.0 / (w[bus] ** 2 * d[bus])
+        q[bus] = q[up] + c[bus]
+        before = np.cumsum(size[bus]) - size[bus]
+        head = np.ones(bus.size, dtype=bool)
+        head[1:] = up[1:] != up[:-1]
+        pre[bus] = pre[up] + 1 + before - np.maximum.accumulate(np.where(head, before, 0))
+    place = pre[1:] - 1
+    order = np.argsort(place)
+    roots = np.sort(place[levels[0] - 1])
+    tree = TreeFactor(
+        w=w[1:],
+        order=order,
+        place=place,
+        roots=roots,
+        branch=np.searchsorted(roots, np.arange(n), side="right") - 1,
+        stop=np.arange(n) + size[1:][order],
+        c=c[1:][order],
+        q=q[1:][order],
+        ends=np.zeros((2, 0), dtype=int),
+        g=np.zeros((0, n), dtype=complex),
+        h=np.zeros((0, n), dtype=complex),
+    )
+    k = int(np.count_nonzero(chord))
+    if not k:
+        return tree
+    # Woodbury: H = G M with G = T^{-1} U, U's column (e_a - e_b) per chord,
+    # and M the inverse of diag(1 / y) + U^T G
+    ends = np.stack([a[chord], b[chord]]) - 1
+    u = np.zeros((n, k), dtype=complex)
+    u[ends[0], np.arange(k)] = 1.0
+    u[ends[1], np.arange(k)] = -1.0
+    g = tree.solve(u)
+    try:
+        m = np.linalg.inv(np.diag(1.0 / ys[chord]) + g[ends[0]] - g[ends[1]])
+    except np.linalg.LinAlgError:
+        return None
+    return replace(tree, ends=ends, g=g.T.copy(), h=(g @ m).T.copy())
+
+
+def _inverse_norm1(solve: Callable[[np.ndarray], np.ndarray], n: int) -> float:
     # Hager's estimate of ||Y^{-1}||_1 (Higham's complex form): ascend from
     # the uniform vector to the unit vector with the steepest solve; a lower
-    # bound that is exact for most matrices, at a few solves each way
+    # bound that is exact for most matrices, at a few solves each way. Y is
+    # complex symmetric, so its conjugate transpose solves as conj(solve(conj(x)))
     x = np.full(n, 1.0 / n, dtype=complex)
     est = 0.0
     for _ in range(5):
-        y = lu.solve(x)
+        y = solve(x)
         new = float(np.sum(np.abs(y)))
         if not math.isfinite(new):
             return math.inf
@@ -297,7 +486,7 @@ def _inverse_norm1(lu: SuperLU, n: int) -> float:
             break
         est = new
         mag = np.abs(y)
-        z = lu.solve(np.where(mag > 0, y / np.where(mag > 0, mag, 1.0), 1.0), trans="H")
+        z = np.conj(solve(np.conj(np.where(mag > 0, y / np.where(mag > 0, mag, 1.0), 1.0))))
         j = int(np.argmax(np.abs(z)))
         if abs(z[j]) <= np.vdot(z, x).real:
             break

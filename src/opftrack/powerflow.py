@@ -3,12 +3,11 @@
 The AC solver is a Z-bus fixed-point iteration on the slack-reduced
 network equations; the linear model maps net nodal injections to
 approximate voltage magnitudes around the no-load profile and supplies the
-sensitivities used by the voltage-regulation controller. The linear model
-works through the sparse LU factor of the reduced admittance that
-``build_admittance`` computes once. The AC iteration applies ``Y^{-1}``
-with the same factor, or, on a feeder of up to ``DENSE_Z_MAX_NODES`` buses,
-as a product with the dense inverse kept beside it: the only N x N matrix
-formed.
+sensitivities used by the voltage-regulation controller. Both apply
+``Y^{-1}`` of the reduced admittance as ``build_admittance`` keeps it: on a
+feeder of up to ``DENSE_Z_MAX_NODES`` buses a product with the dense
+inverse, the only N x N matrix formed, and on a larger one a solve with the
+tree factor.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .feeder import SOLVE_BLOCK, AdmittanceMatrix, FeederModel
+from .feeder import AdmittanceMatrix, FeederModel
 
 __all__ = [
     "PFSolution",
@@ -67,9 +66,8 @@ class LinearModel:
     ``exp(-j theta_i)``, so that
     ``R p + B q = Re(exp(-j theta) * Y^{-1} (ebar * (p - jq)))``: the first
     order change of ``|v|`` whatever the slack's reference angle. R and B
-    are therefore not stored: :meth:`response` applies them with one solve
-    of the admittance factor, and :meth:`columns` forms only the entries
-    asked for.
+    are therefore not stored: :meth:`response` applies them with one
+    product or solve, and :meth:`columns` forms only the entries asked for.
     """
 
     adm: AdmittanceMatrix
@@ -87,23 +85,14 @@ class LinearModel:
     def columns(self, idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Rows ``rows`` of columns ``idx`` of R and of B, side by side: ``[R B]``.
 
-        The result is len(rows) x 2 len(idx). Solves ``SOLVE_BLOCK`` unit
-        right-hand sides at a time and writes only the kept rows of each
-        block into it, so no N x len(idx) array is formed.
+        The result is len(rows) x 2 len(idx), from only those entries of
+        ``Y^{-1}`` (:meth:`~opftrack.feeder.AdmittanceMatrix.block`).
         """
         idx = np.asarray(idx, dtype=int)
         rows = np.asarray(rows, dtype=int)
-        k = idx.size
         rot = (np.conj(self.ebar) * self.a)[rows, None]  # exp(-j theta)
-        rb = np.empty((rows.size, 2 * k))
-        for j in range(0, k, SOLVE_BLOCK):
-            cols = idx[j : j + SOLVE_BLOCK]
-            units = np.zeros((self.a.shape[0], cols.size), dtype=complex)
-            units[cols, np.arange(cols.size)] = self.ebar[cols]
-            h = rot * self.adm.solve(units)[rows]
-            rb[:, j : j + cols.size] = h.real
-            rb[:, k + j : k + j + cols.size] = h.imag
-        return rb
+        h = rot * (self.adm.block(rows, idx) * self.ebar[idx])
+        return np.hstack([h.real, h.imag])
 
 
 def no_load_voltage(adm: AdmittanceMatrix, v0: complex) -> np.ndarray:
@@ -118,7 +107,7 @@ def build_linear_model(adm: AdmittanceMatrix, v0: complex) -> LinearModel:
     magnitude response to injections (p, q) is ``R p + B q + a`` with
     ``R + jB = diag(exp(-j theta)) Y^{-1} diag(exp(j theta) / rho_bar)``
     and ``a = rho_bar``.
-    Costs one solve with the stored factor.
+    Costs one application of ``Y^{-1}``.
     """
     vbar = no_load_voltage(adm, v0)
     rho = np.abs(vbar)
@@ -145,9 +134,9 @@ def solve_ac(
 ) -> PFSolution:
     """Z-bus fixed-point AC solve, ``v+ <- Y^{-1}(conj(s / v) - ybar V0)``.
 
-    Each iteration applies ``Y^{-1}`` once, by ``adm.vector_solve``: a
-    product with the dense inverse on a small feeder, else a solve with the
-    stored factor. Nothing is factored here.
+    Each iteration applies ``Y^{-1}`` once, by one call of ``adm.solve``:
+    ``z.dot``, a product with the dense inverse, on a small feeder, else a
+    solve with the tree factor. Nothing is inverted or factored here.
 
     Parameters
     ----------
@@ -197,7 +186,7 @@ def solve_ac(
                 )
             v = np.asarray(fallback, dtype=complex)
     yv0 = adm.ybar * v0
-    solve = adm.vector_solve
+    solve = adm.solve
     residual = math.inf
     for it in range(1, max_iter + 1):
         sv = s / v

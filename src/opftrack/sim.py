@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
+import numpy.random  # noqa: F401  (numpy loads it lazily: at import, not in the first run)
 import orjson
 
 from .baseline import DROOP_GAIN, droop_q
@@ -457,8 +458,8 @@ class Trajectory:
 class CompiledFeeder:
     """A feeder compiled once for every layer of a run.
 
-    Holds the feeder model, its linear model (which carries the factored
-    sparse admittance) and the metered x DER coupling; a step's surrogate
+    Holds the feeder model, its linear model (which carries the admittance,
+    inverted or factored) and the metered x DER coupling; a step's surrogate
     adds to it the offsets ``c`` of the step's loads.
     """
 
@@ -468,10 +469,10 @@ class CompiledFeeder:
 
 
 def compile_feeder(feeder: FeederModel) -> CompiledFeeder:
-    """Validate, assemble and factor the feeder, then linearize it once.
+    """Validate, assemble and invert or factor the feeder, then linearize it once.
 
-    The coupling is the linear model's metered x DER block, one solve per
-    DER. Raises
+    The coupling is the linear model's metered x DER block, read off
+    those entries of ``Y^{-1}``. Raises
     :class:`~opftrack.feeder.FeederError` for an invalid or degenerate
     network.
     """
@@ -518,7 +519,7 @@ def run_closed_loop(
     out of band, and accepts its iterate by the same residual test wherever
     it starts. On a feeder
     of up to ``DENSE_Z_MAX_NODES`` buses its iterations are products with
-    the dense ``Y^{-1}``, and larger feeders take the factor's solve
+    the dense ``Y^{-1}``, and larger feeders take the tree factor's solve
     (:class:`~opftrack.feeder.AdmittanceMatrix`). A failed solve
     re-raises its :class:`PowerFlowError`, of the same class, with ``step
     k:`` put before the message.

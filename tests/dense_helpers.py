@@ -1,16 +1,11 @@
-"""Dense references for the factored admittance, for the assembly and power-flow tests."""
+"""Dense references for the admittance, and its tree factor on a feeder of any size."""
+
+from unittest import mock
 
 import numpy as np
-import scipy.sparse as sp
 
-
-def factored_matrix(adm):
-    """The reduced block that ``adm.lu`` factors, rebuilt densely as ``Pr^T L U Pc^T``."""
-    lu = adm.lu
-    n = lu.shape[0]
-    pr = sp.csc_matrix((np.ones(n), (lu.perm_r, np.arange(n))), shape=(n, n))
-    pc = sp.csc_matrix((np.ones(n), (np.arange(n), lu.perm_c)), shape=(n, n))
-    return (pr.T @ (lu.L @ lu.U) @ pc.T).toarray()
+import opftrack.feeder
+from opftrack.feeder import build_admittance
 
 
 def dense_admittance(feeder):
@@ -23,3 +18,9 @@ def dense_admittance(feeder):
         full[a, a] += ys + y_shunt / 2
         full[b, b] += ys + y_shunt / 2
     return full
+
+
+def tree_admittance(feeder):
+    """``build_admittance(feeder)`` with the tree factor, which a feeder of up to 192 buses does not take."""
+    with mock.patch.object(opftrack.feeder, "DENSE_Z_MAX_NODES", 0):
+        return build_admittance(feeder)

@@ -15,7 +15,7 @@ from small_feeders import two_bus
 from opftrack import cli, controller
 from opftrack.controller import OracleError
 from opftrack.feeder import feeder_to_dict, save_feeder
-from opftrack.networks import feeder36
+from opftrack.networks import feeder36, random_radial
 from opftrack.sim import ScenarioParams, generate_scenario, run_closed_loop
 
 DATA = Path(__file__).resolve().parents[1] / "data"
@@ -822,3 +822,38 @@ def test_report_refuses_config36_trajectory_with_doubled_time_and_fake_cost(tmp_
         _set_cells(1, lambda t: repr(2.0 * float(t)))(lines)))
     assert cli.main(["report", "--config", str(config), "--trajectory", str(traj)]) == 1
     assert f"{traj}: time_s in row 2 is 0.66, expected 0.33" in _one_line_error(capsys)
+
+
+_IMPORTS_OF_MAIN = """
+import json, sys
+import opftrack.cli
+before = set(sys.modules)
+code = opftrack.cli.main(["run", "--config", sys.argv[1], "--output-dir", sys.argv[2]])
+print(json.dumps({"code": code, "added": sorted(set(sys.modules) - before),
+                  "scipy": sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")}))
+"""
+
+
+def test_a_run_imports_nothing_after_the_cli_and_no_scipy(tmp_path):
+    # a module imported inside main() lands in the run's set-up time:
+    # numpy.random loads lazily on first use, and a solver imported only
+    # for large feeders would load on the first one. config36 takes the
+    # dense inverse, the 250-bus feeder the tree factor
+    radial = random_radial(250, 0, z_mag_range=(0.0005, 0.002),
+                           der_nodes=tuple(range(10, 251, 10)))
+    save_feeder(radial, str(tmp_path / "radial250.json"))
+    cfg = json.loads((DATA / "config36.json").read_text(encoding="utf-8"))
+    cfg.update(feeder="radial250.json", report=False,
+               generator={"kind": "ramp", "seed": 3, "n_steps": 20})
+    write_json(tmp_path / "radial250_config.json", cfg)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    for name, config in (("config36", DATA / "config36.json"),
+                         ("radial250", tmp_path / "radial250_config.json")):
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORTS_OF_MAIN, str(config), str(tmp_path / name)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout.splitlines()[-1])
+        assert got == {"code": 0, "added": [], "scipy": []}, name

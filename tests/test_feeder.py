@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from dense_helpers import factored_matrix
+from dense_helpers import dense_admittance, tree_admittance
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from small_feeders import chain, two_bus
@@ -18,6 +18,7 @@ from opftrack.feeder import (
     DENSE_Z_MAX_NODES,
     FeederError,
     FeederModel,
+    TreeFactor,
     _column,
     _int,
     _number,
@@ -30,36 +31,49 @@ from opftrack.feeder import (
 )
 
 
+def _reduced_blocks(fd):
+    """The reduced block Y as both representations of ``fd`` give it back.
+
+    The inverse of the dense ``z``, and of the tree factor's solve of the
+    identity; each kept slack column ``ybar`` beside it.
+    """
+    eye = np.eye(fd.n_nodes, dtype=complex)
+    return [
+        (np.linalg.inv(adm.solve(eye)), adm.ybar)
+        for adm in (build_admittance(fd), tree_admittance(fd))
+    ]
+
+
 def test_two_bus_partition_hand_values():
     # single segment z = 0.01 + 0.01j, so 1/z = 50 - 50j
-    adm = build_admittance(two_bus())
     ys = 1.0 / (0.01 + 0.01j)
     assert ys == pytest.approx(50.0 - 50.0j)
-    assert np.allclose(factored_matrix(adm), [[ys]])
-    assert np.allclose(adm.ybar, [-ys])
+    for y, ybar in _reduced_blocks(two_bus()):
+        assert np.allclose(y, [[ys]])
+        assert np.allclose(ybar, [-ys])
 
 
 def test_the_dense_inverse_is_kept_up_to_the_crossover_size():
     n = DENSE_Z_MAX_NODES
-    at = build_admittance(networks.random_radial(n, seed=0, shunt_prob=0.5))
+    fd = networks.random_radial(n, seed=0, shunt_prob=0.5)
+    at = build_admittance(fd)
     above = build_admittance(networks.random_radial(n + 1, seed=0, shunt_prob=0.5))
-    assert at.z.shape == (n, n)
-    assert np.allclose(factored_matrix(at) @ at.z, np.eye(n), rtol=0.0, atol=1e-9)
-    assert at.vector_solve == at.z.dot
-    assert above.z is None
-    assert above.vector_solve == above.lu.solve
+    assert at.z.shape == (n, n) and at.tree is None
+    assert np.allclose(dense_admittance(fd)[1:, 1:] @ at.z, np.eye(n), rtol=0.0, atol=1e-9)
+    assert at.solve == at.z.dot
+    assert above.z is None and isinstance(above.tree, TreeFactor)
+    assert above.solve == above.tree.solve
 
 
 def test_line_charging_splits_half_per_terminal():
-    adm = build_admittance(two_bus(y_shunt=0.02j))
     ys = 1.0 / (0.01 + 0.01j)
-    assert factored_matrix(adm)[0, 0] == pytest.approx(ys + 0.01j)
-    assert adm.ybar[0] == pytest.approx(-ys)
+    for y, ybar in _reduced_blocks(two_bus(y_shunt=0.02j)):
+        assert y[0, 0] == pytest.approx(ys + 0.01j)
+        assert ybar[0] == pytest.approx(-ys)
 
 
 def test_chain_assembly_matches_manual():
     z = 0.02 + 0.04j
-    adm = build_admittance(chain(3, z=z))
     ys = 1.0 / z
     manual = np.zeros((4, 4), dtype=complex)
     for a, b in ((0, 1), (1, 2), (2, 3)):
@@ -68,8 +82,9 @@ def test_chain_assembly_matches_manual():
         manual[a, a] += ys
         manual[b, b] += ys
     # the slack column of the full matrix, then the network block
-    assert np.allclose(adm.ybar, manual[1:, 0])
-    assert np.allclose(factored_matrix(adm), manual[1:, 1:])
+    for y, ybar in _reduced_blocks(chain(3, z=z)):
+        assert np.allclose(ybar, manual[1:, 0])
+        assert np.allclose(y, manual[1:, 1:])
 
 
 def test_relabeling_permutes_admittance():
@@ -82,13 +97,12 @@ def test_relabeling_permutes_admittance():
         der_nodes=tuple(new_of[n] for n in base.der_nodes),
         monitored_nodes=tuple(new_of[n] for n in base.monitored_nodes),
     )
-    a1 = build_admittance(base)
-    a2 = build_admittance(relabeled)
     perm = np.zeros((8, 8))
     for old in range(1, 9):
         perm[new_of[old] - 1, old - 1] = 1.0
-    assert np.allclose(factored_matrix(a2), perm @ factored_matrix(a1) @ perm.T)
-    assert np.allclose(a2.ybar, perm @ a1.ybar)
+    for (y1, ybar1), (y2, ybar2) in zip(_reduced_blocks(base), _reduced_blocks(relabeled)):
+        assert np.allclose(y2, perm @ y1 @ perm.T)
+        assert np.allclose(ybar2, perm @ ybar1)
 
 
 def _valid_dict():
@@ -205,7 +219,7 @@ def test_file_round_trip(tmp_path):
     assert again.der_nodes == fd.der_nodes
     a, b = build_admittance(again), build_admittance(fd)
     assert np.allclose(a.ybar, b.ybar)
-    assert np.allclose(factored_matrix(a), factored_matrix(b))
+    assert np.allclose(a.z, b.z)
 
 
 @pytest.mark.parametrize(

@@ -4,13 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from dense_helpers import factored_matrix
+from dense_helpers import dense_admittance, tree_admittance
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from small_feeders import chain, two_bus
 
 from opftrack import networks
-from opftrack.feeder import DENSE_Z_MAX_NODES, SOLVE_BLOCK, AdmittanceMatrix, build_admittance
+from opftrack.feeder import DENSE_Z_MAX_NODES, SOLVE_BLOCK, build_admittance
 from opftrack.powerflow import (
     LinearModel,
     PowerFlowError,
@@ -149,11 +149,11 @@ def test_prediction_error_small_at_light_loading():
     assert np.max(np.abs(w - rho)) <= 1e-3
 
 
-def _dense_sensitivities(adm, vbar):
+def _dense_sensitivities(fd, vbar):
     # the textbook construction: Z = inv(Y), columns rotated by the no-load
     # angles and scaled by the no-load magnitudes, rows turned back by the
     # no-load angles, since d|v_i| = Re(exp(-j theta_i) dv_i)
-    Z = np.linalg.inv(factored_matrix(adm))
+    Z = np.linalg.inv(dense_admittance(fd)[1:, 1:])
     rho, ang = np.abs(vbar), np.angle(vbar)
     S = np.exp(-1j * ang)[:, None] * Z * (np.exp(1j * ang) / rho)[None, :]
     return S.real, S.imag
@@ -165,7 +165,7 @@ def test_complex_sensitivity_identities():
     fd = networks.feeder36()
     lm = build_linear_model(build_admittance(fd), 1.0 + 0j)
     assert np.allclose(lm.a, np.abs(lm.vbar))
-    R, B = _dense_sensitivities(lm.adm, lm.vbar)
+    R, B = _dense_sensitivities(fd, lm.vbar)
     rng = np.random.default_rng(8)
     inj = rng.uniform(-0.05, 0.05, 36) + 1j * rng.uniform(-0.05, 0.05, 36)
     dense = R @ inj.real + B @ inj.imag + lm.a
@@ -243,28 +243,27 @@ DENSE_FEEDERS = pytest.mark.parametrize(
 
 @DENSE_FEEDERS
 def test_ac_solve_through_the_dense_inverse_matches_the_factor(fd):
-    # the same feeder without z takes the factor's solve: the iterates differ
-    # only by rounding, so both accept at the same iteration, at loads that
-    # pull the lowest bus to 0.88-0.94 pu
+    # the tree factor of the same feeder: the iterates differ only by
+    # rounding, so both accept at the same iteration, at loads that pull the
+    # lowest bus to 0.88-0.94 pu
     adm = build_admittance(fd)
     assert adm.z is not None
-    factor_only = AdmittanceMatrix(adm.ybar, adm.lu)
     n, v0 = fd.n_nodes, fd.slack_voltage
     rng = np.random.default_rng(0)
     s = -0.02 * (rng.uniform(0.5, 1.5, n) + 0.5j * rng.uniform(0.5, 1.5, n))
-    dense, sparse = solve_ac(adm, s, v0), solve_ac(factor_only, s, v0)
-    assert np.abs(sparse.v).min() < 0.95
-    assert dense.iterations == sparse.iterations
-    assert np.max(np.abs(dense.v - sparse.v)) <= 1e-12
+    dense, tree = solve_ac(adm, s, v0), solve_ac(tree_admittance(fd), s, v0)
+    assert np.abs(tree.v).min() < 0.95
+    assert dense.iterations == tree.iterations
+    assert np.max(np.abs(dense.v - tree.v)) <= 1e-12
 
 
 class _RecordedSolves:
     """``adm`` as solve_ac reads it, keeping every iterate its solves return."""
 
     def __init__(self, adm):
-        self.ybar, self._solve, self.iterates = adm.ybar, adm.vector_solve, []
+        self.ybar, self._solve, self.iterates = adm.ybar, adm.solve, []
 
-    def vector_solve(self, rhs):
+    def solve(self, rhs):
         self.iterates.append(self._solve(rhs))
         return self.iterates[-1]
 
@@ -276,9 +275,7 @@ def test_returned_residual_is_the_mismatch_of_the_last_two_iterates(fd, path):
     # it is s (v+ / v - 1) recomputed from the last two iterates, up to the
     # rounding of the two forms, at light loads and at loads that pull the
     # lowest bus to 0.88-0.94 pu
-    adm = build_admittance(fd)
-    if path == "factor":
-        adm = AdmittanceMatrix(adm.ybar, adm.lu)
+    adm = (build_admittance if path == "dense" else tree_admittance)(fd)
     n, v0 = fd.n_nodes, fd.slack_voltage
     start = no_load_voltage(adm, v0)
     rng = np.random.default_rng(1)
@@ -367,47 +364,48 @@ def test_linear_model_requires_nonzero_profile():
 
 @pytest.mark.parametrize("k", [1, SOLVE_BLOCK, SOLVE_BLOCK + 1, 2 * SOLVE_BLOCK + 1])
 def test_an_array_solve_is_its_vector_solves_across_block_boundaries(k):
-    # N x K right-hand sides are solved SOLVE_BLOCK columns at a time, each
-    # column bit for bit its own vector solve, whether or not the dense z is
-    # kept beside the factor
-    adm = build_admittance(networks.random_radial(90, 11, shunt_prob=0.3))
-    assert adm.z is not None
+    # the tree factor solves N x K right-hand sides SOLVE_BLOCK columns at a
+    # time, each column bit for bit its own vector solve; the dense z is one
+    # product, whose BLAS kernel for K columns may round each column in the
+    # last place unlike the one for a vector
+    fd = networks.random_radial(90, 11, shunt_prob=0.3)
+    adm, tree = build_admittance(fd), tree_admittance(fd)
     rng = np.random.default_rng(k)
     rhs = rng.normal(size=(90, k)) + 1j * rng.normal(size=(90, k))
-    want = np.column_stack([adm.lu.solve(rhs[:, j]) for j in range(k)])
-    for a in (adm, replace(adm, z=None)):
-        assert a.solve(rhs).tobytes() == want.tobytes()
+    want = np.column_stack([tree.solve(rhs[:, j]) for j in range(k)])
+    assert tree.solve(rhs).tobytes() == want.tobytes()
+    dense = np.column_stack([adm.solve(rhs[:, j]) for j in range(k)])
+    assert np.max(np.abs(adm.solve(rhs) - dense)) <= 4e-15 * np.max(np.abs(dense))
+    assert np.max(np.abs(dense - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_columns_are_their_one_column_forms_across_block_boundaries():
     fd = networks.random_radial(90, 11, shunt_prob=0.3)
-    lm = build_linear_model(build_admittance(fd), cmath.rect(1.02, 0.4))
     rng = np.random.default_rng(5)
     k = 2 * SOLVE_BLOCK + 1
     idx, rows = rng.permutation(fd.n_nodes)[:k], rng.permutation(fd.n_nodes)[:37]
-    one = [lm.columns(idx[j : j + 1], rows) for j in range(k)]
-    want = np.hstack([c[:, :1] for c in one] + [c[:, 1:] for c in one])
-    assert lm.columns(idx, rows).tobytes() == want.tobytes()
+    for adm in (build_admittance(fd), tree_admittance(fd)):
+        lm = build_linear_model(adm, cmath.rect(1.02, 0.4))
+        one = [lm.columns(idx[j : j + 1], rows) for j in range(k)]
+        want = np.hstack([c[:, :1] for c in one] + [c[:, 1:] for c in one])
+        assert lm.columns(idx, rows).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n_der", [1, 31, 32, 33, 65])
 def test_columns_are_the_response_to_unit_injections(n_der):
-    # blocks of SOLVE_BLOCK = 32 right-hand sides, unsorted DER and metered
-    # sets, a slack off the real axis
+    # blocks of SOLVE_BLOCK = 32 columns of the tree factor, unsorted DER
+    # and metered sets, a slack off the real axis. The columns read entries
+    # of Y^-1, and the responses solve with it, so the two agree to rounding
+    # (at most 4e-16 of the largest entry, on either representation)
     fd = networks.random_radial(90, 11, shunt_prob=0.3)
-    lm = build_linear_model(build_admittance(fd), cmath.rect(1.02, 0.4))
     rng = np.random.default_rng(n_der)
     n = fd.n_nodes
     idx, rows = rng.permutation(n)[:n_der], rng.permutation(n)[:37]
-    r, b = np.hsplit(lm.columns(idx, rows), 2)
     unit = np.zeros((n, n_der))
     unit[idx, np.arange(n_der)] = 1.0
-    assert np.array_equal(r, lm.response(unit, np.zeros_like(unit))[rows])
-    # B is the imaginary part of the same solves, as one N x n_der solve
-    # gives it; the response to unit reactive injections solves -j times
-    # those right-hand sides, which rounds differently in the last place
-    rhs = unit * lm.ebar[:, None]
-    h = (np.conj(lm.ebar) * lm.a)[:, None] * lm.adm.solve(rhs)
-    assert np.array_equal(r, h.real[rows]) and np.array_equal(b, h.imag[rows])
-    want = lm.response(np.zeros_like(unit), unit)[rows]
-    assert np.max(np.abs(b - want)) <= 1e-15 * np.max(np.abs(want))
+    for adm in (build_admittance(fd), tree_admittance(fd)):
+        lm = build_linear_model(adm, cmath.rect(1.02, 0.4))
+        r, b = np.hsplit(lm.columns(idx, rows), 2)
+        for got, want in ((r, lm.response(unit, np.zeros_like(unit))[rows]),
+                          (b, lm.response(np.zeros_like(unit), unit)[rows])):
+            assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want))
