@@ -13,6 +13,7 @@ from .controller import (
     ControllerParams,
     ConvergenceConstants,
     CostParams,
+    FactoredCoupling,
     Inverters,
     OracleError,
     SaddleProblem,

@@ -17,10 +17,15 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from functools import cached_property
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .powerflow import LinearModel
 
 __all__ = [
     "REGION_KINDS",
@@ -28,6 +33,7 @@ __all__ = [
     "CostParams",
     "ControllerParams",
     "VoltageCoupling",
+    "FactoredCoupling",
     "StepMap",
     "ConvergenceConstants",
     "SaddleProblem",
@@ -219,22 +225,26 @@ def _clamp(q: np.ndarray, cap: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class VoltageCoupling:
-    """The linear surrogate of the metered voltage magnitudes.
+    """The linear surrogate of the metered voltage magnitudes, stored.
 
     ``rb`` is the stacked sensitivity block ``[r b]`` (M x 2 n_der): ``r``
     and ``b``, views of its two halves, hold the active/reactive sensitivity
     columns of the DER buses. ``rows``, the one layout the steps, the
-    gradient, the prediction and the oracle read, is ``[r b]^T`` (2 n_der x
-    M, C order) in the setpoints' order: DER i's P and Q rows at 2i and 2i
-    + 1. The prediction for setpoints (P, Q) is ``r P + b Q + c``, the
+    prediction and the oracle read, is ``[r b]^T`` (2 n_der x M, C order) in
+    the setpoints' order: DER i's P and Q rows at 2i and 2i + 1, and
+    ``back``, the product ``[r b]^T lam`` in that order, is ``rows.dot``
+    itself. The prediction for setpoints (P, Q) is ``r P + b Q + c``, the
     offset ``c`` a step's metered magnitudes at its loads with every DER
-    off (see :func:`~opftrack.powerflow.constraint_offsets`).
+    off (see :func:`~opftrack.powerflow.constraint_offsets`). A feeder small
+    enough to keep ``Y^{-1}`` dense compiles to this coupling; a larger one
+    to :class:`FactoredCoupling`, which has the same products.
     """
 
     rb: np.ndarray
     r: np.ndarray = field(init=False, repr=False, compare=False)
     b: np.ndarray = field(init=False, repr=False, compare=False)
     rows: np.ndarray = field(init=False, repr=False, compare=False)
+    back: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rb = np.asarray(self.rb, dtype=float)
@@ -243,17 +253,103 @@ class VoltageCoupling:
         m, n = rb.shape[0], rb.shape[1] // 2
         rows = np.empty((n, 2, m))  # C order: its products round as one layout
         rows[:, 0], rows[:, 1] = rb[:, :n].T, rb[:, n:].T
-        for name, value in (("rb", rb), ("r", rb[:, :n]), ("b", rb[:, n:])):
+        rows = rows.reshape(2 * n, m)
+        for name, value in (
+            ("rb", rb), ("r", rb[:, :n]), ("b", rb[:, n:]), ("rows", rows), ("back", rows.dot)
+        ):
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "rows", rows.reshape(2 * n, m))
 
     @property
     def n_der(self) -> int:
         return self.r.shape[1]
 
+    @property
+    def n_metered(self) -> int:
+        return self.rb.shape[0]
+
     def predict(self, u: np.ndarray, c: np.ndarray) -> np.ndarray:
         """``r P + b Q + c`` for setpoints ``u`` (..., n_der, 2) and offsets ``c`` (..., M)."""
         return u.reshape(u.shape[:-2] + (2 * self.n_der,)) @ self.rows + c
+
+    def norm(self) -> float:
+        """The spectral norm of ``[r b]``."""
+        return _spectral_norm(self.rb)
+
+    @property
+    def stored(self) -> VoltageCoupling:
+        """This coupling, whose block is already stored."""
+        return self
+
+
+@dataclass(frozen=True, eq=False)
+class FactoredCoupling:
+    """The linear surrogate of the metered magnitudes, applied through ``Y^{-1}``.
+
+    The coupling of a feeder that keeps the tree factor, with the products
+    of :class:`VoltageCoupling` and no M x n_der array. Its entries are
+    those of the linear model ``lm``'s ``R + jB``
+    (:class:`~opftrack.powerflow.LinearModel`): ``[r b]`` is rows ``mon``
+    (the metered buses) of its columns ``der`` (the DER buses). So ``r P +
+    b Q`` is :meth:`~opftrack.powerflow.LinearModel.response` of the
+    setpoints placed at the DER buses, read at the metered ones, and, ``Y``
+    being complex symmetric, ``[r b]^T lam`` is ``ebar * Y^{-1} (exp(-j
+    theta) lam)`` read at the DER buses, its real and imaginary parts the P
+    and Q rows: one solve each.
+
+    The saddle oracle needs the block itself, for its Newton system, and
+    products rounded as a product with it: its penalty weights the
+    prediction by 1 / eps, and with these solves its residual stalled at
+    4e-11 on a 3000-bus ramp step that reaches 1e-11 with the block.
+    :attr:`stored` forms that :class:`VoltageCoupling` from ``lm.columns``
+    when first read.
+    """
+
+    lm: LinearModel
+    der: np.ndarray
+    mon: np.ndarray
+    scale: np.ndarray = field(init=False, repr=False)
+    rot: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "scale", self.lm.ebar[self.der])
+        object.__setattr__(self, "rot", (np.conj(self.lm.ebar) * self.lm.a)[self.mon])
+
+    @property
+    def n_der(self) -> int:
+        return len(self.der)
+
+    @property
+    def n_metered(self) -> int:
+        return len(self.mon)
+
+    def back(self, lam: np.ndarray) -> np.ndarray:
+        """``[r b]^T lam`` (2 n_der,) in the setpoints' order, from one solve."""
+        rhs = np.zeros(len(self.lm.a), dtype=complex)
+        rhs[self.mon] = self.rot * lam
+        return (self.scale * self.lm.adm.solve(rhs)[self.der]).view(float)
+
+    def predict(self, u: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """``r P + b Q + c`` for setpoints ``u`` (..., n_der, 2) and offsets ``c`` (..., M).
+
+        The K setpoint rows of ``u`` take one response of K columns, one solve.
+        """
+        flat = u.reshape(-1, self.n_der, 2)
+        p = np.zeros((len(self.lm.a), len(flat)))
+        q = np.zeros_like(p)
+        p[self.der], q[self.der] = flat[:, :, 0].T, flat[:, :, 1].T
+        w = self.lm.response(p, q)[self.mon].T
+        return w.reshape(u.shape[:-2] + (self.n_metered,)) + c
+
+    @cached_property
+    def stored(self) -> VoltageCoupling:
+        """The same block stored, formed when first read."""
+        return VoltageCoupling(self.lm.columns(self.der, self.mon))
+
+    def norm(self) -> float:
+        """The spectral norm of ``[r b]``, from :func:`_gram_norm` on the two products."""
+        return _gram_norm(
+            lambda x: self.back(self.predict(x.reshape(self.n_der, 2), 0.0)), 2 * self.n_der
+        )
 
 
 # sign of y in the rows [gamma; mu] of the dual step: v_min - y and y - v_max
@@ -274,17 +370,17 @@ class StepMap:
 
     It also holds the steps with the stepsize ``alpha`` folded in, formed
     once for all its rows. The primal step ``u - alpha grad_primal`` is
-    ``c1 u + c0[k] + rows (apm [gamma; mu])``, with ``c1 = 1 - alpha nu +
+    ``c1 u + c0[k] + [r b]^T (apm [gamma; mu])``, with ``c1 = 1 - alpha nu +
     alpha [-2 c_p, -2 c_q]`` (n_der x 2), ``c0[k] = -alpha [-2 c_p, -2
     c_q] (p_av, 0)`` (K x n_der x 2), ``apm = [alpha, -alpha]``, whose
     product with the duals is ``alpha (gamma - mu)``, and the coupling's
-    one alpha-free ``rows`` (:class:`VoltageCoupling`).
+    alpha-free product ``back`` (:class:`VoltageCoupling`).
     The dual step is ``decay d + (aband[k] + asigma y)``, with ``decay =
     1 - alpha eps``, ``aband[k] = alpha [v_min; -v_max]``, ``asigma = alpha [-1; 1]``.
     """
 
     inverters: Inverters
-    coupling: VoltageCoupling
+    coupling: VoltageCoupling | FactoredCoupling
     params: ControllerParams
     p_av: np.ndarray
     v_min: np.ndarray
@@ -343,9 +439,9 @@ def grad_primal(u: np.ndarray, duals: np.ndarray, step_map: StepMap, k: int) -> 
     Row i is ``(-2 c_p (P_av - P_i) + r_i^T (mu - gamma) + nu P_i,
     2 c_q Q_i + b_i^T (mu - gamma) + nu Q_i)``, both columns formed at once
     as ``[-2 c_p, -2 c_q] ((P_av, 0) - u_i) + [r_i, b_i]^T (mu - gamma) +
-    nu u_i``: one product with the coupling's ``rows``.
+    nu u_i``: one product ``coupling.back``.
     """
-    back = step_map.coupling.rows.dot(duals[1] - duals[0]).reshape(u.shape)
+    back = step_map.coupling.back(duals[1] - duals[0]).reshape(u.shape)
     target = np.column_stack([step_map.p_av[k], np.zeros(len(u))])
     return step_map.inverters.m2c * (target - u) + back + step_map.params.nu * u
 
@@ -369,11 +465,11 @@ def primal_step(u: np.ndarray, duals: np.ndarray, step_map: StepMap, k: int) -> 
     """Projected gradient step on the setpoints at step ``k``, independently per DER.
 
     ``project(u - alpha grad_primal(u, duals, step_map, k))``, formed as
-    ``project(c1 u + c0[k] + rows (apm [gamma; mu]))`` from the step map's
-    folded rows: one product with the coupling's rows, of a 2-vector product
+    ``project(c1 u + c0[k] + [r b]^T (apm [gamma; mu]))`` from the step
+    map's folded rows: one product ``coupling.back``, of a 2-vector product
     that is exactly ``gamma - mu`` at ``alpha = 1``.
     """
-    back = step_map.coupling.rows.dot(step_map.apm.dot(duals)).reshape(u.shape)
+    back = step_map.coupling.back(step_map.apm.dot(duals)).reshape(u.shape)
     # step_map.project(k, .), with one call fewer on the closed loop's path
     return step_map.inverters._project(
         step_map.c1 * u + step_map.c0[k] + back, step_map.p_av[k], False
@@ -417,20 +513,54 @@ def _spectral_norm(a: np.ndarray) -> float:
     return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
 
 
+# residual of the top Ritz pair, relative to its value, at which _gram_norm stops
+_LANCZOS_TOL = 1e-14
+
+
+def _gram_norm(gram: Callable[[np.ndarray], np.ndarray], n: int) -> float:
+    """Largest singular value of ``a`` from the product ``gram(x) = a^T (a x)``, x of length n.
+
+    Lanczos with full reorthogonalization (each new vector made orthogonal
+    to the basis twice) from the uniform unit vector, which a sensitivity
+    block of one sign, as a radial feeder's R and B nearly are, meets in
+    its top singular vector. It stops once the top Ritz value's residual
+    ``beta |s_last|`` is at most ``_LANCZOS_TOL`` of that value, which then
+    is within that much of an eigenvalue, or after n steps, when the Krylov
+    space is all of it.
+    """
+    basis = [np.full(n, 1.0 / math.sqrt(n))]
+    diag: list[float] = []
+    off: list[float] = []
+    while True:
+        w = gram(basis[-1])
+        diag.append(float(basis[-1] @ w))
+        q = np.array(basis)
+        for _ in range(2):
+            w = w - q.T @ (q @ w)
+        beta = float(np.linalg.norm(w))
+        theta, s = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        if len(basis) == n or beta * abs(s[-1, -1]) <= _LANCZOS_TOL * theta[-1]:
+            return math.sqrt(max(float(theta[-1]), 0.0))
+        off.append(beta)
+        basis.append(w / beta)
+
+
 def convergence_constants(
     inv: Inverters,
-    coupling: VoltageCoupling,
+    coupling: VoltageCoupling | FactoredCoupling,
     params: ControllerParams,
 ) -> ConvergenceConstants:
     """Strong-monotonicity / Lipschitz constants of the regularized step map.
 
     ``L`` bounds the cost-gradient Lipschitz constant over all DERs, ``G``
-    the spectral norm of the stacked sensitivity block, ``eta = min(nu,
+    the spectral norm of the stacked sensitivity block (``coupling.norm``:
+    an eigensolve of the stored block's Gram matrix, or Lanczos on the
+    factored coupling's products, which forms none), ``eta = min(nu,
     eps)`` the strong monotonicity modulus, and ``L_reg`` the Lipschitz
     constant of the full primal-dual operator.
     """
     L = 2.0 * float(max(inv.c_p.max(), inv.c_q.max()))
-    G = _spectral_norm(coupling.rb)
+    G = coupling.norm()
     eta = min(params.nu, params.epsilon)
     try:
         L_reg = math.sqrt((L + params.nu + 2.0 * G) ** 2 + 2.0 * (G + params.epsilon) ** 2)
@@ -452,6 +582,9 @@ class SaddleProblem:
     Row ``k`` of ``step_map``, a unit-step map ``T_1`` (a :class:`StepMap`
     at ``alpha = 1``), holds the step's availability and voltage
     band; the oracle and :func:`saddle_residual` step and project with it.
+    Its coupling is a stored :class:`VoltageCoupling`, whose ``rows`` the
+    oracle's Newton system reads (:func:`~opftrack.sim.oracle_map` takes
+    the compiled coupling's ``stored`` form).
     ``c`` (M,) is the step's offset, the surrogate's metered magnitudes at
     its loads with every DER off, so the step predicts ``r P + b Q + c``.
     """
@@ -626,7 +759,7 @@ def saddle_residual(problem: SaddleProblem, u: np.ndarray, duals: np.ndarray) ->
     duals = np.asarray(duals, dtype=float)
     if duals.min(initial=0.0) < 0.0:
         raise ValueError("duals must be nonnegative")
-    if duals.shape != (2, steps.coupling.rb.shape[0]):
+    if duals.shape != (2, steps.coupling.n_metered):
         raise ValueError(f"duals must be [gamma; mu] of shape (2, M), got {duals.shape}")
     u2 = primal_step(u, duals, steps, k)
     d2 = dual_step_feedback(duals, steps.coupling.predict(u, problem.c), steps, k)

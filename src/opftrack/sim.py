@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import math
-import re
 import sys
 from dataclasses import dataclass, replace
 from itertools import chain
@@ -27,6 +26,7 @@ import orjson
 from .baseline import DROOP_GAIN, droop_q
 from .controller import (
     ControllerParams,
+    FactoredCoupling,
     Inverters,
     SaddleProblem,
     StepMap,
@@ -331,8 +331,6 @@ def _read_rows(path: str, columns: list[str], what: str) -> np.ndarray:
 
 
 _BLOCK_CELLS = 2048
-_POS_EXPONENT = re.compile(rb"e(?=\d)")  # 1e16 -> 1e+16
-_ONE_DIGIT_EXPONENT = re.compile(rb"e-(?=\d(?!\d))")  # 1e-7 -> 1e-07
 
 
 def _write_columns(path: str, columns: list[str], parts: list[np.ndarray]) -> None:
@@ -345,12 +343,10 @@ def _write_columns(path: str, columns: list[str], parts: list[np.ndarray]) -> No
     one row), so no copy of a whole file is made.
 
     Each block is one ``orjson`` (Ryu) pass: its shortest round-trip
-    digits are ``repr``'s and only the notation differs. Exponents get a
-    sign and two digits (``1e16`` -> ``1e+16``, ``1e-7`` -> ``1e-07``);
-    both write a positive exponent only from 1e16 on, so the text of a
-    block with no finite cell that large is not scanned for one.
-    NaN, the infinities (``null`` in orjson) and 1e-5 <= |x| < 1e-4
-    (``0.0000123`` in orjson, ``1.23e-05`` in ``repr``) go to orjson as
+    digits are ``repr``'s and only the notation differs, on exactly these
+    cells: NaN and the infinities (``null`` in orjson), 1e-9 <= |x| < 1e-4
+    (``1e-7`` or ``0.0000123`` in orjson, ``1e-07`` and ``1.23e-05`` in
+    ``repr``) and |x| >= 1e16 (``1e16``, ``1e+16``). Those go to orjson as
     NaN, and each ``null`` becomes the ``repr`` of its cell.
     """
     width = sum(1 if a.ndim == 1 else a.shape[1] for a in parts)
@@ -360,12 +356,8 @@ def _write_columns(path: str, columns: list[str], parts: list[np.ndarray]) -> No
         for lo in range(0, len(parts[0]), step):
             block = np.column_stack([a[lo : lo + step] for a in parts]).astype(float, copy=False)
             mag = np.abs(block)
-            finite = np.isfinite(mag)
-            odd = ~finite | ((1e-5 <= mag) & (mag < 1e-4))
+            odd = ~np.isfinite(mag) | ((1e-9 <= mag) & (mag < 1e-4)) | (mag >= 1e16)
             text = orjson.dumps(np.where(odd, np.nan, block), option=orjson.OPT_SERIALIZE_NUMPY)
-            if np.maximum.reduce(mag, axis=None, initial=0.0, where=finite) >= 1e16:
-                text = _POS_EXPONENT.sub(b"e+", text)
-            text = _ONE_DIGIT_EXPONENT.sub(b"e-0", text)
             if odd.any():
                 cells = text.split(b"null")
                 reprs = [repr(x).encode() for x in block[odd].tolist()]
@@ -465,20 +457,26 @@ class CompiledFeeder:
 
     feeder: FeederModel
     lm: LinearModel
-    coupling: VoltageCoupling
+    coupling: VoltageCoupling | FactoredCoupling
 
 
 def compile_feeder(feeder: FeederModel) -> CompiledFeeder:
     """Validate, assemble and invert or factor the feeder, then linearize it once.
 
-    The coupling is the linear model's metered x DER block, read off
-    those entries of ``Y^{-1}``. Raises
+    The coupling is the linear model's metered x DER block, in the form the
+    admittance allows. With the dense ``Y^{-1}`` (up to
+    ``DENSE_Z_MAX_NODES`` buses) it is stored, read off those entries
+    (:class:`~opftrack.controller.VoltageCoupling`). With the tree factor it
+    stores no M x n_der array, and its products are solves
+    (:class:`~opftrack.controller.FactoredCoupling`). Raises
     :class:`~opftrack.feeder.FeederError` for an invalid or degenerate
     network.
     """
     lm = build_linear_model(build_admittance(feeder), feeder.slack_voltage)
-    rb = lm.columns(feeder.der_indices(), feeder.monitored_indices())
-    return CompiledFeeder(feeder, lm, VoltageCoupling(rb))
+    der, mon = feeder.der_indices(), feeder.monitored_indices()
+    if lm.adm.tree is None:
+        return CompiledFeeder(feeder, lm, VoltageCoupling(lm.columns(der, mon)))
+    return CompiledFeeder(feeder, lm, FactoredCoupling(lm, der, mon))
 
 
 # a stepsize that overflows the step arithmetic shows in the recorded state,
@@ -647,11 +645,13 @@ def oracle_map(
     """The oracles' :class:`~opftrack.controller.StepMap` of every step at ``alpha = 1``, and ``c``.
 
     The map holds the availability as the regions use it (one warning when
-    the scenario exceeds a rating); ``c`` (K x M) holds each step's offsets
-    from one multi-column solve. Row ``k`` of both is :func:`step_problem`.
+    the scenario exceeds a rating) and the coupling stored (its
+    ``stored`` form, which the oracle's Newton system reads); ``c`` (K x M)
+    holds each step's offsets from one multi-column solve. Row ``k`` of both
+    is :func:`step_problem`.
     """
     steps = StepMap(
-        inv, net.coupling, replace(params, alpha=1.0), inv.available(scenario.p_av),
+        inv, net.coupling.stored, replace(params, alpha=1.0), inv.available(scenario.p_av),
         scenario.v_min, scenario.v_max,
     )
     return steps, constraint_offsets(net.lm, scenario.p_load, scenario.q_load, net.feeder)
@@ -743,7 +743,7 @@ def measure_tracking(
             f"trajectory has {traj.n_steps} steps, scenario has {scenario.n_steps}"
         )
     steps, c = oracle_map(net, scenario, inv, params)
-    e_measured = float(np.max(np.linalg.norm(traj.y - net.coupling.predict(traj.u, c), axis=1)))
+    e_measured = float(np.max(np.linalg.norm(traj.y - steps.coupling.predict(traj.u, c), axis=1)))
 
     sigma_z = tail = res_max = 0.0
     its_total = its_max = 0

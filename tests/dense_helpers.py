@@ -6,6 +6,7 @@ import numpy as np
 
 import opftrack.feeder
 from opftrack.feeder import build_admittance
+from opftrack.sim import compile_feeder
 
 
 def dense_admittance(feeder):
@@ -24,3 +25,9 @@ def tree_admittance(feeder):
     """``build_admittance(feeder)`` with the tree factor, which a feeder of up to 192 buses does not take."""
     with mock.patch.object(opftrack.feeder, "DENSE_Z_MAX_NODES", 0):
         return build_admittance(feeder)
+
+
+def compile_with_dense_limit(feeder, limit):
+    """``compile_feeder(feeder)`` with ``DENSE_Z_MAX_NODES`` at ``limit``: 0 for the tree factor, n_nodes for the dense inverse."""
+    with mock.patch.object(opftrack.feeder, "DENSE_Z_MAX_NODES", limit):
+        return compile_feeder(feeder)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from dense_helpers import compile_with_dense_limit
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from region_helpers import in_region
@@ -21,6 +22,7 @@ from opftrack.cli import _emit_json, load_config
 from opftrack.controller import (
     REGION_KINDS,
     ControllerParams,
+    FactoredCoupling,
     Inverters,
     StepMap,
     convergence_constants,
@@ -625,7 +627,7 @@ WRITER_LAYOUTS = (
 SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-5,
                   1e-4, 0.1, 1.0, 1e15, 1e16, -1e16, 1.7976931348623157e308, 1.5e-05,
                   9.999999999999999e-05, 1e-06, 10.00001, -120.00001, 1e+100,
-                  9999999999999998.0)
+                  9999999999999998.0, 1e-9, 9.999999999999999e-10)
 # a trajectory may hold these too; a scenario may not
 NON_FINITE = (math.nan, math.inf, -math.inf)
 
@@ -892,6 +894,27 @@ def test_one_pass_report_equals_the_step_by_step_reference(run, capsys):
     assert d["oracle_iterations_total"] == rep.oracle_iterations_total
     assert "constants" not in d
     assert d["bound_rhs"] == (rep.bound_rhs if math.isfinite(rep.bound_rhs) else None)
+
+
+def test_a_tree_factored_feeder_reports_as_its_dense_inverse():
+    # config36 over 30 steps, its feeder compiled with the dense inverse and
+    # with the tree factor, whose coupling applies the factor: the two runs
+    # and their full-resolution reports differ by rounding only
+    net, scen, inv, params, seed = _config36(n_steps=30)
+    tree = compile_with_dense_limit(net.feeder, 0)
+    assert isinstance(tree.coupling, FactoredCoupling)
+    dense, factored = (
+        asdict(measure_tracking(
+            n, scen, inv, params, run_closed_loop(n, scen, "pursuit", inv, params, seed=seed), 1
+        ))
+        for n in (net, tree)
+    )
+    assert dense["oracle_iterations_total"] > 0
+    for key, value in dense.items():
+        if isinstance(value, float):
+            assert math.isclose(factored[key], value, rel_tol=0.0, abs_tol=1e-10), key
+        else:
+            assert factored[key] == value, key
 
 
 def test_over_rated_scenario_warns_once_per_report():
