@@ -24,6 +24,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
+from ._pick import every
+
 if TYPE_CHECKING:
     from .powerflow import LinearModel
 
@@ -193,7 +195,7 @@ class Inverters:
         scale = s / np.maximum(r, s)
         out = u * scale[:, None]
         keep = (p > 0.0) & (out[:, 0] <= p_av)  # a NaN fails both tests
-        kept = np.logical_and.reduce(keep)
+        kept = every(keep)
         if kept and not with_jacobian:
             return out, None
         left = p <= 0.0
@@ -376,7 +378,8 @@ class StepMap:
     product with the duals is ``alpha (gamma - mu)``, and the coupling's
     alpha-free product ``back`` (:class:`VoltageCoupling`).
     The dual step is ``decay d + (aband[k] + asigma y)``, with ``decay =
-    1 - alpha eps``, ``aband[k] = alpha [v_min; -v_max]``, ``asigma = alpha [-1; 1]``.
+    1 - alpha eps``, ``aband[k] = alpha [v_min; -v_max]`` (2 x M, each limit
+    repeated for every metered bus), ``asigma = alpha [-1; 1]``.
     """
 
     inverters: Inverters
@@ -405,7 +408,10 @@ class StepMap:
             raise ValueError("v_min must be below v_max")
         target = np.zeros(p_av.shape + (2,))  # the points (p_av, 0)
         target[:, :, 0] = p_av
-        band = np.stack([v_min, -v_max], axis=1)[:, :, None]
+        # [v_min; -v_max] of each step, one full row per metered bus: adding
+        # same-shape rows is twice as fast as adding a broadcast column
+        band = np.empty((len(p_av), 2, self.coupling.n_metered))
+        band[:, 0], band[:, 1] = v_min[:, None], -v_max[:, None]
         a, slope = self.params.alpha, self.params.alpha * self.inverters.m2c
         for name, value in (
             ("p_av", p_av), ("v_min", v_min), ("v_max", v_max),
@@ -622,12 +628,20 @@ def _penalty_value(problem: SaddleProblem, u: np.ndarray) -> tuple[float, np.nda
     w = steps.coupling.predict(u, problem.c)
     band = np.array([[steps.v_min[k]], [-steps.v_max[k]]])
     duals = np.maximum(band + _SIGMA * w, 0.0) / prm.epsilon
+    # np.sum's reduction called directly, and .dot for @: the same bits
     val = (
-        float(np.sum(steps.inverters.cost(u, steps.p_av[k])))
-        + 0.5 * prm.nu * float(np.sum(u * u))
-        + 0.5 * prm.epsilon * (float(duals[0] @ duals[0]) + float(duals[1] @ duals[1]))
+        float(np.add.reduce(steps.inverters.cost(u, steps.p_av[k]), None))
+        + 0.5 * prm.nu * float(np.add.reduce(u * u, None))
+        + 0.5 * prm.epsilon * (float(duals[0].dot(duals[0])) + float(duals[1].dot(duals[1])))
     )
     return val, duals
+
+
+def _norm(x: np.ndarray) -> float:
+    # np.linalg.norm(x) to the bit: the square root of x.x in the same
+    # order, without its argument handling (0.5-0.6 us against 1.4 us)
+    x = x.ravel(order="K")
+    return math.sqrt(x.dot(x))
 
 
 class _NewtonPoint(NamedTuple):
@@ -650,7 +664,7 @@ def _newton_point(
     grad = grad_primal(u, duals, steps, k)
     w = u - grad / lip
     v, jac = steps.project_jacobian(k, w)
-    res = float(np.linalg.norm(u - steps.project(k, u - grad)))
+    res = _norm(u - steps.project(k, u - grad))
     # r = u - v summed as grad/lip + (w - v): as u - v, free DERs cancel to
     # |u| eps_mach, lip times that at the scale of the stop test
     return _NewtonPoint(u, f, duals, grad, jac, grad / lip + (w - v), res)
@@ -729,7 +743,7 @@ def solve_saddle_oracle(
             # t = 0 is proj(u - grad/lip), accepted untested: 1/lip <=
             # 1/Lip(grad F), so the descent lemma and the projection give
             # F(x) <= F(u) + grad.(x - u)/2, enough for any _ARMIJO <= 1/2
-            decrease = float(np.sum(cur.grad * (x - cur.u)))
+            decrease = float(np.add.reduce(cur.grad * (x - cur.u), None))
             if t == 0.0 or (decrease < 0.0 and f <= cur.f + _ARMIJO * decrease):
                 break
             t = 0.5 * t if t > _MIN_STEP else 0.0
@@ -763,4 +777,4 @@ def saddle_residual(problem: SaddleProblem, u: np.ndarray, duals: np.ndarray) ->
         raise ValueError(f"duals must be [gamma; mu] of shape (2, M), got {duals.shape}")
     u2 = primal_step(u, duals, steps, k)
     d2 = dual_step_feedback(duals, steps.coupling.predict(u, problem.c), steps, k)
-    return float(np.linalg.norm(pack_state(u - u2, duals - d2)))
+    return _norm(pack_state(u - u2, duals - d2))

@@ -13,7 +13,7 @@ import contextlib
 import json
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from operator import itemgetter
 
 import numpy as np
@@ -236,6 +236,16 @@ class AdmittanceMatrix:
     ybar: np.ndarray
     z: np.ndarray | None = None
     tree: TreeFactor | None = None
+    _slack: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+
+    def slack_term(self, v0: complex) -> np.ndarray:
+        """``ybar V0``, read only, formed again only when ``v0`` differs from the last call's."""
+        last, term = self._slack
+        if last != v0:
+            term = self.ybar * v0
+            term.flags.writeable = False
+            object.__setattr__(self, "_slack", (v0, term))
+        return term
 
     @property
     def solve(self) -> Callable[[np.ndarray], np.ndarray]:

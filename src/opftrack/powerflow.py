@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from ._pick import every, largest, smallest
 from .feeder import AdmittanceMatrix, FeederModel
 
 __all__ = [
@@ -45,9 +47,11 @@ class VoltageCollapseError(PowerFlowError):
     """Iterates left the physically meaningful magnitude band."""
 
 
-@dataclass(frozen=True)
-class PFSolution:
-    """Complex bus voltages ``v`` for buses 1..N, their magnitudes, and how the solve went."""
+class PFSolution(NamedTuple):
+    """Complex bus voltages ``v`` for buses 1..N, their magnitudes, and how the solve went.
+
+    A named tuple: built once per step, it costs half a frozen dataclass.
+    """
 
     v: np.ndarray
     v_mag: np.ndarray
@@ -173,7 +177,7 @@ def solve_ac(
     s = np.asarray(s, dtype=complex)
     if s.shape != (n,):
         raise ValueError(f"injections must be a vector of length {n}, got shape {s.shape}")
-    if not np.logical_and.reduce(np.isfinite(s)):
+    if not every(np.isfinite(s)):
         raise ValueError("injections must be finite")
     if init is None:
         v = no_load_voltage(adm, v0)
@@ -185,7 +189,7 @@ def solve_ac(
                     f"warm-start magnitudes must be in [{COLLAPSE_LO}, {COLLAPSE_HI}] pu"
                 )
             v = np.asarray(fallback, dtype=complex)
-    yv0 = adm.ybar * v0
+    yv0 = adm.slack_term(v0)
     solve = adm.solve
     residual = math.inf
     for it in range(1, max_iter + 1):
@@ -197,7 +201,7 @@ def solve_ac(
                 f"collapse: |v| outside [{COLLAPSE_LO}, {COLLAPSE_HI}] at iteration {it}"
             )
         # s (v+ / v - 1), with the update's s / v
-        residual = float(np.maximum.reduce(np.abs(sv * (v_next - v))))
+        residual = float(largest(np.abs(sv * (v_next - v))))
         v = v_next
         if residual <= tol:
             return PFSolution(v, v_mag, it, residual)
@@ -206,7 +210,7 @@ def solve_ac(
 
 def in_band(v_mag: np.ndarray) -> bool:
     """Whether every magnitude ``v_mag`` is in ``[COLLAPSE_LO, COLLAPSE_HI]`` (a NaN is not)."""
-    return COLLAPSE_LO <= np.minimum.reduce(v_mag) and np.maximum.reduce(v_mag) <= COLLAPSE_HI
+    return COLLAPSE_LO <= smallest(v_mag) and largest(v_mag) <= COLLAPSE_HI
 
 
 def constraint_offsets(

