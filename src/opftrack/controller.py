@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -225,57 +225,53 @@ def _clamp(q: np.ndarray, cap: np.ndarray) -> np.ndarray:
     return np.where(q >= cap, cap, np.maximum(q, -cap))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VoltageCoupling:
     """The linear surrogate of the metered voltage magnitudes, stored.
 
-    ``rb`` is the stacked sensitivity block ``[r b]`` (M x 2 n_der): ``r``
-    and ``b``, views of its two halves, hold the active/reactive sensitivity
-    columns of the DER buses. ``rows``, the one layout the steps, the
-    prediction and the oracle read, is ``[r b]^T`` (2 n_der x M, C order) in
-    the setpoints' order: DER i's P and Q rows at 2i and 2i + 1, and
-    ``back``, the product ``[r b]^T lam`` in that order, is ``rows.dot``
-    itself. The prediction for setpoints (P, Q) is ``r P + b Q + c``, the
-    offset ``c`` a step's metered magnitudes at its loads with every DER
-    off (see :func:`~opftrack.powerflow.constraint_offsets`). A feeder small
+    Built from the stacked sensitivity block ``rb = [r b]`` (M x 2 n_der),
+    ``r`` and ``b`` the active/reactive sensitivity columns of the DER
+    buses, it stores only the layout the steps, the prediction and the
+    oracle read: ``rows``, ``[r b]^T`` (2 n_der x M, C order) in the
+    setpoints' order, DER i's P and Q rows at 2i and 2i + 1. ``back``, the
+    product ``[r b]^T lam`` in that order, is ``rows.dot`` itself. The
+    prediction for setpoints (P, Q) is ``r P + b Q + c``, the offset ``c``
+    a step's metered magnitudes at its loads with every DER off (see
+    :func:`~opftrack.powerflow.constraint_offsets`). A feeder small
     enough to keep ``Y^{-1}`` dense compiles to this coupling; a larger one
     to :class:`FactoredCoupling`, which has the same products.
     """
 
-    rb: np.ndarray
-    r: np.ndarray = field(init=False, repr=False, compare=False)
-    b: np.ndarray = field(init=False, repr=False, compare=False)
-    rows: np.ndarray = field(init=False, repr=False, compare=False)
-    back: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False, compare=False)
+    rb: InitVar[np.ndarray]
+    rows: np.ndarray = field(init=False)
+    back: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        rb = np.asarray(self.rb, dtype=float)
+    def __post_init__(self, rb: np.ndarray) -> None:
+        rb = np.asarray(rb, dtype=float)
         if rb.ndim != 2 or rb.shape[1] % 2:
             raise ValueError("inconsistent coupling shapes")
         m, n = rb.shape[0], rb.shape[1] // 2
         rows = np.empty((n, 2, m))  # C order: its products round as one layout
         rows[:, 0], rows[:, 1] = rb[:, :n].T, rb[:, n:].T
         rows = rows.reshape(2 * n, m)
-        for name, value in (
-            ("rb", rb), ("r", rb[:, :n]), ("b", rb[:, n:]), ("rows", rows), ("back", rows.dot)
-        ):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "back", rows.dot)
 
     @property
     def n_der(self) -> int:
-        return self.r.shape[1]
+        return self.rows.shape[0] // 2
 
     @property
     def n_metered(self) -> int:
-        return self.rb.shape[0]
+        return self.rows.shape[1]
 
     def predict(self, u: np.ndarray, c: np.ndarray) -> np.ndarray:
         """``r P + b Q + c`` for setpoints ``u`` (..., n_der, 2) and offsets ``c`` (..., M)."""
         return u.reshape(u.shape[:-2] + (2 * self.n_der,)) @ self.rows + c
 
     def norm(self) -> float:
-        """The spectral norm of ``[r b]``."""
-        return _spectral_norm(self.rb)
+        """The spectral norm of ``[r b]``, that of ``rows``."""
+        return _spectral_norm(self.rows)
 
     @property
     def stored(self) -> VoltageCoupling:
@@ -294,16 +290,16 @@ class FactoredCoupling:
     (the metered buses) of its columns ``der`` (the DER buses). So ``r P +
     b Q`` is :meth:`~opftrack.powerflow.LinearModel.response` of the
     setpoints placed at the DER buses, read at the metered ones, and, ``Y``
-    being complex symmetric, ``[r b]^T lam`` is ``ebar * Y^{-1} (exp(-j
-    theta) lam)`` read at the DER buses, its real and imaginary parts the P
-    and Q rows: one solve each.
+    being complex symmetric, ``[r b]^T lam`` is ``ebar * Y^{-1} (rot lam)``
+    read at the DER buses, with ``rot = exp(-j theta)`` of ``lm``, its real
+    and imaginary parts the P and Q rows: one solve each.
 
     The saddle oracle needs the block itself, for its Newton system, and
     products rounded as a product with it: its penalty weights the
     prediction by 1 / eps, and with these solves its residual stalled at
     4e-11 on a 3000-bus ramp step that reaches 1e-11 with the block.
-    :attr:`stored` forms that :class:`VoltageCoupling` from ``lm.columns``
-    when first read.
+    :attr:`stored` forms that :class:`VoltageCoupling` when first read,
+    from ``lm.columns``: solves of the unit columns at the DER buses.
     """
 
     lm: LinearModel
@@ -314,7 +310,7 @@ class FactoredCoupling:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "scale", self.lm.ebar[self.der])
-        object.__setattr__(self, "rot", (np.conj(self.lm.ebar) * self.lm.a)[self.mon])
+        object.__setattr__(self, "rot", self.lm.rot[self.mon])
 
     @property
     def n_der(self) -> int:
@@ -672,7 +668,9 @@ def _newton_point(
 
 _ARMIJO = 1e-4  # sufficient-decrease fraction of the line search, at most 1/2
 _MIN_STEP = 2.0**-20  # shortest Newton step tried before the projected-gradient point
-_STALL_RES = 1e-9  # residual below which a step that gains nothing means rounding
+# residual below which a step that gains nothing means rounding, or eps_mach
+# lip, as 1 / eps, where larger (config36 stalls at 2.6e-9 at eps = 1e-8)
+_STALL_RES = 1e-9
 _MAX_ITER = 500_000  # Newton steps before the oracle gives up
 
 
@@ -701,11 +699,11 @@ def solve_saddle_oracle(
     The solve starts from the setpoints ``u0`` (n_der, 2), projected, by
     default full available power at unity power factor; a warm start needs
     no duals, since they follow from the setpoints in closed form. It stops
-    once the residual is at most ``tol``, or, below 1e-9, when the accepted
-    step fails to reduce it (the rounding floor). Raises ``ValueError``
-    unless ``0 < tol < inf``, and :class:`OracleError` if ``_MAX_ITER``
-    steps are exhausted or the final residual is non-finite or above
-    ``max(tol, 1e-6)``.
+    once the residual is at most ``tol``, or, below ``max(1e-9, eps_mach
+    L)``, when the accepted step fails to reduce it (the rounding floor,
+    which grows with ``L``). Raises ``ValueError`` unless ``0 < tol <
+    inf``, and :class:`OracleError` if ``_MAX_ITER`` steps are exhausted
+    or the final residual is non-finite or above ``max(tol, 1e-6)``.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"oracle tolerance must be positive and finite, got {tol!r}")
@@ -719,6 +717,7 @@ def solve_saddle_oracle(
     a = steps.coupling.rows
     h_cost = (prm.nu - inv.m2c).ravel()
     lip = h_cost.max() + float(np.sum(a * a)) / prm.epsilon
+    stall = max(_STALL_RES, np.finfo(float).eps * lip)
 
     x = steps.project(k, u0)
     cur = _newton_point(problem, x, *_penalty_value(problem, x), lip)
@@ -748,7 +747,7 @@ def solve_saddle_oracle(
                 break
             t = 0.5 * t if t > _MIN_STEP else 0.0
         new = _newton_point(problem, x, f, duals, lip)
-        if cur.res <= _STALL_RES and new.res >= cur.res:
+        if cur.res <= stall and new.res >= cur.res:
             break  # rounding floor: the accepted step gains nothing
         its += 1
         cur = new

@@ -37,15 +37,19 @@ __all__ = [
 # is treated as numerically singular
 RCOND_LIMIT = 1e-10
 
-# columns per tree-factor solve or block: each holds a few N x width
-# temporaries, which a 600-column solve at N = 1000 would make ~10 MB each
+# columns per tree-factor solve, and per solve of the linear model's unit
+# columns: each holds a few N x width temporaries, which a 600-column solve
+# at N = 1000 would make ~10 MB each
 SOLVE_BLOCK = 32
 
 # feeders of up to this many buses keep Z = Y^{-1} dense, larger ones the
 # tree factor. Per vector, z.dot beat the tree solve up to N = 256 and lost
 # from 384 (random_radial, 2 vCPUs: 7.2 against 13.8 us at 192, 10.9
 # against 15.4 us at 256, 20.0 against 16.9 us at 384), but inverting Y
-# took 3.2 ms at 192 and 6.2 ms at 256 against 0.9 ms for the tree factor
+# took 3.2 ms at 192 and 6.2 ms at 256 against 0.9 ms for the tree factor.
+# Both forms stay: on feeder36 (N = 36, in process) z.dot takes 1.8 us per
+# vector against 25 us for the tree solve, which would add about 0.12 s to
+# the 5200-6200 AC iterations of a 4000-step run
 DENSE_Z_MAX_NODES = 192
 
 
@@ -127,9 +131,9 @@ class TreeFactor:
     Fields: ``w``, ``W`` by bus; ``order``, the bus at each place, and
     ``place``, the place of each bus; ``roots``, the places of the slack's
     neighbours, and ``branch``, the one above each place; by place,
-    ``stop``, the place after its subtree, ``c``, ``1 / (W^2 D)``, and
-    ``q``, the path sum of ``c``; ``ends`` (2, k), the buses of the chords;
-    ``g`` and ``h`` (k, N), the columns of ``G`` and ``H``.
+    ``stop``, the place after its subtree, and ``c``, ``1 / (W^2 D)``;
+    ``ends`` (2, k), the buses of the chords, and ``h`` (k, N), the
+    columns of ``H``.
     """
 
     w: np.ndarray
@@ -139,9 +143,7 @@ class TreeFactor:
     branch: np.ndarray
     stop: np.ndarray
     c: np.ndarray
-    q: np.ndarray
     ends: np.ndarray
-    g: np.ndarray
     h: np.ndarray
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -179,46 +181,6 @@ class TreeFactor:
                 x -= h * d
         return x
 
-    def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Rows ``rows`` of columns ``cols`` of ``Y^{-1}``, ``SOLVE_BLOCK`` columns at a time.
-
-        A unit right-hand side at bus j has subtree sum ``W_j`` at j and at
-        its ancestors and 0 elsewhere, so column j of ``T^{-1}`` is ``W_j W``
-        times ``q`` of the nearest common ancestor. In preorder that column
-        is a run of constants: 0, then ``q`` of each ancestor from its
-        place, and the same values back to 0 where the subtrees stop. Each
-        chord then takes off ``H[rows] G[j]``.
-        """
-        n = len(self.order)
-        out = np.empty((len(cols), len(rows)), dtype=complex)
-        for j in range(0, len(cols), SOLVE_BLOCK):
-            part = cols[j : j + SOLVE_BLOCK]
-            k = len(part)
-            p = self.place[part, None]
-            # the places of each column's bus and its ancestors, top down
-            col, anc = np.nonzero((np.arange(n) <= p) & (p < self.stop))
-            top = np.ones(col.size, dtype=bool)
-            top[1:] = col[1:] != col[:-1]
-            # a column's runs: 0 from place 0; q of each ancestor from its
-            # place; q of the ancestor above it (0 above the topmost) from
-            # its stop, where the deeper of two equal stops comes first
-            start = np.concatenate([np.zeros(k, dtype=int), anc, self.stop[anc]])
-            owner = np.concatenate([np.arange(k), col, col])
-            value = np.concatenate(
-                [np.zeros(k), self.q[anc], np.where(top, 0.0, np.roll(self.q[anc], 1))]
-            )
-            tie = np.concatenate([np.full(k, -1), np.zeros(col.size, dtype=int), -anc])
-            by = np.lexsort((tie, start, owner))
-            start, owner, value = start[by], owner[by], value[by]
-            end = np.append(start[1:], n)
-            end[np.append(owner[1:] != owner[:-1], True)] = n
-            x = np.repeat(value, end - start).reshape(k, n)
-            np.multiply(np.take(x, self.place[rows], axis=1), self.w[rows], out=out[j : j + k])
-            out[j : j + k] *= self.w[part, None]
-            for g, h in zip(self.g, self.h):
-                out[j : j + k] -= g[part, None] * h[rows]
-        return out.T
-
 
 @dataclass(frozen=True)
 class AdmittanceMatrix:
@@ -228,9 +190,9 @@ class AdmittanceMatrix:
     slack-to-network column ``ybar``, and one representation of the
     reduced network block ``Y``, whose row i is bus i + 1. A feeder of up
     to ``DENSE_Z_MAX_NODES`` buses keeps the dense inverse ``z``, and a
-    larger one ``tree``, the :class:`TreeFactor`. ``Y`` itself is not kept:
-    every use of it is :attr:`solve`, or :meth:`block` for entries of
-    ``Y^{-1}``.
+    larger one ``tree``, the :class:`TreeFactor`. ``Y`` itself is not kept,
+    nor any entry of ``Y^{-1}`` apart from ``z``: every use of them is
+    :attr:`solve`, entries included (the linear model solves unit columns).
     """
 
     ybar: np.ndarray
@@ -251,10 +213,6 @@ class AdmittanceMatrix:
     def solve(self) -> Callable[[np.ndarray], np.ndarray]:
         """``Y^{-1} rhs`` for a vector or an N x K array: ``z.dot``, or the tree factor's solve."""
         return self.z.dot if self.tree is None else self.tree.solve
-
-    def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Rows ``rows`` of columns ``cols`` of ``Y^{-1}``: entries of ``z``, or :meth:`TreeFactor.block`."""
-        return self.z[np.ix_(rows, cols)] if self.tree is None else self.tree.block(rows, cols)
 
 
 def validate_feeder(feeder: FeederModel) -> list[str]:
@@ -436,13 +394,12 @@ def _tree_factor(
     # from the slack: W, and each bus's preorder place after its parent and
     # the subtrees of its earlier siblings
     w[levels[0]] = 1.0
-    c, q = np.zeros(n + 1, dtype=complex), np.zeros(n + 1, dtype=complex)
+    c = np.zeros(n + 1, dtype=complex)
     pre = np.zeros(n + 1, dtype=int)
     for bus in levels:
         up = parent[bus]
         w[bus] *= w[up]
         c[bus] = 1.0 / (w[bus] ** 2 * d[bus])
-        q[bus] = q[up] + c[bus]
         before = np.cumsum(size[bus]) - size[bus]
         head = np.ones(bus.size, dtype=bool)
         head[1:] = up[1:] != up[:-1]
@@ -458,9 +415,7 @@ def _tree_factor(
         branch=np.searchsorted(roots, np.arange(n), side="right") - 1,
         stop=np.arange(n) + size[1:][order],
         c=c[1:][order],
-        q=q[1:][order],
         ends=np.zeros((2, 0), dtype=int),
-        g=np.zeros((0, n), dtype=complex),
         h=np.zeros((0, n), dtype=complex),
     )
     k = int(np.count_nonzero(chord))
@@ -477,7 +432,7 @@ def _tree_factor(
         m = np.linalg.inv(np.diag(1.0 / ys[chord]) + g[ends[0]] - g[ends[1]])
     except np.linalg.LinAlgError:
         return None
-    return replace(tree, ends=ends, g=g.T.copy(), h=(g @ m).T.copy())
+    return replace(tree, ends=ends, h=(g @ m).T.copy())
 
 
 def _inverse_norm1(solve: Callable[[np.ndarray], np.ndarray], n: int) -> float:

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._pick import every, largest, smallest
-from .feeder import AdmittanceMatrix, FeederModel
+from .feeder import SOLVE_BLOCK, AdmittanceMatrix, FeederModel
 
 __all__ = [
     "PFSolution",
@@ -67,21 +67,23 @@ class LinearModel:
     is the no-load magnitude profile ``|vbar|``. Entry (i, j) of ``R + jB``
     is entry (i, j) of ``Y^{-1}`` scaled by ``ebar_j = exp(j theta_j) /
     rho_j``, the no-load angle and magnitude of bus j, and rotated by
-    ``exp(-j theta_i)``, so that
-    ``R p + B q = Re(exp(-j theta) * Y^{-1} (ebar * (p - jq)))``: the first
-    order change of ``|v|`` whatever the slack's reference angle. R and B
-    are therefore not stored: :meth:`response` applies them with one
-    product or solve, and :meth:`columns` forms only the entries asked for.
+    ``rot_i = exp(-j theta_i)``, so that
+    ``R p + B q = Re(rot * Y^{-1} (ebar * (p - jq)))``: the first order
+    change of ``|v|`` whatever the slack's reference angle. R and B are
+    therefore not stored, and ``Y^{-1}`` is read only through
+    ``adm.solve``: :meth:`response` applies R and B with one product or
+    solve, and :meth:`columns` solves for the columns asked for.
     """
 
     adm: AdmittanceMatrix
     vbar: np.ndarray
     a: np.ndarray
     ebar: np.ndarray
+    rot: np.ndarray
 
     def response(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """``R p + B q`` for injections of shape (N,), or (N, K) for K at once."""
-        scale, rot = self.ebar, np.conj(self.ebar) * self.a  # rot = exp(-j theta)
+        scale, rot = self.ebar, self.rot
         if np.ndim(p) == 2:
             scale, rot = scale[:, None], rot[:, None]
         return (rot * self.adm.solve(scale * (p - 1j * q))).real
@@ -89,14 +91,21 @@ class LinearModel:
     def columns(self, idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Rows ``rows`` of columns ``idx`` of R and of B, side by side: ``[R B]``.
 
-        The result is len(rows) x 2 len(idx), from only those entries of
-        ``Y^{-1}`` (:meth:`~opftrack.feeder.AdmittanceMatrix.block`).
+        The result is len(rows) x 2 len(idx), from solves of the unit
+        columns at ``idx``, ``SOLVE_BLOCK`` at a time, so that no temporary
+        is much larger than the result. With the dense ``z`` a unit column's
+        product is its column of ``z``, to the bit but for the sign of a zero.
         """
         idx = np.asarray(idx, dtype=int)
         rows = np.asarray(rows, dtype=int)
-        rot = (np.conj(self.ebar) * self.a)[rows, None]  # exp(-j theta)
-        h = rot * (self.adm.block(rows, idx) * self.ebar[idx])
-        return np.hstack([h.real, h.imag])
+        out = np.empty((len(rows), 2, len(idx)))
+        for j in range(0, len(idx), SOLVE_BLOCK):
+            part = idx[j : j + SOLVE_BLOCK]
+            unit = np.zeros((len(self.a), len(part)), dtype=complex)
+            unit[part, np.arange(len(part))] = 1.0
+            h = self.rot[rows, None] * (self.adm.solve(unit)[rows] * self.ebar[part])
+            out[:, 0, j : j + len(part)], out[:, 1, j : j + len(part)] = h.real, h.imag
+        return out.reshape(len(rows), 2 * len(idx))
 
 
 def no_load_voltage(adm: AdmittanceMatrix, v0: complex) -> np.ndarray:
@@ -119,7 +128,7 @@ def build_linear_model(adm: AdmittanceMatrix, v0: complex) -> LinearModel:
         raise ValueError("no-load profile has a zero-magnitude bus")
     ang = np.angle(vbar)
     ebar = np.cos(ang) / rho + 1j * (np.sin(ang) / rho)
-    return LinearModel(adm=adm, vbar=vbar, a=rho, ebar=ebar)
+    return LinearModel(adm=adm, vbar=vbar, a=rho, ebar=ebar, rot=np.conj(ebar) * rho)
 
 
 def predict_voltage_magnitude(lm: LinearModel, s: np.ndarray) -> np.ndarray:

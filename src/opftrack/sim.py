@@ -483,7 +483,7 @@ def compile_feeder(feeder: FeederModel) -> CompiledFeeder:
 
     The coupling is the linear model's metered x DER block, in the form the
     admittance allows. With the dense ``Y^{-1}`` (up to
-    ``DENSE_Z_MAX_NODES`` buses) it is stored, read off those entries
+    ``DENSE_Z_MAX_NODES`` buses) it is stored, from ``lm.columns``
     (:class:`~opftrack.controller.VoltageCoupling`). With the tree factor it
     stores no M x n_der array, and its products are solves
     (:class:`~opftrack.controller.FactoredCoupling`). Raises

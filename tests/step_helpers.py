@@ -23,6 +23,11 @@ def one_row(inv, p_av):
     return one_step(inv, coupling, ControllerParams(1.0, 1.0, 1.0), p_av, 0.0, 1.0)
 
 
+def r_and_b(coupling):
+    """The sensitivities ``r`` and ``b`` (M x n_der) of a stored coupling, from its ``rows``."""
+    return coupling.rows[0::2].T, coupling.rows[1::2].T
+
+
 def project(inv, u, p_av):
     """Projection of setpoints ``u`` (n_der, 2) onto the regions at ``p_av``."""
     return one_row(inv, p_av).project(0, u)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from region_helpers import in_region
 from small_feeders import two_bus
-from step_helpers import no_load_offset, one_step, project, saddle
+from step_helpers import no_load_offset, one_step, project, r_and_b, saddle
 
 from opftrack import networks
 from opftrack.controller import (
@@ -195,7 +195,7 @@ def test_a3_error_free_contraction():
 
     # constants assembled from their definitions, independent of the library
     lip = 2.0 * max(0.5, 0.5)  # 2 max(c_p, c_q)
-    gain = float(np.linalg.svd(np.hstack([coupling.r, coupling.b]), compute_uv=False)[0])
+    gain = float(np.linalg.svd(np.hstack(r_and_b(coupling)), compute_uv=False)[0])
     nu = eps = 0.1
     eta = min(nu, eps)
     l_reg = math.sqrt((lip + nu + 2 * gain) ** 2 + 2 * (gain + eps) ** 2)
@@ -425,7 +425,8 @@ V_MIN, V_MAX = 0.95, 1.05
 
 def _lagrangian(u, gamma, mu, cost_w, coupling, c, pl, ql, pav, params, w=None):
     if w is None:
-        w = coupling.r @ (u[:, 0] - pl) + coupling.b @ (u[:, 1] - ql) + c
+        r, b = r_and_b(coupling)
+        w = r @ (u[:, 0] - pl) + b @ (u[:, 1] - ql) + c
     val = params.nu / 2.0 * float(np.sum(u * u))
     for i, (c_p, c_q) in enumerate(cost_w):
         val += c_p * (pav[i] - u[i, 0]) ** 2 + c_q * u[i, 1] ** 2
@@ -444,7 +445,7 @@ def test_a8_gradients_match_finite_differences():
         fd = networks.random_radial(n, seed=200 + inst)
         net = compile_feeder(fd)
         coupling, c = net.coupling, no_load_offset(net)
-        g, m = coupling.n_der, coupling.rb.shape[0]
+        g, m = coupling.n_der, coupling.n_metered
         u = rng.normal(0.0, 0.5, (g, 2))
         duals = np.stack([rng.uniform(0.0, 2.0, m), rng.uniform(0.0, 2.0, m)])
         gamma, mu = duals
@@ -474,7 +475,8 @@ def test_a8_gradients_match_finite_differences():
 
         # the model-based step is the feedback step fed the model prediction,
         # the DER-bus demand folded into the offset
-        loaded = c - coupling.r @ pl - coupling.b @ ql
+        r, b = r_and_b(coupling)
+        loaded = c - r @ pl - b @ ql
         stepped = dual_step_feedback(duals, coupling.predict(u, loaded), step_map, 0)
         y = rng.uniform(0.9, 1.1, m)
         fed = dual_step_feedback(duals, y, step_map, 0)

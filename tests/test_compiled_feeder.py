@@ -21,7 +21,14 @@ from opftrack.controller import (
     VoltageCoupling,
     convergence_constants,
 )
-from opftrack.feeder import FeederError, FeederModel, _inverse_norm1, build_admittance, save_feeder
+from opftrack.feeder import (
+    SOLVE_BLOCK,
+    FeederError,
+    FeederModel,
+    _inverse_norm1,
+    build_admittance,
+    save_feeder,
+)
 from opftrack.powerflow import build_linear_model, solve_ac
 from opftrack.sim import ScenarioParams, compile_feeder, generate_scenario, run_closed_loop
 
@@ -159,7 +166,8 @@ def test_the_tree_factor_solves_as_the_dense_admittance(fd, seed):
     # a vector and an N x 40 array (two SOLVE_BLOCK blocks) against dense
     # solves, within 1e-12 of the largest entry (at most 5.5e-14 seen over
     # 300 such feeders), each column of the array bit for bit its vector
-    # solve; entries of Y^-1 against the dense inverse
+    # solve; the linear model's columns, solved for, against the entries
+    # of the dense inverse
     adm = build_admittance(fd)
     assert adm.z is None
     y = dense_admittance(fd)[1:, 1:]
@@ -173,8 +181,45 @@ def test_the_tree_factor_solves_as_the_dense_admittance(fd, seed):
     assert np.max(np.abs(one - want[:, 0])) <= 1e-12 * np.max(np.abs(want[:, 0]))
     assert np.column_stack([adm.solve(rhs[:, j]) for j in range(40)]).tobytes() == got.tobytes()
     rows, cols = rng.permutation(n)[: n // 2], rng.permutation(n)[:40]
-    z = np.linalg.inv(y)
-    assert np.max(np.abs(adm.block(rows, cols) - z[np.ix_(rows, cols)])) <= 1e-12 * np.max(np.abs(z))
+    lm = build_linear_model(adm, fd.slack_voltage)
+    h = lm.rot[rows, None] * np.linalg.inv(y)[np.ix_(rows, cols)] * lm.ebar[cols]
+    want = np.hstack([h.real, h.imag])
+    assert np.max(np.abs(lm.columns(cols, rows) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    fd=st.builds(
+        lambda n, seed, k: _meshed(networks.random_radial(n, seed, shunt_prob=0.5), k, seed),
+        st.integers(8, 80),
+        st.integers(0, 2**16),
+        st.integers(0, 3),
+    ),
+    k=st.sampled_from([0, 1, 5, SOLVE_BLOCK, SOLVE_BLOCK + 1, 2 * SOLVE_BLOCK + 3]),
+    data=st.data(),
+)
+def test_columns_are_the_dense_inverse_entries_on_both_forms(fd, k, data):
+    # radial and meshed feeders with shunts; bus sets empty, repeated,
+    # unsorted and across SOLVE_BLOCK boundaries. The dense form's unit
+    # column products are its z's entries, equal in value (a product may
+    # turn a -0.0 into +0.0); the tree factor's solves agree with the dense
+    # inverse within 1e-12 of the largest entry
+    n = fd.n_nodes
+    idx = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k)), dtype=int)
+    rows = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=n + 5)), dtype=int)
+
+    def entries(lm, z):
+        h = lm.rot[rows, None] * (z[np.ix_(rows, idx)] * lm.ebar[idx])
+        return np.hstack([h.real, h.imag])
+
+    dense = build_linear_model(build_admittance(fd), fd.slack_voltage)
+    got = dense.columns(idx, rows)
+    assert got.shape == (len(rows), 2 * k)
+    assert np.array_equal(got, entries(dense, dense.adm.z))
+    tree = build_linear_model(tree_admittance(fd), fd.slack_voltage)
+    got, want = tree.columns(idx, rows), entries(tree, np.linalg.inv(dense_admittance(fd)[1:, 1:]))
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * np.max(np.abs(want), initial=0.0)
 
 
 def _within(got, want, rel=1e-12):
@@ -228,6 +273,26 @@ def test_a_large_feeder_compiles_and_runs_with_no_metered_by_der_block():
     finally:
         tracemalloc.stop()
     assert peak < 12e6, peak
+
+
+def test_the_stored_block_of_a_large_feeder_peaks_at_two_blocks():
+    # the same feeder's [r b] is 14.4 MB. Its columns are solved SOLVE_BLOCK
+    # at a time, each block's temporaries about 11 MB above the result, and
+    # the coupling copies [r b] into its rows while the argument lives: two
+    # blocks, and the few KB of array and object headers tracemalloc counts
+    fd = networks.random_radial(
+        3000, 0, z_mag_range=(0.0005, 0.002), der_nodes=tuple(range(10, 3001, 10))
+    )
+    coupling = compile_feeder(fd).coupling
+    block = 8 * coupling.n_metered * 2 * coupling.n_der
+    tracemalloc.start()
+    try:
+        stored = coupling.stored
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block == stored.rows.nbytes == 14_400_000
+    assert peak <= 2 * block + 2**16, peak
 
 
 @pytest.mark.parametrize("chords", [0, 3], ids=["radial", "meshed"])

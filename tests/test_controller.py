@@ -1,4 +1,6 @@
+import argparse
 import math
+import os
 import warnings
 from dataclasses import replace
 
@@ -8,9 +10,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from region_helpers import in_region, kink_distance, project_scalar
 from small_feeders import two_bus
-from step_helpers import no_load_offset, one_step, project, project_jacobian, saddle
+from step_helpers import no_load_offset, one_step, project, project_jacobian, r_and_b, saddle
 
-from opftrack import controller, networks
+from opftrack import cli, controller, networks
 from opftrack.controller import (
     REGION_KINDS,
     ControllerParams,
@@ -380,7 +382,8 @@ def _step_map(prob, alpha=TB1_ALPHA):
 def _model_dual_step(prob, duals, u, params):
     # the model-based dual step written out from the constraint values
     steps = prob.step_map
-    w = steps.coupling.r @ u[:, 0] + steps.coupling.b @ u[:, 1] + prob.c
+    r, b = r_and_b(steps.coupling)
+    w = r @ u[:, 0] + b @ u[:, 1] + prob.c
     g, g_bar = steps.v_min[0] - w, w - steps.v_max[0]
     a, eps = params.alpha, params.epsilon
     return np.stack([
@@ -393,8 +396,8 @@ def test_coupling_predicts_over_leading_axes():
     prob = _tb1_setup()
     coup, c = prob.step_map.coupling, prob.c
     u = np.asarray([[0.3, -0.1]])
-    assert np.allclose(coup.predict(u, c), coup.r @ u[:, 0] + coup.b @ u[:, 1] + c,
-                       rtol=0.0, atol=1e-15)
+    r, b = r_and_b(coup)
+    assert np.allclose(coup.predict(u, c), r @ u[:, 0] + b @ u[:, 1] + c, rtol=0.0, atol=1e-15)
     # K setpoints against K offset rows give K predictions, row by row
     us = np.asarray([[[0.3, -0.1]], [[0.5, 0.2]], [[0.0, 0.0]]])
     cs = c + np.asarray([[0.0], [0.01], [-0.02]])
@@ -410,7 +413,8 @@ def _lagrangian_value(problem, u, duals):
     steps = problem.step_map
     prm, inv, coup = steps.params, steps.inverters, steps.coupling
     f = float(np.sum(inv.c_p * (steps.p_av[0] - u[:, 0]) ** 2 + inv.c_q * u[:, 1] ** 2))
-    w = coup.r @ u[:, 0] + coup.b @ u[:, 1] + problem.c
+    r, b = r_and_b(coup)
+    w = r @ u[:, 0] + b @ u[:, 1] + problem.c
     g, g_bar = steps.v_min[0] - w, w - steps.v_max[0]
     return (
         f
@@ -430,7 +434,8 @@ def test_gradient_matches_finite_differences():
     inv = Inverters("joint", fd.der_ratings, w[:, 0], w[:, 1])
     # demand at the DER buses, folded into the offset
     p_load, q_load = rng.uniform(0, 0.01, 18), rng.uniform(0, 0.004, 18)
-    c = no_load_offset(net) - coupling.r @ p_load - coupling.b @ q_load
+    r, b = r_and_b(coupling)
+    c = no_load_offset(net) - r @ p_load - b @ q_load
     problem = saddle(inv, 0.8 * inv.s_rating, coupling, c, 0.95, 1.05, params)
     u = np.column_stack([rng.uniform(0, 0.15, 18), rng.uniform(-0.1, 0.1, 18)])
     duals = np.stack([rng.uniform(0, 2, 10), rng.uniform(0, 2, 10)])
@@ -549,7 +554,7 @@ def test_convergence_constants_g_is_the_stacked_two_norm(fd):
     coupling = compile_feeder(fd).coupling
     inv = Inverters("joint", fd.der_ratings, np.ones(fd.n_der), np.ones(fd.n_der))
     consts = convergence_constants(inv, coupling, ControllerParams(0.2, 1e-3, 1e-4))
-    want = float(np.linalg.norm(np.hstack([coupling.r, coupling.b]), 2))
+    want = float(np.linalg.norm(np.hstack(r_and_b(coupling)), 2))
     assert consts.G == pytest.approx(want, rel=1e-12)
 
 
@@ -627,6 +632,20 @@ def test_saddle_oracle_budget_exhaustion(monkeypatch):
         solve_saddle_oracle(prob, tol=1e-13)
 
 
+def test_saddle_oracle_stops_at_the_rounding_floor_of_a_small_epsilon(monkeypatch):
+    # at eps = 1e-8 the penalty's curvature is 1e4 times config36's, and so
+    # is the residual's rounding floor: step 300's stalls near 2.6e-9, above
+    # an absolute 1e-9, and the oracle must stop there, not after 2000 or
+    # _MAX_ITER steps that gain nothing
+    monkeypatch.setattr(controller, "_MAX_ITER", 2000)
+    config = os.path.join(os.path.dirname(os.path.dirname(__file__)), "data", "config36.json")
+    cfg, net, scen, inv = cli._load_run(argparse.Namespace(config=config))
+    steps, c = oracle_map(net, scen, inv, replace(cfg.controller, epsilon=1e-8))
+    sol = solve_saddle_oracle(step_problem(steps, c, 300))
+    assert sol.iterations <= 50
+    assert sol.residual <= 1e-8
+
+
 def test_saddle_oracle_large_feeder_last_ramp_step():
     # 3000 buses and 300 DERs at the last step of a ramp, with many limits
     # violated at the start: the residual must reach 1e-11, below where
@@ -658,7 +677,8 @@ def _lipschitz_bound(prob):
     steps = prob.step_map
     inv, prm, coup = steps.inverters, steps.params, steps.coupling
     curvature = 2.0 * max(inv.c_p.max(), inv.c_q.max()) + prm.nu
-    return curvature + float(np.sum(coup.r**2) + np.sum(coup.b**2)) / prm.epsilon
+    r, b = r_and_b(coup)
+    return curvature + float(np.sum(r**2) + np.sum(b**2)) / prm.epsilon
 
 
 def _penalty_instance():
@@ -666,7 +686,7 @@ def _penalty_instance():
     # both limits are violated at different metered buses
     fd = networks.feeder36()
     coupling = compile_feeder(fd).coupling
-    m = coupling.rb.shape[0]
+    m = coupling.n_metered
     c = np.where(np.arange(m) % 2 == 0, 0.90, 1.10)
     rng = np.random.default_rng(11)
     w = rng.uniform(0.5, 3.0, (18, 2))
@@ -750,9 +770,7 @@ def _saddle_residual_reference(problem, u, gamma, mu):
     g, g_bar = steps.v_min[0] - w, w - steps.v_max[0]
     c = np.column_stack([inv.c_p, inv.c_q])
     pa0 = np.column_stack([steps.p_av[0], np.zeros(inv.n_der)])
-    rows = np.empty((inv.n_der, 2, len(gamma)))  # C order, as the map's
-    rows[:, 0], rows[:, 1] = coupling.r.T, coupling.b.T
-    back = (rows.reshape(2 * inv.n_der, -1) @ (gamma - mu)).reshape(u.shape)
+    back = (coupling.rows @ (gamma - mu)).reshape(u.shape)
     u2 = steps.project(0, ((1.0 - prm.nu) - 2.0 * c) * u + 2.0 * c * pa0 + back)
     eps = prm.epsilon
     gamma2 = np.maximum(0.0, (1.0 - eps) * gamma + g)
@@ -786,11 +804,12 @@ def test_coupling_slicing_and_validation():
     fd = networks.feeder36()
     net = compile_feeder(fd)
     coup, lm = net.coupling, net.lm
-    assert coup.rb.shape[0] == 10 and coup.n_der == 18
+    assert coup.n_metered == 10 and coup.n_der == 18
     mi, di = fd.monitored_indices(), fd.der_indices()
     R, B = np.hsplit(lm.columns(np.arange(fd.n_nodes), np.arange(fd.n_nodes)), 2)
-    assert coup.r[3, 5] == R[mi[3], di[5]]
-    assert coup.b[7, 11] == B[mi[7], di[11]]
+    r, b = r_and_b(coup)
+    assert r[3, 5] == R[mi[3], di[5]]
+    assert b[7, 11] == B[mi[7], di[11]]
     with pytest.raises(ValueError, match="inconsistent"):
         VoltageCoupling(np.zeros(6))  # not a block
     with pytest.raises(ValueError, match="inconsistent"):
@@ -911,10 +930,10 @@ def test_folded_steps_equal_the_written_out_steps(batch, data):
     band = np.array([[steps.v_min[k]], [-steps.v_max[k]]])
 
     want = steps.project(k, u - a * grad_primal(u, duals, steps, k))
-    back = np.abs(coupling.rb).T @ np.abs(duals[1] - duals[0])  # P rows, then Q rows
+    back = np.abs(coupling.rows) @ np.abs(duals[1] - duals[0])  # in the setpoints' order
     terms = np.abs(u) + a * (
         np.abs(inv.m2c) * (np.abs(pa0) + np.abs(u)) + params.nu * np.abs(u)
-        + back.reshape(2, n).T
+        + back.reshape(n, 2)
     ) + inv.s_rating[:, None]  # the projection's own rounding
     # the projection is non-expansive per DER
     gap = np.linalg.norm(primal_step(u, duals, steps, k) - want, axis=1)
@@ -955,8 +974,9 @@ def test_predict_equals_r_p_plus_b_q_plus_c(m, n, k, seed):
     # within the rounding of the 2n + 1 summed terms, once on each side, for
     # one set of setpoints and for K of them against K offset rows
     rng = np.random.default_rng(seed)
-    coupling = VoltageCoupling(_random_block(rng, m, n))
-    r, b, ulp = coupling.r, coupling.b, np.finfo(float).eps
+    rb = _random_block(rng, m, n)
+    coupling = VoltageCoupling(rb)
+    (r, b), ulp = np.hsplit(rb, 2), np.finfo(float).eps
     for shape in ((n, 2), (k, n, 2)):
         u = rng.uniform(-2.0, 2.0, shape)
         c = rng.uniform(0.9, 1.1, shape[:-2] + (m,))
@@ -976,18 +996,19 @@ def test_grad_primal_equals_its_two_product_form(batch, data):
     n, m = inv.n_der, data.draw(st.integers(1, 6))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     inv = Inverters(inv.kind, inv.s_rating, *rng.uniform(0.0, 3.0, (2, n)))
-    coupling = VoltageCoupling(_random_block(rng, m, n))
+    rb = _random_block(rng, m, n)
+    coupling, (r, b) = VoltageCoupling(rb), np.hsplit(rb, 2)
     params = ControllerParams(0.2, data.draw(st.floats(1e-4, 1.0)), 1e-3)
     steps = one_step(inv, coupling, params, p_av, 0.95, 1.05)
     u = data.draw(setpoints(n))
     duals = rng.uniform(0.0, 5.0, (2, m)) * (rng.uniform(size=(2, m)) < 0.7)
     lam, ulp = duals[1] - duals[0], np.finfo(float).eps
-    back = np.column_stack([coupling.r.T @ lam, coupling.b.T @ lam])
+    back = np.column_stack([r.T @ lam, b.T @ lam])
     pa0 = np.column_stack([steps.p_av[0], np.zeros(n)])
     want = inv.m2c * (pa0 - u) + back + params.nu * u
     terms = (
         np.abs(inv.m2c) * (np.abs(pa0) + np.abs(u))
-        + np.column_stack([np.abs(coupling.r.T) @ np.abs(lam), np.abs(coupling.b.T) @ np.abs(lam)])
+        + np.column_stack([np.abs(r.T) @ np.abs(lam), np.abs(b.T) @ np.abs(lam)])
         + params.nu * np.abs(u)
     )
     assert np.all(np.abs(grad_primal(u, duals, steps, 0) - want) <= (2 * m + 4) * ulp * terms)
@@ -1006,11 +1027,12 @@ def test_saddle_oracle_property_random_radial(n, seed):
     w = rng.uniform(0.2, 3.0, (g, 2))
     p_av = rng.uniform(0.0, 1.0, g)
     p_load, q_load = rng.uniform(0.0, 0.05, g), rng.uniform(0.0, 0.02, g)
+    r, b = r_and_b(coupling)
     prob = saddle(
         Inverters(kind, np.ones(g), w[:, 0], w[:, 1]),
         p_av,
         coupling,
-        no_load_offset(net) - coupling.r @ p_load - coupling.b @ q_load,
+        no_load_offset(net) - r @ p_load - b @ q_load,
         0.95,
         float(rng.uniform(1.0, 1.03)),
         ControllerParams(alpha=0.2, nu=1e-3, epsilon=1e-4),

@@ -44,7 +44,7 @@ def _distance_bounds(steps, residual):
     ``[gamma; mu]`` moves by at most ``sqrt(2) ||A||_2 / eps`` per unit of u.
     Returns the bounds on the setpoints' and the duals' distances.
     """
-    inv, prm, a = steps.inverters, steps.params, steps.coupling.rb
+    inv, prm, a = steps.inverters, steps.params, steps.coupling.rows
     h_cost = np.concatenate([2.0 * inv.c_p, 2.0 * inv.c_q]) + prm.nu
     lip = h_cost.max() + float(np.sum(a * a)) / prm.epsilon
     du = (1.0 + lip) / h_cost.min() * residual + ROUNDING
