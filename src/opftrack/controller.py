@@ -367,15 +367,18 @@ class StepMap:
     the projection forms the Q caps where it clamps.
 
     It also holds the steps with the stepsize ``alpha`` folded in, formed
-    once for all its rows. The primal step ``u - alpha grad_primal`` is
-    ``c1 u + c0[k] + [r b]^T (apm [gamma; mu])``, with ``c1 = 1 - alpha nu +
-    alpha [-2 c_p, -2 c_q]`` (n_der x 2), ``c0[k] = -alpha [-2 c_p, -2
-    c_q] (p_av, 0)`` (K x n_der x 2), ``apm = [alpha, -alpha]``, whose
-    product with the duals is ``alpha (gamma - mu)``, and the coupling's
-    alpha-free product ``back`` (:class:`VoltageCoupling`).
-    The dual step is ``decay d + (aband[k] + asigma y)``, with ``decay =
-    1 - alpha eps``, ``aband[k] = alpha [v_min; -v_max]`` (2 x M, each limit
-    repeated for every metered bus), ``asigma = alpha [-1; 1]``.
+    once for all its rows; :func:`primal_step` and
+    :func:`dual_step_feedback` apply them. The primal step ``u - alpha
+    grad_primal`` is ``c1 u + c0[k] + [r b]^T (apm [gamma; mu])``, projected,
+    with ``c1 = 1 - alpha nu + alpha [-2 c_p, -2 c_q]`` (n_der x 2),
+    ``c0[k] = -alpha [-2 c_p, -2 c_q] (p_av, 0)`` (K x n_der x 2), ``apm =
+    [alpha, -alpha]``, whose product with the duals is ``alpha (gamma -
+    mu)`` (exactly ``gamma - mu`` at ``alpha = 1``), and one alpha-free
+    product ``back`` of the coupling (:class:`VoltageCoupling`). The dual
+    step ``max(0, d + alpha (([v_min; -v_max] + [-y; y]) - eps d))`` is
+    ``max(0, decay d + (aband[k] + asigma y))``, with ``decay = 1 - alpha
+    eps``, ``aband[k] = alpha [v_min; -v_max]`` (2 x M, each limit repeated
+    for every metered bus) and ``asigma = alpha [-1; 1]``.
     """
 
     inverters: Inverters
@@ -453,12 +456,9 @@ def dual_step_feedback(
 ) -> np.ndarray:
     """Projected dual ascent at step ``k``, driven by metered magnitudes ``y``.
 
-    Both limits in one update of ``[gamma; mu]``: ``max(0, d + alpha
-    (([v_min; -v_max] + [-y; y]) - eps d))``, formed as ``max(0, (1 -
-    alpha eps) d + (alpha [v_min; -v_max] + alpha [-y; y]))`` from the
-    step map's folded rows. Fed the model prediction
-    ``coupling.predict(u, c)`` in place of a measurement, it is the
-    model-based dual step.
+    Both limits in one update of ``[gamma; mu]``, in the folded form of
+    :class:`StepMap`. Fed the model prediction ``coupling.predict(u, c)``
+    in place of a measurement, it is the model-based dual step.
     """
     return np.maximum(0.0, step_map.decay * duals + (step_map.aband[k] + step_map.asigma * y))
 
@@ -466,10 +466,8 @@ def dual_step_feedback(
 def primal_step(u: np.ndarray, duals: np.ndarray, step_map: StepMap, k: int) -> np.ndarray:
     """Projected gradient step on the setpoints at step ``k``, independently per DER.
 
-    ``project(u - alpha grad_primal(u, duals, step_map, k))``, formed as
-    ``project(c1 u + c0[k] + [r b]^T (apm [gamma; mu]))`` from the step
-    map's folded rows: one product ``coupling.back``, of a 2-vector product
-    that is exactly ``gamma - mu`` at ``alpha = 1``.
+    ``project(u - alpha grad_primal(u, duals, step_map, k))``, in the
+    folded form of :class:`StepMap`.
     """
     back = step_map.coupling.back(step_map.apm.dot(duals)).reshape(u.shape)
     # step_map.project(k, .), with one call fewer on the closed loop's path

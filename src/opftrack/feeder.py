@@ -37,9 +37,8 @@ __all__ = [
 # is treated as numerically singular
 RCOND_LIMIT = 1e-10
 
-# columns per tree-factor solve, and per solve of the linear model's unit
-# columns: each holds a few N x width temporaries, which a 600-column solve
-# at N = 1000 would make ~10 MB each
+# unit columns per solve of the linear model's columns: each block is an
+# N x width temporary, which a 600-column solve at N = 1000 would make ~10 MB
 SOLVE_BLOCK = 32
 
 # feeders of up to this many buses keep Z = Y^{-1} dense, larger ones the
@@ -147,38 +146,39 @@ class TreeFactor:
     h: np.ndarray
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """``Y^{-1} rhs`` for a vector or an N x K array, ``SOLVE_BLOCK`` columns at a time.
+        """``Y^{-1} rhs`` for a vector, or an N x K array one column at a time.
 
-        Each column of an array solve is its vector solve, bit for bit.
+        Each column of an array solve is its vector solve, bit for bit. On
+        ``random_radial`` feeders (2 vCPUs, timeit) the loop beat a
+        broadcast solve of the whole block at N = 3000, K = 32 (5.9 against
+        11.2 ms) and N = 1000, K = 1 (57 against 89 us), and lost on smaller
+        blocks: 2.0 against 1.4 ms at N = 1000, K = 32, 1.2 against 0.42 ms
+        at N = 300, K = 32.
         """
-        if rhs.ndim == 2 and rhs.shape[1] > SOLVE_BLOCK:
+        if rhs.ndim == 2:
             out = np.empty(rhs.shape, dtype=complex)
-            for j in range(0, rhs.shape[1], SOLVE_BLOCK):
-                out[:, j : j + SOLVE_BLOCK] = self.solve(rhs[:, j : j + SOLVE_BLOCK])
+            for j in range(rhs.shape[1]):
+                out[:, j] = self.solve(rhs[:, j])
             return out
-        w, c, hs = (self.w, self.c, self.h) if rhs.ndim == 1 else (
-            self.w[:, None], self.c[:, None], self.h[:, :, None]
-        )
         # the slack's neighbours hold the slack's share of rhs (-ybar V0 in
         # the AC iteration) and of the path sums, which dwarf the rest: summed
         # apart, their rounding stays out of the other buses' sums
-        u = (rhs * w)[self.order]
+        u = (rhs * self.w)[self.order]
         top = u[self.roots]
         u[self.roots] = 0.0
-        sums = np.zeros((len(rhs) + 1,) + rhs.shape[1:], dtype=complex)
-        np.cumsum(u, axis=0, out=sums[1:])
+        sums = np.zeros(len(rhs) + 1, dtype=complex)
+        np.cumsum(u, out=sums[1:])
         v = sums[self.stop] - sums[:-1]
         v[self.roots] += top
-        v *= c
+        v *= self.c
         top = v[self.roots]
         v[self.roots] = 0.0
         sums[:-1] = v
         sums[-1] = 0.0
         np.subtract.at(sums, self.stop, v)
-        x = (np.cumsum(sums[:-1], axis=0) + top[self.branch])[self.place] * w
-        if len(hs):
-            for h, d in zip(hs, x[self.ends[0]] - x[self.ends[1]]):
-                x -= h * d
+        x = (np.cumsum(sums[:-1]) + top[self.branch])[self.place] * self.w
+        for h, d in zip(self.h, x[self.ends[0]] - x[self.ends[1]]):
+            x -= h * d
         return x
 
 

@@ -203,6 +203,15 @@ def test_validate_invalid_json(tmp_path, capsys):
          "bad_config.json:generator: seed must be >= 0, got -1"),
         (lambda c: c["generator"].update(n_dips=-1),
          "bad_config.json:generator: n_dips must be >= 0, got -1"),
+        # the bell divides by its width, fall and clip: none of them may be 0 or below
+        (lambda c: c["generator"].update(bell_width=0),
+         "bad_config.json:generator: bell_width must be positive, got 0.0"),
+        (lambda c: c["generator"].update(bell_width=-0.28),
+         "bad_config.json:generator: bell_width must be positive, got -0.28"),
+        (lambda c: c["generator"].update(bell_fall=0.0),
+         "bad_config.json:generator: bell_fall must be positive, got 0.0"),
+        (lambda c: c["generator"].update(bell_clip=-1),
+         "bad_config.json:generator: bell_clip must be positive, got -1.0"),
         # a negative fraction would slice from the end, a short sum stretch the last plateau
         (lambda c: c["generator"].update(kind="vmax_steps", vmax_fractions=[-0.5, 0.25, 1.25]),
          "bad_config.json:generator: vmax_fractions must be nonnegative and sum to 1, "

@@ -163,7 +163,7 @@ tree_feeders = st.builds(
 @settings(max_examples=30, deadline=None)
 @given(fd=tree_feeders, seed=st.integers(0, 2**16))
 def test_the_tree_factor_solves_as_the_dense_admittance(fd, seed):
-    # a vector and an N x 40 array (two SOLVE_BLOCK blocks) against dense
+    # a vector and an N x 40 array against dense
     # solves, within 1e-12 of the largest entry (at most 5.5e-14 seen over
     # 300 such feeders), each column of the array bit for bit its vector
     # solve; the linear model's columns, solved for, against the entries
@@ -277,7 +277,7 @@ def test_a_large_feeder_compiles_and_runs_with_no_metered_by_der_block():
 
 def test_the_stored_block_of_a_large_feeder_peaks_at_two_blocks():
     # the same feeder's [r b] is 14.4 MB. Its columns are solved SOLVE_BLOCK
-    # at a time, each block's temporaries about 11 MB above the result, and
+    # at a time, each block of unit columns 1.5 MB above the result, and
     # the coupling copies [r b] into its rows while the argument lives: two
     # blocks, and the few KB of array and object headers tracemalloc counts
     fd = networks.random_radial(

@@ -400,8 +400,8 @@ def test_linear_model_requires_nonzero_profile():
 
 @pytest.mark.parametrize("k", [1, SOLVE_BLOCK, SOLVE_BLOCK + 1, 2 * SOLVE_BLOCK + 1])
 def test_an_array_solve_is_its_vector_solves_across_block_boundaries(k):
-    # the tree factor solves N x K right-hand sides SOLVE_BLOCK columns at a
-    # time, each column bit for bit its own vector solve; the dense z is one
+    # the tree factor solves N x K right-hand sides one column at a time,
+    # each column bit for bit its own vector solve; the dense z is one
     # product, whose BLAS kernel for K columns may round each column in the
     # last place unlike the one for a vector
     fd = networks.random_radial(90, 11, shunt_prob=0.3)

@@ -4,9 +4,11 @@ import csv
 import json
 import math
 import pstats
+import tracemalloc
 import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -136,6 +138,87 @@ def test_generator_time_base_refinement():
     s1 = generate_scenario("ramp", fd, seed=0, params=p1)
     s2 = generate_scenario("ramp", fd, seed=0, params=p2)
     assert np.allclose(s2.p_av[::2], s1.p_av, atol=1e-12)
+
+
+_DEFAULT_RNG = np.random.default_rng
+
+
+class _RecordedDraws:
+    """A seeded generator that keeps what each ``uniform`` call drew."""
+
+    def __init__(self, seed):
+        self.rng, self.drawn = _DEFAULT_RNG(seed), []
+
+    def uniform(self, *args):
+        self.drawn.append(self.rng.uniform(*args))
+        return self.drawn[-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(sim.SCENARIO_KINDS),
+    n=st.integers(1, 40),
+    k=st.integers(1, 300),
+    seed=st.integers(0, 2**16),
+    swing=st.sampled_from([0.0, 1e-3, 0.1, 0.25]),
+    load_p=st.sampled_from([0.008, 0.3, 1.0, 7.0]),
+)
+def test_generated_loads_are_the_direct_sine_and_the_rest_bit_for_bit(kind, n, k, seed, swing,
+                                                                      load_p):
+    # the generator takes sin(a + phi) by the angle sum; the direct formula
+    # base (1 + swing sin(a + phi)), with the same phases, agrees to 4 ulps
+    # of base (1 + swing) (3 seen up to swing 0.25; from 0.5 the direct
+    # formula's own rounding of a + phi, up to 9e-16, reaches 4), and every
+    # other series is the direct one exactly
+    fd = networks.random_radial(n, seed, der_nodes=tuple(range(1, n + 1, 3)))
+    par = ScenarioParams(n_steps=k, tau=0.33, load_p=load_p, load_swing=swing)
+    made = []
+
+    def recorded(s):
+        made.append(_RecordedDraws(s))
+        return made[-1]
+
+    with mock.patch.object(np.random, "default_rng", recorded):
+        scen = generate_scenario(kind, fd, seed, par)
+    rng = _DEFAULT_RNG(seed)
+    t = np.arange(k) * par.tau
+    base = np.full(n, load_p)
+    if kind == "static" or swing == 0:
+        p = np.tile(base, (k, 1))
+    else:
+        phases = rng.uniform(0.0, 2.0 * math.pi, n)
+        p = base * (1.0 + swing * np.sin(2.0 * math.pi * t[:, None] / max(t[-1], 1e-9) + phases))
+    tol = 4 * np.spacing(base * (1.0 + swing))
+    assert np.all(np.abs(scen.p_load - p) <= tol)
+    assert np.array_equal(scen.q_load, par.load_q_ratio * scen.p_load)
+    frac = sim._irradiance(kind, par, t, rng)
+    ratings = np.asarray(fd.der_ratings)
+    assert np.array_equal(scen.p_av, np.minimum(frac[:, None] * ratings, ratings))
+    assert np.array_equal(scen.v_min, np.full(k, par.v_min))
+    if kind == "vmax_steps":
+        b1, b2 = round(7 / 12 * k), round(8 / 12 * k)
+        v_max = np.repeat(par.vmax_plateaus, [b1, b2 - b1, k - b2])
+    else:
+        v_max = np.full(k, par.v_max)
+    assert np.array_equal(scen.v_max, v_max)
+    if kind != "static" and swing > 0:  # the phases: the stream's first draw
+        assert np.array_equal(made[0].drawn[0], phases)
+
+
+def test_a_generated_scenario_peaks_at_its_outputs():
+    # N = 3000, K = 600: p_load and q_load are 14.4 MB each. The loads are
+    # one product of inner size 3, p_av takes an in-place minimum, and the
+    # finiteness checks read only min and max: no K x N temporary anywhere
+    fd = networks.random_radial(3000, 0, der_nodes=tuple(range(10, 3001, 10)))
+    par = ScenarioParams(n_steps=600, load_p=0.0002)
+    tracemalloc.start()
+    try:
+        scen = generate_scenario("cloud_transient", fd, 0, par)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = scen.p_load.nbytes + scen.q_load.nbytes + scen.p_av.nbytes
+    assert peak <= 1.01 * out, (peak, out)
 
 
 def test_unknown_kind_rejected():
@@ -833,7 +916,8 @@ def test_scenario_rejects_non_finite_series():
     ok = dict(tau=1.0, p_load=[[0.0]], q_load=[[0.0]], p_av=[[0.0]],
               v_min=[0.95], v_max=[1.05])
     Scenario(**ok)
-    for name, bad in (("p_load", [[np.nan]]), ("p_av", [[np.inf]]), ("v_min", [np.nan])):
+    for name, bad in (("p_load", [[np.nan]]), ("p_av", [[np.inf]]), ("v_min", [np.nan]),
+                      ("q_load", [[-np.inf]]), ("v_max", [np.inf])):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             Scenario(**{**ok, name: bad})
     with pytest.raises(ValueError, match="tau"):
